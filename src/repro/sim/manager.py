@@ -501,7 +501,7 @@ class WorkflowManager:
             )
         return self._allocator.version(task.category)
 
-    def _may_dispatch(self, task: SimTask) -> bool:
+    def _may_dispatch(self, category: str) -> bool:
         """Exploratory concurrency gate (see ExploratoryConfig).
 
         While a category is still collecting its bootstrap records, only
@@ -509,9 +509,9 @@ class WorkflowManager:
         the queue so their dispatch-time predictions can use the records
         the explorers produce.
         """
-        if not self._allocator.in_exploration(task.category):
+        if not self._allocator.in_exploration(category):
             return True
-        running = self._running_per_category.get(task.category, 0)
+        running = self._running_per_category.get(category, 0)
         return running < self._explore_concurrency
 
     # -- submission pacing -----------------------------------------------------------------

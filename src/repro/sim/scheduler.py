@@ -17,17 +17,39 @@ Two properties matter for fidelity and speed:
   prediction, not a stale bootstrap one.  Retry allocations (set
   explicitly by the manager after an exhaustion) are sticky: the
   escalation ladder must not be re-rolled, or progress is lost.
-* **Scan cost.**  Dispatch is FIFO with backfilling — the scan walks
-  the whole queue so small tasks behind a large head are not starved —
-  and memoizes allocations that failed to fit within the scan: queues
-  full of identically allocated tasks (the common case) cost one
-  placement probe instead of one per task.
+* **Scan cost.**  Dispatch is FIFO with backfilling — small tasks
+  behind a large head are not starved — but a pass does not walk the
+  queue.  Every queued task carries a FIFO sequence number (``enqueue``
+  counts up at the back, ``enqueue_retry`` counts down at the front)
+  and sits in a group keyed by ``(category, current_allocation)``,
+  ``None`` for a task not yet probed.  A pass repeatedly takes the
+  lowest-sequence head among the groups that can still dispatch, so it
+  costs O(groups + placements + first probes), not O(queue).  Skipping
+  whole groups visits exactly the tasks a task-by-task FIFO walk would
+  act on, in the same order, because within one pass (no ``observe``
+  and no worker release happens inside ``try_dispatch``):
+
+  - pool capacity only shrinks, so an allocation that failed to fit
+    cannot fit later in the pass and every task sharing it would be
+    skipped too;
+  - the ``may_dispatch`` gate depends only on the task's *category* and
+    only closes (placements add running tasks, nothing removes them),
+    so once it refuses a category every later task of it is refused.
+
+  A task whose allocation changes while queued (first probe, stale
+  prediction refreshed at placement) moves to its new group *at its own
+  sequence number*: queue order is never a function of the grouping.
+  A task that ``start_attempt`` enqueues from inside a pass is behind
+  everything already queued and is reached by the pass in flight, like
+  the tail of the walk.
+  ``tests/sim/linear_scan_scheduler.py`` keeps the task-by-task walk as
+  the reference the differential tests compare against.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Hashable, Optional, Set
+import heapq
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.resources import ResourceVector
 from repro.sim.pool import WorkerPool
@@ -35,6 +57,9 @@ from repro.sim.task import SimTask, TaskState
 from repro.sim.worker import Worker
 
 __all__ = ["Scheduler"]
+
+#: (category, current allocation or None while unprobed)
+_GroupKey = Tuple[str, Optional[ResourceVector]]
 
 
 class Scheduler:
@@ -46,16 +71,24 @@ class Scheduler:
         allocation_of: Callable[[SimTask], ResourceVector],
         allocation_version: Callable[[SimTask], Hashable],
         start_attempt: Callable[[SimTask, Worker], None],
-        may_dispatch: Optional[Callable[[SimTask], bool]] = None,
+        may_dispatch: Optional[Callable[[str], bool]] = None,
     ) -> None:
         self._pool = pool
         self._allocation_of = allocation_of
         self._allocation_version = allocation_version
         self._start_attempt = start_attempt
-        #: Policy gate evaluated before placement (e.g. the exploratory
-        #: concurrency bound); gated tasks stay queued.
+        #: Per-category policy gate evaluated before placement (e.g. the
+        #: exploratory concurrency bound); gated tasks stay queued.
         self._may_dispatch = may_dispatch
-        self._ready: Deque[SimTask] = deque()
+        #: group key -> heap of (sequence number, task); never empty.
+        self._groups: Dict[_GroupKey, List[Tuple[int, SimTask]]] = {}
+        #: Heap of (sequence number of the group's oldest task, group
+        #: key): the groups the pass in flight has not ruled out yet.
+        #: Every pass starts by rebuilding it.
+        self._heads: List[Tuple[int, _GroupKey]] = []
+        self._n_ready = 0
+        self._next_back = 0
+        self._next_front = -1
         #: task_id -> version of the allocator state the cached first-
         #: attempt prediction was computed against.
         self._cached_version: dict = {}
@@ -71,7 +104,8 @@ class Scheduler:
         """Add a freshly ready task at the back of the queue."""
         if task.state is not TaskState.READY:
             raise ValueError(f"cannot enqueue task {task.task_id} in state {task.state}")
-        self._ready.append(task)
+        self._file(self._next_back, task)
+        self._next_back += 1
 
     def enqueue_retry(self, task: SimTask) -> None:
         """Re-admit a killed/evicted task at the front of the queue.
@@ -84,11 +118,25 @@ class Scheduler:
         if task.current_allocation is None:
             raise ValueError(f"retry of task {task.task_id} has no allocation")
         self._sticky.add(task.task_id)
-        self._ready.appendleft(task)
+        self._file(self._next_front, task)
+        self._next_front -= 1
+
+    def _file(self, seq: int, task: SimTask) -> None:
+        """Queue ``task`` under its current allocation at position ``seq``."""
+        key = (task.category, task.current_allocation)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = []
+            # A group opened inside a pass (a task ``start_attempt``
+            # revealed) must be reached by that pass, in queue order with
+            # tasks revealed into groups that already existed.
+            heapq.heappush(self._heads, (seq, key))
+        heapq.heappush(group, (seq, task))
+        self._n_ready += 1
 
     @property
     def n_ready(self) -> int:
-        return len(self._ready)
+        return self._n_ready
 
     @property
     def total_dispatches(self) -> int:
@@ -131,57 +179,72 @@ class Scheduler:
         self._dispatching = True
         dispatched = 0
         try:
-            made_progress = True
-            while made_progress:
-                made_progress = False
-                if not self._ready or not self._pool.has_headroom():
-                    # Saturated pool: nothing can be placed, skip the scan.
+            # A saturated pool cannot place anything: skip the pass.
+            while self._n_ready and self._pool.has_headroom():
+                placed = self._dispatch_pass()
+                if not placed:
                     break
-                # Allocations that failed to fit anywhere in this pass:
-                # identical requests behind them cannot fit either.
-                unfit: Set[ResourceVector] = set()
-                still_waiting: Deque[SimTask] = deque()
-                while self._ready:
-                    task = self._ready.popleft()
-                    if self._may_dispatch is not None and not self._may_dispatch(task):
-                        still_waiting.append(task)
-                        continue
-                    allocation = self._probe_allocation(task)
-                    if allocation in unfit:
-                        still_waiting.append(task)
-                        continue
-                    worker = self._pool.find_fit(allocation)
-                    if worker is None:
-                        unfit.add(allocation)
-                        still_waiting.append(task)
-                        continue
-                    # A worker can host the (possibly stale) probe: now
-                    # take the dispatch-time prediction and re-validate.
-                    fresh = self._fresh_allocation(task)
-                    if fresh is not allocation:
-                        worker = self._pool.find_fit(fresh)
-                        if worker is None:
-                            unfit.add(fresh)
-                            still_waiting.append(task)
-                            continue
-                    task.state = TaskState.RUNNING
-                    self._sticky.discard(task.task_id)
-                    self._cached_version.pop(task.task_id, None)
-                    self._total_dispatches += 1
-                    dispatched += 1
-                    made_progress = True
-                    self._start_attempt(task, worker)
-                    if not self._pool.has_headroom():
-                        # The placement saturated the pool; the rest of
-                        # the queue cannot possibly be placed this scan.
-                        still_waiting.extend(self._ready)
-                        self._ready.clear()
-                        made_progress = False
-                        break
-                self._ready = still_waiting
+                dispatched += placed
         finally:
             self._dispatching = False
         return dispatched
 
+    def _dispatch_pass(self) -> int:
+        """One FIFO-with-backfill pass over the group heads."""
+        # Allocations that failed to fit anywhere in this pass (identical
+        # requests behind them cannot fit either) and categories whose
+        # gate closed; both only grow within a pass (module docstring).
+        unfit: Set[ResourceVector] = set()
+        gated: Set[str] = set()
+        heads = self._heads = [(group[0][0], key) for key, group in self._groups.items()]
+        heapq.heapify(heads)
+        placed = 0
+        while heads:
+            key = heapq.heappop(heads)[1]
+            category, queued_as = key
+            if category in gated or queued_as in unfit:
+                continue
+            if self._may_dispatch is not None and not self._may_dispatch(category):
+                gated.add(category)
+                continue
+            group = self._groups[key]
+            seq, task = heapq.heappop(group)
+            if group:
+                heapq.heappush(heads, (group[0][0], key))
+            else:
+                del self._groups[key]
+            self._n_ready -= 1
+            allocation = self._probe_allocation(task)
+            if allocation in unfit:
+                # Only a first probe can land here: a probed task's
+                # group would have been skipped above.
+                self._file(seq, task)
+                continue
+            worker = self._pool.find_fit(allocation)
+            if worker is None:
+                unfit.add(allocation)
+                self._file(seq, task)
+                continue
+            # A worker can host the (possibly stale) probe: now take the
+            # dispatch-time prediction and re-validate.
+            fresh = self._fresh_allocation(task)
+            if fresh is not allocation:
+                worker = self._pool.find_fit(fresh)
+                if worker is None:
+                    unfit.add(fresh)
+                    self._file(seq, task)
+                    continue
+            task.state = TaskState.RUNNING
+            self._sticky.discard(task.task_id)
+            self._cached_version.pop(task.task_id, None)
+            self._total_dispatches += 1
+            placed += 1
+            self._start_attempt(task, worker)
+            if not self._pool.has_headroom():
+                # The placement saturated the pool; the rest of the
+                # queue cannot possibly be placed.
+                break
+        return placed
+
     def __repr__(self) -> str:
-        return f"Scheduler(ready={len(self._ready)}, dispatched={self._total_dispatches})"
+        return f"Scheduler(ready={self._n_ready}, dispatched={self._total_dispatches})"

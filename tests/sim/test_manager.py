@@ -113,13 +113,13 @@ class TestExploratorySemantics:
 
         original = manager._may_dispatch
 
-        def tracking(task):
+        def tracking(category):
             nonlocal observed_max
-            if allocator.in_exploration(task.category):
+            if allocator.in_exploration(category):
                 observed_max = max(
-                    observed_max, manager._running_per_category.get(task.category, 0)
+                    observed_max, manager._running_per_category.get(category, 0)
                 )
-            return original(task)
+            return original(category)
 
         manager._may_dispatch = tracking
         manager._scheduler._may_dispatch = tracking

@@ -10,10 +10,10 @@ from repro.sim.task import SimTask, TaskState
 from repro.workflows.spec import TaskSpec
 
 
-def make_task(task_id, cores=1.0, memory=100.0):
+def make_task(task_id, cores=1.0, memory=100.0, category="proc"):
     spec = TaskSpec(
         task_id=task_id,
-        category="proc",
+        category=category,
         consumption=ResourceVector.of(cores=cores, memory=memory, disk=10),
         duration=10.0,
     )
@@ -35,18 +35,23 @@ class SchedulerHarness:
         self.version = 0
         self.allocations = {}
         self.started = []
-        self.allocation_calls = 0
+        self.allocated = []  # task ids in allocation_of call order
         self.gate = None
+        self.reveals = {}  # task_id -> task its start enqueues (mid-pass)
         self.scheduler = Scheduler(
             self.pool,
             allocation_of=self._allocate,
             allocation_version=lambda task: self.version,
             start_attempt=self._start,
-            may_dispatch=lambda task: self.gate(task) if self.gate else True,
+            may_dispatch=lambda category: self.gate(category) if self.gate else True,
         )
 
+    @property
+    def allocation_calls(self):
+        return len(self.allocated)
+
     def _allocate(self, task):
-        self.allocation_calls += 1
+        self.allocated.append(task.task_id)
         return self.allocations.get(
             task.task_id, ResourceVector.of(cores=1, memory=100, disk=10)
         )
@@ -54,6 +59,8 @@ class SchedulerHarness:
     def _start(self, task, worker):
         worker.place(task.task_id, task.current_allocation)
         self.started.append(task.task_id)
+        if task.task_id in self.reveals:
+            self.scheduler.enqueue(self.reveals[task.task_id])
 
 
 class TestDispatch:
@@ -134,15 +141,69 @@ class TestDispatch:
         assert t1.current_allocation[MEMORY] == 999
 
     def test_gate_blocks_dispatch(self):
+        """The gate holds back a whole category and backfills the others.
+
+        The gate is per *category*: this test used to refuse one task id
+        inside a single category, a contract the indexed ready queue
+        removed on purpose (the exploratory bound, the only gate there
+        is, never looked at anything but the category).
+        """
         h = SchedulerHarness()
-        h.gate = lambda task: task.task_id != 0
-        h.scheduler.enqueue(make_task(0))
-        h.scheduler.enqueue(make_task(1))
+        h.gate = lambda category: category != "merge"
+        h.scheduler.enqueue(make_task(0, category="merge"))
+        h.scheduler.enqueue(make_task(1, category="proc"))
+        h.scheduler.enqueue(make_task(2, category="merge"))
         h.scheduler.try_dispatch()
         assert h.started == [1]
+        assert h.allocation_calls == 1  # gated tasks are not even probed
+        assert h.scheduler.n_ready == 2
         h.gate = None
         h.scheduler.try_dispatch()
-        assert h.started == [1, 0]
+        assert h.started == [1, 0, 2]
+
+    def test_refreshed_task_keeps_its_queue_position(self):
+        """A stale prediction refreshed at placement that no longer fits
+        re-queues the task where it stood, not behind its new peers."""
+        h = SchedulerHarness(n_workers=1, cores=5)
+        small = ResourceVector.of(cores=2, memory=100, disk=10)
+        big = ResourceVector.of(cores=4, memory=100, disk=10)
+        h.allocations.update({0: small, 1: small, 2: small, 3: big})
+        for task_id in range(4):
+            h.scheduler.enqueue(make_task(task_id))
+        h.scheduler.try_dispatch()
+        # One core left: 2 and 3 were probed, neither fits.
+        assert h.started == [0, 1]
+        assert h.allocated == [0, 1, 2, 3]
+        worker = h.pool.alive_workers()[0]
+        # The allocator learned something: task 2 would now get ``big``.
+        h.version = 1
+        h.allocations[2] = big
+        worker.release(0)
+        h.scheduler.try_dispatch()
+        # 3 cores free: the stale probe of 2 fits, its fresh draw does not.
+        assert h.started == [0, 1]
+        assert h.allocated == [0, 1, 2, 3, 2]
+        worker.release(1)
+        h.scheduler.try_dispatch()
+        # Room for one ``big``: task 2 is still ahead of task 3.
+        assert h.started == [0, 1, 2]
+        assert h.scheduler.n_ready == 1
+
+    def test_tasks_revealed_inside_a_pass_are_probed_in_reveal_order(self):
+        """``start_attempt`` may enqueue (manager: quarantine refills the
+        submission window).  The pass in flight reaches those tasks at
+        the tail, in the order they were revealed — whether they joined
+        a group that already existed (11) or opened a new one (10)."""
+        h = SchedulerHarness(n_workers=2, cores=4)
+        three = ResourceVector.of(cores=3, memory=100, disk=10)
+        h.allocations.update({0: three, 1: three, 2: three, 10: three, 11: three})
+        h.reveals = {0: make_task(10, category="merge"), 1: make_task(11)}
+        for task_id in range(3):
+            h.scheduler.enqueue(make_task(task_id))
+        assert h.scheduler.try_dispatch() == 2
+        assert h.started == [0, 1]
+        assert h.allocated == [0, 1, 2, 10, 11]
+        assert h.scheduler.n_ready == 3
 
     def test_enqueue_requires_ready_state(self):
         h = SchedulerHarness()
@@ -164,3 +225,95 @@ class TestDispatch:
         h.scheduler.try_dispatch()
         assert h.scheduler.total_dispatches == 4  # 4 cores, 1-core tasks
         assert h.scheduler.n_ready == 2
+
+
+class CountingPool:
+    """A WorkerPool proxy that counts ``find_fit`` calls."""
+
+    def __init__(self, pool):
+        self._pool = pool
+        self.find_fit_calls = 0
+
+    def find_fit(self, allocation):
+        self.find_fit_calls += 1
+        return self._pool.find_fit(allocation)
+
+    def has_headroom(self):
+        return self._pool.has_headroom()
+
+
+class TestWorkCounts:
+    """A pass costs O(groups + placements), not O(queue) — in counts."""
+
+    N_TASKS = 2000
+    SHAPES = [  # (category, cores, memory): 3 allocations in 2 categories
+        ("proc", 4, 100),
+        ("proc", 3, 100),
+        ("merge", 3, 200),
+    ]
+
+    def _queue(self, monkeypatch):
+        # 5 cores: beside one running task no queued shape fits, but the
+        # pool keeps headroom, so the saturation break never hides the
+        # cost of the pass.
+        h = SchedulerHarness(n_workers=1, cores=5)
+        h.gate_calls = h.hash_probes = 0
+        vector_hash = ResourceVector.__hash__
+
+        def counting_hash(vector):
+            # Every look at a queued task or group hashes its allocation
+            # (the ``unfit`` memo, the group index).
+            h.hash_probes += 1
+            return vector_hash(vector)
+
+        monkeypatch.setattr(ResourceVector, "__hash__", counting_hash)
+
+        def gate(category):
+            h.gate_calls += 1
+            return True
+
+        h.gate = gate
+        counting = CountingPool(h.pool)
+        h.scheduler._pool = counting
+        for i in range(self.N_TASKS):
+            category, cores, memory = self.SHAPES[i % len(self.SHAPES)]
+            h.allocations[i] = ResourceVector.of(cores=cores, memory=memory, disk=10)
+            h.scheduler.enqueue(make_task(i, category=category))
+        return h, counting
+
+    def test_pass_visits_groups_not_tasks(self, monkeypatch):
+        h, pool = self._queue(monkeypatch)
+        # First pass: every task gets its first probe (that is the
+        # allocator's work, paid once per task).
+        assert h.scheduler.try_dispatch() == 1
+        assert h.allocation_calls == self.N_TASKS
+        worker = h.pool.alive_workers()[0]
+        for round_ in range(1, 4):
+            worker.release(h.started[-1])
+            h.gate_calls = h.hash_probes = pool.find_fit_calls = 0
+            dispatched = h.scheduler.try_dispatch()
+            assert dispatched == 1
+            # Two passes (the second finds nothing): each costs at most
+            # one gate call and one fit probe per group or placement,
+            # and a handful of allocation hashes for each of those.
+            budget = 2 * (len(self.SHAPES) + dispatched) + 2
+            assert h.gate_calls <= budget
+            assert pool.find_fit_calls <= budget
+            assert h.hash_probes <= 8 * budget
+            assert h.allocation_calls == self.N_TASKS  # nothing re-probed
+            assert h.scheduler.n_ready == self.N_TASKS - 1 - round_
+        assert h.started == [0, 1, 2, 3]
+
+    def test_n_ready_is_a_counter(self, monkeypatch):
+        h, _ = self._queue(monkeypatch)
+        queue = h.scheduler
+
+        class Unsized(dict):
+            def __len__(self):  # pragma: no cover - must not be called
+                raise AssertionError("n_ready walked the index")
+
+            def __iter__(self):  # pragma: no cover - must not be called
+                raise AssertionError("n_ready walked the index")
+
+        queue._groups = Unsized(queue._groups)
+        assert queue.n_ready == self.N_TASKS
