@@ -14,7 +14,9 @@ docs/PERFORMANCE.md:
   record-count axis of the paper's Table I.
 * **million-record hot path** (full runs only) — the streaming regime at
   n = 10^6 records: steady-state ingest cost, the per-decision
-  allocation latency with the incremental partition engines on and off,
+  allocation latency (Exhaustive Bucketing with its incremental engine
+  on and off; Greedy Bucketing's one search, its breaks checked against
+  a from-scratch ``greedy_break_indices`` on every timed decision),
   and the partition-search pair underlying the headline claim — the
   incremental engine's ``break_indices`` versus the full
   ``exhaustive_break_indices`` re-search on the identical stream (the
@@ -55,6 +57,11 @@ if _SRC not in sys.path:
 
 import numpy as np  # noqa: E402
 
+from repro.core.exhaustive import (  # noqa: E402
+    ExhaustiveBucketing,
+    exhaustive_break_indices,
+)
+from repro.core.greedy import GreedyBucketing, greedy_break_indices  # noqa: E402
 from repro.core.records import RecordList  # noqa: E402
 from repro.core.records_legacy import LegacyRecordList  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
@@ -150,8 +157,6 @@ def bench_partition_search(
     indices (asserted); the pair is the measured form of the
     "incremental allocation vs full re-search" speedup claim.
     """
-    from repro.core.exhaustive import ExhaustiveBucketing, exhaustive_break_indices
-
     best_full = float("inf")
     best_inc = float("inf")
     for rep in range(repeats):
@@ -185,35 +190,31 @@ def bench_partition_search(
 
 
 def bench_streaming_decision(
-    algorithm: str, n: int, decisions: int, repeats: int, incremental: bool
+    make_algorithm: Callable,
+    n: int,
+    decisions: int,
+    repeats: int,
+    full_search: Optional[Callable[[RecordList], List[int]]] = None,
 ) -> float:
     """Seconds per allocation decision (state rebuild + one allocation).
 
     Streaming regime: each decision is preceded by one (untimed) record
     update, as in the simulator's update->predict alternation; timed is
-    the dirty-state rebuild plus the allocation draw.
+    the dirty-state rebuild plus the allocation draw.  ``make_algorithm``
+    builds the bucketing algorithm from an RNG; with ``full_search`` the
+    bucket ends of every timed decision are compared (untimed) against
+    that from-scratch search over the same records.
     """
-    from repro.core.exhaustive import ExhaustiveBucketing
-    from repro.core.greedy import GreedyBucketing
-
-    makers: Dict[str, Callable] = {
-        "exhaustive_bucketing": lambda rng: ExhaustiveBucketing(
-            rng=rng, incremental=incremental
-        ),
-        "greedy_bucketing": lambda rng: GreedyBucketing(
-            rng=rng, incremental=incremental
-        ),
-    }
     best = float("inf")
     for rep in range(repeats):
         records, values, sigs = _make_streaming_fixture(n, decisions, seed=rep)
-        algo = makers[algorithm](np.random.default_rng(rep))
+        algo = make_algorithm(np.random.default_rng(rep))
         algo._records = records
         algo._partition_engine = algo._make_partition_engine()
         algo._dirty = True
         # Warm-up decision outside the timed region: it pays the
-        # engines' one-off resync (for incremental greedy, a full
-        # search) that later decisions amortize away.
+        # engines' one-off cold start (a resync; for greedy, a search
+        # with an empty memo) that later decisions amortize away.
         algo.predict()
         total = 0.0
         for i in range(decisions):
@@ -221,6 +222,10 @@ def bench_streaming_decision(
             start = time.perf_counter()
             algo.predict()
             total += time.perf_counter() - start
+            if full_search is not None:
+                assert [b.hi for b in algo.state.buckets] == full_search(records), (
+                    f"engine/from-scratch break divergence at update {i}"
+                )
         best = min(best, total / decisions)
     return best
 
@@ -290,26 +295,21 @@ def run_suite(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, o
         )
         metrics[f"allocation_latency_exhaustive_bucketing_n{n}_s"] = (
             bench_streaming_decision(
-                "exhaustive_bucketing", n, decisions=200, repeats=repeats,
-                incremental=True,
+                lambda rng: ExhaustiveBucketing(rng=rng, incremental=True),
+                n, decisions=200, repeats=repeats,
             )
         )
         metrics[f"allocation_latency_exhaustive_bucketing_full_n{n}_s"] = (
             bench_streaming_decision(
-                "exhaustive_bucketing", n, decisions=100, repeats=repeats,
-                incremental=False,
+                lambda rng: ExhaustiveBucketing(rng=rng, incremental=False),
+                n, decisions=100, repeats=repeats,
             )
         )
         metrics[f"allocation_latency_greedy_bucketing_n{n}_s"] = (
             bench_streaming_decision(
-                "greedy_bucketing", n, decisions=30, repeats=repeats,
-                incremental=True,
-            )
-        )
-        metrics[f"allocation_latency_greedy_bucketing_full_n{n}_s"] = (
-            bench_streaming_decision(
-                "greedy_bucketing", n, decisions=3, repeats=min(repeats, 2),
-                incremental=False,
+                lambda rng: GreedyBucketing(rng=rng),
+                n, decisions=30, repeats=repeats,
+                full_search=greedy_break_indices,
             )
         )
         fixture, _, _ = _make_streaming_fixture(n, 0)

@@ -68,10 +68,6 @@ def _service_config(n_shards: int, data_dir: Optional[str] = None) -> ServiceCon
     return ServiceConfig(
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
-            # The incremental partition engine keeps hot categories (the
-            # Zipf head accumulates thousands of records) off the O(n*k)
-            # full re-bucketing path on every allocate.
-            algorithm_kwargs={"incremental": True},
             seed=5,
             exploratory=ExploratoryConfig(min_records=5),
         ),

@@ -209,11 +209,12 @@ class BucketingAlgorithm(AllocationAlgorithm):
     def _make_partition_engine(self):
         """Optional incremental partition engine bound to ``self._records``.
 
-        Subclasses return an object with ``observe(value, eviction)``,
+        Subclasses return an object with ``observe(value, eviction, pos)``,
         ``invalidate()``, ``cache_state()`` and ``restore_cache(state)``
-        (see :class:`repro.core.exhaustive.IncrementalExhaustivePartition`)
-        to have per-record mutations streamed into it; ``None`` (the
-        default) keeps the classic recompute-from-scratch behaviour.
+        (see :class:`repro.core.exhaustive.IncrementalExhaustivePartition`
+        and :class:`repro.core.greedy.GreedySplitMemo`) to have per-record
+        mutations streamed into it; ``None`` (the default) keeps the
+        classic recompute-from-scratch behaviour.
         The engine is re-created whenever the record list is replaced
         (:meth:`reset`, :meth:`_load_extra_state`).
         """
@@ -389,9 +390,9 @@ class BucketingAlgorithm(AllocationAlgorithm):
             "bucket_state": (
                 None if self._state is None else self._state.state_dict()
             ),
-            # Incremental partition caches either serialize bit-exactly
-            # (the greedy splice cache) or are rebuilt on load (the
-            # exhaustive engine's exact counts return None here).
+            # Partition engines are exact and rebuilt on load, so both
+            # return None here; the key stays for the snapshot format
+            # (older checkpoints may carry a retired engine's cache).
             "partition_cache": (
                 None
                 if self._partition_engine is None

@@ -19,17 +19,28 @@ The vectorized implementations carry the algorithms' hot loops (the
 hpc-parallel optimization guides: vectorize with prefix sums rather than
 re-scanning per candidate).  Pure-Python reference implementations are
 kept here and cross-checked by the test suite.
+
+The greedy kernel is split in two so the search can share work between
+segments: :func:`split_anchor` builds the arrays that depend only on a
+segment's lower end, :func:`anchored_split_costs` the rest.  Both read
+the record store's live buffers as slices (no gathers, no snapshot
+copies) and keep the four-case formula's operation order exactly —
+``tests/core/test_greedy_differential.py`` holds them to the bits of the
+implementation they replaced.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.core.records import RecordList
 
 __all__ = [
+    "SplitAnchor",
+    "split_anchor",
+    "anchored_split_costs",
     "greedy_split_costs",
     "greedy_split_cost_reference",
     "exhaustive_cost",
@@ -41,6 +52,84 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Greedy Bucketing cost (compute_greedy_cost in Algorithm 1)
 # ---------------------------------------------------------------------------
+
+#: ``(w1, sv1, v_lo, rep1 - v_lo)`` of a segment; see :func:`split_anchor`.
+SplitAnchor = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def split_anchor(records: RecordList, lo: int, hi: int) -> SplitAnchor:
+    """The low-bucket arrays of segment ``[lo, hi]``, one entry per candidate.
+
+    ``(w1, sv1, v_lo, rep1 - v_lo)``: significance, significance*value
+    and weighted mean of ``[lo, i]``, and the low bucket's own waste.
+    They depend on ``lo`` and the candidate ``i`` only, never on ``hi``,
+    so the anchor of ``[lo, hi]`` cut to its first ``b - lo + 1`` entries
+    *is* the anchor of the left child ``[lo, b]`` — the greedy search
+    passes it down instead of recomputing it.
+
+    Reads the record store's live buffers as slices; for ``lo == 0`` the
+    first two arrays are views of them (``x - 0.0`` is ``x``), so an
+    anchor must not outlive the next mutation of ``records``.
+    """
+    end = hi + 1
+    sp = records._sp_buf
+    svp = records._svp_buf
+    if lo > 0:
+        w1 = sp[lo:end] - sp[lo - 1]
+        sv1 = svp[lo:end] - svp[lo - 1]
+    else:
+        w1 = sp[:end]
+        sv1 = svp[:end]
+    v_lo = sv1 / w1                              # w1 > 0: i >= lo, sigs positive
+    return w1, sv1, v_lo, records._values_buf[lo:end] - v_lo
+
+
+def anchored_split_costs(
+    records: RecordList, lo: int, hi: int, anchor: SplitAnchor
+) -> np.ndarray:
+    """:func:`greedy_split_costs` given the anchor of ``[lo, hi']``, ``hi' >= hi``.
+
+    Every array below is produced by the same IEEE operations, on the
+    same operands, in the same order as the four-case formula written
+    out term by term — ``((lolo + lohi) + hilo) + hihi`` with
+    ``p1 * p2`` computed once (``p2 * p1`` is the same double) — so the
+    result is bit-identical to it; only temporaries are saved, by
+    accumulating in place.  Re-associating the sum would change last
+    bits and flip near-tied argmins.
+    """
+    m = hi - lo + 1
+    w1, sv1, v_lo, waste_lo = (array[:m] for array in anchor)
+    values = records._values_buf
+    rep1 = values[lo : hi + 1]
+    rep2 = values[hi]
+    total_sig = w1[-1]
+    w2 = total_sig - w1                          # significance of [i+1, hi]
+    sv2 = sv1[-1] - sv1
+    # Weighted mean of the high bucket; it is empty (w2 == 0) at i == hi
+    # and wherever the trailing significances vanish against w1.
+    v_hi = np.divide(sv2, w2, out=np.zeros(m), where=w2 > 0.0)
+    p1 = w1 / total_sig
+    p2 = np.divide(w2, total_sig, out=w2)
+    p12 = p1 * p2
+
+    # The four cases of Section IV-B.  Terms involving the (possibly
+    # empty) high bucket carry a p2 factor, which is exactly zero at
+    # i == hi, so the formula degenerates to the one-bucket cost
+    # rep - weighted_mean there.
+    costs = np.multiply(p1, p1, out=p1)
+    costs *= waste_lo                            # p1 * p1 * (rep1 - v_lo)
+    term = np.subtract(rep2, v_lo, out=sv2)
+    term *= p12                                  # p1 * p2 * (rep2 - v_lo)
+    costs += term
+    np.add(rep1, rep2, out=term)
+    term -= v_hi
+    term *= p12                                  # p2 * p1 * (rep1 + rep2 - v_hi)
+    costs += term
+    np.subtract(rep2, v_hi, out=term)
+    p2 *= p2
+    term *= p2                                   # p2 * p2 * (rep2 - v_hi)
+    costs += term
+    return costs
 
 
 def greedy_split_costs(records: RecordList, lo: int, hi: int) -> np.ndarray:
@@ -57,39 +146,7 @@ def greedy_split_costs(records: RecordList, lo: int, hi: int) -> np.ndarray:
     """
     if not (0 <= lo <= hi < len(records)):
         raise IndexError(f"segment [{lo}, {hi}] out of bounds for {len(records)} records")
-
-    values = records.values
-    sp = records.sig_prefix
-    svp = records.sigval_prefix
-    base_sig = sp[lo - 1] if lo > 0 else 0.0
-    base_sigval = svp[lo - 1] if lo > 0 else 0.0
-
-    idx = np.arange(lo, hi + 1)
-    w1 = sp[idx] - base_sig                      # significance of [lo, i]
-    sv1 = svp[idx] - base_sigval                 # sig*value of [lo, i]
-    total_sig = sp[hi] - base_sig
-    total_sigval = svp[hi] - base_sigval
-    w2 = total_sig - w1                          # significance of [i+1, hi]
-    sv2 = total_sigval - sv1
-
-    p1 = w1 / total_sig
-    p2 = w2 / total_sig
-    v_lo = sv1 / w1                              # w1 > 0: i >= lo, sigs positive
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v_hi = np.where(w2 > 0.0, sv2 / np.where(w2 > 0.0, w2, 1.0), 0.0)
-
-    rep1 = values[idx]
-    rep2 = values[hi]
-
-    # The four cases of Section IV-B.  Terms involving the (possibly
-    # empty) high bucket carry a p2 factor, which is exactly zero at
-    # i == hi, so the formula degenerates to the one-bucket cost
-    # rep - weighted_mean there.
-    w_lolo = p1 * p1 * (rep1 - v_lo)
-    w_lohi = p1 * p2 * (rep2 - v_lo)
-    w_hilo = p2 * p1 * (rep1 + rep2 - v_hi)
-    w_hihi = p2 * p2 * (rep2 - v_hi)
-    return w_lolo + w_lohi + w_hilo + w_hihi
+    return anchored_split_costs(records, lo, hi, split_anchor(records, lo, hi))
 
 
 def greedy_split_cost_reference(records: RecordList, lo: int, i: int, hi: int) -> float:

@@ -14,25 +14,94 @@ The recursion is realized with an explicit stack: bucket counts stay
 small in practice (the paper reports rarely above 10), but adversarial
 record lists could split down to singleton segments and Python's
 recursion limit must not decide the outcome.
+
+There is one search, :func:`_search`, and it is exact.  Two things keep
+it cheap without changing a bit of its output: a left child ``[lo, b]``
+inherits the low-bucket arrays its parent already computed
+(:func:`repro.core.cost.split_anchor`), and :class:`GreedySplitMemo` —
+the engine :class:`GreedyBucketing` runs on its own record list —
+remembers every segment's break and re-scans only segments that reach
+up to the lowest index inserted at since the last search.
+:func:`greedy_break_indices` is the same search with an empty memo.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import BucketingAlgorithm, register_algorithm
-from repro.core.cost import greedy_split_costs
+from repro.core.cost import SplitAnchor, anchored_split_costs, split_anchor
 from repro.core.records import RecordList
 
 __all__ = [
     "GreedyBucketing",
-    "IncrementalGreedyPartition",
+    "GreedySplitMemo",
     "greedy_break_indices",
     "greedy_break_indices_literal",
 ]
+
+
+#: ``{(lo, hi): break index}`` — the argmin of every segment a search split
+#: or declared whole, keyed by the segment's inclusive bounds.
+SplitMemo = Dict[Tuple[int, int], int]
+
+
+def _search(
+    records: RecordList,
+    lo: int,
+    hi: int,
+    max_buckets: Optional[int],
+    memo: SplitMemo,
+    clean: int,
+) -> Tuple[List[int], SplitMemo]:
+    """Algorithm 1 over ``[lo, hi]``, trusting ``memo`` below index ``clean``.
+
+    A segment whose upper end lies below ``clean`` takes its break from
+    ``memo`` when it is there; every other segment is scanned.  Returns
+    the sorted bucket ends and the breaks of every segment examined,
+    which is the memo for the next search.
+    """
+    budget = max_buckets if max_buckets is not None else float("inf")
+    if budget < 1:
+        raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
+
+    ends: List[int] = []
+    seen: SplitMemo = {}
+    # Work-list of segments still to be examined, each with the cost
+    # anchor it inherits (a left child shares ``lo`` with its parent).
+    # Without a cap each segment's decision is independent; with one the
+    # LIFO order — left child first — decides who gets to split.
+    stack: List[Tuple[int, int, Optional[SplitAnchor]]] = [(lo, hi, None)]
+    while stack:
+        seg_lo, seg_hi, anchor = stack.pop()
+        if seg_lo == seg_hi:
+            ends.append(seg_hi)
+            continue
+        # Splitting this segment grows the final bucket count by one
+        # (current segments on the stack + emitted ends are all buckets
+        # or bucket sources).  Respect the optional cap.
+        if len(ends) + len(stack) + 2 > budget:
+            ends.append(seg_hi)
+            continue
+        key = (seg_lo, seg_hi)
+        break_idx = memo.get(key) if seg_hi < clean else None
+        if break_idx is None:
+            if anchor is None:
+                anchor = split_anchor(records, seg_lo, seg_hi)
+            costs = anchored_split_costs(records, seg_lo, seg_hi, anchor)
+            break_idx = seg_lo + int(costs.argmin())
+        seen[key] = break_idx
+        if break_idx == seg_hi:
+            # One bucket over the whole segment is (locally) optimal.
+            ends.append(seg_hi)
+            continue
+        stack.append((break_idx + 1, seg_hi, None))
+        stack.append((seg_lo, break_idx, anchor))
+
+    ends.sort()
+    return ends, seen
 
 
 def greedy_break_indices(
@@ -47,8 +116,10 @@ def greedy_break_indices(
     minimum expected waste; the segment's own upper end encodes
     "don't split".  ``max_buckets`` optionally caps the partition size
     (not part of the paper's algorithm; used by the ablation study
-    E-X2) — segments stop splitting once the cap is reached, favouring
-    the widest segments first.
+    E-X2) — segments stop splitting once the cap is reached.  The
+    search is depth-first, left child first, so the cap is spent on the
+    lowest values first: a segment's whole left subtree may split before
+    its right sibling is looked at.
 
     Returns the sorted inclusive upper-end index of each bucket; the last
     entry is always ``hi``.
@@ -57,39 +128,7 @@ def greedy_break_indices(
         hi = len(records) - 1
     if not (0 <= lo <= hi < len(records)):
         raise IndexError(f"segment [{lo}, {hi}] out of bounds for {len(records)} records")
-
-    ends: List[int] = []
-    # Work-list of segments still to be examined.  Processing order does
-    # not affect the result (each segment's decision is independent), but
-    # a LIFO stack keeps memory at O(depth).
-    stack: List[tuple] = [(lo, hi)]
-    budget = max_buckets if max_buckets is not None else float("inf")
-    if budget < 1:
-        raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
-
-    while stack:
-        seg_lo, seg_hi = stack.pop()
-        if seg_lo == seg_hi:
-            ends.append(seg_hi)
-            continue
-        # Splitting this segment grows the final bucket count by one
-        # (current segments on the stack + emitted ends are all buckets
-        # or bucket sources).  Respect the optional cap.
-        prospective = len(ends) + len(stack) + 2
-        if prospective > budget:
-            ends.append(seg_hi)
-            continue
-        costs = greedy_split_costs(records, seg_lo, seg_hi)
-        break_idx = seg_lo + int(np.argmin(costs))
-        if break_idx == seg_hi:
-            # One bucket over the whole segment is (locally) optimal.
-            ends.append(seg_hi)
-            continue
-        stack.append((break_idx + 1, seg_hi))
-        stack.append((seg_lo, break_idx))
-
-    ends.sort()
-    return ends
+    return _search(records, lo, hi, max_buckets, {}, 0)[0]
 
 
 def greedy_break_indices_literal(
@@ -154,107 +193,54 @@ def greedy_break_indices_literal(
     return ends
 
 
-class IncrementalGreedyPartition:
-    """Maintain a greedy partition under streaming inserts by local repair.
+class GreedySplitMemo:
+    """The greedy search over one live record list, re-scanning only what moved.
 
-    Greedy Bucketing's split decisions are *local*: whether (and where)
-    a segment splits depends only on the records inside it.  This engine
-    exploits that locality: it keeps the last computed break indices,
-    and when a record is inserted it shifts the affected bucket ends by
-    one (O(K) for K buckets) and marks the receiving bucket *dirty*.
-    The next query re-runs the greedy recursion only inside the dirty
-    buckets and splices the sub-partitions back — touching the records
-    of the dirty segments instead of all n.
+    A segment's break is a pure function of ``values[lo..hi]`` and the
+    prefix sums ``sp[lo-1..hi]``, ``svp[lo-1..hi]``, and
+    ``RecordList._insert`` at index ``pos`` leaves every buffer entry
+    below ``pos`` untouched.  So the engine keeps the breaks of the last
+    search and ``clean``, the lowest insert index since: a segment with
+    ``hi < clean`` reads bit-for-bit the same inputs as last time and
+    takes its stored break, everything else is scanned.  Segments right
+    of an insert are *not* reusable even though their records are the
+    same — their prefix sums were re-rounded by the suffix add.
 
-    Unlike :class:`~repro.core.exhaustive.IncrementalExhaustivePartition`
-    this repair is a **heuristic, not an identity**: a full re-search
-    re-examines every ancestor split with the grown record population,
-    so its break points can drift from the locally repaired ones.  Both
-    are fixpoints of the same local-split rule — every kept bucket was
-    declared unsplittable by the same cost scan — but they are not
-    guaranteed equal, which is why the engine is strictly **opt-in**
-    (``GreedyBucketing(incremental=True)``) and off by default, and why
-    it refuses to run under a ``max_buckets`` cap (the cap couples
-    segments globally, breaking locality).
+    Any eviction rebuilds the prefix sums from scratch
+    (``_rebuild_prefixes``) and drops ``clean`` to 0.  The memo holds
+    argmins only, which a ``max_buckets`` cap does not change (the cap
+    decides *whether* a segment is scanned, not what the scan returns).
 
-    Any eviction (the bucket ends of evicted records are unknown without
-    a scan) desynchronizes the engine; the next query falls back to one
-    full search and resumes incrementally from its result.
-
-    The cache serializes bit-exactly (:meth:`cache_state`): a restored
-    engine resumes from the same breaks and dirty set, so a
-    kill/resume mid-stream reproduces the exact allocation sequence.
+    Nothing is serialized: a restored engine starts with an empty memo
+    and its first search scans every segment, with the same result.
     """
 
-    #: Resync when local repair has grown the bucket count past this
-    #: multiple of the last full search's count — splices only ever
-    #: split, so without the bound fragmentation accumulates without
-    #: limit (~3x after a few thousand inserts in profiling runs).
-    MAX_FRAGMENTATION = 2.0
+    __slots__ = ("_records", "_max_buckets", "_memo", "_clean")
 
-    __slots__ = (
-        "_records",
-        "_breaks",
-        "_dirty",
-        "_synced",
-        "_full_count",
-        "incremental_updates",
-        "resyncs",
-        "splices",
-        "queries",
-    )
-
-    def __init__(self, records: RecordList) -> None:
+    def __init__(self, records: RecordList, max_buckets: Optional[int] = None) -> None:
         self._records = records
-        self._breaks: Optional[List[int]] = None
-        self._dirty: Set[int] = set()
-        self._synced = False
-        self._full_count = 1
-        self.incremental_updates = 0
-        self.resyncs = 0
-        self.splices = 0
-        self.queries = 0
+        self._max_buckets = max_buckets
+        self._memo: SplitMemo = {}
+        self._clean = 0
 
     @property
-    def synced(self) -> bool:
-        return self._synced
+    def clean(self) -> int:
+        """Memo entries with ``hi`` below this index are still exact."""
+        return self._clean
 
     def invalidate(self) -> None:
-        """Force a full search at the next query."""
-        self._synced = False
-        self._breaks = None
-        self._dirty.clear()
+        """Scan every segment at the next search."""
+        self._memo = {}
+        self._clean = 0
 
-    def cache_state(self) -> Optional[Dict[str, object]]:
-        """Serializable cache: breaks + dirty set, restored bit-exactly."""
-        if not self._synced or self._breaks is None:
-            return None
-        return {
-            "breaks": list(self._breaks),
-            "dirty": sorted(self._dirty),
-            "full_count": self._full_count,
-        }
+    def cache_state(self) -> None:
+        """Nothing to serialize: the memo is rebuilt by the next search."""
+        return None
 
     def restore_cache(self, state: object) -> None:
-        if not isinstance(state, dict):
-            self.invalidate()
-            return
-        try:
-            breaks = [int(b) for b in state["breaks"]]  # type: ignore[index]
-            dirty = {int(d) for d in state["dirty"]}  # type: ignore[index]
-            full_count = int(state["full_count"])  # type: ignore[index]
-        except (KeyError, TypeError, ValueError):
-            self.invalidate()
-            return
-        if not breaks or full_count < 1 or any(
-            d >= len(breaks) or d < 0 for d in dirty
-        ):
-            self.invalidate()
-            return
-        self._breaks = breaks
-        self._dirty = dirty
-        self._full_count = full_count
-        self._synced = True
+        """Ignore ``state`` (checkpoints of the retired local-repair engine
+        carry one) and start from an empty memo."""
+        self.invalidate()
 
     def observe(
         self,
@@ -262,69 +248,28 @@ class IncrementalGreedyPartition:
         eviction: object,
         pos: Optional[int] = None,
     ) -> None:
-        """Fold one :meth:`RecordList.add` outcome into the cached breaks.
+        """Fold one :meth:`RecordList.add` outcome into ``clean``.
 
-        ``pos`` is the index the record landed at in the sorted list;
-        every cached bucket end at or above it moves up by one and the
-        receiving bucket is marked dirty.  Evictions (including batch
-        compactions) desynchronize — repairing around an arbitrary
-        removal would need the same scan a resync performs anyway.
+        ``pos`` is the index the record landed at, ``eviction`` the
+        list's :attr:`~repro.core.records.RecordList.last_eviction`; a
+        rejected arrival (reservoir filter) has neither and changes
+        nothing.
         """
-        if not self._synced:
-            return
-        if value is None and eviction is None:
-            return
-        if eviction is not None or pos is None:
-            self._synced = False
-            return
-        breaks = self._breaks
-        assert breaks is not None
-        self.incremental_updates += 1
-        b = bisect_left(breaks, pos)
-        if b == len(breaks):
-            # Appended past the last bucket end: the new maximum extends
-            # the last bucket.
-            b -= 1
-        for t in range(b, len(breaks)):
-            breaks[t] += 1
-        self._dirty.add(b)
+        if eviction is not None:
+            self._clean = 0
+        elif pos is not None and pos < self._clean:
+            self._clean = pos
 
     def break_indices(self) -> Optional[List[int]]:
-        """Current break indices, repairing dirty buckets in place."""
-        records = self._records
-        n = len(records)
+        """Current break indices, identical to :func:`greedy_break_indices`."""
+        n = len(self._records)
         if n == 0:
             return None
-        breaks = self._breaks
-        if (
-            not self._synced
-            or breaks is None
-            or breaks[-1] != n - 1
-            or len(breaks) > self.MAX_FRAGMENTATION * self._full_count
-        ):
-            breaks = greedy_break_indices(records)
-            self._breaks = breaks
-            self._full_count = max(len(breaks), 1)
-            self._dirty.clear()
-            self._synced = True
-            self.resyncs += 1
-            self.queries += 1
-            return list(breaks)
-        if self._dirty:
-            # Descending order keeps lower ordinals stable while later
-            # slices are spliced.
-            for b in sorted(self._dirty, reverse=True):
-                lo = breaks[b - 1] + 1 if b > 0 else 0
-                hi = breaks[b]
-                if lo == hi:
-                    continue
-                sub = greedy_break_indices(records, lo, hi)
-                if len(sub) > 1:
-                    breaks[b : b + 1] = sub
-                self.splices += 1
-            self._dirty.clear()
-        self.queries += 1
-        return list(breaks)
+        ends, self._memo = _search(
+            self._records, 0, n - 1, self._max_buckets, self._memo, self._clean
+        )
+        self._clean = n
+        return ends
 
 
 @register_algorithm
@@ -346,16 +291,6 @@ class GreedyBucketing(BucketingAlgorithm):
         re-anchoring the cached partition in between (see
         :class:`~repro.core.base.BucketingAlgorithm`).  The default 1 is
         paper-exact.
-    incremental:
-        Repair the previous partition locally with
-        :class:`IncrementalGreedyPartition` instead of re-running the
-        full search per decision.  **Off by default**: the repair is a
-        fixpoint of the same local-split rule but is not guaranteed to
-        match the full search's break points (see the engine docs), so
-        enabling it trades paper-exactness for O(dirty-segment) decision
-        cost.  Ignored (with the full search kept) when ``max_buckets``
-        is set — the cap couples segments globally.
-
     Examples
     --------
     >>> import numpy as np
@@ -375,13 +310,11 @@ class GreedyBucketing(BucketingAlgorithm):
         record_capacity: Optional[int] = None,
         max_buckets: Optional[int] = None,
         rebucket_interval: int = 1,
-        incremental: bool = False,
         record_compaction: str = "evict_min",
     ) -> None:
         # Set before super().__init__: the base constructor calls the
-        # _make_partition_engine hook, which reads both.
+        # _make_partition_engine hook, which reads it.
         self._max_buckets = max_buckets
-        self._incremental = bool(incremental)
         super().__init__(
             rng=rng,
             record_capacity=record_capacity,
@@ -389,15 +322,12 @@ class GreedyBucketing(BucketingAlgorithm):
             record_compaction=record_compaction,
         )
 
-    def _make_partition_engine(self) -> Optional[IncrementalGreedyPartition]:
-        if not self._incremental or self._max_buckets is not None:
-            return None
-        return IncrementalGreedyPartition(self._records)
+    def _make_partition_engine(self) -> GreedySplitMemo:
+        return GreedySplitMemo(self._records, self._max_buckets)
 
     def compute_break_indices(self, records: RecordList) -> List[int]:
-        engine = self._partition_engine
-        if engine is not None and records is self._records:
-            breaks = engine.break_indices()
+        if records is self._records:
+            breaks = self._partition_engine.break_indices()
             if breaks is not None:
                 return breaks
         return greedy_break_indices(records, max_buckets=self._max_buckets)

@@ -1,0 +1,106 @@
+"""Reference greedy search: the from-scratch scan ``repro.core`` replaced.
+
+Test-only.  These are ``repro.core.cost.greedy_split_costs`` and
+``repro.core.greedy.greedy_break_indices`` as they stood before the
+slice-based kernel and the clean-prefix split memo, moved here verbatim
+(functions renamed): every search gathers through ``np.arange`` from the
+record list's snapshot views and scans every segment from scratch.
+``test_greedy_differential.py`` drives the shipped search and this one
+over the same record stores and requires identical break indices and
+bit-identical cost arrays.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+import numpy as np
+
+from repro.core.records import RecordList
+
+__all__ = ["reference_split_costs", "reference_break_indices"]
+
+
+def reference_split_costs(records: RecordList, lo: int, hi: int) -> np.ndarray:
+    """Expected waste for every candidate break point in ``[lo, hi]``."""
+    if not (0 <= lo <= hi < len(records)):
+        raise IndexError(f"segment [{lo}, {hi}] out of bounds for {len(records)} records")
+
+    values = records.values
+    sp = records.sig_prefix
+    svp = records.sigval_prefix
+    base_sig = sp[lo - 1] if lo > 0 else 0.0
+    base_sigval = svp[lo - 1] if lo > 0 else 0.0
+
+    idx = np.arange(lo, hi + 1)
+    w1 = sp[idx] - base_sig                      # significance of [lo, i]
+    sv1 = svp[idx] - base_sigval                 # sig*value of [lo, i]
+    total_sig = sp[hi] - base_sig
+    total_sigval = svp[hi] - base_sigval
+    w2 = total_sig - w1                          # significance of [i+1, hi]
+    sv2 = total_sigval - sv1
+
+    p1 = w1 / total_sig
+    p2 = w2 / total_sig
+    v_lo = sv1 / w1                              # w1 > 0: i >= lo, sigs positive
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v_hi = np.where(w2 > 0.0, sv2 / np.where(w2 > 0.0, w2, 1.0), 0.0)
+
+    rep1 = values[idx]
+    rep2 = values[hi]
+
+    # The four cases of Section IV-B.  Terms involving the (possibly
+    # empty) high bucket carry a p2 factor, which is exactly zero at
+    # i == hi, so the formula degenerates to the one-bucket cost
+    # rep - weighted_mean there.
+    w_lolo = p1 * p1 * (rep1 - v_lo)
+    w_lohi = p1 * p2 * (rep2 - v_lo)
+    w_hilo = p2 * p1 * (rep1 + rep2 - v_hi)
+    w_hihi = p2 * p2 * (rep2 - v_hi)
+    return w_lolo + w_lohi + w_hilo + w_hihi
+
+
+def reference_break_indices(
+    records: RecordList,
+    lo: int = 0,
+    hi: Optional[int] = None,
+    max_buckets: Optional[int] = None,
+) -> List[int]:
+    """Greedy Bucketing's bucket-end indices, every segment scanned."""
+    if hi is None:
+        hi = len(records) - 1
+    if not (0 <= lo <= hi < len(records)):
+        raise IndexError(f"segment [{lo}, {hi}] out of bounds for {len(records)} records")
+
+    ends: List[int] = []
+    # Work-list of segments still to be examined.  Processing order does
+    # not affect the result (each segment's decision is independent), but
+    # a LIFO stack keeps memory at O(depth).
+    stack: List[tuple] = [(lo, hi)]
+    budget = max_buckets if max_buckets is not None else float("inf")
+    if budget < 1:
+        raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
+
+    while stack:
+        seg_lo, seg_hi = stack.pop()
+        if seg_lo == seg_hi:
+            ends.append(seg_hi)
+            continue
+        # Splitting this segment grows the final bucket count by one
+        # (current segments on the stack + emitted ends are all buckets
+        # or bucket sources).  Respect the optional cap.
+        prospective = len(ends) + len(stack) + 2
+        if prospective > budget:
+            ends.append(seg_hi)
+            continue
+        costs = reference_split_costs(records, seg_lo, seg_hi)
+        break_idx = seg_lo + int(np.argmin(costs))
+        if break_idx == seg_hi:
+            # One bucket over the whole segment is (locally) optimal.
+            ends.append(seg_hi)
+            continue
+        stack.append((break_idx + 1, seg_hi))
+        stack.append((seg_lo, break_idx))
+
+    ends.sort()
+    return ends

@@ -1,12 +1,13 @@
 """Incremental partition engines vs the full searches they shadow.
 
-The exhaustive engine (:class:`IncrementalExhaustivePartition`) claims
-*identity* with :func:`exhaustive_break_indices` — the hypothesis suite
-here is the acceptance proof.  The greedy engine
-(:class:`IncrementalGreedyPartition`) claims only a weaker fixpoint
-property (every bucket locally unsplittable), which is what its suite
-checks, along with the fragmentation bound and the bit-exact cache
-round-trip.
+Both engines claim *identity* with the from-scratch search:
+:class:`IncrementalExhaustivePartition` with
+:func:`exhaustive_break_indices`, :class:`GreedySplitMemo` with
+:func:`greedy_break_indices`.  The hypothesis suites here are the
+acceptance proof at the engine protocol (``observe`` / ``break_indices``
+/ ``cache_state`` / ``restore_cache``); the greedy search is further
+held to the bits of the implementation it replaced in
+``test_greedy_differential.py``.
 """
 
 import json
@@ -23,7 +24,7 @@ from repro.core.exhaustive import (
 )
 from repro.core.greedy import (
     GreedyBucketing,
-    IncrementalGreedyPartition,
+    GreedySplitMemo,
     greedy_break_indices,
 )
 from repro.core.kernels import partition_stats
@@ -218,22 +219,19 @@ def test_exhaustive_bucketing_state_roundtrip_mid_stream():
     ]
 
 
-# -- greedy engine: local repair ----------------------------------------------
-
-
-def greedy_feed(records, engine, value, significance=1.0, task_id=-1):
-    return feed(records, engine, value, significance, task_id)
+# -- greedy engine: the clean-prefix split memo ---------------------------------
 
 
 @given(streams)
 @settings(deadline=None)
 def test_greedy_repair_yields_valid_unsplittable_tiling(pairs):
-    """After every query: a strict tiling whose buckets are all fixpoints."""
+    """After every query: the from-scratch tiling, every bucket a fixpoint."""
     records = RecordList()
-    engine = IncrementalGreedyPartition(records)
+    engine = GreedySplitMemo(records)
     for task_id, (value, sig) in enumerate(pairs):
-        greedy_feed(records, engine, value, sig, task_id)
+        feed(records, engine, value, sig, task_id)
         breaks = engine.break_indices()
+        assert breaks == greedy_break_indices(records)
         n = len(records)
         assert breaks[-1] == n - 1
         assert all(b2 > b1 for b1, b2 in zip(breaks, breaks[1:]))
@@ -245,50 +243,86 @@ def test_greedy_repair_yields_valid_unsplittable_tiling(pairs):
             lo = hi + 1
 
 
-def test_greedy_fragmentation_bound_forces_resync():
-    records = RecordList()
-    engine = IncrementalGreedyPartition(records)
-    for i, value in enumerate([100.0, 200.0, 5000.0, 9000.0]):
-        greedy_feed(records, engine, value, task_id=i)
-    engine.break_indices()
-    full = greedy_break_indices(records)
-    # Restore an over-fragmented cache: the last full search allegedly
-    # produced 1 bucket, but the cache carries len(records) of them —
-    # past MAX_FRAGMENTATION, so the next query must re-search.
-    engine.restore_cache(
-        {"breaks": list(range(len(records))), "dirty": [], "full_count": 1}
-    )
-    before = engine.resyncs
-    assert engine.break_indices() == full
-    assert engine.resyncs == before + 1
+@pytest.mark.parametrize("policy", ["evict_min", "decay", "reservoir"])
+@given(streams, st.sampled_from([None, 1, 2, 3, 5]))
+@settings(deadline=None)
+def test_greedy_engine_equals_full_search_bounded(policy, pairs, max_buckets):
+    """Evictions and a bucket cap: still the from-scratch search, query or not."""
+    records = RecordList(capacity=7, compaction=policy)
+    engine = GreedySplitMemo(records, max_buckets=max_buckets)
+    for task_id, (value, sig) in enumerate(pairs):
+        feed(records, engine, value, sig, task_id)
+        if task_id % 3 != 1:  # leave several mutations between some queries
+            assert engine.break_indices() == greedy_break_indices(
+                records, max_buckets=max_buckets
+            )
 
 
 def test_greedy_engine_desyncs_on_eviction():
     records = RecordList(capacity=5)
-    engine = IncrementalGreedyPartition(records)
+    engine = GreedySplitMemo(records)
     for i, value in enumerate([10.0, 20.0, 3000.0, 4000.0, 5000.0]):
-        greedy_feed(records, engine, value, significance=float(i + 1), task_id=i)
+        feed(records, engine, value, significance=float(i + 1), task_id=i)
     engine.break_indices()
-    assert engine.synced
-    greedy_feed(records, engine, 7000.0, significance=10.0, task_id=9)  # evicts
-    assert not engine.synced
+    assert engine.clean == len(records)
+    feed(records, engine, 7000.0, significance=10.0, task_id=9)  # evicts
+    assert engine.clean == 0  # prefix sums were rebuilt: nothing is reusable
     assert engine.break_indices() == greedy_break_indices(records)
 
 
-def test_greedy_cache_roundtrip_is_bit_identical():
+def test_greedy_engine_tracks_lowest_insert_and_ignores_rejections():
     records = RecordList()
-    engine = IncrementalGreedyPartition(records)
+    engine = GreedySplitMemo(records)
     for i, value in enumerate([10.0, 20.0, 3000.0, 4000.0, 9000.0]):
-        greedy_feed(records, engine, value, significance=float(i + 1), task_id=i)
+        feed(records, engine, value, significance=float(i + 1), task_id=i)
     engine.break_indices()
-    # Leave a pending repair in the cache: the dirty set must survive.
-    greedy_feed(records, engine, 15.0, significance=7.0, task_id=10)
-    cache = json.loads(json.dumps(engine.cache_state()))
-    restored = IncrementalGreedyPartition(records)
-    restored.restore_cache(cache)
-    assert restored.synced
-    assert restored.break_indices() == engine.break_indices()
-    assert restored.cache_state() == engine.cache_state()
+    assert feed(records, engine, 9500.0, task_id=5) == 5  # appended: all clean
+    assert engine.clean == 5
+    assert feed(records, engine, 3500.0, task_id=6) == 3
+    assert feed(records, engine, 3600.0, task_id=7) == 4  # higher: no change
+    assert engine.clean == 3
+    engine.observe(None, None, None)  # reservoir filter rejected an arrival
+    assert engine.clean == 3
+    assert engine.break_indices() == greedy_break_indices(records)
+    assert engine.clean == len(records)
+
+
+def test_greedy_cache_roundtrip_is_bit_identical():
+    """Nothing is serialized; a checkpoint of the retired local-repair
+    engine (non-null ``partition_cache``) still loads and continues as
+    the uninterrupted exact run does."""
+    rng = np.random.default_rng(5)
+    values = rng.lognormal(mean=6.0, sigma=1.0, size=60).tolist()
+
+    def fresh():
+        return GreedyBucketing(rng=np.random.default_rng(17))
+
+    original = fresh()
+    for i, value in enumerate(values[:30]):
+        original.update(value, significance=float(i + 1), task_id=i)
+        original.predict()
+    # Leave an insert the memo has not seen a search for.
+    original.update(values[30], significance=31.0, task_id=30)
+    assert original.partition_engine.cache_state() is None
+    snapshot = json.loads(json.dumps(original.state_dict()))
+    assert snapshot["state"]["partition_cache"] is None
+    legacy = json.loads(json.dumps(snapshot))
+    legacy["state"]["partition_cache"] = {
+        "breaks": [3, 17, 30],
+        "dirty": [1],
+        "full_count": 3,
+    }
+
+    resumed, from_legacy = fresh(), fresh()
+    resumed.load_state(snapshot)
+    from_legacy.load_state(legacy)
+    for i, value in enumerate(values[31:], start=31):
+        for algo in (original, resumed, from_legacy):
+            algo.update(value, significance=float(i + 1), task_id=i)
+        expected = original.predict()
+        assert resumed.predict() == expected
+        assert from_legacy.predict() == expected
+    assert resumed.state_dict() == original.state_dict() == from_legacy.state_dict()
 
 
 @pytest.mark.parametrize(
@@ -302,30 +336,33 @@ def test_greedy_cache_roundtrip_is_bit_identical():
     ],
 )
 def test_greedy_restore_rejects_malformed_state(bad):
+    """Whatever an old checkpoint carries is dropped, never trusted."""
     records = RecordList()
-    engine = IncrementalGreedyPartition(records)
+    engine = GreedySplitMemo(records)
     for i, value in enumerate([10.0, 20.0, 30.0]):
-        greedy_feed(records, engine, value, task_id=i)
+        feed(records, engine, value, task_id=i)
     engine.break_indices()
     engine.restore_cache(bad)
-    assert not engine.synced
+    assert engine.clean == 0
     assert engine.break_indices() == greedy_break_indices(records)
 
 
-def test_greedy_engine_is_opt_in_and_refused_under_bucket_cap():
-    assert GreedyBucketing().partition_engine is None  # off by default
-    assert GreedyBucketing(incremental=True).partition_engine is not None
-    # The cap couples segments globally; locality (and the engine) is out.
-    assert GreedyBucketing(incremental=True, max_buckets=4).partition_engine is None
+def test_greedy_engine_is_default_and_kept_under_bucket_cap():
+    assert isinstance(GreedyBucketing().partition_engine, GreedySplitMemo)
+    # The memo stores argmins, which the cap does not change.
+    assert isinstance(GreedyBucketing(max_buckets=4).partition_engine, GreedySplitMemo)
+    with pytest.raises(TypeError):
+        GreedyBucketing(incremental=True)  # the opt-in knob is gone
 
 
 def test_greedy_bucketing_incremental_stream_matches_engine_fixpoint():
-    """The wired-up algorithm produces the engine's tiling, not garbage."""
-    algo = GreedyBucketing(rng=np.random.default_rng(0), incremental=True)
+    """The wired-up algorithm produces the from-scratch tiling per decision."""
+    algo = GreedyBucketing(rng=np.random.default_rng(0))
     rng = np.random.default_rng(12)
     for i, value in enumerate(rng.normal(800.0, 200.0, size=80)):
         algo.update(max(float(value), 1.0), significance=float(i + 1), task_id=i)
         assert algo.predict() is not None
+        assert [b.hi for b in algo.state.buckets] == greedy_break_indices(algo.records)
     breaks = [b.hi for b in algo.state.buckets]
     records = algo.records
     assert breaks[-1] == len(records) - 1

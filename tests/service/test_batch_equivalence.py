@@ -6,9 +6,10 @@ modes, record counts, and the resulting allocator state — are exactly
 what a client awaiting each request one at a time would have seen.
 
 The sweep covers every registered algorithm (the paper's seven plus the
-quantized/kmeans extensions) and both settings of the incremental
-re-bucketing switch, because the bucketing algorithms are the ones with
-RNG- and order-sensitive internals where coalescing bugs would hide.
+quantized/kmeans extensions), Exhaustive Bucketing with its incremental
+engine off and Greedy Bucketing under a bucket cap, because the
+bucketing algorithms are the ones with RNG- and order-sensitive
+internals where coalescing bugs would hide.
 """
 
 import asyncio
@@ -21,11 +22,11 @@ from repro.core.base import ALGORITHM_REGISTRY
 from repro.core.resources import ResourceVector
 from repro.service import AllocationService, ServiceConfig
 
-# Every registered algorithm, plus the non-default setting of the
-# incremental re-bucketing switch for the two PR-6 variants.
+# Every registered algorithm, plus the full-search setting of the
+# exhaustive engine switch and the greedy search's capped path.
 VARIANTS = [(name, {}) for name in sorted(ALGORITHM_REGISTRY)] + [
     ("exhaustive_bucketing", {"incremental": False}),
-    ("greedy_bucketing", {"incremental": True}),
+    ("greedy_bucketing", {"max_buckets": 4}),
 ]
 
 CATEGORIES = ["proc", "merge", "fit", "plot"]
@@ -102,7 +103,7 @@ async def _batched(config: ServiceConfig, ops, chunk: int) -> tuple:
     "algorithm,kwargs",
     VARIANTS,
     ids=[
-        name + ("" if not kw else f"[incremental={kw['incremental']}]")
+        name + "".join(f"[{key}={value}]" for key, value in kw.items())
         for name, kw in VARIANTS
     ],
 )

@@ -71,16 +71,16 @@ def _bounded_records_config():
 
 
 def _greedy_incremental_config():
-    """Greedy Bucketing with the opt-in local-repair engine.
+    """Greedy Bucketing killed with its split memo mid-stream.
 
-    The engine's splice cache serializes bit-exactly; a mid-stream
-    kill/resume must land on the same repaired partitions (and thus the
-    same allocations) as the uninterrupted run.
+    The memo (which segments need no re-scan since the last search) is
+    not serialized: the resumed run's first search scans everything and
+    must land on the same partitions (and thus the same allocations) as
+    the uninterrupted run, which kept re-using its memo.
     """
     return SimulationConfig(
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
-            algorithm_kwargs={"incremental": True},
             seed=7,
             exploratory=ExploratoryConfig(min_records=3),
         ),
@@ -111,8 +111,8 @@ CONFIGS = {
     # jitter stream, dead-letter ledger and breaker state all replay.
     "quarantine": lambda: _config(resilience=_resilience()),
     # Million-record hot-path machinery under kill/resume: a bounded
-    # reservoir record store, and the greedy local-repair engine with
-    # its serialized splice cache.
+    # reservoir record store, and the greedy search's rebuilt-on-load
+    # split memo.
     "bounded_records": _bounded_records_config,
     "greedy_incremental": _greedy_incremental_config,
 }
