@@ -5,18 +5,15 @@ docs/PERFORMANCE.md:
 
 * **record ingest** — the simulator's update->predict alternation: one
   ``RecordList.add`` followed by touching the values / prefix-sum views,
-  at 1k / 5k / 20k records.  Measured for the array-backed
-  implementation and (at 1k / 5k) for the seed's Python-object-backed
-  :class:`~repro.core.records_legacy.LegacyRecordList`, whose per-task
-  full view rebuild is the baseline the fast path is scored against.
+  at 1k / 5k / 20k records.
 * **allocation latency** — time to compute a fresh bucketing state plus
   one allocation for Greedy and Exhaustive Bucketing, reproducing the
   record-count axis of the paper's Table I.
 * **million-record hot path** (full runs only) — the streaming regime at
   n = 10^6 records: steady-state ingest cost, the per-decision
-  allocation latency (Exhaustive Bucketing with its incremental engine
-  on and off; Greedy Bucketing's one search, its breaks checked against
-  a from-scratch ``greedy_break_indices`` on every timed decision),
+  allocation latency (each algorithm's one search, its breaks checked
+  against the from-scratch ``exhaustive_break_indices`` /
+  ``greedy_break_indices`` on every timed decision),
   and the partition-search pair underlying the headline claim — the
   incremental engine's ``break_indices`` versus the full
   ``exhaustive_break_indices`` re-search on the identical stream (the
@@ -63,7 +60,6 @@ from repro.core.exhaustive import (  # noqa: E402
 )
 from repro.core.greedy import GreedyBucketing, greedy_break_indices  # noqa: E402
 from repro.core.records import RecordList  # noqa: E402
-from repro.core.records_legacy import LegacyRecordList  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.runner import run_grid  # noqa: E402
 from repro.experiments.table1 import _make_records, time_algorithm  # noqa: E402
@@ -78,19 +74,18 @@ def _ingest_values(n: int, seed: int = 0) -> np.ndarray:
     return np.clip(rng.normal(8000.0, 2000.0, n), 50.0, None)
 
 
-def bench_record_ingest(record_list_cls: Callable, n: int, repeats: int) -> float:
+def bench_record_ingest(n: int, repeats: int) -> float:
     """Seconds to ingest ``n`` records in update->predict alternation.
 
     After every ``add`` the three views the cost kernels read
     (``values``, ``sig_prefix``, ``sigval_prefix``) are touched, which is
-    what every completed task costs in the simulator: the legacy
-    implementation rebuilds all of them from Python objects, the
-    array-backed one shifts a suffix and snapshots buffers.
+    what every completed task costs in the simulator: a suffix shift
+    plus the buffer snapshots.
     """
     values = _ingest_values(n)
     best = float("inf")
     for _ in range(repeats):
-        records = record_list_cls()
+        records = RecordList()
         start = time.perf_counter()
         for task_id, value in enumerate(values):
             records.add(
@@ -150,10 +145,9 @@ def bench_partition_search(
     """(full, incremental) seconds per partition search on one stream.
 
     Drives the same arrival stream through an
-    :class:`~repro.core.exhaustive.ExhaustiveBucketing` with the
-    incremental engine on, timing per update (a) the engine's
-    ``break_indices`` and (b) the full ``exhaustive_break_indices``
-    re-search over the same records.  The two produce identical break
+    :class:`~repro.core.exhaustive.ExhaustiveBucketing`, timing per
+    update (a) its engine's ``break_indices`` and (b) the full
+    ``exhaustive_break_indices`` re-search over the same records.  The two produce identical break
     indices (asserted); the pair is the measured form of the
     "incremental allocation vs full re-search" speedup claim.
     """
@@ -161,11 +155,10 @@ def bench_partition_search(
     best_inc = float("inf")
     for rep in range(repeats):
         records, values, sigs = _make_streaming_fixture(n, decisions, seed=rep)
-        algo = ExhaustiveBucketing(rng=np.random.default_rng(rep), incremental=True)
+        algo = ExhaustiveBucketing(rng=np.random.default_rng(rep))
         algo._records = records
         algo._partition_engine = algo._make_partition_engine()
         engine = algo.partition_engine
-        assert engine is not None
         engine.break_indices()  # warm resync outside the timed region
         t_full = 0.0
         t_inc = 0.0
@@ -255,26 +248,13 @@ def run_suite(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, o
     """Execute every benchmark; return the BENCH_core.json document."""
     repeats = repeats if repeats is not None else (1 if quick else 3)
     ingest_sizes = [1000, 5000] if quick else [1000, 5000, 20000]
-    # The 5000-record legacy baseline is the acceptance anchor (>=5x);
-    # it costs ~1.5 s, cheap enough to keep even in --quick mode.
-    legacy_sizes = [1000, 5000]
     latency_sizes = [200, 1000] if quick else [1000, 5000]
     grid_tasks = 60 if quick else 150
 
     metrics: Dict[str, float] = {}
 
     for n in ingest_sizes:
-        metrics[f"record_ingest_new_n{n}_s"] = bench_record_ingest(
-            RecordList, n, repeats
-        )
-    for n in legacy_sizes:
-        metrics[f"record_ingest_legacy_n{n}_s"] = bench_record_ingest(
-            LegacyRecordList, n, repeats
-        )
-        new = metrics[f"record_ingest_new_n{n}_s"]
-        metrics[f"record_ingest_speedup_n{n}_x"] = (
-            metrics[f"record_ingest_legacy_n{n}_s"] / new if new > 0 else float("inf")
-        )
+        metrics[f"record_ingest_new_n{n}_s"] = bench_record_ingest(n, repeats)
 
     for algorithm in ("greedy_bucketing", "exhaustive_bucketing"):
         for n in latency_sizes:
@@ -295,14 +275,9 @@ def run_suite(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, o
         )
         metrics[f"allocation_latency_exhaustive_bucketing_n{n}_s"] = (
             bench_streaming_decision(
-                lambda rng: ExhaustiveBucketing(rng=rng, incremental=True),
+                lambda rng: ExhaustiveBucketing(rng=rng),
                 n, decisions=200, repeats=repeats,
-            )
-        )
-        metrics[f"allocation_latency_exhaustive_bucketing_full_n{n}_s"] = (
-            bench_streaming_decision(
-                lambda rng: ExhaustiveBucketing(rng=rng, incremental=False),
-                n, decisions=100, repeats=repeats,
+                full_search=exhaustive_break_indices,
             )
         )
         metrics[f"allocation_latency_greedy_bucketing_n{n}_s"] = (
@@ -359,10 +334,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         unit = "x" if key.endswith("_x") else ("MB" if key.endswith("_mb") else "s")
         print(f"{key:<{width}}  {value:12.6f} {unit}")
     print(f"\nwrote {args.out}")
-
-    speedup_keys = [k for k in doc["metrics"] if k.startswith("record_ingest_speedup")]
-    worst = min(doc["metrics"][k] for k in speedup_keys)
-    print(f"worst ingest speedup vs seed implementation: {worst:.1f}x")
     return 0
 
 

@@ -7,11 +7,16 @@ This subpackage contains the paper's primary contribution:
 * :mod:`repro.core.records` — significance-weighted resource records of
   completed tasks and the sorted, numpy-backed ``RecordList``.
 * :mod:`repro.core.buckets` — ``Bucket`` / ``BucketState``: the partition
-  of a record list used to derive probabilistic allocations.
+  of a record list used to derive probabilistic allocations, and
+  ``partition_stats``, the per-bucket numbers of a candidate partition.
 * :mod:`repro.core.cost` — expected-waste cost kernels shared by the two
   bucketing algorithms (vectorized, with pure-Python references).
+* :mod:`repro.core.base` — the algorithm contract and
+  ``BucketingAlgorithm``: records in, one exact partition search per
+  dirty read, ``BucketState`` out.
 * :mod:`repro.core.greedy` — Greedy Bucketing (Algorithm 1).
-* :mod:`repro.core.exhaustive` — Exhaustive Bucketing (Algorithm 2).
+* :mod:`repro.core.exhaustive` — Exhaustive Bucketing (Algorithm 2) and
+  the one scorer of its expected waste ``W_B``.
 * :mod:`repro.core.baselines` — Whole Machine and Max Seen.
 * :mod:`repro.core.tovar` — Min Waste and Max Throughput job sizing
   (Tovar et al., TPDS 2018).

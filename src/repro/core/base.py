@@ -27,8 +27,7 @@ from typing import ClassVar, Dict, Optional, Type
 import numpy as np
 
 from repro.checkpoint import CheckpointError, generator_state, restore_generator
-from repro.core.buckets import BucketState
-from repro.core.kernels import partition_stats
+from repro.core.buckets import BucketState, partition_stats
 from repro.core.records import RecordList
 
 __all__ = [
@@ -153,24 +152,18 @@ class AllocationAlgorithm(abc.ABC):
 class BucketingAlgorithm(AllocationAlgorithm):
     """Shared machinery of Greedy and Exhaustive Bucketing.
 
-    Maintains the sorted significance-weighted record list, rebuilds the
-    bucket state *lazily* — a burst of completions with no interleaved
-    allocation request triggers exactly one recomputation, the batching
-    behaviour discussed with Table I (Section V-C) — and implements the
-    shared prediction rules of Section IV-A on top of
-    :class:`~repro.core.buckets.BucketState`.
-
-    ``rebucket_interval`` bounds how often the (expensive) partition
-    search actually runs: the break indices are recomputed from scratch
-    only every k-th new record; in between, the cached partition is
-    *re-anchored* onto the grown record list — each cached bucket
-    boundary value is mapped back to the last record at or below it with
-    one ``searchsorted``, and the bucket statistics are refreshed from
-    the prefix sums (O(buckets), not O(records)).  The default k=1
-    recomputes on every record, which is the paper-exact behaviour.
+    Records in, exact partition search, :class:`~repro.core.buckets.
+    BucketState` out: maintains the sorted significance-weighted record
+    list, streams every mutation into the subclass's partition engine,
+    and rebuilds the bucket state *lazily* — a burst of completions with
+    no interleaved allocation request triggers exactly one search, the
+    batching behaviour discussed with Table I (Section V-C).  Every
+    rebuild runs the full paper-exact search on the current records.
+    The shared prediction rules of Section IV-A sit on top of the state.
 
     Subclasses implement :meth:`compute_break_indices`, returning the
-    sorted inclusive upper-end record indices of each bucket.
+    sorted inclusive upper-end record indices of each bucket, and
+    :meth:`_make_partition_engine`.
     """
 
     conservative_exploration: ClassVar[bool] = True
@@ -180,24 +173,15 @@ class BucketingAlgorithm(AllocationAlgorithm):
         self,
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
-        rebucket_interval: int = 1,
         record_compaction: str = "evict_min",
     ) -> None:
         super().__init__(rng=rng)
-        if rebucket_interval < 1:
-            raise ValueError(
-                f"rebucket_interval must be >= 1, got {rebucket_interval}"
-            )
         self._records = RecordList(
             capacity=record_capacity, compaction=record_compaction
         )
-        self._rebucket_interval = rebucket_interval
         self._state: Optional[BucketState] = None
         self._dirty = True
         self._recomputations = 0
-        self._reanchors = 0
-        self._updates_since_recompute = 0
-        self._cached_break_values: Optional[np.ndarray] = None
         self._partition_engine = self._make_partition_engine()
 
     # -- subclass hooks ---------------------------------------------------------
@@ -206,38 +190,38 @@ class BucketingAlgorithm(AllocationAlgorithm):
     def compute_break_indices(self, records: RecordList) -> list:
         """Partition the record list; return sorted bucket-end indices."""
 
+    @abc.abstractmethod
     def _make_partition_engine(self):
-        """Optional incremental partition engine bound to ``self._records``.
+        """The partition engine bound to ``self._records``.
 
-        Subclasses return an object with ``observe(value, eviction, pos)``,
-        ``invalidate()``, ``cache_state()`` and ``restore_cache(state)``
-        (see :class:`repro.core.exhaustive.IncrementalExhaustivePartition`
-        and :class:`repro.core.greedy.GreedySplitMemo`) to have per-record
-        mutations streamed into it; ``None`` (the default) keeps the
-        classic recompute-from-scratch behaviour.
-        The engine is re-created whenever the record list is replaced
-        (:meth:`reset`, :meth:`_load_extra_state`).
+        An object with ``observe(value, eviction, pos)``, which every
+        :meth:`update` streams the record mutation into,
+        ``break_indices()``, and ``consume_stats(breaks)`` — the
+        per-bucket stats its search already computed for ``breaks``, or
+        ``None`` to have :attr:`state` derive them with
+        :func:`~repro.core.buckets.partition_stats` (see
+        :class:`repro.core.exhaustive.IncrementalExhaustivePartition`
+        and :class:`repro.core.greedy.GreedySplitMemo`).  Engines hold
+        nothing a search cannot rebuild, so one is simply re-created
+        whenever the record list is replaced (:meth:`reset`,
+        :meth:`_load_extra_state`).
         """
-        return None
 
     @property
     def partition_engine(self):
-        """The incremental partition engine, or ``None``."""
+        """The partition engine over this algorithm's record list."""
         return self._partition_engine
 
     # -- contract ----------------------------------------------------------------
 
     def update(self, value: float, significance: float = 1.0, task_id: int = -1) -> None:
         pos = self._records.add(value=value, significance=significance, task_id=task_id)
-        engine = self._partition_engine
-        if engine is not None:
-            eviction = self._records.last_eviction
-            # pos None with no eviction = the reservoir filter rejected
-            # the arrival: nothing was inserted.
-            inserted = None if (pos is None and eviction is None) else float(value)
-            engine.observe(inserted, eviction, pos)
+        eviction = self._records.last_eviction
+        # pos None with no eviction = the reservoir filter rejected the
+        # arrival: nothing was inserted.
+        inserted = None if (pos is None and eviction is None) else float(value)
+        self._partition_engine.observe(inserted, eviction, pos)
         self._dirty = True
-        self._updates_since_recompute += 1
 
     def predict(self) -> Optional[float]:
         state = self.state
@@ -258,80 +242,25 @@ class BucketingAlgorithm(AllocationAlgorithm):
 
     @property
     def state(self) -> Optional[BucketState]:
-        """Current bucket state, recomputed on demand; None if no records.
-
-        With the default ``rebucket_interval=1`` every new record forces
-        a full partition search (paper-exact).  With a larger interval,
-        intermediate states re-anchor the cached break values onto the
-        grown record list, deferring the search until the k-th record.
-        """
+        """Current bucket state, searched for on demand; None if no records."""
         if not self._records:
             return None
         if self._dirty or self._state is None:
-            if (
-                self._state is None
-                or self._cached_break_values is None
-                or self._updates_since_recompute >= self._rebucket_interval
-            ):
-                breaks = self.compute_break_indices(self._records)
-                self._recomputations += 1
-                self._updates_since_recompute = 0
-            else:
-                breaks = self._reanchor_break_indices()
-                self._reanchors += 1
-            # Stats are handed to the state via the precomputed fast
-            # path (bit-identical to recomputation; see BucketState).
-            # A partition engine that just scored this exact breaks
-            # object hands back the winner's stats directly; otherwise
-            # one O(buckets) pass over the prefix buffers rebuilds them.
-            stats = None
-            engine = self._partition_engine
-            if engine is not None:
-                consume = getattr(engine, "consume_stats", None)
-                if consume is not None:
-                    stats = consume(breaks)
+            breaks = self.compute_break_indices(self._records)
+            self._recomputations += 1
+            stats = self._partition_engine.consume_stats(breaks)
             if stats is not None:
-                # Engine-scored partition: breaks and stats are freshly
-                # built by our own search, so the state adopts them
-                # without re-validating (the trusted hot path).
+                # Breaks and stats are freshly built by our own search,
+                # so the state adopts them without re-validating (the
+                # trusted hot path).
                 self._state = BucketState(
                     self._records, breaks, stats=stats, trusted=True
                 )
             else:
                 stats = partition_stats(self._records, breaks)
                 self._state = BucketState(self._records, breaks, stats=stats)
-            if self._rebucket_interval > 1:
-                # Boundary values only feed re-anchoring, which never
-                # runs at the paper-exact interval of 1 — skip the
-                # buffer read on the per-decision hot path.
-                self._cached_break_values = self._records.values_at(breaks)
             self._dirty = False
         return self._state
-
-    def _reanchor_break_indices(self) -> list:
-        """Map the cached bucket boundary values onto the current records.
-
-        Each cached boundary was the maximum value of its bucket; after
-        new insertions (or window evictions) the index of the last record
-        at or below that value is found with one vectorized
-        ``searchsorted``.  Degenerate boundaries (below every record, or
-        collapsing onto the same record) drop out; the last record always
-        terminates the partition.
-        """
-        assert self._cached_break_values is not None
-        n = len(self._records)
-        values = self._records._values_buf[:n]
-        idx = np.searchsorted(values, self._cached_break_values, side="right") - 1
-        idx = idx[idx >= 0]
-        breaks: list = []
-        for i in idx:
-            i = int(i)
-            if i >= n - 1:
-                break
-            if not breaks or i > breaks[-1]:
-                breaks.append(i)
-        breaks.append(n - 1)
-        return breaks
 
     @property
     def records(self) -> RecordList:
@@ -343,17 +272,8 @@ class BucketingAlgorithm(AllocationAlgorithm):
 
     @property
     def recomputations(self) -> int:
-        """How many times the full partition search actually ran."""
+        """How many times the partition search ran."""
         return self._recomputations
-
-    @property
-    def reanchors(self) -> int:
-        """How many states were built by re-anchoring the cached partition."""
-        return self._reanchors
-
-    @property
-    def rebucket_interval(self) -> int:
-        return self._rebucket_interval
 
     def reset(self) -> None:
         self._records = RecordList(
@@ -363,58 +283,32 @@ class BucketingAlgorithm(AllocationAlgorithm):
         self._state = None
         self._dirty = True
         self._recomputations = 0
-        self._reanchors = 0
-        self._updates_since_recompute = 0
-        self._cached_break_values = None
         self._partition_engine = self._make_partition_engine()
 
     # -- checkpointing ------------------------------------------------------------
 
     def _extra_state(self) -> dict:
-        # The cached partition is serialized verbatim (it may be stale
-        # relative to the records when `_dirty` — the lazy-recompute
-        # window), and the recompute/re-anchor counters come along so a
-        # restored instance takes the exact same recompute-vs-reanchor
-        # decisions an uninterrupted run would.
+        # The bucket state is serialized verbatim: it may be stale
+        # relative to the records when `_dirty` (the lazy-recompute
+        # window), and a restored instance must not search earlier than
+        # an uninterrupted run would.
         return {
             "records": self._records.state_dict(),
             "dirty": self._dirty,
             "recomputations": self._recomputations,
-            "reanchors": self._reanchors,
-            "updates_since_recompute": self._updates_since_recompute,
-            "cached_break_values": (
-                None
-                if self._cached_break_values is None
-                else self._cached_break_values.tolist()
-            ),
             "bucket_state": (
                 None if self._state is None else self._state.state_dict()
-            ),
-            # Partition engines are exact and rebuilt on load, so both
-            # return None here; the key stays for the snapshot format
-            # (older checkpoints may carry a retired engine's cache).
-            "partition_cache": (
-                None
-                if self._partition_engine is None
-                else self._partition_engine.cache_state()
             ),
         }
 
     def _load_extra_state(self, state: dict) -> None:
+        # Snapshots written before the partition schedule was fixed also
+        # carry `reanchors`, `updates_since_recompute`,
+        # `cached_break_values` and `partition_cache`; nothing reads them.
         self._records = RecordList.from_state(state["records"])
         self._partition_engine = self._make_partition_engine()
-        if self._partition_engine is not None:
-            cache = state.get("partition_cache")
-            if cache is not None:
-                self._partition_engine.restore_cache(cache)
         self._dirty = bool(state["dirty"])
         self._recomputations = int(state["recomputations"])
-        self._reanchors = int(state["reanchors"])
-        self._updates_since_recompute = int(state["updates_since_recompute"])
-        cached = state["cached_break_values"]
-        self._cached_break_values = (
-            None if cached is None else np.asarray(cached, dtype=np.float64)
-        )
         saved = state["bucket_state"]
         self._state = None if saved is None else BucketState.from_state(saved)
 

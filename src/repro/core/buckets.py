@@ -159,8 +159,8 @@ class BucketState:
         if stats is not None:
             # Precomputed-stats fast path: the partition search already
             # derived (reps, probs, estimates) for the winning
-            # configuration via repro.core.kernels.partition_stats (or
-            # the fused loops in select_best_partition), which reads
+            # configuration via partition_stats below (or the fused
+            # loop in select_best_partition), which reads
             # the prefix buffers in this constructor's exact
             # float-operation order — reusing them is bit-identical to
             # recomputing.  The per-bucket Bucket objects are built
@@ -403,3 +403,49 @@ class BucketState:
             assert cur.rep >= prev.rep, "representatives must be non-decreasing"
         for b in buckets:
             assert b.estimate <= b.rep + 1e-9, "estimate cannot exceed representative"
+
+
+def partition_stats(
+    records: RecordList, break_indices: Sequence[int]
+) -> Tuple[List[float], List[float], List[float]]:
+    """Per-bucket (reps, probs, estimates) for a candidate partition.
+
+    Reads the prefix-sum buffers as Python scalars — no array snapshot,
+    no intermediate ``Bucket`` objects — in the exact operation order of
+    :class:`BucketState`, so feeding the winning configuration back into
+    a ``BucketState`` reproduces these floats bit-for-bit.  O(K) for K
+    buckets, independent of the record count.
+
+    A bucket whose significance difference is exactly 0.0 (its records'
+    significances vanished in the prefix-sum rounding) gets probability
+    0.0 and its representative as the estimate.
+    """
+    n = len(records)
+    sp = records._sp_buf
+    svp = records._svp_buf
+    vals = records._values_buf
+    total_sig = float(sp[n - 1])
+    reps: List[float] = []
+    probs: List[float] = []
+    estimates: List[float] = []
+    below_sig = 0.0
+    below_sigval = 0.0
+    for hi in break_indices:
+        s = float(sp[hi])
+        sv = float(svp[hi])
+        sig = s - below_sig
+        rep = float(vals[hi])
+        if sig == 0.0:
+            estimate = rep
+        else:
+            estimate = (sv - below_sigval) / sig
+            if estimate > rep:
+                # Prefix-sum cancellation can push the mean a few ulps
+                # past the bucket max; clamp exactly as BucketState does.
+                estimate = rep
+        reps.append(rep)
+        probs.append(sig / total_sig)
+        estimates.append(estimate)
+        below_sig = s
+        below_sigval = sv
+    return reps, probs, estimates

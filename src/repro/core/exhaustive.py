@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import BucketingAlgorithm, register_algorithm
-from repro.core.kernels import VECTOR_KERNEL_MIN_BUCKETS, partition_waste_batch
 from repro.core.records import BATCH_EVICTION, RecordList
 
 __all__ = [
@@ -88,7 +87,7 @@ def select_best_partition(
     """Score candidate partitions and return the cheapest (Algorithm 2).
 
     Thin wrapper over :func:`_score_and_select`; see there for the
-    scoring tiers and float-rounding contract.
+    scoring loop and float-rounding contract.
     """
     return _score_and_select(records, configurations)[0]
 
@@ -111,30 +110,25 @@ def _score_and_select(
     in ascending ``k`` order (duplicate configurations score
     identically, so the first occurrence always wins).
 
-    Scoring strategy is tiered on profile evidence (docs/PERFORMANCE.md),
-    mirroring :func:`repro.core.kernels.partition_waste`:
+    The whole pass runs as one fused pure-Python loop over three bulk
+    ``tolist()`` reads of the prefix buffers, whatever the bucket
+    count: per-bucket stats in the exact float-operation order of
+    :func:`repro.core.buckets.partition_stats`, then the expected waste
+    ``W_B`` via the telescoped suffix-ratio identity (O(K) per
+    configuration instead of the O(K^2) row recurrence of
+    :func:`repro.core.cost.exhaustive_cost`, the paper-literal reference
+    the tests compare against).  There is no vectorized tier: numpy
+    dispatch only overtakes the interpreted loop from ~32 buckets per
+    configuration, and the widest cap in the tree is 20 (the paper's is
+    10).
 
-    * At the paper's bucket cap (``K <= 10``) the whole pass runs as
-      fused pure-Python loops over three bulk ``tolist()`` reads of the
-      prefix buffers: per-bucket stats in the exact float-operation
-      order of :func:`repro.core.kernels.partition_stats`, then the
-      expected waste via the telescoped suffix-ratio identity (O(K) per
-      configuration instead of the O(K^2) row recurrence).  At this
-      size numpy dispatch overhead exceeds the arithmetic, so the
-      interpreted loop wins ~2x.
-    * Wide partitions (``>= VECTOR_KERNEL_MIN_BUCKETS`` buckets) switch
-      to :func:`repro.core.kernels.partition_waste_batch`, one
-      padded-matrix contraction scoring every configuration at once.
-
-    Both tiers round identically *within themselves* and the tier choice
-    depends only on the candidate configurations — shared by the full
-    search and the incremental engine — so the selected breaks never
-    depend on which caller asked.
+    A bucket whose significance difference is exactly 0.0 has
+    probability 0.0 and contributes nothing to ``W_B``.
 
     ``flat`` lets a caller that already holds the concatenated break
     indices skip re-flattening; ``want_stats`` additionally returns the
     winner's per-bucket ``(reps, probs, estimates)``, bit-identical to
-    :func:`repro.core.kernels.partition_stats` on the winning breaks, so
+    :func:`repro.core.buckets.partition_stats` on the winning breaks, so
     the state rebuild can skip its own prefix-buffer reads.
     """
     n = len(records)
@@ -147,43 +141,6 @@ def _score_and_select(
     if flat is None:
         flat = [hi for breaks in configurations for hi in breaks]
     idx = np.asarray(flat, dtype=np.intp)
-    widest = max(len(breaks) for breaks in configurations)
-    if widest >= VECTOR_KERNEL_MIN_BUCKETS:
-        s_arr = records._sp_buf[idx]
-        sv_arr = records._svp_buf[idx]
-        rep_arr = records._values_buf[idx]
-        lengths = np.fromiter(
-            (len(b) for b in configurations), dtype=np.intp, count=len(configurations)
-        )
-        # Segmented shift: within each configuration, bucket j's
-        # "below" prefix is bucket j-1's inclusive prefix, 0 for the
-        # first bucket.
-        starts = np.zeros(len(configurations), dtype=np.intp)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        prev_s = np.empty_like(s_arr)
-        prev_s[1:] = s_arr[:-1]
-        prev_s[starts] = 0.0
-        prev_sv = np.empty_like(sv_arr)
-        prev_sv[1:] = sv_arr[:-1]
-        prev_sv[starts] = 0.0
-        sig_arr = s_arr - prev_s
-        probs_arr = sig_arr / records._sp_buf[n - 1]
-        est_arr = (sv_arr - prev_sv) / sig_arr
-        np.minimum(est_arr, rep_arr, out=est_arr)
-        costs = partition_waste_batch(rep_arr, probs_arr, est_arr, lengths)
-        best = int(np.argmin(costs))  # argmin keeps the first of any tie
-        if not want_stats:
-            return configurations[best], None
-        lo = int(starts[best])
-        hi = lo + len(configurations[best])
-        # Elementwise numpy ops produce the same IEEE doubles as the
-        # scalar partition_stats loop.
-        return configurations[best], (
-            rep_arr[lo:hi].tolist(),
-            probs_arr[lo:hi].tolist(),
-            est_arr[lo:hi].tolist(),
-        )
-
     sig_at = records._sp_buf[idx].tolist()
     sigval_at = records._svp_buf[idx].tolist()
     rep_at = records._values_buf[idx].tolist()
@@ -198,8 +155,9 @@ def _score_and_select(
         # Single descending pass, no intermediate lists.  Stats fall out
         # of the per-bucket prefix differences in partition_stats'
         # operation order; the waste follows from the telescoped
-        # identity of kernels.partition_waste_vector rearranged into
-        # three accumulable sums:
+        # suffix-ratio identity (dividing the failure-column recurrence
+        # ws(j) = ws(j+1) + p_j (r_j + ws(j+1)/sfx(j+1)) by sfx(j) turns
+        # it into a prefix sum) rearranged into three accumulable sums:
         #
         #   cost = S * (A + D(0) * S - B)
         #
@@ -217,6 +175,8 @@ def _score_and_select(
         for j in range(end - 1, pos, -1):
             s_prev = sig_at[j - 1]
             sig = sig_at[j] - s_prev
+            if sig == 0.0:
+                continue
             rep = rep_at[j]
             est = (sigval_at[j] - sigval_at[j - 1]) / sig
             if est > rep:
@@ -262,9 +222,12 @@ def _score_and_select(
         sv = sigval_at[j]
         sig = s - below_sig
         rep = rep_at[j]
-        est = (sv - below_sigval) / sig
-        if est > rep:
+        if sig == 0.0:
             est = rep
+        else:
+            est = (sv - below_sigval) / sig
+            if est > rep:
+                est = rep
         reps_w.append(rep)
         probs_w.append(sig / total_sig)
         est_w.append(est)
@@ -310,8 +273,10 @@ class IncrementalExhaustivePartition:
     :func:`evenly_spaced_break_indices` and the counts replicate
     ``searchsorted`` by construction, so :meth:`break_indices` feeds
     byte-identical configurations into the same
-    :func:`select_best_partition` scorer as the full search — the engine
-    is default-on at the paper-exact ``rebucket_interval=1``.
+    :func:`select_best_partition` scorer as the full search.  Nothing
+    is serialized: the counts are a pure function of the record list,
+    so a restored engine resyncs on its first query and reproduces the
+    pre-checkpoint break indices.
 
     Two events invalidate the counts wholesale: a change of the maximum
     record value (every candidate ``v_max * i / k`` moves) and a batch
@@ -411,23 +376,6 @@ class IncrementalExhaustivePartition:
     @property
     def synced(self) -> bool:
         return self._synced
-
-    def invalidate(self) -> None:
-        """Force a resync at the next query (restore, external mutation)."""
-        self._synced = False
-
-    def cache_state(self) -> None:
-        """Nothing to serialize: the counts are exact and cheap to rebuild.
-
-        The engine's candidate counts are a pure function of the record
-        list, so a restored instance resyncs on its first query and is
-        guaranteed to reproduce the pre-checkpoint break indices — the
-        "rebuilt on load" arm of the checkpoint contract.
-        """
-        return None
-
-    def restore_cache(self, state: object) -> None:
-        self.invalidate()
 
     def observe(
         self,
@@ -597,7 +545,7 @@ class IncrementalExhaustivePartition:
         """Winner stats from the most recent :meth:`break_indices` call.
 
         Returns the per-bucket ``(reps, probs, estimates)`` — in
-        :func:`repro.core.kernels.partition_stats`' exact float order —
+        :func:`repro.core.buckets.partition_stats`' exact float order —
         if ``breaks`` is the very list object that call returned;
         ``None`` otherwise.  One-shot: the cached stats are cleared on
         use, so they can never outlive a record mutation — the caller
@@ -615,6 +563,11 @@ class IncrementalExhaustivePartition:
 class ExhaustiveBucketing(BucketingAlgorithm):
     """The Exhaustive Bucketing allocation algorithm.
 
+    The candidate mappings are maintained incrementally by
+    :class:`IncrementalExhaustivePartition`, whose break indices are
+    identical to :func:`exhaustive_break_indices`; below the size where
+    that bookkeeping pays off the full search runs directly.
+
     Parameters
     ----------
     rng:
@@ -623,18 +576,6 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         Optional sliding-window bound on retained records.
     max_buckets:
         Upper bound on the candidate bucket counts; the paper uses 10.
-    rebucket_interval:
-        Run the full configuration search only every k-th new record,
-        re-anchoring the cached partition in between (see
-        :class:`~repro.core.base.BucketingAlgorithm`).  The default 1 is
-        paper-exact.
-    incremental:
-        Maintain the candidate mappings incrementally with
-        :class:`IncrementalExhaustivePartition` (default on).  The
-        engine is exact — break indices are identical to the full
-        search — so this only changes the cost per decision, from O(n)
-        to O(1) in the record count.  Disable to force the full
-        re-search every time (the perf baseline).
 
     Examples
     --------
@@ -654,18 +595,16 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
         max_buckets: int = PAPER_MAX_BUCKETS,
-        rebucket_interval: int = 1,
-        incremental: bool = True,
         record_compaction: str = "evict_min",
     ) -> None:
         if max_buckets < 1:
             raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
+        # Set before super().__init__: the base constructor calls the
+        # _make_partition_engine hook, which reads it.
         self._max_buckets = max_buckets
-        self._incremental = bool(incremental)
         super().__init__(
             rng=rng,
             record_capacity=record_capacity,
-            rebucket_interval=rebucket_interval,
             record_compaction=record_compaction,
         )
 
@@ -673,18 +612,12 @@ class ExhaustiveBucketing(BucketingAlgorithm):
     def max_buckets(self) -> int:
         return self._max_buckets
 
-    def _make_partition_engine(self) -> Optional[IncrementalExhaustivePartition]:
-        if not self._incremental:
-            return None
+    def _make_partition_engine(self) -> IncrementalExhaustivePartition:
         return IncrementalExhaustivePartition(self._records, self._max_buckets)
 
     def compute_break_indices(self, records: RecordList) -> List[int]:
         engine = self._partition_engine
-        if (
-            engine is not None
-            and records is self._records
-            and engine.cheaper_than_full()
-        ):
+        if records is self._records and engine.cheaper_than_full():
             breaks = engine.break_indices()
             if breaks is not None:
                 return breaks

@@ -228,19 +228,9 @@ class GreedySplitMemo:
         """Memo entries with ``hi`` below this index are still exact."""
         return self._clean
 
-    def invalidate(self) -> None:
-        """Scan every segment at the next search."""
-        self._memo = {}
-        self._clean = 0
-
-    def cache_state(self) -> None:
-        """Nothing to serialize: the memo is rebuilt by the next search."""
+    def consume_stats(self, breaks: List[int]) -> None:
+        """No stats to hand over: the search scores splits, not buckets."""
         return None
-
-    def restore_cache(self, state: object) -> None:
-        """Ignore ``state`` (checkpoints of the retired local-repair engine
-        carry one) and start from an empty memo."""
-        self.invalidate()
 
     def observe(
         self,
@@ -286,11 +276,7 @@ class GreedyBucketing(BucketingAlgorithm):
     max_buckets:
         Optional cap on the number of buckets (ablation hook; unset in
         the paper's configuration).
-    rebucket_interval:
-        Run the full partition search only every k-th new record,
-        re-anchoring the cached partition in between (see
-        :class:`~repro.core.base.BucketingAlgorithm`).  The default 1 is
-        paper-exact.
+
     Examples
     --------
     >>> import numpy as np
@@ -309,7 +295,6 @@ class GreedyBucketing(BucketingAlgorithm):
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
         max_buckets: Optional[int] = None,
-        rebucket_interval: int = 1,
         record_compaction: str = "evict_min",
     ) -> None:
         # Set before super().__init__: the base constructor calls the
@@ -318,7 +303,6 @@ class GreedyBucketing(BucketingAlgorithm):
         super().__init__(
             rng=rng,
             record_capacity=record_capacity,
-            rebucket_interval=rebucket_interval,
             record_compaction=record_compaction,
         )
 

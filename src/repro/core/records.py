@@ -20,9 +20,8 @@ maintained **incrementally** — an insertion shifts only the suffix at or
 after the insertion point and adds the new record's contribution to the
 shifted prefix entries, so the simulator's update→predict alternation
 costs one vectorized suffix shift instead of the full Python-object walk
-the seed implementation paid per completed task (kept as
-:class:`repro.core.records_legacy.LegacyRecordList` for the equivalence
-tests and the perf baseline in ``benchmarks/perf/``).
+the seed implementation paid per completed task (kept under
+``tests/core/records_reference.py`` as the equivalence-test oracle).
 
 A ``capacity`` bound turns the list into a *bounded record store*
 (required once record counts reach 10^6+ — see docs/PERFORMANCE.md)

@@ -1,6 +1,6 @@
-"""The seed's Python-object-backed RecordList, kept as a reference.
+"""Reference record store: the seed's Python-object-backed RecordList.
 
-This module is the pre-fast-path implementation of
+Test-only.  This is the pre-fast-path implementation of
 :class:`repro.core.records.RecordList`: a sorted Python list of
 :class:`~repro.core.records.ResourceRecord` objects mutated with
 ``bisect.insort``, with every numpy view rebuilt from scratch (an
@@ -8,16 +8,9 @@ This module is the pre-fast-path implementation of
 rebuild made the simulator's update->predict alternation O(n) per
 completed task.
 
-It is retained for two consumers only:
-
-* the equivalence test suite (``tests/core/test_records_equivalence.py``)
-  proves the array-backed replacement reproduces this implementation's
-  observable behavior on random insert/evict sequences;
-* the perf harness (``benchmarks/perf/bench_core.py``) measures the
-  speedup of the replacement against this baseline and records it in
-  ``BENCH_core.json``.
-
-Do not import this from production code paths.
+``test_records_equivalence.py`` drives the shipped store and this one
+through random insert/evict sequences and requires the same observable
+behaviour.
 """
 
 from __future__ import annotations

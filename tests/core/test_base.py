@@ -1,5 +1,6 @@
 """Tests for the algorithm base contract and registry."""
 
+import numpy as np
 import pytest
 
 from repro.core.base import (
@@ -98,3 +99,20 @@ class TestDefaultRetryContract:
         algo = _Stub()
         algo.update(1.0)
         assert "records=1" in repr(algo)
+
+
+class TestBucketingContract:
+    @pytest.mark.parametrize("name", ["greedy_bucketing", "exhaustive_bucketing"])
+    def test_vanishing_significance_record_does_not_poison_predictions(self, name):
+        """A bucket whose significance rounds to exactly 0.0 in the prefix
+        sums has probability 0 and its representative as estimate."""
+        algo = make_algorithm(name, rng=np.random.default_rng(0))
+        for task_id in range(20):
+            algo.update(100.0 + 10.0 * task_id, significance=1e18, task_id=task_id)
+        algo.update(1000.0, significance=1e-300, task_id=20)  # the largest value
+        allocation = algo.predict()
+        buckets = algo.state.buckets
+        top = buckets[-1]
+        assert (top.lo, top.rep, top.prob, top.estimate) == (20, 1000.0, 0.0, 1000.0)
+        assert allocation in {b.rep for b in buckets[:-1]}
+        assert algo.predict_retry(allocation, allocation) is not None

@@ -148,3 +148,31 @@ class TestExhaustiveBucketingAlgorithm:
         for r in normal_records:
             eb.update(r.value, r.significance, r.task_id)
         assert 1 <= len(eb.state) <= 10
+
+    def test_breaks_equal_direct_search(self):
+        """Engine or full search, whichever size picks: the same breaks."""
+        eb = ExhaustiveBucketing(rng=np.random.default_rng(0))
+        reference = RecordList()
+        stream = np.clip(np.random.default_rng(0).normal(8000.0, 2000.0, 120), 50.0, None)
+        for task_id, value in enumerate(stream):
+            sig = float(task_id + 1)
+            eb.update(float(value), significance=sig, task_id=task_id)
+            reference.add(float(value), significance=sig, task_id=task_id)
+            assert [b.hi for b in eb.state.buckets] == exhaustive_break_indices(reference)
+
+    def test_one_recomputation_per_dirty_read(self, bimodal_records):
+        eb = ExhaustiveBucketing(rng=np.random.default_rng(0))
+        for r in bimodal_records:
+            eb.update(r.value, r.significance, r.task_id)
+        assert eb.recomputations == 0  # a burst of completions: no search yet
+        for n_searches in range(1, 51):
+            eb.update(500.0 + n_searches, 1.0, 1000 + n_searches)
+            eb.predict()
+            eb.predict_retry(1.0, 1.0)
+            _ = eb.state
+            assert eb.recomputations == n_searches
+
+    @pytest.mark.parametrize("retired", [{"rebucket_interval": 2}, {"incremental": False}])
+    def test_retired_keywords_rejected(self, retired):
+        with pytest.raises(TypeError):
+            ExhaustiveBucketing(**retired)

@@ -159,3 +159,7 @@ class TestGreedyBucketingAlgorithm:
         for r in normal_records:
             gb.update(r.value, r.significance, r.task_id)
         gb.state.validate()
+
+    def test_retired_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            GreedyBucketing(rebucket_interval=2)

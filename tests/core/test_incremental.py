@@ -5,9 +5,8 @@ Both engines claim *identity* with the from-scratch search:
 :func:`exhaustive_break_indices`, :class:`GreedySplitMemo` with
 :func:`greedy_break_indices`.  The hypothesis suites here are the
 acceptance proof at the engine protocol (``observe`` / ``break_indices``
-/ ``cache_state`` / ``restore_cache``); the greedy search is further
-held to the bits of the implementation it replaced in
-``test_greedy_differential.py``.
+/ ``consume_stats``); the greedy search is further held to the bits of
+the implementation it replaced in ``test_greedy_differential.py``.
 """
 
 import json
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.buckets import partition_stats
 from repro.core.exhaustive import (
     ExhaustiveBucketing,
     IncrementalExhaustivePartition,
@@ -27,7 +27,6 @@ from repro.core.greedy import (
     GreedySplitMemo,
     greedy_break_indices,
 )
-from repro.core.kernels import partition_stats
 from repro.core.records import RecordList
 
 # -- strategies ---------------------------------------------------------------
@@ -185,9 +184,9 @@ def test_exhaustive_cache_state_rebuilds_on_load():
     for i, value in enumerate([50.0, 600.0, 1200.0, 4000.0]):
         feed(records, engine, value, task_id=i)
     expected = engine.break_indices()
-    assert engine.cache_state() is None  # nothing serialized
+    # Nothing is serialized: a load builds a fresh engine over the
+    # restored records.
     restored = IncrementalExhaustivePartition(records)
-    restored.restore_cache(None)
     assert not restored.synced
     assert restored.break_indices() == expected  # resynced from the records
 
@@ -217,6 +216,39 @@ def test_exhaustive_bucketing_state_roundtrip_mid_stream():
     assert [b.hi for b in resumed.state.buckets] == [
         b.hi for b in original.state.buckets
     ]
+
+
+@pytest.mark.parametrize("algo_cls", [GreedyBucketing, ExhaustiveBucketing])
+def test_old_format_snapshot_restores_and_continues_identically(algo_cls):
+    """Snapshots written while ``rebucket_interval`` existed carry four
+    keys nothing reads any more; they load, and the run continues as one
+    that was never interrupted."""
+    rng = np.random.default_rng(8)
+    values = rng.lognormal(mean=6.0, sigma=1.0, size=60).tolist()
+
+    def fresh():
+        return algo_cls(rng=np.random.default_rng(17))
+
+    original = fresh()
+    for i, value in enumerate(values[:30]):
+        original.update(value, significance=float(i + 1), task_id=i)
+        original.predict()
+    original.update(values[30], significance=31.0, task_id=30)  # left dirty
+    old_format = json.loads(json.dumps(original.state_dict()))
+    old_format["state"].update(
+        reanchors=20,
+        updates_since_recompute=1,
+        cached_break_values=[b.rep for b in original._state.buckets],
+        partition_cache=None,
+    )
+    resumed = fresh()
+    resumed.load_state(old_format)
+
+    for i, value in enumerate(values[31:], start=31):
+        original.update(value, significance=float(i + 1), task_id=i)
+        resumed.update(value, significance=float(i + 1), task_id=i)
+        assert resumed.predict() == original.predict()
+    assert resumed.state_dict() == original.state_dict()
 
 
 # -- greedy engine: the clean-prefix split memo ---------------------------------
@@ -289,7 +321,7 @@ def test_greedy_engine_tracks_lowest_insert_and_ignores_rejections():
 
 def test_greedy_cache_roundtrip_is_bit_identical():
     """Nothing is serialized; a checkpoint of the retired local-repair
-    engine (non-null ``partition_cache``) still loads and continues as
+    engine (a ``partition_cache`` entry) still loads and continues as
     the uninterrupted exact run does."""
     rng = np.random.default_rng(5)
     values = rng.lognormal(mean=6.0, sigma=1.0, size=60).tolist()
@@ -303,9 +335,8 @@ def test_greedy_cache_roundtrip_is_bit_identical():
         original.predict()
     # Leave an insert the memo has not seen a search for.
     original.update(values[30], significance=31.0, task_id=30)
-    assert original.partition_engine.cache_state() is None
     snapshot = json.loads(json.dumps(original.state_dict()))
-    assert snapshot["state"]["partition_cache"] is None
+    assert "partition_cache" not in snapshot["state"]
     legacy = json.loads(json.dumps(snapshot))
     legacy["state"]["partition_cache"] = {
         "breaks": [3, 17, 30],
@@ -337,14 +368,19 @@ def test_greedy_cache_roundtrip_is_bit_identical():
 )
 def test_greedy_restore_rejects_malformed_state(bad):
     """Whatever an old checkpoint carries is dropped, never trusted."""
-    records = RecordList()
-    engine = GreedySplitMemo(records)
+    algo = GreedyBucketing(rng=np.random.default_rng(17))
     for i, value in enumerate([10.0, 20.0, 30.0]):
-        feed(records, engine, value, task_id=i)
-    engine.break_indices()
-    engine.restore_cache(bad)
-    assert engine.clean == 0
-    assert engine.break_indices() == greedy_break_indices(records)
+        algo.update(value, task_id=i)
+    algo.predict()
+    snapshot = json.loads(json.dumps(algo.state_dict()))
+    snapshot["state"]["partition_cache"] = bad
+    restored = GreedyBucketing(rng=np.random.default_rng(0))
+    restored.load_state(snapshot)
+    assert restored.partition_engine.clean == 0
+    restored.update(15.0, task_id=3)
+    assert [b.hi for b in restored.state.buckets] == greedy_break_indices(
+        restored.records
+    )
 
 
 def test_greedy_engine_is_default_and_kept_under_bucket_cap():

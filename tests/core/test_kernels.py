@@ -1,32 +1,30 @@
-"""The partition-scoring kernels vs their table-building reference.
+"""The one partition scorer vs its table-building reference.
 
 :mod:`repro.core.cost` keeps the paper-literal ``probs @ T @ probs``
-contraction as the reference implementation; the streaming kernels in
-:mod:`repro.core.kernels` must agree with it to float tolerance (the
-accumulation orders differ by design) and with each other, and
-:func:`partition_stats` must agree with :class:`BucketState` *bit for
-bit* — the allocator swaps freely between the two.
+contraction as the reference implementation; the fused scoring loop
+behind :func:`repro.core.exhaustive.select_best_partition` — the only
+routine that computes the expected waste ``W_B`` in production — must
+pick the configuration that reference scores cheapest (to float
+tolerance: the accumulation orders differ by design) at every width,
+and :func:`partition_stats` must agree with :class:`BucketState` *bit
+for bit* — the allocator swaps freely between the two.
 """
-
-import math
 
 import numpy as np
 import pytest
 
-from repro.core.buckets import BucketState
+from repro.core.buckets import BucketState, partition_stats
 from repro.core.cost import exhaustive_cost
-from repro.core.exhaustive import evenly_spaced_break_indices
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    VECTOR_KERNEL_MIN_BUCKETS,
-    partition_stats,
-    partition_waste,
-    partition_waste_batch,
-    partition_waste_scalar,
-    partition_waste_vector,
-    waste_kernel_name,
+from repro.core.exhaustive import (
+    _score_and_select,
+    evenly_spaced_break_indices,
+    select_best_partition,
 )
 from repro.core.records import RecordList
+
+#: Bucket counts every scoring test covers: the paper's regime (<= 10),
+#: the widest cap in the tree (20), and far past both.
+WIDTHS = (1, 2, 3, 10, 20, 31, 32, 33, 64)
 
 
 def make_records(n, seed=0):
@@ -37,69 +35,70 @@ def make_records(n, seed=0):
     return rl
 
 
+def random_partition(records, rng, k):
+    """A random valid partition of ``records`` into ``k`` buckets."""
+    n = len(records)
+    interior = sorted(rng.choice(n - 1, size=k - 1, replace=False).tolist()) if k > 1 else []
+    return [int(i) for i in interior] + [n - 1]
+
+
 def random_partitions(records, rng, count=6):
     """Random valid partitions of ``records``, various widths."""
-    n = len(records)
-    partitions = []
-    for _ in range(count):
-        k = int(rng.integers(1, min(n, 12) + 1))
-        interior = sorted(rng.choice(n - 1, size=k - 1, replace=False).tolist()) if k > 1 else []
-        partitions.append([int(i) for i in interior] + [n - 1])
-    return partitions
+    widths = rng.integers(1, min(len(records), 12) + 1, size=count)
+    return [random_partition(records, rng, int(k)) for k in widths]
 
 
-# -- waste kernels vs the cost-table reference --------------------------------
+def reference_cost(records, breaks):
+    reps, probs, estimates = partition_stats(records, breaks)
+    return exhaustive_cost(np.asarray(reps), np.asarray(probs), np.asarray(estimates))
+
+
+# -- the scoring loop vs the cost-table reference -----------------------------
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_scalar_kernel_matches_exhaustive_cost(seed):
-    records = make_records(40, seed=seed)
-    rng = np.random.default_rng(100 + seed)
-    for breaks in random_partitions(records, rng):
-        reps, probs, estimates = partition_stats(records, breaks)
-        got = partition_waste_scalar(reps, probs, estimates)
-        want = exhaustive_cost(
-            np.asarray(reps), np.asarray(probs), np.asarray(estimates)
-        )
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_vector_kernel_matches_scalar(seed):
+    """The winner is the reference's argmin, at widths 1 to 64."""
     records = make_records(200, seed=seed)
-    rng = np.random.default_rng(200 + seed)
-    for breaks in random_partitions(records, rng, count=4):
-        reps, probs, estimates = partition_stats(records, breaks)
-        got = partition_waste_vector(
-            np.asarray(reps), np.asarray(probs), np.asarray(estimates)
-        )
-        want = partition_waste_scalar(reps, probs, estimates)
-        assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_batch_kernel_matches_per_config_scoring():
-    records = make_records(300, seed=3)
-    configs = [evenly_spaced_break_indices(records, k) for k in range(1, 11)]
-    # Mixed widths, including the degenerate single-bucket configuration.
-    flat_stats = [partition_stats(records, breaks) for breaks in configs]
-    reps = np.concatenate([s[0] for s in flat_stats])
-    probs = np.concatenate([s[1] for s in flat_stats])
-    estimates = np.concatenate([s[2] for s in flat_stats])
-    lengths = np.array([len(b) for b in configs])
-    costs = partition_waste_batch(reps, probs, estimates, lengths)
-    assert costs.shape == (len(configs),)
-    for c, (r, p, e) in enumerate(flat_stats):
-        assert costs[c] == pytest.approx(partition_waste_scalar(r, p, e), rel=1e-9)
-        assert math.isfinite(costs[c])
+    rng = np.random.default_rng(100 + seed)
+    # Mixed widths, as the search passes them, then one width at a time
+    # (closer costs; K >= 32 runs through the same loop as K <= 10).
+    mixed = list(WIDTHS) + rng.integers(1, 65, size=6).tolist()
+    clear_winners = 0
+    for widths in [mixed] + [[k] * 8 for k in WIDTHS[1:]]:
+        configs = [random_partition(records, rng, int(k)) for k in widths]
+        costs = [reference_cost(records, breaks) for breaks in configs]
+        chosen = select_best_partition(records, configs)
+        best, runner_up = sorted(costs)[:2]
+        if runner_up - best > 1e-9 * abs(best):
+            assert chosen is configs[costs.index(best)]
+            clear_winners += 1
+        else:  # a near-tie may go either way in the last bits
+            assert reference_cost(records, chosen) == pytest.approx(best, rel=1e-9)
+    assert clear_winners
 
 
 def test_single_bucket_waste_is_rep_minus_estimate():
     records = make_records(25, seed=9)
-    reps, probs, estimates = partition_stats(records, [len(records) - 1])
+    single = [len(records) - 1]
+    reps, probs, estimates = partition_stats(records, single)
     assert probs == [1.0]
-    expected = reps[0] - estimates[0]
-    assert partition_waste_scalar(reps, probs, estimates) == pytest.approx(expected)
-    assert partition_waste(reps, probs, estimates) == pytest.approx(expected)
+    assert reference_cost(records, single) == pytest.approx(reps[0] - estimates[0])
+    assert select_best_partition(records, [single]) is single
+
+
+# -- want_stats: the winner's stats, bit for bit ------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_want_stats_winner_equals_partition_stats(seed):
+    records = make_records(120, seed=seed)
+    rng = np.random.default_rng(500 + seed)
+    configs = [random_partition(records, rng, k) for k in WIDTHS]
+    breaks, stats = _score_and_select(records, configs, want_stats=True)
+    assert breaks is select_best_partition(records, configs)
+    assert stats == partition_stats(records, breaks)  # exact, not approx
+    assert _score_and_select(records, configs)[1] is None
 
 
 # -- partition_stats vs BucketState: bit identity -----------------------------
@@ -128,30 +127,3 @@ def test_trusted_bucket_state_equals_validated_state():
     assert trusted.probs.tolist() == validated.probs.tolist()
     assert trusted.estimates.tolist() == validated.estimates.tolist()
     assert [b.hi for b in trusted.buckets] == [b.hi for b in validated.buckets]
-
-
-# -- dispatch -----------------------------------------------------------------
-
-
-def test_waste_kernel_dispatch_boundaries():
-    narrow = "numba" if HAVE_NUMBA else "scalar"
-    assert waste_kernel_name(1) == narrow
-    assert waste_kernel_name(VECTOR_KERNEL_MIN_BUCKETS - 1) == narrow
-    assert waste_kernel_name(VECTOR_KERNEL_MIN_BUCKETS) == "vector"
-    assert waste_kernel_name(10_000) == "vector"
-
-
-def test_partition_waste_dispatch_agrees_across_tiers():
-    records = make_records(400, seed=11)
-    # Wide partition: force >= VECTOR_KERNEL_MIN_BUCKETS buckets.
-    step = len(records) // (VECTOR_KERNEL_MIN_BUCKETS + 4)
-    breaks = list(range(step - 1, len(records) - 1, step)) + [len(records) - 1]
-    assert len(breaks) >= VECTOR_KERNEL_MIN_BUCKETS
-    reps, probs, estimates = partition_stats(records, breaks)
-    auto = partition_waste(reps, probs, estimates)
-    assert auto == pytest.approx(partition_waste_scalar(reps, probs, estimates), rel=1e-9)
-    # At the paper's cap the dispatcher must round exactly like the
-    # scalar kernel (numba, when present, shares its operation order).
-    narrow_breaks = evenly_spaced_break_indices(records, 10)
-    r, p, e = partition_stats(records, narrow_breaks)
-    assert partition_waste(r, p, e) == partition_waste_scalar(r, p, e)

@@ -1,140 +1,15 @@
-"""The ``rebucket_interval`` knob and the vectorized candidate mapping.
+"""The vectorized candidate mapping of Exhaustive Bucketing.
 
-``rebucket_interval=1`` (the default) must be paper-exact: every new
-record triggers the full partition search, and the resulting break
-indices are identical to calling the search directly.  Larger intervals
-re-anchor the cached partition between searches; those states must stay
-valid partitions and fall back to the exact search on every k-th record.
+:func:`evenly_spaced_break_indices` maps all ``k - 1`` candidate values
+with one ``searchsorted``; it must return what the one-candidate-at-a-time
+loop of Section IV-D returns.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.exhaustive import (
-    ExhaustiveBucketing,
-    evenly_spaced_break_indices,
-    exhaustive_break_indices,
-)
-from repro.core.greedy import GreedyBucketing, greedy_break_indices
+from repro.core.exhaustive import evenly_spaced_break_indices
 from repro.core.records import RecordList
-
-
-def _stream(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return np.clip(rng.normal(8000.0, 2000.0, n), 50.0, None)
-
-
-class TestRebucketIntervalOne:
-    """Default behaviour: identical break indices to the direct search."""
-
-    @pytest.mark.parametrize(
-        "algo_cls,direct",
-        [
-            (GreedyBucketing, greedy_break_indices),
-            (ExhaustiveBucketing, exhaustive_break_indices),
-        ],
-    )
-    def test_breaks_identical_to_direct_search_every_update(self, algo_cls, direct):
-        algo = algo_cls(rng=np.random.default_rng(0), rebucket_interval=1)
-        reference = RecordList()
-        for task_id, value in enumerate(_stream(120)):
-            sig = float(task_id + 1)
-            algo.update(float(value), significance=sig, task_id=task_id)
-            reference.add(float(value), significance=sig, task_id=task_id)
-            state = algo.state
-            expected = direct(reference)
-            assert [b.hi for b in state.buckets] == list(expected)
-
-    def test_interval_one_never_reanchors(self):
-        algo = GreedyBucketing(rng=np.random.default_rng(0))
-        for task_id, value in enumerate(_stream(50)):
-            algo.update(float(value), significance=float(task_id + 1), task_id=task_id)
-            _ = algo.state
-        assert algo.rebucket_interval == 1
-        assert algo.reanchors == 0
-        assert algo.recomputations == 50
-
-
-class TestRebucketIntervalK:
-    @pytest.mark.parametrize("interval", [2, 5, 10])
-    @pytest.mark.parametrize("algo_cls", [GreedyBucketing, ExhaustiveBucketing])
-    def test_states_remain_valid_partitions(self, algo_cls, interval):
-        algo = algo_cls(rng=np.random.default_rng(0), rebucket_interval=interval)
-        for task_id, value in enumerate(_stream(150, seed=3)):
-            algo.update(float(value), significance=float(task_id + 1), task_id=task_id)
-            state = algo.state
-            state.validate()
-            assert state.n_records == task_id + 1
-        assert algo.reanchors > 0
-        assert algo.recomputations >= 150 // interval
-
-    def test_full_search_runs_on_every_kth_record(self):
-        algo = GreedyBucketing(rng=np.random.default_rng(0), rebucket_interval=4)
-        reference = RecordList()
-        for task_id, value in enumerate(_stream(80, seed=5)):
-            sig = float(task_id + 1)
-            algo.update(float(value), significance=sig, task_id=task_id)
-            reference.add(float(value), significance=sig, task_id=task_id)
-            state = algo.state
-            if task_id % 4 == 0:
-                # The first record, then every 4th after a full search,
-                # runs the exact partition search.
-                assert [b.hi for b in state.buckets] == list(
-                    greedy_break_indices(reference)
-                )
-
-    def test_reanchoring_with_windowed_records(self):
-        algo = ExhaustiveBucketing(
-            rng=np.random.default_rng(0), record_capacity=40, rebucket_interval=3
-        )
-        for task_id, value in enumerate(_stream(200, seed=9)):
-            algo.update(float(value), significance=float(task_id + 1), task_id=task_id)
-            algo.state.validate()
-        assert algo.n_records == 40
-
-    def test_predictions_available_between_recomputes(self):
-        algo = GreedyBucketing(rng=np.random.default_rng(2), rebucket_interval=7)
-        for task_id, value in enumerate(_stream(30, seed=11)):
-            algo.update(float(value), significance=float(task_id + 1), task_id=task_id)
-            assert algo.predict() is not None
-
-    def test_reset_clears_rebucket_state(self):
-        algo = GreedyBucketing(rng=np.random.default_rng(0), rebucket_interval=3)
-        for task_id, value in enumerate(_stream(10)):
-            algo.update(float(value), significance=float(task_id + 1), task_id=task_id)
-            _ = algo.state
-        algo.reset()
-        assert algo.recomputations == 0
-        assert algo.reanchors == 0
-        assert algo.state is None
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            GreedyBucketing(rebucket_interval=0)
-        with pytest.raises(ValueError):
-            ExhaustiveBucketing(rebucket_interval=-1)
-
-
-class TestRebucketSimulationEquivalence:
-    """Paper-exact end to end: explicit rebucket_interval=1 == default."""
-
-    @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
-    def test_awe_identical_at_interval_one(self, algorithm):
-        from repro.experiments.config import ExperimentConfig
-        from repro.experiments.runner import run_cell
-
-        config = ExperimentConfig(n_tasks=60, n_workers=6)
-        default = run_cell("uniform", algorithm, config)
-        explicit = run_cell(
-            "uniform",
-            algorithm,
-            config,
-            algorithm_kwargs={"rebucket_interval": 1},
-        )
-        for res in default.ledger.resources:
-            assert default.ledger.awe(res) == explicit.ledger.awe(res)
-        assert default.n_attempts == explicit.n_attempts
-        assert default.makespan == explicit.makespan
 
 
 class TestVectorizedCandidateMapping:

@@ -1,8 +1,8 @@
 """Equivalence: array-backed RecordList vs the seed implementation.
 
 The fast path in :mod:`repro.core.records` replaced the seed's sorted
-Python-object list (kept as
-:class:`repro.core.records_legacy.LegacyRecordList`) with preallocated
+Python-object list (kept as ``records_reference.LegacyRecordList``,
+beside this file) with preallocated
 numpy buffers and incremental prefix sums.  These property-based tests
 drive both implementations through random insert/evict sequences and
 assert the observable API agrees:
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import RecordList, ResourceRecord
-from repro.core.records_legacy import LegacyRecordList
+from tests.core.records_reference import LegacyRecordList
 
 # One record as (value, significance, task_id); values repeat often so
 # tie-breaking paths are exercised.

@@ -6,10 +6,9 @@ modes, record counts, and the resulting allocator state — are exactly
 what a client awaiting each request one at a time would have seen.
 
 The sweep covers every registered algorithm (the paper's seven plus the
-quantized/kmeans extensions), Exhaustive Bucketing with its incremental
-engine off and Greedy Bucketing under a bucket cap, because the
-bucketing algorithms are the ones with RNG- and order-sensitive
-internals where coalescing bugs would hide.
+quantized/kmeans extensions) and Greedy Bucketing under a bucket cap,
+because the bucketing algorithms are the ones with RNG- and
+order-sensitive internals where coalescing bugs would hide.
 """
 
 import asyncio
@@ -22,10 +21,8 @@ from repro.core.base import ALGORITHM_REGISTRY
 from repro.core.resources import ResourceVector
 from repro.service import AllocationService, ServiceConfig
 
-# Every registered algorithm, plus the full-search setting of the
-# exhaustive engine switch and the greedy search's capped path.
+# Every registered algorithm, plus the greedy search's capped path.
 VARIANTS = [(name, {}) for name in sorted(ALGORITHM_REGISTRY)] + [
-    ("exhaustive_bucketing", {"incremental": False}),
     ("greedy_bucketing", {"max_buckets": 4}),
 ]
 

@@ -431,3 +431,28 @@ def test_apply_op_is_the_single_semantics_point():
     assert "brand-new" not in allocator.categories()
     with pytest.raises(ValueError):
         apply_op(allocator, {"op": "nope", "category": "c"})
+
+
+def test_apply_op_allocates_after_a_vanishing_significance_record():
+    # A record whose significance rounds away in the prefix sums must
+    # not turn every later allocate for its category into a failed op.
+    allocator = TaskOrientedAllocator(AllocatorConfig(seed=1))
+    for task_id in range(21):
+        last = task_id == 20
+        peaks = ResourceVector.of(
+            cores=1, memory=9000.0 if last else 400.0 + 10.0 * task_id, disk=25.0
+        )
+        result = apply_op(
+            allocator,
+            {
+                "op": "record",
+                "category": "c",
+                "task_id": task_id,
+                "peaks": peaks.state_dict(),
+                "significance": 1e-300 if last else 1e18,
+            },
+        )
+        assert result["recorded"]
+    result = apply_op(allocator, {"op": "allocate", "category": "c", "task_id": 21})
+    assert result["mode"] == "predicted"
+    assert result["allocation"]["memory"] in {400.0 + 10.0 * i for i in range(20)} | {9000.0}
