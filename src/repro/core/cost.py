@@ -80,8 +80,15 @@ def split_anchor(records: RecordList, lo: int, hi: int) -> SplitAnchor:
     else:
         w1 = sp[:end]
         sv1 = svp[:end]
-    v_lo = sv1 / w1                              # w1 > 0: i >= lo, sigs positive
-    return w1, sv1, v_lo, records._values_buf[lo:end] - v_lo
+    rep1 = records._values_buf[lo:end]
+    if w1[0] > 0.0:                              # w1 only grows with i
+        v_lo = sv1 / w1
+    else:
+        # Leading significances vanished against the prefix sum below
+        # ``lo``: such a low bucket has probability 0 and, as in
+        # ``partition_stats``, its representative as the estimate.
+        v_lo = np.divide(sv1, w1, out=rep1.copy(), where=w1 > 0.0)
+    return w1, sv1, v_lo, rep1 - v_lo
 
 
 def anchored_split_costs(
@@ -103,6 +110,10 @@ def anchored_split_costs(
     rep1 = values[lo : hi + 1]
     rep2 = values[hi]
     total_sig = w1[-1]
+    if total_sig == 0.0:
+        # The whole segment vanished against the prefix sum below ``lo``:
+        # no candidate carries any probability, so none costs anything.
+        return np.zeros(m)
     w2 = total_sig - w1                          # significance of [i+1, hi]
     sv2 = sv1[-1] - sv1
     # Weighted mean of the high bucket; it is empty (w2 == 0) at i == hi

@@ -1,36 +1,31 @@
-"""Resilient client SDKs for the allocation service wire protocol.
+"""Client SDKs for the allocation service: one session, two transports.
 
-:class:`ServiceClient` (blocking sockets) and
-:class:`AsyncServiceClient` (asyncio streams) speak the NDJSON protocol
-with the failure semantics ``docs/SERVICE.md`` documents:
+Everything ``docs/SERVICE.md`` asks of a client is decided once, in
+:class:`_Session`, which performs no I/O:
 
-* connect and read **timeouts** on every wire interaction;
-* **reconnect with exponential backoff + jitter** from the client's own
-  seeded :class:`random.Random` stream (reprolint-R2 clean, and a fixed
-  ``RetryPolicy.seed`` makes a retry schedule replayable in tests);
-* client-generated **idempotency keys** (``"<client_id>/<n>"``) on
-  every mutating operation by default, so a retry after an *ambiguous*
-  failure — the connection died after the request was sent, before a
-  response arrived — is answered exactly-once by the server's dedup
-  window rather than double-applied.
-
-The retry decision is principled, not heuristic:
-
-* a **typed retryable error** (``overloaded``, ``timeout``,
-  ``shutting_down`` — see ``RETRYABLE_CODES``) means the server
-  *refused* the request before dispatching it, so resending is always
-  safe, key or no key; ``retry_after`` hints are honored as a backoff
-  floor;
-* a **transport failure after send** is ambiguous — the operation may
-  or may not have been applied.  With an idempotency key the client
-  reconnects and resends (the dedup window collapses the duplicate);
-  a mutating operation *without* a key raises
+* request ``id`` s, and client-generated **idempotency keys**
+  (``"<client_id>/<n>"``) on every mutating operation by default, so a
+  resend after an *ambiguous* failure — the connection died after the
+  request was sent, before a response arrived — is answered
+  exactly-once by the server's dedup window rather than double-applied;
+* which response line answers the request, and what the answer means;
+* when to resend.  A **typed retryable error** (``RETRYABLE_CODES``:
+  ``overloaded``, ``timeout``, ``shutting_down``) means the server
+  *refused* the request before dispatching it: always safe, key or no
+  key, after **exponential backoff + jitter** from the session's own
+  seeded :class:`random.Random` (reprolint-R2 clean, replayable from
+  ``RetryPolicy.seed``), floored by ``retry_after``.  A **transport
+  failure after send** is ambiguous: a keyed request is resent byte for
+  byte on a fresh connection, an un-keyed mutating one raises
   :class:`ServiceUnavailable` instead of risking a double-apply.
 
-Both clients expose the same typed helpers as the in-process
-:class:`~repro.service.AllocationService` (``allocate``,
-``allocate_retry``, ``record``) plus the admin verbs and a raw
-:meth:`call` for tests.
+The session asks, a transport performs: :meth:`_Session.request` yields
+connect / exchange these bytes for one line / close / sleep and is told
+the outcome.  :class:`ServiceClient` performs them on a blocking socket,
+:class:`AsyncServiceClient` on asyncio streams, both with a **timeout**
+on every wire interaction.  Request pipelining (several ids outstanding:
+the matching loop in ``request``) and an in-memory transport for the
+simulator (a third set of the four operations) plug in here, unbuilt.
 """
 
 from __future__ import annotations
@@ -41,8 +36,10 @@ import random
 import socket
 import time
 import uuid
+from collections.abc import Awaitable, Callable, Generator, Sequence
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Dict, List, Optional, TypeVar, Union
 
 from repro.core.resources import Resource, ResourceVector
 from repro.service.protocol import (
@@ -96,6 +93,16 @@ class _StreamCorrupt(Exception):
     """The response stream stopped being parseable NDJSON."""
 
 
+#: What a transport operation may fail with: the wire refused, reset,
+#: closed or missed its deadline, or it stopped framing lines.
+_TRANSPORT_FAILURES = (OSError, TimeoutError, _StreamCorrupt)
+
+T = TypeVar("T")
+#: What a typed helper returns: the value from the blocking client, an
+#: awaitable of it from the asyncio client.
+_Reply = Union[T, Awaitable[T]]
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a client reconnects and retries.
@@ -133,15 +140,30 @@ class RetryPolicy:
         return jittered
 
 
-class _BaseClient:
-    """Shared bookkeeping: ids, idempotency keys, retry classification."""
+class _Session:
+    """Sans-IO half of a client: ids, keys, matching, the retry rules.
+
+    A subclass adds the transport operations :meth:`request` yields —
+    ``connect()``, ``_exchange(data)``, ``close()``, ``_sleep(seconds)``
+    — a ``call`` that performs them, and ``_call_then(doc, decode)`` =
+    ``decode(call(doc))``; the typed helpers are blocking or awaitable
+    as that ``call`` is.
+    """
 
     def __init__(
         self,
+        socket_path: Optional[str] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
         retry: Optional[RetryPolicy] = None,
         auto_key: bool = True,
         client_id: Optional[str] = None,
     ) -> None:
+        if socket_path is None and not port:
+            raise ValueError("give a UNIX socket path or a TCP port")
+        self._socket_path = socket_path
+        self._host = host
+        self._port = port
         self.retry = retry if retry is not None else RetryPolicy()
         self.auto_key = auto_key
         #: Stable prefix of generated idempotency keys.  Injectable so
@@ -248,32 +270,158 @@ class _BaseClient:
             "skipped_lines": self.skipped_lines,
         }
 
+    # -- the request loop ------------------------------------------------------
 
-class ServiceClient(_BaseClient):
+    def request(self, doc: Dict[str, Any]) -> Generator[Callable[[], Any], Any, Dict[str, Any]]:
+        """One request document, as transport operations for ``call`` to perform.
+
+        Each operation's result (an exchange's: the response line) is
+        sent back in, its failure — a ``_TRANSPORT_FAILURES`` — thrown in.
+        """
+        payload = self._prepare(doc)
+        data = encode(payload)
+        last: Optional[BaseException] = None
+        for attempt in range(self.retry.max_attempts):
+            self.attempts += 1
+            if attempt:
+                self.retries += 1
+            sent = False
+            try:
+                yield self.connect
+                sent = True
+                line = yield partial(self._exchange, data)
+                skipped = 0
+                while True:
+                    response = self._parse_response(line)
+                    matched = self._match(response, payload["id"], skipped)
+                    if matched is not None:
+                        return self._classify(matched)
+                    skipped += 1
+                    line = yield partial(self._exchange, b"")
+            except _SessionRefused as exc:
+                # Typed refusal: never dispatched, always safe to retry.
+                last = ServiceUnavailable(f"server refused: {exc.code}")
+                retry_after = exc.retry_after
+                if exc.code in (ERR_TIMEOUT, ERR_SHUTTING_DOWN):
+                    self.reconnects += 1
+                    yield self.close  # that session is done; dial fresh
+            except _TRANSPORT_FAILURES as exc:
+                self.reconnects += 1
+                yield self.close
+                if sent and not self._safe_to_resend(payload):
+                    raise ServiceUnavailable(
+                        "connection failed after an un-keyed mutating request "
+                        "was sent; outcome unknown, refusing to double-apply"
+                    ) from exc
+                last, retry_after = exc, None
+            if attempt + 1 < self.retry.max_attempts:  # else nothing to wait for
+                yield partial(self._sleep, self.retry.delay(attempt, self._rng, retry_after))
+        raise ServiceUnavailable(
+            f"{self.retry.max_attempts} attempts exhausted"
+        ) from last
+
+    # -- typed helpers ---------------------------------------------------------
+
+    def ping(self) -> _Reply[bool]:
+        return self._call_then({"op": "ping"}, lambda result: bool(result.get("pong")))
+
+    def server_stats(self) -> _Reply[Dict[str, Any]]:
+        return self.call({"op": "stats"})
+
+    def health(self) -> _Reply[Dict[str, Any]]:
+        return self.call({"op": "health"})
+
+    def shutdown(self) -> _Reply[bool]:
+        return self._call_then({"op": "shutdown"}, lambda result: bool(result.get("shutting_down")))
+
+    def snapshot(self) -> _Reply[str]:
+        """Force a snapshot cut; returns the written envelope path."""
+        return self._call_then({"op": "snapshot"}, lambda result: str(result["path"]))
+
+    @staticmethod
+    def _batch_doc(requests: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+        return {"op": "allocate_batch", "requests": [dict(sub) for sub in requests]}
+
+    @staticmethod
+    def _batch_responses(result: Dict[str, Any]) -> List[Dict[str, Any]]:
+        responses = result["responses"]
+        return list(responses) if isinstance(responses, list) else []
+
+    @staticmethod
+    def _allocation(result: Dict[str, Any]) -> ResourceVector:
+        return ResourceVector.from_state(result["allocation"])
+
+    def allocate_batch(self, requests: Sequence[Dict[str, Any]]) -> _Reply[List[Dict[str, Any]]]:
+        """Submit mutating sub-requests in one round trip.
+
+        Each entry is a mutating request document (``allocate`` /
+        ``allocate_retry`` / ``record``, no nesting); the server answers
+        with one response document per entry, in request order.
+        """
+        return self._call_then(self._batch_doc(requests), self._batch_responses)
+
+    def allocate(
+        self, category: str, task_id: int, key: Optional[str] = None
+    ) -> _Reply[ResourceVector]:
+        doc: Dict[str, Any] = {
+            "op": OP_ALLOCATE,
+            "category": category,
+            "task_id": task_id,
+        }
+        if key is not None:
+            doc["key"] = key
+        return self._call_then(doc, self._allocation)
+
+    def allocate_retry(
+        self,
+        category: str,
+        task_id: int,
+        previous: ResourceVector,
+        observed: ResourceVector,
+        exhausted: Sequence[Union[Resource, str]],
+        key: Optional[str] = None,
+    ) -> _Reply[ResourceVector]:
+        doc: Dict[str, Any] = {
+            "op": OP_RETRY,
+            "category": category,
+            "task_id": task_id,
+            "previous": previous.state_dict(),
+            "observed": observed.state_dict(),
+            "exhausted": [str(res) for res in exhausted],
+        }
+        if key is not None:
+            doc["key"] = key
+        return self._call_then(doc, self._allocation)
+
+    def record(
+        self,
+        category: str,
+        peaks: ResourceVector,
+        task_id: int,
+        significance: Optional[float] = None,
+        key: Optional[str] = None,
+    ) -> _Reply[int]:
+        doc: Dict[str, Any] = {
+            "op": OP_RECORD,
+            "category": category,
+            "task_id": task_id,
+            "peaks": peaks.state_dict(),
+        }
+        if significance is not None:
+            doc["significance"] = significance
+        if key is not None:
+            doc["key"] = key
+        return self._call_then(doc, lambda result: int(result["records_count"]))
+
+
+class ServiceClient(_Session):
     """Blocking client over a UNIX socket path or a ``(host, port)`` pair.
 
     Usable as a context manager; safe to call from one thread at a time.
     """
 
-    def __init__(
-        self,
-        socket_path: Optional[str] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        retry: Optional[RetryPolicy] = None,
-        auto_key: bool = True,
-        client_id: Optional[str] = None,
-    ) -> None:
-        if socket_path is None and not port:
-            raise ValueError("give a UNIX socket path or a TCP port")
-        super().__init__(retry=retry, auto_key=auto_key, client_id=client_id)
-        self._socket_path = socket_path
-        self._host = host
-        self._port = port
-        self._sock: Optional[socket.socket] = None
-        self._buffer = b""
-
-    # -- connection ------------------------------------------------------------
+    _sock: Optional[socket.socket] = None
+    _buffer = b""
 
     def connect(self) -> None:
         if self._sock is not None:
@@ -299,20 +447,17 @@ class ServiceClient(_BaseClient):
             self._sock = None
         self._buffer = b""
 
-    def _drop(self) -> None:
-        self.close()
-        self.reconnects += 1
-
     def __enter__(self) -> "ServiceClient":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- wire ------------------------------------------------------------------
-
-    def _read_line(self) -> bytes:
+    def _exchange(self, data: bytes) -> bytes:
+        """Send ``data``, read one line; ``settimeout`` bounds each wire call."""
         assert self._sock is not None
+        if data:
+            self._sock.sendall(data)
         while b"\n" not in self._buffer:
             if len(self._buffer) > MAX_LINE_BYTES:
                 raise _StreamCorrupt("unterminated response line over protocol cap")
@@ -323,18 +468,7 @@ class ServiceClient(_BaseClient):
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
 
-    def _exchange(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._sock is not None
-        self._sock.sendall(encode(payload))
-        skipped = 0
-        while True:
-            doc = self._parse_response(self._read_line())
-            matched = self._match(doc, payload["id"], skipped)
-            if matched is not None:
-                return matched
-            skipped += 1
-
-    # -- the request loop ------------------------------------------------------
+    _sleep = staticmethod(time.sleep)
 
     def call(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """Send one request document; returns the result payload.
@@ -344,150 +478,28 @@ class ServiceClient(_BaseClient):
         :class:`ServiceUnavailable` when retries are exhausted or an
         ambiguous failure cannot safely be retried.
         """
-        payload = self._prepare(doc)
-        last: Optional[BaseException] = None
-        for attempt in range(self.retry.max_attempts):
-            self.attempts += 1
-            if attempt:
-                self.retries += 1
-            try:
-                self.connect()
-                return self._classify(self._exchange(payload))
-            except _SessionRefused as exc:
-                # Typed refusal: never dispatched, always safe to retry.
-                last = ServiceUnavailable(f"server refused: {exc.code}")
-                if exc.code in (ERR_TIMEOUT, ERR_SHUTTING_DOWN):
-                    self._drop()  # that session is done; dial fresh
-                self._sleep(attempt, exc.retry_after)
-            except (OSError, ConnectionError, _StreamCorrupt, socket.timeout) as exc:
-                ambiguous = self._sock is not None
-                self._drop()
-                if ambiguous and not self._safe_to_resend(payload):
-                    raise ServiceUnavailable(
-                        "connection failed after an un-keyed mutating request "
-                        "was sent; outcome unknown, refusing to double-apply"
-                    ) from exc
-                last = exc
-                self._sleep(attempt, None)
-        raise ServiceUnavailable(
-            f"{self.retry.max_attempts} attempts exhausted"
-        ) from last
+        operations = self.request(doc)
+        try:
+            operation = next(operations)
+            while True:
+                try:
+                    outcome = operation()
+                except _TRANSPORT_FAILURES as exc:
+                    operation = operations.throw(exc)
+                else:
+                    operation = operations.send(outcome)
+        except StopIteration as done:
+            return done.value
 
-    def _sleep(self, attempt: int, retry_after: Optional[float]) -> None:
-        if attempt + 1 >= self.retry.max_attempts:
-            return  # no more attempts; skip the pointless sleep
-        time.sleep(self.retry.delay(attempt, self._rng, retry_after))
-
-    # -- typed helpers ---------------------------------------------------------
-
-    def ping(self) -> bool:
-        return bool(self.call({"op": "ping"}).get("pong"))
-
-    def server_stats(self) -> Dict[str, Any]:
-        return self.call({"op": "stats"})
-
-    def health(self) -> Dict[str, Any]:
-        return self.call({"op": "health"})
-
-    def shutdown(self) -> bool:
-        return bool(self.call({"op": "shutdown"}).get("shutting_down"))
-
-    def snapshot(self) -> str:
-        """Force a snapshot cut; returns the written envelope path."""
-        return str(self.call({"op": "snapshot"})["path"])
-
-    def allocate_batch(
-        self, requests: Sequence[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Submit mutating sub-requests in one round trip.
-
-        Each entry is a mutating request document (``allocate`` /
-        ``allocate_retry`` / ``record``, no nesting); the server answers
-        with one response document per entry, in request order.
-        """
-        doc: Dict[str, Any] = {
-            "op": "allocate_batch",
-            "requests": [dict(sub) for sub in requests],
-        }
-        responses = self.call(doc)["responses"]
-        return list(responses) if isinstance(responses, list) else []
-
-    def allocate(
-        self, category: str, task_id: int, key: Optional[str] = None
-    ) -> ResourceVector:
-        doc: Dict[str, Any] = {
-            "op": OP_ALLOCATE,
-            "category": category,
-            "task_id": task_id,
-        }
-        if key is not None:
-            doc["key"] = key
-        return ResourceVector.from_state(self.call(doc)["allocation"])
-
-    def allocate_retry(
-        self,
-        category: str,
-        task_id: int,
-        previous: ResourceVector,
-        observed: ResourceVector,
-        exhausted: Sequence[Union[Resource, str]],
-        key: Optional[str] = None,
-    ) -> ResourceVector:
-        doc: Dict[str, Any] = {
-            "op": OP_RETRY,
-            "category": category,
-            "task_id": task_id,
-            "previous": previous.state_dict(),
-            "observed": observed.state_dict(),
-            "exhausted": [str(res) for res in exhausted],
-        }
-        if key is not None:
-            doc["key"] = key
-        return ResourceVector.from_state(self.call(doc)["allocation"])
-
-    def record(
-        self,
-        category: str,
-        peaks: ResourceVector,
-        task_id: int,
-        significance: Optional[float] = None,
-        key: Optional[str] = None,
-    ) -> int:
-        doc: Dict[str, Any] = {
-            "op": OP_RECORD,
-            "category": category,
-            "task_id": task_id,
-            "peaks": peaks.state_dict(),
-        }
-        if significance is not None:
-            doc["significance"] = significance
-        if key is not None:
-            doc["key"] = key
-        return int(self.call(doc)["records_count"])
+    def _call_then(self, doc: Dict[str, Any], decode: Callable[[Dict[str, Any]], T]) -> T:
+        return decode(self.call(doc))
 
 
-class AsyncServiceClient(_BaseClient):
-    """asyncio client with the same retry semantics as :class:`ServiceClient`."""
+class AsyncServiceClient(_Session):
+    """asyncio client: the same session over a stream reader/writer pair."""
 
-    def __init__(
-        self,
-        socket_path: Optional[str] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        retry: Optional[RetryPolicy] = None,
-        auto_key: bool = True,
-        client_id: Optional[str] = None,
-    ) -> None:
-        if socket_path is None and not port:
-            raise ValueError("give a UNIX socket path or a TCP port")
-        super().__init__(retry=retry, auto_key=auto_key, client_id=client_id)
-        self._socket_path = socket_path
-        self._host = host
-        self._port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    # -- connection ------------------------------------------------------------
+    _reader: Optional[asyncio.StreamReader] = None
+    _writer: Optional[asyncio.StreamWriter] = None
 
     async def connect(self) -> None:
         if self._writer is not None:
@@ -507,6 +519,10 @@ class AsyncServiceClient(_BaseClient):
     async def close(self) -> None:
         if self._writer is not None:
             try:
+                if self._writer.transport.get_write_buffer_size():
+                    # Unsent bytes mean the peer stopped reading: a polite
+                    # close would wait for them to drain, with no deadline.
+                    self._writer.transport.abort()
                 self._writer.close()
                 await self._writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
@@ -514,161 +530,51 @@ class AsyncServiceClient(_BaseClient):
             self._reader = None
             self._writer = None
 
-    async def _drop(self) -> None:
-        await self.close()
-        self.reconnects += 1
-
     async def __aenter__(self) -> "AsyncServiceClient":
         return self
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    # -- wire ------------------------------------------------------------------
+    def _exchange(self, data: bytes) -> Awaitable[bytes]:
+        """Send ``data``, read one line: both under the one read deadline."""
+        return asyncio.wait_for(self._send_and_read(data), timeout=self.retry.read_timeout)
 
-    async def _exchange(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    async def _send_and_read(self, data: bytes) -> bytes:
         assert self._reader is not None and self._writer is not None
-        self._writer.write(encode(payload))
-        await self._writer.drain()
-        skipped = 0
-        while True:
-            line = await asyncio.wait_for(
-                self._reader.readline(), timeout=self.retry.read_timeout
-            )
-            if not line:
-                raise ConnectionError("server closed the connection")
-            doc = self._parse_response(line.rstrip(b"\n"))
-            matched = self._match(doc, payload["id"], skipped)
-            if matched is not None:
-                return matched
-            skipped += 1
+        if data:
+            self._writer.write(data)
+            await self._writer.drain()
+        try:
+            line = await self._reader.readline()
+        except ValueError:  # StreamReader's word for a line over its limit
+            raise _StreamCorrupt("unterminated response line over protocol cap") from None
+        if not line:
+            raise ConnectionError("server closed the connection")
+        return line
 
-    # -- the request loop ------------------------------------------------------
+    _sleep = staticmethod(asyncio.sleep)
 
     async def call(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """Async twin of :meth:`ServiceClient.call` (same semantics)."""
-        payload = self._prepare(doc)
-        last: Optional[BaseException] = None
-        for attempt in range(self.retry.max_attempts):
-            self.attempts += 1
-            if attempt:
-                self.retries += 1
-            try:
-                await self.connect()
-                return self._classify(await self._exchange(payload))
-            except _SessionRefused as exc:
-                last = ServiceUnavailable(f"server refused: {exc.code}")
-                if exc.code in (ERR_TIMEOUT, ERR_SHUTTING_DOWN):
-                    await self._drop()
-                await self._sleep(attempt, exc.retry_after)
-            except (
-                OSError,
-                ConnectionError,
-                _StreamCorrupt,
-                asyncio.TimeoutError,
-                ValueError,
-            ) as exc:
-                ambiguous = self._writer is not None
-                await self._drop()
-                if ambiguous and not self._safe_to_resend(payload):
-                    raise ServiceUnavailable(
-                        "connection failed after an un-keyed mutating request "
-                        "was sent; outcome unknown, refusing to double-apply"
-                    ) from exc
-                last = exc
-                await self._sleep(attempt, None)
-        raise ServiceUnavailable(
-            f"{self.retry.max_attempts} attempts exhausted"
-        ) from last
+        operations = self.request(doc)
+        try:
+            operation = next(operations)
+            while True:
+                try:
+                    outcome = await operation()
+                except asyncio.TimeoutError:  # the builtin only from Python 3.11 on
+                    operation = operations.throw(TimeoutError("wire deadline passed"))
+                except _TRANSPORT_FAILURES as exc:
+                    operation = operations.throw(exc)
+                else:
+                    operation = operations.send(outcome)
+        except StopIteration as done:
+            return done.value
 
-    async def _sleep(self, attempt: int, retry_after: Optional[float]) -> None:
-        if attempt + 1 >= self.retry.max_attempts:
-            return
-        await asyncio.sleep(self.retry.delay(attempt, self._rng, retry_after))
+    async def _call_then(self, doc: Dict[str, Any], decode: Callable[[Dict[str, Any]], T]) -> T:
+        return decode(await self.call(doc))
 
-    # -- typed helpers ---------------------------------------------------------
-
-    async def ping(self) -> bool:
-        return bool((await self.call({"op": "ping"})).get("pong"))
-
-    async def server_stats(self) -> Dict[str, Any]:
-        return await self.call({"op": "stats"})
-
-    async def health(self) -> Dict[str, Any]:
-        return await self.call({"op": "health"})
-
-    async def shutdown(self) -> bool:
-        return bool((await self.call({"op": "shutdown"})).get("shutting_down"))
-
-    async def snapshot(self) -> str:
-        """Force a snapshot cut; returns the written envelope path."""
-        return str((await self.call({"op": "snapshot"}))["path"])
-
-    async def allocate_batch(
-        self, requests: Sequence[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Submit mutating sub-requests in one round trip.
-
-        Each entry is a mutating request document (``allocate`` /
-        ``allocate_retry`` / ``record``, no nesting); the server answers
-        with one response document per entry, in request order.
-        """
-        doc: Dict[str, Any] = {
-            "op": "allocate_batch",
-            "requests": [dict(sub) for sub in requests],
-        }
-        responses = (await self.call(doc))["responses"]
-        return list(responses) if isinstance(responses, list) else []
-
-    async def allocate(
-        self, category: str, task_id: int, key: Optional[str] = None
-    ) -> ResourceVector:
-        doc: Dict[str, Any] = {
-            "op": OP_ALLOCATE,
-            "category": category,
-            "task_id": task_id,
-        }
-        if key is not None:
-            doc["key"] = key
-        return ResourceVector.from_state((await self.call(doc))["allocation"])
-
-    async def allocate_retry(
-        self,
-        category: str,
-        task_id: int,
-        previous: ResourceVector,
-        observed: ResourceVector,
-        exhausted: Sequence[Union[Resource, str]],
-        key: Optional[str] = None,
-    ) -> ResourceVector:
-        doc: Dict[str, Any] = {
-            "op": OP_RETRY,
-            "category": category,
-            "task_id": task_id,
-            "previous": previous.state_dict(),
-            "observed": observed.state_dict(),
-            "exhausted": [str(res) for res in exhausted],
-        }
-        if key is not None:
-            doc["key"] = key
-        return ResourceVector.from_state((await self.call(doc))["allocation"])
-
-    async def record(
-        self,
-        category: str,
-        peaks: ResourceVector,
-        task_id: int,
-        significance: Optional[float] = None,
-        key: Optional[str] = None,
-    ) -> int:
-        doc: Dict[str, Any] = {
-            "op": OP_RECORD,
-            "category": category,
-            "task_id": task_id,
-            "peaks": peaks.state_dict(),
-        }
-        if significance is not None:
-            doc["significance"] = significance
-        if key is not None:
-            doc["key"] = key
-        return int((await self.call(doc))["records_count"])
+    async def allocate_batch(self, requests: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """:meth:`_Session.allocate_batch`, awaiting ``call`` directly."""
+        return self._batch_responses(await self.call(self._batch_doc(requests)))

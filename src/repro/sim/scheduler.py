@@ -177,17 +177,16 @@ class Scheduler:
         if self._dispatching:
             return 0
         self._dispatching = True
-        dispatched = 0
         try:
             # A saturated pool cannot place anything: skip the pass.
-            while self._n_ready and self._pool.has_headroom():
-                placed = self._dispatch_pass()
-                if not placed:
-                    break
-                dispatched += placed
+            # One pass is complete: what it could not place it ruled out
+            # by capacity or gate, and neither reopens inside this call
+            # (module docstring), so a second pass would place nothing.
+            if self._n_ready and self._pool.has_headroom():
+                return self._dispatch_pass()
+            return 0
         finally:
             self._dispatching = False
-        return dispatched
 
     def _dispatch_pass(self) -> int:
         """One FIFO-with-backfill pass over the group heads."""

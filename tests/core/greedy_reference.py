@@ -5,6 +5,8 @@ Test-only.  These are ``repro.core.cost.greedy_split_costs`` and
 slice-based kernel and the clean-prefix split memo, moved here verbatim
 (functions renamed): every search gathers through ``np.arange`` from the
 record list's snapshot views and scans every segment from scratch.
+The one later edit, made in both places together: a bucket whose
+significance rounds to zero contributes 0 instead of scoring NaN.
 ``test_greedy_differential.py`` drives the shipped search and this one
 over the same record stores and requires identical break indices and
 bit-identical cost arrays.
@@ -40,14 +42,19 @@ def reference_split_costs(records: RecordList, lo: int, hi: int) -> np.ndarray:
     w2 = total_sig - w1                          # significance of [i+1, hi]
     sv2 = total_sigval - sv1
 
-    p1 = w1 / total_sig
-    p2 = w2 / total_sig
-    v_lo = sv1 / w1                              # w1 > 0: i >= lo, sigs positive
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v_hi = np.where(w2 > 0.0, sv2 / np.where(w2 > 0.0, w2, 1.0), 0.0)
-
     rep1 = values[idx]
     rep2 = values[hi]
+
+    # A bucket whose significance rounded to zero against the prefix
+    # sums has probability 0 and contributes nothing: a weightless
+    # segment costs 0 at every candidate, a weightless low bucket takes
+    # its representative as the estimate (as ``partition_stats`` does).
+    if total_sig == 0.0:
+        return np.zeros(len(idx))
+    p1 = w1 / total_sig
+    p2 = w2 / total_sig
+    v_lo = np.where(w1 > 0.0, sv1 / np.where(w1 > 0.0, w1, 1.0), rep1)
+    v_hi = np.where(w2 > 0.0, sv2 / np.where(w2 > 0.0, w2, 1.0), 0.0)
 
     # The four cases of Section IV-B.  Terms involving the (possibly
     # empty) high bucket carry a p2 factor, which is exactly zero at

@@ -47,16 +47,17 @@ EXTREME_SIGNIFICANCES = st.sampled_from([1e-300, 1e-18, 1e-9, 1e12, 1e18])
 CAPS = st.sampled_from([None, 1, 2, 3, 5])
 
 
-# A segment whose significance rounds to zero against the prefix sums
-# scores NaN (0/0) in both implementations, with numpy's warning.
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# A bucket whose significance rounds to zero against the prefix sums
+# contributes 0 in both implementations: no 0/0, no NaN for argmin to pick.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def assert_costs_match(records, lo, hi, anchor_hi):
     expected = reference_split_costs(records, lo, hi)
-    assert np.array_equal(greedy_split_costs(records, lo, hi), expected, equal_nan=True)
+    assert not np.isnan(expected).any()
+    assert np.array_equal(greedy_split_costs(records, lo, hi), expected)
     inherited = anchored_split_costs(records, lo, hi, split_anchor(records, lo, anchor_hi))
-    assert np.array_equal(inherited, expected, equal_nan=True)
+    assert np.array_equal(inherited, expected)
 
 
 class GreedyEquivalence(RuleBasedStateMachine):
@@ -138,6 +139,34 @@ TestGreedyEquivalence.settings = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def test_vanishing_significance_candidates_cost_zero_not_nan():
+    """Weights that round to zero against the prefix sums are no 0/0.
+
+    Twenty heavy records, then light ones with the largest values: the
+    light tail's significance differences are exactly 0.0.
+    """
+    records = RecordList()
+    for i in range(20):
+        records.add(10.0 + i, significance=1e18, task_id=i)
+    for i in range(20, 24):
+        records.add(1000.0 + i, significance=1e-300, task_id=i)
+    n = len(records)
+    # A weightless low bucket at the first candidates of a mixed segment:
+    # they tie with the no-split cost instead of poisoning the argmin.
+    records.add(5000.0, significance=1e18, task_id=n)
+    mixed = greedy_split_costs(records, 20, n)
+    assert np.array_equal(mixed, reference_split_costs(records, 20, n))
+    assert not np.isnan(mixed).any()
+    assert np.all(mixed[:4] == mixed[-1])
+    # A wholly weightless segment costs nothing wherever it is cut.
+    assert np.array_equal(greedy_split_costs(records, 20, 23), np.zeros(4))
+    assert greedy_break_indices(records) == reference_break_indices(records)
+    # Positive weights are untouched: the heavy prefix scores as before.
+    heavy = greedy_split_costs(records, 0, 19)
+    assert np.array_equal(heavy, reference_split_costs(records, 0, 19))
+    assert np.all(heavy > 0.0)
 
 
 # -- work counts: what the memo may skip, and what it may not ---------------------
