@@ -86,13 +86,13 @@ class CheckpointError(RuntimeError):
 
 
 class JournalCorruptError(CheckpointError):
-    """A journal has a malformed record *before* its final line.
+    """A journal has a newline-terminated line that is not a valid frame.
 
-    A torn final line is normal crash debris and is silently dropped; a
-    bad line mid-stream means the storage layer lied — bit rot, a short
-    write that later got appended over, a truncated copy.  The error
-    carries enough context to quarantine and report precisely instead of
-    crashing whoever tried to read the journal.
+    An unterminated final line is normal crash debris and is silently
+    dropped; a bad *terminated* line means the storage layer lied — bit
+    rot, a short write that later got appended over, a truncated copy.
+    The error carries enough context to quarantine and report precisely
+    instead of crashing whoever tried to read the journal.
 
     Attributes
     ----------
@@ -103,7 +103,7 @@ class JournalCorruptError(CheckpointError):
     offset:
         Byte offset of that line's first byte.
     reason:
-        What the frame/JSON decoder rejected.
+        What the frame decoder rejected.
     """
 
     def __init__(self, path: str, line: int, offset: int, reason: str) -> None:
@@ -174,10 +174,8 @@ class GridInterrupted(RuntimeError):
 #: Prefix of version-1 checksummed journal frames.  A frame is one line,
 #: ``F1 <payload-bytes> <crc32-hex8> <payload-json>`` — self-describing
 #: (the header states the payload's byte length) and checksummed (CRC32
-#: over the payload bytes).  The prefix cannot be confused with legacy
-#: raw-JSON records (a JSON document never starts with ``F``), so
-#: readers accept both formats line by line and old journals stay
-#: readable forever.
+#: over the payload bytes).  It is the only journal line format: a line
+#: without the prefix is refused like any other damaged frame.
 FRAME_PREFIX = "F1 "
 
 _CRC_HEX_DIGITS = 8
@@ -229,13 +227,6 @@ def decode_frame(line: str) -> Any:
         return json.loads(payload)
     except json.JSONDecodeError as exc:  # pragma: no cover - writer bug
         raise ValueError(f"crc-valid frame holds invalid JSON: {exc}") from None
-
-
-def _decode_journal_line(line: str) -> Any:
-    """Decode one journal line, framed or legacy; raises ``ValueError``."""
-    if line.startswith(FRAME_PREFIX):
-        return decode_frame(line)
-    return json.loads(line)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +353,6 @@ class JournalWriter:
         self._sync = sync
         self._handle = open(path, "a", encoding="utf-8")
 
-    @property
-    def path(self) -> str:
-        return self._path
-
     # reproflow: sync-boundary -- the group commit is the service's deliberate durability stall (SERVICE.md "Durability")
     def append_many(self, docs: List[Any]) -> None:
         """Durably append ``docs`` in order with one group commit."""
@@ -385,13 +372,6 @@ class JournalWriter:
 
     def append(self, doc: Any) -> None:
         self.append_many([doc])
-
-    def truncate(self) -> None:
-        """Drop every journaled document (after a covering snapshot)."""
-        self._handle.close()
-        self._handle = open(self._path, "w", encoding="utf-8")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     # reproflow: sync-boundary -- final flush+fsync runs during shutdown/rotation, after the drain
     def close(self) -> None:
@@ -424,50 +404,56 @@ class JournalWriter:
         self.close()
 
 
-def read_jsonl(path: str) -> List[Any]:
-    """Read a JSONL journal, dropping a torn (crash-truncated) last line.
+def scan_journal(
+    path: str,
+) -> Tuple[List[Any], int, bool, Optional[JournalCorruptError]]:
+    """Decode the longest valid prefix of a journal in one pass.
 
-    Checksummed frames (:func:`encode_frame`) and legacy raw-JSON lines
-    are both accepted, per line.  A malformed line anywhere *but* the
-    end means real corruption and raises :class:`JournalCorruptError`
-    carrying the path, line number, and byte offset; callers that can
-    degrade (the allocation service, the grid runner) catch it and
-    quarantine via :func:`recover_jsonl` instead of crashing at startup.
+    Returns ``(docs, good_bytes, torn, corrupt)``: the prefix's
+    documents, the byte offset just past its last line, whether an
+    unterminated final line was dropped as crash debris, and the first
+    newline-terminated line that failed to decode, if any.
+
+    The one definition of "this journal is healthy"; every reader below
+    and ``repro-experiments fsck`` are views of it.  A record is
+    committed by its trailing newline, which a torn write can never
+    reach: the bytes after the last newline are crash debris, dropped
+    without a look, and that is the *only* thing forgiven.  A
+    newline-terminated line was fully written once — if it is not a
+    valid frame now (blank lines and un-checksummed JSON included), the
+    storage layer changed it afterwards and the scan stops there.
     """
-    docs, corrupt = _scan_jsonl(path)
-    if corrupt is not None:
-        raise corrupt
-    return docs
-
-
-def _scan_jsonl(path: str) -> Tuple[List[Any], Optional[JournalCorruptError]]:
-    """Decode the longest valid prefix; returns ``(docs, error-or-None)``."""
-    docs: List[Any] = []
     # Binary read: bit rot can produce bytes that are not valid UTF-8,
     # which must surface as typed corruption, never UnicodeDecodeError.
     with open(path, "rb") as handle:
         blob = handle.read()
-    lines = blob.split(b"\n")
-    # A well-formed file ends with "\n", so the final split element is "".
-    while lines and lines[-1] == b"":
-        lines.pop()
+    *lines, tail = blob.split(b"\n")
+    docs: List[Any] = []
     offset = 0
-    for i, raw in enumerate(lines):
+    for number, raw in enumerate(lines, 1):
         try:
-            docs.append(_decode_journal_line(raw.decode("utf-8")))
+            docs.append(decode_frame(raw.decode("utf-8")))
         except (ValueError, UnicodeDecodeError) as exc:
-            # A torn write can never complete its trailing newline, so
-            # an invalid final line is forgiven as crash debris ONLY
-            # when the file does not end with "\n".  A newline-
-            # terminated line was fully written once — if it no longer
-            # decodes, the storage layer changed it afterwards.
-            if i == len(lines) - 1 and not blob.endswith(b"\n"):
-                break  # torn tail from a crash mid-append; WAL semantics
-            return docs, JournalCorruptError(
-                path, i + 1, offset, f"{exc} ({len(lines)} lines total)"
-            )
+            reason = f"{exc} ({len(lines)} lines total)"
+            return docs, offset, False, JournalCorruptError(path, number, offset, reason)
         offset += len(raw) + 1
-    return docs, None
+    return docs, offset, bool(tail), None
+
+
+def read_jsonl(path: str) -> List[Any]:
+    """Read a journal, dropping a torn (crash-truncated) last line.
+
+    A newline-terminated line that is not a valid checksummed frame
+    (:func:`encode_frame`) means real corruption and raises
+    :class:`JournalCorruptError` carrying the path, line number, and
+    byte offset; callers that can degrade (the allocation service, the
+    grid runner) quarantine via :func:`recover_jsonl` instead of
+    crashing at startup.
+    """
+    docs, _, _, corrupt = scan_journal(path)
+    if corrupt is not None:
+        raise corrupt
+    return docs
 
 
 def recover_jsonl(
@@ -482,7 +468,7 @@ def recover_jsonl(
     next writer starts clean and the evidence survives for post-mortem
     (``repro-experiments fsck`` lists quarantine directories).
     """
-    docs, corrupt = _scan_jsonl(path)
+    docs, _, _, corrupt = scan_journal(path)
     if corrupt is None:
         return docs, None
     quarantined_to = quarantine_file(path) if quarantine else None
@@ -517,44 +503,23 @@ def repair_journal_tail(path: str) -> int:
     Reopening a journal for appends after a short or failed write must
     not leave a half-record mid-file: the next append would weld new
     frames onto the debris and turn harmless crash residue into
-    mid-stream corruption.  Only *trailing* invalid data is dropped;
-    invalid data followed by valid records is real corruption and
-    raises :class:`JournalCorruptError` (use :func:`recover_jsonl`).
+    mid-stream corruption.  Only the unterminated tail is dropped; a
+    terminated line that does not decode is real corruption and raises
+    :class:`JournalCorruptError` (use :func:`recover_jsonl`).
     """
     try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
+        _, good_bytes, torn, corrupt = scan_journal(path)
     except FileNotFoundError:
         return 0
-    lines = blob.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    keep = 0
-    bad: Optional[Tuple[int, int, str]] = None  # (line, offset, reason)
-    offset = 0
-    for i, raw in enumerate(lines):
-        try:
-            _decode_journal_line(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            if bad is None:
-                bad = (i + 1, offset, str(exc))
-        else:
-            if bad is not None:
-                raise JournalCorruptError(path, bad[0], bad[1], bad[2])
-            keep = offset + len(raw) + 1
-        offset += len(raw) + 1
-    if bad is not None and (bad[0] < len(lines) or blob.endswith(b"\n")):
-        # Torn debris is at most ONE final line with no trailing
-        # newline; anything else that fails to decode was fully
-        # written once and later changed — corruption, not debris.
-        raise JournalCorruptError(path, bad[0], bad[1], bad[2])
-    keep = min(keep, len(blob))
-    dropped = len(blob) - keep
-    if dropped:
-        with open(path, "rb+") as handle:
-            handle.truncate(keep)
-            handle.flush()
-            os.fsync(handle.fileno())
+    if corrupt is not None:
+        raise corrupt
+    if not torn:
+        return 0
+    dropped = os.path.getsize(path) - good_bytes
+    with open(path, "rb+") as handle:
+        handle.truncate(good_bytes)
+        handle.flush()
+        os.fsync(handle.fileno())
     return dropped
 
 
@@ -780,10 +745,6 @@ class SimulationCheckpointer:
         manager.engine.add_listener(self._after_engine_event)
 
     @property
-    def path(self) -> str:
-        return self._path
-
-    @property
     def trace_digest(self) -> str:
         return self._hasher.hexdigest()
 
@@ -814,11 +775,16 @@ class SimulationCheckpointer:
 
     # -- snapshot --------------------------------------------------------------
 
-    def payload(self) -> Dict[str, Any]:
-        """The snapshot document for the manager's current state."""
+    def _fingerprint(self) -> Dict[str, Any]:
+        """Every verifiable fact about the manager's current state.
+
+        The one list of snapshot fields: :meth:`payload` records exactly
+        these and :meth:`_verify` re-derives and compares every one, so
+        a field cannot be recorded without being checked.
+        """
         manager = self._manager
         engine = manager.engine
-        doc: Dict[str, Any] = {
+        return {
             "events": engine.events_processed,
             "now": engine.now,
             "workflow": manager.workflow.name,
@@ -834,12 +800,14 @@ class SimulationCheckpointer:
             ),
             "resilience_digest": (
                 state_digest(manager.resilience.state_dict())
-                if getattr(manager, "resilience", None) is not None
+                if manager.resilience is not None
                 else None
             ),
         }
-        doc.update(self._extra)
-        return doc
+
+    def payload(self) -> Dict[str, Any]:
+        """The snapshot document for the manager's current state."""
+        return {**self._fingerprint(), **self._extra}
 
     def write(self) -> str:
         """Write one snapshot atomically; returns the path."""
@@ -879,41 +847,15 @@ class SimulationCheckpointer:
             done = manager.advance(stop_after_events=target)
         finally:
             self._replaying = False
-        self._verify(payload, target)
+        self._verify(payload)
         return done
 
-    def _verify(self, payload: Dict[str, Any], target: int) -> None:
-        manager = self._manager
-        engine = manager.engine
-        checks = [
-            ("events", engine.events_processed, target),
-            ("now", repr(engine.now), repr(float(payload["now"]))),
-            ("trace_events", self._trace_events, int(payload["trace_events"])),
-            ("trace_digest", self.trace_digest, payload["trace_digest"]),
-            (
-                "allocator_digest",
-                state_digest(manager.allocator.state_dict()),
-                payload["allocator_digest"],
-            ),
-            ("pool_rng", manager.pool.rng_state(), payload["pool_rng"]),
-            (
-                "fault_rng",
-                manager.faults.rng_state() if manager.faults is not None else None,
-                payload["fault_rng"],
-            ),
-            # `.get`: snapshots written before the resilience layer
-            # existed verify as long as no policy is configured now.
-            (
-                "resilience_digest",
-                (
-                    state_digest(manager.resilience.state_dict())
-                    if getattr(manager, "resilience", None) is not None
-                    else None
-                ),
-                payload.get("resilience_digest"),
-            ),
-        ]
-        for name, got, expected in checks:
+    def _verify(self, payload: Dict[str, Any]) -> None:
+        # `.get`: a field the snapshot lacks (``resilience_digest`` in
+        # snapshots older than the resilience layer) verifies only
+        # while this run's value is ``None`` too.
+        for name, got in self._fingerprint().items():
+            expected = payload.get(name)
             if got != expected:
                 raise CheckpointError(
                     f"resume verification failed on {name}: replay produced "

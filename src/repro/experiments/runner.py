@@ -187,12 +187,8 @@ class _GridJournal:
 
     def start_fresh(self) -> None:
         os.makedirs(self._dir, exist_ok=True)
-        write_text_atomic(
-            self.journal_path,
-            _one_line(
-                {"kind": _JOURNAL_KIND, "version": _JOURNAL_VERSION, "digest": self._digest}
-            ),
-        )
+        header = {"kind": _JOURNAL_KIND, "version": _JOURNAL_VERSION, "digest": self._digest}
+        write_text_atomic(self.journal_path, encode_frame(header) + "\n")
         self._remove_inflight()
 
     def exists(self) -> bool:
@@ -234,8 +230,7 @@ class _GridJournal:
             key = (row["workflow"], row["algorithm"])
             completed[key] = SimulationResult.from_state(row["result"])
         # Rewrite minus any torn tail, so future appends start on a
-        # clean line boundary — upgrading legacy raw-JSON records to
-        # checksummed frames along the way.
+        # clean line boundary.
         write_text_atomic(
             self.journal_path,
             "".join(encode_frame(row) + "\n" for row in rows),
@@ -270,12 +265,6 @@ class _GridJournal:
             os.unlink(self.inflight_path)
         except FileNotFoundError:
             pass
-
-
-def _one_line(doc: Any) -> str:
-    import json
-
-    return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
 
 
 def _run_grid_cell(

@@ -37,15 +37,18 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.checkpoint import (
     SERVICE_KIND,
     CheckpointError,
-    _scan_jsonl,
     file_digest,
     load_checkpoint,
+    scan_journal,
 )
 from repro.service.service import (
     CURRENT_FILENAME,
-    CURRENT_MAGIC,
+    PRE_GENERATIONAL_FILENAME,
+    UPGRADE_NOTE,
     parse_generation,
     parse_segment,
+    read_current,
+    snapshot_filename,
 )
 
 __all__ = [
@@ -119,7 +122,7 @@ def _check_journal(report: FsckReport, path: str) -> None:
     report.checked_files += 1
     name = os.path.basename(path)
     try:
-        docs, corrupt = _scan_jsonl(path)
+        docs, _, torn, corrupt = scan_journal(path)
     except OSError as exc:  # pragma: no cover - unreadable mid-walk
         report.findings.append(Finding("error", name, f"unreadable: {exc}"))
         return
@@ -132,14 +135,10 @@ def _check_journal(report: FsckReport, path: str) -> None:
                 f"(byte offset {corrupt.offset}): {corrupt.reason}",
             )
         )
-    else:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        complete = blob.endswith(b"\n") or not blob
-        if not complete:
-            report.findings.append(
-                Finding("note", name, "torn final line (normal crash debris)")
-            )
+    elif torn:
+        report.findings.append(
+            Finding("note", name, "torn final line (normal crash debris)")
+        )
     last_seq: Optional[int] = None
     for doc in docs:
         if not isinstance(doc, dict) or "seq" not in doc:
@@ -189,24 +188,15 @@ def run_fsck(data_dir: str) -> FsckReport:
     report = FsckReport(data_dir=data_dir)
     names = sorted(os.listdir(data_dir))
     referenced: Dict[int, Optional[str]] = {}
-    current_path = os.path.join(data_dir, CURRENT_FILENAME)
-    if os.path.exists(current_path):
+    if CURRENT_FILENAME in names:
         report.checked_files += 1
         try:
-            with open(current_path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-            if doc.get("magic") != CURRENT_MAGIC:
-                raise ValueError(f"bad magic {doc.get('magic')!r}")
-            for row in doc["entries"]:
-                referenced[int(row["gen"])] = row.get("digest")
-        except (ValueError, KeyError, TypeError) as exc:
+            referenced = {e["gen"]: e["digest"] for e in read_current(data_dir)}
+        except ValueError as exc:
             report.findings.append(
                 Finding("error", CURRENT_FILENAME, f"unreadable pointer: {exc}")
             )
-            referenced = {}
         for gen in referenced:
-            from repro.service.service import snapshot_filename
-
             if not os.path.exists(os.path.join(data_dir, snapshot_filename(gen))):
                 report.findings.append(
                     Finding(
@@ -231,6 +221,9 @@ def run_fsck(data_dir: str) -> FsckReport:
                         + ("…" if len(quarantined) > 4 else ""),
                     )
                 )
+            continue
+        if name == PRE_GENERATIONAL_FILENAME:
+            report.findings.append(Finding("error", name, UPGRADE_NOTE))
             continue
         gen = parse_generation(name)
         if gen is not None:

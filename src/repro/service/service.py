@@ -66,7 +66,6 @@ from repro.service.shards import (
 
 __all__ = [
     "AllocationService",
-    "SNAPSHOT_FILENAME",
     "CURRENT_FILENAME",
     "snapshot_filename",
     "segment_filename",
@@ -74,16 +73,21 @@ __all__ = [
 
 logger = logging.getLogger("repro.service")
 
-#: The legacy single-generation snapshot envelope; still restored (as
-#: generation 0 of the chain) so pre-generational data dirs upgrade in
-#: place.
-SNAPSHOT_FILENAME = "service.snapshot.json"
-
 #: The atomic chain pointer: newest-first ``{gen, digest}`` entries.
 CURRENT_FILENAME = "service.snapshot.CURRENT"
 
 #: Magic of the CURRENT pointer document.
 CURRENT_MAGIC = "repro-snapshot-current"
+
+#: The one-file snapshot of builds older than 4d32efe.  No reader is
+#: left; a data dir still holding it is refused (startup and fsck), not
+#: started empty.
+PRE_GENERATIONAL_FILENAME = "service.snapshot.json"
+UPGRADE_NOTE = (
+    "pre-generational snapshot, which this build no longer reads: open "
+    "and cleanly stop the data dir once with --snapshot-retention 1 "
+    "under a build from 4d32efe to 6759fbf (docs/SERVICE.md, Durability)"
+)
 
 # Crash sites around the snapshot write: "before" loses the cut (the
 # WALs still cover everything), "after" has the cut and pointer on disk
@@ -100,9 +104,7 @@ def _wal_filename(index: int) -> str:
 
 
 def snapshot_filename(gen: int) -> str:
-    """File name of snapshot generation ``gen`` (0 = the legacy name)."""
-    if gen == 0:
-        return SNAPSHOT_FILENAME
+    """File name of snapshot generation ``gen``."""
     return f"service.snapshot.{gen:06d}.json"
 
 
@@ -113,8 +115,6 @@ def segment_filename(index: int, gen: int) -> str:
 
 def parse_generation(name: str) -> Optional[int]:
     """Generation number of a snapshot file name, or ``None``."""
-    if name == SNAPSHOT_FILENAME:
-        return 0
     match = _GEN_RE.match(name)
     return int(match.group(1)) if match else None
 
@@ -123,6 +123,36 @@ def parse_segment(name: str) -> Optional[Tuple[int, int]]:
     """``(shard_index, generation)`` of a segment file name, or ``None``."""
     match = _SEGMENT_RE.match(name)
     return (int(match.group(1)), int(match.group(2))) if match else None
+
+
+def write_current(data_dir: str, entries: List[Dict[str, Any]]) -> None:
+    """Atomically flip the chain pointer to ``entries`` (newest-first)."""
+    write_json_atomic(
+        os.path.join(data_dir, CURRENT_FILENAME),
+        {"magic": CURRENT_MAGIC, "version": 1, "entries": entries},
+    )
+
+
+def read_current(data_dir: str) -> List[Dict[str, Any]]:
+    """The chain CURRENT records, newest-first: ``[{"gen", "digest"}, ...]``.
+
+    Empty without a pointer file; :class:`ValueError` when the file is
+    there but is not a well-formed CURRENT document.
+    """
+    path = os.path.join(data_dir, CURRENT_FILENAME)
+    if not os.path.exists(path):
+        return []
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    try:
+        if doc["magic"] != CURRENT_MAGIC:
+            raise ValueError(f"bad magic {doc['magic']!r}")
+        return [
+            {"gen": int(row["gen"]), "digest": row.get("digest")}
+            for row in doc["entries"]
+        ]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed pointer: {exc!r}") from exc
 
 
 class AllocationService:
@@ -238,41 +268,26 @@ class AllocationService:
         Normally read from the CURRENT pointer.  A damaged pointer is
         quarantined and the chain rebuilt from the snapshot files on
         disk — their digests can no longer be cross-checked, but the
-        envelope and fingerprint validation still stand.  A legacy
-        (pre-generational) ``service.snapshot.json`` joins the chain as
-        generation 0, so old data dirs upgrade in place.
+        envelope and fingerprint validation still stand.
         """
         data_dir = self._config.data_dir
         assert data_dir is not None
-        current = os.path.join(data_dir, CURRENT_FILENAME)
-        entries: List[Dict[str, Any]] = []
-        if os.path.exists(current):
-            try:
-                with open(current, "r", encoding="utf-8") as handle:
-                    doc = json.load(handle)
-                if doc.get("magic") != CURRENT_MAGIC:
-                    raise ValueError(f"bad magic {doc.get('magic')!r}")
-                for row in doc["entries"]:
-                    entries.append(
-                        {"gen": int(row["gen"]), "digest": row.get("digest")}
-                    )
-            except (ValueError, KeyError, TypeError, OSError) as exc:
-                quarantined = quarantine_file(current)
-                self._note_recovery(
-                    "current-pointer", current, f"unreadable: {exc}", quarantined
-                )
-                entries = []
+        try:
+            entries = read_current(data_dir)
+        except (ValueError, OSError) as exc:
+            current = os.path.join(data_dir, CURRENT_FILENAME)
+            quarantined = quarantine_file(current)
+            self._note_recovery(
+                "current-pointer", current, f"unreadable: {exc}", quarantined
+            )
+            entries = []
         if not entries:
             found = [
                 gen
                 for name in os.listdir(data_dir)
-                if (gen := parse_generation(name)) is not None and gen > 0
+                if (gen := parse_generation(name)) is not None
             ]
             entries = [{"gen": gen, "digest": None} for gen in sorted(found, reverse=True)]
-        if os.path.exists(os.path.join(data_dir, SNAPSHOT_FILENAME)) and not any(
-            entry["gen"] == 0 for entry in entries
-        ):
-            entries.append({"gen": 0, "digest": None})
         return entries
 
     def _load_generation(
@@ -351,9 +366,12 @@ class AllocationService:
         """
         data_dir = self._config.data_dir
         assert data_dir is not None
+        stale = os.path.join(data_dir, PRE_GENERATIONAL_FILENAME)
+        if os.path.exists(stale):
+            raise CheckpointError(f"{stale!r} is a {UPGRADE_NOTE}")
         self.recovery_events = []
         chain = self._load_chain()
-        restored_gen: Optional[int] = None
+        restored_gen = 0  # generations count from 1
         for entry in chain:
             states = self._load_generation(entry)
             if states is not None:
@@ -361,7 +379,7 @@ class AllocationService:
                     shard.restore(state)
                 restored_gen = int(entry["gen"])
                 break
-        if chain and restored_gen is None:
+        if chain and not restored_gen:
             raise CheckpointError(
                 f"no readable snapshot generation in {data_dir!r}: all "
                 f"{len(chain)} chain entries are corrupt or missing — "
@@ -369,11 +387,7 @@ class AllocationService:
             )
         self._chain = chain
         self.generation = int(chain[0]["gen"]) if chain else 0
-        newer_gens = (
-            sorted(int(e["gen"]) for e in chain if int(e["gen"]) > restored_gen)
-            if restored_gen is not None
-            else []
-        )
+        newer_gens = sorted(int(e["gen"]) for e in chain if int(e["gen"]) > restored_gen)
         recovered = 0
         for shard in self._shards:
             for gen in newer_gens:
@@ -420,10 +434,7 @@ class AllocationService:
         entries = [{"gen": gen, "digest": digest}] + [
             dict(entry) for entry in self._chain if int(entry["gen"]) < gen
         ][: max(0, retention - 1)]
-        write_json_atomic(
-            os.path.join(data_dir, CURRENT_FILENAME),
-            {"magic": CURRENT_MAGIC, "version": 1, "entries": entries},
-        )
+        write_current(data_dir, entries)
         CRASH_POINTS.hit(SITE_SNAPSHOT_AFTER)
         self._chain = entries
         self.generation = gen

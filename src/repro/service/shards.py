@@ -278,7 +278,7 @@ class AllocationShard:
     async def stop(self) -> None:
         """Drain every queued operation, then terminate the writer.
 
-        The WAL stays open so the service can snapshot-then-truncate
+        The WAL stays open so the service can snapshot-then-archive
         after the quiesce; call :meth:`close_wal` last.
         """
         if self._writer is None:
@@ -598,7 +598,7 @@ class AllocationShard:
         """Re-apply WAL entries newer than the restored snapshot.
 
         Entries at or below the snapshot's ``seq`` are skipped (the WAL
-        is only truncated *after* a covering snapshot commits, so
+        is only archived *after* a covering snapshot commits, so
         overlap is expected after a crash between the two).  A gap means
         a corrupt log and is refused.
         """
@@ -630,32 +630,24 @@ class AllocationShard:
         self.last_durable_seq = self.seq
         return applied
 
-    def truncate_wal(self) -> None:
-        if self._wal is not None:
-            self._wal.truncate()
-
-    def archive_wal(self, segment_path: str) -> bool:
+    def archive_wal(self, segment_path: str) -> None:
         """Move the live WAL aside as one generation's archived segment.
 
         Called right after a covering snapshot committed (under the
         quiesce barrier): instead of truncating — which would destroy
         the only replay source an *older* snapshot generation needs for
         fallback — the WAL is closed, renamed to ``segment_path``, and a
-        fresh empty WAL opens.  Returns whether a non-empty segment was
-        archived.  A degraded shard archives whatever the dying handle
-        left behind (torn tails are read-tolerated) and stays closed;
-        the recovery probe reopens it.
+        fresh empty WAL opens.  A degraded shard archives whatever the
+        dying handle left behind (torn tails are read-tolerated) and
+        stays closed; the recovery probe reopens it.
         """
         if self._wal_path is None:
-            return False
+            return
         self.close_wal()
-        moved = False
         if os.path.exists(self._wal_path) and os.path.getsize(self._wal_path) > 0:
             os.replace(self._wal_path, segment_path)
-            moved = True
         if not self.degraded:
             self.open_wal()
-        return moved
 
     # -- introspection ---------------------------------------------------------
 

@@ -22,6 +22,7 @@ from repro.checkpoint import (
     GracefulShutdown,
     append_jsonl,
     canonical_json,
+    encode_frame,
     generator_state,
     load_checkpoint,
     read_jsonl,
@@ -86,7 +87,7 @@ def test_read_jsonl_drops_torn_tail(tmp_path):
 def test_read_jsonl_rejects_mid_file_corruption(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"i": 0}\nnot json\n{"i": 2}\n')
+        handle.write(f'{encode_frame({"i": 0})}\nnot a frame\n{encode_frame({"i": 2})}\n')
     with pytest.raises(CheckpointError, match="malformed line 2"):
         read_jsonl(path)
 

@@ -9,8 +9,10 @@ These tests pin its three contracts:
 * detection — flipping any single bit of any byte of a framed record
   is detected (frames sit mid-journal so the torn-tail forgiveness
   cannot mask the flip);
-* compatibility — journals written before frames existed (raw JSON
-  lines) still read, including files mixing both formats.
+* one verdict — every reader of the journal format (``read_jsonl``,
+  ``recover_jsonl``, ``repair_journal_tail``, ``fsck``) is a view of
+  one scan, so they cannot disagree about what is healthy, torn or
+  corrupt; frames are the only line format.
 """
 
 import json
@@ -26,7 +28,11 @@ from repro.checkpoint import (
     decode_frame,
     encode_frame,
     read_jsonl,
+    recover_jsonl,
+    repair_journal_tail,
+    scan_journal,
 )
+from repro.service.fsck import run_fsck
 
 json_scalars = st.one_of(
     st.none(),
@@ -98,25 +104,78 @@ def test_bit_flip_in_final_complete_line_is_detected(tmp_path):
         read_jsonl(path)
 
 
-def test_legacy_raw_json_journal_still_reads(tmp_path):
-    path = str(tmp_path / "legacy.jsonl")
-    docs = [{"i": 0}, {"i": 1, "x": "y"}, ["nested", 3]]
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc in docs:
-            handle.write(json.dumps(doc) + "\n")
-    assert read_jsonl(path) == docs
+_A = (encode_frame({"seq": 1}) + "\n").encode("utf-8")
+_B = (encode_frame({"seq": 2}) + "\n").encode("utf-8")
+_HALF = encode_frame({"seq": 3}).encode("utf-8")[:9]
+_BAD = _B[:-3] + b"X}\n"  # newline-terminated, CRC no longer matches
+
+# (blob, verdict, corrupt line, corrupt byte offset, docs kept)
+VERDICTS = {
+    "clean": (_A + _B, "healthy", None, None, 2),
+    "empty": (b"", "healthy", None, None, 0),
+    "torn-final-line": (_A + _B + _HALF, "torn", None, None, 2),
+    "complete-but-unterminated-final-line": (_A + _B[:-1], "torn", None, None, 1),
+    "trailing-blank-line": (_A + _B + b"\n", "corrupt", 3, len(_A + _B), 2),
+    "two-trailing-blank-lines": (_A + _B + b"\n\n", "corrupt", 3, len(_A + _B), 2),
+    "blank-line-mid-file": (_A + b"\n" + _B, "corrupt", 2, len(_A), 1),
+    "bad-terminated-last-line": (_A + _BAD, "corrupt", 2, len(_A), 1),
+    "bad-line-then-torn-line": (_A + _BAD + _HALF, "corrupt", 2, len(_A), 1),
+    "raw-json-object-line": (_A + b'{"seq":2}\n', "corrupt", 2, len(_A), 1),
+    "bare-scalar-line": (_A + _B + b"7\n", "corrupt", 3, len(_A + _B), 2),
+    "invalid-utf8": (_A + b"F1 2 \xff\xfe\n" + _B, "corrupt", 2, len(_A), 1),
+}
 
 
-def test_mixed_legacy_and_framed_journal_reads(tmp_path):
-    """Upgrades append frames onto raw-JSON journals; both decode."""
-    path = str(tmp_path / "mixed.jsonl")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"i": 0}) + "\n")
-    append_jsonl(path, {"i": 1})
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps({"i": 2}) + "\n")
-    append_jsonl(path, {"i": 3})
-    assert read_jsonl(path) == [{"i": 0}, {"i": 1}, {"i": 2}, {"i": 3}]
+@pytest.mark.parametrize("case", sorted(VERDICTS))
+def test_every_journal_reader_gives_the_same_verdict(tmp_path, case):
+    blob, verdict, line, offset, kept = VERDICTS[case]
+    path = tmp_path / "shard-00.wal"
+    path.write_bytes(blob)
+    expected_docs = [{"seq": i + 1} for i in range(kept)]
+
+    scanned, good_bytes, torn, corrupt = scan_journal(str(path))
+    assert scanned == expected_docs
+    assert torn == (verdict == "torn")
+    assert (corrupt is not None) == (verdict == "corrupt")
+
+    # read_jsonl: the prefix, or the typed error at the same place.
+    if verdict == "corrupt":
+        with pytest.raises(JournalCorruptError) as excinfo:
+            read_jsonl(str(path))
+        assert (excinfo.value.line, excinfo.value.offset) == (line, offset)
+        assert good_bytes == offset
+    else:
+        assert read_jsonl(str(path)) == expected_docs
+
+    # recover_jsonl: same prefix, a report exactly when corrupt.
+    docs, recovery = recover_jsonl(str(path), quarantine=False)
+    assert docs == expected_docs
+    if verdict == "corrupt":
+        assert (recovery.line, recovery.offset, recovery.docs_kept) == (line, offset, kept)
+    else:
+        assert recovery is None
+
+    # fsck: error at that line/offset, a torn-tail note, or silence.
+    findings = [f for f in run_fsck(str(tmp_path)).findings if f.path == path.name]
+    if verdict == "corrupt":
+        assert [f.severity for f in findings] == ["error"]
+        assert f"line {line} (byte offset {offset})" in findings[0].problem
+    elif verdict == "torn":
+        assert [(f.severity, f.problem[:4]) for f in findings] == [("note", "torn")]
+    else:
+        assert findings == []
+
+    # repair_journal_tail, last (it writes): refuses what the others call
+    # corrupt, and otherwise truncates to exactly the scan's good bytes.
+    if verdict == "corrupt":
+        with pytest.raises(JournalCorruptError) as excinfo:
+            repair_journal_tail(str(path))
+        assert (excinfo.value.line, excinfo.value.offset) == (line, offset)
+        assert path.read_bytes() == blob
+    else:
+        assert repair_journal_tail(str(path)) == len(blob) - good_bytes
+        assert path.read_bytes() == blob[: good_bytes]
+        assert (len(blob) > good_bytes) == (verdict == "torn")
 
 
 def test_decode_frame_rejects_malformed_headers():

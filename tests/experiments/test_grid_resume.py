@@ -13,9 +13,16 @@ import os
 
 import pytest
 
-from repro.checkpoint import CheckpointError, GracefulShutdown, GridInterrupted, state_digest
+from repro.checkpoint import (
+    CheckpointError,
+    GracefulShutdown,
+    GridInterrupted,
+    decode_frame,
+    state_digest,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import grid_digest, run_cell, run_grid
+from repro.faultfs import flip_bit
 from repro.sim.manager import SimulationResult
 
 WORKFLOWS = ("bimodal", "uniform")
@@ -86,7 +93,7 @@ def test_completed_cells_are_journaled(tmp_path, reference):
     )
     _assert_same_cells(result, reference)
     lines = (tmp_path / "ckpt" / "journal.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
+    header = decode_frame(lines[0])  # CRC-covered like every other record
     assert header["kind"] == "grid-journal"
     assert header["digest"] == grid_digest(WORKFLOWS, ALGORITHMS, _config())
     assert len(lines) == 1 + len(WORKFLOWS) * len(ALGORITHMS)
@@ -190,6 +197,24 @@ def test_resume_refuses_different_experiment(tmp_path):
     )
     with pytest.raises(CheckpointError, match="different experiment"):
         run_grid(WORKFLOWS, ALGORITHMS, config=other)
+
+
+def test_resume_refuses_bit_flipped_header(tmp_path):
+    """One flipped bit in the header must not resume under another digest."""
+    checkpoint_dir = str(tmp_path / "ckpt")
+    run_grid(WORKFLOWS, ALGORITHMS, config=_config(checkpoint_dir=checkpoint_dir))
+    journal = tmp_path / "ckpt" / "journal.jsonl"
+    header_len = len(journal.read_bytes().split(b"\n")[0])
+    resume = _config(checkpoint_dir=checkpoint_dir, resume=True)
+    for byte_offset in (header_len - 2, header_len // 2, 5):  # digest, payload, length field
+        flip_bit(str(journal), byte_offset=byte_offset)
+        with pytest.raises(CheckpointError, match="not a grid journal"):
+            run_grid(WORKFLOWS, ALGORITHMS, config=resume)
+        # Zero rows kept: the damaged file is evidence, not input.
+        assert not journal.exists()
+        quarantined = sorted((tmp_path / "ckpt" / "journal.jsonl.corrupt").iterdir())
+        os.replace(quarantined[-1], journal)
+        flip_bit(str(journal), byte_offset=byte_offset)  # undo
 
 
 def test_resume_requires_checkpoint_dir():

@@ -18,12 +18,14 @@ from repro.checkpoint import CheckpointError, file_digest
 from repro.core.allocator import AllocatorConfig
 from repro.faultfs import flip_bit
 from repro.service.config import ServiceConfig
+from repro.service.fsck import run_fsck
 from repro.service.service import (
     CURRENT_FILENAME,
-    SNAPSHOT_FILENAME,
+    PRE_GENERATIONAL_FILENAME,
     AllocationService,
     parse_generation,
     parse_segment,
+    read_current,
     segment_filename,
     snapshot_filename,
 )
@@ -73,9 +75,8 @@ async def _seed_service(config, n_ops=6, cuts=0):
 
 
 def test_filename_helpers_round_trip():
-    assert snapshot_filename(0) == SNAPSHOT_FILENAME
-    assert parse_generation(SNAPSHOT_FILENAME) == 0
     assert parse_generation(snapshot_filename(17)) == 17
+    assert parse_generation(PRE_GENERATIONAL_FILENAME) is None
     assert parse_segment(segment_filename(3, 17)) == (3, 17)
     assert parse_generation("service.snapshot.CURRENT") is None
     assert parse_segment("shard-00.wal") is None
@@ -173,6 +174,34 @@ def test_corrupt_current_pointer_is_quarantined_and_rebuilt(tmp_path):
     assert doc["entries"][0]["digest"] is not None
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json {",
+        "[]",
+        "7",
+        '{"magic": "something-else", "entries": []}',
+        '{"magic": "repro-snapshot-current"}',
+        '{"magic": "repro-snapshot-current", "entries": [7]}',
+        '{"magic": "repro-snapshot-current", "entries": [{"gen": "x"}]}',
+    ],
+)
+def test_malformed_current_is_one_typed_error_for_startup_and_fsck(tmp_path, text):
+    (tmp_path / CURRENT_FILENAME).write_text(text)
+    with pytest.raises(ValueError):
+        read_current(str(tmp_path))
+    assert [f.path for f in run_fsck(str(tmp_path)).errors] == [CURRENT_FILENAME]
+
+    async def recover():
+        service = AllocationService(_config(tmp_path))
+        await service.start()
+        events = list(service.recovery_events)
+        await service.stop()
+        return events
+
+    assert [e["kind"] for e in run(recover())] == ["current-pointer"]
+
+
 def test_all_generations_corrupt_is_failure_stop(tmp_path):
     async def scenario():
         service = await _seed_service(_config(tmp_path), n_ops=6, cuts=1)
@@ -209,42 +238,41 @@ def test_config_change_is_refused_not_quarantined(tmp_path):
     assert not any(name.endswith(".corrupt") for name in os.listdir(tmp_path))
 
 
-def test_legacy_single_snapshot_upgrades_in_place(tmp_path):
+def test_pre_generational_snapshot_is_refused_not_ignored(tmp_path):
     async def scenario():
         service = await _seed_service(_config(tmp_path), n_ops=6)
-        digests = service.shard_digests()
         await service.stop()
-        return digests
 
-    expected = run(scenario())
+    run(scenario())
     # Rewind the directory to the pre-generational layout: one
     # service.snapshot.json, no CURRENT, no generations, no segments.
     newest = _read_current(tmp_path)["entries"][0]
     os.replace(
-        tmp_path / snapshot_filename(newest["gen"]), tmp_path / SNAPSHOT_FILENAME
+        tmp_path / snapshot_filename(newest["gen"]),
+        tmp_path / PRE_GENERATIONAL_FILENAME,
     )
     for name in os.listdir(tmp_path):
-        if name == SNAPSHOT_FILENAME or name.endswith(".wal"):
-            continue
         if (
             parse_generation(name) is not None
             or parse_segment(name) is not None
             or name == CURRENT_FILENAME
         ):
             os.remove(tmp_path / name)
+    before = sorted(os.listdir(tmp_path))
 
     async def recover():
         service = AllocationService(_config(tmp_path))
         await service.start()
-        digests = service.shard_digests()
-        generation = service.generation
-        await service.stop()
-        return digests, generation
 
-    digests, generation = run(recover())
-    assert digests == expected
-    assert generation >= 1  # upgraded: a real generation + CURRENT exist
-    assert (tmp_path / CURRENT_FILENAME).exists()
+    # Starting empty beside the only copy of the state would be silent
+    # data loss; the refusal names the file and the way out.
+    with pytest.raises(CheckpointError, match="snapshot-retention 1") as excinfo:
+        run(recover())
+    assert PRE_GENERATIONAL_FILENAME in str(excinfo.value)
+    assert sorted(os.listdir(tmp_path)) == before  # nothing written or moved
+    report = run_fsck(str(tmp_path))
+    assert [f.path for f in report.errors] == [PRE_GENERATIONAL_FILENAME]
+    assert "snapshot-retention 1" in report.errors[0].problem
 
 
 def test_corrupt_live_wal_is_quarantined_with_prefix_kept(tmp_path):

@@ -30,6 +30,7 @@ from repro.faultfs import (
     seeded_fault_plan,
 )
 from repro.service.config import ServiceConfig
+from repro.service.fsck import run_fsck
 from repro.service.server import AllocationServer
 from repro.service.service import AllocationService
 from repro.service.shards import StorageUnavailable
@@ -221,6 +222,45 @@ def test_degraded_rollback_leaves_no_replay_gap(tmp_path):
         await resumed.stop()
 
     run(scenario())
+
+
+@pytest.mark.parametrize("stray", [b"7\n", b"{}\n"])
+def test_unchecksummed_wal_line_is_corruption_not_a_startup_crash(tmp_path, stray):
+    """A line without a frame used to reach ``replay`` as a bare ``7``."""
+    data_dir = tmp_path / "state"
+    config = _config(data_dir)
+    wal = data_dir / "shard-00.wal"
+
+    async def scenario():
+        service = AllocationService(config)
+        await service.start()
+        for i in range(8):  # eight categories: both shards get traffic
+            await service.submit({**_op(i), "category": f"cat-{i}"})
+        live_digests = service.shard_digests()
+        service.abort()  # crash without a final snapshot: WAL is truth
+        assert wal.stat().st_size > 0
+        with open(wal, "ab") as handle:
+            handle.write(stray)
+
+        findings = [f for f in run_fsck(str(data_dir)).findings if f.path == wal.name]
+
+        resumed = AllocationService(config)
+        await resumed.start()
+        events = list(resumed.recovery_events)
+        digests = resumed.shard_digests()
+        await resumed.submit(_op(100))  # live and serving
+        await resumed.stop()
+        return live_digests, digests, events, findings
+
+    live_digests, digests, events, findings = run(scenario())
+    # Every framed record before the stray line was replayed.
+    assert digests == live_digests
+    assert [e["kind"] for e in events] == ["journal-corrupt"]
+    assert events[0]["path"] == str(wal)
+    assert os.listdir(str(wal) + ".corrupt") == ["0001-shard-00.wal"]
+    # fsck, run before the restart, saw the same thing the same way.
+    assert [f.severity for f in findings] == ["error"]
+    assert "mid-stream corruption" in findings[0].problem
 
 
 def test_snapshot_write_fault_is_typed_and_retryable(tmp_path):

@@ -239,6 +239,42 @@ def test_resume_refuses_divergent_config(tmp_path):
         resume_simulation_checkpoint(manager, path)
 
 
+def _tampered(value):
+    if isinstance(value, bool) or value is None:
+        return "tampered"
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    return {**value, "tampered": 1}
+
+
+def test_every_recorded_field_is_verified(tmp_path):
+    """No snapshot field is write-only: editing any one refuses the resume.
+
+    ``completed`` was once recorded but never compared; payload and
+    verification now run off one field list, which this pins.
+    """
+    path = str(tmp_path / "snap.json")
+    doomed = WorkflowManager(_workflow(), CONFIGS["baseline"]())
+    checkpointer = SimulationCheckpointer(doomed, path)
+    doomed.begin()
+    doomed.advance(stop_after_events=40)
+    payload = checkpointer.payload()
+    assert payload["completed"] > 0
+
+    def resume(doc):
+        fresh = WorkflowManager(_workflow(), CONFIGS["baseline"]())
+        return SimulationCheckpointer(fresh, path).resume(doc)
+
+    resume(dict(payload))  # the untouched snapshot is accepted
+    for name in payload:
+        with pytest.raises(CheckpointError):
+            resume({**payload, name: _tampered(payload[name])})
+    with pytest.raises(CheckpointError, match="verification failed on completed"):
+        resume({**payload, "completed": payload["completed"] - 1})
+
+
 def test_resume_refuses_wrong_workflow_or_algorithm(tmp_path):
     path = str(tmp_path / "snap.json")
     doomed = WorkflowManager(_workflow(), CONFIGS["baseline"]())
