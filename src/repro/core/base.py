@@ -188,7 +188,8 @@ class BucketingAlgorithm(AllocationAlgorithm):
 
     @abc.abstractmethod
     def compute_break_indices(self, records: RecordList) -> list:
-        """Partition the record list; return sorted bucket-end indices."""
+        """Partition ``records`` — always ``self._records``, the list the
+        partition engine is bound to; return sorted bucket-end indices."""
 
     @abc.abstractmethod
     def _make_partition_engine(self):

@@ -23,6 +23,10 @@ Bucketing's recursive scans blow up.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -254,19 +258,45 @@ def exhaustive_break_indices(
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _candidate_layout(max_buckets: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate fraction ``i / k``: numerators, denominators, ``k - 1``.
+
+    Flat layout: for ``k = 2 .. max_buckets`` the ``k - 1`` fractions
+    ``i / k`` (``i`` ascending) sit side by side, ``K (K - 1) / 2`` in
+    all; the third array is the position of each one's configuration in
+    the list :meth:`IncrementalExhaustivePartition.break_indices`
+    scores.  The layout depends on nothing but ``max_buckets``, so every
+    engine of that cap shares one read-only triple (a fresh category
+    builds three engines, one per resource).
+    """
+    pairs = [(i, k) for k in range(2, max_buckets + 1) for i in range(1, k)]
+    i_arr = np.array([i for i, _ in pairs], dtype=np.float64)
+    k_arr = np.array([k for _, k in pairs], dtype=np.float64)
+    config_arr = np.array([k - 1 for _, k in pairs], dtype=np.intp)
+    for array in (i_arr, k_arr, config_arr):
+        array.setflags(write=False)
+    return i_arr, k_arr, config_arr
+
+
 class IncrementalExhaustivePartition:
     """Maintain ``exhaustive_break_indices`` under streaming mutations.
 
-    The full search is O(n) per decision at large n — not for the
-    scoring (the candidate set is at most ``K(K-1)/2`` values) but for
-    re-deriving every candidate's mapped record index from scratch
-    against the whole value array.  This engine keeps those mappings
-    *incrementally*: the mapped index of candidate value ``c`` is
-    ``(#records with value < c) - 1`` (``searchsorted``-left semantics),
-    and that count changes by exactly +1 per inserted value below ``c``
-    and -1 per evicted value below ``c``.  Tracking the counts therefore
-    costs one vectorized comparison against the candidate vector per
-    record mutation, independent of the record count.
+    The full search re-derives every candidate's mapped record index
+    from scratch: ten :func:`evenly_spaced_break_indices` calls of a
+    dozen numpy dispatches each at any history depth, and O(n) on top
+    at large n (measured in docs/PERFORMANCE.md).  This engine keeps
+    those mappings
+    *incrementally* instead, and is the one search
+    :class:`ExhaustiveBucketing` runs at every record count: the mapped
+    index of candidate value ``c`` is ``(#records with value < c) - 1``
+    (``searchsorted``-left semantics), and that count changes by exactly
+    +1 per inserted value below ``c`` and -1 per evicted value below
+    ``c``.  The candidates are kept sorted, so one record mutation is
+    one ``bisect`` for the first candidate above the value plus one
+    bump of a difference array — O(log C), independent of the record
+    count; :meth:`break_indices` prefix-sums the array when it rebuilds
+    the configurations.
 
     The maintenance is **exact**, not approximate: candidate values are
     computed with the same float expression as
@@ -282,22 +312,17 @@ class IncrementalExhaustivePartition:
     record value (every candidate ``v_max * i / k`` moves) and a batch
     compaction (an unenumerated set of evictions).  Both mark the engine
     out of sync; the next query *resyncs* with one vectorized
-    ``searchsorted`` of the candidate vector — O(C log n), still far
-    below the full search's O(n) scan.  :meth:`cheaper_than_full`
-    implements that cost comparison so callers can fall back to the
-    full search when the record list is too small for the bookkeeping
-    to pay off.
+    ``searchsorted`` of the sorted candidate vector — O(C log n).
     """
 
     __slots__ = (
         "_records",
         "_max_buckets",
-        "_i_arr",
-        "_k_arr",
+        "_layout",
         "_cands",
-        "_counts",
-        "_base",
-        "_min_cand",
+        "_mapped",
+        "_config",
+        "_diff",
         "_vmax",
         "_synced",
         "_last_breaks",
@@ -316,36 +341,30 @@ class IncrementalExhaustivePartition:
             raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
         self._records = records
         self._max_buckets = max_buckets
-        # Flat candidate layout: for k = 2..K the k-1 fractions i/k live
-        # at _offsets[k-2]:_offsets[k-1].  Candidate values are
-        # (v_max * i) / k elementwise — the same float expression, and
-        # therefore the same rounding, as evenly_spaced_break_indices.
-        i_parts: List[np.ndarray] = []
-        k_parts: List[np.ndarray] = []
-        for k in range(2, max_buckets + 1):
-            i_parts.append(np.arange(1, k, dtype=np.float64))
-            k_parts.append(np.full(k - 1, float(k)))
-        self._i_arr = (
-            np.concatenate(i_parts) if i_parts else np.empty(0, dtype=np.float64)
-        )
-        self._k_arr = (
-            np.concatenate(k_parts) if k_parts else np.empty(0, dtype=np.float64)
-        )
+        # Candidate values are (v_max * i) / k elementwise over the
+        # shared layout — the same float expression, and therefore the
+        # same rounding, as evenly_spaced_break_indices.
+        self._layout = _candidate_layout(max_buckets)
         # Hot per-mutation state lives in plain Python lists, not
-        # arrays: with at most K(K-1)/2 = 45 candidates the interpreted
-        # loop in observe() is faster than two numpy dispatches — and
-        # much faster right after RecordList._insert's multi-megabyte
-        # suffix shift has evicted the ufunc machinery from cache.
-        self._cands: Optional[List[float]] = None
-        self._counts: Optional[List[int]] = None
-        # Mutations strictly below every candidate shift all counts by
-        # the same +-1; they are folded into this shared offset in O(1)
-        # instead of touching the whole counts list.  Under the
-        # heavy-tailed value distributions this engine targets, almost
-        # every arrival lands below the smallest candidate (v_max / K),
-        # so this is the common case.
-        self._base = 0
-        self._min_cand = 0.0
+        # arrays: with at most K(K-1)/2 = 45 candidates a bisect and a
+        # list bump are faster than one numpy dispatch — and much faster
+        # right after RecordList._insert's multi-megabyte suffix shift
+        # has evicted the ufunc machinery from cache.  All four are
+        # rebuilt by every resync:
+        #   _cands   candidate values, ascending;
+        #   _mapped  each one's mapped record index at the resync,
+        #            (#records with value below it) - 1;
+        #   _config  which configuration (k - 1) each one belongs to
+        #            (the order is per resync: near-tie fractions such
+        #            as 1/2 and 3/6 round an ulp apart for some v_max);
+        #   _diff    difference array over the C + 1 gaps between sorted
+        #            candidates: a mutation in gap g moves the mapped
+        #            index of every candidate from g up, so the live
+        #            value is _mapped[r] + sum(_diff[:r + 1]).
+        self._cands: List[float] = []
+        self._mapped: List[int] = []
+        self._config: List[int] = []
+        self._diff: List[int] = []
         self._vmax: Optional[float] = None
         self._synced = False
         # Winner stats of the most recent break_indices() call, handed
@@ -354,13 +373,14 @@ class IncrementalExhaustivePartition:
         self._last_breaks: Optional[List[int]] = None
         self._last_stats: Optional[Tuple[List[float], List[float], List[float]]] = None
         # Configuration cache: an insert strictly below every candidate
-        # (the _base fast path — the overwhelmingly common case under
-        # heavy-tailed values) shifts every mapped index AND the last
-        # index by exactly +1, so the previous decision's configurations
-        # are reusable wholesale with a uniform +shift instead of being
-        # refiltered from the counts.  _low_slack is how many such
-        # shifts are safe before a candidate that was dropped for
-        # mapping below index 0 would re-enter the valid range.
+        # (gap 0 — the overwhelmingly common case under heavy-tailed
+        # values, where almost every arrival lands below v_max / K)
+        # shifts every mapped index AND the last index by exactly +1,
+        # so the previous decision's configurations are reusable
+        # wholesale with a uniform +shift instead of being refiltered
+        # from the counts.  _low_slack is how many such shifts are safe
+        # before a candidate that was dropped for mapping below index 0
+        # would re-enter the valid range.
         self._configs_cache: Optional[List[List[int]]] = None
         self._flat_cache: Optional[List[int]] = None
         self._shifts_pending = 0
@@ -371,7 +391,7 @@ class IncrementalExhaustivePartition:
 
     @property
     def n_candidates(self) -> int:
-        return int(self._i_arr.size)
+        return int(self._layout[0].size)
 
     @property
     def synced(self) -> bool:
@@ -418,56 +438,36 @@ class IncrementalExhaustivePartition:
                 if n == 0 or float(self._records._values_buf[n - 1]) != vmax:
                     self._synced = False
                     return
-        cands = self._cands
-        counts = self._counts
-        assert counts is not None and cands is not None
         self.incremental_updates += 1
+        # bisect_right is the gap whose upper candidates are exactly
+        # those with value < candidate (strict, as searchsorted-left).
         if value is not None:
-            if value < self._min_cand:
-                self._base += 1
-                self._shifts_pending += 1
-            else:
-                for c in range(len(cands)):
-                    if value < cands[c]:
-                        counts[c] += 1
+            gap = bisect_right(self._cands, value)
+            self._diff[gap] += 1
+            if gap:
                 self._configs_cache = None
-        if evicted is not None:
-            self._configs_cache = None
-            if evicted < self._min_cand:
-                self._base -= 1
             else:
-                for c in range(len(cands)):
-                    if evicted < cands[c]:
-                        counts[c] -= 1
+                self._shifts_pending += 1
+        if evicted is not None:
+            self._diff[bisect_right(self._cands, evicted)] -= 1
+            self._configs_cache = None
 
     def _resync(self) -> None:
         n = len(self._records)
         values = self._records._values_buf[:n]
         self._vmax = float(values[n - 1])
-        cands = (self._vmax * self._i_arr) / self._k_arr
+        i_arr, k_arr, config_arr = self._layout
+        cands = (self._vmax * i_arr) / k_arr
+        order = cands.argsort(kind="stable")
+        cands = cands[order]
         self._cands = cands.tolist()
-        self._counts = np.searchsorted(values, cands, side="left").tolist()
-        self._base = 0
-        self._min_cand = float(cands.min()) if cands.size else 0.0
+        self._mapped = (np.searchsorted(values, cands, side="left") - 1).tolist()
+        self._config = config_arr[order].tolist()
+        self._diff = [0] * (len(self._cands) + 1)
         self._configs_cache = None
         self._shifts_pending = 0
         self._synced = True
         self.resyncs += 1
-
-    def cheaper_than_full(self) -> bool:
-        """Whether serving from the engine beats the full O(n) search.
-
-        The incremental query touches only the candidate vector — at
-        worst one vectorized ``searchsorted`` (O(C log n)) when a resync
-        is pending — while the full search snapshots and scans all n
-        records.  The crossover sits where n reaches the candidate
-        count (profiled in docs/PERFORMANCE.md; the per-record constant
-        of the full search dwarfs the per-candidate resync constant, so
-        the log factor is absorbed).  Below it the bookkeeping is pure
-        overhead and callers should run the full search directly —
-        results are identical either way.
-        """
-        return len(self._records) >= self.n_candidates > 0
 
     def break_indices(self) -> Optional[List[int]]:
         """Current best break indices, identical to the full search."""
@@ -500,37 +500,31 @@ class IncrementalExhaustivePartition:
                 flat = self._flat_cache  # type: ignore[assignment]
                 assert flat is not None
         else:
-            counts = self._counts
-            assert counts is not None
             last = n - 1
-            # Pure-Python per-k filtering over the maintained counts:
-            # the mapped index of candidate c is count(c) - 1, the
-            # mapped indices ascend within each k, so "keep valid,
-            # strictly increasing" reproduces
+            # A candidate's mapped index is its resync value plus the
+            # prefix sum of the difference array up to its gap.  Like
+            # the candidates they ascend, so the valid ones (0 <= index
+            # < last) are one slice; dealt out to their configurations
+            # in that order, "keep strictly increasing" reproduces
             # evenly_spaced_break_indices exactly.
-            base = self._base - 1
-            max_dropped_low = -(1 << 60)
-            configurations = [[last]]
-            flat = [last]
-            offset = 0
-            for k in range(2, self._max_buckets + 1):
-                ends: List[int] = []
-                for j in range(offset, offset + k - 1):
-                    i = counts[j] + base
-                    if i < 0:
-                        if i > max_dropped_low:
-                            max_dropped_low = i
-                    elif i < last and (not ends or i > ends[-1]):
-                        ends.append(i)
+            live = list(map(add, self._mapped, accumulate(self._diff)))
+            lo = bisect_left(live, 0)
+            hi = bisect_left(live, last)
+            configurations = [[] for _ in range(self._max_buckets)]
+            for i, config in zip(live[lo:hi], self._config[lo:hi]):
+                ends = configurations[config]
+                if not ends or i > ends[-1]:
+                    ends.append(i)
+            flat = []
+            for ends in configurations:
                 ends.append(last)
-                configurations.append(ends)
-                flat.extend(ends)
-                offset += k - 1
+                flat += ends
             self._configs_cache = configurations
             self._flat_cache = flat
-            # A candidate dropped at mapped index i re-enters at shift
-            # -i; the cache survives strictly fewer shifts than that.
-            self._low_slack = -max_dropped_low - 1
+            # The highest candidate dropped for mapping below record 0,
+            # at index i < 0, re-enters at shift -i; the cache survives
+            # strictly fewer shifts than that.
+            self._low_slack = -live[lo - 1] - 1 if lo else 1 << 60
             self._shifts_pending = 0
         breaks, stats = _score_and_select(
             records, configurations, flat=flat, want_stats=True
@@ -563,10 +557,11 @@ class IncrementalExhaustivePartition:
 class ExhaustiveBucketing(BucketingAlgorithm):
     """The Exhaustive Bucketing allocation algorithm.
 
-    The candidate mappings are maintained incrementally by
-    :class:`IncrementalExhaustivePartition`, whose break indices are
-    identical to :func:`exhaustive_break_indices`; below the size where
-    that bookkeeping pays off the full search runs directly.
+    One search at every history depth: the candidate mappings are
+    maintained incrementally by :class:`IncrementalExhaustivePartition`,
+    whose break indices are identical to the paper-literal
+    :func:`exhaustive_break_indices` (kept as the reference the
+    differential tests compare against).
 
     Parameters
     ----------
@@ -616,9 +611,7 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         return IncrementalExhaustivePartition(self._records, self._max_buckets)
 
     def compute_break_indices(self, records: RecordList) -> List[int]:
-        engine = self._partition_engine
-        if records is self._records and engine.cheaper_than_full():
-            breaks = engine.break_indices()
-            if breaks is not None:
-                return breaks
-        return exhaustive_break_indices(records, max_buckets=self._max_buckets)
+        breaks = self._partition_engine.break_indices()
+        if breaks is None:
+            raise ValueError("cannot compute break indices for an empty record list")
+        return breaks

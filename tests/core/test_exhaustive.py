@@ -150,7 +150,7 @@ class TestExhaustiveBucketingAlgorithm:
         assert 1 <= len(eb.state) <= 10
 
     def test_breaks_equal_direct_search(self):
-        """Engine or full search, whichever size picks: the same breaks."""
+        """The engine serves every depth with the reference search's breaks."""
         eb = ExhaustiveBucketing(rng=np.random.default_rng(0))
         reference = RecordList()
         stream = np.clip(np.random.default_rng(0).normal(8000.0, 2000.0, 120), 50.0, None)

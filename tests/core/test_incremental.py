@@ -10,6 +10,7 @@ the implementation it replaced in ``test_greedy_differential.py``.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buckets import partition_stats
+from repro.core import exhaustive as exhaustive_module
 from repro.core.exhaustive import (
     ExhaustiveBucketing,
     IncrementalExhaustivePartition,
+    evenly_spaced_break_indices,
     exhaustive_break_indices,
 )
 from repro.core.greedy import (
@@ -100,6 +103,116 @@ def test_incremental_equals_full_search_interleaved_queries(pairs):
     assert engine.break_indices() == exhaustive_break_indices(records)
 
 
+# One arrival of the shallow-history differential: its value is built
+# from the records already held, so the stream hits what a short
+# history is made of — duplicates, repeated new maxima, zeros, and
+# values an ulp either side of a candidate v_max * i / k, where the
+# strict ``value < candidate`` comparison decides the mapping.
+arrivals = st.one_of(
+    st.tuples(st.just("value"), st.floats(min_value=0.0, max_value=1e6)),
+    st.tuples(st.just("zero"), st.none()),
+    st.tuples(st.just("duplicate"), st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("new_max"), st.floats(min_value=1.0, max_value=4.0)),
+    st.tuples(
+        st.just("candidate"),
+        st.tuples(
+            st.integers(min_value=2, max_value=10),  # k
+            st.floats(min_value=0.0, max_value=1.0),  # picks i in 1..k-1
+            st.integers(min_value=-1, max_value=1),  # ulps off the candidate
+        ),
+    ),
+)
+
+
+def arrival_value(records, kind, arg):
+    if kind == "value":
+        return arg
+    if kind == "zero" or not len(records):
+        return 0.0
+    values = records.values
+    v_max = float(values[len(records) - 1])
+    if kind == "duplicate":
+        return float(values[min(int(arg * len(records)), len(records) - 1)])
+    if kind == "new_max":
+        return v_max * arg
+    k, pick, ulps = arg
+    value = (v_max * (1 + min(int(pick * (k - 1)), k - 2))) / k
+    if ulps:
+        value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
+    return value
+
+
+@pytest.mark.parametrize("policy", [None, "evict_min", "decay", "reservoir"])
+@given(
+    st.lists(
+        st.tuples(arrivals, st.floats(min_value=0.01, max_value=1e3)),
+        min_size=1,
+        max_size=80,
+    )
+)
+@settings(deadline=None)
+def test_engine_equals_reference_after_every_shallow_mutation(policy, stream):
+    """1..80 records: the depths the engine used to hand to the full search.
+
+    After *every* mutation — single evictions (``evict_min``), batch
+    compactions (``decay``) and reservoir swaps included — the engine's
+    breaks and winner stats are those of the paper-literal reference.
+    """
+    records = (
+        RecordList() if policy is None else RecordList(capacity=9, compaction=policy)
+    )
+    engine = IncrementalExhaustivePartition(records)
+    for task_id, ((kind, arg), sig) in enumerate(stream):
+        feed(records, engine, arrival_value(records, kind, arg), sig, task_id)
+        breaks = engine.break_indices()
+        assert breaks == exhaustive_break_indices(records)
+        assert engine.consume_stats(breaks) == partition_stats(records, breaks)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+def test_overflowing_candidates_are_dropped_like_the_reference():
+    """Near the float ceiling ``v_max * i`` overflows: the candidate is
+    ``inf``, every record lies below it, and it maps onto the last
+    record — which both searches must drop, not repeat."""
+    records = RecordList()
+    engine = IncrementalExhaustivePartition(records)
+    for i, value in enumerate([1e300, 3e307, 5.0, 3e307, 1e307]):
+        feed(records, engine, value, significance=1e-6, task_id=i)
+        assert engine.break_indices() == exhaustive_break_indices(records)
+        # The winner alone would hide a repeated last index (an empty
+        # bucket scores nothing): compare every configuration.
+        assert engine._configs_cache == [
+            evenly_spaced_break_indices(records, k) for k in range(1, 11)
+        ]
+
+
+def test_exhaustive_bucketing_never_runs_the_reference_search(monkeypatch):
+    """One search at every depth: n = 1, 2, 44 and 45 all use the engine."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ExhaustiveBucketing entered the reference search")
+
+    monkeypatch.setattr(exhaustive_module, "exhaustive_break_indices", forbidden)
+    monkeypatch.setattr(exhaustive_module, "evenly_spaced_break_indices", forbidden)
+    algo = ExhaustiveBucketing(rng=np.random.default_rng(0))
+    values = np.random.default_rng(4).lognormal(mean=6.0, sigma=1.0, size=45)
+    for i, value in enumerate(values):
+        algo.update(float(value), significance=float(i + 1), task_id=i)
+        assert algo.predict() is not None
+        assert algo.partition_engine.queries == algo.recomputations == i + 1
+
+
+def test_engines_of_one_bucket_cap_share_a_read_only_layout():
+    a = IncrementalExhaustivePartition(RecordList())
+    b = ExhaustiveBucketing().partition_engine
+    assert a._layout is b._layout
+    assert a._layout is not IncrementalExhaustivePartition(RecordList(), 4)._layout
+    for array in a._layout:
+        assert array.size == a.n_candidates == 45
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_shift_cache_path_stays_exact_without_resync():
     """Inserts below every candidate ride the O(1) shift cache, exactly."""
     records = RecordList()
@@ -133,9 +246,13 @@ def test_single_bucket_engine_has_no_candidates():
     records = RecordList()
     engine = IncrementalExhaustivePartition(records, max_buckets=1)
     assert engine.n_candidates == 0
-    assert not engine.cheaper_than_full()
-    feed(records, engine, 10.0)
-    assert engine.break_indices() == [0]
+    # No candidates means one gap: every non-maximum insert is a pure
+    # shift of the single [last] configuration, served from the cache.
+    for i, value in enumerate([10.0, 4.0, 10.0, 7.0]):
+        feed(records, engine, value, task_id=i)
+        assert engine.break_indices() == [i]
+        assert engine.break_indices() == exhaustive_break_indices(records, max_buckets=1)
+    assert engine.resyncs == 1
 
 
 def test_break_indices_empty_records_returns_none():
