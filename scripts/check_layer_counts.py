@@ -10,14 +10,11 @@ are decided by the program alone (same seed, same ops, same number) and
 a change that moves one has changed what a request does.  Reads the
 output of an all-workload traced run — every line that is a JSON object
 with a ``metrics`` entry keyed by workload, other lines are skipped —
-and fails unless every such line holds:
-
-* ``protocol.validate_calls_per_op == 1`` on the two wire workloads
-  (each operation document is validated once: by the service for what
-  reaches a shard, by the server for what it answers itself);
-* ``client.retries``, ``shards.shed`` and ``server.rejected_requests``
-  are 0 on every workload (the closed-loop benchmark never overloads
-  the daemon, so a retry, a shed or a refusal is a bug, not load).
+and fails unless on every such line ``client.retries``, ``shards.shed``
+and ``server.rejected_requests`` are 0 on every workload (the
+closed-loop benchmark never overloads the daemon, so a retry, a shed or
+a refusal is a bug, not load).  ``protocol.validate_calls_per_op`` is
+not held here: ``benchmarks/e2e/test_e2e_smoke.py`` pins it.
 
 Standard library only.  Exit status: 0 when every count holds, 1
 otherwise (including when no traced line was found).
@@ -31,7 +28,6 @@ from typing import Any, Dict, Iterable, List
 
 WIRE_WORKLOADS = ("svc-wire-durable", "svc-batch-ingest")
 
-VALIDATE_CALLS = "protocol.validate_calls_per_op"
 ZERO_COUNTS = ("client.retries", "shards.shed", "server.rejected_requests")
 
 
@@ -55,18 +51,12 @@ def traced_lines(lines: Iterable[str]) -> List[Dict[str, Any]]:
 def problems(metrics: Dict[str, Any]) -> List[str]:
     """What one traced line gets wrong; empty when every count holds."""
     wrong = []
-
-    def held(workload: str, name: str, expected: float) -> None:
-        entry = metrics.get(workload, {}).get(name)
-        value = entry.get("value") if isinstance(entry, dict) else None
-        if value != expected:
-            wrong.append(f"{workload}: {name} is {value!r}, expected {expected:g}")
-
-    for workload in WIRE_WORKLOADS:
-        held(workload, VALIDATE_CALLS, 1.0)
     for workload in sorted(set(metrics) | set(WIRE_WORKLOADS)):
         for name in ZERO_COUNTS:
-            held(workload, name, 0.0)
+            entry = metrics.get(workload, {}).get(name)
+            value = entry.get("value") if isinstance(entry, dict) else None
+            if value != 0:
+                wrong.append(f"{workload}: {name} is {value!r}, expected 0")
     return wrong
 
 

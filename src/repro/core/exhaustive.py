@@ -611,6 +611,7 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         return IncrementalExhaustivePartition(self._records, self._max_buckets)
 
     def compute_break_indices(self, records: RecordList) -> List[int]:
+        assert records is self._records, "the engine is bound to this algorithm's own records"
         breaks = self._partition_engine.break_indices()
         if breaks is None:
             raise ValueError("cannot compute break indices for an empty record list")

@@ -10,17 +10,13 @@ The same operation documents double as WAL entries and as the in-
 process API's wire format, so validation lives here, once:
 :func:`validate_request` rejects malformed documents *before* they are
 enqueued or logged (an invalid document must never reach the WAL, where
-replay would trip over it).  It also runs once per document:
-:class:`~repro.service.service.AllocationService` calls it for the
-operations that reach a shard (:data:`SHARD_OPS`, whether they arrived
-in process or over the wire), the server only for what it answers
-itself (:data:`ADMIN_OPS` and unknown ops).
+replay would trip over it).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.core.resources import Resource
 from repro.service.shards import MUTATING_OPS, OP_RECORD, OP_RETRY
@@ -28,7 +24,6 @@ from repro.service.shards import MUTATING_OPS, OP_RECORD, OP_RETRY
 __all__ = [
     "ProtocolError",
     "ADMIN_OPS",
-    "SHARD_OPS",
     "MAX_LINE_BYTES",
     "MAX_KEY_BYTES",
     "ERROR_CODES",
@@ -42,7 +37,6 @@ __all__ = [
     "ERR_INTERNAL",
     "RETRYABLE_CODES",
     "parse_line",
-    "batch_requests",
     "validate_request",
     "encode",
     "ok_response",
@@ -53,11 +47,8 @@ __all__ = [
 #: shard queue.
 ADMIN_OPS = ("ping", "stats", "health", "snapshot", "shutdown")
 
-#: Operations that reach a shard queue; the service validates these.
-SHARD_OPS = MUTATING_OPS + ("allocate_batch",)
-
 #: Everything the front end accepts.
-REQUEST_OPS = SHARD_OPS + ADMIN_OPS
+REQUEST_OPS = MUTATING_OPS + ("allocate_batch",) + ADMIN_OPS
 
 #: Ceiling on one request line; protects the server from an unframed
 #: client streaming garbage into memory.
@@ -161,47 +152,10 @@ def _require_vector(
             )
 
 
-def _check_key(doc: Mapping[str, Any]) -> None:
-    key = doc.get("key")
-    if key is not None:
-        if not isinstance(key, str) or not key:
-            raise ProtocolError(
-                f"{doc.get('op')}: 'key' must be a non-empty string when given"
-            )
-        if len(key.encode("utf-8")) > MAX_KEY_BYTES:
-            raise ProtocolError(
-                f"{doc.get('op')}: idempotency key exceeds {MAX_KEY_BYTES} bytes"
-            )
-
-
-def batch_requests(doc: Mapping[str, Any]) -> List[Any]:
-    """The nested request list of an ``allocate_batch`` document.
-
-    Checks the envelope only; each nested request is still to be
-    validated with ``validate_request(request, resources, depth=1)``.
-    """
-    _check_key(doc)
-    requests = doc.get("requests")
-    if not isinstance(requests, list) or not requests:
-        raise ProtocolError("allocate_batch: 'requests' must be a non-empty list")
-    return requests
-
-
 def validate_request(
     doc: Mapping[str, Any], resources: Sequence[Resource], depth: int = 0
 ) -> None:
-    """Schema-check one request document (recursing into batches).
-
-    ``depth=1`` validates ``doc`` as a request nested in a batch: it
-    must be an object carrying one of the shard operations.
-    """
-    if depth > 0:
-        if not isinstance(doc, dict):
-            raise ProtocolError("allocate_batch: every request must be an object")
-        if doc.get("op") not in MUTATING_OPS:
-            raise ProtocolError(
-                f"allocate_batch: nested op must be one of {sorted(MUTATING_OPS)}"
-            )
+    """Schema-check one request document (recursing into batches)."""
     op = doc.get("op")
     if op not in REQUEST_OPS:
         raise ProtocolError(
@@ -210,11 +164,31 @@ def validate_request(
         )
     if op in ADMIN_OPS:
         return
+    key = doc.get("key")
+    if key is not None:
+        if not isinstance(key, str) or not key:
+            raise ProtocolError(
+                f"{op}: 'key' must be a non-empty string when given"
+            )
+        if len(key.encode("utf-8")) > MAX_KEY_BYTES:
+            raise ProtocolError(
+                f"{op}: idempotency key exceeds {MAX_KEY_BYTES} bytes"
+            )
     if op == "allocate_batch":
-        for sub in batch_requests(doc):
+        if depth > 0:
+            raise ProtocolError("allocate_batch cannot be nested")
+        requests = doc.get("requests")
+        if not isinstance(requests, list) or not requests:
+            raise ProtocolError("allocate_batch: 'requests' must be a non-empty list")
+        for sub in requests:
+            if not isinstance(sub, dict):
+                raise ProtocolError("allocate_batch: every request must be an object")
+            if sub.get("op") not in MUTATING_OPS:
+                raise ProtocolError(
+                    f"allocate_batch: nested op must be one of {sorted(MUTATING_OPS)}"
+                )
             validate_request(sub, resources, depth=depth + 1)
         return
-    _check_key(doc)
     _require_str(doc, "category")
     _require_int(doc, "task_id")
     if op == OP_RETRY:

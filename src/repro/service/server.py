@@ -53,9 +53,7 @@ from repro.service.protocol import (
     ERR_TIMEOUT,
     ERR_TOO_LARGE,
     MAX_LINE_BYTES,
-    SHARD_OPS,
     ProtocolError,
-    batch_requests,
     encode,
     error_response,
     ok_response,
@@ -280,10 +278,7 @@ class AllocationServer:
                     f"in-flight limit ({config.max_inflight_requests}) reached",
                     retry_after=RETRY_AFTER_S,
                 )
-            if doc.get("op") not in SHARD_OPS:
-                # Admin and unknown ops are answered here; what reaches
-                # a shard is validated, once, by AllocationService.
-                validate_request(doc, self._service.resources)
+            validate_request(doc, self._service.resources)
             self._inflight += 1
             try:
                 return ok_response(request_id, await self._dispatch(doc))
@@ -325,7 +320,7 @@ class AllocationServer:
             self.shutdown_requested.set()
             return {"shutting_down": True}
         if op == "allocate_batch":
-            return {"responses": await self._service.submit_batch(batch_requests(doc))}
+            return {"responses": await self._service.submit_batch(doc["requests"])}
         return await self._service.submit(doc)
 
 

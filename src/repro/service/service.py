@@ -54,12 +54,7 @@ from repro.core.allocator import TaskOrientedAllocator
 from repro.core.resources import Resource, ResourceVector
 from repro.service.chaos import CRASH_POINTS
 from repro.service.config import ServiceConfig
-from repro.service.protocol import (
-    ADMIN_OPS,
-    ProtocolError,
-    batch_requests,
-    validate_request,
-)
+from repro.service.protocol import ADMIN_OPS, ProtocolError, validate_request
 from repro.service.shards import (
     OP_ALLOCATE,
     OP_RECORD,
@@ -532,21 +527,19 @@ class AllocationService:
     # -- the request API -------------------------------------------------------
 
     async def submit(self, op: Dict[str, Any]) -> Dict[str, Any]:
-        """Validate and apply one operation document; returns the result doc.
+        """Apply one validated operation document; returns the result doc.
 
-        This is the generic entry the wire front end uses — and the one
-        place a shard operation is validated, once, whichever way it
-        arrived; the typed helpers below build the documents for
-        in-process callers.
+        This is the generic entry the wire front end uses; the typed
+        helpers below build the documents for in-process callers.
         """
         if op.get("op") in ADMIN_OPS:
             raise ProtocolError(
                 f"{op.get('op')!r} is a front-end operation; call the "
                 "service method directly"
             )
-        if op.get("op") == "allocate_batch":
-            return {"responses": await self.submit_batch(batch_requests(op))}
         validate_request(op, self.resources)
+        if op["op"] == "allocate_batch":
+            return {"responses": await self.submit_batch(op["requests"])}
         return await self._shard(op["category"]).submit(op)
 
     async def submit_batch(
@@ -560,6 +553,12 @@ class AllocationService:
         different shards touch disjoint allocators.
         """
         for request in requests:
+            if not isinstance(request, dict):
+                raise ProtocolError("allocate_batch: every request must be an object")
+            if request.get("op") not in (OP_ALLOCATE, OP_RETRY, OP_RECORD):
+                raise ProtocolError(
+                    f"allocate_batch: nested op {request.get('op')!r} not allowed"
+                )
             validate_request(request, self.resources, depth=1)
         by_shard: Dict[int, List[int]] = {}
         for position, request in enumerate(requests):

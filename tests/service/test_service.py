@@ -285,79 +285,6 @@ def test_parse_line_and_nested_batch_validation():
         validate_request({"op": "allocate_batch", "requests": []}, resources)
 
 
-def test_documents_are_validated_once_with_typed_wire_codes(tmp_path_factory, monkeypatch):
-    """Shard ops are validated by the service, admin/unknown ops by the
-    server — one ``validate_request`` call per operation document on the
-    wire and in process — and a malformed batch is still ``bad_request``
-    (never a ``KeyError`` surfacing as ``internal``)."""
-    from repro.service import AllocationServer
-    from repro.service import server as server_module
-    from repro.service import service as service_module
-
-    calls = {"server": 0, "service": 0}
-
-    def counting(site):
-        def wrapper(doc, resources, depth=0):
-            calls[site] += 1
-            return validate_request(doc, resources, depth)
-
-        return wrapper
-
-    monkeypatch.setattr(server_module, "validate_request", counting("server"))
-    monkeypatch.setattr(service_module, "validate_request", counting("service"))
-
-    allocate = {"op": "allocate", "category": "proc", "task_id": 0}
-    record = {
-        "op": "record",
-        "category": "proc",
-        "task_id": 0,
-        "peaks": {"cores": 1, "memory": 500.0, "disk": 10.0},
-    }
-    batch = {"op": "allocate_batch", "requests": [allocate, record, allocate]}
-    # (document, expected error code or None, server calls, service calls)
-    script = [
-        (allocate, None, 0, 1),
-        (record, None, 0, 1),
-        (batch, None, 0, 3),
-        ({"op": "ping"}, None, 1, 0),
-        ({"op": "explode"}, "unknown_op", 1, 0),
-        ({}, "unknown_op", 1, 0),
-        ({"op": "allocate_batch"}, "bad_request", 0, 0),
-        ({"op": "allocate_batch", "requests": "x"}, "bad_request", 0, 0),
-        ({"op": "allocate_batch", "requests": [allocate], "key": ""}, "bad_request", 0, 0),
-        ({"op": "allocate_batch", "requests": [1]}, "bad_request", 0, 1),
-        ({"op": "allocate_batch", "requests": [{"op": "stats"}]}, "bad_request", 0, 1),
-        ({"op": "allocate_batch", "requests": [allocate, batch]}, "bad_request", 0, 2),
-        ({"op": "record", "category": "proc", "task_id": 1}, "bad_request", 0, 1),
-    ]
-
-    async def scenario():
-        sock = os.path.join(str(tmp_path_factory.mktemp("v1")), "s.sock")
-        service = AllocationService(_config())
-        await service.start()
-        server = AllocationServer(service, socket_path=sock)
-        await server.start()
-        try:
-            reader, writer = await asyncio.open_unix_connection(sock)
-            for doc, code, at_server, at_service in script:
-                calls.update(server=0, service=0)
-                writer.write(json.dumps(doc).encode() + b"\n")
-                await writer.drain()
-                response = json.loads(await asyncio.wait_for(reader.readline(), 10.0))
-                assert (None if response["ok"] else response["error"]["code"]) == code, doc
-                assert (calls["server"], calls["service"]) == (at_server, at_service), doc
-            writer.close()
-            # In process there is no server: the service alone validates.
-            calls.update(server=0, service=0)
-            assert len((await service.submit(batch))["responses"]) == 3
-            assert calls == {"server": 0, "service": 3}
-        finally:
-            await server.stop()
-            await service.stop()
-
-    run(scenario())
-
-
 # ---------------------------------------------------------------------------
 # Backpressure
 # ---------------------------------------------------------------------------
