@@ -8,6 +8,8 @@ module provides the shared vocabulary for those 4-tuples:
 * :class:`Resource` — a registered resource kind (cores, memory, disk,
   wall time by default; additional kinds such as GPUs can be registered,
   matching the paper's future-work extension to more resource types).
+  Kinds are interned — one instance per key, in every process — so
+  they compare and hash by identity, at C speed.
 * :class:`ResourceVector` — an immutable mapping from resource kinds to
   float magnitudes with the componentwise algebra the allocator and the
   simulator need (``fits_within``, ``exceeded_by``, scaling, max, ...).
@@ -18,17 +20,22 @@ are MB, time is seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Tuple, Type
 
 
-@dataclass(frozen=True)
 class Resource:
     """A kind of consumable resource, e.g. cores or memory.
 
-    Resources are identified by ``key``; two ``Resource`` instances with
-    the same key compare equal.  ``unit`` and ``description`` are
-    presentation metadata only.
+    There is exactly **one instance per key**: ``Resource("cores") is
+    CORES``.  Constructing a key that already exists hands back that
+    instance (its ``unit``/``divisible`` — presentation metadata only —
+    are the first construction's), and pickling or copying one resolves
+    to the receiving process's instance by key.  "Equal by key" therefore
+    *is* identity, which is why the class defines neither ``__eq__`` nor
+    ``__hash__``: every ``dict[Resource, float]`` probe — worker fit
+    checks, the invariant audit, ``ResourceVector`` lookups, hundreds per
+    simulated task — runs ``object``'s C slots instead of re-entering the
+    interpreter to hash a string.
 
     Attributes
     ----------
@@ -42,27 +49,44 @@ class Resource:
         them up; the allocator never forces integrality).
     """
 
+    __slots__ = ("key", "unit", "divisible")
+
     key: str
-    unit: str = ""
-    divisible: bool = True
+    unit: str
+    divisible: bool
 
-    def __post_init__(self) -> None:
-        if not self.key or not self.key.replace("_", "").isalnum():
-            raise ValueError(f"invalid resource key: {self.key!r}")
+    def __new__(cls, key: str, unit: str = "", divisible: bool = True) -> "Resource":
+        existing = _INTERNED.get(key)
+        if existing is not None:
+            return existing
+        if not key or not key.replace("_", "").isalnum():
+            raise ValueError(f"invalid resource key: {key!r}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "divisible", divisible)
+        # setdefault is atomic: two threads racing on a new key agree.
+        return _INTERNED.setdefault(key, self)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Resource):
-            return self.key == other.key
-        return NotImplemented
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Resource is immutable")
 
-    def __hash__(self) -> int:
-        return hash(self.key)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Resource is immutable")
+
+    def __reduce__(self) -> Tuple[Type["Resource"], Tuple[str, str, bool]]:
+        # pickle / copy / deepcopy rebuild through __new__, i.e. intern.
+        return (Resource, (self.key, self.unit, self.divisible))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Resource({self.key!r})"
 
     def __str__(self) -> str:
         return self.key
+
+
+#: The one instance of every resource kind ever constructed, by key.
+_INTERNED: Dict[str, Resource] = {}
 
 
 class _ResourceNamespace:
@@ -146,22 +170,27 @@ class ResourceVector(Mapping[Resource, float]):
 
     def __init__(
         self,
-        data: Mapping[Resource, float] | Iterable[Tuple[Resource, float]] = (),
+        data: (
+            Mapping[Resource, float]
+            | Mapping[str, float]
+            | Iterable[Tuple[Resource | str, float]]
+        ) = (),
         **by_key: float,
     ) -> None:
         items: Dict[Resource, float] = {}
-        pairs = data.items() if isinstance(data, Mapping) else data
-        for res, value in pairs:
-            if not isinstance(res, Resource):
-                res = RESOURCES.get(str(res))
-            items[res] = float(value)
-        for key, value in by_key.items():
-            items[RESOURCES.get(key)] = float(value)
-        for res, value in items.items():
-            if value < 0:
-                raise ValueError(f"negative {res.key} component: {value}")
-            if value != value:  # NaN
-                raise ValueError(f"NaN {res.key} component")
+        positional: Iterable[Tuple[Resource | str, float]] = (
+            data.items() if isinstance(data, Mapping) else data
+        )
+        for pairs in (positional, by_key.items()):
+            for res, value in pairs:
+                if not isinstance(res, Resource):
+                    res = RESOURCES.get(str(res))
+                value = float(value)
+                if value < 0:
+                    raise ValueError(f"negative {res.key} component: {value}")
+                if value != value:  # NaN
+                    raise ValueError(f"NaN {res.key} component")
+                items[res] = value
         self._data = items
         self._hash: int | None = None
 
@@ -200,7 +229,7 @@ class ResourceVector(Mapping[Resource, float]):
     @classmethod
     def from_state(cls, state: Mapping[str, float]) -> "ResourceVector":
         """Rebuild a vector captured by :meth:`state_dict`."""
-        return cls({RESOURCES.get(key): float(value) for key, value in state.items()})
+        return cls(state)
 
     # -- algebra -----------------------------------------------------------
 

@@ -34,7 +34,6 @@ import asyncio
 import json
 import random
 import socket
-import sys
 import time
 import uuid
 from collections.abc import Awaitable, Callable, Generator, Sequence
@@ -43,6 +42,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional, TypeVar, Union
 
 from repro.core.resources import Resource, ResourceVector
+from repro.service._aio import within
 from repro.service.protocol import (
     ERR_SHUTTING_DOWN,
     ERR_TIMEOUT,
@@ -99,24 +99,6 @@ class _StreamCorrupt(Exception):
 _TRANSPORT_FAILURES = (OSError, TimeoutError, _StreamCorrupt)
 
 T = TypeVar("T")
-
-if sys.version_info >= (3, 11):
-
-    async def _within(seconds: Optional[float], awaitable: Awaitable[T]) -> T:
-        """``asyncio.wait_for`` minus the Task it wraps ``awaitable`` in.
-
-        A Task per exchange costs the loop extra passes on every
-        request; ``asyncio.timeout`` puts the same deadline on the
-        calling task and raises the same ``TimeoutError``.
-        """
-        async with asyncio.timeout(seconds):
-            return await awaitable
-
-else:  # asyncio.timeout is new in Python 3.11
-
-    def _within(seconds: Optional[float], awaitable: Awaitable[T]) -> Awaitable[T]:
-        return asyncio.wait_for(awaitable, timeout=seconds)
-
 
 #: What a typed helper returns: the value from the blocking client, an
 #: awaitable of it from the asyncio client.
@@ -558,7 +540,7 @@ class AsyncServiceClient(_Session):
 
     def _exchange(self, data: bytes) -> Awaitable[bytes]:
         """Send ``data``, read one line: both under the one read deadline."""
-        return _within(self.retry.read_timeout, self._send_and_read(data))
+        return within(self.retry.read_timeout, self._send_and_read(data))
 
     async def _send_and_read(self, data: bytes) -> bytes:
         assert self._reader is not None and self._writer is not None

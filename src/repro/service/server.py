@@ -44,6 +44,7 @@ import signal as _signal
 import sys
 from typing import Any, Dict, Optional
 
+from repro.service._aio import within
 from repro.service.config import ServiceConfig
 from repro.service.protocol import (
     ERR_INTERNAL,
@@ -192,9 +193,7 @@ class AllocationServer:
             while True:
                 try:
                     if read_timeout is not None:
-                        line = await asyncio.wait_for(
-                            reader.readline(), timeout=read_timeout
-                        )
+                        line = await within(read_timeout, reader.readline())
                     else:
                         line = await reader.readline()
                 except asyncio.TimeoutError:

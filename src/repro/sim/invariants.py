@@ -87,9 +87,12 @@ class InvariantChecker:
             )
         self._last_now = now
         for worker in self._manager.pool.alive_workers():
-            committed = worker.committed_values()
+            # Audit the free table itself, raw: unlike Worker.committed
+            # this can see an overcommitted state, and a stale cached
+            # fit bound cannot hide one.
+            free = worker._free
             for res, cap in worker.capacity.raw.items():
-                value = committed[res]
+                value = cap - free[res]
                 if value > cap * (1.0 + _RTOL) + 1e-9:
                     raise InvariantViolation(
                         f"worker {worker.worker_id} overcommitted at t={now}: "

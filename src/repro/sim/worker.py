@@ -13,7 +13,9 @@ dispatch scan probes every queued task against every worker), so the
 worker maintains a plain float dict of *free* capacity updated
 incrementally on place/release, with per-resource absolute tolerances
 so float residue from fractional allocations can never make an empty
-worker reject a full-capacity request.
+worker reject a full-capacity request.  The fit bound ``free +
+tolerance`` is kept beside the free table and rewritten with it, so a
+fit check is one dict probe and one comparison per requested resource.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class Worker:
         "_running",
         "_free",
         "_tolerance",
+        "_fit_bound",
         "joined_at",
         "left_at",
         "busy_time",
@@ -47,10 +50,10 @@ class Worker:
         self.worker_id = worker_id
         self.capacity = capacity
         self._running: Dict[int, ResourceVector] = {}
-        self._free: Dict[Resource, float] = dict(capacity.raw)
         self._tolerance: Dict[Resource, float] = {
             res: 1e-9 * max(cap, 1.0) for res, cap in capacity.raw.items()
         }
+        self._reset_free(dict(capacity.raw))
         self.joined_at = joined_at
         self.left_at: Optional[float] = None
         #: Accumulated task-seconds hosted, for utilization reporting.
@@ -60,38 +63,37 @@ class Worker:
 
     @property
     def committed(self) -> ResourceVector:
-        """Sum of allocations of the currently hosted tasks."""
-        return self.capacity - ResourceVector(self._free)
+        """Sum of allocations of the currently hosted tasks.
+
+        ``capacity - free`` clamped into ``[0, capacity]``: the free
+        table may legitimately sit a tolerance below zero (see
+        :meth:`can_fit`), which is not a negative commitment.
+        """
+        free = self._free
+        return ResourceVector(
+            {
+                res: min(max(cap - free[res], 0.0), cap)
+                for res, cap in self.capacity.raw.items()
+            }
+        )
 
     def free_capacity(self) -> ResourceVector:
         return ResourceVector({r: max(0.0, v) for r, v in self._free.items()})
 
-    def committed_values(self) -> Dict[Resource, float]:
-        """Raw committed magnitudes per resource, without validation.
-
-        Unlike :attr:`committed` this can represent an *overcommitted*
-        state (committed > capacity), which is exactly what the
-        invariant checker needs to be able to see.
-        """
-        return {
-            res: self.capacity.raw[res] - free for res, free in self._free.items()
-        }
-
     def can_fit(self, allocation: ResourceVector) -> bool:
         """Whether an additional task with this allocation fits now."""
-        free = self._free
-        tolerance = self._tolerance
+        fit_bound = self._fit_bound
         for res, requested in allocation.raw.items():
             if res is TIME:
                 # Wall time is a per-task limit, not worker capacity:
                 # hosting a task does not consume "time" from the node.
                 continue
-            slack = free.get(res)
-            if slack is None:
+            bound = fit_bound.get(res)
+            if bound is None:
                 # The worker has no capacity of this resource at all.
                 if requested > 1e-9:
                     return False
-            elif requested > slack + tolerance[res]:
+            elif requested > bound:
                 return False
         return True
 
@@ -134,7 +136,7 @@ class Worker:
         free = self._free
         for res, requested in allocation.raw.items():
             if res in free:
-                free[res] -= requested
+                self._write_free(res, free[res] - requested)
 
     def release(self, task_id: int, held_for: float = 0.0) -> ResourceVector:
         """Free a task's reservation; returns the released allocation."""
@@ -148,10 +150,10 @@ class Worker:
             free = self._free
             for res, requested in allocation.raw.items():
                 if res in free:
-                    free[res] += requested
+                    self._write_free(res, free[res] + requested)
         else:
             # Snap to exact capacity so float residue never accumulates.
-            self._free = dict(self.capacity.raw)
+            self._reset_free(dict(self.capacity.raw))
         self.busy_time += held_for
         return allocation
 
@@ -188,21 +190,35 @@ class Worker:
                     if res in free:
                         free[res] -= requested
             if all(v >= -self._tolerance[res] for res, v in free.items()):
-                self._free = free
                 break
             victim_id = next(reversed(self._running))
             evicted[victim_id] = self._running.pop(victim_id)
-        if not self._running:
-            self._free = dict(self.capacity.raw)
+        self._reset_free(free)
         return evicted
 
     def evict_all(self, now: float) -> Dict[int, ResourceVector]:
         """Drop every hosted task (the worker is leaving the pool)."""
         evicted = dict(self._running)
         self._running.clear()
-        self._free = dict(self.capacity.raw)
+        self._reset_free(dict(self.capacity.raw))
         self.left_at = now
         return evicted
+
+    # -- the free table's two writers ---------------------------------------------------
+    # ``_fit_bound`` is ``free + tolerance`` per resource — the largest
+    # request ``can_fit`` admits — and changes only here, together with
+    # the ``_free`` entry it is computed from.
+
+    def _write_free(self, res: Resource, slack: float) -> None:
+        self._free[res] = slack
+        self._fit_bound[res] = slack + self._tolerance[res]
+
+    def _reset_free(self, free: Dict[Resource, float]) -> None:
+        tolerance = self._tolerance
+        self._free: Dict[Resource, float] = free
+        self._fit_bound: Dict[Resource, float] = {
+            res: slack + tolerance[res] for res, slack in free.items()
+        }
 
     def __repr__(self) -> str:
         status = "alive" if self.alive else f"left@{self.left_at:.0f}s"

@@ -1,5 +1,9 @@
 """Tests for the resource model."""
 
+import copy
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro.core.resources import (
@@ -54,6 +58,81 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource("no spaces")
 
+    def test_one_instance_per_key(self):
+        assert Resource("cores") is CORES
+        assert Resource("cores", unit="whatever", divisible=False) is CORES
+        assert CORES.unit == "cores" and CORES.divisible  # first construction wins
+        fresh = Resource("test_unregistered_kind", unit="widgets")
+        assert Resource("test_unregistered_kind") is fresh
+        with pytest.raises(KeyError):  # interned, but only register() registers
+            resource("test_unregistered_kind")
+
+    def test_equality_and_hash_are_identity(self):
+        """Regression guard: a Python-level ``__hash__`` here was entered
+        492 times per simulated task."""
+        assert Resource.__hash__ is object.__hash__
+        assert Resource.__eq__ is object.__eq__
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            CORES.key = "memory"
+        with pytest.raises(AttributeError):
+            CORES.unit = "threads"
+        with pytest.raises(AttributeError):
+            del CORES.key
+        with pytest.raises(AttributeError):
+            CORES.description = "no __dict__ either"
+        assert CORES.key == "cores"
+
+    def test_pickle_and_copy_return_the_singleton(self):
+        late = RESOURCES.register("test_late_kind", unit="widgets")
+        for res in (CORES, TIME, late):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(res, protocol)) is res
+            assert copy.copy(res) is res
+            assert copy.deepcopy(res) is res
+        vector = ResourceVector({CORES: 2.0, late: 1.0})
+        clone = copy.deepcopy(vector)
+        assert clone == vector and clone is not vector
+        assert all(a is b for a, b in zip(clone, vector))
+
+    @pytest.mark.slow
+    def test_round_trip_through_a_spawn_child(self):
+        """What ``run_grid(jobs=N)`` relies on: vectors and ledgers cross
+        the process boundary keyed by each side's own singletons —
+        including a kind the child never registered."""
+        from repro.sim.accounting import Ledger
+
+        late = RESOURCES.register("test_late_kind", unit="widgets")
+        vector = ResourceVector({CORES: 0.1 + 0.2, MEMORY: 512.0, late: 3.0})
+        ledger = Ledger((CORES, MEMORY, late))
+        ledger._consumption[late] = 1.0 / 3.0
+        ledger._allocation[late] = 2.0 / 3.0
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(1) as pool:
+            child_ok, vector_back, ledger_back = pool.apply(
+                _echo_from_child, (vector, ledger)
+            )
+        assert child_ok
+        assert vector_back == vector
+        assert [res for res in vector_back] == [CORES, MEMORY, late]
+        assert all(a is b for a, b in zip(vector_back, vector))
+        assert all(a is b for a, b in zip(ledger_back.resources, ledger.resources))
+        assert ledger_back.state_dict() == ledger.state_dict()
+        assert ledger_back.awe(late) == ledger.awe(late) == 0.5
+
+
+def _echo_from_child(vector, ledger):
+    """Runs in the spawn child of ``test_round_trip_through_a_spawn_child``."""
+    keys = ("cores", "memory", "test_late_kind")
+    child_ok = (
+        all(res is Resource(key) for res, key in zip(vector, keys))
+        and vector[CORES] == 0.1 + 0.2
+        and all(res is Resource(key) for res, key in zip(ledger.resources, keys))
+        and ledger.awe(Resource("test_late_kind")) == 0.5
+    )
+    return child_ok, vector, ledger
+
 
 class TestResourceVector:
     def test_of_constructor_drops_zeros(self):
@@ -77,6 +156,21 @@ class TestResourceVector:
     def test_nan_component_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             ResourceVector({CORES: float("nan")})
+
+    def test_state_round_trip_and_validation(self):
+        v = ResourceVector({CORES: 0.1 + 0.2, MEMORY: 0.0, TIME: 7})
+        state = v.state_dict()
+        assert state == {"cores": 0.1 + 0.2, "memory": 0.0, "time": 7.0}
+        restored = ResourceVector.from_state(state)
+        assert restored.raw == v.raw and type(restored.raw) is dict
+        assert list(restored.raw) == [CORES, MEMORY, TIME]
+        assert all(type(x) is float for x in ResourceVector.from_state({"cores": 2}).raw.values())
+        with pytest.raises(KeyError, match="unknown resource 'plutonium'"):
+            ResourceVector.from_state({"plutonium": 1.0})
+        with pytest.raises(ValueError, match="negative memory component: -1.0"):
+            ResourceVector.from_state({"cores": 1.0, "memory": -1})
+        with pytest.raises(ValueError, match="NaN cores component"):
+            ResourceVector.from_state({"cores": float("nan")})
 
     def test_fits_within(self):
         usage = ResourceVector.of(cores=2, memory=900)

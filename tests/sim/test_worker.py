@@ -1,8 +1,17 @@
 """Tests for worker capacity accounting."""
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
-from repro.core.resources import CORES, MEMORY, ResourceVector
+from repro.core.resources import CORES, DISK, MEMORY, RESOURCES, TIME, ResourceVector
 from repro.sim.worker import Worker
 
 
@@ -101,3 +110,158 @@ class TestWorkerPlacement:
         w = make_worker()
         w.place(7, ResourceVector.of(cores=1, memory=1, disk=1))
         assert w.running_task_ids == (7,)
+
+
+class TestToleratedResidue:
+    """``can_fit`` admits ``requested <= free + tolerance``, so the free
+    table may end a hair below zero.  That is not a negative commitment."""
+
+    @staticmethod
+    def overfilled_worker(worker_id=0):
+        w = Worker(worker_id, ResourceVector.of(cores=1))
+        for task_id in range(9):
+            w.place(task_id, ResourceVector.of(cores=0.1))
+        w.place(9, ResourceVector.of(cores=w._free[CORES] + 5e-10))
+        assert w._free[CORES] == -4.999999997368221e-10
+        return w
+
+    def test_committed_survives_negative_residue(self):
+        w = self.overfilled_worker()
+        assert w.committed == ResourceVector.of(cores=1)  # clamped to capacity
+        assert w.free_capacity()[CORES] == 0.0
+        assert not w.has_headroom()
+        assert not w.can_fit(ResourceVector.of(cores=0.1))
+
+    def test_timeline_sample_over_such_a_worker(self):
+        from repro.sim.observability import TimelineRecorder
+        from tests.sim.test_observability import make_manager
+
+        manager = make_manager()
+        recorder = TimelineRecorder(manager, period=30.0)
+        manager._pool._workers[99] = self.overfilled_worker(99)
+        recorder._sample()
+        sample = recorder.timeline.samples[-1]
+        assert sample.n_workers == 4 and sample.n_running_tasks == 10
+        assert sample.utilization["cores"] == 1 / 25
+
+
+#: Resources a request may name: the worker's own, wall time (never
+#: capacity) and a kind no worker has.
+UNKNOWN = RESOURCES.register("test_worker_fit_unknown", unit="devices")
+REQUEST_VALUES = st.one_of(
+    st.sampled_from((0.0, 1e-10, 1e-9, 2e-9, 0.1, 0.5, 1.0, 2.0, 100.0, 4000.0, 1e9)),
+    st.floats(0.0, 5000.0),
+)
+REQUESTS = st.dictionaries(
+    st.sampled_from((CORES, MEMORY, DISK, TIME, UNKNOWN)), REQUEST_VALUES, max_size=5
+).map(ResourceVector)
+CAPACITIES = st.sampled_from(
+    (
+        ResourceVector.of(cores=1),
+        ResourceVector.of(cores=4, memory=4000, disk=4000),
+        ResourceVector.of(cores=16, memory=64000, disk=64000),
+        # Capacity "of time" means nothing to a fit check, whatever it says.
+        ResourceVector.of(cores=2, memory=1000, time=10),
+    )
+)
+#: Where around the bound a boundary probe lands, in tolerances.
+NUDGES = (-1.0, 0.0, 0.5, 1.0, 1.5, 3.0)
+
+
+def reference_can_fit(worker, allocation):
+    """The fit rule, spelled out from the free table (the pre-bound code)."""
+    for res, requested in allocation.raw.items():
+        if res is TIME:
+            continue
+        slack = worker._free.get(res)
+        if slack is None:
+            if requested > 1e-9:
+                return False
+        elif requested > slack + worker._tolerance[res]:
+            return False
+    return True
+
+
+class WorkerFitMachine(RuleBasedStateMachine):
+    """``can_fit`` answers from bounds cached beside the free table; after
+    any sequence of writes it must still be the reference expression on
+    the table itself.  A writer that forgets its bound fails here."""
+
+    @initialize(capacity=CAPACITIES)
+    def start(self, capacity):
+        self.worker = Worker(0, capacity)
+        self.next_id = 0
+
+    def _place(self, allocation):
+        fits = reference_can_fit(self.worker, allocation)
+        assert self.worker.can_fit(allocation) == fits
+        if fits:
+            self.worker.place(self.next_id, allocation)
+            self.next_id += 1
+        else:
+            with pytest.raises(ValueError, match="does not fit"):
+                self.worker.place(self.next_id, allocation)
+
+    @rule(allocation=REQUESTS)
+    def place(self, allocation):
+        self._place(allocation)
+
+    @rule(share=st.sampled_from((0.1, 0.25, 1 / 3, 0.5)))
+    def place_share_of_capacity(self, share):
+        self._place(self.worker.capacity * share)
+
+    @rule(nudge=st.sampled_from(NUDGES), which=st.integers(0, 3))
+    def place_at_the_bound(self, nudge, which):
+        """Exact fill (nudge 0), tolerated residue (0 < nudge <= 1), or
+        just too much, in one dimension; the rest of the free table."""
+        free = {r: max(0.0, v) for r, v in self.worker._free.items()}
+        res = list(free)[which % len(free)]
+        free[res] = max(0.0, self.worker._free[res] + nudge * self.worker._tolerance[res])
+        self._place(ResourceVector(free))
+
+    @precondition(lambda self: self.worker.n_running)
+    @rule(index=st.integers(0, 1000))
+    def release(self, index):
+        running = self.worker.running_task_ids
+        self.worker.release(running[index % len(running)], held_for=1.0)
+
+    @rule(shrink=st.sampled_from((1.0, 0.9, 0.5, 0.25)), which=st.integers(0, 3))
+    def degrade(self, shrink, which):
+        capacity = self.worker.capacity
+        res = list(capacity)[which % len(capacity)]
+        self.worker.degrade(capacity.replace(res, capacity[res] * shrink))
+
+    @rule()
+    def evict_all(self):
+        self.worker.evict_all(now=1.0)
+
+    @rule(probe=REQUESTS)
+    def probe(self, probe):
+        assert self.worker.can_fit(probe) == reference_can_fit(self.worker, probe)
+
+    @invariant()
+    def fit_is_the_reference_on_the_free_table(self):
+        worker = self.worker
+        assert worker.can_fit(ResourceVector())
+        assert worker.can_fit(ResourceVector.of(time=1e12))
+        assert not worker.can_fit(ResourceVector({UNKNOWN: 2e-9}))
+        for res, slack in worker._free.items():
+            for nudge in NUDGES:
+                value = max(0.0, slack + nudge * worker._tolerance[res])
+                probe = ResourceVector({res: value, TIME: 5.0, UNKNOWN: 1e-9})
+                assert worker.can_fit(probe) == reference_can_fit(worker, probe), (res, nudge)
+
+    @invariant()
+    def committed_is_well_formed(self):
+        committed = self.worker.committed
+        for res, cap in self.worker.capacity.raw.items():
+            assert 0.0 <= committed[res] <= cap
+
+
+TestWorkerFitMachine = WorkerFitMachine.TestCase
+TestWorkerFitMachine.settings = settings(
+    max_examples=150,
+    stateful_step_count=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
