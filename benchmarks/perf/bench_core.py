@@ -6,14 +6,15 @@ docs/PERFORMANCE.md:
 * **record ingest** — the simulator's update->predict alternation: one
   ``RecordList.add`` followed by touching the values / prefix-sum views,
   at 1k / 5k / 20k records.
-* **allocation latency** — time to compute a fresh bucketing state plus
-  one allocation for Greedy and Exhaustive Bucketing, reproducing the
-  record-count axis of the paper's Table I.
+* **allocation latency** — seconds per decision of the registered
+  Greedy / Exhaustive Bucketing holding n records (one untimed record
+  update, then the timed state rebuild + allocation draw; each
+  algorithm's one search, its breaks checked against the from-scratch
+  ``exhaustive_break_indices`` / ``greedy_break_indices`` on every
+  timed decision), along the record-count axis of the paper's Table I
+  and, in full runs, at n = 10^6.
 * **million-record hot path** (full runs only) — the streaming regime at
-  n = 10^6 records: steady-state ingest cost, the per-decision
-  allocation latency (each algorithm's one search, its breaks checked
-  against the from-scratch ``exhaustive_break_indices`` /
-  ``greedy_break_indices`` on every timed decision),
+  n = 10^6 records: steady-state ingest cost
   and the partition-search pair underlying the headline claim — the
   incremental engine's ``break_indices`` versus the full
   ``exhaustive_break_indices`` re-search on the identical stream (the
@@ -62,7 +63,6 @@ from repro.core.greedy import GreedyBucketing, greedy_break_indices  # noqa: E40
 from repro.core.records import RecordList  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.runner import run_grid  # noqa: E402
-from repro.experiments.table1 import _make_records, time_algorithm  # noqa: E402
 
 #: Bump when metric names or semantics change incompatibly.
 SCHEMA_VERSION = 1
@@ -96,14 +96,6 @@ def bench_record_ingest(n: int, repeats: int) -> float:
             _ = records.sigval_prefix
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def bench_allocation_latency(
-    algorithm: str, n: int, repeats: int, seed: int = 0
-) -> float:
-    """Seconds for one bucketing-state computation + allocation at ``n`` records."""
-    records = _make_records(n, seed=seed)
-    return time_algorithm(algorithm, records, repeats=repeats, seed=seed)
 
 
 def _make_streaming_fixture(
@@ -183,25 +175,24 @@ def bench_partition_search(
 
 
 def bench_streaming_decision(
-    make_algorithm: Callable,
+    algorithm_cls: type,
     n: int,
     decisions: int,
     repeats: int,
-    full_search: Optional[Callable[[RecordList], List[int]]] = None,
+    full_search: Callable[[RecordList], List[int]],
 ) -> float:
     """Seconds per allocation decision (state rebuild + one allocation).
 
     Streaming regime: each decision is preceded by one (untimed) record
     update, as in the simulator's update->predict alternation; timed is
-    the dirty-state rebuild plus the allocation draw.  ``make_algorithm``
-    builds the bucketing algorithm from an RNG; with ``full_search`` the
-    bucket ends of every timed decision are compared (untimed) against
-    that from-scratch search over the same records.
+    the dirty-state rebuild plus the allocation draw.  The bucket ends of
+    every timed decision are compared (untimed) against ``full_search``,
+    the from-scratch search over the same records.
     """
     best = float("inf")
     for rep in range(repeats):
         records, values, sigs = _make_streaming_fixture(n, decisions, seed=rep)
-        algo = make_algorithm(np.random.default_rng(rep))
+        algo = algorithm_cls(rng=np.random.default_rng(rep))
         algo._records = records
         algo._partition_engine = algo._make_partition_engine()
         algo._dirty = True
@@ -215,10 +206,9 @@ def bench_streaming_decision(
             start = time.perf_counter()
             algo.predict()
             total += time.perf_counter() - start
-            if full_search is not None:
-                assert [b.hi for b in algo.state.buckets] == full_search(records), (
-                    f"engine/from-scratch break divergence at update {i}"
-                )
+            assert [b.hi for b in algo.state.buckets] == full_search(records), (
+                f"engine/from-scratch break divergence at update {i}"
+            )
         best = min(best, total / decisions)
     return best
 
@@ -256,10 +246,13 @@ def run_suite(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, o
     for n in ingest_sizes:
         metrics[f"record_ingest_new_n{n}_s"] = bench_record_ingest(n, repeats)
 
-    for algorithm in ("greedy_bucketing", "exhaustive_bucketing"):
+    for cls, full_search in (
+        (GreedyBucketing, greedy_break_indices),
+        (ExhaustiveBucketing, exhaustive_break_indices),
+    ):
         for n in latency_sizes:
-            metrics[f"allocation_latency_{algorithm}_n{n}_s"] = bench_allocation_latency(
-                algorithm, n, repeats
+            metrics[f"allocation_latency_{cls.name}_n{n}_s"] = bench_streaming_decision(
+                cls, n, decisions=200, repeats=repeats, full_search=full_search
             )
 
     if not quick:
@@ -275,15 +268,13 @@ def run_suite(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, o
         )
         metrics[f"allocation_latency_exhaustive_bucketing_n{n}_s"] = (
             bench_streaming_decision(
-                lambda rng: ExhaustiveBucketing(rng=rng),
-                n, decisions=200, repeats=repeats,
+                ExhaustiveBucketing, n, decisions=200, repeats=repeats,
                 full_search=exhaustive_break_indices,
             )
         )
         metrics[f"allocation_latency_greedy_bucketing_n{n}_s"] = (
             bench_streaming_decision(
-                lambda rng: GreedyBucketing(rng=rng),
-                n, decisions=30, repeats=repeats,
+                GreedyBucketing, n, decisions=30, repeats=repeats,
                 full_search=greedy_break_indices,
             )
         )

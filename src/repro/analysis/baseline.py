@@ -63,19 +63,24 @@ class BaselineDiff:
 
 
 def load_baseline(path: str) -> Baseline:
-    """Read a baseline file; a missing file is an empty baseline."""
+    """Read a baseline file; a missing file is an empty baseline.
+
+    Anything else that is not a baseline — empty, not JSON, another
+    version, malformed entries — raises ``ValueError`` naming the file.
+    """
     if not os.path.exists(path):
         return Baseline.empty()
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict) or doc.get("version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: not a reprolint baseline (expected version {_FORMAT_VERSION})"
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+        if not isinstance(doc, dict) or doc.get("version") != _FORMAT_VERSION:
+            raise ValueError(f"expected version {_FORMAT_VERSION}")
+        entries = doc.get("findings", [])
+        fingerprints = frozenset(
+            f"{entry['path']}:{entry['rule']}:{entry['line']}" for entry in entries
         )
-    entries = doc.get("findings", [])
-    fingerprints = frozenset(
-        f"{entry['path']}:{entry['rule']}:{entry['line']}" for entry in entries
-    )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a reprolint baseline ({exc})") from None
     return Baseline(fingerprints=fingerprints, entries=tuple(entries))
 
 

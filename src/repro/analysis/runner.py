@@ -262,7 +262,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"adopted {len(findings)} finding(s) into {args.baseline}")
         return 0
 
-    baseline = load_baseline(args.baseline)
+    try:
+        baseline = load_baseline(args.baseline)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     diff = diff_against_baseline(findings, baseline)
 
     if args.json:

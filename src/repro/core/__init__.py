@@ -8,7 +8,8 @@ This subpackage contains the paper's primary contribution:
   completed tasks and the sorted, numpy-backed ``RecordList``.
 * :mod:`repro.core.buckets` — ``Bucket`` / ``BucketState``: the partition
   of a record list used to derive probabilistic allocations, and
-  ``partition_stats``, the per-bucket numbers of a candidate partition.
+  ``bucket_stats`` / ``partition_stats``, the one derivation of the
+  per-bucket numbers of a partition.
 * :mod:`repro.core.cost` — expected-waste cost kernels shared by the two
   bucketing algorithms (vectorized, with pure-Python references).
 * :mod:`repro.core.base` — the algorithm contract and

@@ -171,9 +171,6 @@ class AllocatorConfig:
         (category, resource) state.
     algorithm_kwargs:
         Extra constructor arguments for the algorithm.
-    per_resource_kwargs:
-        Per-resource-key overrides merged over ``algorithm_kwargs``
-        (e.g. ``{"memory": {"granularity": 500}}``).
     resources:
         The resources to manage; defaults to the paper's evaluated three
         (cores, memory, disk).  Add :data:`~repro.core.resources.TIME`
@@ -185,9 +182,6 @@ class AllocatorConfig:
         The bootstrap policy.
     doubling_factor:
         Growth factor of the doubling fallback (2.0 in the paper).
-    clamp_to_capacity:
-        Whether predicted/doubled allocations are capped at the machine
-        capacity (a task can never be given more than one worker).
     significance:
         Recency-weighting policy for completed-task records, by registry
         name (``"task_id"`` — the paper's setting — ``"uniform"``,
@@ -203,12 +197,10 @@ class AllocatorConfig:
 
     algorithm: str = "exhaustive_bucketing"
     algorithm_kwargs: Mapping = field(default_factory=dict)
-    per_resource_kwargs: Mapping[str, Mapping] = field(default_factory=dict)
     resources: Tuple[Resource, ...] = EVALUATED_RESOURCES
     machine_capacity: ResourceVector = PAPER_WORKER_CAPACITY
     exploratory: ExploratoryConfig = field(default_factory=ExploratoryConfig)
     doubling_factor: float = 2.0
-    clamp_to_capacity: bool = True
     significance: object = "task_id"
     seed: Optional[int] = None
 
@@ -535,7 +527,6 @@ class TaskOrientedAllocator:
     def _make_algorithm(self, res: Resource) -> AllocationAlgorithm:
         cfg = self._config
         kwargs = dict(cfg.algorithm_kwargs)
-        kwargs.update(cfg.per_resource_kwargs.get(res.key, {}))
         cls = ALGORITHM_REGISTRY[cfg.algorithm]
         accepted = _init_parameters(cls)
         # Wire well-known parameters the algorithm accepts but the caller
@@ -587,8 +578,6 @@ class TaskOrientedAllocator:
         self._capacity_clamps[category] = self._capacity_clamps.get(category, 0) + 1
 
     def _clamp(self, res: Resource, value: float) -> float:
-        if not self._config.clamp_to_capacity:
-            return value
         capacity = self._config.machine_capacity[res]
         if capacity <= 0.0:
             return value

@@ -27,7 +27,7 @@ from typing import ClassVar, Dict, Optional, Type
 import numpy as np
 
 from repro.checkpoint import CheckpointError, generator_state, restore_generator
-from repro.core.buckets import BucketState, partition_stats
+from repro.core.buckets import BucketState
 from repro.core.records import RecordList
 
 __all__ = [
@@ -189,7 +189,8 @@ class BucketingAlgorithm(AllocationAlgorithm):
     @abc.abstractmethod
     def compute_break_indices(self, records: RecordList) -> list:
         """Partition ``records`` — always ``self._records``, the list the
-        partition engine is bound to; return sorted bucket-end indices."""
+        partition engine is bound to; return sorted bucket-end indices.
+        An empty list raises ``ValueError``."""
 
     @abc.abstractmethod
     def _make_partition_engine(self):
@@ -199,8 +200,8 @@ class BucketingAlgorithm(AllocationAlgorithm):
         :meth:`update` streams the record mutation into,
         ``break_indices()``, and ``consume_stats(breaks)`` — the
         per-bucket stats its search already computed for ``breaks``, or
-        ``None`` to have :attr:`state` derive them with
-        :func:`~repro.core.buckets.partition_stats` (see
+        ``None`` to have :class:`~repro.core.buckets.BucketState` derive
+        them (see
         :class:`repro.core.exhaustive.IncrementalExhaustivePartition`
         and :class:`repro.core.greedy.GreedySplitMemo`).  Engines hold
         nothing a search cannot rebuild, so one is simply re-created
@@ -249,17 +250,11 @@ class BucketingAlgorithm(AllocationAlgorithm):
         if self._dirty or self._state is None:
             breaks = self.compute_break_indices(self._records)
             self._recomputations += 1
-            stats = self._partition_engine.consume_stats(breaks)
-            if stats is not None:
-                # Breaks and stats are freshly built by our own search,
-                # so the state adopts them without re-validating (the
-                # trusted hot path).
-                self._state = BucketState(
-                    self._records, breaks, stats=stats, trusted=True
-                )
-            else:
-                stats = partition_stats(self._records, breaks)
-                self._state = BucketState(self._records, breaks, stats=stats)
+            self._state = BucketState(
+                self._records,
+                breaks,
+                stats=self._partition_engine.consume_stats(breaks),
+            )
             self._dirty = False
         return self._state
 

@@ -81,7 +81,10 @@ class BucketState:
     the inclusive upper-end record index of every bucket except that the
     last break index must be ``len(records) - 1`` (every record belongs
     to exactly one bucket).  ``BucketState.single(records)`` builds the
-    one-bucket state.
+    one-bucket state.  ``BucketState(records, breaks)`` checks the breaks
+    and derives the per-bucket stats with :func:`partition_stats`;
+    ``BucketState(records, breaks, stats=...)`` is for a partition search
+    that already holds them, and adopts both lists as given.
 
     Per-bucket stats are stored as plain Python lists and the derived
     numpy arrays (:attr:`reps`, :attr:`probs`, :attr:`estimates`) are
@@ -106,120 +109,50 @@ class BucketState:
         self,
         records: RecordList,
         break_indices: Sequence[int],
-        stats: Optional[
-            Tuple[Sequence[float], Sequence[float], Sequence[float]]
-        ] = None,
-        trusted: bool = False,
+        stats: Optional[Tuple[List[float], List[float], List[float]]] = None,
     ) -> None:
         n = len(records)
         if n == 0:
             raise ValueError("cannot build a BucketState from an empty record list")
-        if trusted and stats is not None:
-            # Hot-path constructor for the per-decision state rebuild:
-            # the caller (BucketingAlgorithm.state) owns freshly built
-            # break/stat lists straight out of the partition search, so
-            # re-validating and re-coercing them here only burns time in
-            # the region the insert memmove just cache-evicted.  The
-            # lists are adopted without copying — callers must hand over
-            # ownership.
-            self._breaks: List[int] = break_indices  # type: ignore[assignment]
-            reps_l, probs_l, estimates_l = stats  # type: ignore[assignment]
-            self._lazy_buckets = None
-            self._reps_l = reps_l  # type: ignore[assignment]
-            self._probs_l = probs_l  # type: ignore[assignment]
-            self._estimates_l = estimates_l  # type: ignore[assignment]
-            self._arrays = None
-            acc = 0.0
-            cum_l: List[float] = []
-            for p in probs_l:
-                acc += p
-                cum_l.append(acc)
-            self._cumprobs_l = [c / acc for c in cum_l]
-            self._n_records = n
-            return
-        breaks = list(break_indices)
-        if not breaks:
-            raise ValueError("break_indices must contain at least the last index")
-        prev = breaks[0]
-        for b in breaks[1:]:
-            if b <= prev:
-                raise ValueError(
-                    f"break indices must be strictly increasing: {breaks}"
-                )
-            prev = b
-        if breaks[-1] != n - 1:
-            raise ValueError(
-                f"last break index must be {n - 1} (got {breaks[-1]}): every "
-                "record must fall in a bucket"
-            )
-        if breaks[0] < 0:
-            raise IndexError(f"negative break index: {breaks[0]}")
-
-        self._breaks = breaks
-        if stats is not None:
-            # Precomputed-stats fast path: the partition search already
-            # derived (reps, probs, estimates) for the winning
-            # configuration via partition_stats below (or the fused
-            # loop in select_best_partition), which reads
-            # the prefix buffers in this constructor's exact
-            # float-operation order — reusing them is bit-identical to
-            # recomputing.  The per-bucket Bucket objects are built
-            # lazily (see :attr:`buckets`) and the invariants checked
-            # with scalar loops: K <= 10 on the paper path, where
-            # dataclass construction and numpy reductions were profiled
-            # hotspots of the per-decision state rebuild.
-            reps_in, probs_in, estimates_in = stats
-            if not (
-                len(reps_in) == len(probs_in) == len(estimates_in) == len(breaks)
-            ):
-                raise ValueError("stats arrays must align with break_indices")
-            reps_l = [float(v) for v in reps_in]
-            probs_l = [float(v) for v in probs_in]
-            estimates_l = [float(v) for v in estimates_in]
-            for rep, prob, est in zip(reps_l, probs_l, estimates_l):
-                if not (0.0 <= prob <= 1.0 + 1e-12):
-                    raise ValueError(f"bucket probability out of range: {prob}")
-                if est > rep + 1e-9 * max(1.0, abs(rep)):
+        if stats is None:
+            breaks = list(break_indices)
+            if not breaks:
+                raise ValueError("break_indices must contain at least the last index")
+            prev = breaks[0]
+            for b in breaks[1:]:
+                if b <= prev:
                     raise ValueError(
-                        f"bucket estimate {est} exceeds representative {rep}"
+                        f"break indices must be strictly increasing: {breaks}"
                     )
-            self._lazy_buckets: Optional[Tuple[Bucket, ...]] = None
-        else:
-            buckets: List[Bucket] = []
-            lo = 0
-            total_sig = records.total_significance()
-            for hi in breaks:
-                rep = records.max_value(lo, hi)
-                # The prefix-sum weighted mean can exceed the bucket max
-                # by a few ulps through cancellation; clamp, since the
-                # estimate is a mean of values that are all <= rep by
-                # construction.
-                estimate = min(records.weighted_mean(lo, hi), rep)
-                buckets.append(
-                    Bucket(
-                        lo=lo,
-                        hi=hi,
-                        rep=rep,
-                        prob=records.sig_sum(lo, hi) / total_sig,
-                        estimate=estimate,
-                    )
+                prev = b
+            if breaks[-1] != n - 1:
+                raise ValueError(
+                    f"last break index must be {n - 1} (got {breaks[-1]}): every "
+                    "record must fall in a bucket"
                 )
-                lo = hi + 1
-            self._lazy_buckets = tuple(buckets)
-            reps_l = [b.rep for b in buckets]
-            probs_l = [b.prob for b in buckets]
-            estimates_l = [b.estimate for b in buckets]
-        self._reps_l = reps_l
-        self._probs_l = probs_l
-        self._estimates_l = estimates_l
+            if breaks[0] < 0:
+                raise IndexError(f"negative break index: {breaks[0]}")
+            stats = partition_stats(records, breaks)
+        else:
+            # The partition search hands over the breaks it chose and the
+            # per-bucket stats it scored them with (bucket_stats order,
+            # so bit-identical to deriving them here).  Both are adopted
+            # as they are, unchecked and uncopied: this runs once per
+            # allocation decision.
+            breaks = break_indices  # type: ignore[assignment]
+        self._breaks: List[int] = breaks
+        self._reps_l, self._probs_l, self._estimates_l = stats
+        # Bucket objects are built on first use (see :attr:`buckets`):
+        # the prediction draws read the lists above.
+        self._lazy_buckets: Optional[Tuple[Bucket, ...]] = None
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         # Normalized cumulative probabilities for O(log K) inverse-CDF
         # draws — the allocator draws once per dispatch, so this is a
         # hot path in large simulations.  The running sum matches
         # np.cumsum's sequential accumulation bit-for-bit.
         acc = 0.0
-        cum_l = []
-        for p in probs_l:
+        cum_l: List[float] = []
+        for p in self._probs_l:
             acc += p
             cum_l.append(acc)
         self._cumprobs_l = [c / acc for c in cum_l]
@@ -408,42 +341,52 @@ class BucketState:
 def partition_stats(
     records: RecordList, break_indices: Sequence[int]
 ) -> Tuple[List[float], List[float], List[float]]:
-    """Per-bucket (reps, probs, estimates) for a candidate partition.
+    """Per-bucket (reps, probs, estimates) of one partition of ``records``.
 
-    Reads the prefix-sum buffers as Python scalars — no array snapshot,
-    no intermediate ``Bucket`` objects — in the exact operation order of
-    :class:`BucketState`, so feeding the winning configuration back into
-    a ``BucketState`` reproduces these floats bit-for-bit.  O(K) for K
-    buckets, independent of the record count.
+    Three bulk reads of the prefix-sum buffers at the bucket ends, fed
+    to :func:`bucket_stats` — O(K) for K buckets, independent of the
+    record count.
+    """
+    idx = np.asarray(break_indices, dtype=np.intp)
+    return bucket_stats(
+        records._sp_buf[idx].tolist(),
+        records._svp_buf[idx].tolist(),
+        records._values_buf[idx].tolist(),
+        float(records._sp_buf[len(records) - 1]),
+    )
+
+
+def bucket_stats(
+    sig_at: List[float], sigval_at: List[float], reps: List[float], total_sig: float
+) -> Tuple[List[float], List[float], List[float]]:
+    """The three numbers of every bucket (Section IV-A), from the
+    significance / significance-times-value prefix sums and the record
+    values read at the ascending bucket ends.
+
+    The one place they are derived: :func:`partition_stats` reads the
+    buffers for it, the Exhaustive-Bucketing scorer passes the slice of
+    its bulk read that belongs to the winning configuration.  ``reps``
+    is returned as given.
 
     A bucket whose significance difference is exactly 0.0 (its records'
     significances vanished in the prefix-sum rounding) gets probability
     0.0 and its representative as the estimate.
     """
-    n = len(records)
-    sp = records._sp_buf
-    svp = records._svp_buf
-    vals = records._values_buf
-    total_sig = float(sp[n - 1])
-    reps: List[float] = []
     probs: List[float] = []
     estimates: List[float] = []
     below_sig = 0.0
     below_sigval = 0.0
-    for hi in break_indices:
-        s = float(sp[hi])
-        sv = float(svp[hi])
+    for s, sv, rep in zip(sig_at, sigval_at, reps):
         sig = s - below_sig
-        rep = float(vals[hi])
         if sig == 0.0:
             estimate = rep
         else:
             estimate = (sv - below_sigval) / sig
             if estimate > rep:
-                # Prefix-sum cancellation can push the mean a few ulps
-                # past the bucket max; clamp exactly as BucketState does.
+                # Prefix-sum cancellation can push the weighted mean a
+                # few ulps past the bucket max; it is a mean of values
+                # that are all <= rep, so clamp.
                 estimate = rep
-        reps.append(rep)
         probs.append(sig / total_sig)
         estimates.append(estimate)
         below_sig = s

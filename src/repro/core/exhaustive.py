@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import BucketingAlgorithm, register_algorithm
+from repro.core.buckets import bucket_stats
 from repro.core.records import BATCH_EVICTION, RecordList
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "IncrementalExhaustivePartition",
     "evenly_spaced_break_indices",
     "exhaustive_break_indices",
-    "select_best_partition",
     "PAPER_MAX_BUCKETS",
 ]
 
@@ -85,39 +85,25 @@ def evenly_spaced_break_indices(records: RecordList, k: int) -> List[int]:
     return ends
 
 
-def select_best_partition(
-    records: RecordList, configurations: Sequence[List[int]]
-) -> List[int]:
-    """Score candidate partitions and return the cheapest (Algorithm 2).
-
-    Thin wrapper over :func:`_score_and_select`; see there for the
-    scoring loop and float-rounding contract.
-    """
-    return _score_and_select(records, configurations)[0]
-
-
 def _score_and_select(
     records: RecordList,
     configurations: Sequence[List[int]],
     flat: Optional[List[int]] = None,
-    want_stats: bool = False,
-) -> Tuple[
-    List[int], Optional[Tuple[List[float], List[float], List[float]]]
-]:
-    """Score candidate partitions; return the cheapest (Algorithm 2).
+) -> Tuple[List[int], Tuple[List[float], List[float], List[float]]]:
+    """Score candidate partitions; return the cheapest and its stats.
 
-    The one scoring implementation shared by the full search and the
-    incremental engine — both feed their candidate configurations
-    through this function, so incremental-vs-full break-index equality
-    reduces to candidate equality.  Ties favour the earliest
-    configuration, i.e. fewer buckets when callers pass configurations
-    in ascending ``k`` order (duplicate configurations score
-    identically, so the first occurrence always wins).
+    The one scoring implementation shared by the paper-literal search
+    and the incremental engine — both feed their candidate
+    configurations through this function, so incremental-vs-literal
+    break-index equality reduces to candidate equality.  Ties favour
+    the earliest configuration, i.e. fewer buckets when callers pass
+    configurations in ascending ``k`` order (duplicate configurations
+    score identically, so the first occurrence always wins).
 
     The whole pass runs as one fused pure-Python loop over three bulk
     ``tolist()`` reads of the prefix buffers, whatever the bucket
-    count: per-bucket stats in the exact float-operation order of
-    :func:`repro.core.buckets.partition_stats`, then the expected waste
+    count: per-bucket stats in the float-operation order of
+    :func:`repro.core.buckets.bucket_stats`, then the expected waste
     ``W_B`` via the telescoped suffix-ratio identity (O(K) per
     configuration instead of the O(K^2) row recurrence of
     :func:`repro.core.cost.exhaustive_cost`, the paper-literal reference
@@ -129,11 +115,11 @@ def _score_and_select(
     A bucket whose significance difference is exactly 0.0 has
     probability 0.0 and contributes nothing to ``W_B``.
 
+    The winner's per-bucket ``(reps, probs, estimates)`` come from
+    ``bucket_stats`` over the winner's slice of the bulk read, so the
+    state rebuild needs no second pass over the prefix buffers.
     ``flat`` lets a caller that already holds the concatenated break
-    indices skip re-flattening; ``want_stats`` additionally returns the
-    winner's per-bucket ``(reps, probs, estimates)``, bit-identical to
-    :func:`repro.core.buckets.partition_stats` on the winning breaks, so
-    the state rebuild can skip its own prefix-buffer reads.
+    indices skip re-flattening.
     """
     n = len(records)
     # Bulk-read every configuration's bucket boundaries off the prefix
@@ -212,32 +198,10 @@ def _score_and_select(
             best_pos = pos
         pos = end
     assert best_breaks is not None  # callers always pass >= 1 configuration
-    if not want_stats:
-        return best_breaks, None
-    # Winner stats, ascending, in partition_stats' exact operation
-    # order (same input floats, same expressions — bit-identical).
-    reps_w: List[float] = []
-    probs_w: List[float] = []
-    est_w: List[float] = []
-    below_sig = 0.0
-    below_sigval = 0.0
-    for j in range(best_pos, best_pos + len(best_breaks)):
-        s = sig_at[j]
-        sv = sigval_at[j]
-        sig = s - below_sig
-        rep = rep_at[j]
-        if sig == 0.0:
-            est = rep
-        else:
-            est = (sv - below_sigval) / sig
-            if est > rep:
-                est = rep
-        reps_w.append(rep)
-        probs_w.append(sig / total_sig)
-        est_w.append(est)
-        below_sig = s
-        below_sigval = sv
-    return best_breaks, (reps_w, probs_w, est_w)
+    win = slice(best_pos, best_pos + len(best_breaks))
+    return best_breaks, bucket_stats(
+        sig_at[win], sigval_at[win], rep_at[win], total_sig
+    )
 
 
 def exhaustive_break_indices(
@@ -252,10 +216,10 @@ def exhaustive_break_indices(
     """
     if max_buckets < 1:
         raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
-    return select_best_partition(
+    return _score_and_select(
         records,
         [evenly_spaced_break_indices(records, k) for k in range(1, max_buckets + 1)],
-    )
+    )[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,8 +266,8 @@ class IncrementalExhaustivePartition:
     computed with the same float expression as
     :func:`evenly_spaced_break_indices` and the counts replicate
     ``searchsorted`` by construction, so :meth:`break_indices` feeds
-    byte-identical configurations into the same
-    :func:`select_best_partition` scorer as the full search.  Nothing
+    byte-identical configurations into the same scorer
+    (:func:`_score_and_select`) as the paper-literal search.  Nothing
     is serialized: the counts are a pure function of the record list,
     so a restored engine resyncs on its first query and reproduces the
     pre-checkpoint break indices.
@@ -327,10 +291,6 @@ class IncrementalExhaustivePartition:
         "_synced",
         "_last_breaks",
         "_last_stats",
-        "_configs_cache",
-        "_flat_cache",
-        "_shifts_pending",
-        "_low_slack",
         "incremental_updates",
         "resyncs",
         "queries",
@@ -372,19 +332,6 @@ class IncrementalExhaustivePartition:
         # skips a second pass over the prefix buffers.
         self._last_breaks: Optional[List[int]] = None
         self._last_stats: Optional[Tuple[List[float], List[float], List[float]]] = None
-        # Configuration cache: an insert strictly below every candidate
-        # (gap 0 — the overwhelmingly common case under heavy-tailed
-        # values, where almost every arrival lands below v_max / K)
-        # shifts every mapped index AND the last index by exactly +1,
-        # so the previous decision's configurations are reusable
-        # wholesale with a uniform +shift instead of being refiltered
-        # from the counts.  _low_slack is how many such shifts are safe
-        # before a candidate that was dropped for mapping below index 0
-        # would re-enter the valid range.
-        self._configs_cache: Optional[List[List[int]]] = None
-        self._flat_cache: Optional[List[int]] = None
-        self._shifts_pending = 0
-        self._low_slack = 0
         self.incremental_updates = 0
         self.resyncs = 0
         self.queries = 0
@@ -442,15 +389,9 @@ class IncrementalExhaustivePartition:
         # bisect_right is the gap whose upper candidates are exactly
         # those with value < candidate (strict, as searchsorted-left).
         if value is not None:
-            gap = bisect_right(self._cands, value)
-            self._diff[gap] += 1
-            if gap:
-                self._configs_cache = None
-            else:
-                self._shifts_pending += 1
+            self._diff[bisect_right(self._cands, value)] += 1
         if evicted is not None:
             self._diff[bisect_right(self._cands, evicted)] -= 1
-            self._configs_cache = None
 
     def _resync(self) -> None:
         n = len(self._records)
@@ -464,71 +405,43 @@ class IncrementalExhaustivePartition:
         self._mapped = (np.searchsorted(values, cands, side="left") - 1).tolist()
         self._config = config_arr[order].tolist()
         self._diff = [0] * (len(self._cands) + 1)
-        self._configs_cache = None
-        self._shifts_pending = 0
         self._synced = True
         self.resyncs += 1
 
-    def break_indices(self) -> Optional[List[int]]:
-        """Current best break indices, identical to the full search."""
-        records = self._records
-        n = len(records)
-        if n == 0:
-            return None
+    def _configurations(self) -> Tuple[List[List[int]], List[int]]:
+        """The candidate partition of every bucket count ``1 .. K``, each
+        equal to :func:`evenly_spaced_break_indices` of that count, and
+        their concatenation."""
         if not self._synced:
             self._resync()
+        last = len(self._records) - 1
+        # A candidate's mapped index is its resync value plus the prefix
+        # sum of the difference array up to its gap.  Like the
+        # candidates they ascend, so the valid ones (0 <= index < last)
+        # are one slice; dealt out to their configurations in that
+        # order, "keep strictly increasing" reproduces
+        # evenly_spaced_break_indices exactly.
+        live = list(map(add, self._mapped, accumulate(self._diff)))
+        lo = bisect_left(live, 0)
+        hi = bisect_left(live, last)
+        configurations: List[List[int]] = [[] for _ in range(self._max_buckets)]
+        for i, config in zip(live[lo:hi], self._config[lo:hi]):
+            ends = configurations[config]
+            if not ends or i > ends[-1]:
+                ends.append(i)
+        flat: List[int] = []
+        for ends in configurations:
+            ends.append(last)
+            flat += ends
+        return configurations, flat
+
+    def break_indices(self) -> Optional[List[int]]:
+        """Current best break indices, identical to the paper-literal search."""
+        if not len(self._records):
+            return None
         self.queries += 1
-        s = self._shifts_pending
-        cached = self._configs_cache
-        if cached is not None and 0 <= s <= self._low_slack:
-            if s:
-                # Every mutation since the last build was an insert
-                # strictly below all candidates: all mapped indices and
-                # the last index moved by exactly +s, preserving the
-                # validity filter (see _low_slack).  Fresh lists — the
-                # previous decision's winner may still be referenced by
-                # a live BucketState.
-                configurations = [[x + s for x in ends] for ends in cached]
-                assert self._flat_cache is not None
-                flat = [x + s for x in self._flat_cache]
-                self._configs_cache = configurations
-                self._flat_cache = flat
-                self._low_slack -= s
-                self._shifts_pending = 0
-            else:
-                configurations = cached
-                flat = self._flat_cache  # type: ignore[assignment]
-                assert flat is not None
-        else:
-            last = n - 1
-            # A candidate's mapped index is its resync value plus the
-            # prefix sum of the difference array up to its gap.  Like
-            # the candidates they ascend, so the valid ones (0 <= index
-            # < last) are one slice; dealt out to their configurations
-            # in that order, "keep strictly increasing" reproduces
-            # evenly_spaced_break_indices exactly.
-            live = list(map(add, self._mapped, accumulate(self._diff)))
-            lo = bisect_left(live, 0)
-            hi = bisect_left(live, last)
-            configurations = [[] for _ in range(self._max_buckets)]
-            for i, config in zip(live[lo:hi], self._config[lo:hi]):
-                ends = configurations[config]
-                if not ends or i > ends[-1]:
-                    ends.append(i)
-            flat = []
-            for ends in configurations:
-                ends.append(last)
-                flat += ends
-            self._configs_cache = configurations
-            self._flat_cache = flat
-            # The highest candidate dropped for mapping below record 0,
-            # at index i < 0, re-enters at shift -i; the cache survives
-            # strictly fewer shifts than that.
-            self._low_slack = -live[lo - 1] - 1 if lo else 1 << 60
-            self._shifts_pending = 0
-        breaks, stats = _score_and_select(
-            records, configurations, flat=flat, want_stats=True
-        )
+        configurations, flat = self._configurations()
+        breaks, stats = _score_and_select(self._records, configurations, flat)
         self._last_breaks = breaks
         self._last_stats = stats
         return breaks

@@ -310,8 +310,8 @@ class GreedyBucketing(BucketingAlgorithm):
         return GreedySplitMemo(self._records, self._max_buckets)
 
     def compute_break_indices(self, records: RecordList) -> List[int]:
-        if records is self._records:
-            breaks = self._partition_engine.break_indices()
-            if breaks is not None:
-                return breaks
-        return greedy_break_indices(records, max_buckets=self._max_buckets)
+        assert records is self._records, "the engine is bound to this algorithm's own records"
+        breaks = self._partition_engine.break_indices()
+        if breaks is None:
+            raise ValueError("cannot compute break indices for an empty record list")
+        return breaks

@@ -583,16 +583,29 @@ class AllocationShard:
         }
 
     def restore(self, state: Dict[str, Any]) -> None:
+        """Load what :meth:`state` wrote — all of it.
+
+        A state without one of its keys was written by another format;
+        reading it with a default would, for ``dedup``, start with an
+        empty idempotency window and silently void exactly-once for
+        every key in flight.  It is refused instead.
+        """
+        for key in ("seq", "shed_count", "allocator", "breaker", "dedup", "dedup_hits"):
+            if key not in state:
+                raise CheckpointError(
+                    f"shard {self.index} snapshot state has no {key!r}: "
+                    "not written by this format, refused rather than defaulted"
+                )
         self.seq = int(state["seq"])
         self.last_durable_seq = self.seq
-        self.shed_count = int(state.get("shed_count", 0))
+        self.shed_count = int(state["shed_count"])
         self.allocator.load_state(state["allocator"])
-        if self._breaker is not None and state.get("breaker") is not None:
+        if self._breaker is not None and state["breaker"] is not None:
             self._breaker.load_state(state["breaker"])
         self._dedup = OrderedDict(
-            (str(key), dict(resp)) for key, resp in state.get("dedup", [])
+            (str(key), dict(resp)) for key, resp in state["dedup"]
         )
-        self.dedup_hits = int(state.get("dedup_hits", 0))
+        self.dedup_hits = int(state["dedup_hits"])
 
     def replay(self, entries: Sequence[Dict[str, Any]]) -> int:
         """Re-apply WAL entries newer than the restored snapshot.

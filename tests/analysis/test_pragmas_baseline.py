@@ -204,6 +204,25 @@ def test_cli_exit_codes_and_baseline_flow(tmp_path):
     assert "stale baseline entry" in clean.stdout
 
 
+@pytest.mark.parametrize("lane", [[], ["--flow"]], ids=["lint", "flow"])
+@pytest.mark.parametrize(
+    "content",
+    ["", "not json\n", '{"version": 999}', '{"version": 1, "findings": [7]}'],
+    ids=["empty", "not-json", "other-version", "malformed-entry"],
+)
+def test_cli_unreadable_baseline_is_a_usage_error(tmp_path, lane, content):
+    """An empty or non-JSON --baseline (e.g. /dev/null) exits 2 with one
+    line naming the file, not a JSONDecodeError traceback."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text("X = 1\n")
+    bad = tmp_path / "bad-baseline.json"
+    bad.write_text(content)
+    result = _run_cli(["src", *lane, "--baseline", str(bad)], cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_json_output(tmp_path):
     offender = tmp_path / "src" / "repro" / "sim" / "mod.py"
     offender.parent.mkdir(parents=True)

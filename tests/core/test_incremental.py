@@ -181,7 +181,7 @@ def test_overflowing_candidates_are_dropped_like_the_reference():
         assert engine.break_indices() == exhaustive_break_indices(records)
         # The winner alone would hide a repeated last index (an empty
         # bucket scores nothing): compare every configuration.
-        assert engine._configs_cache == [
+        assert engine._configurations()[0] == [
             evenly_spaced_break_indices(records, k) for k in range(1, 11)
         ]
 

@@ -2,12 +2,12 @@
 
 :mod:`repro.core.cost` keeps the paper-literal ``probs @ T @ probs``
 contraction as the reference implementation; the fused scoring loop
-behind :func:`repro.core.exhaustive.select_best_partition` — the only
-routine that computes the expected waste ``W_B`` in production — must
-pick the configuration that reference scores cheapest (to float
-tolerance: the accumulation orders differ by design) at every width,
-and :func:`partition_stats` must agree with :class:`BucketState` *bit
-for bit* — the allocator swaps freely between the two.
+of :func:`repro.core.exhaustive._score_and_select` — the only routine
+that computes the expected waste ``W_B`` in production — must pick the
+configuration that reference scores cheapest (to float tolerance: the
+accumulation orders differ by design) at every width, and the stats it
+hands over for the winner must be :func:`partition_stats` *bit for
+bit* — a :class:`BucketState` adopts them unchecked.
 """
 
 import numpy as np
@@ -15,11 +15,7 @@ import pytest
 
 from repro.core.buckets import BucketState, partition_stats
 from repro.core.cost import exhaustive_cost
-from repro.core.exhaustive import (
-    _score_and_select,
-    evenly_spaced_break_indices,
-    select_best_partition,
-)
+from repro.core.exhaustive import _score_and_select, evenly_spaced_break_indices
 from repro.core.records import RecordList
 
 #: Bucket counts every scoring test covers: the paper's regime (<= 10),
@@ -68,7 +64,7 @@ def test_scalar_kernel_matches_exhaustive_cost(seed):
     for widths in [mixed] + [[k] * 8 for k in WIDTHS[1:]]:
         configs = [random_partition(records, rng, int(k)) for k in widths]
         costs = [reference_cost(records, breaks) for breaks in configs]
-        chosen = select_best_partition(records, configs)
+        chosen = _score_and_select(records, configs)[0]
         best, runner_up = sorted(costs)[:2]
         if runner_up - best > 1e-9 * abs(best):
             assert chosen is configs[costs.index(best)]
@@ -84,10 +80,10 @@ def test_single_bucket_waste_is_rep_minus_estimate():
     reps, probs, estimates = partition_stats(records, single)
     assert probs == [1.0]
     assert reference_cost(records, single) == pytest.approx(reps[0] - estimates[0])
-    assert select_best_partition(records, [single]) is single
+    assert _score_and_select(records, [single])[0] is single
 
 
-# -- want_stats: the winner's stats, bit for bit ------------------------------
+# -- the winner's stats, bit for bit ------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -95,10 +91,9 @@ def test_want_stats_winner_equals_partition_stats(seed):
     records = make_records(120, seed=seed)
     rng = np.random.default_rng(500 + seed)
     configs = [random_partition(records, rng, k) for k in WIDTHS]
-    breaks, stats = _score_and_select(records, configs, want_stats=True)
-    assert breaks is select_best_partition(records, configs)
+    breaks, stats = _score_and_select(records, configs)
+    assert any(breaks is config for config in configs)
     assert stats == partition_stats(records, breaks)  # exact, not approx
-    assert _score_and_select(records, configs)[1] is None
 
 
 # -- partition_stats vs BucketState: bit identity -----------------------------
@@ -114,16 +109,33 @@ def test_partition_stats_bit_identical_to_bucket_state(seed):
         assert reps == state.reps.tolist()  # exact, not approx
         assert probs == state.probs.tolist()
         assert estimates == state.estimates.tolist()
+        # ... and both are Section IV-A read off the record list's own
+        # range accessors: max, significance share, weighted mean.
+        lo = 0
+        for bucket, hi in zip(state.buckets, breaks):
+            assert bucket.rep == records.max_value(lo, hi)
+            assert bucket.prob == records.sig_sum(lo, hi) / records.total_significance()
+            assert bucket.estimate == min(records.weighted_mean(lo, hi), bucket.rep)
+            lo = hi + 1
 
 
-def test_trusted_bucket_state_equals_validated_state():
-    """The hot-path trusted constructor adopts stats without changing them."""
+def test_adopted_stats_equal_derived_stats():
+    """``stats=`` is adopted as given; without it the same numbers are derived."""
     records = make_records(50, seed=7)
     breaks = evenly_spaced_break_indices(records, 8)
     stats = partition_stats(records, breaks)
-    trusted = BucketState(records, list(breaks), stats=stats, trusted=True)
-    validated = BucketState(records, list(breaks))
-    assert trusted.reps.tolist() == validated.reps.tolist()
-    assert trusted.probs.tolist() == validated.probs.tolist()
-    assert trusted.estimates.tolist() == validated.estimates.tolist()
-    assert [b.hi for b in trusted.buckets] == [b.hi for b in validated.buckets]
+    adopted = BucketState(records, breaks, stats=stats)
+    derived = BucketState(records, list(breaks))
+    assert adopted.reps.tolist() == derived.reps.tolist()
+    assert adopted.probs.tolist() == derived.probs.tolist()
+    assert adopted.estimates.tolist() == derived.estimates.tolist()
+    assert [b.hi for b in adopted.buckets] == [b.hi for b in derived.buckets]
+    assert adopted.first_allocation(np.random.default_rng(1)) == derived.first_allocation(
+        np.random.default_rng(1)
+    )
+
+
+def test_retired_trusted_keyword_rejected():
+    records = make_records(5)
+    with pytest.raises(TypeError):
+        BucketState(records, [4], trusted=True)

@@ -18,6 +18,7 @@ class TestTable1:
             "greedy_bucketing",
             "exhaustive_bucketing",
             "greedy_bucketing_literal",
+            "exhaustive_bucketing_literal",
         }
         assert all(len(v) == 3 for v in result.microseconds.values())
 
@@ -32,13 +33,49 @@ class TestTable1:
 
     def test_literal_gb_slower_than_eb_at_scale(self, result):
         lit = result.microseconds["greedy_bucketing_literal"][-1]
-        eb = result.microseconds["exhaustive_bucketing"][-1]
-        assert lit > eb
+        assert lit > result.microseconds["exhaustive_bucketing_literal"][-1]
+        assert lit > result.microseconds["exhaustive_bucketing"][-1]
 
     def test_render(self, result):
         text = table1.render(result)
         assert "Table I" in text
         assert "EB" in text and "literal" in text
+
+    def test_allocator_rows_time_the_allocator_not_the_references(self, monkeypatch):
+        """Table I measures the product: the allocator rows run the
+        registered algorithms' own engines, the literal rows the
+        paper-literal searches."""
+        from repro.core import exhaustive, greedy
+
+        assert table1._LITERAL_SEARCHES == {
+            "greedy_bucketing_literal": greedy.greedy_break_indices_literal,
+            "exhaustive_bucketing_literal": exhaustive.exhaustive_break_indices,
+        }
+        entered = []
+
+        def forbid(owner, name, setter=monkeypatch.setattr):
+            def search(*args, **kwargs):
+                entered.append(name)
+                raise AssertionError(f"entered {name}")
+
+            setter(owner, name, search)
+
+        forbid(exhaustive, "exhaustive_break_indices")
+        forbid(exhaustive, "evenly_spaced_break_indices")
+        forbid(greedy, "greedy_break_indices")
+        forbid(greedy, "greedy_break_indices_literal")
+        for row in list(table1._LITERAL_SEARCHES):
+            forbid(table1._LITERAL_SEARCHES, row, monkeypatch.setitem)
+
+        records = table1._make_records(60, seed=1)
+        for algorithm in ("greedy_bucketing", "exhaustive_bucketing"):
+            assert table1.time_algorithm(algorithm, records, repeats=2) > 0
+        assert entered == []
+        assert len(records) == 60  # the caller's list is read, not grown
+        for row in table1._LITERAL_SEARCHES:
+            with pytest.raises(AssertionError, match=f"entered {row}"):
+                table1.time_algorithm(row, records, repeats=1)
+        assert entered == list(table1._LITERAL_SEARCHES)
 
     def test_unknown_algorithm_rejected(self):
         from repro.core.records import RecordList

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.checkpoint import CheckpointError, file_digest
+from repro.checkpoint import CheckpointError, file_digest, load_checkpoint, save_checkpoint
 from repro.core.allocator import AllocatorConfig
 from repro.faultfs import flip_bit
 from repro.service.config import ServiceConfig
@@ -28,6 +28,7 @@ from repro.service.service import (
     read_current,
     segment_filename,
     snapshot_filename,
+    write_current,
 )
 
 
@@ -235,6 +236,35 @@ def test_config_change_is_refused_not_quarantined(tmp_path):
     with pytest.raises(CheckpointError, match="different.*configuration"):
         run(recover())
     # Refused loudly, but the bytes are fine: nothing was quarantined.
+    assert not any(name.endswith(".corrupt") for name in os.listdir(tmp_path))
+
+
+def test_shard_state_missing_dedup_is_refused(tmp_path):
+    """A digest-valid generation whose shard state lacks the dedup window
+    is another format: refused by name, not started with an empty window
+    (which would re-execute every keyed op still in flight)."""
+
+    async def scenario():
+        service = await _seed_service(_config(tmp_path), n_ops=6)
+        await service.stop()
+
+    run(scenario())
+    chain = read_current(str(tmp_path))
+    path = str(tmp_path / snapshot_filename(chain[0]["gen"]))
+    kind, payload = load_checkpoint(path)
+    index = max(range(len(payload["shards"])), key=lambda i: len(payload["shards"][i]["dedup"]))
+    assert payload["shards"][index]["dedup"]  # keyed responses were in the window
+    del payload["shards"][index]["dedup"]
+    chain[0]["digest"] = save_checkpoint(path, kind, payload)
+    write_current(str(tmp_path), chain)
+
+    async def recover():
+        service = AllocationService(_config(tmp_path))
+        await service.start()
+
+    with pytest.raises(CheckpointError, match=f"shard {index} .*'dedup'"):
+        run(recover())
+    # Refused, not corrupt: the bytes verified, nothing was quarantined.
     assert not any(name.endswith(".corrupt") for name in os.listdir(tmp_path))
 
 

@@ -16,14 +16,17 @@ import pytest
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
 from repro.core.resources import MEMORY, ResourceVector
 from repro.service import (
+    AllocationServer,
     AllocationService,
+    AsyncServiceClient,
     ProtocolError,
     ServiceConfig,
     apply_op,
     shard_of,
     shard_seed,
 )
-from repro.service.protocol import parse_line, validate_request
+from repro.service.protocol import ERR_OVERLOADED, encode, parse_line, validate_request
+from repro.service.server import RETRY_AFTER_S
 from repro.sim.resilience import CircuitBreakerConfig
 
 
@@ -362,6 +365,55 @@ def test_record_is_never_shed():
         assert len(records) == 20
         assert service.shards[0].allocator.records_count("proc") == 20
         assert any(r.get("mode") == "conservative" for r in results)
+        await service.stop()
+
+    run(scenario())
+
+
+def test_inflight_limit_answers_overloaded_without_touching_a_shard(tmp_path):
+    """``max_inflight_requests``: with one request held in a parked shard's
+    queue, the next is refused at the edge — typed, with a backoff hint,
+    counted, and never enqueued — and both sessions carry on afterwards."""
+
+    async def scenario():
+        service = AllocationService(_config(max_inflight_requests=1))
+        await service.start()
+        sock = str(tmp_path / "svc.sock")
+        server = AllocationServer(service, socket_path=sock)
+        await server.start()
+        shard = service.shards[service.shard_for("held")]
+        barrier = shard.quiesce()
+        await barrier.parked.wait()
+
+        first = AsyncServiceClient(socket_path=sock, client_id="first")
+        pending = asyncio.ensure_future(first.allocate("held", task_id=0))
+        while shard.queue_depth < 1:  # the one permitted request is in flight
+            await asyncio.sleep(0.001)
+        seq = shard.seq
+
+        reader, writer = await asyncio.open_unix_connection(sock)
+        second = encode({"id": "second", "op": "allocate", "category": "held", "task_id": 1})
+        writer.write(second)
+        refused = json.loads(await reader.readline())
+        assert refused["ok"] is False and refused["id"] == "second"
+        assert refused["error"]["code"] == ERR_OVERLOADED
+        assert refused["error"]["retry_after"] == RETRY_AFTER_S
+        assert server.rejected_requests == 1
+        assert shard.seq == seq and shard.queue_depth == 1 and not pending.done()
+
+        barrier.release.set()
+        await pending
+        assert shard.seq == seq + 1
+        # Both sessions are still usable, and nothing more was refused.
+        writer.write(second)
+        accepted = json.loads(await reader.readline())
+        assert accepted["ok"] is True and accepted["result"]["seq"] == seq + 2
+        assert await first.ping()
+        assert (await first.health())["rejected_requests"] == 1
+
+        writer.close()
+        await first.close()
+        await server.stop()
         await service.stop()
 
     run(scenario())
