@@ -180,10 +180,14 @@ FRAME_PREFIX = "F1 "
 
 _CRC_HEX_DIGITS = 8
 
+#: ``json.dumps(doc, separators=(",", ":"))`` without building a fresh
+#: encoder per call (that is what ``dumps`` does for non-default options).
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def encode_frame(doc: Any) -> str:
     """Render ``doc`` as one self-describing checksummed journal line."""
-    payload = json.dumps(doc, indent=None, separators=(",", ":"))
+    payload = _compact_json(doc)
     if "\n" in payload:  # pragma: no cover - json never emits raw newlines
         raise CheckpointError("journal documents must serialize to one line")
     raw = payload.encode("utf-8")
@@ -301,7 +305,7 @@ def write_text_atomic(path: str, text: str) -> None:
 
 def write_json_atomic(path: str, doc: Any) -> None:
     """Atomically write ``doc`` as JSON (exact float round-trip)."""
-    write_text_atomic(path, json.dumps(doc, indent=None, separators=(",", ":")))
+    write_text_atomic(path, _compact_json(doc))
 
 
 def append_jsonl(path: str, doc: Any) -> None:

@@ -14,14 +14,20 @@ views (values, significances, and their prefix sums) that the cost
 kernels in :mod:`repro.core.cost` need for O(1) per-candidate expected
 waste evaluation.
 
-Storage is *array-backed*: three preallocated, amortized-doubling numpy
-buffers (values, significances, task ids) plus two prefix-sum buffers
-maintained **incrementally** — an insertion shifts only the suffix at or
-after the insertion point and adds the new record's contribution to the
-shifted prefix entries, so the simulator's update→predict alternation
-costs one vectorized suffix shift instead of the full Python-object walk
-the seed implementation paid per completed task (kept under
-``tests/core/records_reference.py`` as the equivalence-test oracle).
+Storage is one amortized-doubling ``(5, size)`` block of 8-byte cells
+whose rows are the values, the significances, their two prefix sums and
+the task ids (an ``int64`` view of its row), so a record is a *column*.
+The prefix sums are maintained **incrementally**: an insertion shifts
+the columns at or after the insertion point one step right in a single
+2-D copy (row by row past :data:`_BLOCK_MOVE_MAX` columns), adds the new
+record's contribution to the shifted prefix entries and stores its own
+column — one shift where five separate buffers needed five, and numpy
+call overhead is what an insert costs at the tens to hundreds of
+records per category a service sees (docs/PERFORMANCE.md).
+The cost kernels keep reading the *rows* (``_values_buf``, ``_sp_buf``,
+``_svp_buf``): a gather ``block[:4, idx]`` measured slower than three
+row gathers.  The seed's Python-object walk is kept under
+``tests/core/records_reference.py`` as the equivalence-test oracle.
 
 A ``capacity`` bound turns the list into a *bounded record store*
 (required once record counts reach 10^6+ — see docs/PERFORMANCE.md)
@@ -44,12 +50,19 @@ capacity ablation in :mod:`repro.experiments.ablation`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-#: Initial buffer capacity; buffers double whenever they fill.
+#: Initial row length of the block; it doubles whenever the rows fill.
 _MIN_BUFFER = 32
+
+#: Longest run of columns moved as one overlapping 2-D copy, which numpy
+#: buffers through a temporary as large as the run: cheaper than five
+#: in-place row moves below ~16k columns, twice their cost from ~32k
+#: (docs/PERFORMANCE.md).  Every e2e workload stays below the bound.
+_BLOCK_MOVE_MAX = 8192
 
 #: Recognized compaction policies for capacity-bounded lists.
 COMPACTION_POLICIES = ("evict_min", "decay", "reservoir")
@@ -86,22 +99,26 @@ class ResourceRecord:
     task_id: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
-        if self.value < 0 or self.value != self.value:
-            raise ValueError(f"invalid record value: {self.value}")
-        if self.significance <= 0 or self.significance != self.significance:
+        # Chained comparisons: NaN and the infinities fail them too.
+        if not 0 <= self.value < inf:
             raise ValueError(
-                f"record significance must be positive, got {self.significance}"
+                f"record values must be finite and non-negative, got {self.value}"
+            )
+        if not 0 < self.significance < inf:
+            raise ValueError(
+                f"record significances must be finite and positive, got {self.significance}"
             )
 
 
 class RecordList:
     """A list of :class:`ResourceRecord` kept sorted by value.
 
-    Records live in preallocated numpy buffers; an append finds its slot
-    with ``np.searchsorted`` (value first, significance as the
-    tie-breaker, insertion after equal keys — exactly the order the seed
-    implementation's ``bisect.insort`` produced) and shifts only the
-    suffix.  The significance prefix sums are maintained incrementally
+    Records are the columns of one preallocated block (module
+    docstring); an append finds its slot with ``searchsorted`` (value
+    first, significance as the tie-breaker, insertion after equal keys —
+    exactly the order the seed implementation's ``bisect.insort``
+    produced) and shifts only the columns after it.  The significance
+    prefix sums are maintained incrementally
     alongside, so the views below never require a full rebuild; they are
     materialized as read-only snapshot arrays once per mutation and
     cached until the next mutation (a burst of completions followed by
@@ -122,6 +139,7 @@ class RecordList:
         "_seen",
         "_last_eviction",
         "_n",
+        "_block",
         "_values_buf",
         "_sigs_buf",
         "_tids_buf",
@@ -156,38 +174,22 @@ class RecordList:
         )
         self._seen = 0
         self._last_eviction: object = None
-        items = list(records)
-        n = len(items)
-        size = max(_MIN_BUFFER, n)
-        self._values_buf = np.empty(size, dtype=np.float64)
-        self._sigs_buf = np.empty(size, dtype=np.float64)
-        self._tids_buf = np.empty(size, dtype=np.int64)
-        self._sp_buf = np.empty(size, dtype=np.float64)
-        self._svp_buf = np.empty(size, dtype=np.float64)
         self._n = 0
+        self._allocate(_MIN_BUFFER)
         self._invalidate()
+        items = list(records)
         if self._rng is not None:
             # Reservoir semantics depend on arrival order: replay the
             # stream record by record through the sampling filter.
             for record in items:
                 self.add(record.value, record.significance, record.task_id)
-            return
-        self._n = n
-        if n:
-            values = np.fromiter((r.value for r in items), np.float64, count=n)
-            sigs = np.fromiter((r.significance for r in items), np.float64, count=n)
-            tids = np.fromiter((r.task_id for r in items), np.int64, count=n)
-            # Stable lexicographic sort by (value, significance) matches
-            # sorted() on the dataclass ordering (task_id is compare=False).
-            order = np.lexsort((sigs, values))
-            self._values_buf[:n] = values[order]
-            self._sigs_buf[:n] = sigs[order]
-            self._tids_buf[:n] = tids[order]
-            self._rebuild_prefixes()
-        self._seen = n
-        if capacity is not None and self._n > capacity:
-            self._evict_to_capacity(capacity)
-        self._invalidate()
+        elif items:
+            n = len(items)
+            self._load(
+                np.fromiter((r.value for r in items), np.float64, count=n),
+                np.fromiter((r.significance for r in items), np.float64, count=n),
+                np.fromiter((r.task_id for r in items), np.int64, count=n),
+            )
 
     @classmethod
     def from_arrays(
@@ -233,26 +235,30 @@ class RecordList:
             raise ValueError("record values must be finite and non-negative")
         if n and (not np.all(np.isfinite(sigs)) or bool(np.any(sigs <= 0))):
             raise ValueError("record significances must be finite and positive")
-        if compaction == "reservoir" and capacity is not None:
-            new = cls(capacity=capacity, compaction=compaction, seed=seed)
+        new = cls(capacity=capacity, compaction=compaction, seed=seed)
+        if new._rng is not None:
             for i in range(n):
                 new.add(float(values[i]), float(sigs[i]), int(tids[i]))
-            return new
-        new = cls(capacity=capacity, compaction=compaction, seed=seed)
-        size = max(_MIN_BUFFER, n)
-        if new._values_buf.size < size:
-            new._grow_to(size)
-        order = np.lexsort((sigs, values))
-        new._values_buf[:n] = values[order]
-        new._sigs_buf[:n] = sigs[order]
-        new._tids_buf[:n] = tids[order]
-        new._n = n
-        new._seen = n
-        new._rebuild_prefixes()
-        if capacity is not None and n > capacity:
-            new._evict_to_capacity(capacity)
-        new._invalidate()
+        else:
+            new._load(values, sigs, tids)
         return new
+
+    def _load(self, values: np.ndarray, sigs: np.ndarray, tids: np.ndarray) -> None:
+        """Fill an empty list from whole (unsorted, validated) columns."""
+        n = values.size
+        if n > self._values_buf.size:
+            self._allocate(n)
+        # Stable lexicographic sort by (value, significance) matches
+        # sorted() on the dataclass ordering (task_id is compare=False).
+        order = np.lexsort((sigs, values))
+        self._values_buf[:n] = values[order]
+        self._sigs_buf[:n] = sigs[order]
+        self._tids_buf[:n] = tids[order]
+        self._n = self._seen = n
+        self._rebuild_prefixes()
+        if self._capacity is not None and n > self._capacity:
+            self._evict_to_capacity(self._capacity)
+        self._invalidate()
 
     # -- mutation ------------------------------------------------------------
 
@@ -272,11 +278,11 @@ class RecordList:
         :attr:`last_eviction` — together they let incremental partition
         engines track the store without rescanning it.
         """
-        if value < 0 or value != value:
-            raise ValueError(f"invalid record value: {value}")
-        if significance <= 0 or significance != significance:
+        if not 0 <= value < inf:
+            raise ValueError(f"record values must be finite and non-negative, got {value}")
+        if not 0 < significance < inf:
             raise ValueError(
-                f"record significance must be positive, got {significance}"
+                f"record significances must be finite and positive, got {significance}"
             )
         self._last_eviction = None
         self._seen += 1
@@ -334,78 +340,59 @@ class RecordList:
     def _insert(self, value: float, significance: float, task_id: int) -> int:
         n = self._n
         if n == self._values_buf.size:
-            self._grow()
-        values = self._values_buf
-        sigs = self._sigs_buf
+            self._allocate(2 * n)
         # Position: after every record with a smaller (value, significance)
         # key and after equal keys — bisect.insort's resting place for the
         # seed's (value, significance)-ordered dataclass.
-        lo = int(np.searchsorted(values[:n], value, side="left"))
-        hi = int(np.searchsorted(values[:n], value, side="right"))
-        if lo < hi:
-            pos = lo + int(np.searchsorted(sigs[lo:hi], significance, side="right"))
-        else:
-            pos = lo
+        live = self._values_buf[:n]
+        pos = int(live.searchsorted(value, "left"))
+        hi = int(live.searchsorted(value, "right"))
+        if pos < hi:
+            pos += int(self._sigs_buf[pos:hi].searchsorted(significance, "right"))
         sp = self._sp_buf
         svp = self._svp_buf
-        tids = self._tids_buf
-        if pos < n:
-            # Overlapping slice assignments are safe: numpy buffers them.
-            values[pos + 1 : n + 1] = values[pos:n]
-            sigs[pos + 1 : n + 1] = sigs[pos:n]
-            tids[pos + 1 : n + 1] = tids[pos:n]
-            sp[pos + 1 : n + 1] = sp[pos:n]
-            svp[pos + 1 : n + 1] = svp[pos:n]
-        values[pos] = value
-        sigs[pos] = significance
-        tids[pos] = task_id
         sigval = significance * value
-        base_sp = sp[pos - 1] if pos > 0 else 0.0
-        base_svp = svp[pos - 1] if pos > 0 else 0.0
-        sp[pos] = base_sp + significance
-        svp[pos] = base_svp + sigval
         if pos < n:
+            # The same per-element additions as five 1-D buffers did.
+            self._move(pos + 1, pos, n - pos)
             sp[pos + 1 : n + 1] += significance
             svp[pos + 1 : n + 1] += sigval
+        self._values_buf[pos] = value
+        self._sigs_buf[pos] = significance
+        self._tids_buf[pos] = task_id
+        sp[pos] = (sp[pos - 1] if pos else 0.0) + significance
+        svp[pos] = (svp[pos - 1] if pos else 0.0) + sigval
         self._n = n + 1
         return pos
 
-    def _grow(self) -> None:
-        self._grow_to(max(_MIN_BUFFER, 2 * self._values_buf.size))
+    def _allocate(self, size: int) -> None:
+        """(Re)allocate the block at ``size`` cells per row, keeping the records.
 
-    def _grow_to(self, size: int) -> None:
-        for name in ("_values_buf", "_sigs_buf", "_tids_buf", "_sp_buf", "_svp_buf"):
-            old = getattr(self, name)
-            if old.size >= size:
-                continue
-            grown = np.empty(size, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-
-    def _evict_one(self) -> int:
-        """Evict the single lowest-significance record; return its index.
-
-        The steady state of a full ``evict_min`` window: one O(n) argmin
-        instead of an O(n log n) sort per append.  Ties break on the
-        lowest index, matching the seed's stable sort.
+        The only place the row views are bound: a view of a replaced
+        block would keep reading (and writing) the old allocation.
         """
+        block = np.empty((5, size), dtype=np.float64)
         n = self._n
-        victim = int(np.argmin(self._sigs_buf[:n]))
-        self._last_eviction = (victim, float(self._values_buf[victim]))
-        for name in ("_values_buf", "_sigs_buf", "_tids_buf"):
-            buf = getattr(self, name)
-            buf[victim : n - 1] = buf[victim + 1 : n]
-        self._n = n - 1
-        self._rebuild_prefixes()
-        return victim
+        if n:
+            block[:, :n] = self._block[:, :n]
+        self._block = block
+        self._values_buf, self._sigs_buf, self._sp_buf, self._svp_buf, tids = block
+        self._tids_buf = tids.view(np.int64)
+
+    def _move(self, dst: int, src: int, count: int) -> None:
+        """Move ``count`` columns from ``src`` to ``dst``; the runs may overlap."""
+        block = self._block
+        if count <= _BLOCK_MOVE_MAX:
+            block[:, dst : dst + count] = block[:, src : src + count]
+        else:
+            for row in block:
+                row[dst : dst + count] = row[src : src + count]
 
     def _remove_at(self, index: int) -> None:
-        """Remove the record at sorted ``index`` (reservoir replacement)."""
+        """Remove the record at sorted ``index``, reporting it as evicted."""
         n = self._n
         self._last_eviction = (index, float(self._values_buf[index]))
-        for name in ("_values_buf", "_sigs_buf", "_tids_buf"):
-            buf = getattr(self, name)
-            buf[index : n - 1] = buf[index + 1 : n]
+        self._move(index, index + 1, n - 1 - index)
         self._n = n - 1
         self._rebuild_prefixes()
 
@@ -413,10 +400,12 @@ class RecordList:
         """Compact down to ``target`` records; lowest significance goes first.
 
         Evicted records are the oldest under the paper's significance =
-        task-ID convention.  Over by one delegates to the argmin fast
-        path and returns the victim's index; over by more runs a single
+        task-ID convention.  Over by one — the steady state of a full
+        ``evict_min`` window — is one O(n) argmin instead of a sort
+        (ties break on the lowest index, matching the seed's stable
+        sort) and returns the victim's index; over by more runs a single
         vectorized batch eviction (one stable argsort + one boolean-mask
-        compress per buffer) and returns ``None``, reporting
+        compress of the block) and returns ``None``, reporting
         :data:`BATCH_EVICTION` through :attr:`last_eviction`.
         """
         n = self._n
@@ -424,15 +413,14 @@ class RecordList:
         if excess <= 0:
             return None
         if excess == 1:
-            return self._evict_one()
-        sigs = self._sigs_buf[:n]
+            victim = int(self._sigs_buf[:n].argmin())
+            self._remove_at(victim)
+            return victim
         keep = np.ones(n, dtype=bool)
-        keep[np.argsort(sigs, kind="stable")[:excess]] = False
-        m = n - excess
-        for name in ("_values_buf", "_sigs_buf", "_tids_buf"):
-            buf = getattr(self, name)
-            buf[:m] = buf[:n][keep]
-        self._n = m
+        keep[np.argsort(self._sigs_buf[:n], kind="stable")[:excess]] = False
+        block = self._block
+        block[:, : n - excess] = block[:, :n][:, keep]
+        self._n = n - excess
         self._last_eviction = BATCH_EVICTION
         self._rebuild_prefixes()
         return None
@@ -550,12 +538,7 @@ class RecordList:
         return self._n
 
     def __iter__(self) -> Iterator[ResourceRecord]:
-        for i in range(self._n):
-            yield ResourceRecord(
-                value=float(self._values_buf[i]),
-                significance=float(self._sigs_buf[i]),
-                task_id=int(self._tids_buf[i]),
-            )
+        return map(self._record_at, range(self._n))
 
     def __getitem__(
         self, index: Union[int, slice]
@@ -616,11 +599,8 @@ class RecordList:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the five preallocated buffers (footprint metric)."""
-        return sum(
-            getattr(self, name).nbytes
-            for name in ("_values_buf", "_sigs_buf", "_tids_buf", "_sp_buf", "_svp_buf")
-        )
+        """Bytes held by the preallocated block (footprint metric)."""
+        return self._block.nbytes
 
     def total_significance(self) -> float:
         return float(self._sp_buf[self._n - 1]) if self._n else 0.0
@@ -644,16 +624,17 @@ class RecordList:
         from repro.checkpoint import generator_state
 
         n = self._n
+        values, sigs, sig_prefix, sigval_prefix = self._block[:4, :n].tolist()
         return {
             "capacity": self._capacity,
             "compaction": self._compaction,
             "seen": self._seen,
             "rng": None if self._rng is None else generator_state(self._rng),
-            "values": self._values_buf[:n].tolist(),
-            "significances": self._sigs_buf[:n].tolist(),
+            "values": values,
+            "significances": sigs,
             "task_ids": self._tids_buf[:n].tolist(),
-            "sig_prefix": self._sp_buf[:n].tolist(),
-            "sigval_prefix": self._svp_buf[:n].tolist(),
+            "sig_prefix": sig_prefix,
+            "sigval_prefix": sigval_prefix,
         }
 
     @classmethod
@@ -674,12 +655,15 @@ class RecordList:
             capacity=state["capacity"],
             compaction=state.get("compaction", "evict_min"),
         )
-        new._grow_to(max(_MIN_BUFFER, n))
-        new._values_buf[:n] = np.asarray(values, dtype=np.float64)
-        new._sigs_buf[:n] = np.asarray(state["significances"], dtype=np.float64)
-        new._tids_buf[:n] = np.asarray(state["task_ids"], dtype=np.int64)
-        new._sp_buf[:n] = np.asarray(state["sig_prefix"], dtype=np.float64)
-        new._svp_buf[:n] = np.asarray(state["sigval_prefix"], dtype=np.float64)
+        if n > new._values_buf.size:
+            new._allocate(n)
+        new._block[:4, :n] = (
+            values,
+            state["significances"],
+            state["sig_prefix"],
+            state["sigval_prefix"],
+        )
+        new._tids_buf[:n] = state["task_ids"]
         new._n = n
         new._seen = int(state.get("seen", n))
         rng_state = state.get("rng")

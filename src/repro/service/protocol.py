@@ -16,6 +16,7 @@ replay would trip over it).
 from __future__ import annotations
 
 import json
+from math import inf
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.core.resources import Resource
@@ -42,6 +43,10 @@ __all__ = [
     "ok_response",
     "error_response",
 ]
+
+#: One encoder for every line: ``json.dumps`` with non-default options
+#: builds a fresh one per call.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Read-only / control operations the server answers without touching a
 #: shard queue.
@@ -146,9 +151,10 @@ def _require_vector(
             raise ProtocolError(
                 f"{doc.get('op')}: {key!r}[{res_key!r}] must be a number"
             )
-        if magnitude < 0 or magnitude != magnitude:
+        # json.loads accepts NaN/Infinity; the chained comparison fails both.
+        if not 0 <= magnitude < inf:
             raise ProtocolError(
-                f"{doc.get('op')}: {key!r}[{res_key!r}] must be >= 0 and not NaN"
+                f"{doc.get('op')}: {key!r}[{res_key!r}] must be finite and >= 0"
             )
 
 
@@ -212,13 +218,16 @@ def validate_request(
         if significance is not None and (
             isinstance(significance, bool)
             or not isinstance(significance, (int, float))
+            or not 0 < significance < inf
         ):
-            raise ProtocolError("record: 'significance' must be a number when given")
+            raise ProtocolError(
+                "record: 'significance' must be a finite number > 0 when given"
+            )
 
 
 def encode(doc: Mapping[str, Any]) -> bytes:
     """One response/request document as a compact JSON line."""
-    return (json.dumps(doc, indent=None, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_compact_json(doc) + "\n").encode("utf-8")
 
 
 def ok_response(request_id: Optional[Any], result: Mapping[str, Any]) -> Dict[str, Any]:

@@ -23,6 +23,21 @@ class TestResourceRecord:
         with pytest.raises(ValueError):
             ResourceRecord(1.0, significance=-2.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_value_or_significance_rejected(self, bad):
+        # An infinite value or significance makes every later prefix
+        # sum of its list infinite: no bucket can be scored again.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ResourceRecord(bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ResourceRecord(1.0, significance=bad)
+        rl = RecordList([ResourceRecord(3.0)])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            rl.add(bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            rl.add(1.0, significance=bad)
+        assert len(rl) == 1 and rl.seen == 1 and rl.total_significance() == 1.0
+
 
 class TestRecordList:
     def test_append_keeps_sorted(self):
@@ -259,7 +274,7 @@ class TestBatchEvictionEquivalence:
         batch._evict_to_capacity(target)
         assert batch.last_eviction == BATCH_EVICTION
         while len(legacy) > target:
-            legacy._evict_one()
+            legacy._evict_to_capacity(len(legacy) - 1)
         assert list(batch.values) == list(legacy.values)
         assert list(batch.significances) == list(legacy.significances)
         assert list(batch.task_ids) == list(legacy.task_ids)

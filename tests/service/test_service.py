@@ -25,7 +25,13 @@ from repro.service import (
     shard_of,
     shard_seed,
 )
-from repro.service.protocol import ERR_OVERLOADED, encode, parse_line, validate_request
+from repro.service.protocol import (
+    ERR_BAD_REQUEST,
+    ERR_OVERLOADED,
+    encode,
+    parse_line,
+    validate_request,
+)
 from repro.service.server import RETRY_AFTER_S
 from repro.sim.resilience import CircuitBreakerConfig
 
@@ -286,6 +292,88 @@ def test_parse_line_and_nested_batch_validation():
         )
     with pytest.raises(ProtocolError):
         validate_request({"op": "allocate_batch", "requests": []}, resources)
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+def test_validate_request_refuses_non_finite_numbers(literal):
+    # json.loads (hence parse_line) accepts all three literals.
+    resources = AllocatorConfig().resources
+    vector = '{"cores":1,"memory":%s,"disk":5}'
+    fine = vector % "100"
+    for line in (
+        '{"op":"record","category":"c","task_id":1,"peaks":%s}' % (vector % literal),
+        '{"op":"record","category":"c","task_id":1,"peaks":%s,"significance":%s}'
+        % (fine, literal),
+        '{"op":"allocate_retry","category":"c","task_id":1,"previous":%s,'
+        '"observed":%s,"exhausted":["memory"]}' % (vector % literal, fine),
+        '{"op":"allocate_retry","category":"c","task_id":1,"previous":%s,'
+        '"observed":%s,"exhausted":["memory"]}' % (fine, vector % literal),
+    ):
+        with pytest.raises(ProtocolError) as refused:
+            validate_request(parse_line(line.encode() + b"\n"), resources)
+        assert refused.value.code == ERR_BAD_REQUEST
+
+
+@pytest.mark.parametrize("significance", [0, -1, 0.0])
+def test_validate_request_refuses_non_positive_significance(significance):
+    # RecordList.add refuses it, and by then the op would be in the WAL.
+    doc = {
+        "op": "record",
+        "category": "c",
+        "task_id": 1,
+        "peaks": {"memory": 1.0},
+        "significance": significance,
+    }
+    with pytest.raises(ProtocolError):
+        validate_request(doc, AllocatorConfig().resources)
+
+
+def test_infinite_record_is_refused_before_the_wal_and_poisons_nothing(tmp_path):
+    """``{"peaks": {"memory": Infinity}}`` used to be WAL-logged and
+    answered ``recorded``; every later allocate of its category then
+    failed, across restarts.  It is a ``bad_request`` that moves nothing."""
+
+    async def scenario():
+        data_dir = str(tmp_path / "data")
+        config = _config(data_dir=data_dir, n_shards=1, durability="op")
+        service = AllocationService(config)
+        await service.start()
+        sock = str(tmp_path / "svc.sock")
+        server = AllocationServer(service, socket_path=sock)
+        await server.start()
+        client = AsyncServiceClient(socket_path=sock)
+        for task_id in range(1, 6):
+            peaks = ResourceVector.of(cores=1, memory=100.0 * task_id, disk=10.0)
+            await client.record("c", peaks, task_id=task_id)
+        shard = service.shards[0]
+        wal = os.path.join(data_dir, "shard-00.wal")
+        seq, wal_bytes, digest = shard.seq, os.path.getsize(wal), service.shard_digests()
+
+        reader, writer = await asyncio.open_unix_connection(sock)
+        for field in (
+            '"peaks":{"cores":1,"memory":Infinity,"disk":10}',
+            '"peaks":{"cores":1,"memory":5,"disk":10},"significance":Infinity',
+        ):
+            writer.write(
+                b'{"id":"bad","op":"record","category":"c","task_id":6,%s}\n' % field.encode()
+            )
+            refused = json.loads(await reader.readline())
+            assert refused["ok"] is False and refused["id"] == "bad"
+            assert refused["error"]["code"] == ERR_BAD_REQUEST
+        assert shard.seq == seq and os.path.getsize(wal) == wal_bytes
+        assert service.shard_digests() == digest
+
+        writer.write(encode({"id": "next", "op": "allocate", "category": "c", "task_id": 7}))
+        accepted = json.loads(await reader.readline())
+        assert accepted["ok"] is True and accepted["result"]["seq"] == seq + 1
+        assert accepted["result"]["mode"] == "predicted"
+        assert accepted["result"]["allocation"]["memory"] <= 500.0
+        writer.close()
+        await client.close()
+        await server.stop()
+        await service.stop()
+
+    run(scenario())
 
 
 # ---------------------------------------------------------------------------
