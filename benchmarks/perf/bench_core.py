@@ -155,10 +155,8 @@ def bench_partition_search(
         t_full = 0.0
         t_inc = 0.0
         for i in range(decisions):
-            pos = records.add(float(values[i]), float(sigs[i]), task_id=n + i)
-            eviction = records.last_eviction
-            inserted = None if (pos is None and eviction is None) else float(values[i])
-            engine.observe(inserted, eviction, pos)
+            value = float(values[i])
+            engine.observe(value, records.add(value, float(sigs[i]), task_id=n + i))
             start = time.perf_counter()
             inc_breaks = engine.break_indices()
             t_inc += time.perf_counter() - start

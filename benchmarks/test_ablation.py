@@ -49,3 +49,27 @@ def test_bucket_cap_ablation(benchmark, bench_config):
     assert by_cap["max_buckets=10"].awe_memory >= by_cap["max_buckets=1"].awe_memory - 0.05
     print()
     print(ablation.render(ablation.AblationResult(rows=rows)))
+
+
+def test_capacity_ablation(benchmark, bench_config):
+    capacities = (30, 100, bench_config.n_tasks)
+    rows = benchmark.pedantic(
+        ablation.run_capacity_ablation,
+        args=(bench_config,),
+        kwargs={"capacities": capacities},
+        rounds=1,
+        iterations=1,
+    )
+    assert [r.variant for r in rows] == ["unbounded (paper)"] + [
+        f"cap={c}" for c in capacities
+    ]
+    reference, *binding, never_binds = rows
+    assert reference.awe_delta is None
+    # A bound the stream never reaches changes nothing, to the bit.
+    assert never_binds.awe_delta == 0.0
+    assert never_binds.attempts == reference.attempts
+    for row in binding:
+        assert 0 < row.awe_memory <= 1
+        assert abs(row.awe_delta) <= 0.1
+    print()
+    print(ablation.render(ablation.AblationResult(rows=rows)))

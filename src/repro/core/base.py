@@ -173,12 +173,9 @@ class BucketingAlgorithm(AllocationAlgorithm):
         self,
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
-        record_compaction: str = "evict_min",
     ) -> None:
         super().__init__(rng=rng)
-        self._records = RecordList(
-            capacity=record_capacity, compaction=record_compaction
-        )
+        self._records = RecordList(capacity=record_capacity)
         self._state: Optional[BucketState] = None
         self._dirty = True
         self._recomputations = 0
@@ -196,8 +193,10 @@ class BucketingAlgorithm(AllocationAlgorithm):
     def _make_partition_engine(self):
         """The partition engine bound to ``self._records``.
 
-        An object with ``observe(value, eviction, pos)``, which every
-        :meth:`update` streams the record mutation into,
+        An object with ``observe(value, pos)``, which every
+        :meth:`update` streams the inserted value and
+        :meth:`RecordList.add <repro.core.records.RecordList.add>`'s
+        result into (``pos is None``: the store compacted, resync),
         ``break_indices()``, and ``consume_stats(breaks)`` — the
         per-bucket stats its search already computed for ``breaks``, or
         ``None`` to have :class:`~repro.core.buckets.BucketState` derive
@@ -217,12 +216,9 @@ class BucketingAlgorithm(AllocationAlgorithm):
     # -- contract ----------------------------------------------------------------
 
     def update(self, value: float, significance: float = 1.0, task_id: int = -1) -> None:
-        pos = self._records.add(value=value, significance=significance, task_id=task_id)
-        eviction = self._records.last_eviction
-        # pos None with no eviction = the reservoir filter rejected the
-        # arrival: nothing was inserted.
-        inserted = None if (pos is None and eviction is None) else float(value)
-        self._partition_engine.observe(inserted, eviction, pos)
+        self._partition_engine.observe(
+            value, self._records.add(value, significance, task_id)
+        )
         self._dirty = True
 
     def predict(self) -> Optional[float]:
@@ -272,10 +268,7 @@ class BucketingAlgorithm(AllocationAlgorithm):
         return self._recomputations
 
     def reset(self) -> None:
-        self._records = RecordList(
-            capacity=self._records.capacity,
-            compaction=self._records.compaction,
-        )
+        self._records = RecordList(capacity=self._records.capacity)
         self._state = None
         self._dirty = True
         self._recomputations = 0

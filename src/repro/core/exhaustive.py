@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.base import BucketingAlgorithm, register_algorithm
 from repro.core.buckets import bucket_stats
-from repro.core.records import BATCH_EVICTION, RecordList
+from repro.core.records import RecordList
 
 __all__ = [
     "ExhaustiveBucketing",
@@ -255,12 +255,11 @@ class IncrementalExhaustivePartition:
     :class:`ExhaustiveBucketing` runs at every record count: the mapped
     index of candidate value ``c`` is ``(#records with value < c) - 1``
     (``searchsorted``-left semantics), and that count changes by exactly
-    +1 per inserted value below ``c`` and -1 per evicted value below
-    ``c``.  The candidates are kept sorted, so one record mutation is
-    one ``bisect`` for the first candidate above the value plus one
-    bump of a difference array — O(log C), independent of the record
-    count; :meth:`break_indices` prefix-sums the array when it rebuilds
-    the configurations.
+    +1 per inserted value below ``c``.  The candidates are kept sorted,
+    so one insert is one ``bisect`` for the first candidate above the
+    value plus one bump of a difference array — O(log C), independent of
+    the record count; :meth:`break_indices` prefix-sums the array when
+    it rebuilds the configurations.
 
     The maintenance is **exact**, not approximate: candidate values are
     computed with the same float expression as
@@ -272,10 +271,10 @@ class IncrementalExhaustivePartition:
     so a restored engine resyncs on its first query and reproduces the
     pre-checkpoint break indices.
 
-    Two events invalidate the counts wholesale: a change of the maximum
-    record value (every candidate ``v_max * i / k`` moves) and a batch
-    compaction (an unenumerated set of evictions).  Both mark the engine
-    out of sync; the next query *resyncs* with one vectorized
+    Two events invalidate the counts wholesale: a new maximum record
+    value (every candidate ``v_max * i / k`` moves) and a compaction of
+    a bounded store (an unenumerated set of evictions).  Both mark the
+    engine out of sync; the next query *resyncs* with one vectorized
     ``searchsorted`` of the sorted candidate vector — O(C log n).
     """
 
@@ -344,54 +343,27 @@ class IncrementalExhaustivePartition:
     def synced(self) -> bool:
         return self._synced
 
-    def observe(
-        self,
-        value: Optional[float],
-        eviction: object,
-        pos: Optional[int] = None,
-    ) -> None:
+    def observe(self, value: float, pos: Optional[int]) -> None:
         """Fold one :meth:`RecordList.add` outcome into the counts.
 
-        ``value`` is the inserted value, or ``None`` when the reservoir
-        filter rejected the arrival; ``eviction`` is the record list's
-        :attr:`~repro.core.records.RecordList.last_eviction`.  ``pos``
-        (the insert index) is accepted for engine-protocol uniformity
-        but unused — the counts depend only on the inserted *value*.
+        ``value`` is the inserted value and ``pos`` what ``add``
+        returned: ``None`` when the store compacted, otherwise the
+        insert index — which the counts, depending only on the inserted
+        *value*, do not read.
         """
         if not self._synced:
             return
-        if value is None and eviction is None:
-            # No mutation at all (reservoir filter rejected the arrival).
-            return
-        if eviction == BATCH_EVICTION:
-            # Batch compaction: victims unenumerated.
-            self._synced = False
-            return
         vmax = self._vmax
         assert vmax is not None
-        if value is not None and value > vmax:
-            # A new maximum moves every candidate v_max * i / k; remap
-            # lazily.  An insert is the only way the maximum can grow,
-            # so the common case needs no buffer read at all.
+        if pos is None or value > vmax:
+            # A compaction evicted an unenumerated set of records; a new
+            # maximum moves every candidate v_max * i / k.  Remap lazily.
             self._synced = False
             return
-        evicted: Optional[float] = None
-        if eviction is not None:
-            evicted = eviction[1]  # type: ignore[index]
-            if evicted >= vmax:
-                # Evicted a maximum-valued record; unless a duplicate
-                # remains (or the insert re-supplied it), v_max drops.
-                n = len(self._records)
-                if n == 0 or float(self._records._values_buf[n - 1]) != vmax:
-                    self._synced = False
-                    return
         self.incremental_updates += 1
         # bisect_right is the gap whose upper candidates are exactly
         # those with value < candidate (strict, as searchsorted-left).
-        if value is not None:
-            self._diff[bisect_right(self._cands, value)] += 1
-        if evicted is not None:
-            self._diff[bisect_right(self._cands, evicted)] -= 1
+        self._diff[bisect_right(self._cands, value)] += 1
 
     def _resync(self) -> None:
         n = len(self._records)
@@ -481,7 +453,9 @@ class ExhaustiveBucketing(BucketingAlgorithm):
     rng:
         Source of randomness for the probabilistic bucket draws.
     record_capacity:
-        Optional sliding-window bound on retained records.
+        Optional bound on retained records: the insert that exceeds
+        it drops the lowest-significance records
+        (:mod:`repro.core.records`).  The paper retains all records.
     max_buckets:
         Upper bound on the candidate bucket counts; the paper uses 10.
 
@@ -503,18 +477,13 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
         max_buckets: int = PAPER_MAX_BUCKETS,
-        record_compaction: str = "evict_min",
     ) -> None:
         if max_buckets < 1:
             raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
         # Set before super().__init__: the base constructor calls the
         # _make_partition_engine hook, which reads it.
         self._max_buckets = max_buckets
-        super().__init__(
-            rng=rng,
-            record_capacity=record_capacity,
-            record_compaction=record_compaction,
-        )
+        super().__init__(rng=rng, record_capacity=record_capacity)
 
     @property
     def max_buckets(self) -> int:

@@ -206,10 +206,11 @@ class GreedySplitMemo:
     of an insert are *not* reusable even though their records are the
     same — their prefix sums were re-rounded by the suffix add.
 
-    Any eviction rebuilds the prefix sums from scratch
-    (``_rebuild_prefixes``) and drops ``clean`` to 0.  The memo holds
-    argmins only, which a ``max_buckets`` cap does not change (the cap
-    decides *whether* a segment is scanned, not what the scan returns).
+    A compaction of a bounded store rebuilds the prefix sums from
+    scratch (``_rebuild_prefixes``) and drops ``clean`` to 0.  The memo
+    holds argmins only, which a ``max_buckets`` cap does not change (the
+    cap decides *whether* a segment is scanned, not what the scan
+    returns).
 
     Nothing is serialized: a restored engine starts with an empty memo
     and its first search scans every segment, with the same result.
@@ -232,22 +233,17 @@ class GreedySplitMemo:
         """No stats to hand over: the search scores splits, not buckets."""
         return None
 
-    def observe(
-        self,
-        value: Optional[float],
-        eviction: object,
-        pos: Optional[int] = None,
-    ) -> None:
+    def observe(self, value: float, pos: Optional[int]) -> None:
         """Fold one :meth:`RecordList.add` outcome into ``clean``.
 
-        ``pos`` is the index the record landed at, ``eviction`` the
-        list's :attr:`~repro.core.records.RecordList.last_eviction`; a
-        rejected arrival (reservoir filter) has neither and changes
-        nothing.
+        ``pos`` is what ``add`` returned: the index the record landed
+        at, or ``None`` when the store compacted.  The inserted
+        ``value`` is the other half of the engine protocol; the memo
+        does not read it.
         """
-        if eviction is not None:
+        if pos is None:
             self._clean = 0
-        elif pos is not None and pos < self._clean:
+        elif pos < self._clean:
             self._clean = pos
 
     def break_indices(self) -> Optional[List[int]]:
@@ -271,8 +267,10 @@ class GreedyBucketing(BucketingAlgorithm):
     rng:
         Source of randomness for the probabilistic bucket draws.
     record_capacity:
-        Optional sliding-window bound on retained records (scaling
-        study; the paper retains all records).
+        Optional bound on retained records: the insert that exceeds
+        it drops the lowest-significance records
+        (:mod:`repro.core.records`).  Scaling study only; the paper
+        retains all records.
     max_buckets:
         Optional cap on the number of buckets (ablation hook; unset in
         the paper's configuration).
@@ -295,16 +293,11 @@ class GreedyBucketing(BucketingAlgorithm):
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
         max_buckets: Optional[int] = None,
-        record_compaction: str = "evict_min",
     ) -> None:
         # Set before super().__init__: the base constructor calls the
         # _make_partition_engine hook, which reads it.
         self._max_buckets = max_buckets
-        super().__init__(
-            rng=rng,
-            record_capacity=record_capacity,
-            record_compaction=record_compaction,
-        )
+        super().__init__(rng=rng, record_capacity=record_capacity)
 
     def _make_partition_engine(self) -> GreedySplitMemo:
         return GreedySplitMemo(self._records, self._max_buckets)

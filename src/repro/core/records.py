@@ -30,28 +30,22 @@ row gathers.  The seed's Python-object walk is kept under
 ``tests/core/records_reference.py`` as the equivalence-test oracle.
 
 A ``capacity`` bound turns the list into a *bounded record store*
-(required once record counts reach 10^6+ — see docs/PERFORMANCE.md)
-with a choice of compaction policy:
-
-* ``"evict_min"`` — evict the single lowest-significance record per
-  over-capacity append (the original sliding-window behaviour);
-* ``"decay"`` — significance-decay compaction: let the list exceed
-  capacity by one, then drop the lowest-significance ``slack``
-  fraction in one vectorized batch, amortizing eviction cost;
-* ``"reservoir"`` — deterministic (seeded) reservoir downsampling:
-  once full, each arriving record replaces a uniformly drawn retained
-  record with probability ``capacity / seen``, otherwise it is
-  dropped — an unbiased sample of the whole stream.
-
-The AWE impact of each policy is *measured*, not assumed: see the
-capacity ablation in :mod:`repro.experiments.ablation`.
+(required once record counts reach 10^6+ — see docs/PERFORMANCE.md):
+the insert that takes the list one past capacity drops the
+lowest-significance records — the oldest, under the paper's
+significance = task-ID convention — down to capacity less a
+:data:`DECAY_SLACK` fraction, in one vectorized batch, so compaction
+costs one sort per ``DECAY_SLACK * capacity`` inserts.  The rule was
+chosen over two alternatives on measured AWE (docs/PERFORMANCE.md);
+what the bound itself costs is measured by the capacity ablation in
+:mod:`repro.experiments.ablation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,15 +58,11 @@ _MIN_BUFFER = 32
 #: (docs/PERFORMANCE.md).  Every e2e workload stays below the bound.
 _BLOCK_MOVE_MAX = 8192
 
-#: Recognized compaction policies for capacity-bounded lists.
-COMPACTION_POLICIES = ("evict_min", "decay", "reservoir")
-
-#: Fraction of capacity cleared per ``"decay"`` compaction batch.
+#: Fraction of capacity a compaction clears below the bound.
 DECAY_SLACK = 0.1
 
-#: Sentinel reported by :attr:`RecordList.last_eviction` when a batch
-#: compaction ran (individual victims not enumerated).
-BATCH_EVICTION = "batch"
+#: Task ids are stored as ``int64``.
+_TASK_ID_MIN, _TASK_ID_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -126,18 +116,15 @@ class RecordList:
     paper describes in Section V-C).
 
     A ``capacity`` bound turns the list into a *bounded record store*:
-    when full, appending compacts the list according to ``compaction``
-    (see the module docstring).  The paper keeps all records; the bound
-    exists for the million-record scaling work (docs/PERFORMANCE.md) and
-    the >10k-task scaling study (E-X1 in DESIGN.md).
+    the insert that exceeds it compacts the list (module docstring) and
+    :meth:`add` reports that by returning ``None``.  The paper keeps all
+    records; the bound exists for the million-record scaling work
+    (docs/PERFORMANCE.md) and the >10k-task scaling study (E-X1 in
+    DESIGN.md).
     """
 
     __slots__ = (
         "_capacity",
-        "_compaction",
-        "_rng",
-        "_seen",
-        "_last_eviction",
         "_n",
         "_block",
         "_values_buf",
@@ -155,35 +142,15 @@ class RecordList:
         self,
         records: Iterable[ResourceRecord] = (),
         capacity: Optional[int] = None,
-        compaction: str = "evict_min",
-        seed: int = 0,
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if compaction not in COMPACTION_POLICIES:
-            raise ValueError(
-                f"unknown compaction policy {compaction!r}; "
-                f"expected one of {COMPACTION_POLICIES}"
-            )
         self._capacity = capacity
-        self._compaction = compaction
-        self._rng = (
-            np.random.default_rng(seed)
-            if compaction == "reservoir" and capacity is not None
-            else None
-        )
-        self._seen = 0
-        self._last_eviction: object = None
         self._n = 0
         self._allocate(_MIN_BUFFER)
         self._invalidate()
         items = list(records)
-        if self._rng is not None:
-            # Reservoir semantics depend on arrival order: replay the
-            # stream record by record through the sampling filter.
-            for record in items:
-                self.add(record.value, record.significance, record.task_id)
-        elif items:
+        if items:
             n = len(items)
             self._load(
                 np.fromiter((r.value for r in items), np.float64, count=n),
@@ -198,8 +165,6 @@ class RecordList:
         significances: Optional[np.ndarray] = None,
         task_ids: Optional[np.ndarray] = None,
         capacity: Optional[int] = None,
-        compaction: str = "evict_min",
-        seed: int = 0,
     ) -> "RecordList":
         """Bulk-ingest whole arrays in one vectorized sort.
 
@@ -214,8 +179,8 @@ class RecordList:
         The prefix sums are rebuilt from scratch rather than maintained
         incrementally, so they can differ from a streaming build by
         float rounding (the views agree to tolerance, the record order
-        exactly).  With ``compaction="reservoir"`` the stream order
-        matters and the records are replayed through :meth:`add`.
+        exactly).  More records than ``capacity`` are trimmed to exactly
+        ``capacity``, lowest significance first.
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
         n = values.size
@@ -235,12 +200,8 @@ class RecordList:
             raise ValueError("record values must be finite and non-negative")
         if n and (not np.all(np.isfinite(sigs)) or bool(np.any(sigs <= 0))):
             raise ValueError("record significances must be finite and positive")
-        new = cls(capacity=capacity, compaction=compaction, seed=seed)
-        if new._rng is not None:
-            for i in range(n):
-                new.add(float(values[i]), float(sigs[i]), int(tids[i]))
-        else:
-            new._load(values, sigs, tids)
+        new = cls(capacity=capacity)
+        new._load(values, sigs, tids)
         return new
 
     def _load(self, values: np.ndarray, sigs: np.ndarray, tids: np.ndarray) -> None:
@@ -254,29 +215,24 @@ class RecordList:
         self._values_buf[:n] = values[order]
         self._sigs_buf[:n] = sigs[order]
         self._tids_buf[:n] = tids[order]
-        self._n = self._seen = n
+        self._n = n
         self._rebuild_prefixes()
         if self._capacity is not None and n > self._capacity:
-            self._evict_to_capacity(self._capacity)
+            self._compact(self._capacity)
         self._invalidate()
 
     # -- mutation ------------------------------------------------------------
 
-    def append(self, record: ResourceRecord) -> Optional[int]:
-        """Insert a record, keeping value order; compact if over capacity."""
-        return self.add(record.value, record.significance, record.task_id)
-
     def add(
         self, value: float, significance: float = 1.0, task_id: int = -1
     ) -> Optional[int]:
-        """Validate and append a record (the simulator's hot path).
+        """Validate and insert a record (the simulator's hot path).
 
-        Returns the record's index in the sorted list after any
-        compaction, or ``None`` when the record was not retained (the
-        reservoir filter rejected it, or eviction removed it again).
-        The eviction that accompanied the insert, if any, is reported by
-        :attr:`last_eviction` — together they let incremental partition
-        engines track the store without rescanning it.
+        Returns the record's index in the sorted list, or ``None`` when
+        the insert took a bounded list past capacity and the list was
+        compacted: every index may have moved and the prefix sums were
+        rebuilt, so incremental partition engines resync.  A refused
+        record raises before anything is written.
         """
         if not 0 <= value < inf:
             raise ValueError(f"record values must be finite and non-negative, got {value}")
@@ -284,58 +240,17 @@ class RecordList:
             raise ValueError(
                 f"record significances must be finite and positive, got {significance}"
             )
-        self._last_eviction = None
-        self._seen += 1
-        if (
-            self._rng is not None
-            and self._capacity is not None
-            and self._n >= self._capacity
-        ):
-            # Reservoir downsampling (algorithm R): keep the arrival
-            # with probability capacity / seen, replacing a uniformly
-            # drawn retained record; otherwise drop it.  Seeded, so the
-            # retained sample is a pure function of the stream.
-            j = int(self._rng.integers(0, self._seen))
-            if j >= self._capacity:
-                self._invalidate()
-                return None
-            self._remove_at(j)
-            pos = self._insert(float(value), float(significance), int(task_id))
-            self._invalidate()
-            return pos
-        ins = self._insert(float(value), float(significance), int(task_id))
-        pos: Optional[int] = ins
-        if self._capacity is not None and self._n > self._capacity:
-            target = self._capacity
-            if self._compaction == "decay":
-                # Significance-decay compaction: clear a slack fraction
-                # in one vectorized batch so eviction cost amortizes to
-                # one sort per slack*capacity inserts.
-                target = max(1, self._capacity - int(self._capacity * DECAY_SLACK))
-            victim = self._evict_to_capacity(target)
-            if victim is None:
-                # Batch compaction shifted an unknown set of indices;
-                # callers resync via last_eviction == BATCH_EVICTION.
-                pos = None
-            elif victim == ins:
-                pos = None
-            elif victim < ins:
-                pos = ins - 1
+        if not _TASK_ID_MIN <= task_id <= _TASK_ID_MAX:
+            raise ValueError(f"record task ids must fit int64, got {task_id}")
+        pos: Optional[int] = self._insert(float(value), float(significance), int(task_id))
+        capacity = self._capacity
+        if capacity is not None and self._n > capacity:
+            # Clear a slack fraction in one batch, so compaction costs
+            # one sort per slack * capacity inserts.
+            self._compact(max(1, capacity - int(capacity * DECAY_SLACK)))
+            pos = None
         self._invalidate()
         return pos
-
-    def extend(self, records: Iterable[ResourceRecord]) -> None:
-        if self._rng is not None and self._capacity is not None:
-            for record in records:
-                self.add(record.value, record.significance, record.task_id)
-            return
-        self._last_eviction = None
-        for record in records:
-            self._insert(record.value, record.significance, record.task_id)
-            self._seen += 1
-        if self._capacity is not None and self._n > self._capacity:
-            self._evict_to_capacity(self._capacity)
-        self._invalidate()
 
     def _insert(self, value: float, significance: float, task_id: int) -> int:
         n = self._n
@@ -388,42 +303,20 @@ class RecordList:
             for row in block:
                 row[dst : dst + count] = row[src : src + count]
 
-    def _remove_at(self, index: int) -> None:
-        """Remove the record at sorted ``index``, reporting it as evicted."""
-        n = self._n
-        self._last_eviction = (index, float(self._values_buf[index]))
-        self._move(index, index + 1, n - 1 - index)
-        self._n = n - 1
-        self._rebuild_prefixes()
+    def _compact(self, target: int) -> None:
+        """Drop the lowest-significance records, leaving ``target`` (< n).
 
-    def _evict_to_capacity(self, target: int) -> Optional[int]:
-        """Compact down to ``target`` records; lowest significance goes first.
-
-        Evicted records are the oldest under the paper's significance =
-        task-ID convention.  Over by one — the steady state of a full
-        ``evict_min`` window — is one O(n) argmin instead of a sort
-        (ties break on the lowest index, matching the seed's stable
-        sort) and returns the victim's index; over by more runs a single
-        vectorized batch eviction (one stable argsort + one boolean-mask
-        compress of the block) and returns ``None``, reporting
-        :data:`BATCH_EVICTION` through :attr:`last_eviction`.
+        One stable argsort — ties go lowest index first, as the seed's
+        stable sort did — one boolean-mask compress of the block, and a
+        rebuild of the prefix sums.
         """
         n = self._n
-        excess = n - target
-        if excess <= 0:
-            return None
-        if excess == 1:
-            victim = int(self._sigs_buf[:n].argmin())
-            self._remove_at(victim)
-            return victim
         keep = np.ones(n, dtype=bool)
-        keep[np.argsort(self._sigs_buf[:n], kind="stable")[:excess]] = False
+        keep[np.argsort(self._sigs_buf[:n], kind="stable")[: n - target]] = False
         block = self._block
-        block[:, : n - excess] = block[:, :n][:, keep]
-        self._n = n - excess
-        self._last_eviction = BATCH_EVICTION
+        block[:, :target] = block[:, :n][:, keep]
+        self._n = target
         self._rebuild_prefixes()
-        return None
 
     def _rebuild_prefixes(self) -> None:
         n = self._n
@@ -511,16 +404,6 @@ class RecordList:
                 f"record range [{lo}, {hi}] out of bounds for {self._n} records"
             )
 
-    def values_at(self, indices: Sequence[int]) -> np.ndarray:
-        """Record values at the given sorted indices.
-
-        Unlike fancy-indexing the :attr:`values` view, this reads the
-        backing buffer directly — O(len(indices)), not the O(n) snapshot
-        copy — which is what keeps incremental partition maintenance
-        independent of the record count (docs/PERFORMANCE.md).
-        """
-        return self._values_buf[: self._n][np.asarray(indices, dtype=np.intp)]
-
     def index_below(self, value: float) -> Optional[int]:
         """Index of the record with the largest value strictly below ``value``.
 
@@ -575,29 +458,6 @@ class RecordList:
         return self._capacity
 
     @property
-    def compaction(self) -> str:
-        """The compaction policy of a capacity-bounded list."""
-        return self._compaction
-
-    @property
-    def seen(self) -> int:
-        """Total records ever offered, including compacted-away ones."""
-        return self._seen
-
-    @property
-    def last_eviction(self) -> Union[None, Tuple[int, float], str]:
-        """What the last mutation evicted, for incremental consumers.
-
-        ``None`` (nothing evicted), ``(index, value)`` — the sorted
-        index the record held when it was removed, and its value — or
-        the :data:`BATCH_EVICTION` sentinel when a vectorized batch
-        compaction dropped several records at once.  Transient: reset by
-        the next mutation and not serialized (incremental consumers
-        rebuild their caches on restore).
-        """
-        return self._last_eviction
-
-    @property
     def nbytes(self) -> int:
         """Bytes held by the preallocated block (footprint metric)."""
         return self._block.nbytes
@@ -621,15 +481,10 @@ class RecordList:
         uses ``repr`` (shortest round-trip) for floats, so every float64
         survives exactly.
         """
-        from repro.checkpoint import generator_state
-
         n = self._n
         values, sigs, sig_prefix, sigval_prefix = self._block[:4, :n].tolist()
         return {
             "capacity": self._capacity,
-            "compaction": self._compaction,
-            "seen": self._seen,
-            "rng": None if self._rng is None else generator_state(self._rng),
             "values": values,
             "significances": sigs,
             "task_ids": self._tids_buf[:n].tolist(),
@@ -639,9 +494,14 @@ class RecordList:
 
     @classmethod
     def from_state(cls, state: dict) -> "RecordList":
-        """Rebuild a list captured by :meth:`state_dict`, bit-exactly."""
-        from repro.checkpoint import restore_generator
+        """Rebuild a list captured by :meth:`state_dict`, bit-exactly.
 
+        States written while the bounded store still had selectable
+        compaction policies carry ``compaction``, ``seen`` and ``rng``.
+        They never influenced an unbounded list and are ignored there; a
+        bounded state recorded under a policy other than the kept one
+        (``"decay"``) is refused rather than continued under another.
+        """
         values = state["values"]
         n = len(values)
         if not all(
@@ -649,12 +509,14 @@ class RecordList:
             for k in ("significances", "task_ids", "sig_prefix", "sigval_prefix")
         ):
             raise ValueError("inconsistent RecordList state: array lengths differ")
-        # ``compaction``/``seen``/``rng`` default for pre-bounded-store
-        # snapshots, which could only have been evict_min windows.
-        new = cls(
-            capacity=state["capacity"],
-            compaction=state.get("compaction", "evict_min"),
-        )
+        capacity = state["capacity"]
+        policy = state.get("compaction", "decay")
+        if capacity is not None and policy != "decay":
+            raise ValueError(
+                f"bounded RecordList state was recorded under the {policy!r} "
+                "compaction policy, which this build does not have"
+            )
+        new = cls(capacity=capacity)
         if n > new._values_buf.size:
             new._allocate(n)
         new._block[:4, :n] = (
@@ -665,9 +527,5 @@ class RecordList:
         )
         new._tids_buf[:n] = state["task_ids"]
         new._n = n
-        new._seen = int(state.get("seen", n))
-        rng_state = state.get("rng")
-        if rng_state is not None and new._rng is not None:
-            restore_generator(new._rng, rng_state)
         new._invalidate()
         return new

@@ -12,7 +12,7 @@ behaviour it exists for:
   better first buckets but more bootstrap waste.
 * **Exhaustive Bucketing's bucket cap** (``max_buckets``, paper: 10):
   fewer candidate configurations trade fidelity for speed.
-* **Bounded record stores** (``record_capacity`` x compaction policy):
+* **Bounded record stores** (``record_capacity``):
   AWE cost of forgetting history, relative to the paper's unbounded
   store — the quality side of the million-record hot-path work
   (docs/PERFORMANCE.md).  Each bounded row carries an ``awe_delta``
@@ -145,24 +145,19 @@ def run_capacity_ablation(
     config: Optional[ExperimentConfig] = None,
     workflow: str = "trimodal",
     algorithm: str = "exhaustive_bucketing",
-    capacities: Sequence[int] = (100, 500, 2000),
-    policies: Sequence[str] = ("evict_min", "decay", "reservoir"),
+    capacities: Sequence[int] = (50, 100, 500),
 ) -> List[AblationRow]:
-    """Bounded record stores: AWE impact of capacity x compaction policy.
+    """Bounded record stores: AWE impact of the capacity bound.
 
     The paper retains every completed-task record, which is what makes
     the allocation hot path O(history).  Bounding the store caps both
     memory and per-insert cost, at the price of forgetting: each
-    (capacity, policy) cell is compared against the unbounded reference
-    run on the same stream, and the row's ``awe_delta`` carries the
-    AWE(mem) change attributable to the bound (negative = the bounded
-    store *improved* AWE, which recency-biased eviction can do on
-    phasing workflows by forgetting stale phases faster).
-
-    Policies are the :class:`~repro.core.records.RecordList` compaction
-    modes: ``evict_min`` (sliding window over significance), ``decay``
-    (significance-decay batch compaction) and ``reservoir``
-    (deterministic seeded reservoir downsampling).
+    capacity is compared against the unbounded reference run on the
+    same stream, and the row's ``awe_delta`` carries the AWE(mem)
+    change attributable to the bound (negative = the bounded store
+    *improved* AWE, which recency-biased eviction can do on phasing
+    workflows by forgetting stale phases faster).  The defaults all
+    bind on the default 1,000-task stream.
     """
     import dataclasses
 
@@ -172,27 +167,15 @@ def run_capacity_ablation(
         _row("capacity", "unbounded (paper)", workflow, algorithm, reference)
     ]
     ref_awe = rows[0].awe_memory
-    for policy in policies:
-        for capacity in capacities:
-            result = run_cell(
-                workflow,
-                algorithm,
-                config,
-                algorithm_kwargs={
-                    "record_capacity": capacity,
-                    "record_compaction": policy,
-                },
-            )
-            row = _row(
-                "capacity",
-                f"{policy} cap={capacity}",
-                workflow,
-                algorithm,
-                result,
-            )
-            rows.append(
-                dataclasses.replace(row, awe_delta=row.awe_memory - ref_awe)
-            )
+    for capacity in capacities:
+        result = run_cell(
+            workflow,
+            algorithm,
+            config,
+            algorithm_kwargs={"record_capacity": capacity},
+        )
+        row = _row("capacity", f"cap={capacity}", workflow, algorithm, result)
+        rows.append(dataclasses.replace(row, awe_delta=row.awe_memory - ref_awe))
     return rows
 
 

@@ -129,6 +129,9 @@ def _require_int(doc: Mapping[str, Any], key: str) -> None:
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProtocolError(f"{doc.get('op')}: {key!r} must be an integer")
+    # JSON integers are unbounded; the record store keeps int64.
+    if not -(2**63) <= value < 2**63:
+        raise ProtocolError(f"{doc.get('op')}: {key!r} must fit a signed 64-bit integer")
 
 
 def _require_vector(

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.records import ResourceRecord
+from repro.core.records import DECAY_SLACK, ResourceRecord
 
 __all__ = ["LegacyRecordList"]
 
@@ -35,10 +35,12 @@ class LegacyRecordList:
     one allocation request costs one rebuild (the update batching the
     paper describes in Section V-C).
 
-    A ``capacity`` bound turns the list into a sliding window over the
-    *most significant* records: when full, appending evicts the record
-    with the smallest significance.  The paper keeps all records; the
-    bound exists for the >10k-task scaling study (E-X1 in DESIGN.md).
+    A ``capacity`` bound keeps the *most significant* records: the
+    append that exceeds it by one drops the lowest-significance records
+    down to capacity less a ``DECAY_SLACK`` fraction (the shipped
+    store's rule, on Python objects); a bulk load is trimmed to exactly
+    ``capacity``.  The paper keeps all records; the bound exists for the
+    >10k-task scaling study (E-X1 in DESIGN.md).
     """
 
     __slots__ = ("_records", "_capacity", "_values", "_sigs", "_sig_prefix", "_sigval_prefix")
@@ -53,38 +55,29 @@ class LegacyRecordList:
         self._capacity = capacity
         self._records: List[ResourceRecord] = sorted(records)
         if capacity is not None and len(self._records) > capacity:
-            self._evict_to_capacity()
+            self._evict_to(capacity)
         self._invalidate()
 
     # -- mutation ------------------------------------------------------------
 
     def append(self, record: ResourceRecord) -> None:
-        """Insert a record, keeping value order; evict if over capacity."""
+        """Insert a record, keeping value order; compact if over capacity."""
         bisect.insort(self._records, record)
-        if self._capacity is not None and len(self._records) > self._capacity:
-            self._evict_to_capacity()
+        capacity = self._capacity
+        if capacity is not None and len(self._records) > capacity:
+            self._evict_to(max(1, capacity - int(capacity * DECAY_SLACK)))
         self._invalidate()
 
     def add(self, value: float, significance: float = 1.0, task_id: int = -1) -> None:
         """Convenience: build and append a record."""
         self.append(ResourceRecord(value=value, significance=significance, task_id=task_id))
 
-    def extend(self, records: Iterable[ResourceRecord]) -> None:
-        for record in records:
-            bisect.insort(self._records, record)
-        if self._capacity is not None and len(self._records) > self._capacity:
-            self._evict_to_capacity()
-        self._invalidate()
-
-    def _evict_to_capacity(self) -> None:
-        assert self._capacity is not None
-        excess = len(self._records) - self._capacity
-        if excess <= 0:
-            return
+    def _evict_to(self, target: int) -> None:
         # Evict the lowest-significance records: they are the oldest under
-        # the paper's significance = task-ID convention.
+        # the paper's significance = task-ID convention.  sorted() is
+        # stable: ties go lowest index first.
         by_sig = sorted(range(len(self._records)), key=lambda i: self._records[i].significance)
-        drop = set(by_sig[:excess])
+        drop = set(by_sig[: len(self._records) - target])
         self._records = [r for i, r in enumerate(self._records) if i not in drop]
 
     def _invalidate(self) -> None:

@@ -6,9 +6,9 @@ replacement for the from-scratch implementation kept verbatim in
 through the memo, under a bucket cap, after evictions, across a
 checkpoint round trip — and cost arrays equal bit for bit, since a
 last-bit difference flips near-tied argmins.  A hypothesis state machine
-drives one :class:`GreedyBucketing` through record stores of every
-compaction policy and compares after every search; the work-count tests
-below it check that the memo skips what it may and nothing else.
+drives one :class:`GreedyBucketing` over unbounded and bounded record
+stores and compares after every search; the work-count tests below it
+check that the memo skips what it may and nothing else.
 """
 
 import json
@@ -26,14 +26,9 @@ from repro.core.records import RecordList
 from tests.core.greedy_reference import reference_break_indices, reference_split_costs
 from tests.core.test_incremental import feed
 
-#: (record_capacity, record_compaction); tiny capacities so that single
-#: evictions, decay batches and reservoir swaps all happen within a run.
-STORES = (
-    (None, "evict_min"),
-    (6, "evict_min"),
-    (10, "decay"),
-    (6, "reservoir"),
-)
+#: record_capacity; tiny, so that compactions of one record (6) and of
+#: a slack batch of two (10) both happen within a run.
+CAPACITIES = (None, 6, 10)
 
 #: A few round numbers (duplicates, exact ties) among arbitrary floats.
 VALUES = st.one_of(
@@ -61,14 +56,12 @@ def assert_costs_match(records, lo, hi, anchor_hi):
 
 
 class GreedyEquivalence(RuleBasedStateMachine):
-    @initialize(store=st.sampled_from(STORES), max_buckets=CAPS)
-    def configure(self, store, max_buckets):
-        capacity, compaction = store
+    @initialize(capacity=st.sampled_from(CAPACITIES), max_buckets=CAPS)
+    def configure(self, capacity, max_buckets):
         self.max_buckets = max_buckets
         self.make = lambda: GreedyBucketing(
             rng=np.random.default_rng(3),
             record_capacity=capacity,
-            record_compaction=compaction,
             max_buckets=max_buckets,
         )
         self.algo = self.make()
@@ -237,21 +230,23 @@ def test_several_inserts_between_searches_rescan_from_the_lowest(scanned):
 
 
 def test_eviction_rescans_everything_from_the_root(scanned):
-    values = skewed_stream(330, seed=13)
-    records = RecordList(capacity=300)
+    values = skewed_stream(64 + 12 * 7, seed=13)
+    records = RecordList(capacity=64)
     engine = GreedySplitMemo(records)
-    for i, value in enumerate(values[:300]):
+    for i, value in enumerate(values[:64]):
         feed(records, engine, value, float(i + 1), i)
     engine.break_indices()
-    for i, value in enumerate(values[300:], start=300):
-        feed(records, engine, value, float(i + 1), i)
-        assert records.last_eviction is not None
+    # Every seventh insert overflows the 64 and compacts to 58.
+    for i in range(64, len(values), 7):
+        assert feed(records, engine, values[i], float(i + 1), i) is None
         scanned.clear()
         assert engine.break_indices() == reference_break_indices(records)
         through_memo = list(scanned)
         scanned.clear()
         greedy_break_indices(records)
         assert through_memo == scanned and through_memo[0] == (0, len(records) - 1)
+        for j in range(i + 1, i + 7):
+            assert feed(records, engine, values[j], float(j + 1), j) is not None
 
 
 def test_left_child_inherits_its_parents_anchor(monkeypatch, scanned):

@@ -46,10 +46,11 @@ streams = st.lists(
 
 def feed(records, engine, value, significance=1.0, task_id=-1):
     """One streamed arrival, wired exactly as BucketingAlgorithm.update."""
+    before = len(records)
     pos = records.add(value, significance=significance, task_id=task_id)
-    eviction = records.last_eviction
-    inserted = None if (pos is None and eviction is None) else float(value)
-    engine.observe(inserted, eviction, pos)
+    # The whole protocol: None exactly when the store compacted.
+    assert (pos is None) == (len(records) <= before)
+    engine.observe(value, pos)
     return pos
 
 
@@ -66,12 +67,11 @@ def test_incremental_equals_full_search_unbounded(pairs):
         assert engine.break_indices() == exhaustive_break_indices(records)
 
 
-@pytest.mark.parametrize("policy", ["evict_min", "decay", "reservoir"])
 @given(streams)
 @settings(deadline=None)
-def test_incremental_equals_full_search_bounded(policy, pairs):
-    """Evictions — single, batch and reservoir swaps — never break identity."""
-    records = RecordList(capacity=7, compaction=policy)
+def test_incremental_equals_full_search_bounded(pairs):
+    """Compactions never break identity."""
+    records = RecordList(capacity=7)
     engine = IncrementalExhaustivePartition(records)
     for task_id, (value, sig) in enumerate(pairs):
         feed(records, engine, value, sig, task_id)
@@ -101,6 +101,31 @@ def test_incremental_equals_full_search_interleaved_queries(pairs):
         if task_id % 3 == 0:
             assert engine.break_indices() == exhaustive_break_indices(records)
     assert engine.break_indices() == exhaustive_break_indices(records)
+
+
+@pytest.mark.parametrize("capacity", [7, 9, 25, 64])
+@pytest.mark.parametrize(
+    "engine_cls, reference",
+    [
+        (IncrementalExhaustivePartition, exhaustive_break_indices),
+        (GreedySplitMemo, greedy_break_indices),
+    ],
+)
+def test_engines_equal_reference_through_every_compaction(engine_cls, reference, capacity):
+    """600 inserts, dozens of compactions — one victim at 7 and 9, a
+    slack batch at 25 and 64 — and the reference search after each."""
+    rng = np.random.default_rng(capacity)
+    records = RecordList(capacity=capacity)
+    engine = engine_cls(records)
+    compactions = 0
+    for task_id in range(600):
+        # Few distinct values (duplicates, repeated maxima) and keys.
+        repeat, tie = rng.random() < 0.4, rng.random() < 0.3
+        value = float(rng.choice([0.0, 2.5, 40.0, 1e3]) if repeat else rng.exponential(300.0))
+        significance = float(rng.integers(1, 12) if tie else task_id + 1)
+        compactions += feed(records, engine, value, significance, task_id) is None
+        assert engine.break_indices() == reference(records)
+    assert compactions >= 600 // capacity
 
 
 # One arrival of the shallow-history differential: its value is built
@@ -142,7 +167,7 @@ def arrival_value(records, kind, arg):
     return value
 
 
-@pytest.mark.parametrize("policy", [None, "evict_min", "decay", "reservoir"])
+@pytest.mark.parametrize("capacity", [None, 9])
 @given(
     st.lists(
         st.tuples(arrivals, st.floats(min_value=0.01, max_value=1e3)),
@@ -151,16 +176,13 @@ def arrival_value(records, kind, arg):
     )
 )
 @settings(deadline=None)
-def test_engine_equals_reference_after_every_shallow_mutation(policy, stream):
+def test_engine_equals_reference_after_every_shallow_mutation(capacity, stream):
     """1..80 records: the depths the engine used to hand to the full search.
 
-    After *every* mutation — single evictions (``evict_min``), batch
-    compactions (``decay``) and reservoir swaps included — the engine's
-    breaks and winner stats are those of the paper-literal reference.
+    After *every* mutation — compactions included — the engine's breaks
+    and winner stats are those of the paper-literal reference.
     """
-    records = (
-        RecordList() if policy is None else RecordList(capacity=9, compaction=policy)
-    )
+    records = RecordList(capacity=capacity)
     engine = IncrementalExhaustivePartition(records)
     for task_id, ((kind, arg), sig) in enumerate(stream):
         feed(records, engine, arrival_value(records, kind, arg), sig, task_id)
@@ -392,12 +414,11 @@ def test_greedy_repair_yields_valid_unsplittable_tiling(pairs):
             lo = hi + 1
 
 
-@pytest.mark.parametrize("policy", ["evict_min", "decay", "reservoir"])
 @given(streams, st.sampled_from([None, 1, 2, 3, 5]))
 @settings(deadline=None)
-def test_greedy_engine_equals_full_search_bounded(policy, pairs, max_buckets):
-    """Evictions and a bucket cap: still the from-scratch search, query or not."""
-    records = RecordList(capacity=7, compaction=policy)
+def test_greedy_engine_equals_full_search_bounded(pairs, max_buckets):
+    """Compactions and a bucket cap: still the from-scratch search, query or not."""
+    records = RecordList(capacity=7)
     engine = GreedySplitMemo(records, max_buckets=max_buckets)
     for task_id, (value, sig) in enumerate(pairs):
         feed(records, engine, value, sig, task_id)
@@ -414,12 +435,12 @@ def test_greedy_engine_desyncs_on_eviction():
         feed(records, engine, value, significance=float(i + 1), task_id=i)
     engine.break_indices()
     assert engine.clean == len(records)
-    feed(records, engine, 7000.0, significance=10.0, task_id=9)  # evicts
+    assert feed(records, engine, 7000.0, significance=10.0, task_id=9) is None  # evicts
     assert engine.clean == 0  # prefix sums were rebuilt: nothing is reusable
     assert engine.break_indices() == greedy_break_indices(records)
 
 
-def test_greedy_engine_tracks_lowest_insert_and_ignores_rejections():
+def test_greedy_engine_tracks_lowest_insert():
     records = RecordList()
     engine = GreedySplitMemo(records)
     for i, value in enumerate([10.0, 20.0, 3000.0, 4000.0, 9000.0]):
@@ -429,8 +450,6 @@ def test_greedy_engine_tracks_lowest_insert_and_ignores_rejections():
     assert engine.clean == 5
     assert feed(records, engine, 3500.0, task_id=6) == 3
     assert feed(records, engine, 3600.0, task_id=7) == 4  # higher: no change
-    assert engine.clean == 3
-    engine.observe(None, None, None)  # reservoir filter rejected an arrival
     assert engine.clean == 3
     assert engine.break_indices() == greedy_break_indices(records)
     assert engine.clean == len(records)

@@ -1,8 +1,13 @@
 """Tests for ResourceRecord / RecordList."""
 
+import json
+
+import numpy as np
 import pytest
 
-from repro.core.records import RecordList, ResourceRecord
+from repro.core.exhaustive import ExhaustiveBucketing
+from repro.core.greedy import GreedyBucketing
+from repro.core.records import DECAY_SLACK, RecordList, ResourceRecord
 
 
 class TestResourceRecord:
@@ -36,7 +41,7 @@ class TestResourceRecord:
             rl.add(bad)
         with pytest.raises(ValueError, match="finite and positive"):
             rl.add(1.0, significance=bad)
-        assert len(rl) == 1 and rl.seen == 1 and rl.total_significance() == 1.0
+        assert len(rl) == 1 and rl.total_significance() == 1.0
 
 
 class TestRecordList:
@@ -45,11 +50,6 @@ class TestRecordList:
         for v in [5.0, 1.0, 3.0, 2.0, 4.0]:
             rl.add(v)
         assert list(rl.values) == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_extend(self):
-        rl = RecordList()
-        rl.extend(ResourceRecord(v) for v in [3.0, 1.0, 2.0])
-        assert list(rl.values) == [1.0, 2.0, 3.0]
 
     def test_len_iter_getitem_bool(self):
         rl = RecordList([ResourceRecord(2.0), ResourceRecord(1.0)])
@@ -154,27 +154,18 @@ class TestRecordList:
 
 
 class TestBoundedStores:
-    """Capacity-bounded stores: the three compaction policies."""
+    """Capacity-bounded stores: one compaction rule, no selection."""
 
     def test_unknown_compaction_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown compaction policy"):
+        # There is no policy to name: the keyword itself is unknown, at
+        # the store and at the algorithms that own one.
+        with pytest.raises(TypeError):
             RecordList(compaction="lru")
-
-    def test_evict_min_reports_victim_index_and_value(self):
-        rl = RecordList(capacity=2)
-        rl.add(10.0, significance=5.0)
-        rl.add(20.0, significance=9.0)
-        rl.add(30.0, significance=7.0)
-        assert rl.last_eviction == (0, 10.0)
-        assert list(rl.values) == [20.0, 30.0]
-
-    def test_add_position_accounts_for_eviction_shift(self):
-        rl = RecordList(capacity=2)
-        rl.add(10.0, significance=1.0)
-        rl.add(30.0, significance=9.0)
-        # Lands at index 1, then the index-0 victim shifts it to 0.
-        assert rl.add(20.0, significance=7.0) == 0
-        assert list(rl.values) == [20.0, 30.0]
+        with pytest.raises(TypeError):
+            RecordList(capacity=4, seed=1)
+        for algo_cls in (GreedyBucketing, ExhaustiveBucketing):
+            with pytest.raises(TypeError):
+                algo_cls(record_capacity=4, record_compaction="decay")
 
     def test_add_returns_none_when_own_record_evicted(self):
         rl = RecordList(capacity=2)
@@ -184,76 +175,41 @@ class TestBoundedStores:
         assert rl.add(15.0, significance=1.0) is None
         assert list(rl.values) == [10.0, 20.0]
 
-    def test_decay_compacts_in_batch_with_slack(self):
-        from repro.core.records import BATCH_EVICTION, DECAY_SLACK
+    def test_add_returns_none_whenever_it_compacted(self):
+        rl = RecordList(capacity=2)
+        assert rl.add(10.0, significance=1.0) == 0
+        assert rl.add(30.0, significance=9.0) == 1
+        # The arrival survives at index 0, but indices moved under it.
+        assert rl.add(20.0, significance=7.0) is None
+        assert list(rl.values) == [20.0, 30.0]
 
+    def test_decay_compacts_in_batch_with_slack(self):
         capacity = 20
-        rl = RecordList(capacity=capacity, compaction="decay")
+        rl = RecordList(capacity=capacity)
         for i in range(capacity):
-            rl.add(float(100 + i), significance=float(i + 1))
-        assert rl.last_eviction is None
-        rl.add(500.0, significance=100.0)
+            assert rl.add(float(100 + i), significance=float(i + 1)) == i
+        assert rl.add(500.0, significance=100.0) is None
         # One batch cleared a slack fraction, not a single victim.
-        assert rl.last_eviction == BATCH_EVICTION
         expected = max(1, capacity - int(capacity * DECAY_SLACK))
-        assert len(rl) == expected
+        assert len(rl) == expected == 18
         # Lowest-significance (oldest) records went first.
-        assert float(rl.significances.min()) > 1.0
+        assert list(rl.significances) == [float(s) for s in range(4, 21)] + [100.0]
+        assert list(rl.sig_prefix) == list(np.cumsum(rl.significances))
 
     def test_decay_amortizes_next_inserts_without_evicting(self):
-        rl = RecordList(capacity=20, compaction="decay")
+        rl = RecordList(capacity=20)
         for i in range(21):
             rl.add(float(i + 1), significance=float(i + 1))
         n_after_batch = len(rl)
-        rl.add(999.0, significance=99.0)
-        assert rl.last_eviction is None  # slack absorbed it
+        assert rl.add(999.0, significance=99.0) == n_after_batch  # slack absorbed it
         assert len(rl) == n_after_batch + 1
-
-    def test_reservoir_is_seeded_and_deterministic(self):
-        stream = [(float(v), float(s)) for v, s in zip(range(50), range(1, 51))]
-        lists = []
-        for _ in range(2):
-            rl = RecordList(capacity=8, compaction="reservoir", seed=42)
-            for v, s in stream:
-                rl.add(v + 0.5, significance=s)
-            lists.append(rl)
-        assert len(lists[0]) == 8
-        assert list(lists[0].values) == list(lists[1].values)
-        assert list(lists[0].significances) == list(lists[1].significances)
-
-    def test_reservoir_rejection_reports_no_mutation(self):
-        rl = RecordList(capacity=4, compaction="reservoir", seed=0)
-        rejected = retained = 0
-        for i in range(200):
-            pos = rl.add(float(i + 1), significance=1.0)
-            if i < 4:
-                # Fill phase: plain inserts, no sampling yet.
-                assert pos is not None and rl.last_eviction is None
-            elif pos is None:
-                assert rl.last_eviction is None  # nothing was swapped out
-                rejected += 1
-            else:
-                assert rl.last_eviction is not None  # replacement swap
-                retained += 1
-        assert len(rl) == 4
-        assert rejected > 0 and retained > 0
-        assert rl.seen == 200
-
-    def test_seen_counts_compacted_away_records(self):
-        rl = RecordList(capacity=3)
-        for i in range(10):
-            rl.add(float(i + 1), significance=float(i + 1))
-        assert rl.seen == 10
-        assert len(rl) == 3
 
 
 class TestBatchEvictionEquivalence:
-    """_evict_to_capacity's vectorized batch vs the one-at-a-time path."""
+    """_compact's vectorized batch vs one victim at a time."""
 
     @staticmethod
     def _populated(n, seed):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         rl = RecordList()
         for i in range(n):
@@ -267,64 +223,124 @@ class TestBatchEvictionEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("target", [1, 7, 23])
     def test_batch_eviction_equals_repeated_single_eviction(self, seed, target):
-        from repro.core.records import BATCH_EVICTION
-
         batch = self._populated(30, seed)
         legacy = self._populated(30, seed)
-        batch._evict_to_capacity(target)
-        assert batch.last_eviction == BATCH_EVICTION
+        batch._compact(target)
         while len(legacy) > target:
-            legacy._evict_to_capacity(len(legacy) - 1)
+            legacy._compact(len(legacy) - 1)
         assert list(batch.values) == list(legacy.values)
         assert list(batch.significances) == list(legacy.significances)
         assert list(batch.task_ids) == list(legacy.task_ids)
         assert list(batch.sig_prefix) == list(legacy.sig_prefix)
 
-    def test_over_by_one_delegates_to_single_eviction(self):
-        rl = self._populated(10, seed=9)
-        victim = rl._evict_to_capacity(9)
-        assert victim is not None
-        assert rl.last_eviction == (victim, pytest.approx(rl.last_eviction[1]))
-        assert len(rl) == 9
-
 
 class TestBoundedFromArraysAndState:
     def test_from_arrays_with_capacity_matches_streaming(self):
-        import numpy as np
-
         values = np.array([5.0, 1.0, 9.0, 3.0, 7.0, 2.0])
         sigs = np.array([1.0, 6.0, 2.0, 5.0, 4.0, 3.0])
         bulk = RecordList.from_arrays(values, sigs, capacity=4)
         streamed = RecordList(capacity=4)
-        # Streaming evicts as it goes; bulk evicts once at the end — for
-        # evict_min both keep exactly the top-significance records.
+        # Streaming evicts as it goes; bulk evicts once at the end — at a
+        # capacity too small for any slack both keep exactly the
+        # top-significance records.
         for v, s in zip(values, sigs):
             streamed.add(float(v), significance=float(s))
         assert list(bulk.values) == list(streamed.values)
         assert list(bulk.significances) == list(streamed.significances)
 
-    def test_from_arrays_reservoir_replays_stream(self):
-        import numpy as np
-
-        values = np.arange(1.0, 41.0)
-        bulk = RecordList.from_arrays(values, capacity=6, compaction="reservoir", seed=3)
-        streamed = RecordList(capacity=6, compaction="reservoir", seed=3)
-        for v in values:
-            streamed.add(float(v))
-        assert list(bulk.values) == list(streamed.values)
+    def test_from_arrays_trims_an_over_full_load_to_capacity_exactly(self):
+        # No slack on a bulk load: 30 records into 20 keep the top 20.
+        bulk = RecordList.from_arrays(
+            np.arange(1.0, 31.0), np.arange(1.0, 31.0), capacity=20
+        )
+        assert list(bulk.significances) == [float(s) for s in range(11, 31)]
 
     def test_bounded_state_roundtrip_continues_identically(self):
-        stream = [(float(v % 17 + 1), float(v + 1)) for v in range(40)]
-        original = RecordList(capacity=9, compaction="reservoir", seed=5)
+        stream = [(float(v % 17 + 1), float(v + 1)) for v in range(60)]
+        original = RecordList(capacity=12)
         for v, s in stream[:25]:
             original.add(v, significance=s)
-        import json
-
-        restored = RecordList.from_state(json.loads(json.dumps(original.state_dict())))
-        assert restored.capacity == 9
-        assert restored.compaction == "reservoir"
-        assert restored.seen == original.seen
+        state = json.loads(json.dumps(original.state_dict()))
+        assert sorted(state) == [
+            "capacity", "sig_prefix", "significances", "sigval_prefix", "task_ids", "values",
+        ]
+        restored = RecordList.from_state(state)
+        assert restored.capacity == 12
         for v, s in stream[25:]:
             assert original.add(v, significance=s) == restored.add(v, significance=s)
-        assert list(original.values) == list(restored.values)
-        assert list(original.sig_prefix) == list(restored.sig_prefix)
+        assert restored.state_dict() == original.state_dict()
+
+
+class TestParentFormatStates:
+    """States written while the store still had three selectable policies."""
+
+    @staticmethod
+    def _parent_state(store, compaction, rng=None):
+        return {
+            **store.state_dict(),
+            "compaction": compaction,
+            "seen": 1000,
+            "rng": rng,
+        }
+
+    @pytest.mark.parametrize("compaction", ["evict_min", "decay", "reservoir"])
+    def test_unbounded_state_loads_and_reserializes_without_the_policy_keys(
+        self, compaction
+    ):
+        store = RecordList()
+        for i in range(40):
+            store.add(float(i % 7), significance=float(i + 1), task_id=i)
+        restored = RecordList.from_state(
+            json.loads(json.dumps(self._parent_state(store, compaction)))
+        )
+        assert restored.state_dict() == store.state_dict()
+        assert not {"compaction", "seen", "rng"} & set(restored.state_dict())
+
+    def test_bounded_decay_state_continues_to_the_same_bytes(self):
+        rng = np.random.default_rng(21)
+        stream = [
+            (float(rng.integers(0, 40)), float(rng.integers(1, 30)), i)
+            for i in range(260)
+        ]
+        never_serialized = RecordList(capacity=20)
+        for value, sig, task_id in stream[:60]:
+            never_serialized.add(value, sig, task_id)
+        restored = RecordList.from_state(
+            json.loads(json.dumps(self._parent_state(never_serialized, "decay")))
+        )
+        for value, sig, task_id in stream[60:]:  # 200 further inserts
+            assert never_serialized.add(value, sig, task_id) == restored.add(
+                value, sig, task_id
+            )
+            assert len(restored) == len(never_serialized)
+            n = len(restored)
+            assert restored._block[:, :n].tobytes() == never_serialized._block[:, :n].tobytes()
+
+    @pytest.mark.parametrize("compaction", ["evict_min", "reservoir"])
+    def test_bounded_state_of_a_removed_policy_is_refused_by_name(self, compaction):
+        store = RecordList(capacity=8)
+        for i in range(5):
+            store.add(float(i), significance=float(i + 1), task_id=i)
+        rng = {"bit_generator": "PCG64"} if compaction == "reservoir" else None
+        with pytest.raises(ValueError, match=compaction):
+            RecordList.from_state(self._parent_state(store, compaction, rng))
+
+
+class TestRefusedAddLeavesTheStoreUntouched:
+    @pytest.mark.parametrize("task_id", [2**63, -(2**63) - 1, 1180591620717411303424])
+    @pytest.mark.parametrize("capacity", [None, 12])
+    def test_task_id_outside_int64_is_refused_before_any_write(self, capacity, task_id):
+        store = RecordList(capacity=capacity)
+        for i in range(12):
+            store.add(float(i + 1), significance=float(i + 1), task_id=i)
+        cached = store.values
+        before = [row.tobytes() for row in store._block]
+        with pytest.raises(ValueError, match="int64"):
+            store.add(2.5, significance=3.0, task_id=task_id)
+        assert [row.tobytes() for row in store._block] == before
+        assert len(store) == 12 and store.values is cached
+        # The int64 bounds themselves are storable.
+        store = RecordList()
+        store.add(1.0, task_id=2**63 - 1)
+        store.add(2.0, task_id=-(2**63))
+        assert store.task_ids.tolist() == [2**63 - 1, -(2**63)]

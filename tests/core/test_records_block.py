@@ -6,8 +6,9 @@ of one ``(5, size)`` block and mutates them with 2-D slice operations.
 allocated 1-D buffers, one numpy call per buffer per step — kept here as
 the oracle.  Both perform the same IEEE additions on the same operands,
 so after every mutation the live prefix of every buffer must be
-*byte*-identical, the returned position and ``last_eviction`` equal, and
-``state_dict() -> from_state() -> state_dict()`` a fixed point.
+*byte*-identical, the returned position equal (``None`` from both when
+they compacted), and ``state_dict() -> from_state() -> state_dict()`` a
+fixed point.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.records import _BLOCK_MOVE_MAX, BATCH_EVICTION, DECAY_SLACK, RecordList
+from repro.core.records import _BLOCK_MOVE_MAX, DECAY_SLACK, RecordList
 
 BUFFER_NAMES = ("_values_buf", "_sigs_buf", "_sp_buf", "_svp_buf", "_tids_buf")
 
@@ -23,45 +24,23 @@ BUFFER_NAMES = ("_values_buf", "_sigs_buf", "_sp_buf", "_svp_buf", "_tids_buf")
 class FiveBuffers:
     """A bounded sorted record store on five independent 1-D buffers."""
 
-    def __init__(self, capacity=None, compaction="evict_min", seed=0):
+    def __init__(self, capacity=None):
         self.capacity = capacity
-        self.compaction = compaction
-        self.rng = (
-            np.random.default_rng(seed)
-            if compaction == "reservoir" and capacity is not None
-            else None
-        )
         self.v = np.empty(32)
         self.s = np.empty(32)
         self.sp = np.empty(32)
         self.svp = np.empty(32)
         self.t = np.empty(32, dtype=np.int64)
         self.n = 0
-        self.seen = 0
-        self.last_eviction = None
 
     def live(self):
         return tuple(b[: self.n] for b in (self.v, self.s, self.sp, self.svp, self.t))
 
     def add(self, value, significance, task_id):
-        self.last_eviction = None
-        self.seen += 1
-        if self.rng is not None and self.n >= self.capacity:
-            j = int(self.rng.integers(0, self.seen))
-            if j >= self.capacity:
-                return None
-            self._remove(j)
-            return self._insert(value, significance, task_id)
-        ins = pos = self._insert(value, significance, task_id)
+        pos = self._insert(value, significance, task_id)
         if self.capacity is not None and self.n > self.capacity:
-            target = self.capacity
-            if self.compaction == "decay":
-                target = max(1, target - int(target * DECAY_SLACK))
-            victim = self._evict(target)
-            if victim is None or victim == ins:
-                pos = None
-            elif victim < ins:
-                pos = ins - 1
+            self._evict(max(1, self.capacity - int(self.capacity * DECAY_SLACK)))
+            return None
         return pos
 
     def _insert(self, value, significance, task_id):
@@ -88,29 +67,15 @@ class FiveBuffers:
         self.n = n + 1
         return pos
 
-    def _remove(self, index):
-        n = self.n
-        self.last_eviction = (index, float(self.v[index]))
-        for buf in (self.v, self.s, self.t):
-            buf[index : n - 1] = buf[index + 1 : n]
-        self.n = n - 1
-        self._rebuild()
-
     def _evict(self, target):
         n = self.n
         excess = n - target
-        if excess == 1:
-            victim = int(np.argmin(self.s[:n]))
-            self._remove(victim)
-            return victim
         keep = np.ones(n, dtype=bool)
         keep[np.argsort(self.s[:n], kind="stable")[:excess]] = False
         for buf in (self.v, self.s, self.t):
             buf[: n - excess] = buf[:n][keep]
         self.n = n - excess
-        self.last_eviction = BATCH_EVICTION
         self._rebuild()
-        return None
 
     def _rebuild(self):
         n = self.n
@@ -119,7 +84,7 @@ class FiveBuffers:
 
 
 def _assert_same_bytes(store: RecordList, oracle: FiveBuffers) -> None:
-    assert len(store) == oracle.n and store.seen == oracle.seen
+    assert len(store) == oracle.n
     for name, expected in zip(BUFFER_NAMES, oracle.live()):
         got = getattr(store, name)[: oracle.n]
         assert got.dtype == expected.dtype, name
@@ -150,29 +115,18 @@ _stream = st.lists(
 )
 
 
-@pytest.mark.parametrize(
-    "capacity, compaction",
-    [
-        (None, "evict_min"),
-        (9, "evict_min"),
-        (64, "evict_min"),
-        (9, "decay"),
-        (64, "decay"),
-        (9, "reservoir"),
-        (64, "reservoir"),
-    ],
-)
+@pytest.mark.parametrize("capacity", [None, 9, 64])
 @settings(max_examples=15, deadline=None)
-@given(stream=_stream, seed=st.integers(min_value=0, max_value=2**16))
-def test_block_store_matches_five_buffer_oracle(capacity, compaction, stream, seed):
-    store = RecordList(capacity=capacity, compaction=compaction, seed=seed)
-    oracle = FiveBuffers(capacity=capacity, compaction=compaction, seed=seed)
+@given(stream=_stream)
+def test_block_store_matches_five_buffer_oracle(capacity, stream):
+    store = RecordList(capacity=capacity)
+    oracle = FiveBuffers(capacity=capacity)
     sizes = {store._values_buf.size}
     for value, significance, task_id in stream:
-        assert store.add(value, significance, task_id) == oracle.add(
-            value, significance, task_id
-        )
-        assert store.last_eviction == oracle.last_eviction
+        before = len(store)
+        pos = store.add(value, significance, task_id)
+        assert pos == oracle.add(value, significance, task_id)
+        assert (pos is None) == (len(store) <= before)
         _assert_same_bytes(store, oracle)
         state = store.state_dict()
         assert RecordList.from_state(state).state_dict() == state
@@ -184,7 +138,7 @@ def test_block_store_matches_five_buffer_oracle(capacity, compaction, stream, se
 
 def test_runs_longer_than_the_2d_bound_move_row_by_row_to_the_same_bytes():
     # Past _BLOCK_MOVE_MAX columns the shift stops being one buffered
-    # 2-D copy; both sides of the bound, in both directions.
+    # 2-D copy; both sides of the bound.
     depth = _BLOCK_MOVE_MAX + 40
     rng = np.random.default_rng(7)
     store = RecordList(capacity=depth + 20)
@@ -193,15 +147,20 @@ def test_runs_longer_than_the_2d_bound_move_row_by_row_to_the_same_bytes():
         value = float(i // 3)
         assert store.add(value, 1000.0 + i, i) == oracle.add(value, 1000.0 + i, i)
     _assert_same_bytes(store, oracle)
-    # Right shifts of ~depth, ~depth/2 and a few columns; then over capacity,
-    # where each add also evicts a low-significance record near the front.
+    # Right shifts of ~depth, ~depth/2 and a few columns; the 21st takes
+    # the store over capacity and the batch compaction drops the short
+    # shifts back under the bound.
+    compactions = 0
     for i in range(60):
         value = float(rng.choice([0.0, depth // 6, depth // 3 - 1]))
         significance = float(rng.integers(1, 5))
-        assert store.add(value, significance, -i) == oracle.add(value, significance, -i)
-        assert store.last_eviction == oracle.last_eviction
+        pos = store.add(value, significance, -i)
+        assert pos == oracle.add(value, significance, -i)
+        compactions += pos is None
         _assert_same_bytes(store, oracle)
-    assert len(store) == depth + 20 and store.seen == depth + 60
+    capacity = depth + 20
+    assert compactions == 1
+    assert len(store) == capacity - int(capacity * DECAY_SLACK) + 39
 
 
 def test_buffer_names_are_views_of_one_allocation_after_every_reallocation():
@@ -240,7 +199,7 @@ def test_task_ids_survive_shifts_through_the_float_block():
     store.add(0.0, 0.25, 5)  # and once more after a restore
     assert store.task_ids[-5:].tolist() == ids
     assert [r.task_id for r in store[-5:]] == ids
-    # Eviction shifts left through the same block.
+    # Compaction compresses left through the same block.
     bounded = RecordList(capacity=5)
     for i, task_id in enumerate(ids):
         bounded.add(1000.0 + i, 10.0 + i, task_id)

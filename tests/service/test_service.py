@@ -328,10 +328,10 @@ def test_validate_request_refuses_non_positive_significance(significance):
         validate_request(doc, AllocatorConfig().resources)
 
 
-def test_infinite_record_is_refused_before_the_wal_and_poisons_nothing(tmp_path):
-    """``{"peaks": {"memory": Infinity}}`` used to be WAL-logged and
-    answered ``recorded``; every later allocate of its category then
-    failed, across restarts.  It is a ``bad_request`` that moves nothing."""
+def _assert_refused_before_the_wal(tmp_path, bodies):
+    """Each ``bodies`` entry (a request line less its ``id``) is answered
+    ``bad_request`` with shard ``seq``, WAL bytes and digests unmoved, and
+    the category keeps allocating from the five records it holds."""
 
     async def scenario():
         data_dir = str(tmp_path / "data")
@@ -350,13 +350,8 @@ def test_infinite_record_is_refused_before_the_wal_and_poisons_nothing(tmp_path)
         seq, wal_bytes, digest = shard.seq, os.path.getsize(wal), service.shard_digests()
 
         reader, writer = await asyncio.open_unix_connection(sock)
-        for field in (
-            '"peaks":{"cores":1,"memory":Infinity,"disk":10}',
-            '"peaks":{"cores":1,"memory":5,"disk":10},"significance":Infinity',
-        ):
-            writer.write(
-                b'{"id":"bad","op":"record","category":"c","task_id":6,%s}\n' % field.encode()
-            )
+        for body in bodies:
+            writer.write(b'{"id":"bad",%s}\n' % body.encode())
             refused = json.loads(await reader.readline())
             assert refused["ok"] is False and refused["id"] == "bad"
             assert refused["error"]["code"] == ERR_BAD_REQUEST
@@ -374,6 +369,43 @@ def test_infinite_record_is_refused_before_the_wal_and_poisons_nothing(tmp_path)
         await service.stop()
 
     run(scenario())
+
+
+def test_infinite_record_is_refused_before_the_wal_and_poisons_nothing(tmp_path):
+    """``{"peaks": {"memory": Infinity}}`` used to be WAL-logged and
+    answered ``recorded``; every later allocate of its category then
+    failed, across restarts.  It is a ``bad_request`` that moves nothing."""
+    _assert_refused_before_the_wal(
+        tmp_path,
+        [
+            '"op":"record","category":"c","task_id":6,'
+            '"peaks":{"cores":1,"memory":Infinity,"disk":10}',
+            '"op":"record","category":"c","task_id":6,'
+            '"peaks":{"cores":1,"memory":5,"disk":10},"significance":Infinity',
+        ],
+    )
+
+
+@pytest.mark.parametrize("task_id", [2**63, -(2**63) - 1, 1180591620717411303424])
+def test_task_id_outside_int64_is_refused_before_the_wal(tmp_path, task_id):
+    """Such a ``record`` used to be WAL-logged and then fail half-way
+    through the insert, leaving the category's store corrupted across
+    restarts.  All three ops validate ``task_id`` the same way."""
+    vector = '{"cores":1,"memory":5,"disk":10}'
+    _assert_refused_before_the_wal(
+        tmp_path,
+        [
+            '"op":"record","category":"c","task_id":%d,"peaks":%s' % (task_id, vector),
+            '"op":"allocate","category":"c","task_id":%d' % task_id,
+            '"op":"allocate_retry","category":"c","task_id":%d,"previous":%s,'
+            '"observed":%s,"exhausted":["memory"]' % (task_id, vector, vector),
+        ],
+    )
+    # The int64 bounds themselves are valid.
+    for edge in (2**63 - 1, -(2**63)):
+        validate_request(
+            {"op": "allocate", "category": "c", "task_id": edge}, AllocatorConfig().resources
+        )
 
 
 # ---------------------------------------------------------------------------

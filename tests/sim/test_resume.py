@@ -52,17 +52,17 @@ def _pool():
 
 
 def _bounded_records_config():
-    """Exhaustive Bucketing over a tiny reservoir-bounded record store.
+    """Exhaustive Bucketing over a tiny bounded record store.
 
     Exercises the million-record hot-path machinery end to end through a
-    kill/resume: the seeded reservoir RNG, the bounded store's ``seen``
-    counter and the incremental exhaustive engine's rebuilt-on-load
-    cache must all replay bit-identically.
+    kill/resume: the store compacts every insert past four records, and
+    its verbatim-restored prefix sums and the incremental exhaustive
+    engine's rebuilt-on-load cache must replay bit-identically.
     """
     return SimulationConfig(
         allocator=AllocatorConfig(
             algorithm="exhaustive_bucketing",
-            algorithm_kwargs={"record_capacity": 4, "record_compaction": "reservoir"},
+            algorithm_kwargs={"record_capacity": 4},
             seed=7,
             exploratory=ExploratoryConfig(min_records=3),
         ),
@@ -111,8 +111,7 @@ CONFIGS = {
     # jitter stream, dead-letter ledger and breaker state all replay.
     "quarantine": lambda: _config(resilience=_resilience()),
     # Million-record hot-path machinery under kill/resume: a bounded
-    # reservoir record store, and the greedy search's rebuilt-on-load
-    # split memo.
+    # record store, and the greedy search's rebuilt-on-load split memo.
     "bounded_records": _bounded_records_config,
     "greedy_incremental": _greedy_incremental_config,
 }
