@@ -52,7 +52,7 @@ def test_table1_full_sweep(benchmark):
     assert lit[-1] > 100 * eb[-1]
     # What the allocator runs per decision is cheaper than either
     # reference at depth, and EB's decision stays cheaper than GB's.
-    assert result.microseconds["greedy_bucketing"][-1] < lit[-1] / 100
+    assert result.microseconds["greedy_bucketing"][-1] < lit[-1] / 1000
     assert result.microseconds["exhaustive_bucketing"][-1] < 5 * eb[-1]
     assert result.ratio(5000) > 1
     print()

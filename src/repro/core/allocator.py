@@ -99,6 +99,26 @@ def _init_parameters(cls: type) -> Mapping[str, inspect.Parameter]:
     return inspect.signature(cls.__init__).parameters
 
 
+def _build_algorithm(
+    cfg: AllocatorConfig, res: Resource, rng: np.random.Generator
+) -> AllocationAlgorithm:
+    """The algorithm instance ``cfg`` runs for resource ``res``."""
+    kwargs = dict(cfg.algorithm_kwargs)
+    cls = ALGORITHM_REGISTRY[cfg.algorithm]
+    accepted = _init_parameters(cls)
+    # Wire well-known parameters the algorithm accepts but the caller
+    # did not pin: worker capacity and the Max Seen histogram width.
+    if "capacity" in accepted and "capacity" not in kwargs:
+        kwargs["capacity"] = cfg.machine_capacity[res]
+    if "granularity" in accepted and "granularity" not in kwargs:
+        kwargs["granularity"] = DEFAULT_MAX_SEEN_GRANULARITY.get(res, 0.0)
+    if "rng" in accepted and "rng" not in kwargs:
+        # Independent child generator per instance: reproducible and
+        # insensitive to the order categories first appear.
+        kwargs["rng"] = np.random.default_rng(rng.integers(2**63))
+    return cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class ExploratoryConfig:
     """Bootstrap policy for a category with too few records.
@@ -215,6 +235,9 @@ class AllocatorConfig:
             raise ValueError(
                 f"doubling_factor must exceed 1, got {self.doubling_factor}"
             )
+        # An unknown keyword or a bad value in algorithm_kwargs is refused
+        # here, not when a category's first allocator is built.
+        _build_algorithm(self, self.resources[0], np.random.default_rng(0))
 
     def with_algorithm(self, algorithm: str, **algorithm_kwargs) -> "AllocatorConfig":
         """A copy of this config running a different algorithm."""
@@ -534,21 +557,7 @@ class TaskOrientedAllocator:
         return state
 
     def _make_algorithm(self, res: Resource) -> AllocationAlgorithm:
-        cfg = self._config
-        kwargs = dict(cfg.algorithm_kwargs)
-        cls = ALGORITHM_REGISTRY[cfg.algorithm]
-        accepted = _init_parameters(cls)
-        # Wire well-known parameters the algorithm accepts but the caller
-        # did not pin: worker capacity and the Max Seen histogram width.
-        if "capacity" in accepted and "capacity" not in kwargs:
-            kwargs["capacity"] = cfg.machine_capacity[res]
-        if "granularity" in accepted and "granularity" not in kwargs:
-            kwargs["granularity"] = DEFAULT_MAX_SEEN_GRANULARITY.get(res, 0.0)
-        if "rng" in accepted and "rng" not in kwargs:
-            # Independent child generator per instance: reproducible and
-            # insensitive to the order categories first appear.
-            kwargs["rng"] = np.random.default_rng(self._rng.integers(2**63))
-        return cls(**kwargs)
+        return _build_algorithm(self._config, res, self._rng)
 
     def _exploratory_value(self, res: Resource) -> float:
         capacity = self._config.machine_capacity[res]

@@ -22,6 +22,7 @@ records ever crosses the interface.
 from __future__ import annotations
 
 import abc
+import numbers
 from typing import ClassVar, Dict, Optional, Type
 
 import numpy as np
@@ -147,6 +148,21 @@ class AllocationAlgorithm(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(records={self.n_records})"
+
+
+def check_max_buckets(max_buckets: object) -> int:
+    """The bucket cap both bucketing algorithms take: an ``int >= 1``, not a ``bool``.
+
+    Checked at construction, so a bad cap is refused where it is
+    configured instead of at the first decision after exploration.
+    """
+    if (
+        isinstance(max_buckets, bool)
+        or not isinstance(max_buckets, numbers.Integral)
+        or max_buckets < 1
+    ):
+        raise ValueError(f"max_buckets must be an integer >= 1, got {max_buckets!r}")
+    return int(max_buckets)
 
 
 class BucketingAlgorithm(AllocationAlgorithm):

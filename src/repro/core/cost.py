@@ -17,32 +17,23 @@ completed tasks on record:
 
 The vectorized implementations carry the algorithms' hot loops (the
 hpc-parallel optimization guides: vectorize with prefix sums rather than
-re-scanning per candidate).  Pure-Python reference implementations are
-kept here and cross-checked by the test suite.
-
-The greedy kernel is split in two so the search can share work between
-segments: :func:`split_anchor` builds the arrays that depend only on a
-segment's lower end, :func:`anchored_split_costs` the rest.  Both read
-the record store's live buffers as slices (no gathers, no snapshot
-copies) and keep the four-case formula's operation order exactly —
-``tests/core/test_greedy_differential.py`` holds them to the bits of the
-implementation they replaced.
+re-scanning per candidate); the tests cross-check them against scalar
+references.  The greedy *search* runs the four-case kernel only to
+settle near-ties: the weighted means cancel out of the four-case sum,
+and :mod:`repro.core.greedy` scans the closed form that is left
+(docs/ALGORITHMS.md §3).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.records import RecordList
 
 __all__ = [
-    "SplitAnchor",
-    "split_anchor",
-    "anchored_split_costs",
     "greedy_split_costs",
-    "greedy_split_cost_reference",
     "exhaustive_cost",
     "exhaustive_cost_reference",
     "expected_waste_table",
@@ -53,69 +44,57 @@ __all__ = [
 # Greedy Bucketing cost (compute_greedy_cost in Algorithm 1)
 # ---------------------------------------------------------------------------
 
-#: ``(w1, sv1, v_lo, rep1 - v_lo)`` of a segment; see :func:`split_anchor`.
-SplitAnchor = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+def greedy_split_costs(
+    records: RecordList,
+    lo: int,
+    hi: int,
+    first: Optional[int] = None,
+    last: Optional[int] = None,
+) -> np.ndarray:
+    """Expected waste for every candidate break point in ``[lo, hi]``.
 
-def split_anchor(records: RecordList, lo: int, hi: int) -> SplitAnchor:
-    """The low-bucket arrays of segment ``[lo, hi]``, one entry per candidate.
+    Returns an array ``costs`` with ``costs[i - first]`` = the expected
+    resource waste of the next task if the segment ``[lo, hi]`` is broken
+    into buckets ``[lo, i]`` and ``[i+1, hi]``, for the candidates ``i``
+    in ``[first, last]`` (default: all of ``[lo, hi]``).  The entry for
+    ``i == hi`` is the no-split (single bucket) cost, matching Algorithm
+    1's "if break_idx == hi then return [hi]" convention.
 
-    ``(w1, sv1, v_lo, rep1 - v_lo)``: significance, significance*value
-    and weighted mean of ``[lo, i]``, and the low bucket's own waste.
-    They depend on ``lo`` and the candidate ``i`` only, never on ``hi``,
-    so the anchor of ``[lo, hi]`` cut to its first ``b - lo + 1`` entries
-    *is* the anchor of the left child ``[lo, b]`` — the greedy search
-    passes it down instead of recomputing it.
-
-    Reads the record store's live buffers as slices; for ``lo == 0`` the
-    first two arrays are views of them (``x - 0.0`` is ``x``), so an
-    anchor must not outlive the next mutation of ``records``.
+    Each candidate costs O(1) from the live prefix-sum buffers, read as
+    slices, and is evaluated elementwise, so its bits do not depend on
+    the span.  The operations, operands and order are those of the
+    four-case formula written out term by term — ``((lolo + lohi) +
+    hilo) + hihi``, ``p1 * p2`` computed once — accumulated in place;
+    re-associating would change last bits and flip near-tied argmins.
     """
-    end = hi + 1
+    if not (0 <= lo <= hi < len(records)):
+        raise IndexError(f"segment [{lo}, {hi}] out of bounds for {len(records)} records")
+    first = lo if first is None else first
+    last = hi if last is None else last
+    if not (lo <= first <= last <= hi):
+        raise IndexError(f"candidates [{first}, {last}] outside segment [{lo}, {hi}]")
+    m = last - first + 1
     sp = records._sp_buf
     svp = records._svp_buf
-    if lo > 0:
-        w1 = sp[lo:end] - sp[lo - 1]
-        sv1 = svp[lo:end] - svp[lo - 1]
-    else:
-        w1 = sp[:end]
-        sv1 = svp[:end]
-    rep1 = records._values_buf[lo:end]
-    if w1[0] > 0.0:                              # w1 only grows with i
-        v_lo = sv1 / w1
-    else:
-        # Leading significances vanished against the prefix sum below
-        # ``lo``: such a low bucket has probability 0 and, as in
-        # ``partition_stats``, its representative as the estimate.
-        v_lo = np.divide(sv1, w1, out=rep1.copy(), where=w1 > 0.0)
-    return w1, sv1, v_lo, rep1 - v_lo
-
-
-def anchored_split_costs(
-    records: RecordList, lo: int, hi: int, anchor: SplitAnchor
-) -> np.ndarray:
-    """:func:`greedy_split_costs` given the anchor of ``[lo, hi']``, ``hi' >= hi``.
-
-    Every array below is produced by the same IEEE operations, on the
-    same operands, in the same order as the four-case formula written
-    out term by term — ``((lolo + lohi) + hilo) + hihi`` with
-    ``p1 * p2`` computed once (``p2 * p1`` is the same double) — so the
-    result is bit-identical to it; only temporaries are saved, by
-    accumulating in place.  Re-associating the sum would change last
-    bits and flip near-tied argmins.
-    """
-    m = hi - lo + 1
-    w1, sv1, v_lo, waste_lo = (array[:m] for array in anchor)
     values = records._values_buf
-    rep1 = values[lo : hi + 1]
-    rep2 = values[hi]
-    total_sig = w1[-1]
+    base_sig = sp[lo - 1] if lo > 0 else 0.0
+    base_sigval = svp[lo - 1] if lo > 0 else 0.0
+    total_sig = sp[hi] - base_sig
     if total_sig == 0.0:
         # The whole segment vanished against the prefix sum below ``lo``:
         # no candidate carries any probability, so none costs anything.
         return np.zeros(m)
+    w1 = sp[first : last + 1] - base_sig         # significance of [lo, i]
+    sv1 = svp[first : last + 1] - base_sigval    # sig*value of [lo, i]
+    rep1 = values[first : last + 1]
+    rep2 = values[hi]
+    # A low bucket whose significance vanished against the prefix sum
+    # below ``lo`` has probability 0 and, as in ``partition_stats``, its
+    # representative as the estimate.
+    v_lo = np.divide(sv1, w1, out=rep1.copy(), where=w1 > 0.0)
     w2 = total_sig - w1                          # significance of [i+1, hi]
-    sv2 = sv1[-1] - sv1
+    sv2 = (svp[hi] - base_sigval) - sv1
     # Weighted mean of the high bucket; it is empty (w2 == 0) at i == hi
     # and wherever the trailing significances vanish against w1.
     v_hi = np.divide(sv2, w2, out=np.zeros(m), where=w2 > 0.0)
@@ -128,7 +107,7 @@ def anchored_split_costs(
     # i == hi, so the formula degenerates to the one-bucket cost
     # rep - weighted_mean there.
     costs = np.multiply(p1, p1, out=p1)
-    costs *= waste_lo                            # p1 * p1 * (rep1 - v_lo)
+    costs *= np.subtract(rep1, v_lo, out=w1)     # p1 * p1 * (rep1 - v_lo)
     term = np.subtract(rep2, v_lo, out=sv2)
     term *= p12                                  # p1 * p2 * (rep2 - v_lo)
     costs += term
@@ -141,49 +120,6 @@ def anchored_split_costs(
     term *= p2                                   # p2 * p2 * (rep2 - v_hi)
     costs += term
     return costs
-
-
-def greedy_split_costs(records: RecordList, lo: int, hi: int) -> np.ndarray:
-    """Expected waste for every candidate break point in ``[lo, hi]``.
-
-    Returns an array ``costs`` with ``costs[i - lo]`` = the expected
-    resource waste of the next task if the segment ``[lo, hi]`` is broken
-    into buckets ``[lo, i]`` and ``[i+1, hi]``.  The entry for ``i == hi``
-    is the no-split (single bucket) cost, matching Algorithm 1's "if
-    break_idx == hi then return [hi]" convention.
-
-    All candidates are evaluated in O(hi - lo) total using the record
-    list's significance prefix sums.
-    """
-    if not (0 <= lo <= hi < len(records)):
-        raise IndexError(f"segment [{lo}, {hi}] out of bounds for {len(records)} records")
-    return anchored_split_costs(records, lo, hi, split_anchor(records, lo, hi))
-
-
-def greedy_split_cost_reference(records: RecordList, lo: int, i: int, hi: int) -> float:
-    """Scalar reference for :func:`greedy_split_costs` (tests only).
-
-    Computes the cost of breaking ``[lo, hi]`` at record ``i`` directly
-    from the paper's four-case formula, without prefix sums.
-    """
-    if not (lo <= i <= hi):
-        raise IndexError(f"break index {i} outside segment [{lo}, {hi}]")
-    rep1 = records.max_value(lo, i)
-    rep2 = records.max_value(lo, hi)
-    w1 = records.sig_sum(lo, i)
-    total = records.sig_sum(lo, hi)
-    p1 = w1 / total
-    v_lo = records.weighted_mean(lo, i)
-    if i == hi:
-        return rep1 - v_lo
-    p2 = 1.0 - p1
-    v_hi = records.weighted_mean(i + 1, hi)
-    return (
-        p1 * p1 * (rep1 - v_lo)
-        + p1 * p2 * (rep2 - v_lo)
-        + p2 * p1 * (rep1 + rep2 - v_hi)
-        + p2 * p2 * (rep2 - v_hi)
-    )
 
 
 # ---------------------------------------------------------------------------

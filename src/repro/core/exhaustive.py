@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import BucketingAlgorithm, register_algorithm
+from repro.core.base import BucketingAlgorithm, check_max_buckets, register_algorithm
 from repro.core.buckets import bucket_stats
 from repro.core.records import RecordList
 
@@ -214,8 +214,7 @@ def exhaustive_break_indices(
     expected waste ``W_B``.  Ties favour fewer buckets (the single-bucket
     configuration is evaluated first).
     """
-    if max_buckets < 1:
-        raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
+    max_buckets = check_max_buckets(max_buckets)
     return _score_and_select(
         records,
         [evenly_spaced_break_indices(records, k) for k in range(1, max_buckets + 1)],
@@ -296,14 +295,12 @@ class IncrementalExhaustivePartition:
     )
 
     def __init__(self, records: RecordList, max_buckets: int = PAPER_MAX_BUCKETS) -> None:
-        if max_buckets < 1:
-            raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
         self._records = records
-        self._max_buckets = max_buckets
+        self._max_buckets = check_max_buckets(max_buckets)
         # Candidate values are (v_max * i) / k elementwise over the
         # shared layout — the same float expression, and therefore the
         # same rounding, as evenly_spaced_break_indices.
-        self._layout = _candidate_layout(max_buckets)
+        self._layout = _candidate_layout(self._max_buckets)
         # Hot per-mutation state lives in plain Python lists, not
         # arrays: with at most K(K-1)/2 = 45 candidates a bisect and a
         # list bump are faster than one numpy dispatch — and much faster
@@ -478,11 +475,9 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         record_capacity: Optional[int] = None,
         max_buckets: int = PAPER_MAX_BUCKETS,
     ) -> None:
-        if max_buckets < 1:
-            raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
         # Set before super().__init__: the base constructor calls the
         # _make_partition_engine hook, which reads it.
-        self._max_buckets = max_buckets
+        self._max_buckets = check_max_buckets(max_buckets)
         super().__init__(rng=rng, record_capacity=record_capacity)
 
     @property

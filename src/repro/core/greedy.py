@@ -15,24 +15,25 @@ small in practice (the paper reports rarely above 10), but adversarial
 record lists could split down to singleton segments and Python's
 recursion limit must not decide the outcome.
 
-There is one search, :func:`_search`, and it is exact.  Two things keep
-it cheap without changing a bit of its output: a left child ``[lo, b]``
-inherits the low-bucket arrays its parent already computed
-(:func:`repro.core.cost.split_anchor`), and :class:`GreedySplitMemo` —
-the engine :class:`GreedyBucketing` runs on its own record list —
-remembers every segment's break and re-scans only segments that reach
-up to the lowest index inserted at since the last search.
-:func:`greedy_break_indices` is the same search with an empty memo.
+There is one search, :func:`_search`, and its break indices are exactly
+the four-case kernel's.  It is cheap without changing one of them:
+:func:`_scan` ranks candidates by the closed form left once the weighted
+means cancel, running the kernel only on near-ties (docs/ALGORITHMS.md
+§3); a left child inherits its parent's low prefix; and
+:class:`GreedySplitMemo`, the engine :class:`GreedyBucketing` runs,
+re-scans only segments that reach the lowest insert since the last
+search.  :func:`greedy_break_indices` is the search with an empty memo.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import BucketingAlgorithm, register_algorithm
-from repro.core.cost import SplitAnchor, anchored_split_costs, split_anchor
+from repro.core.base import BucketingAlgorithm, check_max_buckets, register_algorithm
+from repro.core.cost import greedy_split_costs
 from repro.core.records import RecordList
 
 __all__ = [
@@ -46,6 +47,57 @@ __all__ = [
 #: ``{(lo, hi): break index}`` — the argmin of every segment a search split
 #: or declared whole, keyed by the segment's inclusive bounds.
 SplitMemo = Dict[Tuple[int, int], int]
+
+
+#: The relative and absolute rounding error of one float64 operation.
+_U, _ETA = 2.0**-53, 2.0**-1075
+
+
+def _low_prefix(records: RecordList, lo: int, hi: int) -> np.ndarray:
+    """``w1[k]``, the significance of ``[lo, lo + k]``, for ``k <= hi - lo``.
+
+    Cut to its first ``b - lo + 1`` entries it is the left child
+    ``[lo, b]``'s.  At ``lo == 0`` it is a view of the live buffer.
+    """
+    sp = records._sp_buf
+    return sp[lo : hi + 1] - sp[lo - 1] if lo > 0 else sp[: hi + 1]
+
+
+def _scan(records: RecordList, lo: int, hi: int, w1: np.ndarray) -> int:
+    """``lo`` plus the first argmin of ``greedy_split_costs(records, lo, hi)``.
+
+    ``w1`` is the low prefix of ``[lo, hi']``, ``hi' >= hi``.  The cost
+    is exactly ``rep2 - S/T + h``, ``h = p1 * (rep1 - p1 * rep2)``; any
+    candidate that could tie or beat the kernel's float minimum has ``h``
+    within ``margin`` of ``min h`` (docs/ALGORITHMS.md §3).  One such is
+    the answer; several go to the kernel on their span.  An empty low or
+    high bucket, an overflowed ``T`` or an infinite margin take the
+    kernel whole.
+    """
+    m = hi - lo + 1
+    total = float(w1[m - 1])
+    first = float(w1[0])
+    last_share = total - float(w1[m - 2])
+    if 0.0 < first and 0.0 < last_share < inf:
+        svp = records._svp_buf
+        s = float(svp[hi]) - float(svp[lo - 1]) if lo > 0 else float(svp[hi])
+        values = records._values_buf
+        rep2 = float(values[hi])
+        margin = _U * (35.0 * rep2 + 27.0 * (s / total)) + 2.0 * _ETA * (
+            18.0 * rep2 + 7.0 * (s / first + s / last_share) + 9.0
+        )
+        if margin < inf:
+            p1 = np.divide(w1[:m], total)
+            h = np.multiply(p1, rep2)
+            np.subtract(values[lo : hi + 1], h, out=h)
+            h *= p1
+            j = int(h.argmin())
+            near = np.flatnonzero(h <= float(h[j]) + margin)
+            if near.size == 1:
+                return lo + j
+            a, b = lo + int(near[0]), lo + int(near[-1])
+            return a + int(greedy_split_costs(records, lo, hi, a, b).argmin())
+    return lo + int(greedy_split_costs(records, lo, hi).argmin())
 
 
 def _search(
@@ -63,19 +115,17 @@ def _search(
     the sorted bucket ends and the breaks of every segment examined,
     which is the memo for the next search.
     """
-    budget = max_buckets if max_buckets is not None else float("inf")
-    if budget < 1:
-        raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
+    budget = inf if max_buckets is None else check_max_buckets(max_buckets)
 
     ends: List[int] = []
     seen: SplitMemo = {}
-    # Work-list of segments still to be examined, each with the cost
-    # anchor it inherits (a left child shares ``lo`` with its parent).
+    # Work-list of segments still to be examined, each with the low
+    # prefix it inherits (a left child shares ``lo`` with its parent).
     # Without a cap each segment's decision is independent; with one the
     # LIFO order — left child first — decides who gets to split.
-    stack: List[Tuple[int, int, Optional[SplitAnchor]]] = [(lo, hi, None)]
+    stack: List[Tuple[int, int, Optional[np.ndarray]]] = [(lo, hi, None)]
     while stack:
-        seg_lo, seg_hi, anchor = stack.pop()
+        seg_lo, seg_hi, w1 = stack.pop()
         if seg_lo == seg_hi:
             ends.append(seg_hi)
             continue
@@ -88,17 +138,16 @@ def _search(
         key = (seg_lo, seg_hi)
         break_idx = memo.get(key) if seg_hi < clean else None
         if break_idx is None:
-            if anchor is None:
-                anchor = split_anchor(records, seg_lo, seg_hi)
-            costs = anchored_split_costs(records, seg_lo, seg_hi, anchor)
-            break_idx = seg_lo + int(costs.argmin())
+            if w1 is None:
+                w1 = _low_prefix(records, seg_lo, seg_hi)
+            break_idx = _scan(records, seg_lo, seg_hi, w1)
         seen[key] = break_idx
         if break_idx == seg_hi:
             # One bucket over the whole segment is (locally) optimal.
             ends.append(seg_hi)
             continue
         stack.append((break_idx + 1, seg_hi, None))
-        stack.append((seg_lo, break_idx, anchor))
+        stack.append((seg_lo, break_idx, w1))
 
     ends.sort()
     return ends, seen
@@ -296,7 +345,7 @@ class GreedyBucketing(BucketingAlgorithm):
     ) -> None:
         # Set before super().__init__: the base constructor calls the
         # _make_partition_engine hook, which reads it.
-        self._max_buckets = max_buckets
+        self._max_buckets = None if max_buckets is None else check_max_buckets(max_buckets)
         super().__init__(rng=rng, record_capacity=record_capacity)
 
     def _make_partition_engine(self) -> GreedySplitMemo:

@@ -9,7 +9,8 @@ The one later edit, made in both places together: a bucket whose
 significance rounds to zero contributes 0 instead of scoring NaN.
 ``test_greedy_differential.py`` drives the shipped search and this one
 over the same record stores and requires identical break indices and
-bit-identical cost arrays.
+bit-identical cost arrays.  ``greedy_split_cost_reference`` is the
+four-case formula for one candidate, through range queries only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.core.records import RecordList
 
-__all__ = ["reference_split_costs", "reference_break_indices"]
+__all__ = ["reference_split_costs", "reference_break_indices", "greedy_split_cost_reference"]
 
 
 def reference_split_costs(records: RecordList, lo: int, hi: int) -> np.ndarray:
@@ -111,3 +112,24 @@ def reference_break_indices(
 
     ends.sort()
     return ends
+
+
+def greedy_split_cost_reference(records: RecordList, lo: int, i: int, hi: int) -> float:
+    """The cost of breaking ``[lo, hi]`` at record ``i``, straight from the
+    paper's four-case formula through the record list's range queries."""
+    if not (lo <= i <= hi):
+        raise IndexError(f"break index {i} outside segment [{lo}, {hi}]")
+    rep1 = records.max_value(lo, i)
+    rep2 = records.max_value(lo, hi)
+    p1 = records.sig_sum(lo, i) / records.sig_sum(lo, hi)
+    v_lo = records.weighted_mean(lo, i)
+    if i == hi:
+        return rep1 - v_lo
+    p2 = 1.0 - p1
+    v_hi = records.weighted_mean(i + 1, hi)
+    return (
+        p1 * p1 * (rep1 - v_lo)
+        + p1 * p2 * (rep2 - v_lo)
+        + p2 * p1 * (rep1 + rep2 - v_hi)
+        + p2 * p2 * (rep2 - v_hi)
+    )

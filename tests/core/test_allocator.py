@@ -36,6 +36,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             AllocatorConfig(doubling_factor=1.0)
 
+    @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
+    def test_bad_algorithm_kwargs_are_refused_by_the_config(self, algorithm):
+        """Not when a category's first allocator is built, mid-service."""
+        with pytest.raises(ValueError, match="max_buckets"):
+            AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"max_buckets": 0})
+        with pytest.raises(TypeError, match="max_bucket"):
+            AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"max_bucket": 4})
+        with pytest.raises(ValueError, match="max_buckets"):
+            AllocatorConfig().with_algorithm(algorithm, max_buckets=0)
+
     def test_with_algorithm(self):
         cfg = AllocatorConfig().with_algorithm("max_seen")
         assert cfg.algorithm == "max_seen"

@@ -8,10 +8,10 @@ from repro.core.cost import (
     exhaustive_cost,
     exhaustive_cost_reference,
     expected_waste_table,
-    greedy_split_cost_reference,
     greedy_split_costs,
 )
 from repro.core.records import RecordList
+from tests.core.greedy_reference import greedy_split_cost_reference
 
 
 def make_records(pairs):

@@ -106,6 +106,11 @@ class TestExhaustiveBucketingAlgorithm:
         with pytest.raises(ValueError):
             ExhaustiveBucketing(max_buckets=0)
 
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True, "4"])
+    def test_bad_cap_is_refused_like_greedys(self, cap):
+        with pytest.raises(ValueError, match="max_buckets"):
+            ExhaustiveBucketing(max_buckets=cap)
+
     def test_no_records_no_prediction(self):
         eb = ExhaustiveBucketing(rng=np.random.default_rng(0))
         assert eb.predict() is None

@@ -102,6 +102,15 @@ class TestGreedyBucketingAlgorithm:
         assert GreedyBucketing.conservative_exploration is True
         assert GreedyBucketing.deterministic_predictions is False
 
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True, "4"])
+    def test_bad_cap_is_refused_at_construction(self, cap):
+        """Not at the first decision after exploration, mid-service."""
+        with pytest.raises(ValueError, match="max_buckets"):
+            GreedyBucketing(max_buckets=cap)
+
+    def test_integer_cap_is_kept_as_int(self):
+        assert GreedyBucketing(max_buckets=np.int64(3))._max_buckets == 3
+
     def test_no_records_no_prediction(self):
         gb = GreedyBucketing(rng=np.random.default_rng(0))
         assert gb.predict() is None

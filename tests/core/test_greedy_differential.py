@@ -7,20 +7,25 @@ through the memo, under a bucket cap, after evictions, across a
 checkpoint round trip — and cost arrays equal bit for bit, since a
 last-bit difference flips near-tied argmins.  A hypothesis state machine
 drives one :class:`GreedyBucketing` over unbounded and bounded record
-stores and compares after every search; the work-count tests below it
-check that the memo skips what it may and nothing else.
+stores and compares after every search.  The closed-form scan is held to
+the kernel's first argmin on every segment of arbitrary streams, with
+the rounding bound of docs/ALGORITHMS.md §3 checked in exact arithmetic;
+the near-tie and guard tests pin which path settles a segment, and the
+work-count tests check that the memo skips what it may and nothing else.
 """
 
 import json
+from fractions import Fraction
+from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 import repro.core.greedy as greedy_module
-from repro.core.cost import anchored_split_costs, greedy_split_costs, split_anchor
+from repro.core.cost import greedy_split_costs
 from repro.core.greedy import GreedyBucketing, GreedySplitMemo, greedy_break_indices
 from repro.core.records import RecordList
 from tests.core.greedy_reference import reference_break_indices, reference_split_costs
@@ -47,12 +52,24 @@ CAPS = st.sampled_from([None, 1, 2, 3, 5])
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def assert_costs_match(records, lo, hi, anchor_hi):
+def assert_costs_match(records, lo, hi, first, last):
+    """The kernel equals the reference, over the segment and over a span of it."""
     expected = reference_split_costs(records, lo, hi)
     assert not np.isnan(expected).any()
     assert np.array_equal(greedy_split_costs(records, lo, hi), expected)
-    inherited = anchored_split_costs(records, lo, hi, split_anchor(records, lo, anchor_hi))
-    assert np.array_equal(inherited, expected)
+    span = greedy_split_costs(records, lo, hi, first, last)
+    assert np.array_equal(span, expected[first - lo : last - lo + 1])
+
+
+def scan(records, lo, hi):
+    return greedy_module._scan(records, lo, hi, greedy_module._low_prefix(records, lo, hi))
+
+
+def records_of(pairs):
+    records = RecordList()
+    for task_id, (value, significance) in enumerate(pairs):
+        records.add(value, significance=significance, task_id=task_id)
+    return records
 
 
 class GreedyEquivalence(RuleBasedStateMachine):
@@ -96,8 +113,11 @@ class GreedyEquivalence(RuleBasedStateMachine):
         n = len(records)
         lo = data.draw(st.integers(0, n - 1))
         hi = data.draw(st.integers(lo, n - 1))
-        assert_costs_match(records, lo, hi, data.draw(st.integers(hi, n - 1)))
-        assert_costs_match(records, 0, hi, n - 1)
+        first = data.draw(st.integers(lo, hi))
+        assert_costs_match(records, lo, hi, first, data.draw(st.integers(first, hi)))
+        assert_costs_match(records, 0, hi, 0, hi)
+        if lo < hi:
+            assert scan(records, lo, hi) == lo + int(greedy_split_costs(records, lo, hi).argmin())
 
     @precondition(lambda self: self.algo.n_records)
     @rule(max_buckets=CAPS)
@@ -162,20 +182,163 @@ def test_vanishing_significance_candidates_cost_zero_not_nan():
     assert np.all(heavy > 0.0)
 
 
+# -- the closed-form scan against the four-case kernel ----------------------------
+
+U = Fraction(1, 2**53)
+ETA = Fraction(1, 2**1075)
+
+
+def closed_form(records, lo, hi):
+    """``h = p1 * (rep1 - p1 * rep2)`` with ``_scan``'s operations."""
+    w1 = greedy_module._low_prefix(records, lo, hi)
+    p1 = w1 / w1[-1]
+    h = np.multiply(p1, records.values[hi])
+    np.subtract(records.values[lo : hi + 1], h, out=h)
+    h *= p1
+    return h
+
+
+def identity_bound(records, lo, hi):
+    """docs/ALGORITHMS.md §3's bound on ``|K + h - W_f|``, exactly; ``None`` on a guard.
+
+    ``u·(16.875·R + 13·μ) + η·(17·R + 6·V + 8)``: the sum of the
+    kernel's and the closed form's rounding errors against the one real
+    cost, with R = rep2, μ = S/T, V = S/w1[0] + S/(T - w1[m-2]).
+    """
+    w1 = greedy_module._low_prefix(records, lo, hi)
+    total, first, last_share = float(w1[-1]), float(w1[0]), float(w1[-1]) - float(w1[-2])
+    if not (0.0 < first and 0.0 < last_share < inf):
+        return None
+    svp = records.sigval_prefix
+    s = Fraction(float(svp[hi])) - (Fraction(float(svp[lo - 1])) if lo else 0)
+    r = Fraction(float(records.values[hi]))
+    t = Fraction(total)
+    v = s / Fraction(first) + s / Fraction(last_share)
+    return r - s / t, U * (Fraction(135, 8) * r + 13 * s / t) + ETA * (17 * r + 6 * v + 8)
+
+
+STREAM = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([1.0, 2.0, 2.5, 10.0]), VALUES),
+        st.one_of(SIGNIFICANCES, EXTREME_SIGNIFICANCES, st.sampled_from([1.0, 2.0, 3.0])),
+    ),
+    min_size=2,
+    max_size=14,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(STREAM)
+def test_scan_is_the_kernels_first_argmin_on_every_segment(stream):
+    records = records_of(stream)
+    n = len(records)
+    for lo in range(n):
+        for hi in range(lo + 1, n):
+            kernel = greedy_split_costs(records, lo, hi)
+            assert scan(records, lo, hi) == lo + int(kernel.argmin())
+            bound = identity_bound(records, lo, hi)
+            if bound is None:
+                continue
+            k, limit = bound
+            h = closed_form(records, lo, hi)
+            for h_i, w_i in zip(h.tolist(), kernel.tolist()):
+                assert abs(k + Fraction(h_i) - Fraction(w_i)) <= limit
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``(lo, hi, first, last)`` of every kernel call ``_scan`` makes."""
+    calls = []
+
+    def spy(records, lo, hi, first=None, last=None):
+        calls.append((lo, hi, first, last))
+        return greedy_split_costs(records, lo, hi, first, last)
+
+    monkeypatch.setattr(greedy_module, "greedy_split_costs", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pairs, lo, hi, expected",
+    [
+        # docs/ALGORITHMS.md's worked example, v1 = v2/2 at equal
+        # significance: splitting and not splitting tie exactly in the
+        # reals, h is 0.0 at both candidates, and the kernel's last bit
+        # keeps one bucket.
+        pytest.param([(0.15, 1.0), (0.3, 1.0)], 0, 1, 1, id="worked-example"),
+        # Found by a seeded search over small value sets: h ranks the
+        # whole segment ahead of the split by 4.6e-18, inside the
+        # margin, and the kernel splits.
+        pytest.param(
+            [(0.1, 1.0), (0.3, 2.0), (0.7, 3.0), (2.0, 3.0)], 0, 1, 0, id="found-by-search"
+        ),
+    ],
+)
+def test_near_ties_are_settled_by_the_kernel_on_their_span(kernel_calls, pairs, lo, hi, expected):
+    records = records_of(pairs)
+    h = closed_form(records, lo, hi)
+    assert lo + int(h.argmin()) != expected
+    assert scan(records, lo, hi) == expected
+    assert lo + int(reference_split_costs(records, lo, hi).argmin()) == expected
+    assert kernel_calls == [(lo, hi, lo, hi)]
+
+
+def test_separated_candidates_never_reach_the_kernel(kernel_calls):
+    records = records_of([(v, float(i + 1)) for i, v in enumerate(skewed_stream(300, seed=15))])
+    assert greedy_break_indices(records) == reference_break_indices(records)
+    assert kernel_calls == []
+
+
+def guard_cases():
+    heavy = [(10.0 + i, 1e18) for i in range(8)]
+    light = [(500.0 + i, 1e-300) for i in range(4)]
+    heavy_then_light = heavy + light
+    light_then_heavy = [(value - 499.0, sig) for value, sig in light] + heavy
+    return [
+        # Leading significances vanish against the prefix below ``lo``.
+        pytest.param(heavy_then_light + [(900.0, 1e18)], 8, 12, id="leading-vanishing"),
+        # The high bucket of the last candidates before ``hi`` rounds to 0.
+        pytest.param(heavy_then_light, 0, 11, id="trailing-vanishing"),
+        # A 1e-300 low bucket at ``lo == 0`` keeps its weight, but S/w1[0]
+        # in the margin overflows.
+        pytest.param(light_then_heavy, 0, 11, id="tiny-first-significance"),
+        # sig*value prefix overflows: S is infinite, so is the margin.
+        pytest.param([(1e8 + i, 1e300) for i in range(4)], 0, 3, id="1e300-sigval-overflow"),
+        # The significance prefix itself overflows: T is infinite, with
+        # the last low prefix finite or infinite too.
+        pytest.param(
+            [(0.01 * (i + 1), 1e307) for i in range(18)], 0, 17, id="1e307-sig-overflow-at-hi"
+        ),
+        pytest.param([(0.5 + i, 1e307) for i in range(40)], 10, 39, id="1e307-sig-overflow"),
+    ]
+
+
+@pytest.mark.parametrize("pairs, lo, hi", guard_cases())
+def test_degenerate_segments_take_the_kernel_whole(kernel_calls, pairs, lo, hi):
+    # The overflow cases build infinite prefix sums, and both kernels
+    # take inf - inf on the way to the same NaN costs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = records_of(pairs)
+        expected = lo + int(np.argmin(reference_split_costs(records, lo, hi)))
+        assert scan(records, lo, hi) == expected
+        assert kernel_calls == [(lo, hi, None, None)]
+        assert greedy_break_indices(records) == reference_break_indices(records)
+
+
 # -- work counts: what the memo may skip, and what it may not ---------------------
 
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """Segments handed to the cost kernel by the search, in order."""
+    """Segments the search scanned, in order."""
     segments = []
-    kernel = greedy_module.anchored_split_costs
+    scan_segment = greedy_module._scan
 
-    def spy(records, lo, hi, anchor):
+    def spy(records, lo, hi, w1):
         segments.append((lo, hi))
-        return kernel(records, lo, hi, anchor)
+        return scan_segment(records, lo, hi, w1)
 
-    monkeypatch.setattr(greedy_module, "anchored_split_costs", spy)
+    monkeypatch.setattr(greedy_module, "_scan", spy)
     return segments
 
 
@@ -249,19 +412,64 @@ def test_eviction_rescans_everything_from_the_root(scanned):
             assert feed(records, engine, values[j], float(j + 1), j) is not None
 
 
-def test_left_child_inherits_its_parents_anchor(monkeypatch, scanned):
-    """One anchor per distinct ``lo``: the left-anchored chain shares it."""
-    anchors = []
-    build = greedy_module.split_anchor
+def test_left_child_inherits_its_parents_low_prefix(monkeypatch, scanned):
+    """One low prefix per distinct ``lo``: the left-anchored chain shares it."""
+    prefixes = []
+    build = greedy_module._low_prefix
 
     def spy(records, lo, hi):
-        anchors.append(lo)
+        prefixes.append(lo)
         return build(records, lo, hi)
 
-    monkeypatch.setattr(greedy_module, "split_anchor", spy)
+    monkeypatch.setattr(greedy_module, "_low_prefix", spy)
     records = RecordList()
     for i, value in enumerate(skewed_stream(400, seed=14)):
         records.add(value, significance=float(i + 1), task_id=i)
     assert greedy_break_indices(records) == reference_break_indices(records)
-    assert sorted(anchors) == sorted({lo for lo, _ in scanned})
-    assert len(anchors) < len(scanned)
+    assert sorted(prefixes) == sorted({lo for lo, _ in scanned})
+    assert len(prefixes) < len(scanned)
+
+
+# -- at the depth the service runs at -----------------------------------------------
+
+
+def deep_stream(shape, n, seed=21):
+    """``(value, significance)`` pairs: ``core-hot-greedy``'s three value shapes
+    at task-id significances, and an adversarial-significance stream."""
+    rng = np.random.default_rng([seed, len(shape)])
+    sigs = np.arange(1.0, n + 1.0)
+    if shape == "memory":
+        high = rng.random(n) < 0.3
+        values = np.where(high, rng.normal(24000.0, 2000.0, n), rng.normal(6000.0, 800.0, n))
+        values = np.clip(values, 100.0, 60000.0)
+    elif shape == "cores":
+        values = np.clip(rng.lognormal(np.log(2.0), 0.5, n), 0.1, 16.0)
+    elif shape == "disk":
+        values = np.clip(rng.exponential(3000.0, n), 10.0, 60000.0)
+    else:
+        # Whole-number values (long runs of duplicates) under weights
+        # that vanish against, or swallow, the running totals.
+        values = rng.integers(1, 40, n).astype(float)
+        sigs = rng.choice([1e-300, 1e-9, 1.0, 7.0, 1e9, 1e18], n)
+    return list(zip(values.tolist(), sigs.tolist()))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "shape, depth, every",
+    # The adversarial stream splits into hundreds of buckets, and the
+    # reference rescans every one of them from scratch per search.
+    [("memory", 20000, 8), ("cores", 12000, 8), ("disk", 12000, 8), ("adversarial", 6000, 12)],
+)
+def test_every_search_at_depth_matches_the_reference(shape, depth, every):
+    """Every search on the way to ``depth`` returns the from-scratch four-case
+    search's break indices; the paper-literal search is O(n^2) per scan here."""
+    algo = GreedyBucketing(rng=np.random.default_rng(0))
+    searches = 0
+    for task_id, (value, significance) in enumerate(deep_stream(shape, depth)):
+        algo.update(value, significance=significance, task_id=task_id)
+        if task_id % every == every - 1:
+            records = algo.records
+            assert algo.compute_break_indices(records) == reference_break_indices(records)
+            searches += 1
+    assert len(algo.records) == depth and searches == depth // every

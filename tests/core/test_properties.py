@@ -8,13 +8,13 @@ from repro.core.buckets import BucketState
 from repro.core.cost import (
     exhaustive_cost,
     exhaustive_cost_reference,
-    greedy_split_cost_reference,
     greedy_split_costs,
 )
 from repro.core.exhaustive import evenly_spaced_break_indices, exhaustive_break_indices
 from repro.core.greedy import greedy_break_indices
 from repro.core.records import RecordList
 from repro.core.resources import CORES, MEMORY, ResourceVector
+from tests.core.greedy_reference import greedy_split_cost_reference
 
 # -- strategies ---------------------------------------------------------------
 

@@ -95,6 +95,19 @@ def test_config_validation():
         ServiceConfig(queue_high_watermark=0)
 
 
+@pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
+def test_config_refuses_bad_algorithm_kwargs_before_serving(algorithm):
+    """A daemon configured this way must not start and fail at a category's first build."""
+    with pytest.raises(ValueError, match="max_buckets"):
+        ServiceConfig(
+            allocator=AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"max_buckets": 0})
+        )
+    with pytest.raises(TypeError, match="max_bucket"):
+        ServiceConfig(
+            allocator=AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"max_bucket": 4})
+        )
+
+
 # ---------------------------------------------------------------------------
 # The four-call API vs a single-threaded reference
 # ---------------------------------------------------------------------------
