@@ -1,15 +1,19 @@
-"""``reprolint`` — AST-based determinism & crash-safety analysis.
+"""``reprolint`` — the repo's static-analysis lane.
 
 The repo's reproducibility guarantees (bit-identical parallel grids,
-digest-verified resume, golden traces, seeded fault injection) depend
-on coding invariants that runtime tests only catch when a test happens
-to exercise the offending path.  This package enforces them statically:
+digest-verified resume, golden traces, a wall-clock-free durable state)
+depend on coding invariants that runtime tests only catch when a test
+happens to exercise the offending path.  This package enforces them
+statically with one registry of rules — per-module ``R…`` rules in
+:mod:`repro.analysis.rules` and whole-program ``F…`` rules on a shared
+call graph in :mod:`repro.analysis.flow` — and one runner:
 
-* ``python -m repro.analysis src`` — CLI with text/JSON output, inline
-  ``# reprolint: disable=RULE`` pragmas, and a committed baseline;
-* ``tests/analysis/test_reprolint_repo.py`` — the same sweep as part of
+* ``python -m repro.analysis src`` — CLI with text/JSON/SARIF output;
+  any finding not silenced by an inline ``# reprolint: disable=RULE``
+  pragma fails it;
+* ``tests/analysis/test_reprolint_repo.py`` — the same gate as part of
   the tier-1 pytest run;
-* the CI ``lint`` lane — reprolint next to ruff and mypy.
+* the CI ``lint`` lane — reprolint before ruff and mypy.
 
 Rule catalog and extension guide: ``docs/ANALYSIS.md``.  The package is
 deliberately stdlib-only.
@@ -17,13 +21,6 @@ deliberately stdlib-only.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineDiff,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import (
     Finding,
     ModuleSource,
@@ -37,6 +34,7 @@ from repro.analysis.core import (
     register_rule,
 )
 from repro.analysis.runner import (
+    Report,
     analyze_paths,
     analyze_project,
     analyze_sources,
@@ -45,11 +43,10 @@ from repro.analysis.runner import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineDiff",
     "Finding",
     "ModuleSource",
     "Project",
+    "Report",
     "Rule",
     "Severity",
     "all_rules",
@@ -57,12 +54,9 @@ __all__ = [
     "analyze_project",
     "analyze_sources",
     "collect_modules",
-    "diff_against_baseline",
     "format_pragma",
     "get_rule",
-    "load_baseline",
     "main",
     "parse_pragma",
     "register_rule",
-    "write_baseline",
 ]

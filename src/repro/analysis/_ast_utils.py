@@ -17,12 +17,11 @@ not fire, and the runtime test layers remain the backstop.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "ImportMap",
     "dotted_name",
-    "function_defs",
     "resolve_call_target",
     "self_attribute_fields",
 ]
@@ -98,13 +97,6 @@ def resolve_call_target(imports: ImportMap, func: ast.AST) -> Optional[str]:
     if origin is None:
         return None
     return ".".join([origin, *parts[1:]])
-
-
-def function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
-    """Every (sync) function definition in the tree, including methods."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield node
 
 
 def self_attribute_fields(fn: ast.FunctionDef) -> frozenset:

@@ -1,22 +1,23 @@
-"""Core model of the ``reprolint`` static-analysis framework.
+"""Core model of the repo's static-analysis lane.
 
 The repo's reproducibility story (bit-identical parallel grids,
-digest-verified resume, golden traces) rests on whole-repo coding
-invariants — no wall-clock reads in the simulation, no global RNG,
-paired ``state_dict``/``load_state``, atomic artifact writes.  This
-module defines the vocabulary every rule speaks:
+digest-verified resume, golden traces, a service that replays exactly)
+rests on whole-repo coding invariants — no wall-clock reads in the
+simulation, paired ``state_dict``/``load_state``, atomic artifact
+writes, no blocking I/O on the event loop, no clock taint in durable
+payloads.  This module defines the vocabulary every analyzer speaks:
 
 ``Finding``
     One violation: file, line, column, rule id, severity, message.
 ``Rule``
-    Base class; concrete rules register themselves with
-    :func:`register_rule` and implement :meth:`Rule.check`.
+    Base class of every analyzer, per-module (``R…``) and whole-program
+    (``F…``) alike; concrete rules register themselves with
+    :func:`register_rule` and implement :meth:`Rule.run`.
 ``ModuleSource`` / ``Project``
     A parsed source file (with its suppression pragmas) and the set of
-    files being analyzed together (cross-file rules such as the
-    CLI/config drift check need the whole project).
+    files analyzed together, plus the documents doc-aware rules read.
 
-Suppression uses inline pragmas::
+Suppression uses inline pragmas, the one exemption mechanism::
 
     risky_call()  # reprolint: disable=R4  # reason for the exemption
 
@@ -24,8 +25,7 @@ Suppression uses inline pragmas::
 names (``raw-artifact-write``), or ``all``.  A trailing pragma
 suppresses findings reported on its own line; a pragma on a
 standalone comment line also covers the line below it (for statements
-too long to carry the comment).  Everything else belongs in the
-committed baseline file (see :mod:`repro.analysis.baseline`).
+too long to carry the comment).
 
 The framework is deliberately stdlib-only so the lint lane needs no
 third-party installs beyond the interpreter.
@@ -38,7 +38,21 @@ import ast
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - the graph module imports this one
+    from repro.analysis.flow.graph import CallGraph
 
 __all__ = [
     "Finding",
@@ -51,6 +65,7 @@ __all__ = [
     "get_rule",
     "parse_pragma",
     "register_rule",
+    "split_source_root",
 ]
 
 
@@ -75,7 +90,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity used for baseline matching."""
+        """Stable identity (the SARIF ``fingerprints`` entry)."""
         return f"{self.path}:{self.rule}:{self.line}"
 
     def to_dict(self) -> Dict[str, object]:
@@ -134,6 +149,23 @@ def format_pragma(rules: Sequence[str]) -> str:
 # -- source model ----------------------------------------------------------------------
 
 
+def split_source_root(path: str) -> Tuple[Optional[str], str]:
+    """``(checkout root, package path)`` of a source file.
+
+    The cut is at the *innermost* ``src/`` component that holds
+    ``repro/``, so ``/w/src/co/src/repro/sim/engine.py`` is
+    ``("/w/src/co", "repro/sim/engine.py")`` whichever directory the
+    scan started from.  A path with no ``src/repro`` (an in-memory
+    fixture such as ``repro/sim/mod.py``) is its own package path and
+    has no root.
+    """
+    parts = path.replace("\\", "/").split("/")
+    for i in range(len(parts) - 2, -1, -1):
+        if parts[i] == "src" and parts[i + 1] == "repro":
+            return "/".join(parts[:i]) or ("/" if i else "."), "/".join(parts[i + 1 :])
+    return None, "/".join(parts)
+
+
 class ModuleSource:
     """One parsed Python file plus its suppression pragmas.
 
@@ -145,7 +177,7 @@ class ModuleSource:
     def __init__(self, path: str, text: str, package_path: Optional[str] = None) -> None:
         self.path = path.replace("\\", "/")
         self.text = text
-        self.package_path = (package_path or _strip_source_root(self.path)).replace("\\", "/")
+        self.package_path = package_path or split_source_root(self.path)[1]
         self.lines: List[str] = text.splitlines()
         self.parse_error: Optional[SyntaxError] = None
         try:
@@ -181,24 +213,28 @@ class ModuleSource:
         return f"ModuleSource({self.path!r})"
 
 
-def _strip_source_root(path: str) -> str:
-    """Drop everything up to and including a ``src/`` component."""
-    parts = path.split("/")
-    for i, part in enumerate(parts):
-        if part == "src" and i + 1 < len(parts):
-            return "/".join(parts[i + 1 :])
-    return path
-
-
 class Project:
-    """The set of modules analyzed together (enables cross-file rules)."""
+    """The modules analyzed together, and the documents beside them.
 
-    def __init__(self, modules: Iterable[ModuleSource]) -> None:
+    ``docs`` maps a checkout-relative document path (``docs/SERVICE.md``)
+    to its text; a document the scanned tree does not have is absent.
+    """
+
+    def __init__(
+        self, modules: Iterable[ModuleSource], docs: Optional[Dict[str, str]] = None
+    ) -> None:
         self.modules: List[ModuleSource] = list(modules)
+        self.docs: Dict[str, str] = dict(docs or {})
         self._by_package: Dict[str, ModuleSource] = {m.package_path: m for m in self.modules}
 
     def get(self, package_path: str) -> Optional[ModuleSource]:
         return self._by_package.get(package_path)
+
+    def parsed(self, *prefixes: str) -> Iterator[Tuple[ModuleSource, ast.Module]]:
+        """``(module, tree)`` of each parsed module under any of ``prefixes`` (all if none)."""
+        for module in self.modules:
+            if module.tree is not None and (not prefixes or module.in_package(*prefixes)):
+                yield module, module.tree
 
     def __iter__(self) -> Iterator[ModuleSource]:
         return iter(self.modules)
@@ -211,14 +247,16 @@ class Project:
 
 
 class Rule(abc.ABC):
-    """Base class for reprolint rules.
+    """Base class of every analyzer.
 
     Subclasses set the class attributes and yield :class:`Finding`
-    objects from :meth:`check`.  Rules must be deterministic and
-    side-effect free: same tree in, same findings out.
+    objects from :meth:`run`.  Rules must be deterministic and
+    side-effect free: same project in, same findings out.  Pragma
+    suppression is applied by the runner, so ``run`` reports
+    everything it sees.
     """
 
-    #: Short stable identifier (``R1`` ... ``R8``); used in pragmas and baselines.
+    #: Short stable identifier (``R1``, ``F3``); used in pragmas.
     id: str = ""
     #: Human-readable kebab-case name, also accepted in pragmas.
     name: str = ""
@@ -227,8 +265,8 @@ class Rule(abc.ABC):
     description: str = ""
 
     @abc.abstractmethod
-    def check(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        """Yield findings for one module (``project`` gives cross-file context)."""
+    def run(self, project: Project, graph: "CallGraph") -> Iterable[Finding]:
+        """Yield findings for the project (``graph`` is its shared call graph)."""
 
     def finding(
         self,
@@ -274,7 +312,7 @@ def register_rule(cls: type) -> type:
 
 
 def all_rules() -> Tuple[Rule, ...]:
-    """Every registered rule, ordered by id (R1, R2, ...)."""
+    """Every registered rule, ordered by id (F1, …, R1, …)."""
     _ensure_builtin_rules()
     return tuple(sorted(_REGISTRY.values(), key=lambda r: (len(r.id), r.id)))
 
@@ -290,5 +328,6 @@ def get_rule(token: str) -> Optional[Rule]:
 
 
 def _ensure_builtin_rules() -> None:
-    """Import the rule modules so their ``register_rule`` calls run."""
+    """Import the analyzer packages so their ``register_rule`` calls run."""
+    from repro.analysis import flow as _flow  # noqa: F401  (import registers)
     from repro.analysis import rules as _rules  # noqa: F401  (import registers)

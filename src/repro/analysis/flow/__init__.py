@@ -1,59 +1,33 @@
-"""``reproflow`` — whole-program dataflow analyses over ``src/repro``.
+"""Whole-program rules over ``src/repro``, on one shared call graph.
 
-The single-file AST rules in :mod:`repro.analysis.rules` catch local
-violations; the conventions the allocation service lives by — one
-writer task per shard, no blocking I/O on the event loop, every storage
-fault mapped to a typed wire error, no wall-clock/RNG taint in durable
+The per-module rules in :mod:`repro.analysis.rules` catch local
+violations; the conventions the allocation service lives by — no
+blocking I/O on the event loop, no wall-clock/RNG taint in durable
 payloads, a drift-free wire vocabulary — are *interprocedural*.  This
 package builds a project-wide symbol table and call graph
-(:mod:`repro.analysis.flow.graph`) and runs five analyses on it:
+(:mod:`repro.analysis.flow.graph`) and registers three rules that walk
+it, with the same base class, registry, pragmas and runner as the
+per-module ones:
 
 ===  =====================  ====================================================
 F1   ``loop-blocking``      blocking primitives reachable from ``async def``
                             functions in ``repro.service`` outside the
                             sanctioned sync-boundary set
-F2   ``single-writer``      mutation of protected shard state reachable
-                            outside the writer-drain task and the sanctioned
-                            ``apply_op``/recovery entry points
 F3   ``taint-lane``         wall-clock / unseeded-RNG values flowing into
                             ``state_dict()`` returns, WAL payloads, or wire
                             responses (callee-summary propagation)
-F4   ``untyped-escape``     storage exceptions whose call paths into the
-                            server handler escape without a dedicated typed
-                            wire mapping
 F5   ``protocol-drift``     wire op vocabulary drift between ``protocol.py``,
                             server dispatch, the client SDKs, and SERVICE.md
 ===  =====================  ====================================================
 
-Run them with ``python -m repro.analysis --flow src`` (gated against the
-committed ``reproflow-baseline.json``; ``--sarif`` emits a SARIF 2.1.0
-report).  Findings honour the same ``# reprolint: disable=F1`` pragmas
-as the AST rules; deliberate synchronous choke points carry a
-``# reproflow: sync-boundary -- <reason>`` annotation instead (see
-``docs/ANALYSIS.md``).
+Deliberate synchronous choke points carry a
+``# reproflow: sync-boundary -- <reason>`` annotation, which F1 never
+descends past (see ``docs/ANALYSIS.md``).
 """
 
 from __future__ import annotations
 
-from repro.analysis.flow.base import (
-    FlowAnalysis,
-    all_flow_analyses,
-    get_flow_analysis,
-    register_flow_analysis,
-)
+from repro.analysis.flow import blocking, drift, taint  # noqa: F401  (import registers)
 from repro.analysis.flow.graph import CallEdge, CallGraph, ClassInfo, FunctionInfo
-from repro.analysis.flow.runner import FlowReport, analyze_flow_project, analyze_flow_sources
 
-__all__ = [
-    "CallEdge",
-    "CallGraph",
-    "ClassInfo",
-    "FlowAnalysis",
-    "FlowReport",
-    "FunctionInfo",
-    "all_flow_analyses",
-    "analyze_flow_project",
-    "analyze_flow_sources",
-    "get_flow_analysis",
-    "register_flow_analysis",
-]
+__all__ = ["CallEdge", "CallGraph", "ClassInfo", "FunctionInfo"]

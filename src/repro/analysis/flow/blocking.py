@@ -19,8 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.core import Finding, Project
-from repro.analysis.flow.base import FlowAnalysis, register_flow_analysis
+from repro.analysis.core import Finding, Project, Rule, register_rule
 from repro.analysis.flow.graph import FILE_HANDLE, CallGraph
 
 __all__ = ["BLOCKING_CALLS", "FILE_BLOCKING_METHODS", "LoopBlockingAnalysis"]
@@ -49,8 +48,8 @@ BLOCKING_CALLS = frozenset(
 FILE_BLOCKING_METHODS = frozenset({"write", "writelines", "flush"})
 
 
-@register_flow_analysis
-class LoopBlockingAnalysis(FlowAnalysis):
+@register_rule
+class LoopBlockingAnalysis(Rule):
     id = "F1"
     name = "loop-blocking"
     description = (

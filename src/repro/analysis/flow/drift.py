@@ -14,10 +14,10 @@ The op names live in four places that can silently diverge:
 
 F5 folds the module-level constants (cross-module, through imported
 names and tuple concatenation), harvests comparisons/payload literals,
-parses the doc table when the runner supplied it, and flags any
-asymmetric difference.  No dynamic information is used — everything is
-literal/constant-foldable by design, which is itself part of the
-contract this analysis protects.
+parses the doc table found beside the scanned tree (a missing
+SERVICE.md is itself a finding), and flags any asymmetric difference.
+No dynamic information is used — everything is literal/constant-foldable
+by design, which is itself part of the contract this analysis protects.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import ast
 import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.analysis.core import Finding, ModuleSource, Project
-from repro.analysis.flow.base import FlowAnalysis, register_flow_analysis
+from repro.analysis.core import Finding, ModuleSource, Project, Rule, register_rule
 from repro.analysis.flow.graph import CallGraph, module_dotted_name
 
 __all__ = ["ProtocolDriftAnalysis"]
@@ -37,8 +36,8 @@ _Folded = Union[str, Tuple[str, ...]]
 _DOC_ROW_RE = re.compile(r"^\|\s*`(?P<op>[a-z_]+)`\s*\|")
 
 
-@register_flow_analysis
-class ProtocolDriftAnalysis(FlowAnalysis):
+@register_rule
+class ProtocolDriftAnalysis(Rule):
     id = "F5"
     name = "protocol-drift"
     description = (
@@ -56,7 +55,7 @@ class ProtocolDriftAnalysis(FlowAnalysis):
     BATCH_OP = "allocate_batch"
     SERVER_MODULE = "repro.service.server"
     CLIENT_MODULE = "repro.service.client"
-    #: Doc (key into ``graph.docs``) and the section holding the table.
+    #: Doc (key into ``Project.docs``) and the section holding the table.
     DOC_PATH = "docs/SERVICE.md"
     DOC_SECTION = "## Wire protocol"
 
@@ -84,7 +83,7 @@ class ProtocolDriftAnalysis(FlowAnalysis):
 
         yield from self._check_server(graph, request_ops, admin_ops)
         yield from self._check_clients(graph, folder, request_ops)
-        yield from self._check_docs(graph, protocol_module, anchor_node, request_ops)
+        yield from self._check_docs(project, protocol_module, anchor_node, request_ops)
 
     @staticmethod
     def _as_ops(folded: Optional[_Folded]) -> Optional[Set[str]]:
@@ -188,14 +187,21 @@ class ProtocolDriftAnalysis(FlowAnalysis):
 
     def _check_docs(
         self,
-        graph: CallGraph,
+        project: Project,
         protocol_module: ModuleSource,
         anchor: ast.AST,
         request_ops: Set[str],
     ) -> Iterable[Finding]:
-        text = graph.docs.get(self.DOC_PATH)
+        text = project.docs.get(self.DOC_PATH)
         if text is None:
-            return  # doc not supplied (e.g. scanning a bare source tree)
+            yield self.finding(
+                protocol_module,
+                anchor,
+                f"{self.DOC_PATH} was not found beside the scanned tree, so its "
+                f"`{self.DOC_SECTION[3:]}` table cannot be checked against "
+                f"{self.REQUEST_OPS_NAME}",
+            )
+            return
         doc_ops = self._doc_ops(text)
         for op in sorted(request_ops - doc_ops):
             yield self.finding(
@@ -235,20 +241,14 @@ def _module_by_dotted(graph: CallGraph, dotted: str) -> Optional[ModuleSource]:
 class _ConstantFolder:
     """Cross-module folding of string/tuple module-level constants."""
 
-    def __init__(self, project: Optional[Project], graph: CallGraph) -> None:
+    def __init__(self, project: Project, graph: CallGraph) -> None:
         self.graph = graph
         #: module dotted name -> {top-level name -> value expression}.
         self._assigns: Dict[str, Dict[str, Tuple[ModuleSource, ast.expr]]] = {}
-        modules: Iterable[ModuleSource]
-        if project is not None:
-            modules = [m for m in project if m.tree is not None]
-        else:
-            modules = [ctx.module for ctx in graph._contexts.values()]
-        for module in modules:
+        for module, tree in project.parsed():
             dotted = module_dotted_name(module.package_path)
             table: Dict[str, Tuple[ModuleSource, ast.expr]] = {}
-            assert module.tree is not None
-            for stmt in module.tree.body:
+            for stmt in tree.body:
                 if (
                     isinstance(stmt, ast.Assign)
                     and len(stmt.targets) == 1

@@ -1,4 +1,4 @@
-"""Project-wide symbol table and call graph for the reproflow analyses.
+"""Project-wide symbol table and call graph for the whole-program rules (F…).
 
 The graph layer answers three questions the per-file AST rules cannot:
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis._ast_utils import ImportMap, dotted_name
 from repro.analysis.core import ModuleSource, Project
@@ -152,14 +152,8 @@ class CallGraph:
         self._contexts: Dict[str, _ModuleContext] = {}
         #: caller qualname -> outgoing edges, in source order.
         self.edges: Dict[str, List[CallEdge]] = {}
-        #: callee qualname -> incoming internal edges.
-        self.reverse: Dict[str, List[CallEdge]] = {}
         #: caller qualname -> {id(call node) -> resolved target}.
         self._by_call_node: Dict[str, Dict[int, CallEdge]] = {}
-        #: Supplementary documents for doc-aware analyses (F5 reads
-        #: ``docs/SERVICE.md`` here); display path -> text.  Populated by
-        #: the flow runner, empty when no docs are available.
-        self.docs: Dict[str, str] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -545,56 +539,15 @@ class CallGraph:
             )
         edges.sort(key=lambda e: (e.node.lineno, e.node.col_offset, e.callee))
         self.edges[info.qualname] = edges
-        by_node: Dict[int, CallEdge] = {}
-        for edge in edges:
-            by_node[id(edge.node)] = edge
-            if edge.internal:
-                self.reverse.setdefault(edge.callee, []).append(edge)
-        self._by_call_node[info.qualname] = by_node
+        self._by_call_node[info.qualname] = {id(edge.node): edge for edge in edges}
 
     # -- queries ---------------------------------------------------------------
 
     def outgoing(self, qualname: str) -> Sequence[CallEdge]:
         return self.edges.get(qualname, ())
 
-    def incoming(self, qualname: str) -> Sequence[CallEdge]:
-        return self.reverse.get(qualname, ())
-
     def edge_for_call(self, caller: str, call: ast.Call) -> Optional[CallEdge]:
         return self._by_call_node.get(caller, {}).get(id(call))
-
-    def reachable(
-        self,
-        roots: Iterable[str],
-        blocked: Iterable[str] = (),
-        enter_roots: bool = True,
-    ) -> Set[str]:
-        """Internal-edge reachability from ``roots``.
-
-        ``blocked`` functions are never *entered*: an edge into one is
-        dropped, so nothing beyond it is reached through that path.
-        With ``enter_roots=False`` blocked roots are skipped entirely.
-        """
-        blocked_set = set(blocked)
-        seen: Set[str] = set()
-        stack: List[str] = []
-        for root in roots:
-            if root in blocked_set and not enter_roots:
-                continue
-            if root not in seen:
-                seen.add(root)
-                stack.append(root)
-        while stack:
-            current = stack.pop()
-            for edge in self.edges.get(current, ()):
-                if not edge.internal:
-                    continue
-                callee = edge.callee
-                if callee in blocked_set or callee in seen:
-                    continue
-                seen.add(callee)
-                stack.append(callee)
-        return seen
 
     def signature(self) -> Tuple[Tuple[str, str, bool], ...]:
         """Order-independent structural fingerprint (for stability tests)."""

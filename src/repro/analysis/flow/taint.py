@@ -1,11 +1,11 @@
 """F3 ``taint-lane``: wall-clock/RNG values must not reach durable lanes.
 
-The local rules R1/R2/R8 reject wall-clock and global-RNG *call sites*
-in the packages where they are banned outright.  F3 covers the lanes
-where the ban is about *where the value ends up*: a ``time.time()`` or
-``uuid.uuid4()`` read is fine for pacing or logging, but the moment the
-value flows into a ``state_dict()`` return, a WAL frame payload, or a
-wire protocol response, replays stop being bit-identical.
+The local rule R1 rejects wall-clock *call sites* in the packages where
+they are banned outright.  F3 covers the lanes where the ban is about
+*where the value ends up*: a ``time.time()`` or ``uuid.uuid4()`` read
+is fine for pacing or logging, but the moment the value flows into a
+``state_dict()`` return, a WAL frame payload, or a wire protocol
+response, replays stop being bit-identical.
 
 The engine is a flow-insensitive interprocedural taint analysis with
 callee summaries: per function it tracks which locals/attributes carry
@@ -24,15 +24,42 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.core import Finding, ModuleSource, Project
-from repro.analysis.flow.base import FlowAnalysis, register_flow_analysis
+from repro.analysis.core import Finding, ModuleSource, Project, Rule, register_rule
 from repro.analysis.flow.graph import CallGraph, FunctionInfo
-from repro.analysis.rules.determinism import CLOCK_CALLS, RNG_DRAW_METHODS
+from repro.analysis.rules.determinism import CLOCK_CALLS
 
 __all__ = ["SINK_CALLS", "SOURCE_CALLS", "TaintLaneAnalysis"]
 
-#: Fully-qualified calls whose return value is tainted (beyond the
-#: clock reads shared with R1 and the global-RNG draws shared with R2).
+#: Method names that draw from (and therefore advance) an RNG stream.
+RNG_DRAW_METHODS = frozenset(
+    {
+        "betavariate",
+        "choice",
+        "choices",
+        "expovariate",
+        "exponential",
+        "gauss",
+        "integers",
+        "lognormvariate",
+        "normal",
+        "normalvariate",
+        "paretovariate",
+        "poisson",
+        "randint",
+        "random",
+        "randrange",
+        "sample",
+        "shuffle",
+        "standard_normal",
+        "triangular",
+        "uniform",
+        "vonmisesvariate",
+        "weibullvariate",
+    }
+)
+
+#: Fully-qualified calls whose return value is tainted (the clock reads
+#: shared with R1, plus identity/entropy reads; RNG draws match by name).
 SOURCE_CALLS = frozenset(CLOCK_CALLS) | frozenset(
     {"uuid.uuid1", "uuid.uuid4", "os.urandom"}
 )
@@ -111,8 +138,8 @@ def _is_source(target: Optional[str]) -> Optional[str]:
     return None
 
 
-@register_flow_analysis
-class TaintLaneAnalysis(FlowAnalysis):
+@register_rule
+class TaintLaneAnalysis(Rule):
     id = "F3"
     name = "taint-lane"
     description = (

@@ -1,4 +1,4 @@
-"""Built-in reprolint rules.
+"""Built-in per-module rules.
 
 Importing this package registers every rule with the central registry
 in :mod:`repro.analysis.core`; ``all_rules()`` triggers that import
@@ -9,27 +9,13 @@ writing a new rule.
 
 from __future__ import annotations
 
-from repro.analysis.rules.checkpointing import (
-    RawArtifactWriteRule,
-    RawDurableWriteRule,
-    StateSymmetryRule,
-)
+from repro.analysis.rules.checkpointing import RawArtifactWriteRule, StateSymmetryRule
 from repro.analysis.rules.cli_config import CliConfigDriftRule
-from repro.analysis.rules.determinism import (
-    GlobalRngRule,
-    ImpureSnapshotRule,
-    WallClockRule,
-)
-from repro.analysis.rules.robustness import ListenerPurityRule, SwallowedExceptRule
+from repro.analysis.rules.determinism import WallClockRule
 
 __all__ = [
     "CliConfigDriftRule",
-    "GlobalRngRule",
-    "ImpureSnapshotRule",
-    "ListenerPurityRule",
     "RawArtifactWriteRule",
-    "RawDurableWriteRule",
     "StateSymmetryRule",
-    "SwallowedExceptRule",
     "WallClockRule",
 ]

@@ -13,16 +13,8 @@ R4 ``raw-artifact-write``
     atomic helpers (``write_text_atomic`` / ``write_json_atomic`` /
     ``append_jsonl``).  A bare ``open(path, "w")``, ``json.dump`` or
     ``Path.write_text`` can leave a torn half-file behind a crash,
-    which the resume machinery would then trust.
-R9 ``raw-durable-write``
-    Stricter than R4 for the service's durable storage: any builtin
-    ``open()`` in write mode whose path expression mentions a
-    ``*.wal`` or ``*.snapshot*`` file must live in
-    :mod:`repro.checkpoint`.  WAL and snapshot files carry CRC32
-    frames, digests, and fsyncgate handle discipline — a raw write
-    from anywhere else bypasses all three and plants corruption the
-    recovery path will later quarantine.  Unlike R4 this rule has no
-    package-level exemptions beyond ``repro/checkpoint.py`` itself.
+    which the resume machinery would then trust.  That includes the
+    service's WAL and snapshot files.
 """
 
 from __future__ import annotations
@@ -31,13 +23,14 @@ import ast
 from typing import Dict, Iterable, Optional
 
 from repro.analysis._ast_utils import ImportMap, resolve_call_target, self_attribute_fields
-from repro.analysis.core import Finding, ModuleSource, Project, Rule, register_rule
+from repro.analysis.core import Finding, Project, Rule, register_rule
+from repro.analysis.flow.graph import CallGraph
 
-__all__ = ["RawArtifactWriteRule", "RawDurableWriteRule", "StateSymmetryRule"]
+__all__ = ["RawArtifactWriteRule", "StateSymmetryRule"]
 
 #: Modules allowed to perform raw writes: the atomic-write helpers
-#: themselves, and the analysis package (stdlib-only by design, with
-#: its own minimal atomic writer for baselines).
+#: themselves, and the analysis package (stdlib-only by design, so its
+#: SARIF report cannot use them).
 WRITE_EXEMPT_PREFIXES = ("repro/checkpoint.py", "repro/analysis")
 
 #: ``open()`` mode characters that make a call a write.
@@ -65,55 +58,50 @@ class StateSymmetryRule(Rule):
         "versa), with matching serialized/restored field sets"
     )
 
-    def check(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        if module.tree is None or not module.in_package("repro"):
-            return
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            methods = _restore_methods(cls)
-            save = methods.get("state_dict")
-            load = methods.get("load_state")
-            build = methods.get("from_state")
-            if save is not None and load is None and build is None:
-                yield self.finding(
-                    module,
-                    save,
-                    f"{cls.name}.state_dict has no restore counterpart; define "
-                    "load_state (in place) or a from_state classmethod so "
-                    "checkpoints of this class can be resumed",
-                )
-            if save is None and (load is not None or build is not None):
-                other = load if load is not None else build
-                assert other is not None
-                yield self.finding(
-                    module,
-                    other,
-                    f"{cls.name}.{other.name} restores state that nothing "
-                    "serializes; define the matching state_dict",
-                )
-            if save is not None and load is not None:
-                saved = self_attribute_fields(save)
-                restored = self_attribute_fields(load)
-                missing = sorted(saved - restored)
-                extra = sorted(restored - saved)
-                if missing or extra:
-                    details = []
-                    if missing:
-                        details.append(
-                            "serialized but never restored: " + ", ".join(missing)
-                        )
-                    if extra:
-                        details.append(
-                            "restored but never serialized: " + ", ".join(extra)
-                        )
+    def run(self, project: Project, graph: CallGraph) -> Iterable[Finding]:
+        for module, tree in project.parsed("repro"):
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                methods = _restore_methods(cls)
+                save = methods.get("state_dict")
+                load = methods.get("load_state")
+                build = methods.get("from_state")
+                if save is not None and load is None and build is None:
                     yield self.finding(
                         module,
-                        load,
-                        f"{cls.name}.state_dict/load_state touch different field "
-                        f"sets ({'; '.join(details)}); a resumed instance would "
-                        "diverge from the original",
+                        save,
+                        f"{cls.name}.state_dict has no restore counterpart; define "
+                        "load_state (in place) or a from_state classmethod so "
+                        "checkpoints of this class can be resumed",
                     )
+                if save is None and (load is not None or build is not None):
+                    other = load if load is not None else build
+                    assert other is not None
+                    yield self.finding(
+                        module,
+                        other,
+                        f"{cls.name}.{other.name} restores state that nothing "
+                        "serializes; define the matching state_dict",
+                    )
+                if save is not None and load is not None:
+                    saved = self_attribute_fields(save)
+                    restored = self_attribute_fields(load)
+                    missing = sorted(saved - restored)
+                    extra = sorted(restored - saved)
+                    if missing or extra:
+                        details = []
+                        if missing:
+                            details.append("serialized but never restored: " + ", ".join(missing))
+                        if extra:
+                            details.append("restored but never serialized: " + ", ".join(extra))
+                        yield self.finding(
+                            module,
+                            load,
+                            f"{cls.name}.state_dict/load_state touch different field "
+                            f"sets ({'; '.join(details)}); a resumed instance would "
+                            "diverge from the original",
+                        )
 
 
 def _open_write_mode(call: ast.Call) -> Optional[str]:
@@ -139,103 +127,39 @@ class RawArtifactWriteRule(Rule):
         "(no bare open(..., 'w'), json.dump, or Path.write_text/write_bytes)"
     )
 
-    def check(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        if module.tree is None or not module.in_package("repro"):
-            return
-        if module.in_package(*WRITE_EXEMPT_PREFIXES):
-            return
-        imports = ImportMap.from_tree(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+    def run(self, project: Project, graph: CallGraph) -> Iterable[Finding]:
+        for module, tree in project.parsed("repro"):
+            if module.in_package(*WRITE_EXEMPT_PREFIXES):
                 continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                mode = _open_write_mode(node)
-                if mode is not None:
+            imports = ImportMap.from_tree(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "open":
+                    mode = _open_write_mode(node)
+                    if mode is not None:
+                        yield self.finding(
+                            module,
+                            node,
+                            f"bare open(..., {mode!r}) write; a crash mid-write leaves a "
+                            "torn file — use repro.checkpoint.write_text_atomic or "
+                            "append_jsonl",
+                        )
+                    continue
+                if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
                     yield self.finding(
                         module,
                         node,
-                        f"bare open(..., {mode!r}) write; a crash mid-write leaves a "
-                        "torn file — use repro.checkpoint.write_text_atomic or "
-                        "append_jsonl",
+                        f"Path.{func.attr}() is not atomic (truncate-then-write); use "
+                        "repro.checkpoint.write_text_atomic",
                     )
-                continue
-            if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
-                yield self.finding(
-                    module,
-                    node,
-                    f"Path.{func.attr}() is not atomic (truncate-then-write); use "
-                    "repro.checkpoint.write_text_atomic",
-                )
-                continue
-            target = resolve_call_target(imports, func)
-            if target in ("json.dump", "pickle.dump"):
-                yield self.finding(
-                    module,
-                    node,
-                    f"{target}() streams into an already-truncated file; serialize to "
-                    "a string and use repro.checkpoint.write_json_atomic",
-                )
-
-
-#: Substrings that mark a path literal as durable service storage.
-_DURABLE_PATH_MARKERS = (".wal", ".snapshot")
-
-
-def _durable_path_marker(call: ast.Call) -> Optional[str]:
-    """The durable-storage marker in the call's path argument, if any.
-
-    Looks for a string literal anywhere in the path expression's
-    subtree, so ``open(f"{d}/shard.wal", "a")``,
-    ``open(os.path.join(d, "service.snapshot.json"), "w")`` and plain
-    constants are all caught.
-    """
-    path_node: Optional[ast.expr] = None
-    if call.args:
-        path_node = call.args[0]
-    for kw in call.keywords:
-        if kw.arg == "file":
-            path_node = kw.value
-    if path_node is None:
-        return None
-    for node in ast.walk(path_node):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            for marker in _DURABLE_PATH_MARKERS:
-                if marker in node.value:
-                    return marker
-    return None
-
-
-@register_rule
-class RawDurableWriteRule(Rule):
-    id = "R9"
-    name = "raw-durable-write"
-    description = (
-        "WAL/snapshot files must only be written by repro.checkpoint — a raw "
-        "open() write bypasses CRC32 frames, digests, and fsync discipline"
-    )
-
-    def check(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        if module.tree is None or not module.in_package("repro"):
-            return
-        if module.in_package("repro/checkpoint.py"):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Name) and func.id == "open"):
-                continue
-            mode = _open_write_mode(node)
-            if mode is None:
-                continue
-            marker = _durable_path_marker(node)
-            if marker is not None:
-                yield self.finding(
-                    module,
-                    node,
-                    f"raw open(..., {mode!r}) on a '*{marker}*' path; durable "
-                    "storage writes must go through repro.checkpoint "
-                    "(JournalWriter / write_text_atomic / save_checkpoint) so "
-                    "frames stay checksummed and fsync semantics hold",
-                )
+                    continue
+                target = resolve_call_target(imports, func)
+                if target in ("json.dump", "pickle.dump"):
+                    yield self.finding(
+                        module,
+                        node,
+                        f"{target}() streams into an already-truncated file; serialize to "
+                        "a string and use repro.checkpoint.write_json_atomic",
+                    )

@@ -27,7 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.core import Finding, ModuleSource, Project, Rule, register_rule
+from repro.analysis.core import Finding, Project, Rule, register_rule
+from repro.analysis.flow.graph import CallGraph
 
 __all__ = ["CliConfigDriftRule"]
 
@@ -115,50 +116,39 @@ class CliConfigDriftRule(Rule):
         "real field, and every field must be reachable from the CLI"
     )
 
-    def check(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        if module.tree is None:
+    def run(self, project: Project, graph: CallGraph) -> Iterable[Finding]:
+        cli = project.get(CLI_PATH)
+        if cli is None or cli.tree is None:
             return
-        if module.package_path == CLI_PATH:
-            yield from self._check_cli(module, project)
-        elif module.package_path == CONFIG_PATH:
-            yield from self._check_config(module, project)
-
-    def _check_cli(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        assert module.tree is not None
-        reads = _namespace_reads(module.tree)
-        for dest, option, node in _flag_dests(module.tree):
+        reads = _namespace_reads(cli.tree)
+        for dest, option, node in _flag_dests(cli.tree):
             if dest not in reads:
                 yield self.finding(
-                    module,
+                    cli,
                     node,
                     f"flag {option!r} is parsed but args.{dest} is never read; "
                     "wire it into ExperimentConfig or delete it",
                 )
-        config_mod = project.get(CONFIG_PATH)
-        if config_mod is None or config_mod.tree is None:
+        config = project.get(CONFIG_PATH)
+        if config is None or config.tree is None:
             return
-        fields = {name for name, _ in _config_fields(config_mod.tree)}
-        if not fields:
-            return
-        for keyword, node in _config_call_keywords(module.tree):
-            if keyword not in fields:
-                yield self.finding(
-                    module,
-                    node,
-                    f"ExperimentConfig has no field {keyword!r} (stale rename?); "
-                    f"declared fields: {', '.join(sorted(fields))}",
-                )
-
-    def _check_config(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        assert module.tree is not None
-        cli_mod = project.get(CLI_PATH)
-        if cli_mod is None or cli_mod.tree is None:
-            return
-        wired = {kw for kw, _ in _config_call_keywords(cli_mod.tree)}
-        for name, lineno in _config_fields(module.tree):
+        declared = _config_fields(config.tree)
+        fields = {name for name, _ in declared}
+        keywords = _config_call_keywords(cli.tree)
+        if fields:
+            for keyword, node in keywords:
+                if keyword not in fields:
+                    yield self.finding(
+                        cli,
+                        node,
+                        f"ExperimentConfig has no field {keyword!r} (stale rename?); "
+                        f"declared fields: {', '.join(sorted(fields))}",
+                    )
+        wired = {kw for kw, _ in keywords}
+        for name, lineno in declared:
             if name not in wired:
                 yield self.finding(
-                    module,
+                    config,
                     lineno,
                     f"ExperimentConfig.{name} cannot be set from the CLI; add a "
                     "flag in repro/cli.py or mark it internal with a pragma",

@@ -1,24 +1,13 @@
-"""Determinism rules: wall-clock reads, global RNG, impure snapshots.
+"""R1 ``wall-clock``: no wall-clock reads in the simulation or allocator.
 
-These guard the properties the test layers assert dynamically — golden
-traces, bit-identical parallel grids, digest-verified resume — by
-rejecting the source patterns that break them:
-
-R1 ``wall-clock``
-    ``time.time()`` / ``time.monotonic()`` / ``datetime.now()`` inside
-    ``repro.sim`` or ``repro.core``.  The simulation owns its clock
-    (``engine.now``); a wall-clock read there makes results depend on
-    host speed.  (``repro.checkpoint`` legitimately reads the wall
-    clock to pace snapshots and is outside the scope.)
-R2 ``global-rng``
-    Module-level ``random.*`` draws or legacy ``numpy.random.*``
-    global-state calls anywhere in ``src/``.  Every stream must be an
-    owned, seeded ``random.Random`` / ``numpy.random.Generator`` so a
-    checkpoint can capture and restore it exactly.
-R8 ``impure-snapshot``
-    ``state_dict`` bodies may not draw from an RNG or read a clock:
-    serializing state must never advance it, or snapshot-and-continue
-    diverges from never-snapshotting.
+``time.time()`` / ``time.monotonic()`` / ``datetime.now()`` inside
+``repro.sim`` or ``repro.core`` make results depend on host speed: the
+simulation owns its clock (``engine.now``), and golden traces,
+bit-identical parallel grids and digest-verified resume all assume it
+is the only one.  (``repro.checkpoint`` legitimately reads the wall
+clock to pace snapshots and is outside the scope.)  Where a clock or
+RNG value *ends up* — a ``state_dict()`` return, a WAL payload, a wire
+response — is F3's business, which shares :data:`CLOCK_CALLS`.
 """
 
 from __future__ import annotations
@@ -27,9 +16,10 @@ import ast
 from typing import Iterable
 
 from repro.analysis._ast_utils import ImportMap, resolve_call_target
-from repro.analysis.core import Finding, ModuleSource, Project, Rule, register_rule
+from repro.analysis.core import Finding, Project, Rule, register_rule
+from repro.analysis.flow.graph import CallGraph
 
-__all__ = ["GlobalRngRule", "ImpureSnapshotRule", "WallClockRule"]
+__all__ = ["CLOCK_CALLS", "WallClockRule"]
 
 #: Fully-qualified callables that read the wall clock.
 CLOCK_CALLS = frozenset(
@@ -47,64 +37,6 @@ CLOCK_CALLS = frozenset(
     }
 )
 
-#: ``random`` module attributes that are *not* global-state draws
-#: (constructors and types; instances made from them are fine).
-RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
-
-#: ``numpy.random`` attributes that construct owned generators rather
-#: than touching the legacy global state.
-NUMPY_RANDOM_ALLOWED = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "RandomState",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "MT19937",
-        "SFC64",
-    }
-)
-
-#: Method names that draw from (and therefore advance) an RNG stream.
-RNG_DRAW_METHODS = frozenset(
-    {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "exponential",
-        "gauss",
-        "integers",
-        "lognormvariate",
-        "normal",
-        "normalvariate",
-        "paretovariate",
-        "poisson",
-        "randint",
-        "random",
-        "randrange",
-        "sample",
-        "shuffle",
-        "standard_normal",
-        "triangular",
-        "uniform",
-        "vonmisesvariate",
-        "weibullvariate",
-    }
-)
-
-
-def _clock_calls(imports: ImportMap, tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            target = resolve_call_target(imports, node.func)
-            if target in CLOCK_CALLS:
-                yield node, target
-
-
 @register_rule
 class WallClockRule(Rule):
     id = "R1"
@@ -113,110 +45,17 @@ class WallClockRule(Rule):
         "no wall-clock reads (time.time/monotonic, datetime.now/today) in repro.sim/repro.core"
     )
 
-    def check(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        if module.tree is None or not module.in_package("repro/sim", "repro/core"):
-            return
-        for node, target in _clock_calls(ImportMap.from_tree(module.tree), module.tree):
-            yield self.finding(
-                module,
-                node,
-                f"wall-clock read {target}() in simulation/allocator code; "
-                "use the engine clock (engine.now) so runs replay identically",
-            )
-
-
-@register_rule
-class GlobalRngRule(Rule):
-    id = "R2"
-    name = "global-rng"
-    description = (
-        "no global/unseeded RNG (random.* module functions, legacy numpy.random.* "
-        "global state) anywhere in src/"
-    )
-
-    def check(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        if module.tree is None:
-            return
-        imports = ImportMap.from_tree(module.tree)
-        # from-imports of draw functions are flagged at the import line,
-        # which also covers later bare-name call sites.
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and not node.level:
-                if node.module == "random":
-                    for alias in node.names:
-                        if alias.name not in RANDOM_ALLOWED and alias.name != "*":
-                            yield self.finding(
-                                module,
-                                node,
-                                f"'from random import {alias.name}' binds a global-state "
-                                "draw; construct a seeded random.Random instance instead",
-                            )
-                elif node.module == "numpy.random":
-                    for alias in node.names:
-                        if alias.name not in NUMPY_RANDOM_ALLOWED and alias.name != "*":
-                            yield self.finding(
-                                module,
-                                node,
-                                f"'from numpy.random import {alias.name}' uses the legacy "
-                                "global state; use numpy.random.default_rng(seed)",
-                            )
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            target = resolve_call_target(imports, node.func)
-            if target is None:
-                continue
-            if target.startswith("random.") and target.count(".") == 1:
-                member = target.split(".", 1)[1]
-                if member not in RANDOM_ALLOWED:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"global RNG draw {target}(); every stream must be an owned, "
-                        "seeded random.Random so checkpoints can capture it",
-                    )
-            elif target.startswith("numpy.random."):
-                member = target.split(".")[2]
-                if member not in NUMPY_RANDOM_ALLOWED:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"legacy numpy global-state call {target}(); use an owned "
-                        "numpy.random.default_rng(seed) Generator",
-                    )
-
-
-@register_rule
-class ImpureSnapshotRule(Rule):
-    id = "R8"
-    name = "impure-snapshot"
-    description = (
-        "state_dict bodies must not draw RNG values or read clocks — "
-        "serializing state may never advance it"
-    )
-
-    def check(self, module: ModuleSource, project: Project) -> Iterable[Finding]:
-        if module.tree is None:
-            return
-        imports = ImportMap.from_tree(module.tree)
-        for fn in ast.walk(module.tree):
-            if not (isinstance(fn, ast.FunctionDef) and fn.name == "state_dict"):
-                continue
-            for node, target in _clock_calls(imports, fn):
-                yield self.finding(
-                    module,
-                    node,
-                    f"state_dict reads the clock via {target}(); snapshot envelopes "
-                    "must be reproducible byte-for-byte",
-                )
-            for node in ast.walk(fn):
-                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+    def run(self, project: Project, graph: CallGraph) -> Iterable[Finding]:
+        for module, tree in project.parsed("repro/sim", "repro/core"):
+            imports = ImportMap.from_tree(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
                     continue
-                if node.func.attr in RNG_DRAW_METHODS:
+                target = resolve_call_target(imports, node.func)
+                if target in CLOCK_CALLS:
                     yield self.finding(
                         module,
                         node,
-                        f"state_dict draws from an RNG (.{node.func.attr}()); "
-                        "serialize generator state with repro.checkpoint.generator_state "
-                        "instead of sampling",
+                        f"wall-clock read {target}() in simulation/allocator code; "
+                        "use the engine clock (engine.now) so runs replay identically",
                     )

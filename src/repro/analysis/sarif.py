@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 export for reprolint/reproflow findings.
+"""SARIF 2.1.0 export for reprolint findings.
 
 CI uploads the lint lane's results as a SARIF artifact so code-scanning
 UIs can render them.  The emitter produces a minimal-but-valid document
@@ -13,7 +13,7 @@ problems.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.core import Finding, Severity
 
@@ -31,8 +31,6 @@ _LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 def to_sarif(
     findings: Sequence[Finding],
     *,
-    tool_name: str = "reprolint",
-    tool_version: Optional[str] = None,
     rule_descriptions: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, object]:
     """Render findings as a SARIF 2.1.0 document (a JSON-ready dict)."""
@@ -70,11 +68,9 @@ def to_sarif(
             }
         )
     driver: Dict[str, object] = {
-        "name": tool_name,
+        "name": "reprolint",
         "rules": [rules[rule_id] for rule_id in sorted(rules, key=lambda r: (len(r), r))],
     }
-    if tool_version is not None:
-        driver["version"] = tool_version
     return {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
@@ -92,13 +88,10 @@ def write_sarif(
     path: str,
     findings: Sequence[Finding],
     *,
-    tool_name: str = "reprolint",
     rule_descriptions: Optional[Mapping[str, str]] = None,
 ) -> None:
     """Serialize findings to ``path``, validating the document first."""
-    document = to_sarif(
-        findings, tool_name=tool_name, rule_descriptions=rule_descriptions
-    )
+    document = to_sarif(findings, rule_descriptions=rule_descriptions)
     problems = validate_sarif(document)
     if problems:  # pragma: no cover - emitter and validator move together
         raise ValueError("invalid SARIF produced: " + "; ".join(problems))

@@ -1,4 +1,4 @@
-"""Unit and property tests for the reproflow call graph.
+"""Unit and property tests for the whole-program call graph.
 
 The graph is the substrate every F-analysis trusts: edges must resolve
 through imports, annotations, and ``self.attr`` types, and the whole
@@ -107,18 +107,6 @@ def test_sync_boundary_annotation_captures_reason():
     info = graph.functions["repro.service.shards.group_commit"]
     assert info.sync_boundary == "group commit is the sanctioned stall"
     assert graph.functions["repro.service.shards.spill"].sync_boundary is None
-
-
-def test_reachable_respects_blocked_functions():
-    graph = _graph(MODS)
-    everywhere = graph.reachable(["repro.service.server.drain"])
-    assert "repro.core.allocator.TaskOrientedAllocator.observe" in everywhere
-    fenced = graph.reachable(
-        ["repro.service.server.drain"],
-        blocked={"repro.service.shards.AllocationShard.commit"},
-    )
-    assert "repro.core.allocator.TaskOrientedAllocator.observe" not in fenced
-    assert "repro.service.shards.group_commit" in fenced
 
 
 # -- stability -------------------------------------------------------------------------

@@ -33,28 +33,26 @@ SAMPLE = [
     _finding(),
     _finding(rule="F3", name="taint-lane", line=12, col=0),
     _finding(rule="F1", line=30),
-    _finding(rule="R2", name="global-rng", severity=Severity.WARNING),
+    _finding(rule="R4", name="raw-artifact-write", severity=Severity.WARNING),
 ]
 
 
 def test_emitted_document_is_schema_valid():
-    document = to_sarif(SAMPLE, tool_name="reproflow")
+    document = to_sarif(SAMPLE)
     assert validate_sarif(document) == []
     assert validate_sarif(to_sarif([])) == []
 
 
 def test_document_shape_and_rule_dedup():
     document = to_sarif(
-        SAMPLE,
-        tool_name="reproflow",
-        rule_descriptions={"F1": "blocking I/O on the event loop"},
+        SAMPLE, rule_descriptions={"F1": "blocking I/O on the event loop"}
     )
     assert document["version"] == SARIF_VERSION
     (run,) = document["runs"]
     driver = run["tool"]["driver"]
-    assert driver["name"] == "reproflow"
+    assert driver["name"] == "reprolint"
     # One descriptor per distinct rule that fired, sorted by id.
-    assert [r["id"] for r in driver["rules"]] == ["F1", "F3", "R2"]
+    assert [r["id"] for r in driver["rules"]] == ["F1", "F3", "R4"]
     assert driver["rules"][0]["shortDescription"] == {
         "text": "blocking I/O on the event loop"
     }
@@ -63,7 +61,7 @@ def test_document_shape_and_rule_dedup():
 
 
 def test_result_carries_location_level_and_fingerprint():
-    document = to_sarif([_finding()], tool_name="reproflow")
+    document = to_sarif([_finding()])
     (result,) = document["runs"][0]["results"]
     assert result["ruleId"] == "F1"
     assert result["level"] == "error"
@@ -81,7 +79,7 @@ def test_warning_severity_maps_to_warning_level():
 
 def test_write_sarif_round_trips(tmp_path):
     path = tmp_path / "lint.sarif"
-    write_sarif(str(path), SAMPLE, tool_name="reprolint")
+    write_sarif(str(path), SAMPLE)
     document = json.loads(path.read_text())
     assert validate_sarif(document) == []
     assert document["runs"][0]["tool"]["driver"]["name"] == "reprolint"
