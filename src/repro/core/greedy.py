@@ -21,8 +21,9 @@ the four-case kernel's.  It is cheap without changing one of them:
 means cancel, running the kernel only on near-ties (docs/ALGORITHMS.md
 §3); a left child inherits its parent's low prefix; and
 :class:`GreedySplitMemo`, the engine :class:`GreedyBucketing` runs,
-re-scans only segments that reach the lowest insert since the last
-search.  :func:`greedy_break_indices` is the search with an empty memo.
+reuses the break of every segment below the inserts since the last
+search, and of a segment shifted up by them while its certificate still
+holds.  :func:`greedy_break_indices` is the search with an empty memo.
 """
 
 from __future__ import annotations
@@ -44,13 +45,29 @@ __all__ = [
 ]
 
 
-#: ``{(lo, hi): break index}`` — the argmin of every segment a search split
-#: or declared whole, keyed by the segment's inclusive bounds.
-SplitMemo = Dict[Tuple[int, int], int]
+#: What settled a segment with one candidate: ``(h[j], second, T, w1[0],
+#: T - w1[m-2])``, the closed form's minimum and runner-up and the three
+#: significance sums the margin reads.
+Certificate = Tuple[float, float, float, float, float]
+
+#: ``{(lo, hi): (break - lo, certificate or None)}`` — the argmin of every
+#: segment a search split or declared whole, keyed by the segment's
+#: inclusive bounds.  Segments the kernel settled carry no certificate.
+SplitMemo = Dict[Tuple[int, int], Tuple[int, Optional[Certificate]]]
 
 
 #: The relative and absolute rounding error of one float64 operation.
 _U, _ETA = 2.0**-53, 2.0**-1075
+
+#: Every integer below this is a float64, so integral significances
+#: summing below it make every prefix sum, and every difference of two,
+#: exact.
+_EXACT_LIMIT = 2.0**53
+
+#: Inserts between two searches past which the memo is dropped: mapping
+#: a segment back costs one step per insert, and the next search then
+#: scans everything once instead.
+_MAX_PENDING = 64
 
 
 def _low_prefix(records: RecordList, lo: int, hi: int) -> np.ndarray:
@@ -63,41 +80,101 @@ def _low_prefix(records: RecordList, lo: int, hi: int) -> np.ndarray:
     return sp[lo : hi + 1] - sp[lo - 1] if lo > 0 else sp[: hi + 1]
 
 
-def _scan(records: RecordList, lo: int, hi: int, w1: np.ndarray) -> int:
-    """``lo`` plus the first argmin of ``greedy_split_costs(records, lo, hi)``.
+def _margin(
+    records: RecordList, lo: int, hi: int, total: float, first: float, last_share: float
+) -> float:
+    """The closed form's rounding margin on ``[lo, hi]`` (docs/ALGORITHMS.md §3).
+
+    ``total``, ``first`` and ``last_share`` are ``T``, ``w1[0]`` and
+    ``T - w1[m-2]``.  An empty low or high bucket or an overflowed ``T``
+    give ``inf``, an overflowed ``S`` gives ``inf`` or NaN: every such
+    margin fails both ``margin < inf`` and ``second > h[j] + margin``.
+    """
+    if not (0.0 < first and 0.0 < last_share < inf):
+        return inf
+    svp = records._svp_buf
+    s = float(svp[hi]) - float(svp[lo - 1]) if lo > 0 else float(svp[hi])
+    rep2 = float(records._values_buf[hi])
+    return _U * (35.0 * rep2 + 27.0 * (s / total)) + 2.0 * _ETA * (
+        18.0 * rep2 + 7.0 * (s / first + s / last_share) + 9.0
+    )
+
+
+def _scan(
+    records: RecordList, lo: int, hi: int, w1: np.ndarray
+) -> Tuple[int, Optional[Certificate]]:
+    """The first argmin of ``greedy_split_costs(records, lo, hi)``, and its certificate.
 
     ``w1`` is the low prefix of ``[lo, hi']``, ``hi' >= hi``.  The cost
     is exactly ``rep2 - S/T + h``, ``h = p1 * (rep1 - p1 * rep2)``; any
     candidate that could tie or beat the kernel's float minimum has ``h``
-    within ``margin`` of ``min h`` (docs/ALGORITHMS.md §3).  One such is
-    the answer; several go to the kernel on their span.  An empty low or
-    high bucket, an overflowed ``T`` or an infinite margin take the
-    kernel whole.
+    within ``margin`` of ``min h`` (docs/ALGORITHMS.md §3).  When the
+    runner-up lies beyond it the minimum is the answer, certified by
+    :data:`Certificate`; otherwise the kernel settles the candidates
+    within it on their span.  An empty low or high bucket, an overflowed
+    ``T`` or a non-finite margin take the kernel whole.
     """
     m = hi - lo + 1
     total = float(w1[m - 1])
     first = float(w1[0])
     last_share = total - float(w1[m - 2])
-    if 0.0 < first and 0.0 < last_share < inf:
-        svp = records._svp_buf
-        s = float(svp[hi]) - float(svp[lo - 1]) if lo > 0 else float(svp[hi])
+    margin = _margin(records, lo, hi, total, first, last_share)
+    if margin < inf:
         values = records._values_buf
-        rep2 = float(values[hi])
-        margin = _U * (35.0 * rep2 + 27.0 * (s / total)) + 2.0 * _ETA * (
-            18.0 * rep2 + 7.0 * (s / first + s / last_share) + 9.0
-        )
-        if margin < inf:
-            p1 = np.divide(w1[:m], total)
-            h = np.multiply(p1, rep2)
-            np.subtract(values[lo : hi + 1], h, out=h)
-            h *= p1
-            j = int(h.argmin())
-            near = np.flatnonzero(h <= float(h[j]) + margin)
-            if near.size == 1:
-                return lo + j
-            a, b = lo + int(near[0]), lo + int(near[-1])
-            return a + int(greedy_split_costs(records, lo, hi, a, b).argmin())
-    return lo + int(greedy_split_costs(records, lo, hi).argmin())
+        p1 = np.divide(w1[:m], total)
+        h = np.multiply(p1, float(values[hi]))
+        np.subtract(values[lo : hi + 1], h, out=h)
+        h *= p1
+        j = int(h.argmin())
+        best = float(h[j])
+        h[j] = inf
+        second = float(h.min())
+        if second > best + margin:
+            return j, (best, second, total, first, last_share)
+        h[j] = best
+        near = np.flatnonzero(h <= best + margin)
+        a, b = int(near[0]), int(near[-1])
+        return a + int(greedy_split_costs(records, lo, hi, lo + a, lo + b).argmin()), None
+    return int(greedy_split_costs(records, lo, hi).argmin()), None
+
+
+def _recall(
+    records: RecordList,
+    lo: int,
+    hi: int,
+    memo: SplitMemo,
+    inserts: List[int],
+    exact: bool,
+) -> Optional[Tuple[int, Optional[Certificate]]]:
+    """The memo entry that still decides ``[lo, hi]``, or ``None`` to scan it.
+
+    ``[lo, hi]`` is mapped back through ``inserts`` (positions, oldest
+    first), latest first: below an insert it is unchanged, above it it
+    was one lower, and holding it it is dirty.  A segment unchanged by
+    every insert reads the same bits as when it was memoized.  A shifted
+    one reads the same records; under exact prefix sums its ``h`` is
+    bit-identical too, so its certificate decides it if the runner-up
+    still clears the margin re-read from today's ``S``
+    (docs/ALGORITHMS.md §3).
+    """
+    old_lo, old_hi = lo, hi
+    for pos in reversed(inserts):
+        if old_hi < pos:
+            continue
+        if old_lo <= pos:
+            return None
+        old_lo -= 1
+        old_hi -= 1
+    entry = memo.get((old_lo, old_hi))
+    if entry is None or old_lo == lo:
+        return entry
+    cert = entry[1]
+    if not exact or cert is None:
+        return None
+    best, second, total, first, last_share = cert
+    if second > best + _margin(records, lo, hi, total, first, last_share):
+        return entry
+    return None
 
 
 def _search(
@@ -106,14 +183,15 @@ def _search(
     hi: int,
     max_buckets: Optional[int],
     memo: SplitMemo,
-    clean: int,
+    inserts: List[int],
+    exact: bool,
 ) -> Tuple[List[int], SplitMemo]:
-    """Algorithm 1 over ``[lo, hi]``, trusting ``memo`` below index ``clean``.
+    """Algorithm 1 over ``[lo, hi]``, taking from ``memo`` what :func:`_recall` allows.
 
-    A segment whose upper end lies below ``clean`` takes its break from
-    ``memo`` when it is there; every other segment is scanned.  Returns
-    the sorted bucket ends and the breaks of every segment examined,
-    which is the memo for the next search.
+    ``memo`` is the last search's, ``inserts`` the positions inserted
+    since and ``exact`` whether the prefix sums are exact integers.
+    Returns the sorted bucket ends and the entries of every segment
+    examined, which is the memo for the next search.
     """
     budget = inf if max_buckets is None else check_max_buckets(max_buckets)
 
@@ -135,13 +213,13 @@ def _search(
         if len(ends) + len(stack) + 2 > budget:
             ends.append(seg_hi)
             continue
-        key = (seg_lo, seg_hi)
-        break_idx = memo.get(key) if seg_hi < clean else None
-        if break_idx is None:
+        entry = _recall(records, seg_lo, seg_hi, memo, inserts, exact) if memo else None
+        if entry is None:
             if w1 is None:
                 w1 = _low_prefix(records, seg_lo, seg_hi)
-            break_idx = _scan(records, seg_lo, seg_hi, w1)
-        seen[key] = break_idx
+            entry = _scan(records, seg_lo, seg_hi, w1)
+        seen[seg_lo, seg_hi] = entry
+        break_idx = seg_lo + entry[0]
         if break_idx == seg_hi:
             # One bucket over the whole segment is (locally) optimal.
             ends.append(seg_hi)
@@ -177,7 +255,7 @@ def greedy_break_indices(
         hi = len(records) - 1
     if not (0 <= lo <= hi < len(records)):
         raise IndexError(f"segment [{lo}, {hi}] out of bounds for {len(records)} records")
-    return _search(records, lo, hi, max_buckets, {}, 0)[0]
+    return _search(records, lo, hi, max_buckets, {}, [], False)[0]
 
 
 def greedy_break_indices_literal(
@@ -246,54 +324,87 @@ class GreedySplitMemo:
     """The greedy search over one live record list, re-scanning only what moved.
 
     A segment's break is a pure function of ``values[lo..hi]`` and the
-    prefix sums ``sp[lo-1..hi]``, ``svp[lo-1..hi]``, and
-    ``RecordList._insert`` at index ``pos`` leaves every buffer entry
-    below ``pos`` untouched.  So the engine keeps the breaks of the last
-    search and ``clean``, the lowest insert index since: a segment with
-    ``hi < clean`` reads bit-for-bit the same inputs as last time and
-    takes its stored break, everything else is scanned.  Segments right
-    of an insert are *not* reusable even though their records are the
-    same — their prefix sums were re-rounded by the suffix add.
+    prefix sums ``sp[lo-1..hi]``, ``svp[lo-1..hi]``.  The engine keeps
+    the last search's memo and the positions inserted since, and
+    :func:`_recall` maps each segment back through them:
+
+    * ``RecordList._insert`` at ``pos`` writes no buffer entry below
+      ``pos``, so a segment below every insert reads the same bits and
+      takes its stored break, under any significances;
+    * a segment above an insert holds the same records one index
+      higher, but the suffix add re-rounded its prefix sums.  While
+      every significance is integral and their total is below 2**53
+      (:attr:`exact`) the significance sums cannot round, so the
+      segment's ``h`` is bit-identical and its certificate decides it
+      whenever the runner-up still clears the margin re-read from the
+      re-rounded ``svp``;
+    * a segment holding an insert is scanned.
 
     A compaction of a bounded store rebuilds the prefix sums from
-    scratch (``_rebuild_prefixes``) and drops ``clean`` to 0.  The memo
-    holds argmins only, which a ``max_buckets`` cap does not change (the
-    cap decides *whether* a segment is scanned, not what the scan
-    returns).
+    scratch and clears the memo.  The memo holds argmins only, which a
+    ``max_buckets`` cap does not change (the cap decides *whether* a
+    segment is scanned, not what the scan returns).
 
     Nothing is serialized: a restored engine starts with an empty memo
     and its first search scans every segment, with the same result.
     """
 
-    __slots__ = ("_records", "_max_buckets", "_memo", "_clean")
+    __slots__ = ("_records", "_max_buckets", "_memo", "_inserts", "_exact")
 
     def __init__(self, records: RecordList, max_buckets: Optional[int] = None) -> None:
         self._records = records
         self._max_buckets = max_buckets
         self._memo: SplitMemo = {}
-        self._clean = 0
+        self._inserts: List[int] = []
+        # From the records: engines are built over non-empty stores too
+        # (a restore), so exactness cannot be assumed.
+        self._track_exactness(None)
 
     @property
-    def clean(self) -> int:
-        """Memo entries with ``hi`` below this index are still exact."""
-        return self._clean
+    def pending(self) -> Tuple[int, ...]:
+        """Positions inserted since the last search, oldest first."""
+        return tuple(self._inserts)
+
+    @property
+    def exact(self) -> bool:
+        """Whether every significance is integral and their total below 2**53."""
+        return self._exact
+
+    def _track_exactness(self, pos: Optional[int]) -> None:
+        """Update :attr:`exact` for the record inserted at ``pos``, or from every
+        record when ``pos`` is ``None`` (construction, compaction)."""
+        records = self._records
+        if pos is None:
+            sigs = records._sigs_buf[: len(records)]
+            self._exact = (
+                bool(np.array_equal(sigs, np.floor(sigs)))
+                and records.total_significance() < _EXACT_LIMIT
+            )
+        elif self._exact:
+            # Once inexact, only a compaction can make the sums exact again.
+            self._exact = (
+                records._sigs_buf.item(pos).is_integer()
+                and records._sp_buf.item(records._n - 1) < _EXACT_LIMIT
+            )
 
     def consume_stats(self, breaks: List[int]) -> None:
         """No stats to hand over: the search scores splits, not buckets."""
         return None
 
     def observe(self, value: float, pos: Optional[int]) -> None:
-        """Fold one :meth:`RecordList.add` outcome into ``clean``.
+        """Fold one :meth:`RecordList.add` outcome into the pending inserts.
 
         ``pos`` is what ``add`` returned: the index the record landed
-        at, or ``None`` when the store compacted.  The inserted
-        ``value`` is the other half of the engine protocol; the memo
-        does not read it.
+        at, or ``None`` when the store compacted, which clears the memo.
+        The inserted ``value`` is the other half of the engine protocol;
+        the memo does not read it.
         """
-        if pos is None:
-            self._clean = 0
-        elif pos < self._clean:
-            self._clean = pos
+        if pos is None or len(self._inserts) == _MAX_PENDING:
+            self._memo = {}
+            self._inserts = []
+        elif self._memo:
+            self._inserts.append(pos)
+        self._track_exactness(pos)
 
     def break_indices(self) -> Optional[List[int]]:
         """Current break indices, identical to :func:`greedy_break_indices`."""
@@ -301,9 +412,9 @@ class GreedySplitMemo:
         if n == 0:
             return None
         ends, self._memo = _search(
-            self._records, 0, n - 1, self._max_buckets, self._memo, self._clean
+            self._records, 0, n - 1, self._max_buckets, self._memo, self._inserts, self._exact
         )
-        self._clean = n
+        self._inserts = []
         return ends
 
 

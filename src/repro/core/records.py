@@ -43,6 +43,7 @@ what the bound itself costs is measured by the capacity ablation in
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from math import inf
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
@@ -143,9 +144,17 @@ class RecordList:
         records: Iterable[ResourceRecord] = (),
         capacity: Optional[int] = None,
     ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
+        # The one capacity rule: from_arrays, from_state and both
+        # bucketing algorithms' record_capacity construct through here,
+        # so a bad bound is refused where it is configured rather than
+        # at the first compaction.  Mirrors base.check_max_buckets.
+        if capacity is not None and (
+            isinstance(capacity, bool)
+            or not isinstance(capacity, numbers.Integral)
+            or capacity < 1
+        ):
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
+        self._capacity = None if capacity is None else int(capacity)
         self._n = 0
         self._allocate(_MIN_BUFFER)
         self._invalidate()

@@ -13,11 +13,12 @@ Everything ``docs/SERVICE.md`` asks of a client is decided once, in
   ``overloaded``, ``timeout``, ``shutting_down``) means the server
   *refused* the request before dispatching it: always safe, key or no
   key, after **exponential backoff + jitter** from the session's own
-  seeded :class:`random.Random` (reprolint-R2 clean, replayable from
-  ``RetryPolicy.seed``), floored by ``retry_after``.  A **transport
-  failure after send** is ambiguous: a keyed request is resent byte for
-  byte on a fresh connection, an un-keyed mutating one raises
-  :class:`ServiceUnavailable` instead of risking a double-apply.
+  seeded :class:`random.Random` (never the module-level generator, so
+  the delays replay from ``RetryPolicy.seed``), floored by
+  ``retry_after``.  A **transport failure after send** is ambiguous: a
+  keyed request is resent byte for byte on a fresh connection, an
+  un-keyed mutating one raises :class:`ServiceUnavailable` instead of
+  risking a double-apply.
 
 The session asks, a transport performs: :meth:`_Session.request` yields
 connect / exchange these bytes for one line / close / sleep and is told

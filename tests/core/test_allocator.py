@@ -46,6 +46,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_buckets"):
             AllocatorConfig().with_algorithm(algorithm, max_buckets=0)
 
+    @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
+    @pytest.mark.parametrize("capacity", [2.5, 0.5, True])
+    def test_non_integer_record_capacity_is_refused_by_the_config(self, algorithm, capacity):
+        """Not at the first compaction, and never silently as a bound of 1."""
+        with pytest.raises(ValueError, match="capacity"):
+            AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"record_capacity": capacity})
+        cfg = AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"record_capacity": 3})
+        alloc = bootstrap(TaskOrientedAllocator(cfg), n=12)
+        assert alloc.algorithm("proc", MEMORY).n_records <= 3
+
     def test_with_algorithm(self):
         cfg = AllocatorConfig().with_algorithm("max_seen")
         assert cfg.algorithm == "max_seen"

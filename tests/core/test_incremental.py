@@ -390,7 +390,7 @@ def test_old_format_snapshot_restores_and_continues_identically(algo_cls):
     assert resumed.state_dict() == original.state_dict()
 
 
-# -- greedy engine: the clean-prefix split memo ---------------------------------
+# -- greedy engine: the split memo ---------------------------------------------
 
 
 @given(streams)
@@ -434,25 +434,30 @@ def test_greedy_engine_desyncs_on_eviction():
     for i, value in enumerate([10.0, 20.0, 3000.0, 4000.0, 5000.0]):
         feed(records, engine, value, significance=float(i + 1), task_id=i)
     engine.break_indices()
-    assert engine.clean == len(records)
+    assert engine.pending == () and engine._memo
     assert feed(records, engine, 7000.0, significance=10.0, task_id=9) is None  # evicts
-    assert engine.clean == 0  # prefix sums were rebuilt: nothing is reusable
+    # Every index may have moved and the prefix sums were rebuilt:
+    # nothing is reusable.
+    assert engine.pending == () and not engine._memo
     assert engine.break_indices() == greedy_break_indices(records)
 
 
-def test_greedy_engine_tracks_lowest_insert():
+def test_greedy_engine_tracks_pending_inserts():
     records = RecordList()
     engine = GreedySplitMemo(records)
     for i, value in enumerate([10.0, 20.0, 3000.0, 4000.0, 9000.0]):
         feed(records, engine, value, significance=float(i + 1), task_id=i)
+    assert engine.pending == ()  # nothing to map back before a search
     engine.break_indices()
-    assert feed(records, engine, 9500.0, task_id=5) == 5  # appended: all clean
-    assert engine.clean == 5
+    assert feed(records, engine, 9500.0, task_id=5) == 5
     assert feed(records, engine, 3500.0, task_id=6) == 3
-    assert feed(records, engine, 3600.0, task_id=7) == 4  # higher: no change
-    assert engine.clean == 3
+    assert feed(records, engine, 3600.0, task_id=7) == 4
+    assert engine.pending == (5, 3, 4)  # in arrival order, each in its own index space
+    assert engine.exact
     assert engine.break_indices() == greedy_break_indices(records)
-    assert engine.clean == len(records)
+    assert engine.pending == ()
+    feed(records, engine, 50.0, significance=0.5, task_id=8)
+    assert not engine.exact  # until a compaction drops the 0.5
 
 
 def test_greedy_cache_roundtrip_is_bit_identical():
@@ -512,7 +517,7 @@ def test_greedy_restore_rejects_malformed_state(bad):
     snapshot["state"]["partition_cache"] = bad
     restored = GreedyBucketing(rng=np.random.default_rng(0))
     restored.load_state(snapshot)
-    assert restored.partition_engine.clean == 0
+    assert restored.partition_engine.pending == () and not restored.partition_engine._memo
     restored.update(15.0, task_id=3)
     assert [b.hi for b in restored.state.buckets] == greedy_break_indices(
         restored.records

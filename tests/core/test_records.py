@@ -139,6 +139,29 @@ class TestRecordList:
         with pytest.raises(ValueError):
             RecordList(capacity=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 0.5, 3.0, True, False, "4", -1])
+    def test_non_integer_capacity_is_refused_at_construction(self, bad):
+        """Not at the first compaction (a float slice index), and never
+        silently as 1 (``True``, ``0.5``)."""
+        with pytest.raises(ValueError, match="integer >= 1"):
+            RecordList(capacity=bad)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            RecordList.from_arrays(np.arange(1.0, 6.0), capacity=bad)
+        state = RecordList(capacity=4).state_dict()
+        state["capacity"] = bad
+        with pytest.raises(ValueError, match="integer >= 1"):
+            RecordList.from_state(state)
+        for algo_cls in (GreedyBucketing, ExhaustiveBucketing):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                algo_cls(record_capacity=bad)
+
+    def test_integral_capacity_of_any_int_type_is_an_int(self):
+        store = RecordList(capacity=np.int64(3))
+        assert type(store.capacity) is int and store.capacity == 3
+        for i in range(5):
+            store.add(float(i), significance=float(i + 1))
+        assert len(store) <= 3
+
     def test_total_significance(self):
         rl = RecordList()
         assert rl.total_significance() == 0.0
