@@ -333,8 +333,8 @@ class JournalWriter:
     flush + fsync (``sync="batch"``); a crash can then lose at most the
     *tail* of the final batch, which :func:`read_jsonl`'s torn-line
     tolerance plus the reader's sequence-number filter already handle.
-    ``sync="op"`` restores the per-document fsync, ``sync="none"``
-    leaves flushing to the OS (benchmarks and tests only).
+    ``sync="none"`` leaves flushing to the OS (benchmarks and tests
+    only).
 
     Records are written as checksummed frames (:func:`encode_frame`);
     all IO goes through the filesystem fault hook, so a seeded
@@ -345,7 +345,7 @@ class JournalWriter:
     so retrying on the same handle would falsely report durability.
     """
 
-    SYNC_MODES = ("batch", "op", "none")
+    SYNC_MODES = ("batch", "none")
 
     # reproflow: sync-boundary -- WAL open happens once per shard at startup/rotation, before traffic
     def __init__(self, path: str, sync: str = "batch") -> None:
@@ -356,23 +356,22 @@ class JournalWriter:
         self._path = path
         self._sync = sync
         self._handle = open(path, "a", encoding="utf-8")
+        #: File length after the last append that returned: the bytes
+        #: past it, if any, belong to an append that raised.
+        self.committed_bytes = os.fstat(self._handle.fileno()).st_size
 
     # reproflow: sync-boundary -- the group commit is the service's deliberate durability stall (SERVICE.md "Durability")
     def append_many(self, docs: List[Any]) -> None:
         """Durably append ``docs`` in order with one group commit."""
         if not docs:
             return
-        lines = [encode_frame(doc) for doc in docs]
-        if self._sync == "op":
-            for line in lines:
-                _fault_write(self._handle, line + "\n", self._path)
-                self._handle.flush()
-                _fault_fsync(self._handle, self._path)
-        else:
-            _fault_write(self._handle, "\n".join(lines) + "\n", self._path)
-            self._handle.flush()
-            if self._sync == "batch":
-                _fault_fsync(self._handle, self._path)
+        text = "\n".join([encode_frame(doc) for doc in docs]) + "\n"
+        _fault_write(self._handle, text, self._path)
+        self._handle.flush()
+        if self._sync == "batch":
+            _fault_fsync(self._handle, self._path)
+        # Frames are ASCII (JSON escapes the rest): characters are bytes.
+        self.committed_bytes += len(text)
 
     def append(self, doc: Any) -> None:
         self.append_many([doc])
@@ -501,27 +500,31 @@ def quarantine_file(path: str) -> str:
     return dest
 
 
-def repair_journal_tail(path: str) -> int:
-    """Truncate torn trailing debris in place; returns bytes dropped.
+def repair_journal_tail(path: str, committed: int) -> int:
+    """Cut the journal back to ``committed`` bytes, durably; returns bytes dropped.
 
     Reopening a journal for appends after a short or failed write must
     not leave a half-record mid-file: the next append would weld new
     frames onto the debris and turn harmless crash residue into
-    mid-stream corruption.  Only the unterminated tail is dropped; a
-    terminated line that does not decode is real corruption and raises
-    :class:`JournalCorruptError` (use :func:`recover_jsonl`).
+    mid-stream corruption.  Everything past ``committed``
+    (:attr:`JournalWriter.committed_bytes`, or the file size to drop
+    only an unterminated tail) goes, whole frames of the failed append
+    included, and so does an unterminated tail below it.  A terminated
+    line in the kept prefix that does not decode is real corruption and
+    raises :class:`JournalCorruptError` (use :func:`recover_jsonl`).
     """
     try:
-        _, good_bytes, torn, corrupt = scan_journal(path)
+        _, good_bytes, _, corrupt = scan_journal(path)
     except FileNotFoundError:
         return 0
-    if corrupt is not None:
+    if corrupt is not None and corrupt.offset < committed:
         raise corrupt
-    if not torn:
+    keep = min(good_bytes, committed)
+    dropped = os.path.getsize(path) - keep
+    if dropped <= 0:
         return 0
-    dropped = os.path.getsize(path) - good_bytes
     with open(path, "rb+") as handle:
-        handle.truncate(good_bytes)
+        handle.truncate(keep)
         handle.flush()
         os.fsync(handle.fileno())
     return dropped
@@ -692,7 +695,7 @@ SIMULATION_KIND = "simulation"
 
 #: Payload kind of allocation-service snapshots: one envelope holding a
 #: consistent cut of *every* shard (allocator state, applied-op sequence
-#: number, backpressure breaker) taken under a full quiesce barrier, so
+#: number, idempotency window) taken under a full quiesce barrier, so
 #: no operation is ever split across the cut.  Written by
 #: :meth:`repro.service.AllocationService.snapshot`.
 SERVICE_KIND = "service"

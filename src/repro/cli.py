@@ -440,7 +440,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     shutdown = GracefulShutdown()
     try:
         with shutdown:
-            _run_targets(targets, args, config, shutdown, emit)
+            status = _run_targets(targets, args, config, shutdown, emit)
     except GridInterrupted as exc:
         print(
             f"\n[repro] {exc}\n[repro] resume with: repro-experiments "
@@ -451,10 +451,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 128 + (exc.signum if exc.signum is not None else signal.SIGTERM)
     if args.out is not None:
         write_text_atomic(args.out, "\n".join(rendered) + "\n")
-    return 0
+    return status
 
 
-def _run_targets(targets, args, config, shutdown, emit) -> None:
+def _run_targets(targets, args, config, shutdown, emit) -> int:
+    """Run and emit each target; 1 when a target's own verdict failed."""
+    status = 0
     for target in targets:
         if target == "figure2":
             emit(figure2.render(figure2.run(seed=args.seed)))
@@ -533,12 +535,12 @@ def _run_targets(targets, args, config, shutdown, emit) -> None:
         elif target == "service-chaos":
             from repro.experiments import service_chaos
 
-            emit(
-                service_chaos.render(
-                    service_chaos.run(seed=args.fault_seed)
-                )
-            )
+            result = service_chaos.run(seed=args.fault_seed)
+            emit(service_chaos.render(result))
+            if not result.all_match:
+                status = 1
         print()
+    return status
 
 
 if __name__ == "__main__":

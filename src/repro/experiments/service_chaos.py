@@ -33,7 +33,8 @@ state**.  Four matrices share one deterministic operation script:
   bit-identical to the reference: every injected storage fault ends in
   exact recovery or a typed refusal, never silent divergence.
 
-Run via ``repro-experiments service-chaos``.
+Run via ``repro-experiments service-chaos``; it exits 1 unless every
+run matches.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _service_config(data_dir: Optional[str] = None) -> ServiceConfig:
         allocator=AllocatorConfig(algorithm="greedy_bucketing", seed=11),
         n_shards=3,
         data_dir=data_dir,
-        durability="op",
+        durability="batch",
         dedup_window=256,
         # E-X9 heals shards quickly: every second refused batch probes.
         degraded_probe_interval=2,

@@ -5,15 +5,16 @@ inline; a production scheduler instead *queries* one per task dispatch
 (Ponder-style online prediction).  This package is that deployment
 shape:
 
-* :class:`ServiceConfig` — shard count, durability, backpressure,
-  connection/in-flight bounds, the idempotency dedup window, and the
-  underlying :class:`~repro.core.allocator.AllocatorConfig`.
+* :class:`ServiceConfig` — shard count, durability, connection and
+  in-flight bounds, the idempotency dedup window, and the underlying
+  :class:`~repro.core.allocator.AllocatorConfig`.
 * :class:`AllocationService` — the in-process async API:
   ``allocate`` / ``allocate_retry`` / ``record`` / ``allocate_batch``,
   plus snapshots, stats/health, and WAL-backed crash recovery.
 * :class:`AllocationServer` / :func:`run_daemon` — a newline-delimited
   JSON front end over TCP or a UNIX socket (``repro-experiments
-  serve``), with typed error codes and overload shedding.
+  serve``), with typed error codes and an in-flight bound that answers
+  ``overloaded`` with ``retry_after``.
 * :class:`ServiceClient` / :class:`AsyncServiceClient` — resilient SDKs
   with timeouts, seeded backoff + jitter reconnects, and idempotency
   keys for exactly-once mutating calls across ambiguous failures.

@@ -6,17 +6,15 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.allocator import AllocatorConfig
-from repro.core.resources import ResourceVector
-from repro.sim.resilience import CircuitBreakerConfig
 
 __all__ = ["ServiceConfig", "DURABILITY_MODES"]
 
-#: WAL commit policies, strongest first: ``"op"`` fsyncs every applied
-#: operation, ``"batch"`` group-commits each drained queue batch with a
-#: single fsync (the default — at most one torn batch tail is at risk,
-#: which the torn-line-tolerant reader absorbs), ``"none"`` leaves
-#: flushing to the OS (benchmarks and tests).
-DURABILITY_MODES = ("batch", "op", "none")
+#: WAL commit policies: ``"batch"`` group-commits each drained queue
+#: batch with a single fsync before any of its operations is answered
+#: (the default — at most one torn batch tail is at risk, which the
+#: torn-line-tolerant reader absorbs), ``"none"`` leaves flushing to the
+#: OS (benchmarks and tests).
+DURABILITY_MODES = ("batch", "none")
 
 
 @dataclass(frozen=True)
@@ -39,24 +37,6 @@ class ServiceConfig:
         envelope).  ``None`` runs fully in memory.
     durability:
         WAL commit policy, one of :data:`DURABILITY_MODES`.
-    backpressure:
-        Per-shard circuit breaker over queue depth; default disabled.
-        When enabled, each applied operation feeds the breaker one
-        outcome (success iff the submitter saw the shard queue at or
-        below ``queue_high_watermark``), with the shard's applied-op
-        sequence number as the breaker's logical clock — so ``cooldown``
-        counts *operations*, not seconds.  While open, allocation
-        requests are shed to
-        :meth:`~repro.core.allocator.TaskOrientedAllocator.conservative_allocation`
-        without consulting (or mutating) the algorithm; feedback
-        (``record``) is never shed.
-    queue_high_watermark:
-        Queue depth above which a submission counts as a failure in the
-        breaker window.
-    capacity:
-        Optional static alive-capacity ceiling installed as every
-        shard's capacity provider, so ``allocate_retry`` growth is
-        clamped exactly as the simulator's largest-alive-worker clamp.
     dedup_window:
         Per-shard idempotency window: the most recent ``dedup_window``
         keyed responses are remembered (WAL-logged with their operations
@@ -70,7 +50,8 @@ class ServiceConfig:
         ``retry_after``) and a clean close.
     max_inflight_requests:
         Requests allowed in flight across all connections; excess
-        requests are answered ``overloaded`` without touching a shard.
+        requests are answered ``overloaded`` (with ``retry_after``)
+        without touching a shard — the service's overload protection.
     read_timeout:
         Per-connection read deadline in seconds (``None`` disables): a
         connection idle (or dribbling, slow-loris style) past the
@@ -94,9 +75,6 @@ class ServiceConfig:
     n_shards: int = 4
     data_dir: Optional[str] = None
     durability: str = "batch"
-    backpressure: CircuitBreakerConfig = field(default_factory=CircuitBreakerConfig)
-    queue_high_watermark: int = 1024
-    capacity: Optional[ResourceVector] = None
     dedup_window: int = 1024
     max_connections: int = 128
     max_inflight_requests: int = 1024
@@ -110,10 +88,6 @@ class ServiceConfig:
         if self.durability not in DURABILITY_MODES:
             raise ValueError(
                 f"durability must be one of {DURABILITY_MODES}, got {self.durability!r}"
-            )
-        if self.queue_high_watermark < 1:
-            raise ValueError(
-                f"queue_high_watermark must be >= 1, got {self.queue_high_watermark}"
             )
         if self.dedup_window < 0:
             raise ValueError(f"dedup_window must be >= 0, got {self.dedup_window}")

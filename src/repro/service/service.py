@@ -156,7 +156,7 @@ def read_current(data_dir: str) -> List[Dict[str, Any]]:
 
 
 class AllocationService:
-    """Sharded, durable, backpressured allocation service."""
+    """Sharded, durable allocation service."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self._config = config if config is not None else ServiceConfig()
@@ -203,9 +203,6 @@ class AllocationService:
         self._shards = []
         for index in range(config.n_shards):
             allocator = TaskOrientedAllocator(config.shard_allocator_config(index))
-            if config.capacity is not None:
-                ceiling = config.capacity
-                allocator.set_capacity_provider(lambda ceiling=ceiling: ceiling)
             wal_path = None
             if config.data_dir is not None:
                 wal_path = os.path.join(config.data_dir, _wal_filename(index))
@@ -215,8 +212,6 @@ class AllocationService:
                     allocator,
                     wal_path=wal_path,
                     durability=config.durability,
-                    backpressure=config.backpressure,
-                    queue_high_watermark=config.queue_high_watermark,
                     dedup_window=config.dedup_window,
                     probe_interval=config.degraded_probe_interval,
                 )
@@ -637,7 +632,9 @@ class AllocationService:
             "n_shards": self._config.n_shards,
             "algorithm": self._config.allocator.algorithm,
             "ops": sum(s["seq"] for s in shards),
-            "shed": sum(s["shed"] for s in shards),
+            # Nothing is shed any more; the key stays because the e2e
+            # benchmark's frozen workloads read it.
+            "shed": 0,
             "recovered_ops": self.recovered_ops,
             "shards": shards,
         }
@@ -649,8 +646,8 @@ class AllocationService:
         was aborted).  ``degraded`` is true while any shard's storage is
         refusing writes — the service still answers reads and typed
         refusals, so it is *not* folded into ``ok``.  The per-shard rows
-        carry queue depth, breaker state, dedup occupancy, WAL byte
-        sizes, and the last durable seq, so an operator can see storage
+        carry queue depth, dedup occupancy, WAL byte sizes, and the last
+        durable seq, so an operator can see storage
         pressure before it becomes an outage.
         """
         shards = [shard.stats() for shard in self._shards]

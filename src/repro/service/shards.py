@@ -12,9 +12,9 @@ issuing the same operations in the applied order — the linearizability
 tests replay exactly that claim.
 
 The applied-operation sequence number (``seq``) is the shard's logical
-clock: it orders the WAL, stamps every response, and drives the
-backpressure breaker (so breaker cooldowns count operations, never
-wall-clock — the shard stays deterministic and reprolint-R1 clean).
+clock: it orders the WAL and stamps every response.  A shard never
+answers on its own authority — overload is bounded at the server edge
+(``max_inflight_requests``), so every answer is the allocator's.
 
 **Exactly-once:** an operation carrying a client idempotency ``key`` is
 applied at most once per key.  The shard remembers the last
@@ -33,9 +33,9 @@ a single attribute check.
 
 **Degraded mode:** a storage error (``OSError`` — real or injected by
 :mod:`repro.faultfs`) during the WAL append does *not* kill the writer.
-The planned batch is rolled back (sequence numbers and breaker state
-restored — the WAL must stay gap-free), the poisoned handle is dropped
-without a retry-fsync (fsyncgate), and the shard turns read-only:
+The planned batch is rolled back (sequence numbers restored — the WAL
+must stay gap-free), the poisoned handle is dropped without a
+retry-fsync (fsyncgate), and the shard turns read-only:
 mutating submissions fail fast with the typed
 :class:`StorageUnavailable` (the wire layer maps it to
 ``storage_unavailable`` + ``retry_after``) until a periodic probe —
@@ -66,7 +66,6 @@ from repro.checkpoint import (
 from repro.core.allocator import TaskOrientedAllocator
 from repro.core.resources import RESOURCES, ResourceVector
 from repro.service.chaos import CRASH_POINTS, CrashPointFired
-from repro.sim.resilience import CircuitBreaker, CircuitBreakerConfig
 
 __all__ = [
     "OP_ALLOCATE",
@@ -142,36 +141,22 @@ def shard_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def apply_op(
-    allocator: TaskOrientedAllocator, op: Dict[str, Any], shed: bool = False
-) -> Dict[str, Any]:
+def apply_op(allocator: TaskOrientedAllocator, op: Dict[str, Any]) -> Dict[str, Any]:
     """Apply one operation document to an allocator, sequentially.
 
     This is the *only* place operation semantics live: the live shard
     writer, WAL recovery, and the test suite's single-threaded reference
     replays all call it, which is what makes "replay the claimed order"
-    a meaningful check.  ``shed=True`` answers an allocation request
-    conservatively without touching the allocator at all (the
-    backpressure path), so a shed operation is state-neutral by
-    construction.
+    a meaningful check.
     """
     kind = op["op"]
     category = str(op["category"])
     if kind == OP_ALLOCATE:
-        if shed:
-            vector = allocator.conservative_allocation()
-            mode = "conservative"
-        else:
-            exploring = allocator.in_exploration(category)
-            vector = allocator.allocate(category, int(op["task_id"]))
-            mode = "exploratory" if exploring else "predicted"
+        exploring = allocator.in_exploration(category)
+        vector = allocator.allocate(category, int(op["task_id"]))
+        mode = "exploratory" if exploring else "predicted"
         return {"allocation": vector.state_dict(), "mode": mode}
     if kind == OP_RETRY:
-        if shed:
-            return {
-                "allocation": allocator.conservative_allocation().state_dict(),
-                "mode": "conservative",
-            }
         vector = allocator.allocate_retry(
             category,
             int(op["task_id"]),
@@ -197,7 +182,6 @@ class _Work:
     """One submission: a contiguous run of operations and their reply."""
 
     ops: Sequence[Dict[str, Any]]
-    depth: int
     future: "asyncio.Future[List[Dict[str, Any]]]"
 
 
@@ -214,7 +198,7 @@ class _Stop:
 
 
 class AllocationShard:
-    """One single-writer shard: allocator + WAL + backpressure breaker."""
+    """One single-writer shard: allocator + WAL + dedup window."""
 
     def __init__(
         self,
@@ -222,8 +206,6 @@ class AllocationShard:
         allocator: TaskOrientedAllocator,
         wal_path: Optional[str] = None,
         durability: str = "batch",
-        backpressure: Optional[CircuitBreakerConfig] = None,
-        queue_high_watermark: int = 1024,
         dedup_window: int = 0,
         probe_interval: int = 16,
     ) -> None:
@@ -233,7 +215,6 @@ class AllocationShard:
         self.allocator = allocator
         #: Applied-operation count; the shard's logical clock.
         self.seq = 0
-        self.shed_count = 0
         self.failed_ops = 0
         #: Keyed requests answered from the dedup window instead of applied.
         self.dedup_hits = 0
@@ -247,19 +228,18 @@ class AllocationShard:
         #: Highest seq known to be durably in the WAL (== ``seq`` while
         #: healthy; frozen at the pre-failure value while degraded).
         self.last_durable_seq = 0
+        #: WAL length after the last successful group commit, kept while
+        #: degraded: the bytes past it belong to the refused batch.
+        self._committed_wal_bytes = 0
         self._probe_interval = probe_interval
         self._probe_ticks = 0
         self._wal_path = wal_path
         self._durability = durability
         self._wal: Optional[JournalWriter] = None
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
-        self._watermark = queue_high_watermark
         self._dedup_window = dedup_window
         #: key -> stored response, oldest first (insertion == apply order).
         self._dedup: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._breaker: Optional[CircuitBreaker] = None
-        if backpressure is not None and backpressure.enabled:
-            self._breaker = CircuitBreaker(backpressure)
         self._writer: Optional[asyncio.Task] = None
 
     # -- lifecycle -------------------------------------------------------------
@@ -317,7 +297,7 @@ class AllocationShard:
         future: "asyncio.Future[List[Dict[str, Any]]]" = (
             asyncio.get_running_loop().create_future()
         )
-        self._queue.put_nowait(_Work(ops=ops, depth=self._queue.qsize(), future=future))
+        self._queue.put_nowait(_Work(ops=ops, future=future))
         return await future
 
     def quiesce(self) -> _Quiesce:
@@ -329,10 +309,6 @@ class AllocationShard:
     @property
     def queue_depth(self) -> int:
         return self._queue.qsize()
-
-    @property
-    def breaker(self) -> Optional[CircuitBreaker]:
-        return self._breaker
 
     # -- the single writer -----------------------------------------------------
 
@@ -411,15 +387,11 @@ class AllocationShard:
                     self.index, self.degraded_reason or "storage write failed"
                 )
         # Captured for rollback: a failed WAL append must leave no seq
-        # gap (replay would refuse the log) and no phantom breaker
-        # outcomes for operations that never happened.
+        # gap (replay would refuse the log).
         seq_before = self.seq
-        breaker_before = (
-            self._breaker.state_dict() if self._breaker is not None else None
-        )
-        # (work, op, seq, shed, key, dup): dup entries resolve from the
-        # dedup window after the batch applies.
-        planned: List[Tuple[_Work, Dict[str, Any], int, bool, Optional[str], bool]] = []
+        # (work, op, seq, key, dup): dup entries resolve from the dedup
+        # window after the batch applies.
+        planned: List[Tuple[_Work, Dict[str, Any], int, Optional[str], bool]] = []
         entries: List[Dict[str, Any]] = []
         # Keys planned for apply in THIS batch: group commit can coalesce
         # two submissions of the same key into one batch, where the dedup
@@ -429,29 +401,20 @@ class AllocationShard:
             for op in work.ops:
                 key = op.get("key") if self._dedup_window else None
                 if key is not None and (key in self._dedup or key in planned_keys):
-                    planned.append((work, op, 0, False, key, True))
+                    planned.append((work, op, 0, key, True))
                     continue
                 if key is not None:
                     planned_keys[key] = id(work)
                 self.seq += 1
-                shed = False
-                if self._breaker is not None:
-                    now = float(self.seq)
-                    if op["op"] in (OP_ALLOCATE, OP_RETRY):
-                        shed = self._breaker.conservative(now)
-                    self._breaker.record_outcome(work.depth <= self._watermark, now)
-                planned.append((work, op, self.seq, shed, key, False))
-                entry: Dict[str, Any] = {"seq": self.seq, "op": op}
-                if shed:
-                    entry["shed"] = True
-                entries.append(entry)
+                planned.append((work, op, self.seq, key, False))
+                entries.append({"seq": self.seq, "op": op})
         if entries:
             CRASH_POINTS.hit(SITE_WAL_APPEND_BEFORE)
             if self._wal is not None:
                 try:
                     self._wal.append_many(entries)
                 except OSError as exc:
-                    self._enter_degraded(exc, seq_before, breaker_before)
+                    self._enter_degraded(exc, seq_before)
                     raise StorageUnavailable(
                         self.index, f"WAL append failed: {exc}"
                     ) from exc
@@ -459,7 +422,7 @@ class AllocationShard:
             CRASH_POINTS.hit(SITE_WAL_APPEND_AFTER)
         results: Dict[int, List[Dict[str, Any]]] = {}
         errors: Dict[int, BaseException] = {}
-        for work, op, seq, shed, key, dup in planned:
+        for work, op, seq, key, dup in planned:
             if dup:
                 # Exactly-once: answer the retry with the stored
                 # response verbatim — no allocator touch, no new seq.
@@ -483,7 +446,7 @@ class AllocationShard:
                 continue
             CRASH_POINTS.hit(SITE_APPLY_BEFORE)
             try:
-                result = apply_op(self.allocator, op, shed=shed)
+                result = apply_op(self.allocator, op)
             except Exception as exc:
                 # Pre-validation makes this unreachable for well-formed
                 # requests; a misbehaving allocator still must not kill
@@ -492,8 +455,6 @@ class AllocationShard:
                 errors[id(work)] = exc
                 result = {"error": str(exc)}
             CRASH_POINTS.hit(SITE_APPLY_AFTER)
-            if shed:
-                self.shed_count += 1
             result["shard"] = self.index
             result["seq"] = seq
             if key is not None and id(work) not in errors:
@@ -516,12 +477,7 @@ class AllocationShard:
 
     # -- degraded mode ---------------------------------------------------------
 
-    def _enter_degraded(
-        self,
-        exc: OSError,
-        seq_before: int,
-        breaker_before: Optional[Dict[str, Any]],
-    ) -> None:
+    def _enter_degraded(self, exc: OSError, seq_before: int) -> None:
         """A WAL append failed: roll the batch back and turn read-only.
 
         The handle is abandoned, never fsync-retried (fsyncgate: a
@@ -533,10 +489,9 @@ class AllocationShard:
         self.degraded = True
         self.degraded_reason = str(exc)
         self.seq = seq_before
-        if self._breaker is not None and breaker_before is not None:
-            self._breaker.load_state(breaker_before)
         self._probe_ticks = 0
         if self._wal is not None:
+            self._committed_wal_bytes = self._wal.committed_bytes
             self._wal.abandon()
             self._wal = None
 
@@ -544,12 +499,15 @@ class AllocationShard:
     def _probe_storage(self) -> bool:
         """Try to heal a degraded shard: repair the tail, reopen fresh.
 
-        A short write may have left half a frame at the end of the
-        journal; appending to it would weld the next record onto debris,
-        so the tail is truncated to the last complete valid frame before
-        a new :class:`~repro.checkpoint.JournalWriter` opens.  If the
-        repair finds *mid-stream* corruption (rot hit the live WAL while
-        we were degraded — a double fault), the journal is quarantined:
+        The failed append may have left half a frame at the end of the
+        journal (appending to it would weld the next record onto debris)
+        or whole frames of the refused batch (the next batch reuses
+        their sequence numbers, so a replay would apply the refused
+        operations and skip the accepted ones).  Both are cut off at the
+        length of the last successful group commit before a new
+        :class:`~repro.checkpoint.JournalWriter` opens.  If the repair
+        finds *mid-stream* corruption (rot hit the live WAL while we
+        were degraded — a double fault), the journal is quarantined:
         in-memory state is intact and the next snapshot restores full
         durability; only a crash before that snapshot would lose the
         quarantined suffix.
@@ -557,7 +515,7 @@ class AllocationShard:
         assert self._wal_path is not None
         try:
             try:
-                repair_journal_tail(self._wal_path)
+                repair_journal_tail(self._wal_path, self._committed_wal_bytes)
             except JournalCorruptError:
                 quarantine_file(self._wal_path)
             self._wal = JournalWriter(self._wal_path, sync=self._durability)
@@ -575,9 +533,7 @@ class AllocationShard:
         """This shard's slice of the multi-shard snapshot envelope."""
         return {
             "seq": self.seq,
-            "shed_count": self.shed_count,
             "allocator": self.allocator.state_dict(),
-            "breaker": self._breaker.state_dict() if self._breaker is not None else None,
             "dedup": [[key, dict(resp)] for key, resp in self._dedup.items()],
             "dedup_hits": self.dedup_hits,
         }
@@ -588,9 +544,11 @@ class AllocationShard:
         A state without one of its keys was written by another format;
         reading it with a default would, for ``dedup``, start with an
         empty idempotency window and silently void exactly-once for
-        every key in flight.  It is refused instead.
+        every key in flight.  It is refused instead.  The ``shed_count``
+        and ``breaker`` keys of older states name a removed feature and
+        are ignored.
         """
-        for key in ("seq", "shed_count", "allocator", "breaker", "dedup", "dedup_hits"):
+        for key in ("seq", "allocator", "dedup", "dedup_hits"):
             if key not in state:
                 raise CheckpointError(
                     f"shard {self.index} snapshot state has no {key!r}: "
@@ -598,10 +556,7 @@ class AllocationShard:
                 )
         self.seq = int(state["seq"])
         self.last_durable_seq = self.seq
-        self.shed_count = int(state["shed_count"])
         self.allocator.load_state(state["allocator"])
-        if self._breaker is not None and state["breaker"] is not None:
-            self._breaker.load_state(state["breaker"])
         self._dedup = OrderedDict(
             (str(key), dict(resp)) for key, resp in state["dedup"]
         )
@@ -613,7 +568,9 @@ class AllocationShard:
         Entries at or below the snapshot's ``seq`` are skipped (the WAL
         is only archived *after* a covering snapshot commits, so
         overlap is expected after a crash between the two).  A gap means
-        a corrupt log and is refused.
+        a corrupt log and is refused, and so is an entry marked ``shed``:
+        only an older build's backpressure breaker wrote those, and
+        re-applying one as a real allocation would diverge.
         """
         applied = 0
         for entry in entries:
@@ -625,11 +582,14 @@ class AllocationShard:
                     f"shard {self.index} WAL gap: have seq {self.seq}, "
                     f"next entry is {seq}"
                 )
-            shed = bool(entry.get("shed", False))
+            if "shed" in entry:
+                raise CheckpointError(
+                    f"shard {self.index} WAL entry seq {seq} was shed by a "
+                    "removed backpressure breaker; refused rather than "
+                    "re-applied as an allocation"
+                )
             op = entry["op"]
-            result = apply_op(self.allocator, op, shed=shed)
-            if shed:
-                self.shed_count += 1
+            result = apply_op(self.allocator, op)
             self.seq = seq
             key = op.get("key") if self._dedup_window else None
             if key is not None:
@@ -650,16 +610,25 @@ class AllocationShard:
         quiesce barrier): instead of truncating — which would destroy
         the only replay source an *older* snapshot generation needs for
         fallback — the WAL is closed, renamed to ``segment_path``, and a
-        fresh empty WAL opens.  A degraded shard archives whatever the
-        dying handle left behind (torn tails are read-tolerated) and
-        stays closed; the recovery probe reopens it.
+        fresh empty WAL opens.  A degraded shard first cuts the WAL back
+        to its last successful group commit (the refused batch's bytes
+        are not part of any state; mid-stream corruption is quarantined
+        as the probe does) and stays closed; the recovery probe reopens
+        it.
         """
         if self._wal_path is None:
             return
         self.close_wal()
+        if self.degraded:
+            try:
+                repair_journal_tail(self._wal_path, self._committed_wal_bytes)
+            except JournalCorruptError:
+                quarantine_file(self._wal_path)
         if os.path.exists(self._wal_path) and os.path.getsize(self._wal_path) > 0:
             os.replace(self._wal_path, segment_path)
-        if not self.degraded:
+        if self.degraded:
+            self._committed_wal_bytes = 0  # the probe starts a new file
+        else:
             self.open_wal()
 
     # -- introspection ---------------------------------------------------------
@@ -669,7 +638,6 @@ class AllocationShard:
             "index": self.index,
             "seq": self.seq,
             "queue_depth": self.queue_depth,
-            "shed": self.shed_count,
             "failed_ops": self.failed_ops,
             "dedup_size": len(self._dedup),
             "dedup_hits": self.dedup_hits,
@@ -683,11 +651,6 @@ class AllocationShard:
             ),
             "categories": len(self.allocator.categories()),
             "records": sum(self.allocator.records_counts().values()),
-            "breaker": (
-                self._breaker.state(float(self.seq)).value
-                if self._breaker is not None
-                else None
-            ),
         }
 
     def __repr__(self) -> str:

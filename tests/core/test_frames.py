@@ -165,15 +165,16 @@ def test_every_journal_reader_gives_the_same_verdict(tmp_path, case):
     else:
         assert findings == []
 
-    # repair_journal_tail, last (it writes): refuses what the others call
-    # corrupt, and otherwise truncates to exactly the scan's good bytes.
+    # repair_journal_tail, last (it writes): with everything committed,
+    # refuses what the others call corrupt, and otherwise truncates to
+    # exactly the scan's good bytes.
     if verdict == "corrupt":
         with pytest.raises(JournalCorruptError) as excinfo:
-            repair_journal_tail(str(path))
+            repair_journal_tail(str(path), len(blob))
         assert (excinfo.value.line, excinfo.value.offset) == (line, offset)
         assert path.read_bytes() == blob
     else:
-        assert repair_journal_tail(str(path)) == len(blob) - good_bytes
+        assert repair_journal_tail(str(path), len(blob)) == len(blob) - good_bytes
         assert path.read_bytes() == blob[: good_bytes]
         assert (len(blob) > good_bytes) == (verdict == "torn")
 

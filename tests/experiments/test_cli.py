@@ -91,3 +91,25 @@ class TestFaultFlags:
             ["figure4", "--tasks", "80", "--faults", "fixed", "--fault-seed", "3"]
         ) == 0
         assert "Figure 4" in capsys.readouterr().out
+
+
+class TestServiceChaos:
+    @pytest.mark.parametrize("match,code", [(True, 0), (False, 1)])
+    def test_exit_code_follows_the_verdict(self, monkeypatch, capsys, match, code):
+        from repro.experiments import service_chaos
+
+        result = service_chaos.ServiceChaosResult(
+            n_ops=1,
+            seed=0,
+            reference_digests=["d"],
+            crashes={"shard.apply.before": (match, 1, 0)},
+        )
+        monkeypatch.setattr(service_chaos, "run", lambda seed: result)
+        assert main(["service-chaos"]) == code
+        out = capsys.readouterr().out
+        assert ("STATE DIVERGED" in out) is not match
+
+    def test_per_op_durability_is_a_usage_error(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--durability", "op"])
+        assert build_parser().parse_args(["serve", "--durability", "batch"]).durability == "batch"

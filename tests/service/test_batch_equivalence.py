@@ -12,6 +12,7 @@ order-sensitive internals where coalescing bugs would hide.
 """
 
 import asyncio
+from dataclasses import replace
 from typing import Any, Dict, List
 
 import pytest
@@ -127,7 +128,8 @@ def test_batch_matches_sequential_with_capacity_clamp():
     async def scenario():
         ceiling = ResourceVector.of(cores=4, memory=900.0, disk=400.0)
         ops = _script()
-        config = _config("greedy_bucketing", {}, capacity=ceiling)
+        base = _config("greedy_bucketing", {})
+        config = replace(base, allocator=replace(base.allocator, machine_capacity=ceiling))
         seq_responses, seq_digests = await _sequential(config, ops)
         clamped = [
             r
@@ -135,9 +137,7 @@ def test_batch_matches_sequential_with_capacity_clamp():
             if r.get("mode") == "retry" and r["allocation"]["memory"] == 900.0
         ]
         assert clamped, "script must exercise the capacity clamp"
-        batch_responses, batch_digests = await _batched(
-            _config("greedy_bucketing", {}, capacity=ceiling), ops, 7
-        )
+        batch_responses, batch_digests = await _batched(config, ops, 7)
         assert batch_responses == seq_responses
         assert batch_digests == seq_digests
 

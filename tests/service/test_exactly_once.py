@@ -46,7 +46,7 @@ def _config(data_dir: Optional[str] = None, dedup_window: int = 256) -> ServiceC
         ),
         n_shards=3,
         data_dir=data_dir,
-        durability="op",
+        durability="batch",
         dedup_window=dedup_window,
     )
 
@@ -362,7 +362,7 @@ def _spawn_daemon(
         "--service-seed",
         "3",
         "--durability",
-        "op",
+        "batch",
     ]
     if chaos_crash is not None:
         argv += ["--chaos-crash", chaos_crash]

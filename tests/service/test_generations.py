@@ -41,7 +41,7 @@ def _config(data_dir, **overrides):
         allocator=AllocatorConfig(algorithm="greedy_bucketing", seed=11),
         n_shards=2,
         data_dir=str(data_dir),
-        durability="op",
+        durability="batch",
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)

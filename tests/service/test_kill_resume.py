@@ -76,7 +76,7 @@ def _config(data_dir: Optional[str] = None) -> ServiceConfig:
         ),
         n_shards=3,
         data_dir=data_dir,
-        durability="op",
+        durability="batch",
     )
 
 
@@ -220,7 +220,7 @@ def _spawn_daemon(socket_path: str, data_dir: str) -> subprocess.Popen:
             "--service-seed",
             "3",
             "--durability",
-            "op",
+            "batch",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

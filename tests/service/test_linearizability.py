@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
 from repro.service import AllocationService, ServiceConfig, apply_op
-from repro.sim.resilience import CircuitBreakerConfig
 
 N_SHARDS = 2
 CATEGORIES = ["proc", "merge", "fit", "plot", "scan", "calib"]
@@ -164,8 +163,7 @@ def _check_linearizable(
         ), f"shard {index} seqs have gaps or duplicates"
         reference = TaskOrientedAllocator(config.shard_allocator_config(index))
         for seq, doc, response in claimed:
-            shed = response.get("mode") == "conservative"
-            expected = apply_op(reference, doc, shed=shed)
+            expected = apply_op(reference, doc)
             assert _strip(response) == expected, (
                 f"shard {index} seq {seq}: live response diverges from the "
                 "single-threaded replay of the claimed order"
@@ -280,40 +278,9 @@ def test_duplicate_keyed_submissions_linearize_exactly_once(
             if seq in seen:
                 continue
             seen.add(seq)
-            shed = response.get("mode") == "conservative"
-            expected = apply_op(reference, doc, shed=shed)
+            expected = apply_op(reference, doc)
             assert _strip(response) == expected
         assert digests[index] == reference.digest(), (
             f"shard {index}: state diverged — some key applied twice"
         )
 
-
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(schedule=_schedule)
-def test_linearizable_under_backpressure(schedule):
-    """Shed responses are part of the order and state-neutral on replay.
-
-    With an aggressive breaker some allocations come back conservative;
-    the replay applies exactly the claimed shed decisions and must still
-    reproduce every response and the final digests bit-for-bit.
-    """
-
-    async def scenario():
-        config = _service_config(
-            backpressure=CircuitBreakerConfig(
-                enabled=True, window=4, failure_threshold=0.5, cooldown=8.0
-            ),
-            queue_high_watermark=1,
-        )
-        service = AllocationService(config)
-        await service.start()
-        logs = await _run_schedule(service, schedule)
-        digests = service.shard_digests()
-        await service.stop()
-        _check_linearizable(config, logs, digests)
-
-    asyncio.run(scenario())

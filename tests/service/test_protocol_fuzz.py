@@ -48,7 +48,7 @@ def _config(data_dir=None):
         ),
         n_shards=2,
         data_dir=data_dir,
-        durability="op" if data_dir else "none",
+        durability="batch" if data_dir else "none",
     )
 
 

@@ -1,5 +1,5 @@
-"""Unit tests for the allocation service: sharding, API, backpressure,
-durability plumbing, and the protocol validators.
+"""Unit tests for the allocation service: sharding, API, overload,
+durability plumbing, layering, and the protocol validators.
 
 The concurrency-heavy properties live in ``test_linearizability.py``;
 batch semantics in ``test_batch_equivalence.py``; crash recovery in
@@ -10,14 +10,19 @@ free.
 import asyncio
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
 from repro.core.resources import MEMORY, ResourceVector
+import repro
+from repro.checkpoint import CheckpointError, JournalWriter
 from repro.service import (
     AllocationServer,
     AllocationService,
+    AllocationShard,
     AsyncServiceClient,
     ProtocolError,
     ServiceConfig,
@@ -33,7 +38,6 @@ from repro.service.protocol import (
     validate_request,
 )
 from repro.service.server import RETRY_AFTER_S
-from repro.sim.resilience import CircuitBreakerConfig
 
 
 def run(coro):
@@ -91,8 +95,10 @@ def test_config_validation():
         ServiceConfig(n_shards=0)
     with pytest.raises(ValueError):
         ServiceConfig(durability="sometimes")
+    # One fsync per group commit already precedes every answer of the
+    # batch, so a per-op fsync mode would promise clients nothing more.
     with pytest.raises(ValueError):
-        ServiceConfig(queue_high_watermark=0)
+        ServiceConfig(durability="op")
 
 
 @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
@@ -167,15 +173,27 @@ def test_allocate_retry_matches_reference():
 def test_capacity_ceiling_clamps_retry_growth():
     async def scenario():
         ceiling = ResourceVector.of(cores=2, memory=1500.0, disk=500.0)
-        config = _config(n_shards=1, capacity=ceiling)
+        config = _config(
+            n_shards=1,
+            allocator=AllocatorConfig(
+                algorithm="greedy_bucketing", seed=11, machine_capacity=ceiling
+            ),
+        )
         service = AllocationService(config)
         await service.start()
         previous = ResourceVector.of(cores=1, memory=1400.0, disk=100.0)
         grown = await service.allocate_retry(
             "proc", 0, previous=previous, observed=previous, exhausted=[MEMORY]
         )
-        # Doubling would ask for 2800 MB; no alive worker can host it.
+        # Doubling would ask for 2800 MB; no machine can host it.
         assert grown[MEMORY] == 1500.0
+        assert service.shards[0].allocator.capacity_clamps_total == 0
+        # Pinned at the ceiling, a further retry cannot grow at all: the
+        # static clamp stopped it, and the allocator counts that.
+        pinned = await service.allocate_retry(
+            "proc", 0, previous=grown, observed=grown, exhausted=[MEMORY]
+        )
+        assert pinned[MEMORY] == 1500.0
         assert service.shards[0].allocator.capacity_clamps_total == 1
         await service.stop()
 
@@ -231,12 +249,12 @@ def test_stats_shape():
         stats = service.stats()
         assert stats["n_shards"] == 3
         assert stats["ops"] == 1
+        # The service sheds nothing; the key stays for stats readers.
         assert stats["shed"] == 0
         assert len(stats["shards"]) == 3
         for shard_stats in stats["shards"]:
-            assert {"index", "seq", "queue_depth", "shed", "categories"} <= set(
-                shard_stats
-            )
+            assert {"index", "seq", "queue_depth", "categories"} <= set(shard_stats)
+            assert not {"shed", "breaker"} & set(shard_stats)
         await service.stop()
 
     run(scenario())
@@ -348,7 +366,7 @@ def _assert_refused_before_the_wal(tmp_path, bodies):
 
     async def scenario():
         data_dir = str(tmp_path / "data")
-        config = _config(data_dir=data_dir, n_shards=1, durability="op")
+        config = _config(data_dir=data_dir, n_shards=1, durability="batch")
         service = AllocationService(config)
         await service.start()
         sock = str(tmp_path / "svc.sock")
@@ -422,85 +440,8 @@ def test_task_id_outside_int64_is_refused_before_the_wal(tmp_path, task_id):
 
 
 # ---------------------------------------------------------------------------
-# Backpressure
+# Overload
 # ---------------------------------------------------------------------------
-
-
-def test_backpressure_sheds_to_conservative_under_queue_pressure():
-    async def scenario():
-        config = _config(
-            n_shards=1,
-            backpressure=CircuitBreakerConfig(
-                enabled=True, window=6, failure_threshold=0.5, cooldown=1000.0
-            ),
-            queue_high_watermark=4,
-        )
-        service = AllocationService(config)
-        await service.start()
-        conservative = service.shards[0].allocator.conservative_allocation()
-        # Launch a burst without yielding: every submission sees the
-        # depth left by the previous one, so the queue ramps 0,1,2,...
-        tasks = [
-            asyncio.ensure_future(
-                service.submit({"op": "allocate", "category": "proc", "task_id": i})
-            )
-            for i in range(30)
-        ]
-        results = await asyncio.gather(*tasks)
-        shed = [r for r in results if r["mode"] == "conservative"]
-        assert shed, "deep queue must trip the breaker and shed"
-        for result in shed:
-            assert ResourceVector.from_state(result["allocation"]) == conservative
-        assert service.stats()["shed"] == len(shed)
-        assert service.shards[0].breaker.trips >= 1
-        # Idle service, shallow queue: the breaker's window refills with
-        # successes only after its cooldown; a fresh service stays closed.
-        await service.stop()
-
-        calm = AllocationService(_config(n_shards=1))
-        await calm.start()
-        for i in range(30):
-            result = await calm.submit(
-                {"op": "allocate", "category": "proc", "task_id": i}
-            )
-            assert result["mode"] != "conservative"
-        assert calm.stats()["shed"] == 0
-        await calm.stop()
-
-    run(scenario())
-
-
-def test_record_is_never_shed():
-    async def scenario():
-        config = _config(
-            n_shards=1,
-            backpressure=CircuitBreakerConfig(
-                enabled=True, window=2, failure_threshold=0.5, cooldown=1000.0
-            ),
-            queue_high_watermark=1,
-        )
-        service = AllocationService(config)
-        await service.start()
-        ops = []
-        for i in range(20):
-            ops.append({"op": "allocate", "category": "proc", "task_id": i})
-            ops.append(
-                {
-                    "op": "record",
-                    "category": "proc",
-                    "task_id": i,
-                    "peaks": {"cores": 1, "memory": 500.0, "disk": 10.0},
-                }
-            )
-        tasks = [asyncio.ensure_future(service.submit(op)) for op in ops]
-        results = await asyncio.gather(*tasks)
-        records = [r for r in results if "recorded" in r]
-        assert len(records) == 20
-        assert service.shards[0].allocator.records_count("proc") == 20
-        assert any(r.get("mode") == "conservative" for r in results)
-        await service.stop()
-
-    run(scenario())
 
 
 def test_inflight_limit_answers_overloaded_without_touching_a_shard(tmp_path):
@@ -602,18 +543,72 @@ def test_resume_refuses_mismatched_fingerprint(tmp_path):
     run(scenario())
 
 
+def _records(n):
+    return [
+        {
+            "op": "record",
+            "category": "proc",
+            "task_id": i,
+            "peaks": {"cores": 1, "memory": 300.0 + 40.0 * i, "disk": 10.0},
+            "key": f"r{i}",
+        }
+        for i in range(n)
+    ]
+
+
+def test_older_shard_state_with_breaker_keys_restores_to_the_same_digest():
+    """States written while the shard still had a breaker carry
+    ``shed_count`` and ``breaker``; they restore, keys ignored."""
+
+    async def scenario():
+        service = AllocationService(_config(n_shards=1))
+        await service.start()
+        for op in _records(6):
+            await service.submit(op)
+        state = service.shards[0].state()
+        digests = service.shard_digests()
+        await service.stop()
+        return state, digests
+
+    state, digests = run(scenario())
+    assert not {"shed_count", "breaker"} & set(state)
+    older = json.loads(json.dumps(dict(state, shed_count=0, breaker=None)))
+    config = _config(n_shards=1)
+    shard = AllocationShard(
+        0, TaskOrientedAllocator(config.shard_allocator_config(0)), dedup_window=1024
+    )
+    shard.restore(older)
+    assert shard.allocator.digest() == digests[0]
+    assert shard.seq == state["seq"] and shard.state() == state
+
+
+def test_replay_refuses_a_shed_wal_entry(tmp_path):
+    """A ``shed`` entry answered with a whole machine and left the
+    allocator untouched; replay must not apply it as an allocation."""
+
+    async def scenario():
+        data_dir = str(tmp_path / "data")
+        config = _config(data_dir=data_dir, n_shards=1)
+        service = AllocationService(config)
+        await service.start()
+        for op in _records(3):
+            await service.submit(op)
+        await service.stop()
+        with JournalWriter(os.path.join(data_dir, "shard-00.wal")) as wal:
+            op = {"op": "allocate", "category": "proc", "task_id": 9}
+            wal.append({"seq": 4, "op": op, "shed": True})
+        with pytest.raises(CheckpointError, match="shard 0 WAL entry seq 4"):
+            await AllocationService(config).start()
+
+    run(scenario())
+
+
 def test_apply_op_is_the_single_semantics_point():
     # The WAL replayer, the live writer, and the reference replays all
     # route through apply_op; spot-check its contract directly.
     allocator = TaskOrientedAllocator(AllocatorConfig(seed=1))
     result = apply_op(allocator, {"op": "allocate", "category": "c", "task_id": 0})
     assert result["mode"] == "exploratory"
-    shed = apply_op(
-        allocator, {"op": "allocate", "category": "brand-new", "task_id": 1}, shed=True
-    )
-    assert shed["mode"] == "conservative"
-    # Shed operations are state-neutral: the category was never created.
-    assert "brand-new" not in allocator.categories()
     with pytest.raises(ValueError):
         apply_op(allocator, {"op": "nope", "category": "c"})
 
@@ -641,3 +636,23 @@ def test_apply_op_allocates_after_a_vanishing_significance_record():
     result = apply_op(allocator, {"op": "allocate", "category": "c", "task_id": 21})
     assert result["mode"] == "predicted"
     assert result["allocation"]["memory"] in {400.0 + 10.0 * i for i in range(20)} | {9000.0}
+
+
+# ---------------------------------------------------------------------------
+# Layering
+# ---------------------------------------------------------------------------
+
+
+def test_service_stack_does_not_import_the_simulator():
+    code = (
+        "import sys\n"
+        "import repro.service, repro.service.server, repro.service.client, "
+        "repro.service.fsck\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'sim']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -52,7 +52,7 @@ def _config(data_dir, **overrides):
         allocator=AllocatorConfig(algorithm="greedy_bucketing", seed=11),
         n_shards=2,
         data_dir=str(data_dir),
-        durability="op",
+        durability="batch",
         degraded_probe_interval=2,
     )
     defaults.update(overrides)
@@ -63,6 +63,21 @@ def _op(i):
     return {"op": "allocate", "category": f"cat-{i % 3}", "task_id": i, "key": f"k{i}"}
 
 
+def _record(task_id, memory):
+    peaks = {"cores": 1, "memory": memory, "disk": 10.0}
+    return {"op": "record", "category": "cat-0", "task_id": task_id, "peaks": peaks}
+
+
+async def _heal(service, op):
+    """Retry ``op`` through typed refusals until the probe heals the shard."""
+    for _ in range(16):
+        try:
+            return await service.submit(op)
+        except StorageUnavailable:
+            pass
+    raise AssertionError("the recovery probe never healed the shard")
+
+
 # ---------------------------------------------------------------------------
 # Injector mechanics
 # ---------------------------------------------------------------------------
@@ -71,14 +86,14 @@ def _op(i):
 def test_injector_fires_once_at_the_armed_hit(tmp_path):
     path = str(tmp_path / "shard-00.wal")
     FS_FAULTS.arm(FsFaultPlan("eio", at_hit=2, path_substring=".wal"))
-    writer = JournalWriter(path, sync="op")
+    writer = JournalWriter(path, sync="batch")
     writer.append({"seq": 1})  # hit 1: passes
     with pytest.raises(OSError) as excinfo:
         writer.append({"seq": 2})  # hit 2: fires
     assert isinstance(excinfo.value, StorageFault)
     assert excinfo.value.kind == "eio"
     # One-shot: the plan auto-disarmed, the next write goes through.
-    writer2 = JournalWriter(path, sync="op")
+    writer2 = JournalWriter(path, sync="batch")
     writer2.append({"seq": 2})
     writer2.close()
     assert FS_FAULTS.fired == [("eio", "write", path, 2)]
@@ -88,7 +103,7 @@ def test_injector_fires_once_at_the_armed_hit(tmp_path):
 def test_unmatched_paths_are_untouched(tmp_path):
     FS_FAULTS.arm(FsFaultPlan("enospc", at_hit=1, path_substring=".wal"))
     other = str(tmp_path / "results.jsonl")
-    writer = JournalWriter(other, sync="op")
+    writer = JournalWriter(other, sync="batch")
     writer.append({"ok": True})
     writer.close()
     assert FS_FAULTS.fired == []
@@ -97,7 +112,7 @@ def test_unmatched_paths_are_untouched(tmp_path):
 
 def test_short_write_leaves_repairable_debris(tmp_path):
     path = str(tmp_path / "shard-00.wal")
-    writer = JournalWriter(path, sync="op")
+    writer = JournalWriter(path, sync="batch")
     writer.append({"seq": 1})
     FS_FAULTS.arm(FsFaultPlan("short-write", at_hit=1, path_substring=".wal"))
     with pytest.raises(OSError):
@@ -105,9 +120,9 @@ def test_short_write_leaves_repairable_debris(tmp_path):
     # A torn half-frame landed in the file; the reader forgives it and
     # the repair truncates it so appends resume on a line boundary.
     assert read_jsonl(path) == [{"seq": 1}]
-    dropped = repair_journal_tail(path)
+    dropped = repair_journal_tail(path, writer.committed_bytes)
     assert dropped > 0
-    writer2 = JournalWriter(path, sync="op")
+    writer2 = JournalWriter(path, sync="batch")
     writer2.append({"seq": 2})
     writer2.close()
     assert read_jsonl(path) == [{"seq": 1}, {"seq": 2}]
@@ -115,7 +130,7 @@ def test_short_write_leaves_repairable_debris(tmp_path):
 
 def test_fsyncgate_retry_on_poisoned_handle_raises(tmp_path):
     path = str(tmp_path / "shard-00.wal")
-    writer = JournalWriter(path, sync="op")
+    writer = JournalWriter(path, sync="batch")
     FS_FAULTS.arm(FsFaultPlan("fsync-fail", at_hit=1, path_substring=".wal"))
     with pytest.raises(OSError) as excinfo:
         writer.append({"seq": 1})
@@ -125,17 +140,16 @@ def test_fsyncgate_retry_on_poisoned_handle_raises(tmp_path):
     # the dirty pages may already be gone, so "success" would lie.
     with pytest.raises(RuntimeError, match="fsyncgate"):
         writer.append({"seq": 1})
-    # The legal move: reopen (fresh handle) and rewrite.  The failed
-    # attempts may have left whole duplicate records behind — exactly
-    # why WAL replay filters by sequence number — but never debris the
-    # repair cannot clear, and the reopened writer commits cleanly.
-    repair_journal_tail(path)
-    writer2 = JournalWriter(path, sync="op")
+    # The legal move: cut back to the last committed length, reopen
+    # (fresh handle) and rewrite.  The failed attempts left whole,
+    # never-durable records behind; the cut drops them with any debris,
+    # and the reopened writer commits cleanly.
+    assert read_jsonl(path)
+    assert repair_journal_tail(path, writer.committed_bytes) > 0
+    writer2 = JournalWriter(path, sync="batch")
     writer2.append({"seq": 2})
     writer2.close()
-    docs = read_jsonl(path)
-    assert docs[-1] == {"seq": 2}
-    assert all(doc == {"seq": 1} for doc in docs[:-1])
+    assert read_jsonl(path) == [{"seq": 2}]
 
 
 def test_seeded_fault_plans_are_reproducible():
@@ -193,26 +207,30 @@ def test_wal_fault_degrades_then_probe_heals(tmp_path):
     run(scenario())
 
 
-def test_degraded_rollback_leaves_no_replay_gap(tmp_path):
-    """The refused batch's seq must be rolled back, or restart refuses."""
+@pytest.mark.parametrize("kind", STORAGE_FAULT_KINDS)
+def test_degraded_rollback_leaves_no_replay_gap(tmp_path, kind):
+    """A refused batch leaves neither a seq gap nor frames in the WAL.
+
+    The heal reuses the refused seqs for other operations, so a refused
+    frame still in the file (written before a failed fsync, or whole
+    ahead of a short write's torn half) would replay in their place.
+    """
 
     async def scenario():
         config = _config(tmp_path / "state")
         service = AllocationService(config)
         await service.start()
-        for i in range(4):
-            await service.submit(_op(i))
-        FS_FAULTS.arm(FsFaultPlan("enospc", at_hit=1, path_substring=".wal"))
+        for i in range(12):
+            await service.submit(_record(i, 500.0 + i))
+        # A short write tears the middle of its text: three frames put
+        # the first one whole in the file ahead of the debris.
+        refused = [_record(100 + j, 99999.0) for j in range(3 if kind == "short-write" else 1)]
+        FS_FAULTS.arm(FsFaultPlan(kind, at_hit=1, path_substring=".wal"))
         with pytest.raises(StorageUnavailable):
-            await service.submit(_op(4))
+            await service.submit_batch(refused)
         FS_FAULTS.reset()
-        # Heal by retrying (the probe reopens the WAL), finish the work.
-        while True:
-            try:
-                await service.submit(_op(4))
-                break
-            except StorageUnavailable:
-                pass
+        healed = await _heal(service, _record(12, 700.0))
+        assert healed["seq"] == 13
         live_digests = service.shard_digests()
         service.abort()  # crash without a final snapshot: WAL is truth
 
@@ -220,6 +238,30 @@ def test_degraded_rollback_leaves_no_replay_gap(tmp_path):
         await resumed.start()
         assert resumed.shard_digests() == live_digests
         await resumed.stop()
+
+    run(scenario())
+
+
+def test_snapshot_of_a_degraded_shard_archives_no_refused_frame(tmp_path):
+    """The segment a degraded shard archives stops at its last commit."""
+
+    async def scenario():
+        data_dir = tmp_path / "state"
+        service = AllocationService(_config(data_dir))
+        await service.start()
+        for i in range(5):
+            await service.submit(_record(i, 500.0 + i))
+        FS_FAULTS.arm(FsFaultPlan("fsync-fail", at_hit=1, path_substring=".wal"))
+        with pytest.raises(StorageUnavailable):
+            await service.submit(_record(100, 99999.0))
+        FS_FAULTS.reset()
+        shard = service.shards[service.shard_for("cat-0")]
+        assert shard.degraded
+        await service.snapshot()
+        segment = data_dir / f"shard-{shard.index:02d}.wal.g{service.generation:06d}"
+        assert [doc["seq"] for doc in read_jsonl(str(segment))] == [1, 2, 3, 4, 5]
+        assert (await _heal(service, _record(5, 700.0)))["seq"] == 6
+        await service.stop()
 
     run(scenario())
 
