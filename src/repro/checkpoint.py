@@ -805,11 +805,6 @@ class SimulationCheckpointer:
             "fault_rng": (
                 manager.faults.rng_state() if manager.faults is not None else None
             ),
-            "resilience_digest": (
-                state_digest(manager.resilience.state_dict())
-                if manager.resilience is not None
-                else None
-            ),
         }
 
     def payload(self) -> Dict[str, Any]:
@@ -858,9 +853,11 @@ class SimulationCheckpointer:
         return done
 
     def _verify(self, payload: Dict[str, Any]) -> None:
-        # `.get`: a field the snapshot lacks (``resilience_digest`` in
-        # snapshots older than the resilience layer) verifies only
-        # while this run's value is ``None`` too.
+        # `.get`: a field the snapshot lacks verifies only while this
+        # run's value is ``None`` too.  Fields the snapshot carries but
+        # the fingerprint no longer has (the retired
+        # ``resilience_digest``) are not compared: quarantine decisions
+        # are already inside ``trace_digest``.
         for name, got in self._fingerprint().items():
             expected = payload.get(name)
             if got != expected:

@@ -46,11 +46,7 @@ from repro.experiments import (
 from repro.experiments.config import ExperimentConfig
 from repro.service.config import DURABILITY_MODES
 from repro.sim.faults import FAULT_PROFILES, make_fault_config
-from repro.sim.resilience import (
-    CircuitBreakerConfig,
-    ResilienceConfig,
-    RetryPolicyConfig,
-)
+from repro.sim.manager import check_retry_budget
 
 __all__ = ["main", "build_parser"]
 
@@ -73,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
             "ablation",
             "hybrid",
             "robustness",
-            "resilience",
             "convergence",
             "service-chaos",
             "serve",
@@ -129,32 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retry-budget",
-        type=int,
+        type=_retry_budget,
         metavar="N",
         default=None,
-        help="dead-letter a task after N exhausted attempts instead of "
-        "retrying forever (implies --quarantine)",
-    )
-    parser.add_argument(
-        "--task-deadline",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="dead-letter a task once SECONDS of simulated time have "
-        "passed since it first became ready (implies --quarantine)",
-    )
-    parser.add_argument(
-        "--quarantine",
-        action="store_true",
-        help="enable poison-task quarantine; without --retry-budget the "
-        "budget defaults to 10 exhausted attempts",
-    )
-    parser.add_argument(
-        "--circuit-breaker",
-        action="store_true",
-        help="switch the allocator to conservative whole-machine "
-        "allocations while the recent failed-allocation rate is high "
-        "(closed/open/half-open recovery)",
+        help="dead-letter a task (and its waiting descendants) after N "
+        "exhausted attempts instead of retrying forever",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -297,20 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resilience(args: argparse.Namespace) -> Optional[ResilienceConfig]:
-    """Build the resilience policy from the CLI knobs (None = paper-exact)."""
-    wants_quarantine = (
-        args.quarantine or args.retry_budget is not None or args.task_deadline is not None
-    )
-    if not wants_quarantine and not args.circuit_breaker:
-        return None
-    budget = args.retry_budget
-    if wants_quarantine and budget is None and args.task_deadline is None:
-        budget = 10
-    return ResilienceConfig(
-        retry=RetryPolicyConfig(budget=budget, deadline=args.task_deadline),
-        breaker=CircuitBreakerConfig(enabled=args.circuit_breaker),
-    )
+def _retry_budget(text: str) -> int:
+    """argparse type for ``--retry-budget``: a bad value is a usage error."""
+    try:
+        return check_retry_budget(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        ) from None
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -325,7 +293,7 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
             seed=args.fault_seed,
             trace_file=args.fault_trace,
         ),
-        resilience=_resilience(args),
+        retry_budget=args.retry_budget,
     )
 
 
@@ -512,24 +480,6 @@ def _run_targets(targets, args, config, shutdown, emit) -> int:
                 )
             else:
                 emit(robustness.render_seed_sweep(robustness.run_seed_sweep(config)))
-        elif target == "resilience":
-            profile = args.faults if args.faults != "none" else "poisson"
-            budgets = (
-                (None, args.retry_budget)
-                if args.retry_budget is not None
-                else (None, 10, 25)
-            )
-            emit(
-                robustness.render_policy_matrix(
-                    robustness.run_policy_matrix(
-                        config.with_(faults=None, resilience=None),
-                        profile=profile,
-                        budgets=budgets,
-                        fault_rate=args.fault_rate,
-                        fault_seed=args.fault_seed,
-                    )
-                )
-            )
         elif target == "convergence":
             emit(convergence.render(convergence.run(config)))
         elif target == "service-chaos":

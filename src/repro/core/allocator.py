@@ -32,7 +32,7 @@ with no internal locking.  Callers that serve concurrent traffic must
 serialize all mutating calls through one writer (the
 ``repro.service`` shards put each allocator behind a single-writer
 asyncio queue).  The calls are also *non-re-entrant*: a
-``capacity_provider`` callback or algorithm hook must never call back
+an algorithm hook must never call back
 into the same allocator mid-operation, and a cheap guard raises
 ``RuntimeError`` if one tries, rather than corrupting state silently.
 """
@@ -42,7 +42,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -293,16 +293,9 @@ class TaskOrientedAllocator:
         #: used for deterministic algorithms, where repeated allocate()
         #: calls against an unchanged state must return the same vector.
         self._prediction_cache: Dict[str, Tuple[int, ResourceVector]] = {}
-        #: Optional live ceiling: a callable returning the componentwise
-        #: max capacity over currently-alive workers (or ``None`` when
-        #: the pool is empty).  When set, retry growth is clamped to it
-        #: so an unsatisfiable doubled request is never dispatched.
-        self._capacity_provider: Optional[
-            Callable[[], Optional[ResourceVector]]
-        ] = None
-        #: category -> number of retry allocations cut back by a
-        #: capacity ceiling (diagnostic only; rebuilt on replay, so
-        #: deliberately not part of :meth:`state_dict`).
+        #: category -> number of retry allocations the machine-capacity
+        #: clamp stopped from growing (diagnostic only; rebuilt on
+        #: replay, so deliberately not part of :meth:`state_dict`).
         self._capacity_clamps: Dict[str, int] = {}
         #: Re-entrancy guard: set while a mutating call is on the stack
         #: (see the module docstring's concurrency contract).
@@ -359,36 +352,14 @@ class TaskOrientedAllocator:
         """True while the category is still in exploratory mode."""
         return self.records_count(category) < self._config.exploratory.min_records
 
-    def set_capacity_provider(
-        self, provider: Optional[Callable[[], Optional[ResourceVector]]]
-    ) -> None:
-        """Install a live largest-alive-worker capacity ceiling.
-
-        The resilience layer wires this to
-        :meth:`~repro.sim.pool.WorkerPool.largest_alive_capacity` so the
-        doubling fallback cannot grow a retry past every worker that
-        actually exists.
-        """
-        self._capacity_provider = provider
-
     @property
     def capacity_clamps(self) -> Mapping[str, int]:
-        """Per-category count of retries cut back by a capacity ceiling."""
+        """Per-category count of retries the capacity clamp held back."""
         return dict(self._capacity_clamps)
 
     @property
     def capacity_clamps_total(self) -> int:
         return sum(self._capacity_clamps.values())
-
-    def conservative_allocation(self) -> ResourceVector:
-        """Whole-machine allocation used in degraded (circuit-open) mode."""
-        values: Dict[Resource, float] = {}
-        for res in self._config.resources:
-            capacity = self._config.machine_capacity[res]
-            if capacity <= 0.0:
-                capacity = DEFAULT_EXPLORATORY_FALLBACKS.get(res, 0.0)
-            values[res] = capacity
-        return ResourceVector(values)
 
     def version(self, category: str) -> int:
         """Monotone counter bumped whenever a category learns something.
@@ -501,19 +472,13 @@ class TaskOrientedAllocator:
                 # allocation; force progress with one doubling step.
                 unclamped = self._double(prev_value, peak, res)
                 values[res] = self._clamp(res, unclamped)
-            ceiling = self._alive_capacity(res)
-            if ceiling is not None and 0.0 < ceiling < values[res]:
-                # No alive worker can host the grown request: dispatch
-                # the largest satisfiable allocation instead and record
-                # the clamp so the retry policy can see the task is
-                # capacity-bound rather than merely under-allocated.
-                values[res] = ceiling
-                self._note_clamp(category)
-            elif values[res] < unclamped and values[res] <= prev_value:
+            if values[res] < unclamped and values[res] <= prev_value:
                 # The static machine-capacity clamp stopped growth
                 # entirely (allocation pinned at capacity while the
                 # algorithm asked for more).
-                self._note_clamp(category)
+                self._capacity_clamps[category] = (
+                    self._capacity_clamps.get(category, 0) + 1
+                )
         return ResourceVector(values)
 
     def observe(
@@ -583,17 +548,6 @@ class TaskOrientedAllocator:
                 or 1.0
             )
         return base * self._config.doubling_factor
-
-    def _alive_capacity(self, res: Resource) -> Optional[float]:
-        if self._capacity_provider is None:
-            return None
-        capacity = self._capacity_provider()
-        if capacity is None:
-            return None
-        return capacity[res]
-
-    def _note_clamp(self, category: str) -> None:
-        self._capacity_clamps[category] = self._capacity_clamps.get(category, 0) + 1
 
     def _clamp(self, res: Resource, value: float) -> float:
         capacity = self._config.machine_capacity[res]

@@ -13,10 +13,9 @@ from typing import Optional, Tuple
 
 from repro.core.allocator import AllocatorConfig
 from repro.sim.faults import FaultConfig
-from repro.sim.manager import SimulationConfig
+from repro.sim.manager import SimulationConfig, check_retry_budget
 from repro.sim.pool import PoolConfig
 from repro.sim.profiles import ConsumptionProfile, LinearRampProfile
-from repro.sim.resilience import ResilienceConfig
 from repro.workflows.colmena import make_colmena_workflow
 from repro.workflows.spec import WorkflowSpec
 from repro.workflows.synthetic import SYNTHETIC_WORKFLOWS, make_synthetic_workflow
@@ -84,10 +83,10 @@ class ExperimentConfig:
     #: every cell built from this config, so whole grids can be swept
     #: under identical adversity.
     faults: Optional[FaultConfig] = None
-    #: Optional task-level resilience policy (retry budgets, deadlines,
-    #: backoff, quarantine, circuit breaker, watchdog); ``None`` keeps
-    #: the paper's unbounded retry behaviour.
-    resilience: Optional[ResilienceConfig] = None
+    #: Dead-letter a task after this many exhausted attempts (see
+    #: ``SimulationConfig.retry_budget``); ``None`` keeps the paper's
+    #: unbounded retry behaviour.
+    retry_budget: Optional[int] = None
     #: Directory for crash-safe grid state (the completed-cell journal
     #: and the in-flight simulation snapshot).  ``None`` disables
     #: durability; see :mod:`repro.checkpoint`.
@@ -103,6 +102,9 @@ class ExperimentConfig:
     #: (grid digest) — a mismatch is refused, never silently rerun.
     resume: bool = False
 
+    def __post_init__(self) -> None:
+        check_retry_budget(self.retry_budget)
+
     def simulation_config(self, algorithm: str, **allocator_overrides) -> SimulationConfig:
         return SimulationConfig(
             allocator=AllocatorConfig(
@@ -116,7 +118,7 @@ class ExperimentConfig:
             profile=self.profile,
             max_outstanding=self.max_outstanding,
             faults=self.faults,
-            resilience=self.resilience,
+            retry_budget=self.retry_budget,
         )
 
     def with_(self, **changes) -> "ExperimentConfig":

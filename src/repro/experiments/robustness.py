@@ -36,11 +36,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table, save_json, save_text
 from repro.experiments.runner import run_cell
 from repro.sim.faults import make_fault_config
-from repro.sim.resilience import (
-    CircuitBreakerConfig,
-    ResilienceConfig,
-    RetryPolicyConfig,
-)
 
 __all__ = [
     "SeedSweepResult",
@@ -50,10 +45,6 @@ __all__ = [
     "run_fault_sweep",
     "render_fault_sweep",
     "write_fault_sweep",
-    "PolicyMatrixResult",
-    "run_policy_matrix",
-    "render_policy_matrix",
-    "write_policy_matrix",
 ]
 
 
@@ -140,10 +131,8 @@ class FaultSweepResult:
     #: (algorithm, profile) -> evicted attempt count
     evictions: Dict[Tuple[str, str], int]
     #: (algorithm, profile) -> tasks moved to the dead-letter ledger
-    #: (always 0 unless the sweep config carries a resilience policy).
+    #: (always 0 unless the sweep config sets a retry budget).
     dead_letters: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: (algorithm, profile) -> circuit-breaker trips.
-    breaker_trips: Dict[Tuple[str, str], int] = field(default_factory=dict)
 
     def awe_drop(self, algorithm: str, profile: str) -> float:
         """AWE lost relative to the fault-free run (positive = worse)."""
@@ -179,7 +168,6 @@ def run_fault_sweep(
     makespan: Dict[Tuple[str, str], float] = {}
     evictions: Dict[Tuple[str, str], int] = {}
     dead_letters: Dict[Tuple[str, str], int] = {}
-    breaker_trips: Dict[Tuple[str, str], int] = {}
     for profile in profiles:
         faulted = config.with_(
             faults=make_fault_config(profile, rate=fault_rate, seed=fault_seed)
@@ -190,11 +178,6 @@ def run_fault_sweep(
             makespan[algorithm, profile] = result.makespan
             evictions[algorithm, profile] = result.n_evicted_attempts
             dead_letters[algorithm, profile] = result.n_quarantined
-            breaker_trips[algorithm, profile] = (
-                result.resilience_stats.breaker_trips
-                if result.resilience_stats is not None
-                else 0
-            )
     return FaultSweepResult(
         workflow=workflow,
         algorithms=tuple(algorithms),
@@ -203,7 +186,6 @@ def run_fault_sweep(
         makespan=makespan,
         evictions=evictions,
         dead_letters=dead_letters,
-        breaker_trips=breaker_trips,
     )
 
 
@@ -225,7 +207,6 @@ def render_fault_sweep(result: FaultSweepResult) -> str:
                     else float("nan"),
                     result.evictions[algorithm, profile],
                     result.dead_letters.get((algorithm, profile), 0),
-                    result.breaker_trips.get((algorithm, profile), 0),
                 )
             )
     return format_table(
@@ -238,7 +219,6 @@ def render_fault_sweep(result: FaultSweepResult) -> str:
             "slowdown",
             "evictions",
             "dead-letters",
-            "breaker trips",
         ],
         rows=rows,
         title=f"E-X4 robustness — {result.workflow} under fault injection",
@@ -264,9 +244,6 @@ def write_fault_sweep(result: FaultSweepResult, path: str) -> None:
                         "dead_letters": result.dead_letters.get(
                             (algorithm, profile), 0
                         ),
-                        "breaker_trips": result.breaker_trips.get(
-                            (algorithm, profile), 0
-                        ),
                     }
                     for algorithm in result.algorithms
                     for profile in result.profiles
@@ -275,135 +252,3 @@ def write_fault_sweep(result: FaultSweepResult, path: str) -> None:
         )
     else:
         save_text(path, render_fault_sweep(result))
-
-
-@dataclass
-class PolicyMatrixResult:
-    """Per-(retry budget, breaker on/off) outcomes under one fault profile."""
-
-    workflow: str
-    algorithm: str
-    profile: str
-    budgets: Tuple[Optional[int], ...]
-    breaker_modes: Tuple[bool, ...]
-    #: (budget, breaker) -> AWE(memory)
-    awe: Dict[Tuple[Optional[int], bool], float]
-    #: (budget, breaker) -> makespan seconds
-    makespan: Dict[Tuple[Optional[int], bool], float]
-    #: (budget, breaker) -> dead-lettered task count
-    dead_letters: Dict[Tuple[Optional[int], bool], int]
-    #: (budget, breaker) -> circuit-breaker trips
-    breaker_trips: Dict[Tuple[Optional[int], bool], int]
-
-
-def run_policy_matrix(
-    config: Optional[ExperimentConfig] = None,
-    workflow: str = "bimodal",
-    algorithm: str = "exhaustive_bucketing",
-    profile: str = "poisson",
-    budgets: Sequence[Optional[int]] = (None, 10, 25),
-    breaker_modes: Sequence[bool] = (False, True),
-    fault_rate: float = 1.0 / 600.0,
-    fault_seed: int = 0,
-) -> PolicyMatrixResult:
-    """Sweep retry budget x circuit breaker under one fault profile.
-
-    Every cell sees the same workflow, algorithm and fault schedule, so
-    AWE/makespan/dead-letter differences are attributable to the
-    resilience policy alone.  ``budget=None`` runs the paper's unbounded
-    retry as the baseline row.
-    """
-    config = config if config is not None else ExperimentConfig()
-    faulted = config.with_(
-        faults=make_fault_config(profile, rate=fault_rate, seed=fault_seed)
-    )
-    awe: Dict[Tuple[Optional[int], bool], float] = {}
-    makespan: Dict[Tuple[Optional[int], bool], float] = {}
-    dead_letters: Dict[Tuple[Optional[int], bool], int] = {}
-    breaker_trips: Dict[Tuple[Optional[int], bool], int] = {}
-    for budget in budgets:
-        for breaker in breaker_modes:
-            resilience: Optional[ResilienceConfig] = None
-            if budget is not None or breaker:
-                resilience = ResilienceConfig(
-                    retry=RetryPolicyConfig(budget=budget),
-                    breaker=CircuitBreakerConfig(enabled=breaker),
-                )
-            cell = faulted.with_(resilience=resilience)
-            result = run_cell(workflow, algorithm, cell)
-            awe[budget, breaker] = result.ledger.awe(MEMORY)
-            makespan[budget, breaker] = result.makespan
-            dead_letters[budget, breaker] = result.n_quarantined
-            breaker_trips[budget, breaker] = (
-                result.resilience_stats.breaker_trips
-                if result.resilience_stats is not None
-                else 0
-            )
-    return PolicyMatrixResult(
-        workflow=workflow,
-        algorithm=algorithm,
-        profile=profile,
-        budgets=tuple(budgets),
-        breaker_modes=tuple(breaker_modes),
-        awe=awe,
-        makespan=makespan,
-        dead_letters=dead_letters,
-        breaker_trips=breaker_trips,
-    )
-
-
-def render_policy_matrix(result: PolicyMatrixResult) -> str:
-    rows = [
-        (
-            "unbounded" if budget is None else budget,
-            "on" if breaker else "off",
-            result.awe[budget, breaker],
-            result.makespan[budget, breaker],
-            result.dead_letters[budget, breaker],
-            result.breaker_trips[budget, breaker],
-        )
-        for budget in result.budgets
-        for breaker in result.breaker_modes
-    ]
-    return format_table(
-        headers=[
-            "retry budget",
-            "breaker",
-            "AWE(mem)",
-            "makespan (s)",
-            "dead-letters",
-            "breaker trips",
-        ],
-        rows=rows,
-        title=(
-            f"Resilience policy matrix — {result.workflow} / "
-            f"{result.algorithm} under {result.profile} faults"
-        ),
-    )
-
-
-def write_policy_matrix(result: PolicyMatrixResult, path: str) -> None:
-    """Publish a policy-matrix report atomically (text or JSON by suffix)."""
-    if path.endswith(".json"):
-        save_json(
-            path,
-            {
-                "workflow": result.workflow,
-                "algorithm": result.algorithm,
-                "profile": result.profile,
-                "cells": [
-                    {
-                        "budget": budget,
-                        "breaker": breaker,
-                        "awe_memory": result.awe[budget, breaker],
-                        "makespan": result.makespan[budget, breaker],
-                        "dead_letters": result.dead_letters[budget, breaker],
-                        "breaker_trips": result.breaker_trips[budget, breaker],
-                    }
-                    for budget in result.budgets
-                    for breaker in result.breaker_modes
-                ],
-            },
-        )
-    else:
-        save_text(path, render_policy_matrix(result))

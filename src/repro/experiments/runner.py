@@ -143,10 +143,10 @@ def grid_digest(
         "max_outstanding": config.max_outstanding,
         "faults": _stable_repr(config.faults),
     }
-    if config.resilience is not None:
-        # Added only when set so journals written before the resilience
-        # layer existed keep their digests and stay resumable.
-        doc["resilience"] = _stable_repr(config.resilience)
+    if config.retry_budget is not None:
+        # Added only when set so journals of budget-free grids keep
+        # their digests and stay resumable.
+        doc["retry_budget"] = config.retry_budget
     return state_digest(doc)
 
 

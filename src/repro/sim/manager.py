@@ -13,7 +13,9 @@ Figure 1/3a:
    and schedule the completion or kill event;
 4. on success, feed the resource record back to the allocator and the
    ledger; on exhaustion, grow the allocation and requeue; on eviction,
-   requeue with the same allocation.
+   requeue with the same allocation.  The paper's retry loop is
+   unbounded; ``SimulationConfig.retry_budget`` is its one bound,
+   dead-lettering a task after that many exhausted attempts.
 
 ``run()`` returns a :class:`SimulationResult` bundling the ledger and
 run-level statistics — the unit every experiment module consumes.
@@ -22,6 +24,7 @@ run-level statistics — the unit every experiment module consumes.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -34,19 +37,33 @@ from repro.sim.faults import FaultConfig, FaultInjector, FaultStats
 from repro.sim.invariants import InvariantChecker
 from repro.sim.pool import PoolConfig, WorkerPool
 from repro.sim.profiles import ConsumptionProfile, LinearRampProfile
-from repro.sim.resilience import (
-    DeadLetterEntry,
-    ResilienceConfig,
-    ResilienceEngine,
-    ResilienceStats,
-)
 from repro.sim.scheduler import Scheduler
-from repro.sim.task import Attempt, AttemptOutcome, SimTask, TaskState
+from repro.sim.task import Attempt, AttemptOutcome, DeadLetterEntry, SimTask, TaskState
 from repro.sim.trace import SimEvent
 from repro.sim.worker import Worker
 from repro.workflows.spec import WorkflowSpec
 
-__all__ = ["SimulationConfig", "SimulationResult", "WorkflowManager"]
+__all__ = [
+    "SimulationConfig",
+    "SimulationResult",
+    "WorkflowManager",
+    "check_retry_budget",
+]
+
+
+def check_retry_budget(retry_budget: object) -> Optional[int]:
+    """The retry budget: ``None`` or an ``int >= 1``, not a ``bool``."""
+    if retry_budget is None:
+        return None
+    if (
+        isinstance(retry_budget, bool)
+        or not isinstance(retry_budget, numbers.Integral)
+        or retry_budget < 1
+    ):
+        raise ValueError(
+            f"retry_budget must be an integer >= 1, got {retry_budget!r}"
+        )
+    return int(retry_budget)
 
 
 @dataclass(frozen=True)
@@ -80,17 +97,20 @@ class SimulationConfig:
     #: On by default — the conservation laws are cheap relative to the
     #: dispatch scan; very large perf sweeps may opt out.
     check_invariants: bool = True
-    #: Task-level resilience policy (retry budgets, deadlines, backoff,
-    #: quarantine, circuit breaker, watchdog; see
-    #: :mod:`repro.sim.resilience`).  ``None`` — and a default-valued
-    #: config — reproduce the paper's unbounded retry behaviour exactly.
-    resilience: Optional[ResilienceConfig] = None
+    #: Poison-task quarantine: a task is dead-lettered once it has this
+    #: many *exhausted* attempts instead of retrying forever (evictions
+    #: and fault kills never count), and its waiting descendants with
+    #: it.  ``None`` is the paper's unbounded retry, under which a
+    #: workflow holding a task larger than every worker is refused up
+    #: front.
+    retry_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_outstanding is not None and self.max_outstanding < 1:
             raise ValueError(
                 f"max_outstanding must be >= 1, got {self.max_outstanding}"
             )
+        check_retry_budget(self.retry_budget)
 
     def effective_max_events(self, n_tasks: int) -> int:
         if self.max_events is not None:
@@ -115,12 +135,10 @@ class SimulationResult:
     wall_clock_seconds: float
     #: Injected-fault tallies; all zero on a fault-free run.
     fault_stats: FaultStats = field(default_factory=FaultStats)
-    #: Tasks moved to the dead-letter ledger instead of completing.
+    #: Tasks moved to the dead-letter list instead of completing.
     n_quarantined: int = 0
     #: The dead-letter entries themselves, in quarantine order.
     dead_letters: Tuple[DeadLetterEntry, ...] = ()
-    #: Resilience-layer tallies; ``None`` when no policy was configured.
-    resilience_stats: Optional[ResilienceStats] = None
 
     def awe(self, resource: Resource) -> float:
         return self.ledger.awe(resource)
@@ -168,21 +186,16 @@ class SimulationResult:
             "fault_stats": dataclasses.asdict(self.fault_stats),
             "n_quarantined": self.n_quarantined,
             "dead_letters": [entry.state_dict() for entry in self.dead_letters],
-            "resilience_stats": (
-                dataclasses.asdict(self.resilience_stats)
-                if self.resilience_stats is not None
-                else None
-            ),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "SimulationResult":
         """Rebuild a result journaled by :meth:`state_dict`.
 
-        The resilience keys are read with defaults so journals written
-        before the resilience layer existed still load.
+        The quarantine keys are read with defaults so journals written
+        before quarantine existed still load, and the retired
+        ``resilience_stats`` key of older journals is ignored.
         """
-        stats_doc = state.get("resilience_stats")
         return cls(
             workflow_name=state["workflow_name"],
             algorithm=state["algorithm"],
@@ -201,9 +214,6 @@ class SimulationResult:
                 DeadLetterEntry.from_state(doc)
                 for doc in state.get("dead_letters", ())
             ),
-            resilience_stats=(
-                ResilienceStats(**stats_doc) if stats_doc is not None else None
-            ),
         )
 
 
@@ -213,16 +223,10 @@ class WorkflowManager:
     def __init__(self, workflow: WorkflowSpec, config: Optional[SimulationConfig] = None) -> None:
         self._workflow = workflow
         self._config = config if config is not None else SimulationConfig()
-        resilience_config = self._config.resilience
-        self._resilience: Optional[ResilienceEngine] = (
-            ResilienceEngine(resilience_config)
-            if resilience_config is not None and resilience_config.enabled
-            else None
-        )
-        if self._resilience is None or not resilience_config.quarantine_enabled:
-            # With quarantine off an oversized (poison) task would retry
-            # forever, so it is rejected up front; with a budget or
-            # deadline configured it is admitted and dead-lettered.
+        if self._config.retry_budget is None:
+            # Without a budget an oversized (poison) task would retry
+            # forever, so it is rejected up front; with one it is
+            # admitted and dead-lettered.
             workflow.validate_fits(self._config.pool.capacity)
 
         self._engine = SimulationEngine()
@@ -237,11 +241,6 @@ class WorkflowManager:
                 allocator_config, machine_capacity=self._config.pool.capacity
             )
         self._allocator = TaskOrientedAllocator(allocator_config)
-        if self._resilience is not None:
-            # Satellite of the retry policy: retry doublings are clamped
-            # to the largest *alive* worker, so a degraded pool never
-            # receives an unsatisfiable escalation.
-            self._allocator.set_capacity_provider(self._pool.largest_alive_capacity)
         self._ledger = Ledger(self._config.allocator.resources)
         self._manage_time = TIME in self._config.allocator.resources
 
@@ -296,6 +295,7 @@ class WorkflowManager:
         self._attempt_worker: Dict[int, int] = {}
         self._completed = 0
         self._quarantined = 0
+        self._dead_letters: List[DeadLetterEntry] = []
         #: Cascade-quarantined tasks the submission window has not yet
         #: revealed; needed to state the conservation law exactly.
         self._quarantined_unrevealed = 0
@@ -303,8 +303,6 @@ class WorkflowManager:
         self._outstanding = 0
         self._ran = False
         self._started_wall = 0.0
-        if self._resilience is not None and self._resilience.watchdog is not None:
-            self._engine.add_listener(self._watchdog_check)
 
     # -- public API --------------------------------------------------------------
 
@@ -359,12 +357,8 @@ class WorkflowManager:
         return self._completed
 
     @property
-    def resilience(self) -> Optional[ResilienceEngine]:
-        return self._resilience
-
-    @property
     def quarantined_tasks(self) -> int:
-        """Tasks moved to the dead-letter ledger (0 without a policy)."""
+        """Tasks moved to the dead-letter list (0 without a retry budget)."""
         return self._quarantined
 
     @property
@@ -442,14 +436,7 @@ class WorkflowManager:
             for t in self._tasks.values()
             if t.completion_time is not None
         ]
-        dead_letters: Tuple[DeadLetterEntry, ...] = ()
-        resilience_stats: Optional[ResilienceStats] = None
-        if self._resilience is not None:
-            dead_letters = self._resilience.dead_letters.entries()
-            terminal_times.extend(entry.time for entry in dead_letters)
-            resilience_stats = self._resilience.stats(
-                capacity_clamps=self._allocator.capacity_clamps_total
-            )
+        terminal_times.extend(entry.time for entry in self._dead_letters)
         makespan = max(terminal_times, default=0.0)
         self._emit("complete", tasks=self._completed, attempts=self._ledger.n_attempts)
         return SimulationResult(
@@ -467,8 +454,7 @@ class WorkflowManager:
             wall_clock_seconds=_time.perf_counter() - self._started_wall,
             fault_stats=self._faults.stats if self._faults is not None else FaultStats(),
             n_quarantined=self._quarantined,
-            dead_letters=dead_letters,
-            resilience_stats=resilience_stats,
+            dead_letters=tuple(self._dead_letters),
         )
 
     # -- allocation hooks ---------------------------------------------------------------
@@ -483,22 +469,9 @@ class WorkflowManager:
             if self._manage_time:
                 values[TIME] = task.spec.duration
             return ResourceVector(values)
-        if self._resilience is not None and self._resilience.conservative_mode(
-            self._engine.now
-        ):
-            # Breaker open (degraded mode): bypass the algorithm and
-            # allocate a whole machine — fragmentation over livelock.
-            return self._allocator.conservative_allocation()
         return self._allocator.allocate(task.category, task.task_id)
 
-    def _allocation_version(self, task: SimTask):
-        if self._resilience is not None:
-            # Mix in the breaker epoch so every queued prediction goes
-            # stale the moment the degraded-mode state flips.
-            return (
-                self._allocator.version(task.category),
-                self._resilience.allocation_epoch(self._engine.now),
-            )
+    def _allocation_version(self, task: SimTask) -> int:
         return self._allocator.version(task.category)
 
     def _may_dispatch(self, category: str) -> bool:
@@ -532,15 +505,9 @@ class WorkflowManager:
                 continue
             self._outstanding += 1
             if task.state is TaskState.READY:
-                self._enqueue_new(task)
+                self._scheduler.enqueue(task)
             # PENDING tasks are submitted but wait for their parents; the
             # dependency-completion hook enqueues them.
-
-    def _enqueue_new(self, task: SimTask) -> None:
-        """First enqueue of a task (starts its deadline clock)."""
-        if self._resilience is not None:
-            self._resilience.note_enqueued(task.task_id, self._engine.now)
-        self._scheduler.enqueue(task)
 
     # -- attempt lifecycle ----------------------------------------------------------------
 
@@ -562,13 +529,6 @@ class WorkflowManager:
                     worker=worker.worker_id,
                     retry_in=retry_in,
                 )
-                if self._resilience is not None and self._resilience.deadline_exceeded(
-                    task.task_id, self._engine.now
-                ):
-                    # Past its wall-clock deadline: stop burning
-                    # dispatch retries on it and dead-letter it now.
-                    self._quarantine_task(task, "deadline_exceeded")
-                    return
                 self._engine.schedule(retry_in, lambda: self._redispatch(task))
                 return
         worker.place(task.task_id, allocation)
@@ -640,7 +600,6 @@ class WorkflowManager:
             self._allocator.observe(task.category, peaks, task_id=task.task_id)
             self._ledger.record_task(task)
             self._outstanding -= 1
-            self._note_outcome(success=True)
             self._submit_more()
             self._notify_children(task)
             if self.terminal_tasks == len(self._workflow):
@@ -665,9 +624,9 @@ class WorkflowManager:
                 resources=tuple(r.key for r in verdict.exhausted),
             )
             task.state = TaskState.READY
-            self._note_outcome(success=False)
-            if self._resilience is not None:
-                self._resilient_retry(task, allocation, verdict)
+            budget = self._config.retry_budget
+            if budget is not None and task.n_exhausted_attempts >= budget:
+                self._quarantine_task(task)
             else:
                 task.current_allocation = self._allocator.allocate_retry(
                     task.category,
@@ -683,7 +642,7 @@ class WorkflowManager:
         for child_id in self._children.get(task.task_id, ()):  # dynamic DAG fan-out
             child = self._tasks[child_id]
             if child.dependency_completed(task.task_id, self._engine.now):
-                self._enqueue_new(child)
+                self._scheduler.enqueue(child)
 
     # -- pool callbacks ----------------------------------------------------------------------
 
@@ -775,150 +734,53 @@ class WorkflowManager:
         self._record_attempt(task, attempt)
         self._emit("evicted", task=task_id, worker=worker_id, cause=cause)
         task.state = TaskState.READY
-        if self._resilience is not None:
-            decision = self._resilience.on_requeue(task_id, cause, now)
-            if not decision.retry:
-                self._quarantine_task(task, decision.reason)
-                return
-            if decision.delay > 0:
-                self._emit("backoff", task=task_id, delay=decision.delay)
-                self._engine.schedule(
-                    decision.delay, lambda: self._requeue_after_backoff(task)
-                )
-                return
         self._scheduler.enqueue_retry(task)
 
-    # -- resilience policy ---------------------------------------------------------------------
+    # -- poison-task quarantine ------------------------------------------------------------
 
-    def _note_outcome(self, success: bool) -> None:
-        """Feed one success/exhaustion into the breaker and watchdog."""
-        if self._resilience is None:
-            return
-        now = self._engine.now
-        breaker = self._resilience.breaker
-        epoch_before = breaker.epoch if breaker is not None else 0
-        self._resilience.record_outcome(success, now)
-        if success:
-            self._resilience.note_progress(now)
-        if breaker is not None and breaker.epoch != epoch_before:
-            self._emit(
-                "breaker", state=breaker.state(now).value, trips=breaker.trips
-            )
-
-    def _resilient_retry(self, task: SimTask, allocation: ResourceVector, verdict) -> None:
-        """Exhaustion requeue under a retry policy: escalate, delay, or give up."""
-        assert self._resilience is not None
-        now = self._engine.now
-        decision = self._resilience.on_requeue(task.task_id, "exhausted", now)
-        if not decision.retry:
-            self._quarantine_task(task, decision.reason)
-            return
-        if self._resilience.conservative_mode(now):
-            # Degraded mode: skip the algorithm's escalation ladder and
-            # jump straight to the conservative whole-machine allocation
-            # (never shrinking below what already proved insufficient).
-            task.current_allocation = allocation.componentwise_max(
-                self._allocator.conservative_allocation()
-            )
-        else:
-            task.current_allocation = self._allocator.allocate_retry(
-                task.category,
-                task.task_id,
-                previous=allocation,
-                observed=verdict.observed,
-                exhausted=verdict.exhausted,
-            )
-        if decision.delay > 0:
-            self._emit("backoff", task=task.task_id, delay=decision.delay)
-            self._engine.schedule(
-                decision.delay, lambda: self._requeue_after_backoff(task)
-            )
-        else:
-            self._scheduler.enqueue_retry(task)
-
-    def _requeue_after_backoff(self, task: SimTask) -> None:
-        """Re-admit a task whose requeue was delayed by backoff."""
-        if task.state is not TaskState.READY:  # pragma: no cover - defensive
-            return
-        self._scheduler.enqueue_retry(task)
-        self._dispatch()
-
-    def _quarantine_task(self, task: SimTask, reason: str) -> None:
-        """Move one over-budget task to the dead-letter ledger.
+    def _quarantine_task(self, task: SimTask) -> None:
+        """Move one task that used up its retry budget to the dead-letter list.
 
         The task's burned attempts are charged to the accounting ledger
         (failed-allocation waste), descendants that can now never run
         are cascade-quarantined, and the freed submission-window slot is
         refilled — the rest of the workflow keeps going.
         """
-        assert self._resilience is not None
-        now = self._engine.now
-        task.state = TaskState.QUARANTINED
-        self._resilience.quarantine(
-            task.task_id,
-            task.category,
-            reason,
-            now,
-            n_attempts=task.n_attempts,
-            n_exhausted=task.n_exhausted_attempts,
-            n_evicted=task.n_evicted_attempts,
-        )
-        self._ledger.record_quarantined(task)
-        self._quarantined += 1
+        self._dead_letter(task, "retry_budget_exceeded")
         self._outstanding -= 1
-        self._emit(
-            "quarantine", task=task.task_id, reason=reason, attempts=task.n_attempts
-        )
-        self._cascade_quarantine(task)
-        self._submit_more()
-        if self.terminal_tasks == len(self._workflow):
-            self._stop_generators()
-
-    def _cascade_quarantine(self, root: SimTask) -> None:
-        """Dead-letter every descendant waiting on a quarantined parent."""
-        assert self._resilience is not None
-        now = self._engine.now
-        stack = list(self._children.get(root.task_id, ()))
+        stack = list(self._children.get(task.task_id, ()))
         while stack:
             child = self._tasks[stack.pop()]
             if child.state is not TaskState.PENDING:
                 continue
-            child.state = TaskState.QUARANTINED
-            self._resilience.quarantine(
-                child.task_id,
-                child.category,
-                "parent_quarantined",
-                now,
-                n_attempts=child.n_attempts,
-                n_exhausted=child.n_exhausted_attempts,
-                n_evicted=child.n_evicted_attempts,
-            )
-            self._ledger.record_quarantined(child)
-            self._quarantined += 1
+            self._dead_letter(child, "parent_quarantined")
             if self._spec_index[child.task_id] < self._next_to_submit:
                 self._outstanding -= 1
             else:
                 self._quarantined_unrevealed += 1
-            self._emit(
-                "quarantine",
-                task=child.task_id,
-                reason="parent_quarantined",
-                attempts=child.n_attempts,
-            )
             stack.extend(self._children.get(child.task_id, ()))
+        self._submit_more()
+        if self.terminal_tasks == len(self._workflow):
+            self._stop_generators()
 
-    def _watchdog_check(self) -> None:
-        """Engine post-event hook: detect no-forward-progress windows."""
-        assert self._resilience is not None
-        work_outstanding = self.terminal_tasks < len(self._workflow)
-        if self._resilience.check_stall(self._engine.now, work_outstanding):
-            watchdog = self._resilience.watchdog
-            assert watchdog is not None
-            self._emit(
-                "stall",
-                stalls=watchdog.stalls,
-                degraded=self._resilience.breaker is not None,
+    def _dead_letter(self, task: SimTask, reason: str) -> None:
+        task.state = TaskState.QUARANTINED
+        self._dead_letters.append(
+            DeadLetterEntry(
+                task_id=task.task_id,
+                category=task.category,
+                reason=reason,
+                time=self._engine.now,
+                n_attempts=task.n_attempts,
+                n_exhausted=task.n_exhausted_attempts,
+                n_evicted=task.n_evicted_attempts,
             )
+        )
+        self._ledger.record_quarantined(task)
+        self._quarantined += 1
+        self._emit(
+            "quarantine", task=task.task_id, reason=reason, attempts=task.n_attempts
+        )
 
     def _stop_generators(self) -> None:
         """Terminal state reached: let the event queue drain."""

@@ -168,18 +168,6 @@ class WorkerPool:
         """True if any alive worker has slack in every dimension."""
         return any(worker.has_headroom() for worker in self._workers.values())
 
-    def largest_alive_capacity(self) -> Optional[ResourceVector]:
-        """Componentwise max capacity over alive workers (clamp ceiling).
-
-        ``None`` when the pool is momentarily empty (churn trough) — the
-        caller should skip clamping rather than clamp to zero.
-        """
-        capacity: Optional[ResourceVector] = None
-        for worker in self._workers.values():
-            cap = worker.capacity
-            capacity = cap if capacity is None else capacity.componentwise_max(cap)
-        return capacity
-
     def find_fit(self, allocation: ResourceVector) -> Optional[Worker]:
         """First alive worker with room for ``allocation`` (first-fit).
 

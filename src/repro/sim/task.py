@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 from repro.core.resources import Resource, ResourceVector
 from repro.workflows.spec import TaskSpec
 
-__all__ = ["TaskState", "AttemptOutcome", "Attempt", "SimTask"]
+__all__ = ["TaskState", "AttemptOutcome", "Attempt", "DeadLetterEntry", "SimTask"]
 
 
 class TaskState(enum.Enum):
@@ -25,7 +25,7 @@ class TaskState(enum.Enum):
     READY = "ready"            # dependencies met, waiting for dispatch
     RUNNING = "running"        # placed on a worker
     COMPLETED = "completed"    # final attempt succeeded
-    QUARANTINED = "quarantined"  # gave up: moved to the dead-letter ledger
+    QUARANTINED = "quarantined"  # gave up: moved to the dead-letter list
 
 
 class AttemptOutcome(enum.Enum):
@@ -65,6 +65,47 @@ class Attempt:
     @property
     def end_time(self) -> float:
         return self.start_time + self.runtime
+
+
+@dataclass(frozen=True)
+class DeadLetterEntry:
+    """One quarantined task: who, when, why, and what it burned.
+
+    ``reason`` is ``"retry_budget_exceeded"`` for a task that used up its
+    retry budget, or ``"parent_quarantined"`` for a descendant that can
+    now never run.
+    """
+
+    task_id: int
+    category: str
+    reason: str
+    time: float
+    n_attempts: int
+    n_exhausted: int
+    n_evicted: int
+
+    def state_dict(self) -> dict:
+        return {
+            "task_id": self.task_id,
+            "category": self.category,
+            "reason": self.reason,
+            "time": self.time,
+            "n_attempts": self.n_attempts,
+            "n_exhausted": self.n_exhausted,
+            "n_evicted": self.n_evicted,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "DeadLetterEntry":
+        return cls(
+            task_id=int(state["task_id"]),
+            category=str(state["category"]),
+            reason=str(state["reason"]),
+            time=float(state["time"]),
+            n_attempts=int(state["n_attempts"]),
+            n_exhausted=int(state["n_exhausted"]),
+            n_evicted=int(state["n_evicted"]),
+        )
 
 
 class SimTask:

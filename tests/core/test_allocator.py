@@ -246,15 +246,18 @@ class TestRetries:
 
 class TestReentrancyGuard:
     def test_hook_calling_back_is_refused_and_the_guard_released(self):
-        alloc = TaskOrientedAllocator(AllocatorConfig(seed=0))
-        alloc.set_capacity_provider(lambda: alloc.allocate("proc", 1))
+        alloc = TaskOrientedAllocator(
+            AllocatorConfig(seed=0, exploratory=ExploratoryConfig(min_records=0))
+        )
+        hooked = alloc.algorithm("proc", MEMORY)
+        hooked.predict_retry = lambda *args: alloc.allocate("proc", 1)
         previous = ResourceVector.of(cores=1, memory=1000, disk=1000)
         retry = dict(previous=previous, observed=previous, exhausted=(MEMORY,))
         with pytest.raises(RuntimeError, match=r"re-entrant TaskOrientedAllocator\.allocate\(\)"):
             alloc.allocate_retry("proc", 0, **retry)
         # The failed call released the guard on its way out: every
         # mutating entry point is open again.
-        alloc.set_capacity_provider(None)
+        del hooked.predict_retry
         assert alloc.allocate_retry("proc", 0, **retry)[MEMORY] == 2000
         assert alloc.allocate("proc", 1)[MEMORY] == 1000
         alloc.observe("proc", previous, task_id=1)

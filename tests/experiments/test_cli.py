@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _config, build_parser, main
 
 
 class TestParser:
@@ -113,3 +113,31 @@ class TestServiceChaos:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--durability", "op"])
         assert build_parser().parse_args(["serve", "--durability", "batch"]).durability == "batch"
+
+
+class TestRetryBudget:
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "x"])
+    def test_invalid_budget_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure3", f"--retry-budget={value}"])
+        assert excinfo.value.code == 2
+        assert "--retry-budget: must be an integer >= 1" in capsys.readouterr().err
+
+    def test_budget_reaches_the_experiment_config(self):
+        args = build_parser().parse_args(["figure5", "--retry-budget", "3"])
+        assert _config(args).retry_budget == 3
+        assert _config(build_parser().parse_args(["figure5"])).retry_budget is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure5", "--quarantine"],
+            ["figure5", "--circuit-breaker"],
+            ["figure5", "--task-deadline", "60"],
+            ["resilience"],
+        ],
+    )
+    def test_retired_retry_policy_surfaces_are_refused(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2

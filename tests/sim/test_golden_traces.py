@@ -17,20 +17,9 @@ import pytest
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig
 from repro.core.resources import ResourceVector
-from repro.sim.faults import (
-    DispatchFaultConfig,
-    FaultConfig,
-    FixedPreemptions,
-    make_fault_config,
-)
+from repro.sim.faults import FaultConfig, FixedPreemptions, make_fault_config
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import ChurnConfig, PoolConfig
-from repro.sim.resilience import (
-    CircuitBreakerConfig,
-    ResilienceConfig,
-    RetryPolicyConfig,
-    WatchdogConfig,
-)
 from repro.sim.trace import TraceRecorder
 from repro.workflows.spec import TaskSpec, WorkflowSpec
 
@@ -67,75 +56,33 @@ def _poison_workflow(n=12):
     return WorkflowSpec("golden", tasks)
 
 
-def _resilience():
-    """The quarantine scenario's policy: every knob exercised at once —
-    bounded retries with jittered backoff, breaker and watchdog."""
-    return ResilienceConfig(
-        retry=RetryPolicyConfig(
-            budget=4, backoff_base=2.0, jitter=0.25, seed=13
-        ),
-        breaker=CircuitBreakerConfig(
-            enabled=True, window=6, failure_threshold=0.5, cooldown=120.0
-        ),
-        watchdog=WatchdogConfig(enabled=True, window=600.0),
-    )
+#: The quarantine scenario's retry budget.
+POISON_BUDGET = 4
 
 
-def _config(faults=None, churn=None, resilience=None, pool=None, max_outstanding=None):
+def _config(faults=None, churn=None, retry_budget=None):
     return SimulationConfig(
         allocator=AllocatorConfig(
             algorithm="quantized_bucketing",
             seed=7,
             exploratory=ExploratoryConfig(min_records=3),
         ),
-        pool=pool
-        if pool is not None
-        else PoolConfig(
+        pool=PoolConfig(
             n_workers=3,
             capacity=ResourceVector.of(cores=8, memory=16000, disk=16000),
             churn=churn if churn is not None else ChurnConfig(),
             seed=11,
         ),
         faults=faults,
-        resilience=resilience,
-        max_outstanding=max_outstanding,
+        retry_budget=retry_budget,
     )
-
-
-def _run_traced(manager) -> str:
-    recorder = TraceRecorder(manager)
-    manager.run()
-    return recorder.text()
 
 
 def _trace(config, workflow=None) -> str:
-    return _run_traced(
-        WorkflowManager(workflow if workflow is not None else _workflow(), config)
-    )
-
-
-def _reentrant_manager() -> WorkflowManager:
-    """A run whose dispatch passes are re-entered by ``enqueue``.
-
-    Lost dispatches plus a retry deadline make ``_start_attempt``
-    quarantine tasks in the middle of a scheduler pass; the freed slot of
-    the 10-task submission window is refilled on the spot, so new tasks
-    join the queue while the pass that revealed them is still running.
-    Two small workers keep a backlog of several allocation groups queued.
-    """
-    config = _config(
-        faults=FaultConfig(
-            dispatch=DispatchFaultConfig(probability=0.35, backoff=5.0), seed=5
-        ),
-        resilience=ResilienceConfig(retry=RetryPolicyConfig(deadline=60.0)),
-        pool=PoolConfig(
-            n_workers=2,
-            capacity=ResourceVector.of(cores=4, memory=16000, disk=16000),
-            seed=11,
-        ),
-        max_outstanding=10,
-    )
-    return WorkflowManager(_workflow(48), config)
+    manager = WorkflowManager(workflow if workflow is not None else _workflow(), config)
+    recorder = TraceRecorder(manager)
+    manager.run()
+    return recorder.text()
 
 
 SCENARIOS = {
@@ -161,11 +108,8 @@ SCENARIOS = {
         )
     ),
     "quarantine": lambda: _trace(
-        _config(resilience=_resilience()), workflow=_poison_workflow()
+        _config(retry_budget=POISON_BUDGET), workflow=_poison_workflow()
     ),
-    # Generated by the linear-scan scheduler (the commit before the
-    # indexed ready queue): the index must replay it byte for byte.
-    "reentrant_quarantine": lambda: _run_traced(_reentrant_manager()),
 }
 
 
@@ -193,23 +137,3 @@ def test_golden_trace(name):
 def test_scenario_replays_identically_in_process(name):
     """Two back-to-back runs of the same scenario are byte-identical."""
     assert SCENARIOS[name]() == SCENARIOS[name]()
-
-
-def test_reentrant_scenario_enqueues_inside_a_pass():
-    """The ``reentrant_quarantine`` golden really covers the re-entrant
-    path: tasks are enqueued while ``try_dispatch`` is running."""
-    manager = _reentrant_manager()
-    scheduler = manager._scheduler
-    enqueue = scheduler.enqueue
-    mid_pass = []
-
-    def tracking(task):
-        if scheduler._dispatching:
-            mid_pass.append(task.task_id)
-        enqueue(task)
-
-    scheduler.enqueue = tracking
-    manager.run()
-    assert len(mid_pass) >= 5
-    assert manager.quarantined_tasks > 0
-    assert manager.completed_tasks + manager.quarantined_tasks == 48

@@ -1,47 +1,40 @@
-"""Task-level resilience: retry policies, quarantine, breaker, watchdog.
+"""Poison-task quarantine: the retry budget and the dead-letter list.
 
-Three layers of coverage:
+The paper's retry loop is unbounded; ``SimulationConfig.retry_budget``
+is its one bound.  Three layers of coverage:
 
-* unit tests of the policy machinery in isolation (config validation,
-  breaker state machine, watchdog latching, dead-letter round-trips,
-  the retry decision table, the jitter stream's independence);
+* the budget's validation and its default (off, paper-literal);
 * integration tests of the poison-task demo: a task that can never fit
-  any worker lands in the dead-letter ledger within its budget while
-  the rest of the workflow completes, AWE stays honest, and the whole
-  scenario is deterministic and parity-clean when disabled;
-* a conservation property over all seven paper algorithms — no task is
-  ever lost: submitted == completed + quarantined, each exactly once.
+  any worker lands in the dead-letter list within its budget while the
+  rest of the workflow completes, AWE stays honest, only exhausted
+  attempts are charged, descendants are cascade-quarantined, and the
+  whole scenario is deterministic and parity-clean when the budget
+  never binds;
+* a conservation property over all seven paper algorithms, fault-free
+  and under the ``chaos`` fault profile — no task is ever lost:
+  submitted == completed + quarantined, each exactly once.
 """
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
-from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
-from repro.experiments.config import PAPER_ALGORITHMS
-from repro.experiments.robustness import run_policy_matrix, write_policy_matrix
+from repro.core.resources import MEMORY, ResourceVector
+from repro.experiments.config import PAPER_ALGORITHMS, ExperimentConfig
 from repro.sim.faults import make_fault_config
 from repro.sim.manager import SimulationConfig, SimulationResult, WorkflowManager
 from repro.sim.pool import PoolConfig
-from repro.sim.resilience import (
-    BreakerState,
-    CircuitBreaker,
-    CircuitBreakerConfig,
-    DeadLetterEntry,
-    DeadLetterLedger,
-    ResilienceConfig,
-    ResilienceEngine,
-    RetryPolicyConfig,
-    StallWatchdog,
-    WatchdogConfig,
-)
-from repro.sim.task import AttemptOutcome, TaskState
+from repro.sim.task import AttemptOutcome, DeadLetterEntry, TaskState
 from repro.sim.trace import TraceRecorder
 from repro.workflows.spec import TaskSpec, WorkflowSpec
 
-from tests.sim.test_golden_traces import _config, _poison_workflow, _resilience, _workflow
+from tests.sim.test_golden_traces import (
+    POISON_BUDGET,
+    _config,
+    _poison_workflow,
+    _workflow,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -50,250 +43,32 @@ from tests.sim.test_golden_traces import _config, _poison_workflow, _resilience,
 
 
 def test_retry_policy_rejects_bad_knobs():
-    with pytest.raises(ValueError):
-        RetryPolicyConfig(budget=0)
-    with pytest.raises(ValueError):
-        RetryPolicyConfig(deadline=0.0)
-    with pytest.raises(ValueError):
-        RetryPolicyConfig(backoff_base=-1.0)
-    with pytest.raises(ValueError):
-        RetryPolicyConfig(backoff_factor=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicyConfig(backoff_base=10.0, backoff_max=1.0)
-    with pytest.raises(ValueError):
-        RetryPolicyConfig(jitter=1.0)
+    """The budget is an ``int >= 1`` and not a ``bool``, everywhere."""
+    for bad in (0, -3, 2.5, True, False, "3"):
+        with pytest.raises(ValueError, match="retry_budget must be an integer >= 1"):
+            SimulationConfig(retry_budget=bad)
+        with pytest.raises(ValueError, match="retry_budget must be an integer >= 1"):
+            ExperimentConfig(retry_budget=bad)
+    assert SimulationConfig(retry_budget=1).retry_budget == 1
 
 
 def test_default_config_is_disabled():
-    config = ResilienceConfig()
-    assert not config.retry.bounded
-    assert not config.quarantine_enabled
-    assert not config.enabled
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"retry": RetryPolicyConfig(budget=3)},
-        {"retry": RetryPolicyConfig(deadline=100.0)},
-        {"retry": RetryPolicyConfig(backoff_base=1.0)},
-        {"breaker": CircuitBreakerConfig(enabled=True)},
-        {"watchdog": WatchdogConfig(enabled=True)},
-    ],
-)
-def test_any_single_knob_enables_the_engine(kwargs):
-    assert ResilienceConfig(**kwargs).enabled
+    assert SimulationConfig().retry_budget is None
+    assert ExperimentConfig().retry_budget is None
+    # Without a budget a poison task would retry forever, so the
+    # workflow is refused up front instead of livelocking.
+    with pytest.raises(ValueError):
+        WorkflowManager(_poison_workflow(), _config())
 
 
 # ---------------------------------------------------------------------------
-# Circuit breaker state machine
+# Retry growth
 # ---------------------------------------------------------------------------
-
-
-def _tripped_breaker(config=None, now=0.0):
-    breaker = CircuitBreaker(
-        config or CircuitBreakerConfig(enabled=True, window=4, cooldown=60.0)
-    )
-    for _ in range(4):
-        breaker.record_outcome(False, now)
-    return breaker
-
-
-def test_breaker_opens_only_on_a_full_window():
-    breaker = CircuitBreaker(CircuitBreakerConfig(enabled=True, window=4))
-    for _ in range(3):
-        breaker.record_outcome(False, 0.0)
-        assert breaker.state(0.0) is BreakerState.CLOSED
-    breaker.record_outcome(False, 0.0)
-    assert breaker.state(0.0) is BreakerState.OPEN
-    assert breaker.trips == 1
-
-
-def test_breaker_half_opens_after_cooldown_and_closes_on_probes():
-    breaker = _tripped_breaker()
-    assert breaker.conservative(10.0)
-    assert breaker.state(59.0) is BreakerState.OPEN
-    assert breaker.state(60.0) is BreakerState.HALF_OPEN
-    assert not breaker.conservative(60.0)
-    for _ in range(3):  # default half_open_probes
-        breaker.record_outcome(True, 61.0)
-    assert breaker.state(61.0) is BreakerState.CLOSED
-
-
-def test_breaker_reopens_on_half_open_failure():
-    breaker = _tripped_breaker()
-    breaker.state(60.0)  # -> half-open
-    breaker.record_outcome(False, 61.0)
-    assert breaker.state(61.0) is BreakerState.OPEN
-    assert breaker.trips == 2
-    # The new cooldown restarts from the re-trip time.
-    assert breaker.state(61.0 + 59.0) is BreakerState.OPEN
-    assert breaker.state(61.0 + 60.0) is BreakerState.HALF_OPEN
-
-
-def test_breaker_epoch_bumps_on_every_transition():
-    breaker = _tripped_breaker()
-    epoch_open = breaker.epoch
-    assert epoch_open > 0
-    breaker.state(60.0)  # half-open
-    assert breaker.epoch == epoch_open + 1
-    for _ in range(3):
-        breaker.record_outcome(True, 61.0)  # closed
-    assert breaker.epoch == epoch_open + 2
-
-
-def test_breaker_force_open_and_state_round_trip():
-    breaker = CircuitBreaker(CircuitBreakerConfig(enabled=True, window=4))
-    breaker.force_open(5.0)
-    assert breaker.state(5.0) is BreakerState.OPEN
-    assert breaker.trips == 1
-
-    clone = CircuitBreaker(breaker.config)
-    clone.load_state(breaker.state_dict())
-    assert clone.state_dict() == breaker.state_dict()
-
-
-# ---------------------------------------------------------------------------
-# Stall watchdog
-# ---------------------------------------------------------------------------
-
-
-def test_watchdog_latches_one_stall_per_episode():
-    dog = StallWatchdog(WatchdogConfig(enabled=True, window=100.0))
-    assert not dog.check(50.0, work_outstanding=True)
-    assert dog.check(100.0, work_outstanding=True)  # new episode
-    assert not dog.check(500.0, work_outstanding=True)  # latched
-    assert dog.stalls == 1
-    dog.progress(500.0)
-    assert not dog.stalled
-    assert dog.check(600.0, work_outstanding=True)
-    assert dog.stalls == 2
-
-
-def test_watchdog_idle_pool_without_work_is_not_a_stall():
-    dog = StallWatchdog(WatchdogConfig(enabled=True, window=100.0))
-    assert not dog.check(1000.0, work_outstanding=False)
-    assert dog.stalls == 0
-    # The quiet period reset the clock: outstanding work stalls only
-    # after a fresh full window.
-    assert not dog.check(1050.0, work_outstanding=True)
-    assert dog.check(1100.0, work_outstanding=True)
-
-
-# ---------------------------------------------------------------------------
-# Dead-letter ledger
-# ---------------------------------------------------------------------------
-
-
-def test_dead_letter_ledger_round_trip_and_reasons():
-    ledger = DeadLetterLedger()
-    ledger.append(
-        DeadLetterEntry(3, "proc", "retry_budget_exceeded", 10.0, 4, 4, 0)
-    )
-    ledger.append(DeadLetterEntry(5, "merge", "deadline_exceeded", 20.0, 2, 1, 1))
-    ledger.append(
-        DeadLetterEntry(6, "merge", "deadline_exceeded", 21.0, 0, 0, 0)
-    )
-    assert len(ledger) == 3
-    assert 5 in ledger and 4 not in ledger
-    assert ledger.by_reason() == {
-        "retry_budget_exceeded": 1,
-        "deadline_exceeded": 2,
-    }
-
-    clone = DeadLetterLedger()
-    clone.load_state(ledger.state_dict())
-    assert clone.entries() == ledger.entries()
-
-
-# ---------------------------------------------------------------------------
-# Retry decisions
-# ---------------------------------------------------------------------------
-
-
-def test_budget_counts_exhaustions_not_evictions_by_default():
-    engine = ResilienceEngine(ResilienceConfig(retry=RetryPolicyConfig(budget=2)))
-    assert engine.on_requeue(1, "worker_lost", 0.0).retry
-    assert engine.on_requeue(1, "fault_kill", 1.0).retry
-    assert engine.on_requeue(1, "exhausted", 2.0).retry
-    decision = engine.on_requeue(1, "exhausted", 3.0)
-    assert not decision.retry
-    assert decision.reason == "retry_budget_exceeded"
-
-
-def test_count_evictions_charges_every_failure():
-    engine = ResilienceEngine(
-        ResilienceConfig(retry=RetryPolicyConfig(budget=2, count_evictions=True))
-    )
-    assert engine.on_requeue(1, "worker_lost", 0.0).retry
-    assert not engine.on_requeue(1, "fault_kill", 1.0).retry
-
-
-def test_deadline_measured_from_first_enqueue():
-    engine = ResilienceEngine(ResilienceConfig(retry=RetryPolicyConfig(deadline=50.0)))
-    engine.note_enqueued(1, 100.0)
-    assert engine.on_requeue(1, "exhausted", 149.0).retry
-    decision = engine.on_requeue(1, "exhausted", 150.0)
-    assert not decision.retry
-    assert decision.reason == "deadline_exceeded"
-    # The deadline-only probe used by the dispatch-fault path agrees.
-    assert engine.deadline_exceeded(1, 150.0)
-    assert not engine.deadline_exceeded(1, 149.0)
-
-
-def test_backoff_ladder_grows_and_caps():
-    engine = ResilienceEngine(
-        ResilienceConfig(
-            retry=RetryPolicyConfig(backoff_base=2.0, backoff_factor=2.0, backoff_max=5.0)
-        )
-    )
-    delays = [engine.on_requeue(1, "exhausted", float(t)).delay for t in range(3)]
-    assert delays == [2.0, 4.0, 5.0]
-
-
-def test_backoff_jitter_uses_its_own_seeded_stream():
-    """Delays reproduce exactly from the policy seed alone — the jitter
-    stream is the engine's own generator, so enabling it cannot consume
-    draws from (or be perturbed by) any other stream."""
-    retry = RetryPolicyConfig(backoff_base=1.0, backoff_factor=2.0, jitter=0.5, seed=42)
-
-    def delays():
-        engine = ResilienceEngine(ResilienceConfig(retry=retry))
-        return [engine.on_requeue(9, "exhausted", float(t)).delay for t in range(5)]
-
-    reference = np.random.default_rng(42)
-    expected = [
-        min(300.0, 1.0 * 2.0**k) * (1.0 + 0.5 * float(reference.uniform(-1.0, 1.0)))
-        for k in range(5)
-    ]
-    assert delays() == expected
-    assert delays() == expected  # a fresh engine replays identically
-
-
-# ---------------------------------------------------------------------------
-# Capacity clamp (satellite: allocate_retry never outgrows the pool)
-# ---------------------------------------------------------------------------
-
-
-def test_allocate_retry_clamps_to_largest_alive_worker():
-    allocator = TaskOrientedAllocator(
-        AllocatorConfig(algorithm="quantized_bucketing", seed=0)
-    )
-    allocator.set_capacity_provider(
-        lambda: ResourceVector.of(cores=8, memory=12000, disk=16000)
-    )
-    previous = ResourceVector.of(cores=1, memory=8000, disk=100)
-    grown = allocator.allocate_retry(
-        "proc", 0, previous=previous, observed=previous, exhausted=(MEMORY,)
-    )
-    # Doubling 8000 -> 16000 overshoots the largest alive worker; the
-    # retry is clamped to 12000 and the clamp recorded per category.
-    assert grown[MEMORY] == pytest.approx(12000.0)
-    assert allocator.capacity_clamps == {"proc": 1}
-    assert allocator.capacity_clamps_total == 1
 
 
 def test_no_capacity_provider_keeps_paper_behaviour():
+    """A retry doubles past the failed allocation up to the machine
+    capacity, and no clamp is counted below it."""
     allocator = TaskOrientedAllocator(
         AllocatorConfig(algorithm="quantized_bucketing", seed=0)
     )
@@ -305,21 +80,15 @@ def test_no_capacity_provider_keeps_paper_behaviour():
     assert allocator.capacity_clamps_total == 0
 
 
-def test_conservative_allocation_is_the_whole_machine():
-    allocator = TaskOrientedAllocator(AllocatorConfig(algorithm="max_seen", seed=0))
-    conservative = allocator.conservative_allocation()
-    for res in (CORES, MEMORY, DISK):
-        assert conservative[res] == allocator.config.machine_capacity[res]
-
-
 # ---------------------------------------------------------------------------
 # Integration: the poison-task demo
 # ---------------------------------------------------------------------------
 
 
-def _run_poison(faults=None):
+def _run_poison(faults=None, workflow=None):
     manager = WorkflowManager(
-        _poison_workflow(), _config(faults=faults, resilience=_resilience())
+        workflow if workflow is not None else _poison_workflow(),
+        _config(faults=faults, retry_budget=POISON_BUDGET),
     )
     recorder = TraceRecorder(manager)
     result = manager.run()
@@ -334,7 +103,7 @@ def test_poison_task_lands_in_dead_letter_and_workflow_completes():
     (entry,) = result.dead_letters
     assert entry.task_id == poison_id
     assert entry.reason == "retry_budget_exceeded"
-    assert entry.n_exhausted == _resilience().retry.budget
+    assert entry.n_exhausted == POISON_BUDGET
 
     # Every healthy task completed exactly once; the poison task never did.
     for task in manager.tasks():
@@ -343,10 +112,6 @@ def test_poison_task_lands_in_dead_letter_and_workflow_completes():
             assert all(a.outcome is not AttemptOutcome.SUCCESS for a in task.attempts)
         else:
             assert task.state is TaskState.COMPLETED
-
-    # The watchdog never fired: quarantine IS forward progress.
-    assert result.resilience_stats.watchdog_stalls == 0
-    assert result.resilience_stats.quarantined == 1
 
 
 def test_poison_attempts_are_charged_as_failed_allocation_waste():
@@ -366,9 +131,59 @@ def test_makespan_covers_the_quarantine_time():
     assert result.makespan >= entry.time
 
 
+def test_budget_counts_exhaustions_not_evictions_by_default():
+    """Fault kills and preemptions say nothing about the allocation's
+    adequacy: the poison task is quarantined at exactly ``budget``
+    exhausted attempts however many evicted ones it also burned."""
+    evicted = 0
+    for seed in range(3):
+        _, result, _ = _run_poison(
+            faults=make_fault_config("chaos", rate=1 / 2.0, seed=seed)
+        )
+        (entry,) = result.dead_letters
+        assert entry.n_exhausted == POISON_BUDGET
+        assert entry.n_attempts == entry.n_exhausted + entry.n_evicted
+        evicted += entry.n_evicted
+    assert evicted > 0  # the schedule really did evict the poison task
+
+
+def test_dead_letter_ledger_round_trip_and_reasons():
+    """A quarantined task takes its waiting descendants with it, each
+    entry says why, and every entry round-trips through its state."""
+    tasks = list(_poison_workflow().tasks)
+    poison_id = tasks[-1].task_id
+    child = TaskSpec(
+        task_id=poison_id + 1,
+        category="merge",
+        consumption=ResourceVector.of(cores=1, memory=600.0, disk=100.0),
+        duration=40.0,
+        dependencies=(poison_id,),
+    )
+    grandchild = TaskSpec(
+        task_id=poison_id + 2,
+        category="merge",
+        consumption=ResourceVector.of(cores=1, memory=600.0, disk=100.0),
+        duration=40.0,
+        dependencies=(child.task_id, 0),
+    )
+    manager, result, _ = _run_poison(
+        workflow=WorkflowSpec("golden", tasks + [child, grandchild])
+    )
+    assert [(e.task_id, e.reason) for e in result.dead_letters] == [
+        (poison_id, "retry_budget_exceeded"),
+        (child.task_id, "parent_quarantined"),
+        (grandchild.task_id, "parent_quarantined"),
+    ]
+    assert manager.completed_tasks + result.n_quarantined == result.n_tasks
+    for entry in result.dead_letters:
+        assert DeadLetterEntry.from_state(entry.state_dict()) == entry
+    descendants = result.dead_letters[1:]
+    assert all(e.n_attempts == 0 and e.time == result.dead_letters[0].time for e in descendants)
+
+
 def test_poison_scenario_with_faults_is_bit_deterministic():
-    """Quarantine + breaker + backoff jitter + Poisson faults: two runs
-    from the same seeds are byte-identical, trace and result alike."""
+    """Quarantine + Poisson faults: two runs from the same seeds are
+    byte-identical, trace and result alike."""
     faults = make_fault_config("poisson", rate=1 / 150.0, seed=5)
     _, result_a, trace_a = _run_poison(faults=faults)
     _, result_b, trace_b = _run_poison(faults=faults)
@@ -388,25 +203,41 @@ def test_result_state_dict_round_trips_resilience_fields():
     clone = SimulationResult.from_state(result.state_dict())
     assert clone.n_quarantined == result.n_quarantined
     assert clone.dead_letters == result.dead_letters
-    assert clone.resilience_stats == result.resilience_stats
     assert clone.state_dict() == result.state_dict()
 
 
-def test_disabled_resilience_is_parity_clean():
-    """A permissive-but-enabled policy (huge budget, no backoff, no
-    breaker) replays the default-off trace byte-for-byte: consulting the
-    engine must not perturb event order, RNG draws or accounting."""
+def test_result_with_retired_resilience_stats_still_loads():
+    """A result journaled by an older build carries ``resilience_stats``;
+    it loads, and the retired key is dropped."""
+    _, result, _ = _run_poison()
+    older = result.state_dict()
+    older["resilience_stats"] = {
+        "quarantined": 1,
+        "breaker_trips": 0,
+        "watchdog_stalls": 0,
+        "backoff_requeues": 0,
+        "capacity_clamps": 0,
+    }
+    clone = SimulationResult.from_state(older)
+    assert clone.dead_letters == result.dead_letters
+    assert clone.state_dict() == result.state_dict()
+    older["resilience_stats"] = None
+    assert SimulationResult.from_state(older).state_dict() == result.state_dict()
 
-    def run(resilience):
-        manager = WorkflowManager(_workflow(), _config(resilience=resilience))
+
+def test_disabled_resilience_is_parity_clean():
+    """A budget that never binds replays the budget-free trace
+    byte-for-byte: checking it must not perturb event order, RNG draws
+    or accounting."""
+
+    def run(retry_budget):
+        manager = WorkflowManager(_workflow(), _config(retry_budget=retry_budget))
         recorder = TraceRecorder(manager)
         result = manager.run()
         return recorder.text(), result
 
     baseline_trace, baseline = run(None)
-    permissive_trace, permissive = run(
-        ResilienceConfig(retry=RetryPolicyConfig(budget=10**6))
-    )
+    permissive_trace, permissive = run(10**6)
     assert permissive_trace == baseline_trace
     assert permissive.ledger.state_dict() == baseline.ledger.state_dict()
     assert permissive.n_quarantined == 0
@@ -445,16 +276,15 @@ def _conservation_workflow(raw_tasks):
     return WorkflowSpec("conservation", tasks)
 
 
-@settings(max_examples=14, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    st.lists(task_strategy, min_size=3, max_size=10),
-    st.sampled_from(PAPER_ALGORITHMS),
-    st.integers(min_value=2, max_value=8),
-)
-def test_no_task_lost_under_quarantine(raw_tasks, algorithm, budget):
-    """submitted == completed + quarantined, each task exactly once, for
-    every paper algorithm; the always-on invariant checker audits the
-    conservation law after every event and would raise on any leak."""
+def _check_conservation(raw_tasks, algorithm, budget, fault_seed):
+    """Run one workflow with a poison task under a budget (and, when
+    ``fault_seed`` is set, chaos faults: preemptions, kills, dispatch
+    failures, degradation) and check that no task is lost."""
+    faults = (
+        None
+        if fault_seed is None
+        else make_fault_config("chaos", rate=1 / 30.0, seed=fault_seed)
+    )
     manager = WorkflowManager(
         _conservation_workflow(raw_tasks),
         SimulationConfig(
@@ -468,7 +298,8 @@ def test_no_task_lost_under_quarantine(raw_tasks, algorithm, budget):
                 capacity=ResourceVector.of(cores=16, memory=32000, disk=32000),
                 seed=3,
             ),
-            resilience=ResilienceConfig(retry=RetryPolicyConfig(budget=budget)),
+            faults=faults,
+            retry_budget=budget,
         ),
     )
     result = manager.run()
@@ -478,6 +309,11 @@ def test_no_task_lost_under_quarantine(raw_tasks, algorithm, budget):
     assert result.n_quarantined >= 1  # the poison task can never fit
 
     quarantined_ids = {entry.task_id for entry in result.dead_letters}
+    assert len(quarantined_ids) == result.n_quarantined
+    for entry in result.dead_letters:
+        # Only exhausted attempts are charged against the budget.
+        assert entry.reason == "retry_budget_exceeded"
+        assert entry.n_exhausted == budget
     for task in manager.tasks():
         if task.task_id in quarantined_ids:
             assert task.state is TaskState.QUARANTINED
@@ -489,37 +325,34 @@ def test_no_task_lost_under_quarantine(raw_tasks, algorithm, budget):
             )
             assert successes == 1
     assert result.ledger.identity_holds()
+    return result
 
 
-# ---------------------------------------------------------------------------
-# Policy matrix (slow lane)
-# ---------------------------------------------------------------------------
+@settings(max_examples=14, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(task_strategy, min_size=3, max_size=10),
+    st.sampled_from(PAPER_ALGORITHMS),
+    st.integers(min_value=2, max_value=8),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
+)
+def test_no_task_lost_under_quarantine(raw_tasks, algorithm, budget, fault_seed):
+    """submitted == completed + quarantined, each task exactly once, for
+    every paper algorithm, fault-free or under chaos faults; the
+    always-on invariant checker audits the conservation law after every
+    event and would raise on any leak."""
+    _check_conservation(raw_tasks, algorithm, budget, fault_seed)
 
 
 @pytest.mark.slow
-def test_policy_matrix_small_sweep(tmp_path):
-    from repro.experiments.config import ExperimentConfig
-
-    result = run_policy_matrix(
-        ExperimentConfig(n_tasks=40, n_workers=4, ramp_up_seconds=60.0),
-        budgets=(None, 8),
-        breaker_modes=(False, True),
-        fault_rate=1 / 300.0,
-        fault_seed=1,
-    )
-    cells = [(b, m) for b in (None, 8) for m in (False, True)]
-    for cell in cells:
-        assert cell in result.awe
-        assert result.makespan[cell] > 0.0
-    # Unbounded retry never dead-letters; breaker trips only when on.
-    assert result.dead_letters[None, False] == 0
-    assert result.dead_letters[None, True] == 0
-    assert result.breaker_trips[None, False] == 0
-    assert result.breaker_trips[8, False] == 0
-
-    out = tmp_path / "matrix.json"
-    write_policy_matrix(result, str(out))
-    import json
-
-    doc = json.loads(out.read_text())
-    assert len(doc["cells"]) == 4
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(task_strategy, min_size=3, max_size=40),
+    st.sampled_from(PAPER_ALGORITHMS),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_no_task_lost_under_quarantine_and_chaos(raw_tasks, algorithm, budget, fault_seed):
+    """The wide arm: longer workflows, every budget from 1, and chaos
+    faults on every example — kills, evictions, degradation and the
+    budget meet in one run."""
+    _check_conservation(raw_tasks, algorithm, budget, fault_seed)

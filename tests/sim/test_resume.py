@@ -35,9 +35,9 @@ from repro.sim.pool import ChurnConfig, PoolConfig
 from repro.sim.trace import TraceRecorder
 
 from tests.sim.test_golden_traces import (
+    POISON_BUDGET,
     _config,
     _poison_workflow,
-    _resilience,
     _workflow,
 )
 
@@ -106,10 +106,9 @@ CONFIGS = {
             max_workers=5,
         )
     ),
-    # Poison task + bounded retries/backoff/breaker/watchdog: kills land
-    # before, during and after the quarantine, so the resilience engine's
-    # jitter stream, dead-letter ledger and breaker state all replay.
-    "quarantine": lambda: _config(resilience=_resilience()),
+    # Poison task + a retry budget: kills land before, during and after
+    # the quarantine, so the dead-letter list replays.
+    "quarantine": lambda: _config(retry_budget=POISON_BUDGET),
     # Million-record hot-path machinery under kill/resume: a bounded
     # record store, and the greedy search's rebuilt-on-load split memo.
     "bounded_records": _bounded_records_config,
@@ -272,6 +271,25 @@ def test_every_recorded_field_is_verified(tmp_path):
             resume({**payload, name: _tampered(payload[name])})
     with pytest.raises(CheckpointError, match="verification failed on completed"):
         resume({**payload, "completed": payload["completed"] - 1})
+
+
+def test_older_snapshot_with_resilience_digest_still_resumes(tmp_path):
+    """Snapshots from builds with the retired resilience layer carry a
+    ``resilience_digest`` field (``None`` without a policy); it is not
+    compared, and the resume stays bit-identical."""
+    path = str(tmp_path / "snap.json")
+    doomed = WorkflowManager(_workflow(), CONFIGS["baseline"]())
+    checkpointer = SimulationCheckpointer(doomed, path)
+    doomed.begin()
+    doomed.advance(stop_after_events=40)
+    older = {**checkpointer.payload(), "resilience_digest": None}
+
+    fresh = WorkflowManager(_workflow(), CONFIGS["baseline"]())
+    recorder = TraceRecorder(fresh)
+    SimulationCheckpointer(fresh, path).resume(older)
+    fresh.advance()
+    fresh.finish()
+    assert recorder.text() == _uninterrupted("baseline")[0]
 
 
 def test_resume_refuses_wrong_workflow_or_algorithm(tmp_path):
