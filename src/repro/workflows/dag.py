@@ -7,15 +7,18 @@ builder the example applications use to express such structures —
 map-reduce trees, multi-stage pipelines — and hand them to the
 simulator as a :class:`~repro.workflows.spec.WorkflowSpec`.
 
-networkx backs the graph so examples can also inspect structure
-(critical path, levels) the way a workflow manager would.
+A task may only depend on earlier IDs, so ID order is already a
+topological order.  The graph is kept as plain per-task lists: parents
+are the task's sorted ``dependencies``, children are appended as later
+tasks name it, and each task's level and duration-weighted longest
+path are computed once, from its parents' entries, when it is added.
+So every structure query a workflow manager makes (levels, critical
+path) is a lookup or one pass.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
 
 from repro.core.resources import ResourceVector
 from repro.workflows.spec import TaskSpec, WorkflowSpec
@@ -44,8 +47,11 @@ class DynamicDAG:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
         self._specs: List[TaskSpec] = []
+        self._children: List[List[int]] = []
+        # Longest path ending at each task: in edges, and weighted by duration.
+        self._level: List[int] = []
+        self._longest: List[float] = []
 
     def add_task(
         self,
@@ -71,9 +77,13 @@ class DynamicDAG:
             dependencies=deps,
         )
         self._specs.append(spec)
-        self._graph.add_node(task_id, category=category)
+        self._children.append([])
         for dep in deps:
-            self._graph.add_edge(dep, task_id)
+            self._children[dep].append(task_id)
+        self._level.append(1 + max((self._level[d] for d in deps), default=-1))
+        self._longest.append(
+            spec.duration + max((self._longest[d] for d in deps), default=0.0)
+        )
         return task_id
 
     # -- structure queries ---------------------------------------------------------
@@ -81,40 +91,28 @@ class DynamicDAG:
     def __len__(self) -> int:
         return len(self._specs)
 
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (edges point parent -> child)."""
-        return self._graph
+    def _index(self, task_id: int) -> int:
+        if not (0 <= task_id < len(self._specs)):
+            raise IndexError(f"task {task_id} is not in the DAG")
+        return task_id
 
     def parents_of(self, task_id: int) -> Tuple[int, ...]:
-        return tuple(sorted(self._graph.predecessors(task_id)))
+        return self._specs[self._index(task_id)].dependencies
 
     def children_of(self, task_id: int) -> Tuple[int, ...]:
-        return tuple(sorted(self._graph.successors(task_id)))
+        return tuple(self._children[self._index(task_id)])
 
     def level_of(self, task_id: int) -> int:
         """Longest path (in edges) from any root to this task."""
-        parents = list(self._graph.predecessors(task_id))
-        if not parents:
-            return 0
-        return 1 + max(self.level_of(p) for p in parents)
+        return self._level[self._index(task_id)]
 
     def levels(self) -> Dict[int, int]:
-        """Level of every task, computed in one topological pass."""
-        level: Dict[int, int] = {}
-        for node in nx.topological_sort(self._graph):
-            parents = list(self._graph.predecessors(node))
-            level[node] = 1 + max((level[p] for p in parents), default=-1)
-        return level
+        """Level of every task, keyed by task ID."""
+        return dict(enumerate(self._level))
 
     def critical_path_length(self) -> float:
         """Longest duration-weighted chain — the ideal lower bound on makespan."""
-        longest: Dict[int, float] = {}
-        for node in nx.topological_sort(self._graph):
-            duration = self._specs[node].duration
-            parents = list(self._graph.predecessors(node))
-            longest[node] = duration + max((longest[p] for p in parents), default=0.0)
-        return max(longest.values(), default=0.0)
+        return max(self._longest, default=0.0)
 
     # -- export ----------------------------------------------------------------------
 
