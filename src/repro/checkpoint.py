@@ -41,7 +41,7 @@ import threading
 import time as _time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "FORMAT_VERSION",
@@ -51,6 +51,7 @@ __all__ = [
     "JournalRecovery",
     "SimulationInterrupted",
     "GridInterrupted",
+    "fsync_directory",
     "write_text_atomic",
     "write_json_atomic",
     "append_jsonl",
@@ -64,6 +65,7 @@ __all__ = [
     "set_fs_fault_injector",
     "file_digest",
     "canonical_json",
+    "iter_json",
     "state_digest",
     "generator_state",
     "restore_generator",
@@ -277,12 +279,31 @@ def _fault_fsync(handle: Any, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (tmp + fsync + os.replace).
+def fsync_directory(directory: str) -> None:
+    """fsync ``directory`` itself, so a rename inside it survives power loss.
 
-    A crash at any point leaves either the old file or the new one —
-    never a torn mix.  The temp file lives in the target's directory so
-    the final ``os.replace`` stays on one filesystem.
+    ``os.replace`` is atomic but not durable: the new directory entry
+    may sit in the page cache while later writes reach the disk.  Every
+    commit rename is followed by this call.  It goes straight to
+    ``os.fsync``, not through the fault hook, so a seeded
+    :class:`repro.faultfs.FsFaultPlan` counts the same file fsyncs as
+    before; an ``OSError`` propagates like a failed file fsync.
+    """
+    fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically and durably.
+
+    tmp + fsync + ``os.replace`` + directory fsync: a crash at any point
+    leaves either the old file or the new one — never a torn mix — and
+    once this returns, a power loss cannot undo the rename.  The temp
+    file lives in the target's directory so the final ``os.replace``
+    stays on one filesystem.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
@@ -301,6 +322,7 @@ def write_text_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+    fsync_directory(directory)
 
 
 def write_json_atomic(path: str, doc: Any) -> None:
@@ -540,9 +562,106 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+#: :func:`canonical_json` without building a fresh encoder per call.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def iter_json(obj: Any, sort_keys: bool = False) -> Iterator[str]:
+    """Yield ``json.dumps(obj, sort_keys=sort_keys, separators=(",", ":"))`` in pieces.
+
+    The streaming form of a *deferred* state tree: a zero-argument
+    callable anywhere in ``obj`` stands for the value it returns, which
+    is produced — and encoded whole — only when the stream reaches it,
+    then dropped.  :meth:`TaskOrientedAllocator.state_dict(deferred=True)
+    <repro.core.allocator.TaskOrientedAllocator.state_dict>` defers
+    each algorithm's ``state_dict`` this way, so hashing or writing the
+    tree holds one algorithm's state at a time, never the whole.  A
+    subtree without callables is encoded whole too (the C encoder), so
+    only the path down to each callable is walked in Python.
+
+    Dict keys outside callable results must be ``str`` (``json.dumps``
+    would coerce numbers and ``None``; a state tree never holds them):
+    anything else raises :class:`TypeError`.
+    """
+    encode = _canonical_json if sort_keys else _compact_json
+    if callable(obj):
+        yield encode(obj())
+        return
+    if not _defers(obj):
+        yield encode(obj)
+        return
+    # Depth-first over the containers that hold a callable, without
+    # recursion: the text between two callables' values is buffered and
+    # goes out in front of the next one, so each callable costs one piece.
+    pending = ""
+    stack = [(_members(obj, encode, sort_keys), _closer(obj))]
+    while stack:
+        for head, value in stack[-1][0]:
+            if callable(value):
+                yield pending + head + encode(value())
+                pending = ""
+            elif _defers(value):
+                pending += head
+                stack.append((_members(value, encode, sort_keys), _closer(value)))
+                break
+            else:
+                pending += head + encode(value)
+        else:
+            pending += stack.pop()[1]
+    yield pending
+
+
+def _members(
+    obj: Any, encode: Callable[[Any], str], sort_keys: bool
+) -> Iterator[Tuple[str, Any]]:
+    """``(text before the value, value)`` for each member of a dict or list."""
+    if isinstance(obj, dict):
+        opener = "{"
+        for key in sorted(obj) if sort_keys else obj:
+            yield f"{opener}{encode(key)}:", obj[key]
+            opener = ","
+    else:
+        opener = "["
+        for value in obj:
+            yield opener, value
+            opener = ","
+
+
+def _closer(obj: Any) -> str:
+    return "}" if isinstance(obj, dict) else "]"
+
+
+def _defers(obj: Any) -> bool:
+    """Whether a callable sits anywhere in ``obj``; refuses non-``str`` keys.
+
+    Stops at the first callable, so only the containers :func:`iter_json`
+    goes on to stream are walked past it — each of those is checked
+    again when the stream reaches it.
+    """
+    if callable(obj):
+        return True
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"state keys must be str, not {type(key).__name__}")
+        return any(map(_defers, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_defers, obj))
+    return False
+
+
 def state_digest(obj: Any) -> str:
-    """sha256 hex digest of an object's canonical JSON form."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    """sha256 hex digest of an object's canonical JSON form.
+
+    Streams :func:`iter_json`, so a deferred tree is hashed one
+    callable's value at a time; the digest is that of
+    :func:`canonical_json` of the tree with every callable replaced by
+    its result.
+    """
+    hasher = hashlib.sha256()
+    for piece in iter_json(obj, sort_keys=True):
+        hasher.update(piece.encode("utf-8"))
+    return hasher.hexdigest()
 
 
 def generator_state(gen) -> Dict[str, Any]:
@@ -587,19 +706,19 @@ def save_checkpoint(path: str, kind: str, payload: Dict[str, Any]) -> str:
     generational snapshot chain records it in its CURRENT pointer so a
     later reader can prove a snapshot file is byte-identical to what the
     writer produced (see :func:`file_digest`).
+
+    ``payload`` may be a deferred tree (:func:`iter_json`): it is
+    encoded one callable's value at a time, and the pieces are joined
+    into the file's one write.
     """
-    text = json.dumps(
-        {
-            "magic": MAGIC,
-            "version": FORMAT_VERSION,
-            "kind": kind,
-            "payload": payload,
-        },
-        indent=None,
-        separators=(",", ":"),
-    )
-    write_text_atomic(path, text)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    envelope = {"magic": MAGIC, "version": FORMAT_VERSION, "kind": kind, "payload": payload}
+    hasher = hashlib.sha256()
+    pieces: List[str] = []
+    for piece in iter_json(envelope):
+        hasher.update(piece.encode("utf-8"))
+        pieces.append(piece)
+    write_text_atomic(path, "".join(pieces))
+    return hasher.hexdigest()
 
 
 def file_digest(path: str) -> str:
@@ -800,7 +919,7 @@ class SimulationCheckpointer:
             "completed": manager.completed_tasks,
             "trace_events": self._trace_events,
             "trace_digest": self.trace_digest,
-            "allocator_digest": state_digest(manager.allocator.state_dict()),
+            "allocator_digest": manager.allocator.digest(),
             "pool_rng": manager.pool.rng_state(),
             "fault_rng": (
                 manager.faults.rng_state() if manager.faults is not None else None

@@ -46,7 +46,12 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.checkpoint import CheckpointError, generator_state, restore_generator
+from repro.checkpoint import (
+    CheckpointError,
+    generator_state,
+    restore_generator,
+    state_digest,
+)
 from repro.core.base import ALGORITHM_REGISTRY, AllocationAlgorithm
 from repro.core.resources import (
     CORES,
@@ -342,11 +347,10 @@ class TaskOrientedAllocator:
         digest answer every future request identically (same config
         assumed).  The service layer compares shard digests against
         single-threaded replays, and snapshots embed it for resume
-        verification.
+        verification.  Hashes the deferred :meth:`state_dict` as a
+        stream, so only one algorithm's state is materialised at a time.
         """
-        from repro.checkpoint import state_digest
-
-        return state_digest(self.state_dict())
+        return state_digest(self.state_dict(deferred=True))
 
     def in_exploration(self, category: str) -> bool:
         """True while the category is still in exploratory mode."""
@@ -562,7 +566,7 @@ class TaskOrientedAllocator:
 
     # -- checkpointing -----------------------------------------------------------------
 
-    def state_dict(self) -> dict:
+    def state_dict(self, deferred: bool = False) -> dict:
         """Versioned, JSON-safe snapshot of all mutable allocator state.
 
         Captures the master RNG, every category's per-resource algorithm
@@ -571,6 +575,14 @@ class TaskOrientedAllocator:
         prediction cache.  Restoring via :meth:`load_state` on a freshly
         constructed allocator with the same config yields bit-identical
         predictions for every future request.
+
+        With ``deferred=True`` each per-(category, resource) algorithm
+        entry is that algorithm's bound ``state_dict`` method instead of
+        its result: :func:`repro.checkpoint.iter_json` calls each one
+        only when the stream reaches it, so digests and snapshots hold
+        one algorithm's state at a time, never the whole.  The deferred
+        tree is a view, not a copy: encode it before the allocator
+        moves on.
         """
         return {
             "algorithm": self._config.algorithm,
@@ -581,7 +593,11 @@ class TaskOrientedAllocator:
                     "completed_records": state.completed_records,
                     "version": state.version,
                     "algorithms": {
-                        res.key: state.algorithms[res].state_dict()
+                        res.key: (
+                            state.algorithms[res].state_dict
+                            if deferred
+                            else state.algorithms[res].state_dict()
+                        )
                         for res in self._config.resources
                     },
                 }

@@ -38,6 +38,7 @@ from repro.checkpoint import (
     SERVICE_KIND,
     CheckpointError,
     file_digest,
+    fsync_directory,
     load_checkpoint,
     scan_journal,
 )
@@ -278,8 +279,9 @@ def _backup_members(data_dir: str) -> List[str]:
 def export_backup(data_dir: str, archive_path: str) -> Dict[str, Any]:
     """Write a digest-manifested ``.tar.gz`` of ``data_dir``; return manifest.
 
-    The archive lands atomically (temp + fsync + rename) so a crashed
-    export never leaves a half tarball under the target name.
+    The archive lands atomically (temp + fsync + rename + directory
+    fsync) so a crashed export never leaves a half tarball under the
+    target name.
     """
     if not os.path.isdir(data_dir):
         raise ValueError(f"not a directory: {data_dir!r}")
@@ -319,6 +321,7 @@ def export_backup(data_dir: str, archive_path: str) -> Dict[str, Any]:
         except OSError:
             pass
         raise
+    fsync_directory(directory)
     return manifest
 
 
@@ -392,4 +395,5 @@ def import_backup(
         # All digests verified; commit the whole set.
         for tmp_path, final_path in staged:
             os.replace(tmp_path, final_path)
+        fsync_directory(data_dir)
     return manifest

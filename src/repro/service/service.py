@@ -370,8 +370,11 @@ class AllocationService:
         for entry in chain:
             states = self._load_generation(entry)
             if states is not None:
-                for shard, state in zip(self._shards, states):
-                    shard.restore(state)
+                # Each parsed shard state is dropped once restored, so
+                # the parse is gone before the re-snapshot below.
+                states.reverse()
+                for shard in self._shards:
+                    shard.restore(states.pop())
                 restored_gen = int(entry["gen"])
                 break
         if chain and not restored_gen:

@@ -60,6 +60,7 @@ from repro.checkpoint import (
     CheckpointError,
     JournalCorruptError,
     JournalWriter,
+    fsync_directory,
     quarantine_file,
     repair_journal_tail,
 )
@@ -530,10 +531,17 @@ class AllocationShard:
     # -- durability ------------------------------------------------------------
 
     def state(self) -> Dict[str, Any]:
-        """This shard's slice of the multi-shard snapshot envelope."""
+        """This shard's slice of the multi-shard snapshot envelope.
+
+        The allocator's state is deferred
+        (:meth:`~repro.core.allocator.TaskOrientedAllocator.state_dict`
+        with ``deferred=True``): encode the slice with
+        :func:`~repro.checkpoint.iter_json` before the shard applies
+        another operation.
+        """
         return {
             "seq": self.seq,
-            "allocator": self.allocator.state_dict(),
+            "allocator": self.allocator.state_dict(deferred=True),
             "dedup": [[key, dict(resp)] for key, resp in self._dedup.items()],
             "dedup_hits": self.dedup_hits,
         }
@@ -609,7 +617,8 @@ class AllocationShard:
         Called right after a covering snapshot committed (under the
         quiesce barrier): instead of truncating — which would destroy
         the only replay source an *older* snapshot generation needs for
-        fallback — the WAL is closed, renamed to ``segment_path``, and a
+        fallback — the WAL is closed, renamed to ``segment_path`` (the
+        directory fsynced, so the rename outlives a power loss), and a
         fresh empty WAL opens.  A degraded shard first cuts the WAL back
         to its last successful group commit (the refused batch's bytes
         are not part of any state; mid-stream corruption is quarantined
@@ -624,12 +633,17 @@ class AllocationShard:
                 repair_journal_tail(self._wal_path, self._committed_wal_bytes)
             except JournalCorruptError:
                 quarantine_file(self._wal_path)
-        if os.path.exists(self._wal_path) and os.path.getsize(self._wal_path) > 0:
+        archived = os.path.exists(self._wal_path) and os.path.getsize(self._wal_path) > 0
+        if archived:
             os.replace(self._wal_path, segment_path)
         if self.degraded:
             self._committed_wal_bytes = 0  # the probe starts a new file
         else:
             self.open_wal()
+        if archived:
+            # After the reopen: a failing directory fsync must not leave
+            # a healthy shard applying operations with no WAL.
+            fsync_directory(os.path.dirname(os.path.abspath(segment_path)))
 
     # -- introspection ---------------------------------------------------------
 

@@ -39,6 +39,8 @@ from repro.service.service import (
     snapshot_filename,
 )
 
+from tests.service.test_generations import record_renames_and_fsyncs
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -186,6 +188,23 @@ def test_backup_round_trip_restores_identical_state(tmp_path):
         return digests
 
     assert run(boot()) == expected
+
+
+def test_backup_commit_renames_are_directory_fsynced(tmp_path, monkeypatch):
+    source = tmp_path / "source"
+    _populate(source)
+    archive = tmp_path / "backup.tar.gz"
+    events = record_renames_and_fsyncs(monkeypatch)
+    export_backup(str(source), str(archive))
+    import_backup(str(archive), str(tmp_path / "restored"))
+    monkeypatch.undo()
+    renamed = [name for kind, name in events if kind == "rename"]
+    assert renamed[0] == "backup.tar.gz" and len(renamed) > 2
+    # The archive rename, then the imported set as one commit: the
+    # directory is fsynced after the last of its renames.
+    assert events[events.index(("rename", renamed[0])) + 1] == ("fsync-dir", None)
+    last = max(i for i, (kind, _) in enumerate(events) if kind == "rename")
+    assert events[last + 1] == ("fsync-dir", None)
 
 
 def test_import_refuses_occupied_dir_unless_forced(tmp_path):

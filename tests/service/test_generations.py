@@ -11,6 +11,7 @@ loudly when nothing is left).
 import asyncio
 import json
 import os
+import stat
 
 import pytest
 
@@ -329,3 +330,57 @@ def test_corrupt_live_wal_is_quarantined_with_prefix_kept(tmp_path):
     victim_path, events = run(scenario())
     assert any(e["kind"] == "journal-corrupt" for e in events)
     assert os.path.isdir(victim_path + ".corrupt")
+
+
+def record_renames_and_fsyncs(monkeypatch):
+    """Log every ``os.replace`` (target name) and ``os.fsync`` (file or dir).
+
+    Directories are told apart by ``fstat`` on the fsynced fd, so the
+    log shows whether a rename was followed by an fsync of its parent.
+    """
+    events = []
+    real_replace, real_fsync = os.replace, os.fsync
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        events.append(("rename", os.path.basename(dst)))
+
+    def fsync(fd):
+        real_fsync(fd)
+        kind = "fsync-dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync-file"
+        events.append((kind, None))
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "fsync", fsync)
+    return events
+
+
+def assert_each_rename_dir_fsynced(events):
+    for i, (kind, name) in enumerate(events):
+        if kind == "rename":
+            assert events[i + 1 : i + 2] == [("fsync-dir", None)], (name, events)
+
+
+def test_snapshot_renames_are_each_followed_by_a_directory_fsync(tmp_path, monkeypatch):
+    """Generation file, CURRENT pointer, WAL archive: a power loss must
+    not keep a later rename and lose an earlier one (recovery would
+    skip the archived segment and drop acknowledged ops), so each
+    rename is made durable by fsyncing its directory before the next."""
+
+    async def scenario():
+        service = await _seed_service(_config(tmp_path), n_ops=6)
+        events = record_renames_and_fsyncs(monkeypatch)
+        await service.snapshot()
+        monkeypatch.undo()
+        gen = service.generation
+        await service.stop(snapshot=False)
+        return gen, events
+
+    gen, events = run(scenario())
+    renamed = [name for kind, name in events if kind == "rename"]
+    assert renamed[:2] == [snapshot_filename(gen), CURRENT_FILENAME]
+    assert renamed[2:] and all(
+        parse_segment(name) is not None and parse_segment(name)[1] == gen
+        for name in renamed[2:]
+    )
+    assert_each_rename_dir_fsynced(events)

@@ -16,6 +16,7 @@ The canonical resume flow exercised throughout::
     manager.finish()         # worker events past workflow completion
 """
 
+import hashlib
 
 import pytest
 
@@ -24,8 +25,10 @@ from repro.checkpoint import (
     GracefulShutdown,
     SimulationCheckpointer,
     SimulationInterrupted,
+    canonical_json,
     load_checkpoint,
     resume_simulation_checkpoint,
+    save_checkpoint,
 )
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig
 from repro.core.resources import ResourceVector
@@ -287,6 +290,27 @@ def test_older_snapshot_with_resilience_digest_still_resumes(tmp_path):
     fresh = WorkflowManager(_workflow(), CONFIGS["baseline"]())
     recorder = TraceRecorder(fresh)
     SimulationCheckpointer(fresh, path).resume(older)
+    fresh.advance()
+    fresh.finish()
+    assert recorder.text() == _uninterrupted("baseline")[0]
+
+
+def test_snapshot_with_materialised_allocator_digest_still_resumes(tmp_path):
+    """Snapshots from builds that hashed the whole ``state_dict()`` JSON
+    (before the digest streamed) carry the same ``allocator_digest`` and
+    resume bit-identically."""
+    path = str(tmp_path / "snap.json")
+    doomed = WorkflowManager(_workflow(), CONFIGS["baseline"]())
+    checkpointer = SimulationCheckpointer(doomed, path)
+    doomed.begin()
+    doomed.advance(stop_after_events=40)
+    materialised = canonical_json(doomed.allocator.state_dict()).encode("utf-8")
+    older = {**checkpointer.payload(), "allocator_digest": hashlib.sha256(materialised).hexdigest()}
+    save_checkpoint(path, "simulation", older)
+
+    fresh = WorkflowManager(_workflow(), CONFIGS["baseline"]())
+    recorder = TraceRecorder(fresh)
+    resume_simulation_checkpoint(fresh, path)
     fresh.advance()
     fresh.finish()
     assert recorder.text() == _uninterrupted("baseline")[0]
