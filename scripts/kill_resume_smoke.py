@@ -9,14 +9,16 @@ processes:
 2. launch the same experiment with ``--checkpoint-dir``, SIGTERM it as
    soon as at least one grid cell is journaled (mid-run, arbitrary
    point), and require exit code 143 with **no** ``--out`` file
-   published;
+   published and nothing but the journal in the checkpoint directory;
 3. relaunch with ``--resume`` and require byte-identical output to the
    reference.
 
+``--jobs N`` is passed through to every run, so the same check covers
+the serial grid (``--jobs 1``) and the process-pool grid (``--jobs 2``).
 Exits 0 on success, 1 with a diagnostic on any violation.  Used by the
 ``resume-smoke`` CI lane; run locally with::
 
-    python scripts/kill_resume_smoke.py [--keep] [--tasks N]
+    python scripts/kill_resume_smoke.py [--keep] [--tasks N] [--jobs N]
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ def _cli(args: list) -> list:
     return [sys.executable, "-m", "repro.cli", "figure5", *args]
 
 
-def _experiment_args(tasks: int) -> list:
-    return ["--tasks", str(tasks), "--workers", "4", "--ramp-up", "60"]
+def _experiment_args(tasks: int, jobs: int) -> list:
+    return [
+        "--tasks", str(tasks), "--workers", "4", "--ramp-up", "60", "--jobs", str(jobs),
+    ]
 
 
 def fail(message: str) -> "NoReturn":  # noqa: F821 - py3.9 compatibility
@@ -56,6 +60,9 @@ def fail(message: str) -> "NoReturn":  # noqa: F821 - py3.9 compatibility
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tasks", type=int, default=60, help="grid size knob")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="grid worker processes (default 1: serial)"
+    )
     parser.add_argument(
         "--keep", action="store_true", help="keep the scratch directory"
     )
@@ -71,7 +78,7 @@ def main() -> int:
         # Step 1: the uninterrupted reference.
         print("[smoke] reference run ...")
         proc = subprocess.run(
-            _cli([*_experiment_args(args.tasks), "--out", ref_path]),
+            _cli([*_experiment_args(args.tasks, args.jobs), "--out", ref_path]),
             env=env,
             cwd=scratch,
             capture_output=True,
@@ -85,11 +92,9 @@ def main() -> int:
         victim = subprocess.Popen(
             _cli(
                 [
-                    *_experiment_args(args.tasks),
+                    *_experiment_args(args.tasks, args.jobs),
                     "--checkpoint-dir",
                     ckpt_dir,
-                    "--checkpoint-interval",
-                    "0.2",
                     "--out",
                     out_path,
                 ]
@@ -119,6 +124,9 @@ def main() -> int:
             fail(f"interrupt message lacks the resume hint: {stderr[-300:]}")
         if os.path.exists(out_path):
             fail("interrupted run published its --out file; partial results leaked")
+        left = sorted(os.listdir(os.path.dirname(journal)))
+        if left != ["journal.jsonl"]:
+            fail(f"checkpoint directory holds {left}, expected only the journal")
         print(f"[smoke] killed mid-run (>= {journaled_cells} cells journaled), rc=143")
 
         # Step 3: resume and byte-compare.
@@ -126,7 +134,7 @@ def main() -> int:
         proc = subprocess.run(
             _cli(
                 [
-                    *_experiment_args(args.tasks),
+                    *_experiment_args(args.tasks, args.jobs),
                     "--checkpoint-dir",
                     ckpt_dir,
                     "--resume",

@@ -1,8 +1,7 @@
-"""Crash-safe checkpointing: atomic writes, versioned snapshots, resume.
+"""Crash-safe checkpointing: atomic writes, versioned snapshots, journals.
 
 Production resource managers treat predictor/scheduler state as durable,
-restartable state; this module gives the reproduction the same property
-across its three layers:
+restartable state; this module gives the reproduction the same property:
 
 * **Durable allocator state** — every algorithm and the
   :class:`~repro.core.allocator.TaskOrientedAllocator` expose
@@ -11,20 +10,15 @@ across its three layers:
   JSON's shortest-repr float encoding, prefix-sum buffers are stored
   verbatim (never recomputed, which would change rounding), and RNG
   states are captured via ``Generator.bit_generator.state``.
-* **Resumable simulations** — the event queue holds closures and cannot
-  be pickled, so a simulation snapshot is *replay-based*: it records how
-  many engine events have been processed plus verification digests
-  (trace hash, allocator state hash, pool/fault RNG states).  Resuming
-  rebuilds the manager from its config, replays exactly that many events
-  (the engine is deterministic, so the rebuilt state is bit-identical),
-  verifies every digest, and continues.  A mismatch means the config or
-  code changed and the checkpoint is refused rather than silently
-  diverging.
+* **Journals** — append-only, CRC-framed JSON lines (:func:`append_jsonl`,
+  :class:`JournalWriter`) whose torn tail is dropped and whose corrupt
+  middle is quarantined on read.  The experiment grid journals each
+  finished (workflow x algorithm) cell, the allocation service its
+  write-ahead log.
 * **Graceful shutdown** — :class:`GracefulShutdown` converts SIGINT /
-  SIGTERM into a flag the :class:`SimulationCheckpointer` observes after
-  every event: it writes one final snapshot, flushes atomically, and
-  raises :class:`SimulationInterrupted` so the caller can exit cleanly
-  with ``128 + signum``.
+  SIGTERM into a flag that long-running loops poll; the grid runner
+  raises :class:`GridInterrupted` within one simulation event of it, so
+  the caller can exit cleanly with ``128 + signum``.
 
 This module deliberately imports nothing from ``repro`` at module scope
 (the core layer imports it), keeping the dependency graph acyclic.
@@ -38,7 +32,6 @@ import os
 import signal as _signal
 import tempfile
 import threading
-import time as _time
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -49,7 +42,6 @@ __all__ = [
     "CheckpointError",
     "JournalCorruptError",
     "JournalRecovery",
-    "SimulationInterrupted",
     "GridInterrupted",
     "fsync_directory",
     "write_text_atomic",
@@ -72,7 +64,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "GracefulShutdown",
-    "SimulationCheckpointer",
 ]
 
 #: Version of the on-disk checkpoint envelope.  Bumped on any change to
@@ -129,24 +120,6 @@ class JournalRecovery:
     reason: str
     docs_kept: int
     quarantined_to: Optional[str]
-
-
-class SimulationInterrupted(RuntimeError):
-    """A shutdown signal arrived mid-simulation; a snapshot was written.
-
-    Attributes
-    ----------
-    path:
-        Where the final snapshot landed.
-    signum:
-        The signal that triggered the shutdown (``None`` for a manual
-        trip, e.g. in tests).
-    """
-
-    def __init__(self, path: str, signum: Optional[int]) -> None:
-        super().__init__(f"simulation interrupted (signal {signum}); snapshot at {path}")
-        self.path = path
-        self.signum = signum
 
 
 class GridInterrupted(RuntimeError):
@@ -764,8 +737,8 @@ def load_checkpoint(path: str, kind: Optional[str] = None) -> Tuple[str, Dict[st
 class GracefulShutdown:
     """Context manager turning SIGINT/SIGTERM into a cooperative flag.
 
-    The first signal sets :attr:`triggered`; checkpoint-aware loops poll
-    it at safe points, write their snapshot, and unwind.  The previous
+    The first signal sets :attr:`triggered`; long-running loops poll it
+    at safe points and unwind.  The previous
     handlers are restored on the *first* signal, so a second Ctrl-C
     terminates immediately (the operator's escape hatch), and again on
     context exit.  Handler installation is skipped off the main thread
@@ -805,13 +778,6 @@ class GracefulShutdown:
         self._previous.clear()
 
 
-# ---------------------------------------------------------------------------
-# Simulation checkpointer
-# ---------------------------------------------------------------------------
-
-#: Payload kind of simulation snapshots.
-SIMULATION_KIND = "simulation"
-
 #: Payload kind of allocation-service snapshots: one envelope holding a
 #: consistent cut of *every* shard (allocator state, applied-op sequence
 #: number, idempotency window) taken under a full quiesce barrier, so
@@ -819,195 +785,3 @@ SIMULATION_KIND = "simulation"
 #: :meth:`repro.service.AllocationService.snapshot`.
 SERVICE_KIND = "service"
 
-
-class SimulationCheckpointer:
-    """Periodic + on-signal snapshots of one running simulation.
-
-    Attach to a **freshly constructed** (not yet begun)
-    :class:`~repro.sim.manager.WorkflowManager`.  The checkpointer
-    subscribes to the manager's event stream (hashing every canonical
-    trace line incrementally) and to the engine's post-event hook, where
-    it enforces the snapshot policy:
-
-    * ``every_events=N`` — snapshot after every N-th processed engine
-      event (deterministic; tests and the bit-identical-resume proofs
-      use this);
-    * ``every_seconds=S`` — snapshot when S wall-clock seconds have
-      passed since the last one (the production knob);
-    * ``shutdown`` — a :class:`GracefulShutdown`; when tripped, one
-      final snapshot is written and :class:`SimulationInterrupted` is
-      raised out of the engine loop.
-
-    :meth:`resume` replays a snapshot against the fresh manager and
-    verifies bit-identity (clock, trace digest, allocator digest, RNG
-    states) before handing control back.
-    """
-
-    def __init__(
-        self,
-        manager: Any,
-        path: str,
-        every_events: Optional[int] = None,
-        every_seconds: Optional[float] = None,
-        shutdown: Optional[GracefulShutdown] = None,
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        if every_events is not None and every_events < 1:
-            raise ValueError(f"every_events must be >= 1, got {every_events}")
-        if every_seconds is not None and every_seconds <= 0:
-            raise ValueError(f"every_seconds must be > 0, got {every_seconds}")
-        self._manager = manager
-        self._path = path
-        self._every_events = every_events
-        self._every_seconds = every_seconds
-        self._shutdown = shutdown
-        self._extra = dict(extra) if extra else {}
-        self._hasher = hashlib.sha256()
-        self._trace_events = 0
-        self._last_wall = _time.monotonic()
-        self._replaying = False
-        self.snapshots_written = 0
-        manager.add_event_listener(self._on_sim_event)
-        manager.engine.add_listener(self._after_engine_event)
-
-    @property
-    def trace_digest(self) -> str:
-        return self._hasher.hexdigest()
-
-    # -- hooks -----------------------------------------------------------------
-
-    def _on_sim_event(self, event) -> None:
-        from repro.sim.trace import format_event
-
-        self._hasher.update(format_event(event).encode("utf-8"))
-        self._hasher.update(b"\n")
-        self._trace_events += 1
-
-    def _after_engine_event(self) -> None:
-        if self._replaying:
-            return
-        if self._shutdown is not None and self._shutdown.triggered:
-            self.write()
-            raise SimulationInterrupted(self._path, self._shutdown.signum)
-        if (
-            self._every_events is not None
-            and self._manager.engine.events_processed % self._every_events == 0
-        ):
-            self.write()
-        elif self._every_seconds is not None:
-            now = _time.monotonic()
-            if now - self._last_wall >= self._every_seconds:
-                self.write()
-
-    # -- snapshot --------------------------------------------------------------
-
-    def _fingerprint(self) -> Dict[str, Any]:
-        """Every verifiable fact about the manager's current state.
-
-        The one list of snapshot fields: :meth:`payload` records exactly
-        these and :meth:`_verify` re-derives and compares every one, so
-        a field cannot be recorded without being checked.
-        """
-        manager = self._manager
-        engine = manager.engine
-        return {
-            "events": engine.events_processed,
-            "now": engine.now,
-            "workflow": manager.workflow.name,
-            "n_tasks": len(manager.workflow),
-            "algorithm": manager.algorithm_label,
-            "completed": manager.completed_tasks,
-            "trace_events": self._trace_events,
-            "trace_digest": self.trace_digest,
-            "allocator_digest": manager.allocator.digest(),
-            "pool_rng": manager.pool.rng_state(),
-            "fault_rng": (
-                manager.faults.rng_state() if manager.faults is not None else None
-            ),
-        }
-
-    def payload(self) -> Dict[str, Any]:
-        """The snapshot document for the manager's current state."""
-        return {**self._fingerprint(), **self._extra}
-
-    def write(self) -> str:
-        """Write one snapshot atomically; returns the path."""
-        save_checkpoint(self._path, SIMULATION_KIND, self.payload())
-        self.snapshots_written += 1
-        self._last_wall = _time.monotonic()
-        return self._path
-
-    # -- resume ----------------------------------------------------------------
-
-    def resume(self, payload: Dict[str, Any]) -> bool:
-        """Replay ``payload`` against the fresh manager and verify it.
-
-        Returns ``True`` if the replay already completed the workflow
-        (the snapshot landed after the last event).  Raises
-        :class:`CheckpointError` on any divergence — a refused resume is
-        always safer than a silently wrong one.
-        """
-        manager = self._manager
-        if payload.get("workflow") != manager.workflow.name or payload.get(
-            "n_tasks"
-        ) != len(manager.workflow):
-            raise CheckpointError(
-                f"snapshot is for workflow {payload.get('workflow')!r} "
-                f"({payload.get('n_tasks')} tasks); manager runs "
-                f"{manager.workflow.name!r} ({len(manager.workflow)} tasks)"
-            )
-        if payload.get("algorithm") != manager.algorithm_label:
-            raise CheckpointError(
-                f"snapshot is for algorithm {payload.get('algorithm')!r}; "
-                f"manager runs {manager.algorithm_label!r}"
-            )
-        target = int(payload["events"])
-        self._replaying = True
-        try:
-            manager.begin()
-            done = manager.advance(stop_after_events=target)
-        finally:
-            self._replaying = False
-        self._verify(payload)
-        return done
-
-    def _verify(self, payload: Dict[str, Any]) -> None:
-        # `.get`: a field the snapshot lacks verifies only while this
-        # run's value is ``None`` too.  Fields the snapshot carries but
-        # the fingerprint no longer has (the retired
-        # ``resilience_digest``) are not compared: quarantine decisions
-        # are already inside ``trace_digest``.
-        for name, got in self._fingerprint().items():
-            expected = payload.get(name)
-            if got != expected:
-                raise CheckpointError(
-                    f"resume verification failed on {name}: replay produced "
-                    f"{got!r}, snapshot recorded {expected!r} — the run is not "
-                    "bit-identical (config or code changed since the snapshot)"
-                )
-
-
-def resume_simulation_checkpoint(
-    manager: Any,
-    path: str,
-    every_events: Optional[int] = None,
-    every_seconds: Optional[float] = None,
-    shutdown: Optional[GracefulShutdown] = None,
-    extra: Optional[Dict[str, Any]] = None,
-) -> Tuple["SimulationCheckpointer", bool]:
-    """Load ``path`` and resume ``manager`` from it.
-
-    Convenience wrapper: builds the checkpointer, loads the snapshot,
-    replays, verifies.  Returns ``(checkpointer, workflow_done)``.
-    """
-    _, payload = load_checkpoint(path, kind=SIMULATION_KIND)
-    checkpointer = SimulationCheckpointer(
-        manager,
-        path,
-        every_events=every_events,
-        every_seconds=every_seconds,
-        shutdown=shutdown,
-        extra=extra,
-    )
-    done = checkpointer.resume(payload)
-    return checkpointer, done

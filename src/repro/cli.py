@@ -46,7 +46,6 @@ from repro.experiments import (
 from repro.experiments.config import ExperimentConfig
 from repro.service.config import DURABILITY_MODES
 from repro.sim.faults import FAULT_PROFILES, make_fault_config
-from repro.sim.manager import check_retry_budget
 
 __all__ = ["main", "build_parser"]
 
@@ -81,15 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
         "service daemon; 'fsck'/'snapshot-export'/'snapshot-import' are "
         "offline storage tools for a service data dir)",
     )
-    parser.add_argument("--tasks", type=int, default=1000, help="tasks per synthetic workflow")
-    parser.add_argument("--workers", type=int, default=20, help="worker pool size")
+    parser.add_argument(
+        "--tasks", type=_positive_int, default=1000, help="tasks per synthetic workflow"
+    )
+    parser.add_argument("--workers", type=_positive_int, default=20, help="worker pool size")
     parser.add_argument("--seed", type=int, default=0, help="workflow generation seed")
     parser.add_argument(
         "--ramp-up", type=float, default=600.0, help="pool ramp-up window (seconds)"
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for grid experiments (figure5/figure6); "
         "results are identical to the serial run",
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retry-budget",
-        type=_retry_budget,
+        type=_positive_int,
         metavar="N",
         default=None,
         help="dead-letter a task (and its waiting descendants) after N "
@@ -134,15 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
-        help="journal completed grid cells and snapshot the running "
-        "simulation here (figure5/figure6); enables --resume after a "
-        "crash or SIGINT/SIGTERM",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=30.0,
-        help="wall-clock seconds between in-cell snapshots (default 30)",
+        help="journal completed grid cells here (figure5/figure6); "
+        "enables --resume after a crash or SIGINT/SIGTERM",
     )
     parser.add_argument(
         "--resume",
@@ -271,14 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _retry_budget(text: str) -> int:
-    """argparse type for ``--retry-budget``: a bad value is a usage error."""
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a bad value is a usage error, not a traceback."""
     try:
-        return check_retry_budget(int(text))
+        value = int(text)
+        if value >= 1:
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -309,7 +304,6 @@ def _durable(config: ExperimentConfig, args: argparse.Namespace, target: str) ->
 
     return config.with_(
         checkpoint_dir=os.path.join(args.checkpoint_dir, target),
-        checkpoint_interval=args.checkpoint_interval,
         resume=args.resume,
     )
 
@@ -388,7 +382,10 @@ def _storage_tools(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.resume and args.checkpoint_dir is None:
+        parser.error("--resume requires --checkpoint-dir")
     if args.experiment == "serve":
         return _serve(args)
     if args.experiment in ("fsck", "snapshot-export", "snapshot-import"):

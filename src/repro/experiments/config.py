@@ -87,18 +87,12 @@ class ExperimentConfig:
     #: ``SimulationConfig.retry_budget``); ``None`` keeps the paper's
     #: unbounded retry behaviour.
     retry_budget: Optional[int] = None
-    #: Directory for crash-safe grid state (the completed-cell journal
-    #: and the in-flight simulation snapshot).  ``None`` disables
-    #: durability; see :mod:`repro.checkpoint`.
+    #: Directory for crash-safe grid state: the journal of completed
+    #: cells.  ``None`` disables durability; see
+    #: :mod:`repro.experiments.runner`.
     checkpoint_dir: Optional[str] = None
-    #: Wall-clock seconds between in-cell simulation snapshots.
-    checkpoint_interval: float = 30.0
-    #: Snapshot every N engine events instead of on a wall-clock timer
-    #: (deterministic; used by the bit-identical resume tests).
-    # reprolint: disable=R7  # test-harness knob, deliberately not CLI-exposed
-    checkpoint_every_events: Optional[int] = None
-    #: Continue from the journal/snapshot in ``checkpoint_dir`` instead
-    #: of starting fresh.  Requires the journal to match this config
+    #: Continue from the journal in ``checkpoint_dir`` instead of
+    #: starting fresh.  Requires the journal to match this config
     #: (grid digest) — a mismatch is refused, never silently rerun.
     resume: bool = False
 

@@ -7,16 +7,17 @@ each builds its workflow and allocator from the shared
 :class:`~repro.experiments.config.ExperimentConfig` seeds — so the
 parallel path is bit-identical to the serial one, cell for cell.
 
-Crash safety (``config.checkpoint_dir``): completed cells are journaled
-to a write-ahead ``journal.jsonl`` (header + one line per cell result)
-and — in the serial path — the in-flight cell is snapshotted
-periodically and on SIGINT/SIGTERM to ``inflight.json``.  Relaunching
-with ``config.resume=True`` skips the journaled cells, resumes the
-interrupted cell mid-simulation (replay-verified, bit-identical; see
-:mod:`repro.checkpoint`), and produces exactly the results an
-uninterrupted run would have.  The journal is bound to a digest of the
-grid definition, so a checkpoint directory can never silently feed a
-different experiment.
+Crash safety (``config.checkpoint_dir``): the cell is the unit of
+durability.  Completed cells are journaled to a write-ahead
+``journal.jsonl`` (header + one line per cell result); a cell that a
+crash or SIGINT/SIGTERM cuts short is dropped.  Relaunching with
+``config.resume=True`` skips the journaled cells and reruns the rest
+from their seeds, which produces exactly the results an uninterrupted
+run would have.  A cell is never resumed mid-simulation: the event
+queue holds closures, so the only way back into a cell is to replay it
+from event 0, which costs as much as rerunning it.  The journal is
+bound to a digest of the grid definition, so a checkpoint directory can
+never silently feed a different experiment.
 """
 
 from __future__ import annotations
@@ -29,15 +30,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import (
-    SIMULATION_KIND,
     CheckpointError,
     GracefulShutdown,
     GridInterrupted,
-    SimulationCheckpointer,
-    SimulationInterrupted,
     append_jsonl,
     encode_frame,
-    load_checkpoint,
     recover_jsonl,
     state_digest,
     write_text_atomic,
@@ -58,7 +55,6 @@ __all__ = ["run_cell", "run_grid", "GridResult", "grid_digest"]
 _JOURNAL_KIND = "grid-journal"
 _JOURNAL_VERSION = 1
 _JOURNAL_NAME = "journal.jsonl"
-_INFLIGHT_NAME = "inflight.json"
 
 
 def run_cell(
@@ -72,6 +68,11 @@ def run_cell(
     The pseudo-algorithm ``"oracle"`` runs the simulator's oracle mode:
     every task allocated exactly its true consumption (the reference
     ceiling of Section II-C).
+
+    The parallel grid runs each cell through this function in a worker
+    process.  Workflow generation is deterministic in
+    ``workflow_seed`` and the allocator/pool seeds come from the
+    config, so a cell run here is bit-identical to the serial path's.
     """
     config = config if config is not None else ExperimentConfig()
     if isinstance(workflow, str):
@@ -126,9 +127,8 @@ def grid_digest(
 
     Covers everything that determines the results — the cell list and
     every simulation-relevant config field — and deliberately excludes
-    the checkpoint plumbing (``checkpoint_dir``, intervals, ``resume``),
-    which may legitimately differ between the interrupted run and its
-    relaunch.
+    the checkpoint plumbing (``checkpoint_dir``, ``resume``), which may
+    legitimately differ between the interrupted run and its relaunch.
     """
     doc = {
         "workflows": list(workflows),
@@ -183,13 +183,11 @@ class _GridJournal:
         self._dir = directory
         self._digest = digest
         self.journal_path = os.path.join(directory, _JOURNAL_NAME)
-        self.inflight_path = os.path.join(directory, _INFLIGHT_NAME)
 
     def start_fresh(self) -> None:
         os.makedirs(self._dir, exist_ok=True)
         header = {"kind": _JOURNAL_KIND, "version": _JOURNAL_VERSION, "digest": self._digest}
         write_text_atomic(self.journal_path, encode_frame(header) + "\n")
-        self._remove_inflight()
 
     def exists(self) -> bool:
         return os.path.exists(self.journal_path)
@@ -242,46 +240,6 @@ class _GridJournal:
             self.journal_path,
             {"workflow": key[0], "algorithm": key[1], "result": result.state_dict()},
         )
-        # The cell the inflight snapshot belonged to is now journaled
-        # (or superseded); drop it so resume never replays a stale one.
-        self._remove_inflight()
-
-    def load_inflight(self, key: Tuple[str, str]) -> Optional[Dict[str, Any]]:
-        """The interrupted cell's snapshot payload, if it is ``key``'s."""
-        if not os.path.exists(self.inflight_path):
-            return None
-        _, payload = load_checkpoint(self.inflight_path, kind=SIMULATION_KIND)
-        if payload.get("cell") != [key[0], key[1]]:
-            return None
-        if payload.get("grid_digest") != self._digest:
-            raise CheckpointError(
-                "in-flight snapshot belongs to a different experiment "
-                "(digest mismatch) — refusing to resume from it"
-            )
-        return payload
-
-    def _remove_inflight(self) -> None:
-        try:
-            os.unlink(self.inflight_path)
-        except FileNotFoundError:
-            pass
-
-
-def _run_grid_cell(
-    wf_name: str, algorithm: str, config: ExperimentConfig
-) -> SimulationResult:
-    """One grid cell, built entirely from the (picklable) config.
-
-    Workflow generation is deterministic in ``workflow_seed``, so
-    regenerating the workflow inside a worker process yields the exact
-    task stream the serial path sees, and the allocator/pool seeds come
-    from the config — parallel results are bit-identical to serial ones.
-    """
-    workflow = make_workflow(
-        wf_name, n_tasks=config.n_tasks, seed=config.workflow_seed
-    )
-    manager = WorkflowManager(workflow, _simulation_config(config, algorithm, {}))
-    return manager.run()
 
 
 def run_grid(
@@ -304,11 +262,11 @@ def run_grid(
     identical cell for cell regardless of ``jobs``.
 
     With ``config.checkpoint_dir`` set, completed cells are journaled
-    as they finish and (serial path only) the running cell is
-    snapshotted periodically; ``shutdown`` — a
+    as they finish.  ``shutdown`` — a
     :class:`~repro.checkpoint.GracefulShutdown` — turns SIGINT/SIGTERM
-    into a final snapshot plus :class:`~repro.checkpoint.GridInterrupted`.
-    ``config.resume=True`` continues such a run bit-identically.
+    into :class:`~repro.checkpoint.GridInterrupted`; the cells still
+    running are dropped.  ``config.resume=True`` continues such a run
+    bit-identically.
     """
     config = config if config is not None else ExperimentConfig()
     if jobs < 1:
@@ -333,10 +291,7 @@ def run_grid(
 
     cells: Dict[Tuple[str, str], SimulationResult] = {}
     if jobs == 1:
-        _run_serial(
-            keys, workflows, algorithms, config, cells, completed,
-            journal, shutdown, verbose,
-        )
+        _run_serial(keys, config, cells, completed, journal, shutdown, verbose)
     else:
         _run_parallel(keys, config, cells, completed, journal, shutdown, verbose, jobs)
     return GridResult(
@@ -354,8 +309,6 @@ def _check_shutdown(shutdown: Optional[GracefulShutdown], journaled: int) -> Non
 
 def _run_serial(
     keys: List[Tuple[str, str]],
-    workflows: Sequence[str],
-    algorithms: Sequence[str],
     config: ExperimentConfig,
     cells: Dict[Tuple[str, str], SimulationResult],
     completed: Dict[Tuple[str, str], SimulationResult],
@@ -363,6 +316,11 @@ def _run_serial(
     shutdown: Optional[GracefulShutdown],
     verbose: bool,
 ) -> None:
+    def poll() -> None:
+        # After every simulation event: a signal interrupts the running
+        # cell within one event, and the cell is dropped, not saved.
+        _check_shutdown(shutdown, len(cells))
+
     workflow_cache: Dict[str, WorkflowSpec] = {}
     for key in keys:
         wf_name, algorithm = key
@@ -377,34 +335,9 @@ def _run_serial(
         manager = WorkflowManager(
             workflow_cache[wf_name], _simulation_config(config, algorithm, {})
         )
-        if journal is not None:
-            checkpointer = SimulationCheckpointer(
-                manager,
-                journal.inflight_path,
-                every_events=config.checkpoint_every_events,
-                every_seconds=(
-                    config.checkpoint_interval
-                    if config.checkpoint_every_events is None
-                    else None
-                ),
-                shutdown=shutdown,
-                extra={
-                    "cell": [wf_name, algorithm],
-                    "grid_digest": journal._digest,
-                },
-            )
-            inflight = journal.load_inflight(key) if config.resume else None
-            try:
-                if inflight is not None:
-                    checkpointer.resume(inflight)
-                else:
-                    manager.begin()
-                manager.advance()
-            except SimulationInterrupted as exc:
-                raise GridInterrupted(exc.signum, len(cells)) from exc
-            result = manager.finish()
-        else:
-            result = manager.run()
+        if shutdown is not None:
+            manager.engine.add_listener(poll)
+        result = manager.run()
         cells[key] = result
         if journal is not None:
             journal.record(key, result)
@@ -422,12 +355,12 @@ def _run_parallel(
     verbose: bool,
     jobs: int,
 ) -> None:
-    """Parallel path: durability is at cell granularity.
+    """Parallel path: the same cell-grain durability as the serial one.
 
-    Cells live in worker processes, so there are no in-cell snapshots;
-    an interrupt journals every cell whose result has already been
-    collected and cancels the not-yet-started ones.  A resumed run
-    reruns only the cells that never made it into the journal.
+    An interrupt journals every cell whose result has already been
+    collected and cancels the not-yet-started ones; the cells running
+    in worker processes are dropped.  A resumed run reruns only the
+    cells that never made it into the journal.
     """
     for key in keys:
         if key in completed:
@@ -438,7 +371,7 @@ def _run_parallel(
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
         futures = {
-            key: pool.submit(_run_grid_cell, key[0], key[1], config)
+            key: pool.submit(run_cell, key[0], key[1], config)
             for key in pending
         }
         try:

@@ -81,7 +81,6 @@ class SimulationEngine:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        stop_after_total: Optional[int] = None,
     ) -> float:
         """Process events until the queue drains (or a bound is hit).
 
@@ -93,12 +92,6 @@ class SimulationEngine:
         max_events:
             Safety bound on processed events; exceeding it raises
             ``RuntimeError`` (a stuck workflow is a bug, not a result).
-        stop_after_total:
-            Pause cleanly once :attr:`events_processed` (the lifetime
-            total, not this call's count) reaches this value; a later
-            ``run()`` continues from the exact same queue state.  The
-            checkpoint/resume machinery replays a snapshot by running a
-            fresh engine to the snapshot's event count.
 
         Returns the simulation time when the loop stopped.
         """
@@ -108,8 +101,6 @@ class SimulationEngine:
         processed_this_run = 0
         try:
             while self._queue:
-                if stop_after_total is not None and self._processed >= stop_after_total:
-                    break
                 time, _seq, callback = self._queue[0]
                 if until is not None and time > until:
                     self._now = until
@@ -119,8 +110,9 @@ class SimulationEngine:
                 self._last_event_time = time
                 callback()
                 # Count the event *before* the listeners run, so a
-                # listener that snapshots (or raises to pause) sees the
-                # event it just witnessed included in events_processed.
+                # listener (a sampler, or one that raises to stop the
+                # run) sees the event it just witnessed included in
+                # events_processed.
                 self._processed += 1
                 processed_this_run += 1
                 if self._listeners:

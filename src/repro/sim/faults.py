@@ -263,12 +263,6 @@ class FaultInjector:
     def config(self) -> FaultConfig:
         return self._config
 
-    def rng_state(self) -> dict:
-        """JSON-safe snapshot of the fault RNG (checkpointing)."""
-        from repro.checkpoint import generator_state
-
-        return generator_state(self._rng)
-
     def stop(self) -> None:
         """Stop generating fault events so the queue can drain."""
         self._stopped = True

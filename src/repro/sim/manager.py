@@ -302,7 +302,6 @@ class WorkflowManager:
         self._next_to_submit = 0
         self._outstanding = 0
         self._ran = False
-        self._started_wall = 0.0
 
     # -- public API --------------------------------------------------------------
 
@@ -383,44 +382,16 @@ class WorkflowManager:
 
     def run(self) -> SimulationResult:
         """Execute the workflow to completion and return the result."""
-        self.begin()
-        self.advance()
-        return self.finish()
-
-    def begin(self) -> None:
-        """Arm the simulation: submit the first tasks, schedule dispatch.
-
-        ``run()`` is ``begin(); advance(); finish()`` — the split exists
-        for the checkpoint/resume machinery, which needs to pause after a
-        bounded number of events (:meth:`advance` with
-        ``stop_after_events``) and to attach listeners before the first
-        event fires.
-        """
         if self._ran:
             raise RuntimeError("a WorkflowManager instance runs exactly once")
         self._ran = True
         # reprolint: disable=R1,F3  # feeds reporting-only wall_clock_seconds, never the sim
-        self._started_wall = _time.perf_counter()
+        started_wall = _time.perf_counter()
         self._submit_more()
         self._engine.schedule(0.0, self._dispatch)
-
-    def advance(self, stop_after_events: Optional[int] = None) -> bool:
-        """Process events; returns True once the workflow has completed.
-
-        ``stop_after_events`` pauses the engine cleanly once its lifetime
-        event count reaches that value (checkpoint replay); ``None``
-        drains the queue.
-        """
-        if not self._ran:
-            raise RuntimeError("call begin() before advance()")
         self._engine.run(
-            max_events=self._config.effective_max_events(len(self._workflow)),
-            stop_after_total=stop_after_events,
+            max_events=self._config.effective_max_events(len(self._workflow))
         )
-        return self.terminal_tasks == len(self._workflow)
-
-    def finish(self) -> SimulationResult:
-        """Validate the completed run and bundle the result."""
         if self.terminal_tasks != len(self._workflow):
             raise RuntimeError(
                 f"simulation drained with {self._completed}/{len(self._workflow)} "
@@ -451,7 +422,7 @@ class WorkflowManager:
             workers_joined=self._pool.total_joined,
             workers_left=self._pool.total_left,
             # reprolint: disable=R1,F3  # reporting-only diagnostic, excluded from digests
-            wall_clock_seconds=_time.perf_counter() - self._started_wall,
+            wall_clock_seconds=_time.perf_counter() - started_wall,
             fault_stats=self._faults.stats if self._faults is not None else FaultStats(),
             n_quarantined=self._quarantined,
             dead_letters=tuple(self._dead_letters),

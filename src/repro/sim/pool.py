@@ -140,12 +140,6 @@ class WorkerPool:
     def config(self) -> PoolConfig:
         return self._config
 
-    def rng_state(self) -> dict:
-        """JSON-safe snapshot of the churn/lifetime RNG (checkpointing)."""
-        from repro.checkpoint import generator_state
-
-        return generator_state(self._rng)
-
     def alive_workers(self) -> Tuple[Worker, ...]:
         return tuple(self._workers.values())
 

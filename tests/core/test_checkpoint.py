@@ -4,8 +4,8 @@ Covers the JSON-safe building blocks in :mod:`repro.checkpoint` (atomic
 writes, WAL journals, envelopes, RNG capture) plus the ``state_dict`` /
 ``load_state`` round-trips they enable: a restored RecordList or
 allocator must be *bit-identical* to the original — not just numerically
-close — because the resume proofs in ``tests/sim/test_resume.py`` hash
-the state and compare digests.
+close — because service recovery and the snapshot chain hash the state
+and compare digests.
 """
 
 import json

@@ -141,3 +141,34 @@ class TestRetryBudget:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "x"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--tasks", "--workers"])
+    def test_invalid_count_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure5", "--tasks", "20", "--workers", "2", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        assert f"{flag}: must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+
+    def test_valid_counts_are_parsed(self):
+        args = build_parser().parse_args(
+            ["figure5", "--jobs", "3", "--tasks", "40", "--workers", "5"]
+        )
+        assert (args.jobs, args.tasks, args.workers) == (3, 40, 5)
+
+
+class TestCheckpointFlags:
+    def test_resume_without_checkpoint_dir_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure5", "--resume", "--tasks", "20", "--workers", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--resume requires --checkpoint-dir" in captured.err
+        assert "Figure 5" not in captured.out
+
+    def test_retired_checkpoint_interval_is_refused(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["figure5", "--checkpoint-interval", "0.2"])
+        assert excinfo.value.code == 2

@@ -1,10 +1,12 @@
 """Crash-safe grid runs: journaled cells, interrupt, bit-identical resume.
 
 The grid-level acceptance property: ``run_grid`` interrupted at an
-arbitrary point (between cells *or* mid-cell) and relaunched with
-``resume=True`` on the same checkpoint directory yields exactly the
-cells an uninterrupted run produces — compared on full result state,
-excluding only the non-reproducible ``wall_clock_seconds``.
+arbitrary point (between cells *or* mid-cell, serial or parallel) and
+relaunched with ``resume=True`` on the same checkpoint directory yields
+exactly the cells an uninterrupted run produces — compared on full
+result state, excluding only the non-reproducible
+``wall_clock_seconds``.  The cell is the only unit of durability: an
+interrupted cell leaves nothing behind and reruns on resume.
 """
 
 import dataclasses
@@ -51,9 +53,10 @@ def _assert_same_cells(resumed, reference):
 class TripAfter(GracefulShutdown):
     """A shutdown whose flag trips after N polls — deterministic interrupts.
 
-    ``triggered`` is polled by the checkpointer after every engine event
-    and by the grid loop before every cell, so ``after`` dials the
-    interrupt point anywhere from mid-first-cell to between-last-cells.
+    The serial grid polls ``triggered`` after every engine event and
+    before every cell, the parallel grid once per collected cell, so
+    ``after`` dials the interrupt point anywhere from mid-first-cell to
+    between-last-cells.
     """
 
     def __init__(self, after: int) -> None:
@@ -97,46 +100,68 @@ def test_completed_cells_are_journaled(tmp_path, reference):
     assert header["kind"] == "grid-journal"
     assert header["digest"] == grid_digest(WORKFLOWS, ALGORITHMS, _config())
     assert len(lines) == 1 + len(WORKFLOWS) * len(ALGORITHMS)
-    # The in-flight snapshot never outlives its cell.
-    assert not (tmp_path / "ckpt" / "inflight.json").exists()
+    assert os.listdir(checkpoint_dir) == ["journal.jsonl"]
 
 
-@pytest.mark.parametrize("after", [25, 500])
-def test_interrupt_and_resume_is_bit_identical(after, tmp_path, reference):
-    """Mid-first-cell (25 polls) and mid-grid (~960 total) interrupts resume."""
+def _journaled_cells(checkpoint_dir):
+    with open(os.path.join(checkpoint_dir, "journal.jsonl"), encoding="utf-8") as handle:
+        return handle.read().splitlines()[1:]
+
+
+@pytest.mark.parametrize(
+    "jobs,after,mid_first_cell",
+    [
+        pytest.param(1, 25, True, id="serial-mid-first-cell"),
+        pytest.param(1, 500, False, id="serial-mid-grid"),  # of ~960 polls
+        pytest.param(2, 0, True, id="parallel-mid-first-cell"),
+        pytest.param(2, 2, False, id="parallel-mid-grid"),
+    ],
+)
+def test_interrupt_and_resume_is_bit_identical(
+    jobs, after, mid_first_cell, tmp_path, reference
+):
+    """An interrupt drops the running cells; resume reruns exactly those."""
     checkpoint_dir = str(tmp_path / "ckpt")
     with pytest.raises(GridInterrupted) as excinfo:
         run_grid(
             WORKFLOWS,
             ALGORITHMS,
-            config=_config(checkpoint_dir=checkpoint_dir, checkpoint_every_events=50),
+            config=_config(checkpoint_dir=checkpoint_dir),
+            jobs=jobs,
             shutdown=TripAfter(after),
         )
     assert excinfo.value.signum == 15
+    journaled = _journaled_cells(checkpoint_dir)
+    assert len(journaled) == excinfo.value.completed
+    if mid_first_cell:
+        assert journaled == []
+    else:
+        assert 0 < len(journaled) < len(WORKFLOWS) * len(ALGORITHMS)
+    assert os.listdir(checkpoint_dir) == ["journal.jsonl"]
 
     resumed = run_grid(
         WORKFLOWS,
         ALGORITHMS,
         config=_config(checkpoint_dir=checkpoint_dir, resume=True),
+        jobs=jobs,
     )
     _assert_same_cells(resumed, reference)
+    assert os.listdir(checkpoint_dir) == ["journal.jsonl"]
 
 
-def test_mid_cell_interrupt_leaves_resumable_inflight(tmp_path, reference):
-    """An interrupt inside cell 1 snapshots it; resume replays, not reruns."""
+def test_inflight_snapshot_of_an_older_build_is_ignored(tmp_path, reference):
+    """Older builds also left an in-cell snapshot beside the journal; this
+    build never reads it, and the cell it belonged to reruns."""
     checkpoint_dir = str(tmp_path / "ckpt")
     with pytest.raises(GridInterrupted):
         run_grid(
             WORKFLOWS,
             ALGORITHMS,
-            config=_config(checkpoint_dir=checkpoint_dir, checkpoint_every_events=50),
-            shutdown=TripAfter(10),
+            config=_config(checkpoint_dir=checkpoint_dir),
+            shutdown=TripAfter(500),
         )
-    inflight = tmp_path / "ckpt" / "inflight.json"
-    assert inflight.exists()
-    payload = json.loads(inflight.read_text())["payload"]
-    assert payload["cell"] == [WORKFLOWS[0], ALGORITHMS[0]]
-
+    stale = tmp_path / "ckpt" / "inflight.json"
+    stale.write_text('{"magic": "repro-checkpoint", "version": 1, "kind": "simulation"}')
     resumed = run_grid(
         WORKFLOWS,
         ALGORITHMS,
