@@ -45,7 +45,6 @@ from repro.experiments import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.service.config import DURABILITY_MODES
-from repro.sim.faults import FAULT_PROFILES, make_fault_config
 
 __all__ = ["main", "build_parser"]
 
@@ -84,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tasks", type=_positive_int, default=1000, help="tasks per synthetic workflow"
     )
     parser.add_argument("--workers", type=_positive_int, default=20, help="worker pool size")
-    parser.add_argument("--seed", type=int, default=0, help="workflow generation seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="workflow generation seed (also seeds service-chaos)"
+    )
     parser.add_argument(
         "--ramp-up", type=float, default=600.0, help="pool ramp-up window (seconds)"
     )
@@ -94,34 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for grid experiments (figure5/figure6); "
         "results are identical to the serial run",
-    )
-    parser.add_argument(
-        "--faults",
-        choices=list(FAULT_PROFILES),
-        default="none",
-        help="seeded fault-injection profile applied to every simulation "
-        "(worker preemption, mid-task kills, dispatch failures; "
-        "'chaos' adds capacity degradation)",
-    )
-    parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=1.0 / 600.0,
-        help="mean fault rate (events/second) for the stochastic profiles",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="RNG seed of the fault schedule (same seed => same faults, "
-        "bit-identical replay)",
-    )
-    parser.add_argument(
-        "--fault-trace",
-        metavar="LOG",
-        default=None,
-        help="HTCondor user log whose eviction (004) events drive the "
-        "'trace' fault profile (requires --faults trace)",
     )
     parser.add_argument(
         "--retry-budget",
@@ -282,12 +255,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         n_workers=args.workers,
         workflow_seed=args.seed,
         ramp_up_seconds=args.ramp_up,
-        faults=make_fault_config(
-            args.faults,
-            rate=args.fault_rate,
-            seed=args.fault_seed,
-            trace_file=args.fault_trace,
-        ),
         retry_budget=args.retry_budget,
     )
 
@@ -461,28 +428,13 @@ def _run_targets(targets, args, config, shutdown, emit) -> int:
         elif target == "hybrid":
             emit(hybrid_study.render(hybrid_study.run(config)))
         elif target == "robustness":
-            if args.faults != "none":
-                # Compare the chosen fault profile against the
-                # fault-free baseline; the config's own faults field is
-                # overridden per profile inside the sweep.
-                emit(
-                    robustness.render_fault_sweep(
-                        robustness.run_fault_sweep(
-                            config.with_(faults=None),
-                            profiles=("none", args.faults),
-                            fault_rate=args.fault_rate,
-                            fault_seed=args.fault_seed,
-                        )
-                    )
-                )
-            else:
-                emit(robustness.render_seed_sweep(robustness.run_seed_sweep(config)))
+            emit(robustness.render_seed_sweep(robustness.run_seed_sweep(config)))
         elif target == "convergence":
             emit(convergence.render(convergence.run(config)))
         elif target == "service-chaos":
             from repro.experiments import service_chaos
 
-            result = service_chaos.run(seed=args.fault_seed)
+            result = service_chaos.run(seed=args.seed)
             emit(service_chaos.render(result))
             if not result.all_match:
                 status = 1

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.core.allocator import AllocatorConfig
-from repro.sim.faults import FaultConfig
 from repro.sim.manager import SimulationConfig, check_retry_budget
 from repro.sim.pool import PoolConfig
 from repro.sim.profiles import ConsumptionProfile, LinearRampProfile
@@ -78,11 +77,6 @@ class ExperimentConfig:
         default_factory=LinearRampProfile
     )
     max_outstanding: Optional[int] = None  # reprolint: disable=R7  # API-only throttle
-    #: Optional fault-injection schedule (preemptions, kills, dispatch
-    #: failures, degradation); ``None`` runs fault-free.  Applies to
-    #: every cell built from this config, so whole grids can be swept
-    #: under identical adversity.
-    faults: Optional[FaultConfig] = None
     #: Dead-letter a task after this many exhausted attempts (see
     #: ``SimulationConfig.retry_budget``); ``None`` keeps the paper's
     #: unbounded retry behaviour.
@@ -111,7 +105,6 @@ class ExperimentConfig:
             ),
             profile=self.profile,
             max_outstanding=self.max_outstanding,
-            faults=self.faults,
             retry_budget=self.retry_budget,
         )
 

@@ -7,31 +7,13 @@ the numbers (not the pixels) are what a reproduction is compared on.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
-
-from repro.checkpoint import write_json_atomic, write_text_atomic
+from typing import Iterable, List, Optional, Sequence
 
 __all__ = [
     "format_table",
     "format_series",
     "format_histogram",
-    "save_text",
-    "save_json",
 ]
-
-
-def save_text(path: str, text: str) -> None:
-    """Publish rendered report text crash-safely (tmp + ``os.replace``).
-
-    A killed run leaves either the previous report or the new one on
-    disk — never a truncated file that looks like a finished result.
-    """
-    write_text_atomic(path, text if text.endswith("\n") else text + "\n")
-
-
-def save_json(path: str, doc: Any) -> None:
-    """Publish a JSON result document crash-safely."""
-    write_json_atomic(path, doc)
 
 
 def format_table(

@@ -141,7 +141,9 @@ def grid_digest(
         "pool_seed": config.pool_seed,
         "profile": _stable_repr(config.profile),
         "max_outstanding": config.max_outstanding,
-        "faults": _stable_repr(config.faults),
+        # Builds that had fault injection wrote "None" here for a fault-free
+        # grid; keeping the constant keeps their journals resumable.
+        "faults": "None",
     }
     if config.retry_budget is not None:
         # Added only when set so journals of budget-free grids keep

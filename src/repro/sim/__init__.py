@@ -22,18 +22,6 @@ classes so AWE remains worker-count independent (Section II-C).
 
 from repro.sim.accounting import Ledger, WasteBreakdown
 from repro.sim.engine import SimulationEngine
-from repro.sim.faults import (
-    DegradationConfig,
-    DispatchFaultConfig,
-    FaultConfig,
-    FaultInjector,
-    FaultStats,
-    FixedPreemptions,
-    PoissonPreemptions,
-    TaskKillConfig,
-    TracePreemptions,
-    make_fault_config,
-)
 from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.manager import SimulationConfig, SimulationResult, WorkflowManager
 from repro.sim.observability import Timeline, TimelineRecorder, TimelineSample
@@ -66,16 +54,6 @@ __all__ = [
     "Ledger",
     "WasteBreakdown",
     "Scheduler",
-    "FaultConfig",
-    "FaultInjector",
-    "FaultStats",
-    "FixedPreemptions",
-    "PoissonPreemptions",
-    "TracePreemptions",
-    "TaskKillConfig",
-    "DispatchFaultConfig",
-    "DegradationConfig",
-    "make_fault_config",
     "InvariantChecker",
     "InvariantViolation",
     "SimEvent",

@@ -65,13 +65,13 @@ class SimulationEngine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` seconds from now (``delay >= 0``)."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which compares False to everything
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute simulation time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )

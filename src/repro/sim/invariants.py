@@ -1,8 +1,8 @@
 """Machine-checked simulation invariants (always on, opt-out).
 
 The accounting identities of Section II-C are only trustworthy if they
-hold *under adversity* — retries, evictions, mid-task kills, shrinking
-workers.  This module wires a :class:`InvariantChecker` into the
+hold *under adversity* — retries, and evictions when pool churn takes
+a worker away.  This module wires a :class:`InvariantChecker` into the
 manager, the worker pool and the ledger, and audits the conservation
 laws continuously instead of only in tests:
 
@@ -10,9 +10,8 @@ laws continuously instead of only in tests:
   after every processed event).
 * **Capacity conservation** — on every alive worker, the committed sum
   of hosted allocations never exceeds the worker's capacity in any
-  resource (checked after every processed event, so a capacity
-  degradation that failed to evict enough tasks is caught at the exact
-  event that broke it).
+  resource (checked after every processed event, so an overcommitting
+  placement is caught at the exact event that broke it).
 * **Ledger identity** — ``allocation = consumption + fragmentation +
   failed`` per resource over the whole run (checked after every event,
   and again at completion).

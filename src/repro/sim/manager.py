@@ -12,10 +12,12 @@ Figure 1/3a:
    (the simulator knows the hidden truth; the allocator never sees it)
    and schedule the completion or kill event;
 4. on success, feed the resource record back to the allocator and the
-   ledger; on exhaustion, grow the allocation and requeue; on eviction,
-   requeue with the same allocation.  The paper's retry loop is
-   unbounded; ``SimulationConfig.retry_budget`` is its one bound,
-   dead-lettering a task after that many exhausted attempts.
+   ledger; on exhaustion, grow the allocation and requeue; on eviction
+   (the worker left the pool: churn, the simulator's one adversity
+   model, see :mod:`repro.sim.pool`), requeue with the same
+   allocation.  The paper's retry loop is unbounded;
+   ``SimulationConfig.retry_budget`` is its one bound, dead-lettering a
+   task after that many exhausted attempts.
 
 ``run()`` returns a :class:`SimulationResult` bundling the ledger and
 run-level statistics — the unit every experiment module consumes.
@@ -33,7 +35,6 @@ from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.resources import TIME, Resource, ResourceVector
 from repro.sim.accounting import Ledger, WasteBreakdown
 from repro.sim.engine import SimulationEngine
-from repro.sim.faults import FaultConfig, FaultInjector, FaultStats
 from repro.sim.invariants import InvariantChecker
 from repro.sim.pool import PoolConfig, WorkerPool
 from repro.sim.profiles import ConsumptionProfile, LinearRampProfile
@@ -88,19 +89,14 @@ class SimulationConfig:
     #: spinning (attempts per task are bounded by doubling, so legitimate
     #: runs stay far below ~20 events/task).
     max_events: Optional[int] = None
-    #: Fault-injection schedule (see :mod:`repro.sim.faults`); ``None``
-    #: runs fault-free.  Faults are seeded independently of the pool's
-    #: churn and the allocator, so the same ``faults.seed`` replays the
-    #: same adversity bit for bit.
-    faults: Optional[FaultConfig] = None
     #: Continuous invariant auditing (see :mod:`repro.sim.invariants`).
     #: On by default — the conservation laws are cheap relative to the
     #: dispatch scan; very large perf sweeps may opt out.
     check_invariants: bool = True
     #: Poison-task quarantine: a task is dead-lettered once it has this
     #: many *exhausted* attempts instead of retrying forever (evictions
-    #: and fault kills never count), and its waiting descendants with
-    #: it.  ``None`` is the paper's unbounded retry, under which a
+    #: never count), and its waiting descendants with it.  ``None`` is
+    #: the paper's unbounded retry, under which a
     #: workflow holding a task larger than every worker is refused up
     #: front.
     retry_budget: Optional[int] = None
@@ -133,8 +129,6 @@ class SimulationResult:
     workers_joined: int
     workers_left: int
     wall_clock_seconds: float
-    #: Injected-fault tallies; all zero on a fault-free run.
-    fault_stats: FaultStats = field(default_factory=FaultStats)
     #: Tasks moved to the dead-letter list instead of completing.
     n_quarantined: int = 0
     #: The dead-letter entries themselves, in quarantine order.
@@ -183,7 +177,6 @@ class SimulationResult:
             "workers_joined": self.workers_joined,
             "workers_left": self.workers_left,
             "wall_clock_seconds": self.wall_clock_seconds,
-            "fault_stats": dataclasses.asdict(self.fault_stats),
             "n_quarantined": self.n_quarantined,
             "dead_letters": [entry.state_dict() for entry in self.dead_letters],
         }
@@ -194,7 +187,8 @@ class SimulationResult:
 
         The quarantine keys are read with defaults so journals written
         before quarantine existed still load, and the retired
-        ``resilience_stats`` key of older journals is ignored.
+        ``resilience_stats`` and ``fault_stats`` keys of older journals
+        are ignored.
         """
         return cls(
             workflow_name=state["workflow_name"],
@@ -208,7 +202,6 @@ class SimulationResult:
             workers_joined=int(state["workers_joined"]),
             workers_left=int(state["workers_left"]),
             wall_clock_seconds=float(state["wall_clock_seconds"]),
-            fault_stats=FaultStats(**state["fault_stats"]),
             n_quarantined=int(state.get("n_quarantined", 0)),
             dead_letters=tuple(
                 DeadLetterEntry.from_state(doc)
@@ -271,28 +264,17 @@ class WorkflowManager:
         )
         self._pool.on_worker_joined = self._on_worker_joined
         self._pool.on_worker_leaving = self._on_worker_leaving
-        self._pool.on_worker_degraded = self._on_worker_degraded
 
         #: Subscribers to the manager's event stream (trace recorders).
         self._event_listeners: List[Callable[[SimEvent], None]] = []
         self._invariants: Optional[InvariantChecker] = (
             InvariantChecker(self) if self._config.check_invariants else None
         )
-        self._faults: Optional[FaultInjector] = None
-        if self._config.faults is not None and self._config.faults.enabled:
-            self._faults = FaultInjector(
-                self._engine,
-                self._pool,
-                self._config.faults,
-                running_tasks=lambda: tuple(self._attempt_worker),
-                kill_task=self._fault_kill,
-            )
 
         #: attempt validity tokens: an eviction invalidates the pending
         #: end-of-attempt event of the evicted task.
         self._attempt_token: Dict[int, int] = {t: 0 for t in self._tasks}
         self._attempt_start: Dict[int, float] = {}
-        self._attempt_worker: Dict[int, int] = {}
         self._completed = 0
         self._quarantined = 0
         self._dead_letters: List[DeadLetterEntry] = []
@@ -328,10 +310,6 @@ class WorkflowManager:
     @property
     def invariants(self) -> Optional[InvariantChecker]:
         return self._invariants
-
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        return self._faults
 
     def tasks(self) -> Tuple[SimTask, ...]:
         return tuple(self._tasks.values())
@@ -423,7 +401,6 @@ class WorkflowManager:
             workers_left=self._pool.total_left,
             # reprolint: disable=R1,F3  # reporting-only diagnostic, excluded from digests
             wall_clock_seconds=_time.perf_counter() - started_wall,
-            fault_stats=self._faults.stats if self._faults is not None else FaultStats(),
             n_quarantined=self._quarantined,
             dead_letters=tuple(self._dead_letters),
         )
@@ -485,30 +462,12 @@ class WorkflowManager:
     def _start_attempt(self, task: SimTask, worker: Worker) -> None:
         allocation = task.current_allocation
         assert allocation is not None
-        if self._faults is not None:
-            retry_in = self._faults.dispatch_fault_delay(task.task_id)
-            if retry_in is not None:
-                # Transient dispatch failure: the placement never
-                # happened (no attempt record, no capacity held); the
-                # task re-queues after exponential backoff with its
-                # allocation pinned — a lost submission says nothing
-                # about the allocation's adequacy.
-                task.state = TaskState.READY
-                self._emit(
-                    "dispatch_fault",
-                    task=task.task_id,
-                    worker=worker.worker_id,
-                    retry_in=retry_in,
-                )
-                self._engine.schedule(retry_in, lambda: self._redispatch(task))
-                return
         worker.place(task.task_id, allocation)
         self._emit(
             "dispatch", task=task.task_id, worker=worker.worker_id, alloc=allocation
         )
         now = self._engine.now
         self._attempt_start[task.task_id] = now
-        self._attempt_worker[task.task_id] = worker.worker_id
         self._running_per_category[task.category] = (
             self._running_per_category.get(task.category, 0) + 1
         )
@@ -524,13 +483,6 @@ class WorkflowManager:
             lambda: self._end_attempt(task, worker, verdict, runtime, token),
         )
 
-    def _redispatch(self, task: SimTask) -> None:
-        """Re-queue a task whose dispatch failed transiently."""
-        if task.state is not TaskState.READY:  # pragma: no cover - defensive
-            return
-        self._scheduler.enqueue_retry(task)
-        self._dispatch()
-
     def _record_attempt(self, task: SimTask, attempt: Attempt) -> None:
         """Single chokepoint for attempt history: record, then audit."""
         task.record_attempt(attempt)
@@ -543,7 +495,6 @@ class WorkflowManager:
         self._attempt_token[task.task_id] += 1
         worker.release(task.task_id, held_for=runtime)
         start = self._attempt_start.pop(task.task_id)
-        self._attempt_worker.pop(task.task_id, None)
         self._running_per_category[task.category] -= 1
 
         allocation = task.current_allocation
@@ -626,58 +577,24 @@ class WorkflowManager:
             "worker_leave", worker=worker.worker_id, evicted=tuple(evicted)
         )
         for task_id, allocation in evicted.items():
-            self._evict_attempt(task_id, allocation, worker.worker_id, cause="worker_lost")
+            self._evict_attempt(task_id, allocation, worker.worker_id)
         if evicted:
             self._dispatch()
-
-    def _on_worker_degraded(self, worker: Worker, evicted: Dict[int, ResourceVector]) -> None:
-        """A worker shrank under its tasks; requeue the ones pushed off."""
-        self._emit(
-            "worker_degraded",
-            worker=worker.worker_id,
-            capacity=worker.capacity,
-            evicted=tuple(evicted),
-        )
-        for task_id, allocation in evicted.items():
-            self._evict_attempt(task_id, allocation, worker.worker_id, cause="degraded")
-        if evicted:
-            self._dispatch()
-
-    def _fault_kill(self, task_id: int) -> bool:
-        """Kill one running attempt as an injected fault.
-
-        The worker survives — only the task's process dies — so its
-        reservation is released and the attempt is accounted exactly
-        like an eviction: requeued with the same allocation, held
-        resources charged to the eviction bucket.
-        """
-        worker_id = self._attempt_worker.get(task_id)
-        if worker_id is None:
-            return False
-        start = self._attempt_start[task_id]
-        worker = self._pool.worker(worker_id)
-        allocation = worker.release(task_id, held_for=self._engine.now - start)
-        self._evict_attempt(task_id, allocation, worker_id, cause="fault_kill")
-        self._dispatch()
-        return True
 
     def _evict_attempt(
-        self, task_id: int, allocation: ResourceVector, worker_id: int, cause: str
+        self, task_id: int, allocation: ResourceVector, worker_id: int
     ) -> None:
-        """Common bookkeeping for an attempt lost to external causes.
+        """Bookkeeping for an attempt lost with its departed worker.
 
-        Used for worker departures (churn and preemption faults),
-        capacity degradations and mid-task kills: invalidate the
-        pending end-of-attempt event, record an EVICTED attempt with
-        the consumption observed so far, and requeue the task with its
-        allocation unchanged — eviction says nothing about the
-        allocation's adequacy.
+        Invalidate the pending end-of-attempt event, record an EVICTED
+        attempt with the consumption observed so far, and requeue the
+        task with its allocation unchanged — eviction says nothing about
+        the allocation's adequacy.
         """
         now = self._engine.now
         task = self._tasks[task_id]
         self._attempt_token[task_id] += 1  # invalidate the pending end event
         start = self._attempt_start.pop(task_id, now)
-        self._attempt_worker.pop(task_id, None)
         self._running_per_category[task.category] -= 1
         elapsed = now - start
         fraction = min(1.0, elapsed / task.spec.duration) if task.spec.duration > 0 else 0.0
@@ -703,7 +620,7 @@ class WorkflowManager:
             observed=observed,
         )
         self._record_attempt(task, attempt)
-        self._emit("evicted", task=task_id, worker=worker_id, cause=cause)
+        self._emit("evicted", task=task_id, worker=worker_id, cause="worker_lost")
         task.state = TaskState.READY
         self._scheduler.enqueue_retry(task)
 
@@ -756,8 +673,6 @@ class WorkflowManager:
     def _stop_generators(self) -> None:
         """Terminal state reached: let the event queue drain."""
         self._pool.stop()
-        if self._faults is not None:
-            self._faults.stop()
 
     # -- dispatch trampoline -------------------------------------------------------------------
 

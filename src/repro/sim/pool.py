@@ -7,13 +7,17 @@ process: an initial cohort of workers, optional Poisson arrivals, and
 optional exponential lifetimes bounded to keep the population between a
 floor and a ceiling (the paper's runs saw 20-50 workers).
 
-Churn defaults to *off* for the paper-reproduction experiments: AWE is
+Churn is the simulator's one adversity model: a departure evicts the
+worker's tasks, which requeue with their allocations pinned.  It
+defaults to *off* for the paper-reproduction experiments: AWE is
 deliberately worker-count independent, and a churn-free pool makes the
-grid deterministic.  Examples and robustness tests switch it on.
+grid deterministic.  Examples and robustness tests switch it on
+through :class:`PoolConfig`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -33,11 +37,11 @@ class ChurnConfig:
     Attributes
     ----------
     mean_lifetime:
-        Mean seconds a worker stays before being reclaimed (exponential);
-        ``None`` disables departures.
+        Mean seconds a worker stays before being reclaimed (exponential,
+        finite and > 0); ``None`` disables departures.
     mean_interarrival:
-        Mean seconds between replacement worker arrivals (exponential);
-        ``None`` disables arrivals.
+        Mean seconds between replacement worker arrivals (exponential,
+        finite and > 0); ``None`` disables arrivals.
     min_workers, max_workers:
         Population bounds; departures that would drop the pool below the
         floor are suppressed, arrivals beyond the ceiling are dropped.
@@ -49,10 +53,10 @@ class ChurnConfig:
     max_workers: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.mean_lifetime is not None and self.mean_lifetime <= 0:
-            raise ValueError("mean_lifetime must be positive")
-        if self.mean_interarrival is not None and self.mean_interarrival <= 0:
-            raise ValueError("mean_interarrival must be positive")
+        for name in ("mean_lifetime", "mean_interarrival"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.min_workers < 0 or self.max_workers < self.min_workers:
             raise ValueError("need 0 <= min_workers <= max_workers")
 
@@ -82,9 +86,9 @@ class PoolConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.ramp_up_seconds < 0:
+        if not (math.isfinite(self.ramp_up_seconds) and self.ramp_up_seconds >= 0):
             raise ValueError(
-                f"ramp_up_seconds must be >= 0, got {self.ramp_up_seconds}"
+                f"ramp_up_seconds must be finite and >= 0, got {self.ramp_up_seconds}"
             )
 
 
@@ -109,11 +113,6 @@ class WorkerPool:
         self._stopped = False
         self.on_worker_joined: Optional[Callable[[Worker], None]] = None
         self.on_worker_leaving: Optional[
-            Callable[[Worker, Dict[int, ResourceVector]], None]
-        ] = None
-        #: Fired when a worker's capacity shrinks in place with
-        #: ``evicted`` = {task_id: allocation} for tasks that no longer fit.
-        self.on_worker_degraded: Optional[
             Callable[[Worker, Dict[int, ResourceVector]], None]
         ] = None
 
@@ -154,9 +153,6 @@ class WorkerPool:
     @property
     def total_left(self) -> int:
         return self._total_left
-
-    def worker(self, worker_id: int) -> Worker:
-        return self._workers[worker_id]
 
     def has_headroom(self) -> bool:
         """True if any alive worker has slack in every dimension."""
@@ -241,39 +237,6 @@ class WorkerPool:
         self._total_left += 1
         if self.on_worker_leaving is not None:
             self.on_worker_leaving(worker, evicted)
-
-    # -- fault-injection hooks (repro.sim.faults) ---------------------------------
-
-    def preempt_worker(self, worker_id: int) -> bool:
-        """Forcibly remove a worker *now* (preemption fault).
-
-        Unlike churn departures this bypasses the population floor — the
-        fault injector owns its own survivor policy.  Fires
-        ``on_worker_leaving`` with the evicted tasks; returns ``False``
-        if the worker is unknown or already gone.
-        """
-        worker = self._workers.pop(worker_id, None)
-        if worker is None:
-            return False
-        evicted = worker.evict_all(self._engine.now)
-        self._total_left += 1
-        if self.on_worker_leaving is not None:
-            self.on_worker_leaving(worker, evicted)
-        return True
-
-    def degrade_worker(self, worker_id: int, new_capacity: ResourceVector) -> bool:
-        """Shrink one worker's capacity in place (degradation fault).
-
-        Tasks that no longer fit are evicted by the worker and handed to
-        ``on_worker_degraded``; returns ``False`` for unknown workers.
-        """
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            return False
-        evicted = worker.degrade(new_capacity)
-        if self.on_worker_degraded is not None:
-            self.on_worker_degraded(worker, evicted)
-        return True
 
     def _schedule_arrival(self) -> None:
         churn = self._config.churn

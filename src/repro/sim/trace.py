@@ -4,9 +4,9 @@ The simulator's determinism guarantee ("same seeds, same run") is only
 enforceable if a run's behaviour can be serialized canonically.  A
 :class:`TraceRecorder` subscribes to a manager's event stream and
 renders every scheduling decision — dispatches, completions, kills,
-evictions, dispatch faults, worker churn and degradations — as one
-text line with exact (``repr``-based) float formatting, so two runs are
-behaviourally identical exactly when their traces are byte-identical.
+evictions, worker churn and quarantines — as one text line with exact
+(``repr``-based) float formatting, so two runs are behaviourally
+identical exactly when their traces are byte-identical.
 
 Uses:
 
@@ -14,8 +14,8 @@ Uses:
   seeded runs are committed as text; a refactor that silently changes
   scheduling or retry semantics flips bytes in the replayed trace and
   fails the suite.
-* **Replay determinism checks**: the CLI's chaos runs compare traces
-  across invocations.
+* **Replay determinism checks**: the churn property tests compare
+  traces across two runs from the same seeds.
 * **Debugging**: a trace diff pinpoints the first divergent decision
   between two runs.
 """

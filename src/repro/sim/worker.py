@@ -157,45 +157,6 @@ class Worker:
         self.busy_time += held_for
         return allocation
 
-    def degrade(self, new_capacity: ResourceVector) -> Dict[int, ResourceVector]:
-        """Shrink the worker's capacity in place (opportunistic reclaim).
-
-        The batch system can claw back part of a pilot's resources while
-        tasks are running on it.  ``new_capacity`` must be componentwise
-        at most the current capacity and positive in some resource.
-        Hosted tasks that no longer fit are evicted newest-first (the
-        batch system preserves the oldest leases) until the remaining
-        set fits; the evicted ``{task_id: allocation}`` map is returned
-        so the caller can requeue them.
-        """
-        values: Dict[Resource, float] = {}
-        for res, cap in self.capacity.raw.items():
-            new_value = new_capacity[res]
-            if new_value > cap + self._tolerance[res]:
-                raise ValueError(
-                    f"degrade cannot grow capacity ({res.key}: {cap} -> {new_value})"
-                )
-            values[res] = min(new_value, cap)
-        if all(v <= 0 for v in values.values()):
-            raise ValueError("degraded capacity must stay positive in some resource")
-        self.capacity = ResourceVector(values)
-        self._tolerance = {
-            res: 1e-9 * max(cap, 1.0) for res, cap in self.capacity.raw.items()
-        }
-        evicted: Dict[int, ResourceVector] = {}
-        while True:
-            free = dict(self.capacity.raw)
-            for allocation in self._running.values():
-                for res, requested in allocation.raw.items():
-                    if res in free:
-                        free[res] -= requested
-            if all(v >= -self._tolerance[res] for res, v in free.items()):
-                break
-            victim_id = next(reversed(self._running))
-            evicted[victim_id] = self._running.pop(victim_id)
-        self._reset_free(free)
-        return evicted
-
     def evict_all(self, now: float) -> Dict[int, ResourceVector]:
         """Drop every hosted task (the worker is leaving the pool)."""
         evicted = dict(self._running)

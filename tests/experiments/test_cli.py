@@ -43,54 +43,23 @@ class TestMain:
         assert "exhaustive_bucketing" in out
 
 
-class TestFaultFlags:
-    def test_fault_flag_defaults(self):
-        args = build_parser().parse_args(["robustness"])
-        assert args.faults == "none"
-        assert args.fault_seed == 0
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--faults", "meteor"])
-
-    def test_robustness_fault_sweep(self, capsys):
-        argv = [
-            "robustness",
-            "--faults", "poisson",
-            "--fault-rate", "0.005",
-            "--fault-seed", "42",
-            "--tasks", "60",
-            "--workers", "4",
-            "--ramp-up", "0",
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "fault injection" in out
-        assert "poisson" in out and "none" in out
-
-    def test_seeded_chaos_run_replays_bit_identically(self, capsys):
-        """Acceptance criterion: the same --faults/--seed invocation
-        produces byte-identical output across two runs."""
-        argv = [
-            "robustness",
-            "--faults", "poisson",
-            "--seed", "42",
-            "--fault-rate", "0.005",
-            "--tasks", "60",
-            "--workers", "4",
-            "--ramp-up", "0",
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-
-    def test_figure4_runs_under_faults(self, capsys):
-        assert main(
-            ["figure4", "--tasks", "80", "--faults", "fixed", "--fault-seed", "3"]
-        ) == 0
-        assert "Figure 4" in capsys.readouterr().out
+class TestRemovedFaultFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--faults", "poisson"],
+            ["--fault-seed", "3"],
+            ["--fault-rate", "0.005"],
+            ["--fault-trace", "condor.log"],
+        ],
+    )
+    def test_fault_flags_are_usage_errors(self, argv, capsys):
+        """Pool churn is the simulator's one adversity model; the fault
+        injector's flags are gone and argparse refuses them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure5", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServiceChaos:
@@ -108,6 +77,18 @@ class TestServiceChaos:
         assert main(["service-chaos"]) == code
         out = capsys.readouterr().out
         assert ("STATE DIVERGED" in out) is not match
+
+    def test_seed_comes_from_the_seed_flag(self, monkeypatch, capsys):
+        from repro.experiments import service_chaos
+
+        seen = []
+        result = service_chaos.ServiceChaosResult(
+            n_ops=1, seed=7, reference_digests=["d"], crashes={}
+        )
+        monkeypatch.setattr(service_chaos, "run", lambda seed: seen.append(seed) or result)
+        assert main(["service-chaos", "--seed", "7"]) == 0
+        assert main(["service-chaos"]) == 0
+        assert seen == [7, 0]
 
     def test_per_op_durability_is_a_usage_error(self):
         with pytest.raises(SystemExit):

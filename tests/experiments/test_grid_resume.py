@@ -22,7 +22,7 @@ from repro.checkpoint import (
     decode_frame,
     state_digest,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import PAPER_ALGORITHMS, PAPER_WORKFLOWS, ExperimentConfig
 from repro.experiments.runner import grid_digest, run_cell, run_grid
 from repro.faultfs import flip_bit
 from repro.sim.manager import SimulationResult
@@ -101,6 +101,19 @@ def test_completed_cells_are_journaled(tmp_path, reference):
     assert header["digest"] == grid_digest(WORKFLOWS, ALGORITHMS, _config())
     assert len(lines) == 1 + len(WORKFLOWS) * len(ALGORITHMS)
     assert os.listdir(checkpoint_dir) == ["journal.jsonl"]
+
+
+def test_grid_digest_matches_older_builds():
+    """The digest still carries the ``"faults": "None"`` entry that builds
+    with fault injection wrote for a fault-free grid, so their journals
+    stay resumable (a faulted journal's digest differs and is refused)."""
+    assert grid_digest(PAPER_WORKFLOWS, PAPER_ALGORITHMS, ExperimentConfig()) == (
+        "43ef795e331997fc086856bf82ca054cc2ba7d6e5947fb9eec1032c7d49c1c35"
+    )
+    small = ExperimentConfig(n_tasks=80, n_workers=6)
+    assert grid_digest(PAPER_WORKFLOWS, PAPER_ALGORITHMS, small) == (
+        "2e7253d7e922144ee39b49d80c1cc685f9b46594ebc7766fcd744dc5dbcaa691"
+    )
 
 
 def _journaled_cells(checkpoint_dir):

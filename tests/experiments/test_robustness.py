@@ -39,43 +39,3 @@ class TestSeedSweep:
         text = robustness.render_seed_sweep(result)
         assert "E-X4" in text
         assert "max_seen" in text
-
-
-class TestFaultSweep:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return robustness.run_fault_sweep(
-            SMALL.with_(ramp_up_seconds=0.0),
-            workflow="normal",
-            algorithms=("max_seen", "exhaustive_bucketing"),
-            profiles=("none", "poisson"),
-            fault_rate=0.005,
-            fault_seed=42,
-        )
-
-    def test_shape(self, result):
-        assert result.profiles == ("none", "poisson")
-        assert set(result.awe) == {
-            (algo, prof)
-            for algo in ("max_seen", "exhaustive_bucketing")
-            for prof in ("none", "poisson")
-        }
-
-    def test_faults_cause_evictions(self, result):
-        for algorithm in result.algorithms:
-            assert result.evictions[algorithm, "none"] == 0
-            assert result.evictions[algorithm, "poisson"] > 0
-
-    def test_awe_stays_in_unit_interval_under_faults(self, result):
-        for value in result.awe.values():
-            assert 0.0 < value <= 1.0 + 1e-9
-
-    def test_relative_metrics(self, result):
-        for algorithm in result.algorithms:
-            assert result.slowdown(algorithm, "none") == pytest.approx(1.0)
-            assert result.awe_drop(algorithm, "none") == pytest.approx(0.0)
-
-    def test_render(self, result):
-        text = robustness.render_fault_sweep(result)
-        assert "fault injection" in text
-        assert "slowdown" in text

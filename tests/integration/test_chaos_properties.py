@@ -1,17 +1,14 @@
-"""Chaos property tests: random fault schedules x random workflows.
+"""Churn property tests: random pool churn x random workflows.
 
-Hypothesis draws a workflow, an allocation algorithm and a fault
-configuration (preemptions, mid-task kills, dispatch failures,
-degradation — in any combination); regardless of the draw:
+Hypothesis draws a workflow, an allocation algorithm and a worker-pool
+churn model (departures, arrivals, or both, with a population floor of
+at least one worker); regardless of the draw:
 
-* the simulation terminates (no fault schedule can livelock the event
-  loop — per-task fault caps and the survivor floor guarantee forward
-  progress);
+* the simulation terminates (the floor keeps a worker alive, and every
+  drawn task fits one);
 * the always-on :class:`InvariantChecker` stays silent — conservation
   laws hold under adversity, not just on the happy path;
-* when at least one fault-free worker remains (``min_survivors >= 1``,
-  which every drawn config respects), every task completes exactly
-  once;
+* every task completes exactly once;
 * the run replays bit-identically from its seeds.
 
 The fast suite runs a trimmed example budget in CI; ``-m slow`` unlocks
@@ -25,16 +22,8 @@ from hypothesis import strategies as st
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig
 from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
 from repro.experiments.config import PAPER_ALGORITHMS
-from repro.sim.faults import (
-    DegradationConfig,
-    DispatchFaultConfig,
-    FaultConfig,
-    FixedPreemptions,
-    PoissonPreemptions,
-    TaskKillConfig,
-)
 from repro.sim.manager import SimulationConfig, WorkflowManager
-from repro.sim.pool import PoolConfig
+from repro.sim.pool import ChurnConfig, PoolConfig
 from repro.sim.task import AttemptOutcome
 from repro.sim.trace import TraceRecorder
 from repro.workflows.spec import TaskSpec, WorkflowSpec
@@ -48,45 +37,20 @@ task_strategy = st.tuples(
 
 workflow_strategy = st.lists(task_strategy, min_size=3, max_size=15)
 
-preemption_strategy = st.one_of(
-    st.none(),
-    st.lists(
-        st.floats(min_value=1.0, max_value=500.0), min_size=1, max_size=4
-    ).map(lambda ts: FixedPreemptions(times=tuple(sorted(ts)))),
-    st.floats(min_value=1 / 400.0, max_value=1 / 40.0).map(
-        lambda r: PoissonPreemptions(rate=r, until=2000.0)
-    ),
+churn_strategy = st.builds(
+    ChurnConfig,
+    mean_lifetime=st.one_of(st.none(), st.floats(min_value=40.0, max_value=2000.0)),
+    mean_interarrival=st.one_of(st.none(), st.floats(min_value=20.0, max_value=500.0)),
+    min_workers=st.integers(min_value=1, max_value=2),
+    max_workers=st.integers(min_value=3, max_value=6),
 )
 
-kills_strategy = st.one_of(
-    st.none(),
-    st.floats(min_value=1 / 300.0, max_value=1 / 30.0).map(
-        lambda r: TaskKillConfig(rate=r, until=2000.0, max_kills_per_task=3)
-    ),
-)
-
-dispatch_strategy = st.one_of(
-    st.none(),
-    st.floats(min_value=0.05, max_value=0.4).map(
-        lambda p: DispatchFaultConfig(probability=p, backoff=2.0, max_faults_per_task=4)
-    ),
-)
-
-degradation_strategy = st.one_of(
-    st.none(),
-    st.floats(min_value=1 / 500.0, max_value=1 / 100.0).map(
-        lambda r: DegradationConfig(rate=r, factor=0.6, floor_fraction=0.4, until=2000.0)
-    ),
-)
-
-fault_strategy = st.builds(
-    FaultConfig,
-    preemption=preemption_strategy,
-    kills=kills_strategy,
-    dispatch=dispatch_strategy,
-    degradation=degradation_strategy,
+pool_strategy = st.builds(
+    PoolConfig,
+    n_workers=st.just(3),
+    capacity=st.just(ResourceVector.of(cores=16, memory=32000, disk=32000)),
+    churn=churn_strategy,
     seed=st.integers(min_value=0, max_value=2**16),
-    min_survivors=st.integers(min_value=1, max_value=2),
 )
 
 
@@ -103,21 +67,16 @@ def build_workflow(raw_tasks):
     return WorkflowSpec("chaos", tasks)
 
 
-def run_chaos(raw_tasks, algorithm, faults, seed=0):
+def run_chaos(raw_tasks, algorithm, pool):
     manager = WorkflowManager(
         build_workflow(raw_tasks),
         SimulationConfig(
             allocator=AllocatorConfig(
                 algorithm=algorithm,
-                seed=seed,
+                seed=0,
                 exploratory=ExploratoryConfig(min_records=3),
             ),
-            pool=PoolConfig(
-                n_workers=3,
-                capacity=ResourceVector.of(cores=16, memory=32000, disk=32000),
-                seed=seed,
-            ),
-            faults=faults,
+            pool=pool,
         ),
     )
     result = manager.run()
@@ -125,11 +84,11 @@ def run_chaos(raw_tasks, algorithm, faults, seed=0):
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(workflow_strategy, st.sampled_from(PAPER_ALGORITHMS), fault_strategy)
-def test_chaos_terminates_and_completes_every_task(raw_tasks, algorithm, faults):
+@given(workflow_strategy, st.sampled_from(PAPER_ALGORITHMS), pool_strategy)
+def test_chaos_terminates_and_completes_every_task(raw_tasks, algorithm, pool):
     """Invariants are audited continuously (checker is on by default);
     a violation would raise out of run()."""
-    manager, result = run_chaos(raw_tasks, algorithm, faults)
+    manager, result = run_chaos(raw_tasks, algorithm, pool)
     assert result.n_tasks == len(raw_tasks)
     assert manager.invariants.events_checked > 0
     for task in manager.tasks():
@@ -140,9 +99,9 @@ def test_chaos_terminates_and_completes_every_task(raw_tasks, algorithm, faults)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(workflow_strategy, st.sampled_from(PAPER_ALGORITHMS), fault_strategy)
-def test_chaos_preserves_accounting_identity_and_awe(raw_tasks, algorithm, faults):
-    _, result = run_chaos(raw_tasks, algorithm, faults)
+@given(workflow_strategy, st.sampled_from(PAPER_ALGORITHMS), pool_strategy)
+def test_chaos_preserves_accounting_identity_and_awe(raw_tasks, algorithm, pool):
+    _, result = run_chaos(raw_tasks, algorithm, pool)
     assert result.ledger.identity_holds()
     for res in (CORES, MEMORY, DISK):
         awe = result.ledger.awe(res)
@@ -150,8 +109,8 @@ def test_chaos_preserves_accounting_identity_and_awe(raw_tasks, algorithm, fault
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(workflow_strategy, fault_strategy)
-def test_chaos_replays_bit_identically(raw_tasks, faults):
+@given(workflow_strategy, pool_strategy)
+def test_chaos_replays_bit_identically(raw_tasks, pool):
     def trace_once():
         manager = WorkflowManager(
             build_workflow(raw_tasks),
@@ -161,12 +120,7 @@ def test_chaos_replays_bit_identically(raw_tasks, faults):
                     seed=3,
                     exploratory=ExploratoryConfig(min_records=3),
                 ),
-                pool=PoolConfig(
-                    n_workers=3,
-                    capacity=ResourceVector.of(cores=16, memory=32000, disk=32000),
-                    seed=3,
-                ),
-                faults=faults,
+                pool=pool,
             ),
         )
         recorder = TraceRecorder(manager)
@@ -177,11 +131,11 @@ def test_chaos_replays_bit_identically(raw_tasks, faults):
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(workflow_strategy, fault_strategy)
-def test_chaos_evictions_never_escalate_allocations(raw_tasks, faults):
-    """Only exhaustion grows an allocation; eviction/kill retries keep
-    the pinned one, so sequences stay componentwise non-decreasing."""
-    manager, _ = run_chaos(raw_tasks, "max_seen", faults)
+@given(workflow_strategy, pool_strategy)
+def test_chaos_evictions_never_escalate_allocations(raw_tasks, pool):
+    """Only exhaustion grows an allocation; eviction retries keep the
+    pinned one, so sequences stay componentwise non-decreasing."""
+    manager, _ = run_chaos(raw_tasks, "max_seen", pool)
     for task in manager.tasks():
         for prev, cur in zip(task.attempts, task.attempts[1:]):
             for res in (CORES, MEMORY, DISK):
@@ -192,10 +146,10 @@ def test_chaos_evictions_never_escalate_allocations(raw_tasks, faults):
 
 @pytest.mark.slow
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(workflow_strategy, st.sampled_from(PAPER_ALGORITHMS), fault_strategy)
-def test_chaos_wide_sweep(raw_tasks, algorithm, faults):
+@given(workflow_strategy, st.sampled_from(PAPER_ALGORITHMS), pool_strategy)
+def test_chaos_wide_sweep(raw_tasks, algorithm, pool):
     """The slow, wide version of the termination/invariant sweep."""
-    manager, result = run_chaos(raw_tasks, algorithm, faults)
+    manager, result = run_chaos(raw_tasks, algorithm, pool)
     assert result.n_tasks == len(raw_tasks)
     assert result.ledger.identity_holds()
     for task in manager.tasks():

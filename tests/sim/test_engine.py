@@ -70,6 +70,14 @@ class TestSimulationEngine:
         with pytest.raises(ValueError):
             engine.schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("when", ["schedule", "schedule_at"])
+    def test_nan_time_is_refused(self, when):
+        """NaN compares False to everything, so a ``< now`` guard let it in."""
+        engine = SimulationEngine()
+        with pytest.raises(ValueError, match="cannot schedule"):
+            getattr(engine, when)(float("nan"), lambda: None)
+        assert engine.pending_events == 0
+
     def test_max_events_guard(self):
         engine = SimulationEngine()
 

@@ -2,7 +2,7 @@
 
 Each scenario below is fully seeded; its canonical event trace is
 committed under ``tests/golden/``.  Any change to event ordering, float
-arithmetic, RNG consumption or fault scheduling shows up as a trace
+arithmetic, RNG consumption or churn scheduling shows up as a trace
 diff — deliberate behaviour changes must regenerate the goldens with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/sim/test_golden_traces.py
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig
 from repro.core.resources import ResourceVector
-from repro.sim.faults import FaultConfig, FixedPreemptions, make_fault_config
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import ChurnConfig, PoolConfig
 from repro.sim.trace import TraceRecorder
@@ -60,7 +59,7 @@ def _poison_workflow(n=12):
 POISON_BUDGET = 4
 
 
-def _config(faults=None, churn=None, retry_budget=None):
+def _config(churn=ChurnConfig(), retry_budget=None):
     return SimulationConfig(
         allocator=AllocatorConfig(
             algorithm="quantized_bucketing",
@@ -70,10 +69,9 @@ def _config(faults=None, churn=None, retry_budget=None):
         pool=PoolConfig(
             n_workers=3,
             capacity=ResourceVector.of(cores=8, memory=16000, disk=16000),
-            churn=churn if churn is not None else ChurnConfig(),
+            churn=churn,
             seed=11,
         ),
-        faults=faults,
         retry_budget=retry_budget,
     )
 
@@ -87,16 +85,6 @@ def _trace(config, workflow=None) -> str:
 
 SCENARIOS = {
     "baseline": lambda: _trace(_config()),
-    "fixed_preemption": lambda: _trace(
-        _config(
-            faults=FaultConfig(
-                preemption=FixedPreemptions(times=(45.0, 95.0)), seed=5
-            )
-        )
-    ),
-    "poisson_chaos": lambda: _trace(
-        _config(faults=make_fault_config("chaos", rate=1 / 90.0, seed=5))
-    ),
     "churny_pool": lambda: _trace(
         _config(
             churn=ChurnConfig(

@@ -10,10 +10,9 @@ import pytest
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig
 from repro.core.resources import MEMORY, ResourceVector
-from repro.sim.faults import FaultConfig, PoissonPreemptions, TaskKillConfig
 from repro.sim.invariants import InvariantViolation
 from repro.sim.manager import SimulationConfig, WorkflowManager
-from repro.sim.pool import PoolConfig
+from repro.sim.pool import ChurnConfig, PoolConfig
 from repro.sim.task import Attempt, AttemptOutcome, SimTask
 from repro.workflows.spec import TaskSpec, WorkflowSpec
 
@@ -31,7 +30,7 @@ def make_workflow(n=10, duration=50.0):
     return WorkflowSpec("audited", tasks)
 
 
-def make_manager(n=10, check_invariants=True, faults=None):
+def make_manager(n=10, check_invariants=True, churn=ChurnConfig()):
     config = SimulationConfig(
         allocator=AllocatorConfig(
             algorithm="max_seen",
@@ -42,8 +41,8 @@ def make_manager(n=10, check_invariants=True, faults=None):
             n_workers=3,
             capacity=ResourceVector.of(cores=8, memory=16000, disk=16000),
             seed=2,
+            churn=churn,
         ),
-        faults=faults,
         check_invariants=check_invariants,
     )
     return WorkflowManager(make_workflow(n), config)
@@ -58,14 +57,11 @@ class TestCleanRuns:
         assert manager.invariants.attempts_checked >= 10
 
     def test_faulty_run_still_satisfies_invariants(self):
-        faults = FaultConfig(
-            preemption=PoissonPreemptions(rate=1 / 60.0),
-            kills=TaskKillConfig(rate=1 / 45.0),
-            seed=4,
-        )
-        manager = make_manager(n=20, faults=faults)
+        churn = ChurnConfig(mean_lifetime=120.0, mean_interarrival=60.0)
+        manager = make_manager(n=20, churn=churn)
         result = manager.run()
         assert result.n_tasks == 20
+        assert result.n_evicted_attempts > 0
         assert manager.invariants.attempts_checked >= result.n_attempts
 
     def test_opt_out_disables_checker(self):

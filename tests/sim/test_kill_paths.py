@@ -14,9 +14,8 @@ from repro.core.allocator import (
     TaskOrientedAllocator,
 )
 from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
-from repro.sim.faults import FaultConfig, FixedPreemptions
 from repro.sim.manager import SimulationConfig, WorkflowManager
-from repro.sim.pool import PoolConfig
+from repro.sim.pool import ChurnConfig, PoolConfig
 from repro.sim.task import AttemptOutcome
 from repro.workflows.spec import TaskSpec, WorkflowSpec
 
@@ -104,7 +103,7 @@ class TestRetryLadder:
 
 
 class TestEvictionRequeue:
-    def _run(self, faults):
+    def _run(self):
         tasks = [
             TaskSpec(
                 task_id=i,
@@ -120,15 +119,19 @@ class TestEvictionRequeue:
                 seed=1,
                 exploratory=ExploratoryConfig(min_records=3),
             ),
-            pool=PoolConfig(n_workers=2, capacity=CAPACITY, seed=2),
-            faults=faults,
+            # Workers live ~100 s against 60 s tasks: churn evicts.
+            pool=PoolConfig(
+                n_workers=2,
+                capacity=CAPACITY,
+                seed=2,
+                churn=ChurnConfig(mean_lifetime=100.0, mean_interarrival=40.0),
+            ),
         )
         manager = WorkflowManager(WorkflowSpec("evict", tasks), config)
         return manager, manager.run()
 
     def test_evicted_attempt_requeues_with_pinned_allocation(self):
-        faults = FaultConfig(preemption=FixedPreemptions(times=(30.0,)), seed=0)
-        manager, result = self._run(faults)
+        manager, result = self._run()
         assert result.n_tasks == 8
         assert result.n_evicted_attempts > 0
         for task in manager.tasks():
@@ -139,8 +142,7 @@ class TestEvictionRequeue:
                     assert nxt.allocation == prev.allocation
 
     def test_eviction_not_counted_as_failure(self):
-        faults = FaultConfig(preemption=FixedPreemptions(times=(30.0,)), seed=0)
-        manager, result = self._run(faults)
+        manager, result = self._run()
         ledger = manager.ledger
         assert ledger.n_evicted_attempts == result.n_evicted_attempts
         # Evicted holdings sit in the eviction bucket, not failed_alloc,

@@ -46,6 +46,19 @@ class TestPoolBasics:
         with pytest.raises(ValueError):
             ChurnConfig(min_workers=5, max_workers=2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["mean_lifetime", "mean_interarrival"])
+    def test_churn_rates_must_be_finite_and_positive(self, field, value):
+        """``None`` is the only way to turn churn off: a NaN interarrival
+        used to finish with a NaN makespan, a NaN lifetime to drop workers."""
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            ChurnConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_ramp_up_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="ramp_up_seconds must be finite and >= 0"):
+            PoolConfig(ramp_up_seconds=value)
+
 
 class TestRampUp:
     def test_ramp_spreads_arrivals(self):
@@ -195,53 +208,3 @@ class TestFloorLivelock:
         # With arrivals on, the population keeps turning over at the floor.
         assert pool.total_left > 0
         assert pool.n_alive >= 2
-
-
-class TestFaultHooks:
-    def test_preempt_worker_bypasses_floor_and_evicts(self):
-        engine = SimulationEngine()
-        pool = WorkerPool(
-            engine,
-            PoolConfig(
-                n_workers=2,
-                capacity=tiny_capacity(),
-                churn=ChurnConfig(min_workers=2),
-            ),
-        )
-        seen = []
-        pool.on_worker_leaving = lambda worker, evicted: seen.append(
-            (worker.worker_id, dict(evicted))
-        )
-        alloc = ResourceVector.of(cores=1, memory=100, disk=100)
-        pool.worker(0).place(7, alloc)
-        assert pool.preempt_worker(0)
-        assert pool.n_alive == 1  # floor does not protect against faults
-        assert pool.total_left == 1
-        assert seen == [(0, {7: alloc})]
-        assert not pool.preempt_worker(0)  # already gone
-        assert not pool.preempt_worker(99)  # unknown
-
-    def test_degrade_worker_shrinks_and_evicts_newest_first(self):
-        engine = SimulationEngine()
-        pool = WorkerPool(engine, PoolConfig(n_workers=1, capacity=tiny_capacity()))
-        seen = []
-        pool.on_worker_degraded = lambda worker, evicted: seen.append(
-            (worker.worker_id, tuple(evicted))
-        )
-        worker = pool.worker(0)
-        alloc = ResourceVector.of(cores=2, memory=1000, disk=100)
-        worker.place(1, alloc)
-        worker.place(2, alloc)
-        half = tiny_capacity() * 0.5
-        assert pool.degrade_worker(0, half)
-        # 4 cores at half capacity == 2 cores: only the older task fits.
-        assert worker.capacity == half
-        assert worker.running_task_ids == (1,)
-        assert seen == [(0, (2,))]
-        assert not pool.degrade_worker(99, half)
-
-    def test_degrade_cannot_grow_capacity(self):
-        engine = SimulationEngine()
-        pool = WorkerPool(engine, PoolConfig(n_workers=1, capacity=tiny_capacity()))
-        with pytest.raises(ValueError):
-            pool.worker(0).degrade(tiny_capacity() * 2.0)

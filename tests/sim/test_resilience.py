@@ -10,10 +10,13 @@ is its one bound.  Three layers of coverage:
   attempts are charged, descendants are cascade-quarantined, and the
   whole scenario is deterministic and parity-clean when the budget
   never binds;
-* a conservation property over all seven paper algorithms, fault-free
-  and under the ``chaos`` fault profile — no task is ever lost:
+* a conservation property over all seven paper algorithms, on a fixed
+  pool and under pool churn — no task is ever lost:
   submitted == completed + quarantined, each exactly once.
 """
+
+import dataclasses
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,9 +25,8 @@ from hypothesis import strategies as st
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
 from repro.core.resources import MEMORY, ResourceVector
 from repro.experiments.config import PAPER_ALGORITHMS, ExperimentConfig
-from repro.sim.faults import make_fault_config
 from repro.sim.manager import SimulationConfig, SimulationResult, WorkflowManager
-from repro.sim.pool import PoolConfig
+from repro.sim.pool import ChurnConfig, PoolConfig
 from repro.sim.task import AttemptOutcome, DeadLetterEntry, TaskState
 from repro.sim.trace import TraceRecorder
 from repro.workflows.spec import TaskSpec, WorkflowSpec
@@ -85,10 +87,10 @@ def test_no_capacity_provider_keeps_paper_behaviour():
 # ---------------------------------------------------------------------------
 
 
-def _run_poison(faults=None, workflow=None):
+def _run_poison(churn=ChurnConfig(), workflow=None):
     manager = WorkflowManager(
         workflow if workflow is not None else _poison_workflow(),
-        _config(faults=faults, retry_budget=POISON_BUDGET),
+        _config(churn=churn, retry_budget=POISON_BUDGET),
     )
     recorder = TraceRecorder(manager)
     result = manager.run()
@@ -132,13 +134,17 @@ def test_makespan_covers_the_quarantine_time():
 
 
 def test_budget_counts_exhaustions_not_evictions_by_default():
-    """Fault kills and preemptions say nothing about the allocation's
-    adequacy: the poison task is quarantined at exactly ``budget``
-    exhausted attempts however many evicted ones it also burned."""
+    """Evictions say nothing about the allocation's adequacy: the
+    poison task is quarantined at exactly ``budget`` exhausted attempts
+    however many evicted ones it also burned."""
+    # The poison task alone: it exhausts within ~13 s per attempt, so
+    # workers that live seconds evict it between exhaustions.
+    poison = dataclasses.replace(_poison_workflow().tasks[-1], task_id=0)
     evicted = 0
-    for seed in range(3):
+    for lifetime in (5.0, 10.0, 20.0):
         _, result, _ = _run_poison(
-            faults=make_fault_config("chaos", rate=1 / 2.0, seed=seed)
+            churn=ChurnConfig(mean_lifetime=lifetime, mean_interarrival=lifetime / 2),
+            workflow=WorkflowSpec("poison", [poison]),
         )
         (entry,) = result.dead_letters
         assert entry.n_exhausted == POISON_BUDGET
@@ -182,11 +188,12 @@ def test_dead_letter_ledger_round_trip_and_reasons():
 
 
 def test_poison_scenario_with_faults_is_bit_deterministic():
-    """Quarantine + Poisson faults: two runs from the same seeds are
+    """Quarantine + pool churn: two runs from the same seeds are
     byte-identical, trace and result alike."""
-    faults = make_fault_config("poisson", rate=1 / 150.0, seed=5)
-    _, result_a, trace_a = _run_poison(faults=faults)
-    _, result_b, trace_b = _run_poison(faults=faults)
+    churn = ChurnConfig(mean_lifetime=60.0, mean_interarrival=30.0)
+    _, result_a, trace_a = _run_poison(churn=churn)
+    _, result_b, trace_b = _run_poison(churn=churn)
+    assert result_a.n_evicted_attempts > 0
     assert trace_a == trace_b
 
     def simulated_state(result):
@@ -223,6 +230,42 @@ def test_result_with_retired_resilience_stats_still_loads():
     assert clone.state_dict() == result.state_dict()
     older["resilience_stats"] = None
     assert SimulationResult.from_state(older).state_dict() == result.state_dict()
+
+
+#: A result document written by a build that still had fault injection:
+#: a two-task ``max_seen`` run, carrying the retired ``fault_stats`` key.
+OLDER_RESULT_DOC = (
+    '{"algorithm": "max_seen", "dead_letters": [], "fault_stats": {"degradations": 0, '
+    '"dispatch_faults": 0, "preemptions": 0, "suppressed": 0, "task_kills": 0}, '
+    '"ledger": {"allocation": {"cores": 240.0, "disk": 240000.0, "memory": 240000.0}, '
+    '"by_category": {"proc": {"cores": [180.0, 0.0, 0.0], "disk": [234000.0, 0.0, 0.0], '
+    '"memory": [189000.0, 0.0, 0.0]}}, "category_allocation": {"proc": {"cores": 240.0, '
+    '"disk": 240000.0, "memory": 240000.0}}, "category_consumption": {"proc": '
+    '{"cores": 60.0, "disk": 6000.0, "memory": 51000.0}}, "consumption": {"cores": 60.0, '
+    '"disk": 6000.0, "memory": 51000.0}, "n_attempts": 2, "n_evicted": 0, "n_failed": 0, '
+    '"n_quarantined": 0, "resources": ["cores", "memory", "disk"], "tasks": '
+    '[{"allocation": {"cores": 120.0, "disk": 120000.0, "memory": 120000.0}, '
+    '"category": "proc", "consumption": {"cores": 30.0, "disk": 3000.0, "memory": 24000.0}, '
+    '"n_evicted_attempts": 0, "n_failed_attempts": 0, "task_id": 0}, {"allocation": '
+    '{"cores": 120.0, "disk": 120000.0, "memory": 120000.0}, "category": "proc", '
+    '"consumption": {"cores": 30.0, "disk": 3000.0, "memory": 27000.0}, '
+    '"n_evicted_attempts": 0, "n_failed_attempts": 0, "task_id": 1}], "waste": '
+    '{"cores": [180.0, 0.0, 0.0], "disk": [234000.0, 0.0, 0.0], "memory": '
+    '[189000.0, 0.0, 0.0]}}, "makespan": 60.0, "n_attempts": 2, "n_evicted_attempts": 0, '
+    '"n_failed_attempts": 0, "n_quarantined": 0, "n_tasks": 2, "wall_clock_seconds": 0.0, '
+    '"workers_joined": 1, "workers_left": 0, "workflow_name": "tiny"}'
+)
+
+
+def test_result_with_retired_fault_stats_still_loads():
+    """A journaled result from a build with fault injection loads; the
+    retired ``fault_stats`` key is dropped and everything else kept."""
+    older = json.loads(OLDER_RESULT_DOC)
+    result = SimulationResult.from_state(older)
+    assert result.makespan == 60.0 and result.n_tasks == 2
+    assert 0.0 < result.awe(MEMORY) < 1.0
+    del older["fault_stats"]
+    assert result.state_dict() == older
 
 
 def test_disabled_resilience_is_parity_clean():
@@ -276,14 +319,14 @@ def _conservation_workflow(raw_tasks):
     return WorkflowSpec("conservation", tasks)
 
 
-def _check_conservation(raw_tasks, algorithm, budget, fault_seed):
+def _check_conservation(raw_tasks, algorithm, budget, churn_seed):
     """Run one workflow with a poison task under a budget (and, when
-    ``fault_seed`` is set, chaos faults: preemptions, kills, dispatch
-    failures, degradation) and check that no task is lost."""
-    faults = (
-        None
-        if fault_seed is None
-        else make_fault_config("chaos", rate=1 / 30.0, seed=fault_seed)
+    ``churn_seed`` is set, under pool churn seeded by it) and check that
+    no task is lost."""
+    churn = (
+        ChurnConfig()
+        if churn_seed is None
+        else ChurnConfig(mean_lifetime=60.0, mean_interarrival=30.0)
     )
     manager = WorkflowManager(
         _conservation_workflow(raw_tasks),
@@ -296,9 +339,9 @@ def _check_conservation(raw_tasks, algorithm, budget, fault_seed):
             pool=PoolConfig(
                 n_workers=3,
                 capacity=ResourceVector.of(cores=16, memory=32000, disk=32000),
-                seed=3,
+                churn=churn,
+                seed=3 if churn_seed is None else churn_seed,
             ),
-            faults=faults,
             retry_budget=budget,
         ),
     )
@@ -335,12 +378,12 @@ def _check_conservation(raw_tasks, algorithm, budget, fault_seed):
     st.integers(min_value=2, max_value=8),
     st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
 )
-def test_no_task_lost_under_quarantine(raw_tasks, algorithm, budget, fault_seed):
+def test_no_task_lost_under_quarantine(raw_tasks, algorithm, budget, churn_seed):
     """submitted == completed + quarantined, each task exactly once, for
-    every paper algorithm, fault-free or under chaos faults; the
+    every paper algorithm, on a fixed pool or under churn; the
     always-on invariant checker audits the conservation law after every
     event and would raise on any leak."""
-    _check_conservation(raw_tasks, algorithm, budget, fault_seed)
+    _check_conservation(raw_tasks, algorithm, budget, churn_seed)
 
 
 @pytest.mark.slow
@@ -351,8 +394,7 @@ def test_no_task_lost_under_quarantine(raw_tasks, algorithm, budget, fault_seed)
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=2**16),
 )
-def test_no_task_lost_under_quarantine_and_chaos(raw_tasks, algorithm, budget, fault_seed):
-    """The wide arm: longer workflows, every budget from 1, and chaos
-    faults on every example — kills, evictions, degradation and the
-    budget meet in one run."""
-    _check_conservation(raw_tasks, algorithm, budget, fault_seed)
+def test_no_task_lost_under_quarantine_and_chaos(raw_tasks, algorithm, budget, churn_seed):
+    """The wide arm: longer workflows, every budget from 1, and pool
+    churn on every example — evictions and the budget meet in one run."""
+    _check_conservation(raw_tasks, algorithm, budget, churn_seed)

@@ -7,8 +7,8 @@ from event 0 on resume.  The serial grid builds each workflow once and
 shares it between cells, so the property this pins is that an abandoned
 run leaves nothing behind: a fresh manager over the *same* workflow and
 config objects replays the uninterrupted run byte for byte.  The
-scenarios are the golden-trace ones (baseline, fixed/poisson faults,
-churny pool, quarantine, bounded records, greedy memo), so the
+scenarios are the golden-trace ones (baseline, churny pool,
+quarantine, bounded records, greedy memo), so the
 comparison target is the same canonical trace the regression suite pins.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig
 from repro.core.resources import ResourceVector
-from repro.sim.faults import FaultConfig, FixedPreemptions, make_fault_config
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import ChurnConfig, PoolConfig
 from repro.sim.trace import TraceRecorder
@@ -68,12 +67,6 @@ def _greedy_incremental_config():
 #: Config factories for the golden scenarios.
 CONFIGS = {
     "baseline": lambda: _config(),
-    "fixed_preemption": lambda: _config(
-        faults=FaultConfig(preemption=FixedPreemptions(times=(45.0, 95.0)), seed=5)
-    ),
-    "poisson_chaos": lambda: _config(
-        faults=make_fault_config("chaos", rate=1 / 90.0, seed=5)
-    ),
     "churny_pool": lambda: _config(
         churn=ChurnConfig(
             mean_lifetime=120.0,

@@ -225,12 +225,6 @@ class WorkerFitMachine(RuleBasedStateMachine):
         running = self.worker.running_task_ids
         self.worker.release(running[index % len(running)], held_for=1.0)
 
-    @rule(shrink=st.sampled_from((1.0, 0.9, 0.5, 0.25)), which=st.integers(0, 3))
-    def degrade(self, shrink, which):
-        capacity = self.worker.capacity
-        res = list(capacity)[which % len(capacity)]
-        self.worker.degrade(capacity.replace(res, capacity[res] * shrink))
-
     @rule()
     def evict_all(self):
         self.worker.evict_all(now=1.0)
