@@ -30,7 +30,7 @@ The package is organized as:
 
 ``repro.experiments``
     One module per paper table/figure that regenerates the corresponding
-    rows/series, plus extension studies (scaling, ablations, hybrid).
+    rows/series, plus extension studies (scaling, ablations, robustness).
 """
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
@@ -39,7 +39,6 @@ from repro.core.baselines import MaxSeen, WholeMachine
 from repro.core.buckets import Bucket, BucketState
 from repro.core.exhaustive import ExhaustiveBucketing
 from repro.core.greedy import GreedyBucketing
-from repro.core.hybrid import HybridBucketing
 from repro.core.quantized import QuantizedBucketing
 from repro.core.records import RecordList, ResourceRecord
 from repro.core.resources import Resource, ResourceVector
@@ -61,7 +60,6 @@ __all__ = [
     "MinWaste",
     "MaxThroughput",
     "QuantizedBucketing",
-    "HybridBucketing",
     "TaskOrientedAllocator",
     "ExploratoryConfig",
     "AllocatorConfig",

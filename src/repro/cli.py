@@ -9,7 +9,7 @@ Usage (installed as ``repro-experiments``, also ``python -m repro.cli``)::
     repro-experiments table1
     repro-experiments scaling --tasks 10000
     repro-experiments ablation
-    repro-experiments hybrid
+    repro-experiments robustness
     repro-experiments all
 
 Each command prints the reproduced rows/series as plain text.
@@ -32,13 +32,11 @@ from repro.checkpoint import GracefulShutdown, GridInterrupted, write_text_atomi
 from repro.core.base import ALGORITHM_REGISTRY
 from repro.experiments import (
     ablation,
-    convergence,
     figure2,
     figure3,
     figure4,
     figure5,
     figure6,
-    hybrid_study,
     robustness,
     scaling,
     table1,
@@ -65,9 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
             "table1",
             "scaling",
             "ablation",
-            "hybrid",
             "robustness",
-            "convergence",
             "service-chaos",
             "serve",
             "fsck",
@@ -275,30 +271,37 @@ def _durable(config: ExperimentConfig, args: argparse.Namespace, target: str) ->
     )
 
 
-def _serve(args: argparse.Namespace) -> int:
-    """Run the allocation-service daemon until shutdown or a signal."""
+def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Run the allocation-service daemon until shutdown or a signal.
+
+    A value ``ServiceConfig`` or the crash-point registry refuses is a
+    usage error (exit 2), not a traceback.
+    """
     import asyncio
 
     from repro.core.allocator import AllocatorConfig
     from repro.service import CRASH_POINTS, ServiceConfig, run_daemon
 
-    config = ServiceConfig(
-        allocator=AllocatorConfig(
-            algorithm=args.service_algorithm, seed=args.service_seed
-        ),
-        n_shards=args.shards,
-        data_dir=args.checkpoint_dir,
-        durability=args.durability,
-        max_connections=args.max_connections,
-        read_timeout=args.read_timeout,
-        dedup_window=args.dedup_window,
-        snapshot_retention=args.snapshot_retention,
-    )
-    if args.chaos_crash is not None:
-        # Crash-point test instrumentation: die mid-operation at the
-        # named site, exactly like an opportunistic node disappearing.
-        site, _, hit = args.chaos_crash.partition(":")
-        CRASH_POINTS.arm(site, at_hit=int(hit) if hit else 1, mode="exit")
+    try:
+        config = ServiceConfig(
+            allocator=AllocatorConfig(
+                algorithm=args.service_algorithm, seed=args.service_seed
+            ),
+            n_shards=args.shards,
+            data_dir=args.checkpoint_dir,
+            durability=args.durability,
+            max_connections=args.max_connections,
+            read_timeout=args.read_timeout,
+            dedup_window=args.dedup_window,
+            snapshot_retention=args.snapshot_retention,
+        )
+        if args.chaos_crash is not None:
+            # Crash-point test instrumentation: die mid-operation at the
+            # named site, exactly like an opportunistic node disappearing.
+            site, _, hit = args.chaos_crash.partition(":")
+            CRASH_POINTS.arm(site, at_hit=int(hit) if hit else 1, mode="exit")
+    except ValueError as exc:
+        parser.error(f"serve: {exc}")
     return asyncio.run(
         run_daemon(config, socket_path=args.socket, host=args.host, port=args.port)
     )
@@ -354,10 +357,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
     if args.experiment == "serve":
-        return _serve(args)
+        return _serve(args, parser)
     if args.experiment in ("fsck", "snapshot-export", "snapshot-import"):
         return _storage_tools(args)
-    config = _config(args)
+    try:
+        config = _config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     targets = (
         ["figure2", "figure3", "figure4", "figure5", "figure6", "table1"]
         if args.experiment == "all"
@@ -425,12 +431,8 @@ def _run_targets(targets, args, config, shutdown, emit) -> int:
             emit(scaling.render(scaling.run(task_counts=counts, config=config.with_(n_tasks=1000))))
         elif target == "ablation":
             emit(ablation.render(ablation.run(config)))
-        elif target == "hybrid":
-            emit(hybrid_study.render(hybrid_study.run(config)))
         elif target == "robustness":
             emit(robustness.render_seed_sweep(robustness.run_seed_sweep(config)))
-        elif target == "convergence":
-            emit(convergence.render(convergence.run(config)))
         elif target == "service-chaos":
             from repro.experiments import service_chaos
 

@@ -23,8 +23,6 @@ This subpackage contains the paper's primary contribution:
   (Tovar et al., TPDS 2018).
 * :mod:`repro.core.quantized` — Quantized Bucketing (Phung et al.,
   WORKS 2021).
-* :mod:`repro.core.hybrid` — the Quantized-then-Bucketing switchover the
-  paper suggests for outlier-poisoned startups.
 * :mod:`repro.core.allocator` — the task-oriented allocator that maintains
   one algorithm instance per (task category, resource) pair, runs the
   exploratory bootstrap, and applies the retry/doubling policy.
@@ -36,8 +34,6 @@ from repro.core.baselines import MaxSeen, WholeMachine
 from repro.core.buckets import Bucket, BucketState
 from repro.core.exhaustive import ExhaustiveBucketing
 from repro.core.greedy import GreedyBucketing
-from repro.core.hybrid import HybridBucketing
-from repro.core.kmeans import KMeansBucketing
 from repro.core.quantized import QuantizedBucketing
 from repro.core.records import RecordList, ResourceRecord
 from repro.core.resources import Resource, ResourceVector
@@ -68,8 +64,6 @@ __all__ = [
     "MinWaste",
     "MaxThroughput",
     "QuantizedBucketing",
-    "KMeansBucketing",
-    "HybridBucketing",
     "TaskOrientedAllocator",
     "ExploratoryConfig",
     "AllocatorConfig",

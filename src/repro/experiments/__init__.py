@@ -19,12 +19,8 @@ Every module exposes ``run(...) -> <result object>`` and ``render(...)
   hypothesis (E-X1);
 * :mod:`repro.experiments.ablation` — significance weighting,
   exploratory budget and bucket-cap ablations (E-X2);
-* :mod:`repro.experiments.hybrid_study` — the Quantized-then-bucketing
-  switchover on TopEFT cores (E-X3);
 * :mod:`repro.experiments.robustness` — external-stochasticity seed
-  sweep (E-X4);
-* :mod:`repro.experiments.convergence` — phase-adaptation recovery on
-  the trimodal workflow (E-X5).
+  sweep (E-X4).
 """
 
 from repro.experiments.config import PAPER_ALGORITHMS, PAPER_WORKFLOWS, ExperimentConfig

@@ -92,17 +92,23 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_retry_budget(self.retry_budget)
+        # PoolConfig checks the pool's fields; refuse them here, not in
+        # the middle of a run.
+        self._pool_config()
+
+    def _pool_config(self) -> PoolConfig:
+        return PoolConfig(
+            n_workers=self.n_workers,
+            ramp_up_seconds=self.ramp_up_seconds,
+            seed=self.pool_seed,
+        )
 
     def simulation_config(self, algorithm: str, **allocator_overrides) -> SimulationConfig:
         return SimulationConfig(
             allocator=AllocatorConfig(
                 algorithm=algorithm, seed=self.allocator_seed, **allocator_overrides
             ),
-            pool=PoolConfig(
-                n_workers=self.n_workers,
-                ramp_up_seconds=self.ramp_up_seconds,
-                seed=self.pool_seed,
-            ),
+            pool=self._pool_config(),
             profile=self.profile,
             max_outstanding=self.max_outstanding,
             retry_budget=self.retry_budget,

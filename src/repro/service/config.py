@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -53,10 +54,10 @@ class ServiceConfig:
         requests are answered ``overloaded`` (with ``retry_after``)
         without touching a shard — the service's overload protection.
     read_timeout:
-        Per-connection read deadline in seconds (``None`` disables): a
-        connection idle (or dribbling, slow-loris style) past the
-        deadline mid-request gets a typed ``timeout`` error and is
-        closed.
+        Per-connection read deadline in seconds, finite and > 0
+        (``None`` disables): a connection idle (or dribbling,
+        slow-loris style) past the deadline mid-request gets a typed
+        ``timeout`` error and is closed.
     snapshot_retention:
         Generations of the multi-shard snapshot (plus their archived WAL
         segments) kept on disk.  Recovery walks the chain newest-first
@@ -99,9 +100,11 @@ class ServiceConfig:
             raise ValueError(
                 f"max_inflight_requests must be >= 1, got {self.max_inflight_requests}"
             )
-        if self.read_timeout is not None and self.read_timeout <= 0:
+        if self.read_timeout is not None and not (
+            math.isfinite(self.read_timeout) and self.read_timeout > 0
+        ):
             raise ValueError(
-                f"read_timeout must be > 0 when given, got {self.read_timeout}"
+                f"read_timeout must be finite and > 0 when given, got {self.read_timeout}"
             )
         if self.snapshot_retention < 1:
             raise ValueError(

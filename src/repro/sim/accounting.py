@@ -13,8 +13,8 @@ paper's two metrics:
 Attempts lost to worker eviction are *not* part of the paper's model —
 its metrics are defined to be independent of the worker pool — so their
 held allocation is accumulated in a separate ``eviction`` bucket that
-never enters AWE.  Per-category breakdowns and a running AWE series
-(used by the convergence studies) are kept alongside the totals.
+never enters AWE.  Per-category breakdowns and the per-task usages are
+kept alongside the totals.
 """
 
 from __future__ import annotations
@@ -276,17 +276,6 @@ class Ledger:
     def task_usages(self) -> Tuple[TaskUsage, ...]:
         return tuple(self._tasks)
 
-    def awe_series(self, resource: Resource) -> List[float]:
-        """Running AWE after each completed task (convergence studies)."""
-        series: List[float] = []
-        consumed = 0.0
-        allocated = 0.0
-        for usage in self._tasks:
-            consumed += usage.consumption[resource]
-            allocated += usage.allocation[resource]
-            series.append(consumed / allocated if allocated > 0 else 0.0)
-        return series
-
     # -- checkpointing ----------------------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -294,7 +283,7 @@ class Ledger:
 
         Resources are stored by key; :meth:`from_state` resolves them
         back through the registry, so restored ledgers answer every
-        query (AWE, waste, per-category, series) bit-identically.
+        query (AWE, waste, per-category, per-task) bit-identically.
         """
         def by_key(mapping: Mapping[Resource, float]) -> Dict[str, float]:
             return {res.key: value for res, value in mapping.items()}

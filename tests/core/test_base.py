@@ -48,9 +48,6 @@ class TestRegistry:
         }
         assert expected <= set(ALGORITHM_REGISTRY)
 
-    def test_extras_registered(self):
-        assert {"hybrid_bucketing", "kmeans_bucketing"} <= set(ALGORITHM_REGISTRY)
-
     def test_make_algorithm(self):
         algo = make_algorithm("max_seen", granularity=100.0)
         assert algo.granularity == 100.0

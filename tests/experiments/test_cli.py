@@ -153,3 +153,61 @@ class TestCheckpointFlags:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["figure5", "--checkpoint-interval", "0.2"])
         assert excinfo.value.code == 2
+
+
+class TestOptionValues:
+    """A value a config or the crash-point registry refuses is a usage
+    error (exit 2) with its reason, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["--shards", "0"], "n_shards must be >= 1"),
+            (["--dedup-window", "-1"], "dedup_window must be >= 0"),
+            (["--snapshot-retention", "0"], "snapshot_retention must be >= 1"),
+            (["--max-connections", "0"], "max_connections must be >= 1"),
+            (["--read-timeout", "-1"], "read_timeout must be finite and > 0"),
+            (["--read-timeout", "nan"], "read_timeout must be finite and > 0"),
+            (["--chaos-crash", "foo:abc"], "invalid literal"),
+            (["--chaos-crash", "foo"], "unknown crash site"),
+            (["--chaos-crash", "shard.apply.before:0"], "at_hit must be >= 1"),
+        ],
+    )
+    def test_bad_serve_value_is_a_usage_error(self, argv, reason, tmp_path, capsys):
+        from repro.service import CRASH_POINTS
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--socket", str(tmp_path / "s.sock"), *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "Traceback" not in err
+        assert CRASH_POINTS.armed is None
+
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    def test_bad_ramp_up_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ablation", "--ramp-up", value, "--tasks", "20", "--workers", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "ramp_up_seconds must be finite and >= 0" in captured.err
+        assert captured.out == ""
+
+
+class TestRemovedExtras:
+    """The registry holds the paper's seven allocators; the two extras,
+    the hybrid study and the convergence study are gone."""
+
+    @pytest.mark.parametrize("target", ["hybrid", "convergence"])
+    def test_removed_targets_are_usage_errors(self, target, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([target])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["kmeans_bucketing", "hybrid_bucketing"])
+    def test_removed_service_algorithms_are_usage_errors(self, algorithm, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--service-algorithm", algorithm])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

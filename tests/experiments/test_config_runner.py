@@ -43,6 +43,14 @@ class TestConfig:
     def test_with_override(self):
         assert SMALL.with_(n_tasks=7).n_tasks == 7
 
+    @pytest.mark.parametrize("ramp_up", [-5.0, float("nan"), float("inf")])
+    def test_bad_ramp_up_is_refused_at_construction(self, ramp_up):
+        """The pool's own check runs when the config is built, not mid-run."""
+        with pytest.raises(ValueError, match="ramp_up_seconds must be finite and >= 0"):
+            ExperimentConfig(ramp_up_seconds=ramp_up)
+        with pytest.raises(ValueError, match="ramp_up_seconds"):
+            SMALL.with_(ramp_up_seconds=ramp_up)
+
 
 class TestRunner:
     def test_run_cell_by_name(self):

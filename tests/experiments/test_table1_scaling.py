@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ablation, hybrid_study, scaling, table1
+from repro.experiments import ablation, scaling, table1
 from repro.experiments.config import ExperimentConfig
 
 SMALL = ExperimentConfig(n_tasks=100, n_workers=4, ramp_up_seconds=60.0)
@@ -132,18 +132,3 @@ class TestAblation:
             rows=ablation.run_exploration_ablation(SMALL, budgets=(10,))
         )
         assert "exploration" in ablation.render(result)
-
-
-class TestHybridStudy:
-    def test_variants_present(self):
-        result = hybrid_study.run(SMALL, workflow="topeft", switch_points=(25,))
-        variants = {r.variant for r in result.rows}
-        assert variants == {
-            "exhaustive_bucketing",
-            "quantized_bucketing",
-            "hybrid(switch=25)",
-        }
-        for row in result.rows:
-            assert 0 < row.awe_cores <= 1
-        text = hybrid_study.render(result)
-        assert "E-X3" in text

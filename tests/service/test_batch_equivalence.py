@@ -5,8 +5,8 @@ contiguous runs; the contract is that the responses — allocations,
 modes, record counts, and the resulting allocator state — are exactly
 what a client awaiting each request one at a time would have seen.
 
-The sweep covers every registered algorithm (the paper's seven plus the
-quantized/kmeans extensions) and Greedy Bucketing under a bucket cap,
+The sweep covers every registered algorithm (the paper's seven) and
+Greedy Bucketing under a bucket cap,
 because the bucketing algorithms are the ones with RNG- and
 order-sensitive internals where coalescing bugs would hide.
 """

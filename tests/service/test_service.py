@@ -99,6 +99,11 @@ def test_config_validation():
     # batch, so a per-op fsync mode would promise clients nothing more.
     with pytest.raises(ValueError):
         ServiceConfig(durability="op")
+    # A NaN deadline used to pass and time out every request at once.
+    for timeout in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="read_timeout must be finite and > 0"):
+            ServiceConfig(read_timeout=timeout)
+    assert ServiceConfig(read_timeout=0.5).read_timeout == 0.5
 
 
 @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])

@@ -167,28 +167,6 @@ class TestAggregation:
         assert 0 < ledger.awe_of_category("a", MEMORY) <= 1.0
         assert ledger.waste_of_category("a", MEMORY).total >= 0
 
-    def test_awe_series_is_cumulative(self):
-        ledger = Ledger(RESOURCES)
-        perfect = ResourceVector.of(cores=1, memory=500, disk=100)
-        ledger.record_task(
-            completed_task(task_id=0, attempts=[(perfect, 100.0, AttemptOutcome.SUCCESS)])
-        )
-        ledger.record_task(
-            completed_task(
-                task_id=1,
-                attempts=[
-                    (
-                        ResourceVector.of(cores=1, memory=1000, disk=100),
-                        100.0,
-                        AttemptOutcome.SUCCESS,
-                    )
-                ],
-            )
-        )
-        series = ledger.awe_series(MEMORY)
-        assert series[0] == pytest.approx(1.0)
-        assert series[1] == pytest.approx((500 + 500) / (500 + 1000))
-
     def test_counters(self):
         ledger = Ledger(RESOURCES)
         ledger.record_task(

@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 import repro
+from repro.experiments.config import PAPER_ALGORITHMS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
@@ -30,20 +31,24 @@ def declared_dependencies():
             for name in re.findall(r'"([^"]+)"', block.group(1))}
 
 
+def fresh_interpreter(code: str):
+    """Run ``code`` in a fresh interpreter; the JSON its last line prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def new_top_level_modules(imports: str):
     """Top-level module names that ``imports`` adds to a fresh interpreter."""
-    code = (
+    return set(fresh_interpreter(
         "import importlib, json, pkgutil, sys\n"
         "before = set(sys.modules)\n"
         f"{imports}\n"
         "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
         "print(json.dumps(sorted(added)))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return set(json.loads(done.stdout.strip().splitlines()[-1]))
+    ))
 
 
 def third_party(names):
@@ -71,3 +76,17 @@ def test_every_repro_module_loads_only_declared_packages():
 def test_simulator_and_experiment_config_do_not_load_networkx():
     added = new_top_level_modules("import repro.sim, repro.experiments.config")
     assert "networkx" not in added
+
+
+def test_registry_holds_exactly_the_papers_seven():
+    """``import repro`` — and every module under it — registers the
+    paper's seven allocators and nothing else."""
+    registered = fresh_interpreter(
+        "import importlib, json, pkgutil, repro\n"
+        "from repro.core.base import ALGORITHM_REGISTRY\n"
+        "after_import = sorted(ALGORITHM_REGISTRY)\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "print(json.dumps([after_import, sorted(ALGORITHM_REGISTRY)]))\n"
+    )
+    assert registered == [sorted(PAPER_ALGORITHMS)] * 2
