@@ -377,22 +377,30 @@ class IncrementalExhaustivePartition:
         self._synced = True
         self.resyncs += 1
 
-    def _configurations(self) -> Tuple[List[List[int]], List[int]]:
-        """The candidate partition of every bucket count ``1 .. K``, each
-        equal to :func:`evenly_spaced_break_indices` of that count, and
-        their concatenation."""
+    def _live(self) -> Tuple[List[int], int, int, int]:
+        """Every candidate's live mapped index, the slice ``lo:hi`` of
+        the valid ones (``0 <= index < last``), and ``last``."""
         if not self._synced:
             self._resync()
         last = len(self._records) - 1
         # A candidate's mapped index is its resync value plus the prefix
         # sum of the difference array up to its gap.  Like the
-        # candidates they ascend, so the valid ones (0 <= index < last)
-        # are one slice; dealt out to their configurations in that
-        # order, "keep strictly increasing" reproduces
-        # evenly_spaced_break_indices exactly.
+        # candidates they ascend, so the valid ones are one slice.
         live = list(map(add, self._mapped, accumulate(self._diff)))
-        lo = bisect_left(live, 0)
-        hi = bisect_left(live, last)
+        return live, bisect_left(live, 0), bisect_left(live, last), last
+
+    def _configurations(self) -> Tuple[List[List[int]], List[int]]:
+        """The candidate partition of every bucket count ``1 .. K``, each
+        equal to :func:`evenly_spaced_break_indices` of that count, and
+        their concatenation."""
+        return self._deal(*self._live())
+
+    def _deal(
+        self, live: List[int], lo: int, hi: int, last: int
+    ) -> Tuple[List[List[int]], List[int]]:
+        # Dealt out to their configurations in ascending order, "keep
+        # strictly increasing" reproduces evenly_spaced_break_indices
+        # exactly.
         configurations: List[List[int]] = [[] for _ in range(self._max_buckets)]
         for i, config in zip(live[lo:hi], self._config[lo:hi]):
             ends = configurations[config]
@@ -409,8 +417,24 @@ class IncrementalExhaustivePartition:
         if not len(self._records):
             return None
         self.queries += 1
-        configurations, flat = self._configurations()
-        breaks, stats = _score_and_select(self._records, configurations, flat)
+        live, lo, hi, last = self._live()
+        if lo == hi:
+            # Every candidate collapsed: all K configurations are the one
+            # bucket [last], the scorer's first-wins tie-break would pick
+            # it, and its stats are three scalar reads (the same floats
+            # as the scorer's bulk tolist()).
+            records = self._records
+            total_sig = records._sp_buf[last].item()
+            breaks = [last]
+            stats = bucket_stats(
+                [total_sig],
+                [records._svp_buf[last].item()],
+                [records._values_buf[last].item()],
+                total_sig,
+            )
+        else:
+            configurations, flat = self._deal(live, lo, hi, last)
+            breaks, stats = _score_and_select(self._records, configurations, flat)
         self._last_breaks = breaks
         self._last_stats = stats
         return breaks

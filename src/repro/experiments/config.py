@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.core.allocator import AllocatorConfig
-from repro.sim.manager import SimulationConfig, check_retry_budget
+from repro.sim.manager import SimulationConfig, check_count
 from repro.sim.pool import PoolConfig
 from repro.sim.profiles import ConsumptionProfile, LinearRampProfile
 from repro.workflows.colmena import make_colmena_workflow
@@ -91,7 +91,8 @@ class ExperimentConfig:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        check_retry_budget(self.retry_budget)
+        for name in ("max_outstanding", "retry_budget"):
+            check_count(name, getattr(self, name))
         # PoolConfig checks the pool's fields; refuse them here, not in
         # the middle of a run.
         self._pool_config()

@@ -35,9 +35,9 @@ out with ``check_invariants=False``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.core.resources import TIME, Resource
+from repro.core.resources import TIME, Resource, ResourceVector
 from repro.sim.task import Attempt, AttemptOutcome, SimTask, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -62,6 +62,12 @@ class InvariantChecker:
         self._last_now = manager.engine.now
         self._events_checked = 0
         self._attempts_checked = 0
+        #: Per resource of the last capacity audited: (resource,
+        #: capacity, the committed sum above which it is overcommitted).
+        #: A pool's workers share one capacity vector, so it is derived
+        #: once per run.
+        self._limits_of: Optional[ResourceVector] = None
+        self._limits: Tuple[Tuple[Resource, float, float], ...] = ()
         manager.engine.add_listener(self.check_event)
 
     @property
@@ -85,14 +91,21 @@ class InvariantChecker:
                 f"last_now={self._last_now}, event_time={engine.last_event_time}"
             )
         self._last_now = now
-        for worker in self._manager.pool.alive_workers():
+        for worker in self._manager.pool._workers.values():
             # Audit the free table itself, raw: unlike Worker.committed
             # this can see an overcommitted state, and a stale cached
             # fit bound cannot hide one.
+            capacity = worker.capacity
+            if capacity is not self._limits_of:
+                self._limits_of = capacity
+                self._limits = tuple(
+                    (res, cap, cap * (1.0 + _RTOL) + 1e-9)
+                    for res, cap in capacity.raw.items()
+                )
             free = worker._free
-            for res, cap in worker.capacity.raw.items():
+            for res, cap, limit in self._limits:
                 value = cap - free[res]
-                if value > cap * (1.0 + _RTOL) + 1e-9:
+                if value > limit:
                     raise InvariantViolation(
                         f"worker {worker.worker_id} overcommitted at t={now}: "
                         f"{res.key} committed={value} > capacity={cap} "

@@ -48,23 +48,17 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "WorkflowManager",
-    "check_retry_budget",
+    "check_count",
 ]
 
 
-def check_retry_budget(retry_budget: object) -> Optional[int]:
-    """The retry budget: ``None`` or an ``int >= 1``, not a ``bool``."""
-    if retry_budget is None:
-        return None
-    if (
-        isinstance(retry_budget, bool)
-        or not isinstance(retry_budget, numbers.Integral)
-        or retry_budget < 1
-    ):
-        raise ValueError(
-            f"retry_budget must be an integer >= 1, got {retry_budget!r}"
-        )
-    return int(retry_budget)
+def check_count(name: str, value: object) -> None:
+    """Refuse an optional count that is not ``None`` or an ``int >= 1``
+    (a ``bool`` is refused too)."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +96,8 @@ class SimulationConfig:
     retry_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_outstanding is not None and self.max_outstanding < 1:
-            raise ValueError(
-                f"max_outstanding must be >= 1, got {self.max_outstanding}"
-            )
-        check_retry_budget(self.retry_budget)
+        for name in ("max_outstanding", "max_events", "retry_budget"):
+            check_count(name, getattr(self, name))
 
     def effective_max_events(self, n_tasks: int) -> int:
         if self.max_events is not None:
@@ -419,7 +410,9 @@ class WorkflowManager:
             return ResourceVector(values)
         return self._allocator.allocate(task.category, task.task_id)
 
-    def _allocation_version(self, task: SimTask) -> int:
+    def _allocation_version(self, task: SimTask) -> Optional[int]:
+        if self._config.oracle:
+            return None  # the true peak never goes stale
         return self._allocator.version(task.category)
 
     def _may_dispatch(self, category: str) -> bool:
@@ -453,7 +446,7 @@ class WorkflowManager:
                 continue
             self._outstanding += 1
             if task.state is TaskState.READY:
-                self._scheduler.enqueue(task)
+                self._enqueue(task)
             # PENDING tasks are submitted but wait for their parents; the
             # dependency-completion hook enqueues them.
 
@@ -564,7 +557,15 @@ class WorkflowManager:
         for child_id in self._children.get(task.task_id, ()):  # dynamic DAG fan-out
             child = self._tasks[child_id]
             if child.dependency_completed(task.task_id, self._engine.now):
-                self._scheduler.enqueue(child)
+                self._enqueue(child)
+
+    def _enqueue(self, task: SimTask) -> None:
+        if self._config.oracle:
+            # The oracle's allocation is fixed the moment the task is
+            # ready, so it is queued with it and the scheduler's
+            # saturation gate sees it (repro.sim.scheduler).
+            task.current_allocation = self._allocation_of(task)
+        self._scheduler.enqueue(task)
 
     # -- pool callbacks ----------------------------------------------------------------------
 

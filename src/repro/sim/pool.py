@@ -13,6 +13,15 @@ defaults to *off* for the paper-reproduction experiments: AWE is
 deliberately worker-count independent, and a churn-free pool makes the
 grid deterministic.  Examples and robustness tests switch it on
 through :class:`PoolConfig`.
+
+Queries answer from what the workers' :class:`~repro.sim.worker.CapacityClock`
+records.  :meth:`WorkerPool.has_headroom` reads its count of workers
+with headroom.  :meth:`WorkerPool.find_fit` takes the stamp at which
+the caller last saw the allocation fit no worker, and probes only the
+workers stamped since — the only ones that can have gained room, since
+placements shrink capacity and every growth (a release, the snap back
+to capacity, a join) takes a new stamp.  The answer is still exact
+first-fit.
 """
 
 from __future__ import annotations
@@ -23,9 +32,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.resources import PAPER_WORKER_CAPACITY, ResourceVector
+from repro.core.resources import PAPER_WORKER_CAPACITY, TIME, ResourceVector
 from repro.sim.engine import SimulationEngine
-from repro.sim.worker import Worker
+from repro.sim.worker import CapacityClock, Worker
 
 __all__ = ["ChurnConfig", "PoolConfig", "WorkerPool"]
 
@@ -107,6 +116,7 @@ class WorkerPool:
         self._config = config if config is not None else PoolConfig()
         self._rng = np.random.default_rng(self._config.seed)
         self._workers: Dict[int, Worker] = {}
+        self._clock = CapacityClock()
         self._next_worker_id = 0
         self._total_joined = 0
         self._total_left = 0
@@ -154,19 +164,37 @@ class WorkerPool:
     def total_left(self) -> int:
         return self._total_left
 
+    @property
+    def stamp(self) -> int:
+        """The latest capacity-growth stamp of any worker."""
+        return self._clock.stamp
+
     def has_headroom(self) -> bool:
         """True if any alive worker has slack in every dimension."""
-        return any(worker.has_headroom() for worker in self._workers.values())
+        return self._clock.roomy > 0
 
-    def find_fit(self, allocation: ResourceVector) -> Optional[Worker]:
+    def fits_without_headroom(self, allocation: ResourceVector) -> bool:
+        """Whether ``allocation`` could fit a worker that lacks headroom.
+
+        A worker without headroom has some dimension within tolerance of
+        full, so only a request that leaves such a dimension out, or asks
+        at most twice its tolerance of it, can still fit there.
+        """
+        for res, cap in self._config.capacity.raw.items():
+            if res is TIME or allocation[res] <= 2e-9 * max(cap, 1.0):
+                return True
+        return False
+
+    def find_fit(self, allocation: ResourceVector, since: int = 0) -> Optional[Worker]:
         """First alive worker with room for ``allocation`` (first-fit).
 
         Workers are scanned in join order, which concentrates load on
         long-lived workers — the same bias Work Queue's eager dispatch
-        exhibits.
+        exhibits.  ``since`` is a :attr:`stamp` at which ``allocation``
+        fitted no worker: only workers stamped after it are probed.
         """
         for worker in self._workers.values():
-            if worker.can_fit(allocation):
+            if worker.stamp > since and worker.can_fit(allocation):
                 return worker
         return None
 
@@ -189,6 +217,7 @@ class WorkerPool:
             worker_id=self._next_worker_id,
             capacity=self._config.capacity,
             joined_at=self._engine.now,
+            clock=self._clock,
         )
         self._next_worker_id += 1
         self._workers[worker.worker_id] = worker

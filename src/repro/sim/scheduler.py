@@ -8,7 +8,7 @@ callback (has the allocator learned anything since this prediction was
 made?), and a ``start_attempt`` callback (place the task and schedule
 its fate).
 
-Two properties matter for fidelity and speed:
+Four properties matter for fidelity and speed:
 
 * **Allocation at dispatch time.**  A queued task's predicted
   allocation is refreshed whenever its category's allocator state has
@@ -44,6 +44,23 @@ Two properties matter for fidelity and speed:
   the tail of the walk.
   ``tests/sim/linear_scan_scheduler.py`` keeps the task-by-task walk as
   the reference the differential tests compare against.
+* **Fit memo.**  A group remembers the pool's
+  :attr:`~repro.sim.pool.WorkerPool.stamp` at which its allocation last
+  fitted no worker.  Capacity grows only together with a new stamp, so
+  while the stamp is unchanged the group is skipped without a probe —
+  within one pass that is always so — and after a release or a join
+  :meth:`~repro.sim.pool.WorkerPool.find_fit` probes only the workers
+  stamped since.  The memo lives and dies with its group.
+* **Saturation gate.**  A pass is skipped, or ended after a placement,
+  when no worker has headroom *and* no queued allocation is small
+  enough to fit a worker without it: none leaves out, or asks at most
+  twice the fit tolerance of, some dimension
+  (:meth:`~repro.sim.pool.WorkerPool.fits_without_headroom`).  The
+  groups with such an allocation are counted as groups open and close.
+  An unprobed task is not counted: its allocation does not exist until
+  a pass asks the allocator, and asking on a saturated pool would move
+  the allocator's draws.  (The oracle's allocations exist from the
+  start, so the manager queues oracle tasks with them.)
 """
 
 from __future__ import annotations
@@ -60,6 +77,21 @@ __all__ = ["Scheduler"]
 
 #: (category, current allocation or None while unprobed)
 _GroupKey = Tuple[str, Optional[ResourceVector]]
+
+
+class _Group:
+    """The queued tasks of one group key, with the group's fit memo."""
+
+    __slots__ = ("heap", "missed_at", "exempt")
+
+    def __init__(self, exempt: bool) -> None:
+        #: Heap of (sequence number, task); never empty while filed.
+        self.heap: List[Tuple[int, SimTask]] = []
+        #: Pool stamp at which the allocation last fitted no worker.
+        self.missed_at = -1
+        #: Whether the group's allocation is small enough to fit a
+        #: worker without headroom.
+        self.exempt = exempt
 
 
 class Scheduler:
@@ -80,8 +112,10 @@ class Scheduler:
         #: Per-category policy gate evaluated before placement (e.g. the
         #: exploratory concurrency bound); gated tasks stay queued.
         self._may_dispatch = may_dispatch
-        #: group key -> heap of (sequence number, task); never empty.
-        self._groups: Dict[_GroupKey, List[Tuple[int, SimTask]]] = {}
+        #: group key -> its queued tasks; never empty.
+        self._groups: Dict[_GroupKey, _Group] = {}
+        #: How many groups are exempt from the saturation gate.
+        self._n_exempt = 0
         #: Heap of (sequence number of the group's oldest task, group
         #: key): the groups the pass in flight has not ruled out yet.
         #: Every pass starts by rebuilding it.
@@ -121,18 +155,28 @@ class Scheduler:
         self._file(self._next_front, task)
         self._next_front -= 1
 
-    def _file(self, seq: int, task: SimTask) -> None:
+    def _file(self, seq: int, task: SimTask) -> _Group:
         """Queue ``task`` under its current allocation at position ``seq``."""
-        key = (task.category, task.current_allocation)
+        allocation = task.current_allocation
+        key = (task.category, allocation)
         group = self._groups.get(key)
         if group is None:
-            group = self._groups[key] = []
+            exempt = allocation is not None and self._pool.fits_without_headroom(
+                allocation
+            )
+            group = self._groups[key] = _Group(exempt)
+            self._n_exempt += exempt
             # A group opened inside a pass (a task ``start_attempt``
             # revealed) must be reached by that pass, in queue order with
             # tasks revealed into groups that already existed.
             heapq.heappush(self._heads, (seq, key))
-        heapq.heappush(group, (seq, task))
+        heapq.heappush(group.heap, (seq, task))
         self._n_ready += 1
+        return group
+
+    def _saturated(self) -> bool:
+        """No queued task can fit any worker (module docstring)."""
+        return not self._n_exempt and not self._pool.has_headroom()
 
     @property
     def n_ready(self) -> int:
@@ -182,7 +226,7 @@ class Scheduler:
             # One pass is complete: what it could not place it ruled out
             # by capacity or gate, and neither reopens inside this call
             # (module docstring), so a second pass would place nothing.
-            if self._n_ready and self._pool.has_headroom():
+            if self._n_ready and not self._saturated():
                 return self._dispatch_pass()
             return 0
         finally:
@@ -190,48 +234,52 @@ class Scheduler:
 
     def _dispatch_pass(self) -> int:
         """One FIFO-with-backfill pass over the group heads."""
-        # Allocations that failed to fit anywhere in this pass (identical
-        # requests behind them cannot fit either) and categories whose
-        # gate closed; both only grow within a pass (module docstring).
-        unfit: Set[ResourceVector] = set()
+        # Categories whose gate closed; the set only grows within a pass
+        # (module docstring).  So does no worker's capacity: the stamp
+        # is constant, and a group that missed at it is skipped.
         gated: Set[str] = set()
-        heads = self._heads = [(group[0][0], key) for key, group in self._groups.items()]
+        groups = self._groups
+        pool = self._pool
+        stamp = pool.stamp
+        heads = self._heads = [(group.heap[0][0], key) for key, group in groups.items()]
         heapq.heapify(heads)
         placed = 0
         while heads:
             key = heapq.heappop(heads)[1]
-            category, queued_as = key
-            if category in gated or queued_as in unfit:
+            category = key[0]
+            group = groups[key]
+            if category in gated or group.missed_at == stamp:
                 continue
             if self._may_dispatch is not None and not self._may_dispatch(category):
                 gated.add(category)
                 continue
-            group = self._groups[key]
-            seq, task = heapq.heappop(group)
-            if group:
-                heapq.heappush(heads, (group[0][0], key))
+            seq, task = heapq.heappop(group.heap)
+            if group.heap:
+                heapq.heappush(heads, (group.heap[0][0], key))
             else:
-                del self._groups[key]
+                self._close(key, group)
             self._n_ready -= 1
             allocation = self._probe_allocation(task)
-            if allocation in unfit:
-                # Only a first probe can land here: a probed task's
-                # group would have been skipped above.
-                self._file(seq, task)
-                continue
-            worker = self._pool.find_fit(allocation)
+            since = group.missed_at
+            if key[1] is None:
+                # A first probe moves the task to its allocation's group,
+                # whose memo may already rule it out.
+                target = groups.get((category, allocation))
+                since = -1 if target is None else target.missed_at
+                if since == stamp:
+                    self._file(seq, task)
+                    continue
+            worker = pool.find_fit(allocation, since)
             if worker is None:
-                unfit.add(allocation)
-                self._file(seq, task)
+                self._file(seq, task).missed_at = stamp
                 continue
             # A worker can host the (possibly stale) probe: now take the
             # dispatch-time prediction and re-validate.
             fresh = self._fresh_allocation(task)
             if fresh is not allocation:
-                worker = self._pool.find_fit(fresh)
+                worker = pool.find_fit(fresh)
                 if worker is None:
-                    unfit.add(fresh)
-                    self._file(seq, task)
+                    self._file(seq, task).missed_at = stamp
                     continue
             task.state = TaskState.RUNNING
             self._sticky.discard(task.task_id)
@@ -239,11 +287,15 @@ class Scheduler:
             self._total_dispatches += 1
             placed += 1
             self._start_attempt(task, worker)
-            if not self._pool.has_headroom():
+            if self._saturated():
                 # The placement saturated the pool; the rest of the
                 # queue cannot possibly be placed.
                 break
         return placed
+
+    def _close(self, key: _GroupKey, group: _Group) -> None:
+        del self._groups[key]
+        self._n_exempt -= group.exempt
 
     def __repr__(self) -> str:
         return f"Scheduler(ready={self._n_ready}, dispatched={self._total_dispatches})"

@@ -16,6 +16,17 @@ so float residue from fractional allocations can never make an empty
 worker reject a full-capacity request.  The fit bound ``free +
 tolerance`` is kept beside the free table and rewritten with it, so a
 fit check is one dict probe and one comparison per requested resource.
+
+A pool's workers share one :class:`CapacityClock`.  A worker takes a
+fresh stamp from it whenever its free capacity can have grown — at
+construction (its join), on every release and on the snap back to
+capacity — so "this allocation fitted no worker at stamp ``e``" stays
+true for every worker stamped at or before ``e``: placements only
+shrink capacity.  The clock also counts the workers with headroom, kept
+by the same writers, so the pool answers :meth:`WorkerPool.has_headroom
+<repro.sim.pool.WorkerPool.has_headroom>` without a scan.  The stamps
+are taken here, not by the pool, so a direct ``release`` cannot bypass
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +35,19 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.resources import TIME, Resource, ResourceVector
 
-__all__ = ["Worker"]
+__all__ = ["CapacityClock", "Worker"]
+
+
+class CapacityClock:
+    """Stamp counter and headroom count shared by one pool's workers."""
+
+    __slots__ = ("stamp", "roomy")
+
+    def __init__(self) -> None:
+        #: The last stamp handed out; stamps count up from 1.
+        self.stamp = 0
+        #: How many of the clock's workers have headroom.
+        self.roomy = 0
 
 
 class Worker:
@@ -37,13 +60,20 @@ class Worker:
         "_free",
         "_tolerance",
         "_fit_bound",
+        "_clock",
+        "_roomy",
+        "stamp",
         "joined_at",
         "left_at",
         "busy_time",
     )
 
     def __init__(
-        self, worker_id: int, capacity: ResourceVector, joined_at: float = 0.0
+        self,
+        worker_id: int,
+        capacity: ResourceVector,
+        joined_at: float = 0.0,
+        clock: Optional[CapacityClock] = None,
     ) -> None:
         if all(capacity[r] <= 0 for r in capacity):
             raise ValueError("worker capacity must be positive in some resource")
@@ -53,6 +83,12 @@ class Worker:
         self._tolerance: Dict[Resource, float] = {
             res: 1e-9 * max(cap, 1.0) for res, cap in capacity.raw.items()
         }
+        #: The pool's clock (a private one for a stand-alone worker).
+        self._clock = clock if clock is not None else CapacityClock()
+        #: Whether this worker is counted in ``_clock.roomy``.
+        self._roomy = False
+        #: The clock's stamp of this worker's last capacity growth.
+        self.stamp = 0
         self._reset_free(dict(capacity.raw))
         self.joined_at = joined_at
         self.left_at: Optional[float] = None
@@ -134,9 +170,18 @@ class Worker:
             )
         self._running[task_id] = allocation
         free = self._free
+        tolerance = self._tolerance
+        lost_headroom = False
         for res, requested in allocation.raw.items():
             if res in free:
-                self._write_free(res, free[res] - requested)
+                slack = free[res] - requested
+                self._write_free(res, slack)
+                if slack <= tolerance[res]:
+                    lost_headroom = True
+        if lost_headroom and self._roomy:
+            # Only the written dimensions can have lost their slack.
+            self._roomy = False
+            self._clock.roomy -= 1
 
     def release(self, task_id: int, held_for: float = 0.0) -> ResourceVector:
         """Free a task's reservation; returns the released allocation."""
@@ -151,6 +196,7 @@ class Worker:
             for res, requested in allocation.raw.items():
                 if res in free:
                     self._write_free(res, free[res] + requested)
+            self._grew()
         else:
             # Snap to exact capacity so float residue never accumulates.
             self._reset_free(dict(self.capacity.raw))
@@ -161,6 +207,12 @@ class Worker:
         """Drop every hosted task (the worker is leaving the pool)."""
         evicted = dict(self._running)
         self._running.clear()
+        # Leave the pool's headroom count; from here on the worker
+        # stamps a private clock that no pool reads.
+        if self._roomy:
+            self._clock.roomy -= 1
+            self._roomy = False
+        self._clock = CapacityClock()
         self._reset_free(dict(self.capacity.raw))
         self.left_at = now
         return evicted
@@ -168,7 +220,8 @@ class Worker:
     # -- the free table's two writers ---------------------------------------------------
     # ``_fit_bound`` is ``free + tolerance`` per resource — the largest
     # request ``can_fit`` admits — and changes only here, together with
-    # the ``_free`` entry it is computed from.
+    # the ``_free`` entry it is computed from.  Every growth of the table
+    # ends in ``_grew``: a new stamp, and headroom re-counted.
 
     def _write_free(self, res: Resource, slack: float) -> None:
         self._free[res] = slack
@@ -180,6 +233,15 @@ class Worker:
         self._fit_bound: Dict[Resource, float] = {
             res: slack + tolerance[res] for res, slack in free.items()
         }
+        self._grew()
+
+    def _grew(self) -> None:
+        clock = self._clock
+        clock.stamp += 1
+        self.stamp = clock.stamp
+        if not self._roomy and self.has_headroom():
+            self._roomy = True
+            clock.roomy += 1
 
     def __repr__(self) -> str:
         status = "alive" if self.alive else f"left@{self.left_at:.0f}s"

@@ -283,6 +283,79 @@ def test_break_indices_empty_records_returns_none():
     assert engine.break_indices() is None
 
 
+# -- exhaustive engine: the all-collapsed shortcut ----------------------------
+
+#: Streams whose candidates all map below record 0 or onto the last
+#: record for a while: tight clusters, all-equal values, then a new
+#: maximum that spreads them again.
+collapsing_streams = st.lists(
+    st.tuples(
+        st.sampled_from(("cluster", "equal", "new_max", "below")),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.01, max_value=1e3, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _collapsing_value(records, kind, u):
+    top = records.values[-1] if len(records) else 1000.0
+    if kind == "cluster":
+        return top * (1.0 - 1e-4 * u)
+    if kind == "equal":
+        return top
+    if kind == "new_max":
+        return top * (2.0 + 8.0 * u)
+    return top * 0.1 * u + 0.001
+
+
+def _assert_stream_exact(stream, monkeypatch):
+    """Feed ``stream``; after every insert the engine must equal the full
+    search, and skip the scorer exactly when every candidate collapsed.
+    Returns how many searches collapsed."""
+    scored = []
+    score = exhaustive_module._score_and_select
+    monkeypatch.setattr(
+        exhaustive_module, "_score_and_select", lambda *args: scored.append(1) or score(*args)
+    )
+    records = RecordList()
+    engine = IncrementalExhaustivePartition(records)
+    collapsed = 0
+    for i, (kind, u, significance) in enumerate(stream):
+        feed(records, engine, _collapsing_value(records, kind, u), significance, i)
+        before = len(scored)
+        breaks = engine.break_indices()
+        configurations, _ = engine._configurations()
+        all_collapsed = all(config == [len(records) - 1] for config in configurations)
+        collapsed += all_collapsed
+        assert len(scored) == before + (not all_collapsed)
+        assert breaks == exhaustive_break_indices(records)
+        reps, probs, estimates = engine.consume_stats(breaks)
+        assert (reps, probs, estimates) == partition_stats(records, breaks)
+    return collapsed
+
+
+def test_collapsed_search_equals_full_search_on_a_fixed_stream(monkeypatch):
+    stream = (
+        [("equal", 0.0, 1.0)] * 5
+        + [("cluster", u / 7, 2.0) for u in range(7)]
+        + [("new_max", 0.3, 5.0)]
+        + [("below", u / 5, 1.5) for u in range(5)]
+        + [("equal", 0.0, 3.0)] * 3
+        + [("new_max", 0.9, 1.0)]
+        + [("cluster", 0.5, 4.0)] * 4
+    )
+    assert _assert_stream_exact(stream, monkeypatch) >= 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(collapsing_streams)
+def test_collapsed_search_equals_full_search(stream):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_stream_exact(stream, monkeypatch)
+
+
 # -- exhaustive engine: consume_stats contract --------------------------------
 
 

@@ -51,6 +51,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="ramp_up_seconds"):
             SMALL.with_(ramp_up_seconds=ramp_up)
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+    def test_bad_max_outstanding_is_refused_at_construction(self, bad):
+        """The simulator's own count check, not a copy, runs when the
+        config is built, not when a cell builds its SimulationConfig."""
+        with pytest.raises(ValueError, match="max_outstanding must be an integer >= 1"):
+            ExperimentConfig(max_outstanding=bad)
+        assert ExperimentConfig(max_outstanding=4).simulation_config("max_seen").max_outstanding == 4
+
 
 class TestRunner:
     def test_run_cell_by_name(self):

@@ -6,6 +6,11 @@ called per *task*): every pass pops, gates, probes and re-appends every
 queued task.  ``test_scheduler_differential.py`` drives it and the
 indexed scheduler through the same operations and requires identical
 dispatches and identical ``allocation_of`` call sequences.
+
+One rule changed with ``Scheduler`` since the move: the saturation
+short-circuit holds only while no queued task's allocation could fit a
+worker without headroom (:meth:`_saturated`), so a zero-core task is
+still offered to a worker whose cores are full.
 """
 
 from __future__ import annotations
@@ -80,6 +85,17 @@ class LinearScanScheduler:
 
     # -- dispatch -----------------------------------------------------------------------
 
+    def _saturated(self, *queues: Deque[SimTask]) -> bool:
+        """No worker has headroom and no queued allocation is small."""
+        if self._pool.has_headroom():
+            return False
+        return not any(
+            task.current_allocation is not None
+            and self._pool.fits_without_headroom(task.current_allocation)
+            for queue in queues
+            for task in queue
+        )
+
     def _probe_allocation(self, task: SimTask) -> ResourceVector:
         """The allocation used to *probe* worker fit — possibly stale.
 
@@ -118,7 +134,7 @@ class LinearScanScheduler:
             made_progress = True
             while made_progress:
                 made_progress = False
-                if not self._ready or not self._pool.has_headroom():
+                if not self._ready or self._saturated(self._ready):
                     # Saturated pool: nothing can be placed, skip the scan.
                     break
                 # Allocations that failed to fit anywhere in this pass:
@@ -155,7 +171,7 @@ class LinearScanScheduler:
                     dispatched += 1
                     made_progress = True
                     self._start_attempt(task, worker)
-                    if not self._pool.has_headroom():
+                    if self._saturated(still_waiting, self._ready):
                         # The placement saturated the pool; the rest of
                         # the queue cannot possibly be placed this scan.
                         still_waiting.extend(self._ready)

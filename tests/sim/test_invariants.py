@@ -98,6 +98,27 @@ class TestSabotage:
         with pytest.raises(InvariantViolation, match="overcommitted"):
             manager.run()
 
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_overcommit_written_into_the_free_table_is_caught_at_its_event(self, which):
+        """The audit reads every worker's raw free table after every
+        event: a hair over capacity, on the first or the last worker,
+        fails at the event that wrote it and not later."""
+        manager = make_manager()
+        fired = []
+
+        def sabotage():
+            worker = manager.pool.alive_workers()[which]
+            cap = worker.capacity[MEMORY]
+            worker._free[MEMORY] = -(cap * 1e-6) - 1e-3
+            fired.append((worker.worker_id, manager.invariants.events_checked))
+
+        manager.engine.schedule(10.0, sabotage)
+        with pytest.raises(InvariantViolation, match="overcommitted at t=10.0") as caught:
+            manager.run()
+        worker_id, checked_before = fired[0]
+        assert f"worker {worker_id} " in str(caught.value)
+        assert manager.invariants.events_checked == checked_before + 1
+
     def test_clock_rewind_is_caught(self):
         manager = make_manager()
 

@@ -247,6 +247,19 @@ class TestSubmissionPacing:
         with pytest.raises(ValueError):
             SimulationConfig(max_outstanding=0)
 
+    @pytest.mark.parametrize("field", ["max_outstanding", "max_events", "retry_budget"])
+    @pytest.mark.parametrize("bad", [0, -5, 2.5, True, False, "3"])
+    def test_counts_are_integers_of_at_least_one(self, field, bad):
+        """A bad count is refused at construction, not mid-run as an
+        'event budget exhausted' livelock report."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            SimulationConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["max_outstanding", "max_events", "retry_budget"])
+    def test_counts_accept_none_and_positive_integers(self, field):
+        assert getattr(SimulationConfig(**{field: None}), field) is None
+        assert getattr(SimulationConfig(**{field: 3}), field) == 3
+
 
 class TestChurnExecution:
     def test_workflow_survives_worker_churn(self):

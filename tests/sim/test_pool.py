@@ -1,6 +1,15 @@
 """Tests for the opportunistic worker pool."""
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.resources import ResourceVector
 from repro.sim.engine import SimulationEngine
@@ -208,3 +217,128 @@ class TestFloorLivelock:
         # With arrivals on, the population keeps turning over at the floor.
         assert pool.total_left > 0
         assert pool.n_alive >= 2
+
+
+#: The fixed allocations the memo machine asks about: ordinary shapes,
+#: one with a zero component, and a whole worker.
+PROBES = (
+    ResourceVector.of(cores=1, memory=100, disk=100),
+    ResourceVector.of(cores=3, memory=1000, disk=10),
+    ResourceVector.of(cores=0.5, memory=2500, disk=0),
+    ResourceVector.of(cores=2, memory=2000, disk=2000),
+    ResourceVector.of(cores=4, memory=4000, disk=4000),
+)
+
+
+class PoolFitMachine(RuleBasedStateMachine):
+    """``find_fit`` from a miss memo and the O(1) ``has_headroom`` must
+    answer what a brute-force scan in join order answers, after any mix
+    of joins, departures, placements and direct releases.
+
+    Like the scheduler, the machine keeps, per probe, the pool stamp of
+    its last miss and asks ``find_fit`` with it after every step.
+    """
+
+    @initialize(
+        n_workers=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        churn=st.booleans(),
+    )
+    def start(self, n_workers, seed, churn):
+        self.engine = SimulationEngine()
+        self.pool = WorkerPool(
+            self.engine,
+            PoolConfig(
+                n_workers=n_workers,
+                capacity=tiny_capacity(),
+                ramp_up_seconds=60.0,
+                churn=ChurnConfig(
+                    mean_lifetime=90.0 if churn else None,
+                    mean_interarrival=40.0 if churn else None,
+                    min_workers=1,
+                    max_workers=6,
+                ),
+                seed=seed,
+            ),
+        )
+        self.pool.on_worker_leaving = self._left
+        self.running = {}  # task_id -> the worker hosting it
+        self.next_id = 0
+        self.missed_at = [0] * len(PROBES)
+
+    def _left(self, worker, evicted):
+        for task_id in evicted:
+            assert self.running.pop(task_id) is worker
+
+    def _worker(self, index):
+        workers = self.pool.alive_workers()
+        return workers[index % len(workers)]
+
+    def _place(self, worker, allocation):
+        if worker.can_fit(allocation):
+            worker.place(self.next_id, allocation)
+            self.running[self.next_id] = worker
+            self.next_id += 1
+
+    @rule(dt=st.sampled_from((1.0, 15.0, 60.0)))
+    def advance(self, dt):
+        """Ramp-up joins and churn departures fire as engine events."""
+        self.engine.run(until=self.engine.now + dt)
+
+    @rule(which=st.integers(0, len(PROBES) - 1), index=st.integers(0, 100))
+    def place(self, which, index):
+        self._place(self._worker(index), PROBES[which])
+
+    @rule(index=st.integers(0, 100))
+    def fill(self, index):
+        """Take a worker's whole free capacity: no headroom left."""
+        worker = self._worker(index)
+        self._place(worker, worker.free_capacity())
+
+    @precondition(lambda self: self.running)
+    @rule(index=st.integers(0, 1000))
+    def release(self, index):
+        task_id = sorted(self.running)[index % len(self.running)]
+        self.running.pop(task_id).release(task_id, held_for=1.0)
+
+    @precondition(lambda self: self.running)
+    @rule(index=st.integers(0, 1000))
+    def empty(self, index):
+        """Release every task of one worker; the last snaps to capacity."""
+        worker = self.running[sorted(self.running)[index % len(self.running)]]
+        for task_id in worker.running_task_ids:
+            del self.running[task_id]
+            worker.release(task_id)
+
+    @invariant()
+    def answers_are_the_brute_force_scan(self):
+        pool = self.pool
+        workers = pool.alive_workers()
+        assert [w.worker_id for w in workers] == sorted(w.worker_id for w in workers)
+        assert pool.has_headroom() == any(w.has_headroom() for w in workers)
+        for which, allocation in enumerate(PROBES):
+            want = next((w for w in workers if w.can_fit(allocation)), None)
+            assert pool.find_fit(allocation) is want
+            got = pool.find_fit(allocation, self.missed_at[which])
+            assert got is want, (which, self.missed_at[which], pool.stamp)
+            if got is None:
+                self.missed_at[which] = pool.stamp
+
+
+TestPoolFitMachine = PoolFitMachine.TestCase
+TestPoolFitMachine.settings = settings(
+    max_examples=60,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.mark.slow
+class TestPoolFitMachineWide(PoolFitMachine.TestCase):
+    settings = settings(
+        max_examples=300,
+        stateful_step_count=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )

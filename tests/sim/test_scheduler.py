@@ -7,6 +7,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.pool import PoolConfig, WorkerPool
 from repro.sim.scheduler import Scheduler
 from repro.sim.task import SimTask, TaskState
+from repro.sim.worker import Worker
 from repro.workflows.spec import TaskSpec
 
 
@@ -118,6 +119,24 @@ class TestDispatch:
         # t0 filled the single core; t1 was never even probed.
         assert h.started == [0]
         assert h.allocation_calls == 1
+
+    def test_small_allocation_passes_the_saturation_gate(self):
+        """The pool has no headroom (cores full), but a queued allocation
+        that asks no cores still fits: the pass must run and place it."""
+        h = SchedulerHarness(n_workers=1, cores=1)
+        worker = h.pool.alive_workers()[0]
+        worker.place(99, ResourceVector.of(cores=1, memory=100, disk=10))
+        assert not h.pool.has_headroom()
+        full, zero_core = make_task(0), make_task(1)
+        for task, cores in ((full, 1), (zero_core, 0)):
+            task.current_allocation = ResourceVector.of(cores=cores, memory=100, disk=10)
+            h.scheduler.enqueue_retry(task)
+        assert h.scheduler.try_dispatch() == 1
+        assert h.started == [1]
+        # Placed, the small task leaves only gate-bound work: skipped.
+        worker.release(99)
+        worker.place(98, ResourceVector.of(cores=1, memory=100, disk=10))
+        assert h.scheduler.try_dispatch() == 0
 
     def test_version_refresh_at_placement(self):
         h = SchedulerHarness(n_workers=1, cores=2)
@@ -234,12 +253,12 @@ class CountingPool:
         self._pool = pool
         self.find_fit_calls = 0
 
-    def find_fit(self, allocation):
+    def find_fit(self, allocation, since=0):
         self.find_fit_calls += 1
-        return self._pool.find_fit(allocation)
+        return self._pool.find_fit(allocation, since)
 
-    def has_headroom(self):
-        return self._pool.has_headroom()
+    def __getattr__(self, name):
+        return getattr(self._pool, name)
 
 
 class TestWorkCounts:
@@ -303,6 +322,41 @@ class TestWorkCounts:
             assert h.allocation_calls == self.N_TASKS  # nothing re-probed
             assert h.scheduler.n_ready == self.N_TASKS - 1 - round_
         assert h.started == [0, 1, 2, 3]
+
+    def test_pass_after_release_probes_only_the_released_worker(self, monkeypatch):
+        """The fit memo: a group that missed before the release asks only
+        the worker stamped since, once; with no new stamp, nobody."""
+        h = SchedulerHarness(n_workers=3, cores=5)
+        workers = h.pool.alive_workers()
+        filler = ResourceVector.of(cores=3, memory=100, disk=10)
+        for worker in workers:  # 2 cores left: no queued shape fits
+            worker.place(10_000 + worker.worker_id, filler)
+        for i in range(30):
+            category, cores, memory = self.SHAPES[i % len(self.SHAPES)]
+            h.allocations[i] = ResourceVector.of(cores=cores, memory=memory, disk=10)
+            h.scheduler.enqueue(make_task(i, category=category))
+        probed = []
+        can_fit = Worker.can_fit
+
+        def counting_can_fit(worker, allocation):
+            probed.append(worker.worker_id)
+            return can_fit(worker, allocation)
+
+        monkeypatch.setattr(Worker, "can_fit", counting_can_fit)
+        assert h.scheduler.try_dispatch() == 0
+        # The first pass probes every worker for each group.
+        assert probed == [0, 1, 2] * len(self.SHAPES)
+        probed.clear()
+        assert h.scheduler.try_dispatch() == 0
+        assert probed == []  # no stamp since the misses
+        released = workers[1]
+        released.release(10_000 + released.worker_id)
+        assert h.scheduler.try_dispatch() == 1
+        # The 4-core head lands on the released worker (one probe, and
+        # one more inside ``place``); the next 4-core task and the two
+        # 3-core groups each ask it alone, and miss.
+        assert h.started == [0]
+        assert probed == [released.worker_id] * (len(self.SHAPES) + 2)
 
     def test_n_ready_is_a_counter(self, monkeypatch):
         h, _ = self._queue(monkeypatch)

@@ -27,9 +27,10 @@ from tests.sim.linear_scan_scheduler import LinearScanScheduler
 from tests.sim.test_scheduler import make_task
 
 CATEGORIES = ("proc", "merge", "fit")
-#: Few distinct (cores, memory) shapes so tasks share groups; the last
-#: never fits a worker.
-PALETTE = ((1, 100), (1, 2500), (2, 100), (3, 2500), (4, 100), (5, 100))
+#: Few distinct (cores, memory) shapes so tasks share groups; the
+#: zero-core one still fits a worker whose cores are full (the saturation
+#: gate must let it through), and the last never fits a worker.
+PALETTE = ((1, 100), (1, 2500), (2, 100), (3, 2500), (4, 100), (0, 100), (5, 100))
 SHAPES = st.integers(0, len(PALETTE) - 1)
 REVEALED_ID_BASE = 10_000
 

@@ -185,3 +185,25 @@ class TestOracle:
             result = run_cell("bimodal", algorithm, config)
             for res in (CORES, MEMORY, DISK):
                 assert result.ledger.awe(res) <= oracle.ledger.awe(res) + 1e-9
+
+
+class TestSaturationGate:
+    """A worker with one dimension full still hosts a task that asks
+    nothing of it: the saturation gate must not hide that task."""
+
+    def test_zero_disk_task_runs_beside_a_full_disk(self):
+        workflow = WorkflowSpec(
+            "full-disk",
+            [
+                TaskSpec(0, "fill", ResourceVector.of(cores=1, memory=100, disk=64000), 1000.0),
+                TaskSpec(1, "small", ResourceVector.of(cores=1, memory=100, disk=0), 10.0),
+            ],
+        )
+        manager = WorkflowManager(
+            workflow, SimulationConfig(pool=PoolConfig(n_workers=1), oracle=True)
+        )
+        result = manager.run()
+        # Task 1 starts at t=0 on the same worker instead of waiting for
+        # task 0 to free the disk.
+        assert result.makespan == 1000.0
+        assert manager.tasks()[1].attempts[0].start_time == 0.0
