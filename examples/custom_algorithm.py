@@ -12,12 +12,10 @@ workload.
 Run:  python examples/custom_algorithm.py
 """
 
-from typing import Optional
-
 import numpy as np
 
 from repro import AllocatorConfig
-from repro.core.base import AllocationAlgorithm, register_algorithm
+from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
 from repro.core.records import RecordList
 from repro.core.resources import MEMORY
 from repro.sim import SimulationConfig, WorkflowManager
@@ -42,7 +40,7 @@ class PercentileHeadroom(AllocationAlgorithm):
         self,
         percentile: float = 95.0,
         headroom: float = 1.05,
-        rng: Optional[np.random.Generator] = None,
+        rng: RngSource = None,
     ) -> None:
         super().__init__(rng=rng)
         if not (0 < percentile <= 100):

@@ -52,7 +52,7 @@ from repro.checkpoint import (
     restore_generator,
     state_digest,
 )
-from repro.core.base import ALGORITHM_REGISTRY, AllocationAlgorithm
+from repro.core.base import ALGORITHM_REGISTRY, AllocationAlgorithm, check_seed
 from repro.core.resources import (
     CORES,
     DISK,
@@ -119,8 +119,11 @@ def _build_algorithm(
         kwargs["granularity"] = DEFAULT_MAX_SEEN_GRANULARITY.get(res, 0.0)
     if "rng" in accepted and "rng" not in kwargs:
         # Independent child generator per instance: reproducible and
-        # insensitive to the order categories first appear.
-        kwargs["rng"] = np.random.default_rng(rng.integers(2**63))
+        # insensitive to the order categories first appear.  The seed is
+        # drawn now, so the parent stream does not depend on which
+        # children ever draw; the child builds its generator on its
+        # first draw (a category that never leaves exploration never does).
+        kwargs["rng"] = int(rng.integers(2**63))
     return cls(**kwargs)
 
 
@@ -240,6 +243,7 @@ class AllocatorConfig:
             raise ValueError(
                 f"doubling_factor must exceed 1, got {self.doubling_factor}"
             )
+        check_seed("seed", self.seed, optional=True)
         # An unknown keyword or a bad value in algorithm_kwargs is refused
         # here, not when a category's first allocator is built.
         _build_algorithm(self, self.resources[0], np.random.default_rng(0))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import numbers
-from typing import ClassVar, Dict, Optional, Type
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.core.buckets import BucketState
 from repro.core.records import RecordList
 
 __all__ = [
+    "RngSource",
     "AllocationAlgorithm",
     "BucketingAlgorithm",
     "ALGORITHM_REGISTRY",
@@ -40,12 +41,68 @@ __all__ = [
 ]
 
 
+#: What an algorithm's ``rng`` argument may be: a ready generator, an
+#: ``int`` seed (the generator is built on the first draw), or ``None``
+#: (a fresh OS-seeded generator).  A string reference: touching
+#: ``np.random`` at import would load numpy's random extension modules
+#: into every process that imports the package.
+RngSource = Union["np.random.Generator", int, None]
+
+#: A PCG64 state held without its generator: the four numbers of
+#: ``PCG64.state`` — ``(state, inc, has_uint32, uinteger)``.
+_Pcg64State = Tuple[int, int, int, int]
+
+
+def _pcg64_numbers(saved: Any) -> _Pcg64State:
+    """A saved ``default_rng`` state as its four numbers.
+
+    Refused unless ``PCG64.state`` would take it and give it back
+    unchanged, so a bad snapshot fails at restore, not at the first draw.
+    """
+    try:
+        kind = saved.get("bit_generator")
+        fields = (
+            saved["state"]["state"],
+            saved["state"]["inc"],
+            saved["has_uint32"],
+            saved["uinteger"],
+        )
+    except (AttributeError, KeyError, TypeError):
+        raise CheckpointError(f"malformed RNG state: {saved!r}") from None
+    if kind != "PCG64":
+        raise CheckpointError(
+            f"RNG kind mismatch: checkpoint has {kind!r}, generator is 'PCG64'"
+        )
+    bounds = (2**128, 2**128, 2, 2**32)
+    if not all(type(n) is int and 0 <= n < bound for n, bound in zip(fields, bounds)):
+        raise CheckpointError(f"malformed PCG64 state: {saved!r}")
+    return fields
+
+
+def _pcg64_dict(fields: _Pcg64State) -> Dict[str, Any]:
+    """The four numbers back in ``PCG64.state``'s layout and key order."""
+    state, inc, has_uint32, uinteger = fields
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+
+
 class AllocationAlgorithm(abc.ABC):
     """Per-(category, resource) allocation policy.
 
     Subclasses must set the class attribute :attr:`name` (the identifier
     used in the registry, experiment configs and result tables) and
     implement :meth:`update` and :meth:`predict`.
+
+    The generator is built on its first draw when ``rng`` is an ``int``
+    seed: most categories of a service never leave exploration and never
+    draw, and a built ``Generator`` and its lock cost ~0.9 KB, three per
+    category (docs/PERFORMANCE.md, "Peak memory").  Until then
+    :meth:`state_dict` writes the state the generator would have, so
+    snapshots and digests do not depend on whether it was built.
     """
 
     #: Registry/reporting identifier, e.g. ``"greedy_bucketing"``.
@@ -65,8 +122,37 @@ class AllocationAlgorithm(abc.ABC):
     #: probabilistic draws per request.
     deterministic_predictions: ClassVar[bool] = True
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng()
+    def __init__(self, rng: RngSource = None) -> None:
+        #: The generator once built; ``None`` while ``_rng_pending``
+        #: holds what builds it: the ``int`` seed, or a PCG64 state as
+        #: four numbers (restored by :meth:`load_state`, or the seed's
+        #: state once :meth:`state_dict` has computed it).
+        self._rng_built: Optional[np.random.Generator] = None
+        self._rng_pending: Union[int, _Pcg64State, None] = None
+        if rng is None:
+            self._rng_built = np.random.default_rng()
+        elif isinstance(rng, np.random.Generator):
+            self._rng_built = rng
+        else:
+            check_seed("rng", rng)
+            self._rng_pending = int(rng)
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The generator to draw from, built from the pending seed or
+        state on first use (a subclass draws from it as before)."""
+        rng = self._rng_built
+        if rng is None:
+            pending = self._rng_pending
+            if isinstance(pending, int):
+                rng = np.random.default_rng(pending)
+            else:
+                assert pending is not None
+                rng = np.random.default_rng(0)
+                rng.bit_generator.state = _pcg64_dict(pending)
+            self._rng_built = rng
+            self._rng_pending = None
+        return rng
 
     # -- the contract -----------------------------------------------------------
 
@@ -117,9 +203,22 @@ class AllocationAlgorithm(abc.ABC):
         The envelope (algorithm name + RNG state) lives here; everything
         algorithm-specific comes from :meth:`_extra_state`.
         """
+        rng = self._rng_built
+        if rng is not None:
+            rng_state = generator_state(rng)
+        else:
+            pending = self._rng_pending
+            if isinstance(pending, int):
+                # The state default_rng(seed) starts from, kept as four
+                # numbers as a restore keeps it: seeding costs ~20 us,
+                # paid once rather than in every snapshot, and snapshots
+                # run with the shard writers parked.
+                pending = self._rng_pending = _pcg64_numbers(np.random.PCG64(pending).state)
+            assert pending is not None
+            rng_state = _pcg64_dict(pending)
         return {
             "algorithm": self.name,
-            "rng": generator_state(self._rng),
+            "rng": rng_state,
             "state": self._extra_state(),
         }
 
@@ -130,7 +229,11 @@ class AllocationAlgorithm(abc.ABC):
                 f"algorithm mismatch: snapshot is {state.get('algorithm')!r}, "
                 f"instance is {self.name!r}"
             )
-        restore_generator(self._rng, state["rng"])
+        if self._rng_built is not None:
+            restore_generator(self._rng_built, state["rng"])
+        else:
+            # Kept as four numbers until the first draw builds on them.
+            self._rng_pending = _pcg64_numbers(state["rng"])
         self._load_extra_state(state["state"])
 
     def _extra_state(self) -> dict:
@@ -148,6 +251,16 @@ class AllocationAlgorithm(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(records={self.n_records})"
+
+
+def check_seed(name: str, value: object, optional: bool = False) -> None:
+    """Refuse a seed that is not an ``int >= 0`` (``bool`` refused too;
+    ``None`` only when ``optional``): numpy takes any such value where it
+    is configured and raises at the first generator built from it."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def check_max_buckets(max_buckets: object) -> int:
@@ -187,7 +300,7 @@ class BucketingAlgorithm(AllocationAlgorithm):
 
     def __init__(
         self,
-        rng: Optional[np.random.Generator] = None,
+        rng: RngSource = None,
         record_capacity: Optional[int] = None,
     ) -> None:
         super().__init__(rng=rng)

@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
-from repro.core.base import AllocationAlgorithm, register_algorithm
+from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
 
 __all__ = ["WholeMachine", "MaxSeen"]
 
@@ -40,7 +38,7 @@ class WholeMachine(AllocationAlgorithm):
     def __init__(
         self,
         capacity: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: RngSource = None,
     ) -> None:
         super().__init__(rng=rng)
         if capacity < 0:
@@ -101,7 +99,7 @@ class MaxSeen(AllocationAlgorithm):
     def __init__(
         self,
         granularity: float = 250.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: RngSource = None,
     ) -> None:
         super().__init__(rng=rng)
         if granularity < 0:

@@ -31,7 +31,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import BucketingAlgorithm, check_max_buckets, register_algorithm
+from repro.core.base import (
+    BucketingAlgorithm,
+    RngSource,
+    check_max_buckets,
+    register_algorithm,
+)
 from repro.core.buckets import bucket_stats
 from repro.core.records import RecordList
 
@@ -294,6 +299,11 @@ class IncrementalExhaustivePartition:
         "queries",
     )
 
+    _cands: List[float]
+    _mapped: List[int]
+    _config: List[int]
+    _diff: List[int]
+
     def __init__(self, records: RecordList, max_buckets: int = PAPER_MAX_BUCKETS) -> None:
         self._records = records
         self._max_buckets = check_max_buckets(max_buckets)
@@ -306,7 +316,10 @@ class IncrementalExhaustivePartition:
         # list bump are faster than one numpy dispatch — and much faster
         # right after RecordList._insert's multi-megabyte suffix shift
         # has evicted the ufunc machinery from cache.  All four are
-        # rebuilt by every resync:
+        # bound by the first resync and rebuilt by every one after it;
+        # nothing reads them while the engine is out of sync, so an
+        # engine that never answers a query holds none (a service's
+        # exploring categories, docs/PERFORMANCE.md "Peak memory"):
         #   _cands   candidate values, ascending;
         #   _mapped  each one's mapped record index at the resync,
         #            (#records with value below it) - 1;
@@ -317,10 +330,6 @@ class IncrementalExhaustivePartition:
         #            candidates: a mutation in gap g moves the mapped
         #            index of every candidate from g up, so the live
         #            value is _mapped[r] + sum(_diff[:r + 1]).
-        self._cands: List[float] = []
-        self._mapped: List[int] = []
-        self._config: List[int] = []
-        self._diff: List[int] = []
         self._vmax: Optional[float] = None
         self._synced = False
         # Winner stats of the most recent break_indices() call, handed
@@ -472,7 +481,8 @@ class ExhaustiveBucketing(BucketingAlgorithm):
     Parameters
     ----------
     rng:
-        Source of randomness for the probabilistic bucket draws.
+        Source of randomness for the probabilistic bucket draws: a
+        generator, or an ``int`` seed it is built from on the first draw.
     record_capacity:
         Optional bound on retained records: the insert that exceeds
         it drops the lowest-significance records
@@ -495,7 +505,7 @@ class ExhaustiveBucketing(BucketingAlgorithm):
 
     def __init__(
         self,
-        rng: Optional[np.random.Generator] = None,
+        rng: RngSource = None,
         record_capacity: Optional[int] = None,
         max_buckets: int = PAPER_MAX_BUCKETS,
     ) -> None:

@@ -33,7 +33,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import BucketingAlgorithm, check_max_buckets, register_algorithm
+from repro.core.base import (
+    BucketingAlgorithm,
+    RngSource,
+    check_max_buckets,
+    register_algorithm,
+)
 from repro.core.cost import greedy_split_costs
 from repro.core.records import RecordList
 
@@ -425,7 +430,8 @@ class GreedyBucketing(BucketingAlgorithm):
     Parameters
     ----------
     rng:
-        Source of randomness for the probabilistic bucket draws.
+        Source of randomness for the probabilistic bucket draws: a
+        generator, or an ``int`` seed it is built from on the first draw.
     record_capacity:
         Optional bound on retained records: the insert that exceeds
         it drops the lowest-significance records
@@ -450,7 +456,7 @@ class GreedyBucketing(BucketingAlgorithm):
 
     def __init__(
         self,
-        rng: Optional[np.random.Generator] = None,
+        rng: RngSource = None,
         record_capacity: Optional[int] = None,
         max_buckets: Optional[int] = None,
     ) -> None:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, register_algorithm
+from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
 from repro.core.records import RecordList
 
 __all__ = ["QuantizedBucketing"]
@@ -43,7 +43,7 @@ class QuantizedBucketing(AllocationAlgorithm):
     def __init__(
         self,
         quantiles: Sequence[float] = (0.5,),
-        rng: Optional[np.random.Generator] = None,
+        rng: RngSource = None,
     ) -> None:
         super().__init__(rng=rng)
         quantiles = tuple(float(q) for q in quantiles)

@@ -51,7 +51,10 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 #: Initial row length of the block; it doubles whenever the rows fill.
-_MIN_BUFFER = 32
+#: Small because most categories of a service stop at a few records
+#: (docs/PERFORMANCE.md, "Peak memory"); a deep list pays three more
+#: doublings than it did at 32, once.
+_MIN_BUFFER = 4
 
 #: Longest run of columns moved as one overlapping 2-D copy, which numpy
 #: buffers through a temporary as large as the run: cheaper than five

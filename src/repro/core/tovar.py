@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, register_algorithm
+from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
 from repro.core.records import RecordList
 
 __all__ = ["TovarJobSizing", "MinWaste", "MaxThroughput"]
@@ -44,7 +44,7 @@ class TovarJobSizing(AllocationAlgorithm):
     first-allocation value lazily after updates.
     """
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, rng: RngSource = None) -> None:
         super().__init__(rng=rng)
         self._records = RecordList()
         self._cached: Optional[float] = None

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.core.allocator import AllocatorConfig
+from repro.core.base import check_seed
 from repro.sim.manager import SimulationConfig, check_count
 from repro.sim.pool import PoolConfig
 from repro.sim.profiles import ConsumptionProfile, LinearRampProfile
@@ -93,6 +94,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("max_outstanding", "retry_budget"):
             check_count(name, getattr(self, name))
+        for name in ("workflow_seed", "allocator_seed", "pool_seed"):
+            check_seed(name, getattr(self, name))
         # PoolConfig checks the pool's fields; refuse them here, not in
         # the middle of a run.
         self._pool_config()

@@ -16,7 +16,7 @@ replay would trip over it).
 from __future__ import annotations
 
 import json
-from math import inf
+from math import inf, nan
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.core.resources import Resource
@@ -134,6 +134,20 @@ def _require_int(doc: Mapping[str, Any], key: str) -> None:
         raise ProtocolError(f"{doc.get('op')}: {key!r} must fit a signed 64-bit integer")
 
 
+def _as_float(number: float) -> float:
+    """``number`` as the float the allocator will use; NaN when it has none.
+
+    json.loads accepts NaN/Infinity and unbounded integers: an int past
+    float range compares below ``inf`` exactly, then fails to convert in
+    the allocator, after the op took a seq and reached the WAL.  NaN
+    fails every chained range check the callers make.
+    """
+    try:
+        return float(number)
+    except OverflowError:
+        return nan
+
+
 def _require_vector(
     doc: Mapping[str, Any], key: str, resources: Sequence[Resource]
 ) -> None:
@@ -154,8 +168,7 @@ def _require_vector(
             raise ProtocolError(
                 f"{doc.get('op')}: {key!r}[{res_key!r}] must be a number"
             )
-        # json.loads accepts NaN/Infinity; the chained comparison fails both.
-        if not 0 <= magnitude < inf:
+        if not 0 <= _as_float(magnitude) < inf:
             raise ProtocolError(
                 f"{doc.get('op')}: {key!r}[{res_key!r}] must be finite and >= 0"
             )
@@ -221,7 +234,7 @@ def validate_request(
         if significance is not None and (
             isinstance(significance, bool)
             or not isinstance(significance, (int, float))
-            or not 0 < significance < inf
+            or not 0 < _as_float(significance) < inf
         ):
             raise ProtocolError(
                 "record: 'significance' must be a finite number > 0 when given"

@@ -578,7 +578,9 @@ class AllocationShard:
         overlap is expected after a crash between the two).  A gap means
         a corrupt log and is refused, and so is an entry marked ``shed``:
         only an older build's backpressure breaker wrote those, and
-        re-applying one as a real allocation would diverge.
+        re-applying one as a real allocation would diverge.  An entry
+        that fails to apply is counted in ``failed_ops`` and keeps its
+        seq, as the live commit treated it.
         """
         applied = 0
         for entry in entries:
@@ -597,8 +599,17 @@ class AllocationShard:
                     "re-applied as an allocation"
                 )
             op = entry["op"]
-            result = apply_op(self.allocator, op)
             self.seq = seq
+            try:
+                result = apply_op(self.allocator, op)
+            except Exception:
+                # The live commit logged this op and then failed to
+                # apply it: it kept its seq, answered with the error and
+                # remembered nothing.  Replay does the same, so a WAL
+                # written that way still recovers to the live state.
+                self.failed_ops += 1
+                applied += 1
+                continue
             key = op.get("key") if self._dedup_window else None
             if key is not None:
                 # Rebuild the dedup window exactly as the live commit

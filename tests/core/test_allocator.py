@@ -56,6 +56,17 @@ class TestConfig:
         alloc = bootstrap(TaskOrientedAllocator(cfg), n=12)
         assert alloc.algorithm("proc", MEMORY).n_records <= 3
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "7"])
+    def test_bad_seed_is_refused_by_the_config(self, seed):
+        """numpy takes it at construction and raises at the first
+        generator built from it, mid-run."""
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            AllocatorConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2**64 + 5])
+    def test_good_seed_is_taken(self, seed):
+        assert TaskOrientedAllocator(AllocatorConfig(seed=seed)).allocate("c", 0)[CORES] == 1.0
+
     def test_with_algorithm(self):
         cfg = AllocatorConfig().with_algorithm("max_seen")
         assert cfg.algorithm == "max_seen"

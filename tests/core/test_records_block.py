@@ -11,12 +11,21 @@ they compacted), and ``state_dict() -> from_state() -> state_dict()`` a
 fixed point.
 """
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.records import _BLOCK_MOVE_MAX, DECAY_SLACK, RecordList
+from repro.core.records import (
+    _BLOCK_MOVE_MAX,
+    _MIN_BUFFER,
+    DECAY_SLACK,
+    RecordList,
+    ResourceRecord,
+)
+from tests.core.records_reference import LegacyRecordList
 
 BUFFER_NAMES = ("_values_buf", "_sigs_buf", "_sp_buf", "_svp_buf", "_tids_buf")
 
@@ -206,3 +215,36 @@ def test_task_ids_survive_shifts_through_the_float_block():
     bounded.add(5000.0, 1.0, 9)  # lowest significance: evicted again at once
     bounded.add(1.0, 99.0, 7)  # evicts ids[0]; the rest shift left then right
     assert bounded.task_ids.tolist() == [7] + ids[1:]
+
+
+def test_growth_from_the_first_block_matches_the_reference_at_every_step():
+    """From its 4-column first block through every doubling to 1,100
+    records, the store equals the seed's object list after each insert:
+    the same position and all five rows bit for bit.  Small integers
+    keep every prefix sum exact, so the incremental sums and the
+    reference's fresh ``cumsum`` must agree to the bit, not to a
+    tolerance; values repeat, so the tie-break is exercised too."""
+    rng = np.random.default_rng(11)
+    store, reference = RecordList(), LegacyRecordList()
+    assert _MIN_BUFFER == 4 and store.nbytes == 5 * 8 * 4
+    sizes = set()
+    for task_id in range(1_100):
+        value = float(rng.integers(0, 400))
+        significance = float(rng.integers(1, 8))
+        record = ResourceRecord(value, significance, task_id)
+        expected_pos = bisect.bisect_right(reference._records, record)
+        reference.append(record)
+        assert store.add(value, significance, task_id) == expected_pos
+        n = len(store)
+        columns = store.nbytes // (5 * 8)
+        assert columns == 4 * 2 ** max(0, (n - 1).bit_length() - 2)
+        sizes.add(columns)
+        for ours, theirs in (
+            (store.values, reference.values),
+            (store.significances, reference.significances),
+            (store.sig_prefix, reference.sig_prefix),
+            (store.sigval_prefix, reference.sigval_prefix),
+            (store.task_ids, np.array([r.task_id for r in reference], dtype=np.int64)),
+        ):
+            assert ours.tobytes() == theirs.tobytes()
+    assert sorted(sizes) == [4 * 2**k for k in range(10)]  # 4 .. 2048

@@ -212,3 +212,40 @@ def test_digest_holds_one_algorithm_at_a_time():
     oracle, oracle_peak = _traced_peak(lambda: _oracle_digest(alloc))
     assert streamed == oracle
     assert streamed_peak < oracle_peak / 3, (streamed_peak, oracle_peak)
+
+
+def test_a_category_costs_what_it_holds():
+    """500 Exhaustive Bucketing categories of 3 records each, the shape
+    of a service's long tail (most never leave exploration), cost at
+    most 6 KB each: record blocks sized to their records, generators
+    not built before a draw, no candidate lists before a query.  (4.1 KB
+    measured; 10.5 KB with 32-column blocks and eager generators.)"""
+    config = AllocatorConfig(seed=0)
+    rng = np.random.default_rng(0)
+    peaks = [
+        ResourceVector.of(
+            cores=float(rng.integers(1, 9)),
+            memory=float(rng.uniform(100.0, 9000.0)),
+            disk=float(rng.uniform(10.0, 5000.0)),
+        )
+        for _ in range(3)
+    ]
+
+    def populate(alloc, n_categories):
+        for category in range(n_categories):
+            for task_id, peak in enumerate(peaks, start=1):
+                alloc.observe(f"cat-{category}", peak, task_id=task_id)
+            alloc.allocate(f"cat-{category}", task_id=4)
+
+    populate(TaskOrientedAllocator(config), 2)  # warm one-off caches
+    alloc = TaskOrientedAllocator(config)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        populate(alloc, 500)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alloc.in_exploration("cat-0") and alloc.records_count("cat-499") == 3
+    per_category = (after - before) / 500
+    assert per_category <= 6 * 1024, per_category

@@ -171,6 +171,7 @@ class TestOptionValues:
             (["--chaos-crash", "foo:abc"], "invalid literal"),
             (["--chaos-crash", "foo"], "unknown crash site"),
             (["--chaos-crash", "shard.apply.before:0"], "at_hit must be >= 1"),
+            (["--service-seed", "-1"], "seed must be an integer >= 0"),
         ],
     )
     def test_bad_serve_value_is_a_usage_error(self, argv, reason, tmp_path, capsys):
@@ -191,6 +192,17 @@ class TestOptionValues:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert "ramp_up_seconds must be finite and >= 0" in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("target", ["figure5", "figure2", "service-chaos"])
+    def test_negative_seed_is_a_usage_error(self, target, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([target, "--seed", "-1", "--tasks", "20", "--workers", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "workflow_seed must be an integer >= 0" in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
 

@@ -59,6 +59,12 @@ class TestConfig:
             ExperimentConfig(max_outstanding=bad)
         assert ExperimentConfig(max_outstanding=4).simulation_config("max_seen").max_outstanding == 4
 
+    @pytest.mark.parametrize("field", ["workflow_seed", "allocator_seed", "pool_seed"])
+    @pytest.mark.parametrize("bad", [-1, True, None, 1.5])
+    def test_bad_seed_is_refused_at_construction(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            ExperimentConfig(**{field: bad})
+
 
 class TestRunner:
     def test_run_cell_by_name(self):

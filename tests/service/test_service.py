@@ -104,6 +104,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match="read_timeout must be finite and > 0"):
             ServiceConfig(read_timeout=timeout)
     assert ServiceConfig(read_timeout=0.5).read_timeout == 0.5
+    # Shard seeds derive from it; numpy refused a negative one mid-start.
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        ServiceConfig(allocator=AllocatorConfig(seed=-1))
 
 
 @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
@@ -442,6 +445,86 @@ def test_task_id_outside_int64_is_refused_before_the_wal(tmp_path, task_id):
         validate_request(
             {"op": "allocate", "category": "c", "task_id": edge}, AllocatorConfig().resources
         )
+
+
+#: A JSON integer past float range: it compares below ``inf`` exactly,
+#: then ``float()`` raises ``OverflowError``.
+_HUGE = 10**400
+
+
+def _huge_field_ops():
+    """One op per number field, each holding ``_HUGE`` in that field."""
+    fine = {"cores": 1, "memory": 5, "disk": 10}
+    huge = {"cores": 1, "memory": _HUGE, "disk": 10}
+    record = {"op": "record", "category": "c", "task_id": 6}
+    retry = {"op": "allocate_retry", "category": "c", "task_id": 6, "exhausted": ["memory"]}
+    return [
+        {**record, "peaks": huge},
+        {**record, "peaks": fine, "significance": _HUGE},
+        {**retry, "previous": huge, "observed": fine},
+        {**retry, "previous": fine, "observed": huge},
+    ]
+
+
+def test_integer_past_float_range_is_refused_before_the_wal(tmp_path):
+    """Such a number used to pass validation, take a seq, reach the WAL
+    and then fail in ``apply_op`` — and every restart with it."""
+    bodies = [json.dumps(op)[1:-1] for op in _huge_field_ops()]
+    _assert_refused_before_the_wal(tmp_path, bodies)
+
+
+def test_integer_past_float_range_is_refused_by_submit(tmp_path):
+    async def scenario():
+        service = AllocationService(_config(data_dir=str(tmp_path / "data"), n_shards=1))
+        await service.start()
+        for op in _huge_field_ops():
+            with pytest.raises(ProtocolError) as refused:
+                await service.submit(op)
+            assert refused.value.code == ERR_BAD_REQUEST
+        assert service.shards[0].seq == 0
+        service.abort()
+        restarted = AllocationService(_config(data_dir=str(tmp_path / "data"), n_shards=1))
+        await restarted.start()
+        assert restarted.recovered_ops == 0
+        await restarted.stop()
+
+    run(scenario())
+
+
+def test_replay_treats_an_entry_that_fails_to_apply_as_the_live_commit_did(tmp_path):
+    """A WAL written before validation refused ``_HUGE`` holds ops that
+    fail in ``apply_op``.  The live commit kept their seqs, counted them
+    in ``failed_ops`` and remembered no response; recovery must do the
+    same, not raise on every restart."""
+
+    async def scenario():
+        data_dir = str(tmp_path / "data")
+        config = _config(data_dir=data_dir, n_shards=1, durability="batch")
+        service = AllocationService(config)
+        await service.start()
+        shard = service.shards[0]
+        for op in _records(4):
+            await service.submit(op)
+        # The shard's own entry skips the front end's validation, as an
+        # older build's did for these numbers.
+        for n, op in enumerate(_huge_field_ops()):
+            with pytest.raises(OverflowError):
+                await shard.submit({**op, "key": f"huge-{n}"})
+        for op in _records(3):
+            await service.submit({**op, "task_id": op["task_id"] + 10, "key": f"s{op['key']}"})
+        live = (service.shard_digests(), shard.seq, shard.failed_ops, dict(shard._dedup))
+        assert live[1] == 4 + 4 + 3 and live[2] == 4
+        service.abort()
+
+        recovered = AllocationService(config)
+        await recovered.start()
+        again = recovered.shards[0]
+        assert recovered.recovered_ops == live[1]
+        assert (recovered.shard_digests(), again.seq, again.failed_ops, dict(again._dedup)) == live
+        assert not any(key.startswith("huge-") for key in again._dedup)
+        await recovered.stop()
+
+    run(scenario())
 
 
 # ---------------------------------------------------------------------------
