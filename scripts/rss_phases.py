@@ -15,8 +15,11 @@ phases are cut where the workload calls its ``mark`` callback:
 
 ``ru_maxrss`` (what the benchmark reports as ``peak_rss_mb``) is printed
 too: a transient shorter than the sampling interval shows there and not
-in the phase peaks.  Prints a table, then one JSON object as the last
-line; exit 1 when the workload's own correctness check fails.  Linux
+in the phase peaks.  Each phase's minor page faults (the ``ru_minflt``
+delta across it) sit beside its peak: memory the allocator hands back
+to the system and takes again costs faults without moving the peak.
+Prints a table, then one JSON object as the last line; exit 1 when the
+workload's own correctness check fails, 2 on a usage error.  Linux
 only (``/proc``); the script itself imports only the standard library.
 """
 
@@ -29,6 +32,7 @@ _PROCESS_START = time.perf_counter()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import os  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
@@ -45,6 +49,15 @@ _PAGE_BYTES = os.sysconf("SC_PAGE_SIZE")
 _MB = 1024.0 * 1024.0
 
 
+def minor_faults() -> int:
+    """Minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+#: Faults before the script's own work; the set-up phase counts from here.
+_START_FAULTS = minor_faults()
+
+
 def current_rss_mb() -> float:
     """Resident set size now, from ``/proc/self/statm`` (field 2, pages)."""
     with open("/proc/self/statm", "rb") as handle:
@@ -59,6 +72,9 @@ class PhaseSampler:
         self.started: Dict[str, float] = {PHASES[0]: _PROCESS_START}
         self.peak: Dict[str, float] = {}
         self.last: Dict[str, float] = {}
+        #: Minor faults at each phase's start, and at the end of the last.
+        self.faults_at: Dict[str, int] = {PHASES[0]: _START_FAULTS}
+        self.faults_end = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -80,12 +96,19 @@ class PhaseSampler:
         self.sample()
         self.phase = phase
         self.started[phase] = time.perf_counter()
+        self.faults_at[phase] = minor_faults()
         self.sample()
 
     def stop(self) -> None:
         self._stop.set()
         self._thread.join()
         self.sample()
+        self.faults_end = minor_faults()
+
+    def faults(self) -> Dict[str, int]:
+        """Minor page faults taken during each phase."""
+        ends = [self.faults_at[phase] for phase in PHASES[1:]] + [self.faults_end]
+        return {phase: end - self.faults_at[phase] for phase, end in zip(PHASES, ends)}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -101,8 +124,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     seconds = float(QUICK_SECONDS) if args.quick else args.seconds
-    if seconds <= 0:
-        parser.error("--seconds must be positive")
+    if not (math.isfinite(seconds) and seconds > 0):
+        parser.error(f"--seconds must be a positive finite number, got {seconds!r}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     scale = seconds / REFERENCE_SECONDS
 
     sampler = PhaseSampler()
@@ -125,12 +150,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     ended = time.perf_counter()
 
     bounds = [sampler.started[phase] for phase in PHASES] + [ended]
+    faults = sampler.faults()
     print(f"{args.workload}  seed {args.seed}  scale {scale:g}")
-    print(f"{'phase':<8} {'peak_rss_mb':>12} {'end_rss_mb':>11} {'seconds':>8}")
+    print(
+        f"{'phase':<8} {'peak_rss_mb':>12} {'end_rss_mb':>11} {'seconds':>8} "
+        f"{'minor_faults':>12}"
+    )
     for i, phase in enumerate(PHASES):
         print(
             f"{phase:<8} {sampler.peak[phase]:>12.1f} {sampler.last[phase]:>11.1f} "
-            f"{bounds[i + 1] - bounds[i]:>8.2f}"
+            f"{bounds[i + 1] - bounds[i]:>8.2f} {faults[phase]:>12d}"
         )
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"process peak (ru_maxrss): {maxrss:.1f} MB")
@@ -141,6 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "seed": args.seed,
                 "scale": scale,
                 "peak_rss_mb": {phase: round(sampler.peak[phase], 2) for phase in PHASES},
+                "minor_faults": faults,
                 "ru_maxrss_mb": round(maxrss, 2),
             }
         )

@@ -100,20 +100,15 @@ class Ledger:
             raise ValueError(
                 f"task {task.task_id} has no successful final attempt to account"
             )
+        # The vectors' component dicts, read directly; an absent
+        # resource is 0.0, as ``ResourceVector.__getitem__`` has it.
         final = task.attempts[-1]
-        true_peaks = task.spec.consumption
+        final_allocation = final.allocation.raw
+        true_peaks = task.spec.consumption.raw
         duration = task.spec.duration
 
         cat = task.category
-        cat_waste = self._by_category.setdefault(
-            cat, {r: WasteBreakdown() for r in self._resources}
-        )
-        cat_cons = self._category_consumption.setdefault(
-            cat, {r: 0.0 for r in self._resources}
-        )
-        cat_alloc = self._category_allocation.setdefault(
-            cat, {r: 0.0 for r in self._resources}
-        )
+        cat_waste, cat_cons, cat_alloc = self._category_tables(cat)
 
         consumption_rt: Dict[Resource, float] = {}
         allocation_rt: Dict[Resource, float] = {}
@@ -121,7 +116,7 @@ class Ledger:
         n_evicted = 0
         for res in self._resources:
             # Wall time's "peak consumption" is the duration itself.
-            peak = duration if res is TIME else true_peaks[res]
+            peak = duration if res is TIME else true_peaks.get(res, 0.0)
             consumed = peak * duration
             consumption_rt[res] = consumed
             self._consumption[res] += consumed
@@ -129,7 +124,7 @@ class Ledger:
 
             allocated = 0.0
             for attempt in task.attempts:
-                held = attempt.allocation[res] * attempt.runtime
+                held = attempt.allocation.raw.get(res, 0.0) * attempt.runtime
                 if attempt.outcome is AttemptOutcome.EVICTED:
                     self._waste[res].eviction += held
                     cat_waste[res].eviction += held
@@ -139,7 +134,7 @@ class Ledger:
                     self._waste[res].failed_allocation += held
                     cat_waste[res].failed_allocation += held
             # Internal fragmentation of the successful attempt: t*(a - c).
-            frag = (final.allocation[res] - peak) * final.runtime
+            frag = (final_allocation.get(res, 0.0) - peak) * final.runtime
             # Numerical guard: the success condition guarantees a >= c.
             frag = max(0.0, frag)
             self._waste[res].internal_fragmentation += frag
@@ -186,15 +181,7 @@ class Ledger:
             )
         cat = task.category
         if task.attempts:
-            cat_waste = self._by_category.setdefault(
-                cat, {r: WasteBreakdown() for r in self._resources}
-            )
-            cat_alloc = self._category_allocation.setdefault(
-                cat, {r: 0.0 for r in self._resources}
-            )
-            self._category_consumption.setdefault(
-                cat, {r: 0.0 for r in self._resources}
-            )
+            cat_waste, _, cat_alloc = self._category_tables(cat)
             for res in self._resources:
                 for attempt in task.attempts:
                     held = attempt.allocation[res] * attempt.runtime
@@ -213,6 +200,20 @@ class Ledger:
                 elif attempt.outcome is AttemptOutcome.EVICTED:
                     self._n_evicted += 1
         self._n_quarantined += 1
+
+    def _category_tables(
+        self, cat: str
+    ) -> Tuple[Dict[Resource, WasteBreakdown], Dict[Resource, float], Dict[Resource, float]]:
+        """The category's waste, consumption and allocation tables.
+
+        They are built together the first time the category is seen.
+        """
+        cat_waste = self._by_category.get(cat)
+        if cat_waste is None:
+            cat_waste = self._by_category[cat] = {r: WasteBreakdown() for r in self._resources}
+            self._category_consumption[cat] = {r: 0.0 for r in self._resources}
+            self._category_allocation[cat] = {r: 0.0 for r in self._resources}
+        return cat_waste, self._category_consumption[cat], self._category_allocation[cat]
 
     # -- queries --------------------------------------------------------------------
 

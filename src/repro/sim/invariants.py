@@ -166,19 +166,24 @@ class InvariantChecker:
                 f"task {task.task_id} attempt {attempt.index} has negative "
                 f"runtime {attempt.runtime}"
             )
+        # The component dicts, read directly; an absent resource is 0.0,
+        # as ``ResourceVector.__getitem__`` has it.
+        allocation = attempt.allocation.raw
+        peaks = task.spec.consumption.raw
         for res in self._resources():
             if res is TIME:
                 continue
-            allocated_rt = attempt.allocation[res] * attempt.runtime
+            limit = allocation.get(res, 0.0)
+            allocated_rt = limit * attempt.runtime
             if attempt.outcome is AttemptOutcome.SUCCESS:
                 # consumed + frag must reconstruct the held allocation.
-                consumed = task.spec.consumption[res] * attempt.runtime
-                frag = (attempt.allocation[res] - task.spec.consumption[res]) * attempt.runtime
+                peak = peaks.get(res, 0.0)
+                consumed = peak * attempt.runtime
+                frag = (limit - peak) * attempt.runtime
                 if frag < -self._tol(allocated_rt):
                     raise InvariantViolation(
                         f"task {task.task_id} succeeded with {res.key} allocation "
-                        f"{attempt.allocation[res]} below its true peak "
-                        f"{task.spec.consumption[res]} (negative fragmentation)"
+                        f"{limit} below its true peak {peak} (negative fragmentation)"
                     )
                 if abs(consumed + frag - allocated_rt) > self._tol(allocated_rt):
                     raise InvariantViolation(
@@ -189,14 +194,13 @@ class InvariantChecker:
             elif attempt.outcome is AttemptOutcome.EXHAUSTED:
                 # The whole holding is failed-allocation waste; the
                 # monitor can never have observed more than it enforced.
-                if res in attempt.exhausted and attempt.observed[res] > attempt.allocation[
-                    res
-                ] * (1.0 + _RTOL):
-                    raise InvariantViolation(
-                        f"task {task.task_id} was killed for {res.key} yet "
-                        f"observed {attempt.observed[res]} above its limit "
-                        f"{attempt.allocation[res]}"
-                    )
+                if res in attempt.exhausted:
+                    observed = attempt.observed.raw.get(res, 0.0)
+                    if observed > limit * (1.0 + _RTOL):
+                        raise InvariantViolation(
+                            f"task {task.task_id} was killed for {res.key} yet "
+                            f"observed {observed} above its limit {limit}"
+                        )
 
     # -- end-of-run checks -------------------------------------------------------------
 

@@ -310,6 +310,8 @@ class WorkflowManager:
         self._event_listeners.append(listener)
 
     def _emit(self, kind: str, **fields) -> None:
+        # The per-attempt call sites test ``_event_listeners`` first, so
+        # a run nobody listens to builds no event and no field dict.
         if self._event_listeners:
             event = SimEvent(time=self._engine.now, kind=kind, fields=fields)
             for listener in self._event_listeners:
@@ -456,9 +458,10 @@ class WorkflowManager:
         allocation = task.current_allocation
         assert allocation is not None
         worker.place(task.task_id, allocation)
-        self._emit(
-            "dispatch", task=task.task_id, worker=worker.worker_id, alloc=allocation
-        )
+        if self._event_listeners:
+            self._emit(
+                "dispatch", task=task.task_id, worker=worker.worker_id, alloc=allocation
+            )
         now = self._engine.now
         self._attempt_start[task.task_id] = now
         self._running_per_category[task.category] = (
@@ -503,7 +506,8 @@ class WorkflowManager:
                 observed=task.spec.consumption,
             )
             self._record_attempt(task, attempt)
-            self._emit("success", task=task.task_id, worker=worker.worker_id)
+            if self._event_listeners:
+                self._emit("success", task=task.task_id, worker=worker.worker_id)
             task.state = TaskState.COMPLETED
             task.completion_time = self._engine.now
             self._completed += 1
@@ -532,12 +536,13 @@ class WorkflowManager:
                 exhausted=verdict.exhausted,
             )
             self._record_attempt(task, attempt)
-            self._emit(
-                "exhausted",
-                task=task.task_id,
-                worker=worker.worker_id,
-                resources=tuple(r.key for r in verdict.exhausted),
-            )
+            if self._event_listeners:
+                self._emit(
+                    "exhausted",
+                    task=task.task_id,
+                    worker=worker.worker_id,
+                    resources=tuple(r.key for r in verdict.exhausted),
+                )
             task.state = TaskState.READY
             budget = self._config.retry_budget
             if budget is not None and task.n_exhausted_attempts >= budget:
@@ -621,7 +626,8 @@ class WorkflowManager:
             observed=observed,
         )
         self._record_attempt(task, attempt)
-        self._emit("evicted", task=task_id, worker=worker_id, cause="worker_lost")
+        if self._event_listeners:
+            self._emit("evicted", task=task_id, worker=worker_id, cause="worker_lost")
         task.state = TaskState.READY
         self._scheduler.enqueue_retry(task)
 

@@ -105,13 +105,16 @@ class ConsumptionProfile(abc.ABC):
         ``time_limit`` is the allocated wall time when the TIME resource
         is managed; ``None`` disables wall-time enforcement.
         """
+        # The component dicts, read directly; an absent resource is 0.0,
+        # as ``ResourceVector.__getitem__`` has it.
+        peaks = consumption.raw
+        limits = allocation.raw
         kill_fraction = 1.0
         exhausted: Tuple[Resource, ...] = ()
-        for res in consumption:
+        for res, peak in peaks.items():
             if res is TIME:
                 continue
-            peak = consumption[res]
-            allocated = allocation[res]
+            allocated = limits.get(res, 0.0)
             if peak <= allocated:
                 continue
             fraction = self.resource_kill_fraction(allocated, peak)
@@ -134,16 +137,15 @@ class ConsumptionProfile(abc.ABC):
             return KillVerdict(fraction=1.0, exhausted=(), observed=consumption)
 
         observed = {}
-        for res in consumption:
+        for res, peak in peaks.items():
             if res is TIME:
                 continue
-            peak = consumption[res]
             if res in exhausted:
                 # The monitor catches the task at its limit.
-                observed[res] = min(allocation[res], peak)
+                observed[res] = min(limits.get(res, 0.0), peak)
             else:
                 observed[res] = min(self.consumed_at(peak, kill_fraction), peak)
-        if TIME in consumption or time_limit is not None:
+        if TIME in peaks or time_limit is not None:
             observed[TIME] = kill_fraction * duration
         return KillVerdict(
             fraction=max(kill_fraction, 1e-9),

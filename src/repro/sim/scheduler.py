@@ -22,9 +22,11 @@ Four properties matter for fidelity and speed:
   queue.  Every queued task carries a FIFO sequence number (``enqueue``
   counts up at the back, ``enqueue_retry`` counts down at the front)
   and sits in a group keyed by ``(category, current_allocation)``,
-  ``None`` for a task not yet probed.  A pass repeatedly takes the
+  ``None`` for a task not yet probed.  A pass repeatedly looks at the
   lowest-sequence head among the groups that can still dispatch, so it
-  costs O(groups + placements + first probes), not O(queue).  Skipping
+  costs O(groups + placements + first probes), not O(queue).  A head
+  that fits no worker is only looked at: it stays queued, and its miss
+  rules the whole group out for the rest of the pass.  Skipping
   whole groups visits exactly the tasks a task-by-task FIFO walk would
   act on, in the same order, because within one pass (no ``observe``
   and no worker release happens inside ``try_dispatch``):
@@ -246,24 +248,22 @@ class Scheduler:
         placed = 0
         while heads:
             key = heapq.heappop(heads)[1]
-            category = key[0]
+            category, queued_as = key
             group = groups[key]
             if category in gated or group.missed_at == stamp:
                 continue
             if self._may_dispatch is not None and not self._may_dispatch(category):
                 gated.add(category)
                 continue
-            seq, task = heapq.heappop(group.heap)
-            if group.heap:
-                heapq.heappush(heads, (group.heap[0][0], key))
-            else:
-                self._close(key, group)
-            self._n_ready -= 1
+            # Peek: the head leaves its group only when it is placed or
+            # moves to another group.
+            seq, task = group.heap[0]
             allocation = self._probe_allocation(task)
             since = group.missed_at
-            if key[1] is None:
+            if queued_as is None:
                 # A first probe moves the task to its allocation's group,
                 # whose memo may already rule it out.
+                self._take(key, group)
                 target = groups.get((category, allocation))
                 since = -1 if target is None else target.missed_at
                 if since == stamp:
@@ -271,10 +271,16 @@ class Scheduler:
                     continue
             worker = pool.find_fit(allocation, since)
             if worker is None:
-                self._file(seq, task).missed_at = stamp
+                if queued_as is None:
+                    self._file(seq, task).missed_at = stamp
+                else:
+                    # The head stays queued and rules its group out.
+                    group.missed_at = stamp
                 continue
             # A worker can host the (possibly stale) probe: now take the
             # dispatch-time prediction and re-validate.
+            if queued_as is not None:
+                self._take(key, group)
             fresh = self._fresh_allocation(task)
             if fresh is not allocation:
                 worker = pool.find_fit(fresh)
@@ -293,9 +299,16 @@ class Scheduler:
                 break
         return placed
 
-    def _close(self, key: _GroupKey, group: _Group) -> None:
-        del self._groups[key]
-        self._n_exempt -= group.exempt
+    def _take(self, key: _GroupKey, group: _Group) -> None:
+        """Remove the group's head; the group's next task becomes its head."""
+        heap = group.heap
+        heapq.heappop(heap)
+        self._n_ready -= 1
+        if heap:
+            heapq.heappush(self._heads, (heap[0][0], key))
+        else:
+            del self._groups[key]
+            self._n_exempt -= group.exempt
 
     def __repr__(self) -> str:
         return f"Scheduler(ready={self._n_ready}, dispatched={self._total_dispatches})"

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
+from repro.experiments.config import ExperimentConfig, make_workflow
+from repro.sim import accounting
 from repro.sim.accounting import Ledger, WasteBreakdown
+from repro.sim.manager import WorkflowManager
 from repro.sim.task import Attempt, AttemptOutcome, SimTask, TaskState
 from repro.workflows.spec import TaskSpec
 
@@ -201,3 +204,71 @@ class TestAggregation:
         assert total.total == 17.0
         assert a.fraction_failed() == pytest.approx(5.0 / 15.0)
         assert WasteBreakdown().fraction_failed() == 0.0
+
+
+class TestTablesBuiltOnce:
+    def test_a_run_builds_each_categorys_tables_once(self, monkeypatch):
+        """One ``WasteBreakdown`` per (category, resource) plus the
+        totals, however many tasks and attempts the run folds in."""
+        built = []
+        init = WasteBreakdown.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(accounting.WasteBreakdown, "__init__", counting_init)
+        workflow = make_workflow("topeft", n_tasks=60, seed=0)
+        config = ExperimentConfig(workflow_seed=0).simulation_config("exhaustive_bucketing")
+        manager = WorkflowManager(workflow, config)
+        result = manager.run()
+        ledger = manager.ledger
+        assert ledger.n_tasks == len(workflow) and result.n_failed_attempts > 0
+        categories = ledger.categories()
+        assert len(categories) > 1
+        resources = len(ledger.resources)
+        assert len(built) == len(categories) * resources + resources
+
+    def test_quarantine_then_completion_share_the_tables(self):
+        ledger = Ledger(RESOURCES)
+        burned = completed_task(
+            task_id=0,
+            attempts=[
+                (ResourceVector.of(cores=1, memory=250, disk=100), 10.0, AttemptOutcome.EXHAUSTED)
+            ],
+        )
+        burned.state = TaskState.QUARANTINED
+        ledger.record_quarantined(burned)
+        ledger.record_task(completed_task(task_id=1))
+        assert ledger.categories() == ("proc",)
+        waste = ledger.waste_of_category("proc", MEMORY)
+        assert waste.failed_allocation == 250 * 10.0
+        assert waste.internal_fragmentation == (1000 - 500) * 100.0
+        assert ledger.awe_of_category("proc", MEMORY) == ledger.awe(MEMORY)
+
+
+class TestAbsentResourceReadsZero:
+    def test_omitted_component_folds_as_zero(self):
+        """Vectors that leave a tracked resource out hold 0.0 of it."""
+        no_disk = completed_task(
+            consumption=ResourceVector.of(cores=1, memory=500),
+            attempts=[
+                (ResourceVector.of(cores=1, memory=250), 10.0, AttemptOutcome.EXHAUSTED),
+                (ResourceVector.of(cores=1, memory=1000), 100.0, AttemptOutcome.SUCCESS),
+            ],
+        )
+        def zero_disk_of(memory):
+            return ResourceVector({CORES: 1, MEMORY: memory, DISK: 0.0})
+
+        zero_disk = completed_task(
+            consumption=zero_disk_of(500),
+            attempts=[
+                (zero_disk_of(250), 10.0, AttemptOutcome.EXHAUSTED),
+                (zero_disk_of(1000), 100.0, AttemptOutcome.SUCCESS),
+            ],
+        )
+        omitted, explicit = Ledger(RESOURCES), Ledger(RESOURCES)
+        usage = omitted.record_task(no_disk)
+        assert usage == explicit.record_task(zero_disk)
+        assert usage.allocation[DISK] == usage.consumption[DISK] == 0.0
+        assert omitted.state_dict() == explicit.state_dict()

@@ -9,7 +9,7 @@ decorative.
 import pytest
 
 from repro.core.allocator import AllocatorConfig, ExploratoryConfig
-from repro.core.resources import MEMORY, ResourceVector
+from repro.core.resources import DISK, MEMORY, ResourceVector
 from repro.sim.invariants import InvariantViolation
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import ChurnConfig, PoolConfig
@@ -223,6 +223,58 @@ class TestAttemptChecks:
         task.record_attempt(attempt)
         with pytest.raises(InvariantViolation, match="above its limit"):
             checker.check_attempt(task, attempt)
+
+    def _audit(self, consumption, allocation, outcome, observed, exhausted=()):
+        checker = self._checker()
+        task = SimTask(
+            TaskSpec(task_id=0, category="proc", consumption=consumption, duration=10.0)
+        )
+        attempt = Attempt(
+            index=0,
+            worker_id=0,
+            allocation=allocation,
+            start_time=0.0,
+            runtime=10.0 if outcome is AttemptOutcome.SUCCESS else 5.0,
+            outcome=outcome,
+            observed=observed,
+            exhausted=exhausted,
+        )
+        task.record_attempt(attempt)
+        checker.check_attempt(task, attempt)
+
+    def test_resource_omitted_everywhere_audits_as_zero(self):
+        """Vectors that leave a managed resource out hold 0.0 of it."""
+        no_disk = ResourceVector.of(cores=1, memory=800)
+        enough = ResourceVector.of(cores=1, memory=900)
+        self._audit(no_disk, enough, AttemptOutcome.SUCCESS, no_disk)
+        self._audit(
+            no_disk,
+            ResourceVector.of(cores=1, memory=500),
+            AttemptOutcome.EXHAUSTED,
+            ResourceVector.of(cores=1, memory=500),
+            exhausted=(MEMORY, DISK),
+        )
+
+    def test_omitted_allocation_below_a_peak_is_caught(self):
+        with pytest.raises(
+            InvariantViolation, match="disk allocation 0.0 below its true peak 100"
+        ):
+            self._audit(
+                ResourceVector.of(cores=1, memory=800, disk=100),
+                ResourceVector.of(cores=1, memory=900),
+                AttemptOutcome.SUCCESS,
+                ResourceVector.of(cores=1, memory=800, disk=100),
+            )
+
+    def test_observed_above_an_omitted_limit_is_caught(self):
+        with pytest.raises(InvariantViolation, match="observed 30.0 above its limit 0.0"):
+            self._audit(
+                ResourceVector.of(cores=1, memory=800, disk=100),
+                ResourceVector.of(cores=1, memory=500),
+                AttemptOutcome.EXHAUSTED,
+                ResourceVector.of(cores=1, memory=500, disk=30),
+                exhausted=(DISK,),
+            )
 
     def test_valid_eviction_passes(self):
         checker = self._checker()

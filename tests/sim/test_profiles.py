@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.resources import CORES, MEMORY, TIME, ResourceVector
+from repro.core.resources import CORES, DISK, MEMORY, TIME, ResourceVector
 from repro.sim.profiles import (
     InstantPeakProfile,
     LinearRampProfile,
@@ -154,3 +154,32 @@ class TestStepProfile:
         profile = StepProfile(step_fraction=0.5, baseline_fraction=0.2)
         assert profile.consumed_at(1000.0, 0.3) == pytest.approx(200.0)
         assert profile.consumed_at(1000.0, 0.7) == pytest.approx(1000.0)
+
+
+class TestAbsentResourceReadsZero:
+    """A resource a vector omits is 0.0 to the verdict, as to ``v[res]``."""
+
+    @pytest.mark.parametrize(
+        "profile",
+        [LinearRampProfile(), InstantPeakProfile(), StepProfile()],
+        ids=["linear", "instant", "step"],
+    )
+    def test_omitted_limit_is_a_zero_limit(self, profile):
+        consumption = ResourceVector.of(cores=1, memory=900, disk=50)
+        omitted = profile.check(ResourceVector.of(cores=2, memory=1000), consumption, 100.0)
+        zero = profile.check(
+            ResourceVector({CORES: 2, MEMORY: 1000, DISK: 0.0}), consumption, 100.0
+        )
+        assert omitted == zero
+        assert omitted.exhausted == (DISK,)
+        assert omitted.observed[DISK] == 0.0
+        assert DISK in omitted.observed.raw
+
+    def test_omitted_peak_never_kills(self):
+        verdict = LinearRampProfile().check(
+            ResourceVector.of(cores=2, memory=1000, disk=10),
+            ResourceVector.of(memory=900),
+            100.0,
+        )
+        assert verdict.success
+        assert verdict.observed == ResourceVector.of(memory=900)

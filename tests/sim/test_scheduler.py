@@ -1,8 +1,13 @@
 """Tests for the dispatch scheduler in isolation."""
 
+import collections
+import heapq
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.resources import MEMORY, ResourceVector
+from repro.sim import scheduler as scheduler_module
 from repro.sim.engine import SimulationEngine
 from repro.sim.pool import PoolConfig, WorkerPool
 from repro.sim.scheduler import Scheduler
@@ -357,6 +362,66 @@ class TestWorkCounts:
         # 3-core groups each ask it alone, and miss.
         assert h.started == [0]
         assert probed == [released.worker_id] * (len(self.SHAPES) + 2)
+
+    def test_a_missed_head_stays_queued(self, monkeypatch):
+        """A head that fits no worker is only looked at: a pass files a
+        task, and pushes or pops a group's heap, at most once per
+        placement or move, however many groups miss."""
+        h = SchedulerHarness(n_workers=1, cores=5)
+        worker = h.pool.alive_workers()[0]
+        worker.place(10_000, ResourceVector.of(cores=2, memory=100, disk=10))
+        # Beside the 2-core filler the first three groups never fit; the
+        # 1-core group places one task per release.
+        shapes = [("proc", 4), ("proc", 5), ("merge", 4), ("proc", 1)]
+        vectors = [ResourceVector.of(cores=cores, memory=100, disk=10) for _, cores in shapes]
+        for i in range(40):
+            category = shapes[i % len(shapes)][0]
+            task = make_task(i, category=category)
+            # Queued with the allocation the allocator will repeat, so no
+            # task ever moves between groups.
+            task.current_allocation = h.allocations[i] = vectors[i % len(shapes)]
+            h.scheduler.enqueue(task)
+        assert h.scheduler.try_dispatch() == 3  # three 1-core tasks fill the worker
+
+        counts = collections.Counter()
+        file = Scheduler._file
+
+        def counting_file(scheduler, seq, task):
+            counts["file"] += 1
+            return file(scheduler, seq, task)
+
+        def counting(name):
+            operation = getattr(heapq, name)
+
+            def call(heap, *args):
+                counts[name, "heads" if heap is h.scheduler._heads else "group"] += 1
+                return operation(heap, *args)
+
+            return call
+
+        monkeypatch.setattr(Scheduler, "_file", counting_file)
+        monkeypatch.setattr(
+            scheduler_module,
+            "heapq",
+            SimpleNamespace(
+                heappush=counting("heappush"),
+                heappop=counting("heappop"),
+                heapify=heapq.heapify,
+            ),
+        )
+        pool = CountingPool(h.pool)
+        h.scheduler._pool = pool
+        for _ in range(3):
+            worker.release(h.started[-1])
+            counts.clear()
+            pool.find_fit_calls = 0
+            placed = h.scheduler.try_dispatch()
+            assert placed == 1
+            assert pool.find_fit_calls == len(shapes)  # three real misses, one fit
+            assert counts["file"] <= placed
+            assert counts["heappush", "group"] + counts["heappop", "group"] <= placed
+            assert counts["heappush", "heads"] <= placed
+        assert h.scheduler.n_ready == 40 - 6
 
     def test_n_ready_is_a_counter(self, monkeypatch):
         h, _ = self._queue(monkeypatch)
