@@ -185,7 +185,10 @@ class ResourceVector(Mapping[Resource, float]):
             for res, value in pairs:
                 if not isinstance(res, Resource):
                     res = RESOURCES.get(str(res))
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:  # an int past float range
+                    raise ValueError(f"non-finite {res.key} component") from None
                 if value < 0:
                     raise ValueError(f"negative {res.key} component: {value}")
                 if value != value:  # NaN
@@ -339,13 +342,13 @@ class ResourceVector(Mapping[Resource, float]):
         """
         data: Dict[Resource, float] = {}
         if cores:
-            data[CORES] = float(cores)
+            data[CORES] = cores
         if memory:
-            data[MEMORY] = float(memory)
+            data[MEMORY] = memory
         if disk:
-            data[DISK] = float(disk)
+            data[DISK] = disk
         if time:
-            data[TIME] = float(time)
+            data[TIME] = time
         return ResourceVector(data)
 
 

@@ -1,33 +1,19 @@
-"""Metrics: resource waste, Absolute Workflow Efficiency, summaries.
+"""Metrics: result summaries for the experiment harness.
 
-Thin, dependency-free functions over attempt histories and ledgers —
-the experiment harness and the tests both consume these, so the
-formulas of Section II-C live in exactly one place
-(:mod:`repro.sim.accounting` for the streaming form, here for the
-closed-form per-task form used to cross-check it).
+The waste and AWE formulas of Section II-C live in one place,
+:class:`repro.sim.accounting.Ledger`; this package only folds a finished
+run's ledger into the flat rows the figure modules print, plus the
+windowed convergence series of the scaling study.
 """
 
-from repro.metrics.efficiency import awe_from_ledger, awe_from_tasks
 from repro.metrics.summary import (
     EfficiencySummary,
     convergence_series,
-    summarize_grid,
     summarize_result,
-)
-from repro.metrics.waste import (
-    task_failed_allocation,
-    task_internal_fragmentation,
-    task_resource_waste,
 )
 
 __all__ = [
-    "task_resource_waste",
-    "task_internal_fragmentation",
-    "task_failed_allocation",
-    "awe_from_tasks",
-    "awe_from_ledger",
     "EfficiencySummary",
     "summarize_result",
-    "summarize_grid",
     "convergence_series",
 ]

@@ -8,7 +8,7 @@ series used by the scaling study.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping
 
 from repro.core.resources import Resource
 from repro.sim.manager import SimulationResult
@@ -16,7 +16,6 @@ from repro.sim.manager import SimulationResult
 __all__ = [
     "EfficiencySummary",
     "summarize_result",
-    "summarize_grid",
     "convergence_series",
 ]
 
@@ -64,19 +63,6 @@ def summarize_result(result: SimulationResult) -> EfficiencySummary:
         n_failed_attempts=result.n_failed_attempts,
         makespan=result.makespan,
     )
-
-
-def summarize_grid(
-    results: Iterable[SimulationResult],
-) -> Dict[Tuple[str, str], EfficiencySummary]:
-    """Index summaries by (workflow, algorithm) for table rendering."""
-    grid: Dict[Tuple[str, str], EfficiencySummary] = {}
-    for result in results:
-        key = (result.workflow_name, result.algorithm)
-        if key in grid:
-            raise ValueError(f"duplicate grid cell {key}")
-        grid[key] = summarize_result(result)
-    return grid
 
 
 def convergence_series(

@@ -24,7 +24,6 @@ from repro.sim.accounting import Ledger, WasteBreakdown
 from repro.sim.engine import SimulationEngine
 from repro.sim.invariants import InvariantChecker, InvariantViolation
 from repro.sim.manager import SimulationConfig, SimulationResult, WorkflowManager
-from repro.sim.observability import Timeline, TimelineRecorder, TimelineSample
 from repro.sim.pool import ChurnConfig, PoolConfig, WorkerPool
 from repro.sim.profiles import (
     ConsumptionProfile,
@@ -61,7 +60,4 @@ __all__ = [
     "WorkflowManager",
     "SimulationConfig",
     "SimulationResult",
-    "Timeline",
-    "TimelineRecorder",
-    "TimelineSample",
 ]

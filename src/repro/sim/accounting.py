@@ -249,17 +249,11 @@ class Ledger:
             return 1.0 if self._consumption[resource] <= 0.0 else 0.0
         return self._consumption[resource] / allocated
 
-    def awe_all(self) -> Dict[Resource, float]:
-        return {r: self.awe(r) for r in self._resources}
-
     def waste(self, resource: Resource) -> WasteBreakdown:
         return self._waste[resource]
 
     def total_consumption(self, resource: Resource) -> float:
         return self._consumption[resource]
-
-    def total_allocation(self, resource: Resource) -> float:
-        return self._allocation[resource]
 
     def categories(self) -> Tuple[str, ...]:
         return tuple(self._by_category)

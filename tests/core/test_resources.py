@@ -157,6 +157,20 @@ class TestResourceVector:
         with pytest.raises(ValueError, match="NaN"):
             ResourceVector({CORES: float("nan")})
 
+    def test_int_past_float_range_rejected_as_value_error(self):
+        for build in (
+            lambda: ResourceVector({MEMORY: 10**400}),
+            lambda: ResourceVector(memory=10**400),
+            lambda: ResourceVector.of(memory=10**400),
+        ):
+            with pytest.raises(ValueError, match="non-finite memory component"):
+                build()
+
+    def test_of_stores_floats(self):
+        v = ResourceVector.of(cores=2, memory="0.5", time=7)
+        assert v.raw == {CORES: 2.0, MEMORY: 0.5, TIME: 7.0}
+        assert all(type(x) is float for x in v.raw.values())
+
     def test_state_round_trip_and_validation(self):
         v = ResourceVector({CORES: 0.1 + 0.2, MEMORY: 0.0, TIME: 7})
         state = v.state_dict()

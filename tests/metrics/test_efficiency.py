@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.allocator import AllocatorConfig
 from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
-from repro.metrics.efficiency import awe_from_ledger, awe_from_tasks
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import PoolConfig
 from repro.workflows.spec import TaskSpec, WorkflowSpec
+from tests.metrics.waste_reference import awe_from_tasks
 
 
 def run_small(algorithm="exhaustive_bucketing", n=40):
@@ -45,8 +45,8 @@ class TestAweCrossCheck:
 
     def test_awe_in_unit_interval(self):
         _, result = run_small()
-        for res, value in awe_from_ledger(result.ledger).items():
-            assert 0.0 < value <= 1.0, res
+        for res in result.ledger.resources:
+            assert 0.0 < result.ledger.awe(res) <= 1.0, res
 
     def test_steady_state_approaches_oracle(self):
         """On a near-constant workload the steady-state window converges

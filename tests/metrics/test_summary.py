@@ -4,11 +4,7 @@ import pytest
 
 from repro.core.allocator import AllocatorConfig
 from repro.core.resources import MEMORY, ResourceVector
-from repro.metrics.summary import (
-    convergence_series,
-    summarize_grid,
-    summarize_result,
-)
+from repro.metrics.summary import convergence_series, summarize_result
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import PoolConfig
 from repro.workflows.spec import TaskSpec, WorkflowSpec
@@ -50,14 +46,6 @@ class TestSummaries:
         summary = summarize_result(run_flat())
         for key in ("cores", "memory", "disk"):
             assert 0.0 <= summary.failed_fraction(key) <= 1.0
-
-    def test_summarize_grid_keys(self):
-        grid = summarize_grid([run_flat(name="a"), run_flat(name="b")])
-        assert set(grid) == {("a", "max_seen"), ("b", "max_seen")}
-
-    def test_summarize_grid_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            summarize_grid([run_flat(), run_flat()])
 
     def test_convergence_series_length_and_range(self):
         result = run_flat(n=40)

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
-from repro.metrics.waste import (
+from repro.sim.accounting import Ledger
+from repro.sim.task import Attempt, AttemptOutcome, SimTask, TaskState
+from repro.workflows.spec import TaskSpec
+from tests.metrics.waste_reference import (
     task_eviction_holding,
     task_failed_allocation,
     task_internal_fragmentation,
     task_resource_waste,
 )
-from repro.sim.accounting import Ledger
-from repro.sim.task import Attempt, AttemptOutcome, SimTask, TaskState
-from repro.workflows.spec import TaskSpec
 
 
 def build_task(attempts, consumption=None, duration=100.0):

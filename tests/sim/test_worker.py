@@ -117,8 +117,8 @@ class TestToleratedResidue:
     table may end a hair below zero.  That is not a negative commitment."""
 
     @staticmethod
-    def overfilled_worker(worker_id=0):
-        w = Worker(worker_id, ResourceVector.of(cores=1))
+    def overfilled_worker():
+        w = Worker(0, ResourceVector.of(cores=1))
         for task_id in range(9):
             w.place(task_id, ResourceVector.of(cores=0.1))
         w.place(9, ResourceVector.of(cores=w._free[CORES] + 5e-10))
@@ -131,18 +131,6 @@ class TestToleratedResidue:
         assert w.free_capacity()[CORES] == 0.0
         assert not w.has_headroom()
         assert not w.can_fit(ResourceVector.of(cores=0.1))
-
-    def test_timeline_sample_over_such_a_worker(self):
-        from repro.sim.observability import TimelineRecorder
-        from tests.sim.test_observability import make_manager
-
-        manager = make_manager()
-        recorder = TimelineRecorder(manager, period=30.0)
-        manager._pool._workers[99] = self.overfilled_worker(99)
-        recorder._sample()
-        sample = recorder.timeline.samples[-1]
-        assert sample.n_workers == 4 and sample.n_running_tasks == 10
-        assert sample.utilization["cores"] == 1 / 25
 
 
 #: Resources a request may name: the worker's own, wall time (never
