@@ -53,7 +53,7 @@ if _SRC not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig  # noqa: E402
+from repro.core.allocator import AllocatorConfig  # noqa: E402
 from repro.service import AllocationService, ServiceConfig  # noqa: E402
 
 #: Bump when metric names or semantics change incompatibly.
@@ -69,7 +69,7 @@ def _service_config(n_shards: int, data_dir: Optional[str] = None) -> ServiceCon
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=5,
-            exploratory=ExploratoryConfig(min_records=5),
+            min_records=5,
         ),
         n_shards=n_shards,
         data_dir=data_dir,

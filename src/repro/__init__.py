@@ -33,7 +33,7 @@ The package is organized as:
     rows/series, plus extension studies (scaling, ablations, robustness).
 """
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
+from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.base import ALGORITHM_REGISTRY, AllocationAlgorithm, make_algorithm
 from repro.core.baselines import MaxSeen, WholeMachine
 from repro.core.buckets import Bucket, BucketState
@@ -61,7 +61,6 @@ __all__ = [
     "MaxThroughput",
     "QuantizedBucketing",
     "TaskOrientedAllocator",
-    "ExploratoryConfig",
     "AllocatorConfig",
     "AllocationAlgorithm",
     "make_algorithm",

@@ -28,7 +28,7 @@ This subpackage contains the paper's primary contribution:
   exploratory bootstrap, and applies the retry/doubling policy.
 """
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
+from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.base import ALGORITHM_REGISTRY, AllocationAlgorithm, make_algorithm
 from repro.core.baselines import MaxSeen, WholeMachine
 from repro.core.buckets import Bucket, BucketState
@@ -37,14 +37,6 @@ from repro.core.greedy import GreedyBucketing
 from repro.core.quantized import QuantizedBucketing
 from repro.core.records import RecordList, ResourceRecord
 from repro.core.resources import Resource, ResourceVector
-from repro.core.significance import (
-    ExponentialDecaySignificance,
-    SignificancePolicy,
-    TaskIdSignificance,
-    UniformSignificance,
-    WindowSignificance,
-    make_significance_policy,
-)
 from repro.core.tovar import MaxThroughput, MinWaste
 
 __all__ = [
@@ -65,12 +57,5 @@ __all__ = [
     "MaxThroughput",
     "QuantizedBucketing",
     "TaskOrientedAllocator",
-    "ExploratoryConfig",
     "AllocatorConfig",
-    "SignificancePolicy",
-    "TaskIdSignificance",
-    "UniformSignificance",
-    "ExponentialDecaySignificance",
-    "WindowSignificance",
-    "make_significance_policy",
 ]

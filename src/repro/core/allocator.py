@@ -40,6 +40,7 @@ into the same allocator mid-operation, and a cheap guard raises
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, Mapping, Optional, Tuple
@@ -64,10 +65,9 @@ from repro.core.resources import (
     Resource,
     ResourceVector,
 )
-from repro.core.significance import SignificancePolicy, make_significance_policy
+from repro.core.significance import SIGNIFICANCE
 
 __all__ = [
-    "ExploratoryConfig",
     "AllocatorConfig",
     "TaskOrientedAllocator",
     "DEFAULT_MAX_SEEN_GRANULARITY",
@@ -128,66 +128,6 @@ def _build_algorithm(
 
 
 @dataclass(frozen=True)
-class ExploratoryConfig:
-    """Bootstrap policy for a category with too few records.
-
-    Attributes
-    ----------
-    min_records:
-        Completed records required before the algorithm's predictions
-        take over (the paper collects 10).
-    allocation:
-        The conservative exploratory allocation (the paper's
-        1 core / 1 GB / 1 GB).  Resources missing from this vector fall
-        back to the machine capacity.
-    mode:
-        ``"auto"`` — conservative for algorithms flagged
-        ``conservative_exploration`` (the bucketing family), whole
-        machine otherwise, matching the paper's setup;
-        ``"conservative"`` / ``"whole_machine"`` force one policy for
-        every algorithm (ablation hook E-X2).
-    explore_concurrency:
-        Maximum tasks of a category allowed to *run concurrently* while
-        the category is still exploring; further ready tasks wait so
-        they can benefit from the first records instead of burning
-        bootstrap allocations.  Without this bound, an idle pool plus a
-        deep queue dispatches the whole workflow at the bootstrap
-        allocation before the tenth record lands — an exploration storm
-        the paper's bounded "exploratory mode" clearly does not exhibit.
-        ``None`` defaults to ``max(1, min_records)``; pass a large value
-        to disable the gate (storm-behaviour studies do).
-    """
-
-    min_records: int = 10
-    allocation: ResourceVector = PAPER_EXPLORATORY_ALLOCATION
-    mode: str = "auto"
-    explore_concurrency: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.min_records < 0:
-            raise ValueError(f"min_records must be >= 0, got {self.min_records}")
-        if self.mode not in ("auto", "conservative", "whole_machine"):
-            raise ValueError(f"unknown exploratory mode: {self.mode!r}")
-        if self.explore_concurrency is not None and self.explore_concurrency < 1:
-            raise ValueError(
-                f"explore_concurrency must be >= 1, got {self.explore_concurrency}"
-            )
-
-    @property
-    def effective_explore_concurrency(self) -> int:
-        if self.explore_concurrency is not None:
-            return self.explore_concurrency
-        return max(1, self.min_records)
-
-    def is_conservative_for(self, algorithm_cls: type) -> bool:
-        if self.mode == "conservative":
-            return True
-        if self.mode == "whole_machine":
-            return False
-        return bool(getattr(algorithm_cls, "conservative_exploration", False))
-
-
-@dataclass(frozen=True)
 class AllocatorConfig:
     """Full configuration of a :class:`TaskOrientedAllocator`.
 
@@ -205,15 +145,20 @@ class AllocatorConfig:
     machine_capacity:
         A full worker's capacity, used by Whole Machine, the
         whole-machine exploratory policy, and the allocation clamp.
-    exploratory:
-        The bootstrap policy.
-    doubling_factor:
-        Growth factor of the doubling fallback (2.0 in the paper).
+    min_records:
+        Completed records a category needs before the algorithm's
+        predictions take over (the paper collects 10).  Until then its
+        tasks get the paper's 1 core / 1 GB / 1 GB
+        (:data:`~repro.core.resources.PAPER_EXPLORATORY_ALLOCATION`) when
+        the algorithm is flagged ``conservative_exploration`` (the
+        bucketing family) and a whole machine otherwise, and a retry past
+        the algorithm's guidance doubles the allocation.  The simulator
+        also runs at most ``max(1, min_records)`` tasks of an exploring
+        category at once (:mod:`repro.sim.manager`).
     significance:
-        Recency-weighting policy for completed-task records, by registry
-        name (``"task_id"`` — the paper's setting — ``"uniform"``,
-        ``"exponential_decay"``, ``"window"``) or as a
-        :class:`~repro.core.significance.SignificancePolicy` instance.
+        Recency-weighting policy for completed-task records, by name:
+        ``"task_id"`` (the paper's), ``"uniform"`` or
+        ``"exponential_decay"`` (:data:`repro.core.significance.SIGNIFICANCE`).
         Only consulted when ``observe`` is called without an explicit
         significance.
     seed:
@@ -226,9 +171,8 @@ class AllocatorConfig:
     algorithm_kwargs: Mapping = field(default_factory=dict)
     resources: Tuple[Resource, ...] = EVALUATED_RESOURCES
     machine_capacity: ResourceVector = PAPER_WORKER_CAPACITY
-    exploratory: ExploratoryConfig = field(default_factory=ExploratoryConfig)
-    doubling_factor: float = 2.0
-    significance: object = "task_id"
+    min_records: int = 10
+    significance: str = "task_id"
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -239,9 +183,18 @@ class AllocatorConfig:
             )
         if not self.resources:
             raise ValueError("at least one resource must be managed")
-        if self.doubling_factor <= 1.0:
+        if (
+            isinstance(self.min_records, bool)
+            or not isinstance(self.min_records, numbers.Integral)
+            or self.min_records < 0
+        ):
             raise ValueError(
-                f"doubling_factor must exceed 1, got {self.doubling_factor}"
+                f"min_records must be an integer >= 0, got {self.min_records!r}"
+            )
+        if self.significance not in SIGNIFICANCE:
+            raise KeyError(
+                f"unknown significance policy {self.significance!r}; "
+                f"registered: {sorted(SIGNIFICANCE)}"
             )
         check_seed("seed", self.seed, optional=True)
         # An unknown keyword or a bad value in algorithm_kwargs is refused
@@ -290,11 +243,8 @@ class TaskOrientedAllocator:
         self._rng = np.random.default_rng(config.seed)
         self._categories: Dict[str, _CategoryState] = {}
         algorithm_cls = ALGORITHM_REGISTRY[config.algorithm]
-        self._conservative = config.exploratory.is_conservative_for(algorithm_cls)
-        if isinstance(config.significance, SignificancePolicy):
-            self._significance_policy = config.significance
-        else:
-            self._significance_policy = make_significance_policy(str(config.significance))
+        self._conservative = algorithm_cls.conservative_exploration
+        self._significance = SIGNIFICANCE[config.significance]
         self._deterministic = bool(
             getattr(algorithm_cls, "deterministic_predictions", False)
         )
@@ -358,7 +308,7 @@ class TaskOrientedAllocator:
 
     def in_exploration(self, category: str) -> bool:
         """True while the category is still in exploratory mode."""
-        return self.records_count(category) < self._config.exploratory.min_records
+        return self.records_count(category) < self._config.min_records
 
     @property
     def capacity_clamps(self) -> Mapping[str, int]:
@@ -504,7 +454,7 @@ class TaskOrientedAllocator:
         Section V-A).
         """
         if significance is None:
-            significance = self._significance_policy.significance(task_id)
+            significance = self._significance(task_id)
         self._enter("observe")
         try:
             state = self._state(category)
@@ -539,7 +489,7 @@ class TaskOrientedAllocator:
                 # Capacity-less resource (wall time): use the fallback.
                 return DEFAULT_EXPLORATORY_FALLBACKS.get(res, 0.0)
             return capacity
-        value = self._config.exploratory.allocation[res]
+        value = PAPER_EXPLORATORY_ALLOCATION[res]
         if value <= 0.0:
             # The conservative vector does not cover this resource (e.g.
             # a registered GPU kind): explore with the full capacity,
@@ -551,11 +501,11 @@ class TaskOrientedAllocator:
         base = max(prev_value, peak)
         if base <= 0.0:
             base = (
-                self._config.exploratory.allocation[res]
+                PAPER_EXPLORATORY_ALLOCATION[res]
                 or DEFAULT_EXPLORATORY_FALLBACKS.get(res, 0.0)
                 or 1.0
             )
-        return base * self._config.doubling_factor
+        return base * 2.0
 
     def _clamp(self, res: Resource, value: float) -> float:
         capacity = self._config.machine_capacity[res]

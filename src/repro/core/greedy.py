@@ -33,12 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    BucketingAlgorithm,
-    RngSource,
-    check_max_buckets,
-    register_algorithm,
-)
+from repro.core.base import BucketingAlgorithm, register_algorithm
 from repro.core.cost import greedy_split_costs
 from repro.core.records import RecordList
 
@@ -186,7 +181,6 @@ def _search(
     records: RecordList,
     lo: int,
     hi: int,
-    max_buckets: Optional[int],
     memo: SplitMemo,
     inserts: List[int],
     exact: bool,
@@ -198,24 +192,15 @@ def _search(
     Returns the sorted bucket ends and the entries of every segment
     examined, which is the memo for the next search.
     """
-    budget = inf if max_buckets is None else check_max_buckets(max_buckets)
-
     ends: List[int] = []
     seen: SplitMemo = {}
     # Work-list of segments still to be examined, each with the low
     # prefix it inherits (a left child shares ``lo`` with its parent).
-    # Without a cap each segment's decision is independent; with one the
-    # LIFO order — left child first — decides who gets to split.
+    # Each segment's decision is independent of the order they are taken in.
     stack: List[Tuple[int, int, Optional[np.ndarray]]] = [(lo, hi, None)]
     while stack:
         seg_lo, seg_hi, w1 = stack.pop()
         if seg_lo == seg_hi:
-            ends.append(seg_hi)
-            continue
-        # Splitting this segment grows the final bucket count by one
-        # (current segments on the stack + emitted ends are all buckets
-        # or bucket sources).  Respect the optional cap.
-        if len(ends) + len(stack) + 2 > budget:
             ends.append(seg_hi)
             continue
         entry = _recall(records, seg_lo, seg_hi, memo, inserts, exact) if memo else None
@@ -237,21 +222,13 @@ def _search(
 
 
 def greedy_break_indices(
-    records: RecordList,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    max_buckets: Optional[int] = None,
+    records: RecordList, lo: int = 0, hi: Optional[int] = None
 ) -> List[int]:
     """Compute Greedy Bucketing's bucket-end indices for ``records``.
 
     Follows Algorithm 1: for each segment, pick the candidate break with
     minimum expected waste; the segment's own upper end encodes
-    "don't split".  ``max_buckets`` optionally caps the partition size
-    (not part of the paper's algorithm; used by the ablation study
-    E-X2) — segments stop splitting once the cap is reached.  The
-    search is depth-first, left child first, so the cap is spent on the
-    lowest values first: a segment's whole left subtree may split before
-    its right sibling is looked at.
+    "don't split".  As in the paper, the bucket count is not capped.
 
     Returns the sorted inclusive upper-end index of each bucket; the last
     entry is always ``hi``.
@@ -260,7 +237,7 @@ def greedy_break_indices(
         hi = len(records) - 1
     if not (0 <= lo <= hi < len(records)):
         raise IndexError(f"segment [{lo}, {hi}] out of bounds for {len(records)} records")
-    return _search(records, lo, hi, max_buckets, {}, [], False)[0]
+    return _search(records, lo, hi, {}, [], False)[0]
 
 
 def greedy_break_indices_literal(
@@ -346,19 +323,16 @@ class GreedySplitMemo:
     * a segment holding an insert is scanned.
 
     A compaction of a bounded store rebuilds the prefix sums from
-    scratch and clears the memo.  The memo holds argmins only, which a
-    ``max_buckets`` cap does not change (the cap decides *whether* a
-    segment is scanned, not what the scan returns).
+    scratch and clears the memo.
 
     Nothing is serialized: a restored engine starts with an empty memo
     and its first search scans every segment, with the same result.
     """
 
-    __slots__ = ("_records", "_max_buckets", "_memo", "_inserts", "_exact")
+    __slots__ = ("_records", "_memo", "_inserts", "_exact")
 
-    def __init__(self, records: RecordList, max_buckets: Optional[int] = None) -> None:
+    def __init__(self, records: RecordList) -> None:
         self._records = records
-        self._max_buckets = max_buckets
         self._memo: SplitMemo = {}
         self._inserts: List[int] = []
         # From the records: engines are built over non-empty stores too
@@ -417,7 +391,7 @@ class GreedySplitMemo:
         if n == 0:
             return None
         ends, self._memo = _search(
-            self._records, 0, n - 1, self._max_buckets, self._memo, self._inserts, self._exact
+            self._records, 0, n - 1, self._memo, self._inserts, self._exact
         )
         self._inserts = []
         return ends
@@ -437,9 +411,8 @@ class GreedyBucketing(BucketingAlgorithm):
         it drops the lowest-significance records
         (:mod:`repro.core.records`).  Scaling study only; the paper
         retains all records.
-    max_buckets:
-        Optional cap on the number of buckets (ablation hook; unset in
-        the paper's configuration).
+
+    The bucket count is not capped, as in the paper.
 
     Examples
     --------
@@ -454,19 +427,8 @@ class GreedyBucketing(BucketingAlgorithm):
 
     name = "greedy_bucketing"
 
-    def __init__(
-        self,
-        rng: RngSource = None,
-        record_capacity: Optional[int] = None,
-        max_buckets: Optional[int] = None,
-    ) -> None:
-        # Set before super().__init__: the base constructor calls the
-        # _make_partition_engine hook, which reads it.
-        self._max_buckets = None if max_buckets is None else check_max_buckets(max_buckets)
-        super().__init__(rng=rng, record_capacity=record_capacity)
-
     def _make_partition_engine(self) -> GreedySplitMemo:
-        return GreedySplitMemo(self._records, self._max_buckets)
+        return GreedySplitMemo(self._records)
 
     def compute_break_indices(self, records: RecordList) -> List[int]:
         assert records is self._records, "the engine is bound to this algorithm's own records"

@@ -2,9 +2,9 @@
 
 The predecessor of the paper's bucketing algorithms: instead of
 searching for waste-minimizing break points it splits the sorted record
-list at fixed quantiles.  The paper's evaluation configuration splits at
-the 50th quantile (Section V-B), yielding two buckets: the median
-record's value and the maximum.  Tasks are first allocated the lowest
+list at fixed quantiles.  The paper's evaluation configuration, the one
+this class runs, splits at the 50th quantile (Section V-B), yielding two
+buckets: the median record's value and the maximum.  Tasks are first allocated the lowest
 bucket and climb the ladder on failure.
 
 Under-allocating half the tasks costs retries, but on heavy-tailed
@@ -16,9 +16,7 @@ excels".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
 from repro.core.records import RecordList
@@ -28,38 +26,18 @@ __all__ = ["QuantizedBucketing"]
 
 @register_algorithm
 class QuantizedBucketing(AllocationAlgorithm):
-    """Fixed-quantile bucket ladder with climb-on-failure retries.
+    """Median-split bucket ladder with climb-on-failure retries.
 
-    Parameters
-    ----------
-    quantiles:
-        Interior split quantiles in (0, 1), ascending.  The bucket reps
-        are the record values at these quantiles plus the maximum; the
-        paper's configuration is the single 0.5 split.
+    The bucket reps are the median record's value and the maximum (one
+    rep when they are equal).
     """
 
     name = "quantized_bucketing"
 
-    def __init__(
-        self,
-        quantiles: Sequence[float] = (0.5,),
-        rng: RngSource = None,
-    ) -> None:
+    def __init__(self, rng: RngSource = None) -> None:
         super().__init__(rng=rng)
-        quantiles = tuple(float(q) for q in quantiles)
-        if not quantiles:
-            raise ValueError("at least one split quantile is required")
-        if list(quantiles) != sorted(set(quantiles)):
-            raise ValueError(f"quantiles must be strictly increasing: {quantiles}")
-        if quantiles[0] <= 0.0 or quantiles[-1] >= 1.0:
-            raise ValueError(f"quantiles must lie strictly inside (0, 1): {quantiles}")
-        self._quantiles = quantiles
         self._records = RecordList()
         self._reps: Optional[Tuple[float, ...]] = None
-
-    @property
-    def quantiles(self) -> Tuple[float, ...]:
-        return self._quantiles
 
     def update(self, value: float, significance: float = 1.0, task_id: int = -1) -> None:
         # Quantile clustering is count-based (no significance weighting).
@@ -72,21 +50,13 @@ class QuantizedBucketing(AllocationAlgorithm):
             return None
         if self._reps is None:
             values = self._records.values
-            reps = []
-            for q in self._quantiles:
-                # The record value at the quantile: allocations must be
-                # actual observed peaks, mirroring [11]'s clustering of
-                # records rather than interpolation between them.
-                idx = min(int(np.ceil(q * values.size)) - 1, values.size - 1)
-                idx = max(idx, 0)
-                reps.append(float(values[idx]))
-            reps.append(float(values[-1]))
-            # Collapse duplicate reps (tiny record lists, repeated values).
-            deduped = []
-            for rep in reps:
-                if not deduped or rep > deduped[-1]:
-                    deduped.append(rep)
-            self._reps = tuple(deduped)
+            # The median record's value, the ceil(n/2)-th smallest:
+            # allocations must be actual observed peaks, mirroring [11]'s
+            # clustering of records rather than interpolation between them.
+            median = float(values[(values.size - 1) // 2])
+            top = float(values[-1])
+            # One rep when they coincide (tiny record lists, repeated values).
+            self._reps = (median, top) if top > median else (median,)
         return self._reps
 
     def predict(self) -> Optional[float]:

@@ -4,155 +4,66 @@ The paper weights each record by a *significance* value so that recent
 records dominate the bucket probabilities when a workflow changes
 behaviour, and notes "there are many ways to set the significance value
 of a task record.  In all experiments we simply set it to the task ID"
-(Section V-A).  This module makes the policy pluggable:
+(Section V-A).  :data:`SIGNIFICANCE` maps a policy name to the function
+from a task ID to its record's weight; the three are the ones the
+significance ablation (E-X2) compares:
 
-* :class:`TaskIdSignificance` — the paper's choice: significance grows
-  linearly with submission order, so a record's relative weight decays
-  hyperbolically as newer tasks arrive.
-* :class:`UniformSignificance` — no recency at all (the ablation E-X2
-  baseline): every record weighs the same forever.
-* :class:`ExponentialDecaySignificance` — geometric growth by
-  ``1/decay`` per record: far more aggressive forgetting, useful for
-  rapidly phasing workflows at the cost of statistical efficiency on
-  stationary ones.
-* :class:`WindowSignificance` — effectively a sliding window: records
-  older than ``window`` submissions carry negligible weight.
+* ``"task_id"`` — the paper's choice: significance grows linearly with
+  submission order, so a record's relative weight decays hyperbolically
+  as newer tasks arrive.
+* ``"uniform"`` — no recency at all (the ablation baseline): every
+  record weighs the same forever.
+* ``"exponential_decay"`` — geometric growth: each record weighs 0.95
+  of its successor, far more aggressive forgetting.
 
-Policies map a task ID to a weight; the
-:class:`~repro.core.allocator.TaskOrientedAllocator` consults its
+Every policy is strictly positive and non-decreasing in the task ID — a
+later record never weighs less than an earlier one.  The
+:class:`~repro.core.allocator.TaskOrientedAllocator` applies its
 configured policy whenever ``observe`` is called without an explicit
 significance.
 """
 
 from __future__ import annotations
 
-import abc
 import math
-from typing import Dict, Type
+from typing import Callable, Mapping
 
 __all__ = [
-    "SignificancePolicy",
-    "TaskIdSignificance",
-    "UniformSignificance",
-    "ExponentialDecaySignificance",
-    "WindowSignificance",
-    "SIGNIFICANCE_REGISTRY",
-    "make_significance_policy",
+    "SIGNIFICANCE",
+    "task_id_significance",
+    "uniform_significance",
+    "exponential_decay_significance",
 ]
 
 
-class SignificancePolicy(abc.ABC):
-    """Maps a completed task's ID to its record's significance."""
-
-    name: str = ""
-
-    @abc.abstractmethod
-    def significance(self, task_id: int) -> float:
-        """Weight for the record of the task with this submission ID.
-
-        Must be strictly positive and non-decreasing in ``task_id`` —
-        a later record may never weigh less than an earlier one, or the
-        recency semantics invert.
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"{type(self).__name__}()"
-
-
-#: name -> policy class, for config-by-string.
-SIGNIFICANCE_REGISTRY: Dict[str, Type[SignificancePolicy]] = {}
-
-
-def _register(cls: Type[SignificancePolicy]) -> Type[SignificancePolicy]:
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must define a name")
-    SIGNIFICANCE_REGISTRY[cls.name] = cls
-    return cls
-
-
-def make_significance_policy(name: str, **kwargs) -> SignificancePolicy:
-    """Instantiate a registered significance policy by name."""
-    try:
-        cls = SIGNIFICANCE_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown significance policy {name!r}; "
-            f"registered: {sorted(SIGNIFICANCE_REGISTRY)}"
-        ) from None
-    return cls(**kwargs)
-
-
-@_register
-class TaskIdSignificance(SignificancePolicy):
+def task_id_significance(task_id: int) -> float:
     """The paper's policy: significance = task ID (counted from 1)."""
-
-    name = "task_id"
-
-    def significance(self, task_id: int) -> float:
-        return float(max(task_id, 0)) + 1.0
+    return float(max(task_id, 0)) + 1.0
 
 
-@_register
-class UniformSignificance(SignificancePolicy):
+def uniform_significance(task_id: int) -> float:
     """Every record weighs the same: no recency (ablation baseline)."""
-
-    name = "uniform"
-
-    def significance(self, task_id: int) -> float:
-        return 1.0
+    return 1.0
 
 
-@_register
-class ExponentialDecaySignificance(SignificancePolicy):
-    """Record weight grows geometrically: weight ~ (1/decay)^task_id.
+#: ``exponential_decay``'s growth per task, in log space: ``-ln(0.95)``.
+_LOG_GROWTH = -math.log(0.95)
 
-    With ``decay = 0.9``, a record ten submissions old carries ~35 % of
-    the newest record's weight; the paper's linear policy would give it
-    >90 %.  Weights are capped to stay finite over very long workflows
-    by renormalizing the exponent base-point every ``rebase`` tasks —
-    only *ratios* between records matter to the bucket probabilities.
+
+def exponential_decay_significance(task_id: int) -> float:
+    """Weight ``(1/0.95) ** task_id``: a record ten submissions old
+    carries ~60 % of the newest record's weight.
+
+    The exponent is clamped at 600 to keep the weight finite, so from
+    task ID 11,698 on every record weighs the same ``e**600`` and the
+    policy no longer tells them apart.
     """
-
-    name = "exponential_decay"
-
-    def __init__(self, decay: float = 0.95, rebase: int = 500) -> None:
-        if not (0.0 < decay < 1.0):
-            raise ValueError(f"decay must be in (0, 1), got {decay}")
-        if rebase < 1:
-            raise ValueError(f"rebase must be >= 1, got {rebase}")
-        self.decay = decay
-        self.rebase = rebase
-        # Growth per task, applied in log space to avoid overflow.
-        self._log_growth = -math.log(decay)
-
-    def significance(self, task_id: int) -> float:
-        # Keep the exponent within float range: weights are relative, so
-        # the offset only needs to be consistent within a record list's
-        # lifetime; rebasing every `rebase` tasks bounds the exponent
-        # while preserving the ordering and (approximately) the ratios
-        # that matter — neighbours within a window of `rebase` tasks.
-        exponent = min(task_id * self._log_growth, 600.0)
-        return math.exp(exponent)
+    return math.exp(min(task_id * _LOG_GROWTH, 600.0))
 
 
-@_register
-class WindowSignificance(SignificancePolicy):
-    """Sliding-window forgetting: old records become negligible.
-
-    Weight doubles every ``window / 10`` submissions (clamped into float
-    range), so anything older than roughly one window carries < 0.1 %
-    of the newest record's weight — a soft analogue of dropping records
-    entirely, without mutating the record list.
-    """
-
-    name = "window"
-
-    def __init__(self, window: int = 200) -> None:
-        if window < 10:
-            raise ValueError(f"window must be >= 10, got {window}")
-        self.window = window
-        self._log_growth = math.log(2.0) / (window / 10.0)
-
-    def significance(self, task_id: int) -> float:
-        exponent = min(task_id * self._log_growth, 600.0)
-        return math.exp(exponent)
+#: Policy name -> weight of the record of the task with that ID.
+SIGNIFICANCE: Mapping[str, Callable[[int], float]] = {
+    "task_id": task_id_significance,
+    "uniform": uniform_significance,
+    "exponential_decay": exponential_decay_significance,
+}

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.allocator import ExploratoryConfig
 from repro.core.resources import MEMORY
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
@@ -110,12 +109,7 @@ def run_exploration_ablation(
     config = config if config is not None else ExperimentConfig()
     rows: List[AblationRow] = []
     for budget in budgets:
-        result = run_cell(
-            workflow,
-            algorithm,
-            config,
-            exploratory=ExploratoryConfig(min_records=budget),
-        )
+        result = run_cell(workflow, algorithm, config, min_records=budget)
         label = f"min_records={budget}" + (" (paper)" if budget == 10 else "")
         rows.append(_row("exploration", label, workflow, algorithm, result))
     return rows

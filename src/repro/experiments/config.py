@@ -77,7 +77,6 @@ class ExperimentConfig:
     profile: ConsumptionProfile = field(  # reprolint: disable=R7  # object-valued, API-only
         default_factory=LinearRampProfile
     )
-    max_outstanding: Optional[int] = None  # reprolint: disable=R7  # API-only throttle
     #: Dead-letter a task after this many exhausted attempts (see
     #: ``SimulationConfig.retry_budget``); ``None`` keeps the paper's
     #: unbounded retry behaviour.
@@ -92,8 +91,7 @@ class ExperimentConfig:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("max_outstanding", "retry_budget"):
-            check_count(name, getattr(self, name))
+        check_count("retry_budget", self.retry_budget)
         for name in ("workflow_seed", "allocator_seed", "pool_seed"):
             check_seed(name, getattr(self, name))
         # PoolConfig checks the pool's fields; refuse them here, not in
@@ -114,7 +112,6 @@ class ExperimentConfig:
             ),
             pool=self._pool_config(),
             profile=self.profile,
-            max_outstanding=self.max_outstanding,
             retry_budget=self.retry_budget,
         )
 

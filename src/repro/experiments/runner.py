@@ -130,7 +130,7 @@ def grid_digest(
     the checkpoint plumbing (``checkpoint_dir``, ``resume``), which may
     legitimately differ between the interrupted run and its relaunch.
     """
-    doc = {
+    return state_digest({
         "workflows": list(workflows),
         "algorithms": list(algorithms),
         "n_workers": config.n_workers,
@@ -140,16 +140,8 @@ def grid_digest(
         "allocator_seed": config.allocator_seed,
         "pool_seed": config.pool_seed,
         "profile": _stable_repr(config.profile),
-        "max_outstanding": config.max_outstanding,
-        # Builds that had fault injection wrote "None" here for a fault-free
-        # grid; keeping the constant keeps their journals resumable.
-        "faults": "None",
-    }
-    if config.retry_budget is not None:
-        # Added only when set so journals of budget-free grids keep
-        # their digests and stay resumable.
-        doc["retry_budget"] = config.retry_budget
-    return state_digest(doc)
+        "retry_budget": config.retry_budget,
+    })
 
 
 def _stable_repr(obj: Any) -> str:

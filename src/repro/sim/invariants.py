@@ -1,4 +1,4 @@
-"""Machine-checked simulation invariants (always on, opt-out).
+"""Machine-checked simulation invariants (always on).
 
 The accounting identities of Section II-C are only trustworthy if they
 hold *under adversity* — retries, and evictions when pool churn takes
@@ -22,15 +22,16 @@ laws continuously instead of only in tests:
   enforced; per attempt the identity
   ``consumed + internal_frag + failed_alloc == allocated * runtime``
   holds for the managed resources.
+* **Task conservation** — ``completed + quarantined + outstanding``
+  equals the workflow's task count (checked after every event).
 * **Completion shape** — at the end of the run every task has exactly
   one successful attempt, it is the final one, and AWE lands in
   (0, 1] for every managed resource.
 
 A violation raises :class:`InvariantViolation` (an ``AssertionError``
 subclass) at the first event that broke the law, with enough context to
-debug the run.  The checker is enabled by default through
-:class:`~repro.sim.manager.SimulationConfig`; large perf sweeps can opt
-out with ``check_invariants=False``.
+debug the run.  Every :class:`~repro.sim.manager.WorkflowManager` runs
+one; there is no opt-out.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class InvariantChecker:
         self._last_now = manager.engine.now
         self._events_checked = 0
         self._attempts_checked = 0
+        self._n_tasks = len(manager.workflow)
         #: Per resource of the last capacity audited: (resource,
         #: capacity, the committed sum above which it is overcommitted).
         #: A pool's workers share one capacity vector, so it is derived
@@ -117,23 +119,21 @@ class InvariantChecker:
                 "consumption + fragmentation + failed (per-resource totals "
                 "diverged after an ingest)"
             )
-        # Task conservation: nothing ever disappears.  Every revealed
-        # (submitted) task is either done, dead-lettered, or still in
-        # flight; quarantined-but-unrevealed descendants are excluded
-        # because the submission window has not surfaced them yet.
+        # Task conservation: nothing ever disappears.  Every task is
+        # either done, dead-lettered, or still in flight; the three
+        # counters are kept apart, so a lost or doubly counted task shows.
         manager = self._manager
-        submitted = manager.submitted_tasks
+        n_tasks = self._n_tasks
         accounted = (
             manager.completed_tasks
-            + (manager.quarantined_tasks - manager.quarantined_unrevealed)
+            + manager.quarantined_tasks
             + manager.outstanding_tasks
         )
-        if submitted != accounted:
+        if n_tasks != accounted:
             raise InvariantViolation(
-                f"task conservation broken at t={now}: submitted={submitted} "
+                f"task conservation broken at t={now}: tasks={n_tasks} "
                 f"!= completed({manager.completed_tasks}) + quarantined("
-                f"{manager.quarantined_tasks} - "
-                f"{manager.quarantined_unrevealed} unrevealed) + "
+                f"{manager.quarantined_tasks}) + "
                 f"outstanding({manager.outstanding_tasks})"
             )
 

@@ -68,12 +68,6 @@ class SimulationConfig:
     allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
     pool: PoolConfig = field(default_factory=PoolConfig)
     profile: ConsumptionProfile = field(default_factory=LinearRampProfile)
-    #: Maximum tasks revealed to the scheduler but not yet completed.
-    #: Dynamic applications (Colmena's batched molecule campaigns,
-    #: Coffea's chunked submission) keep a bounded number of tasks in
-    #: flight rather than dumping the whole run at t=0; ``None`` models
-    #: the dump-everything extreme.
-    max_outstanding: Optional[int] = None
     #: Allocate every task exactly its true peak consumption (and true
     #: duration, when TIME is managed).  The oracle of Section II-C:
     #: zero waste, AWE = 1 by construction.  Not realizable online — it
@@ -83,10 +77,6 @@ class SimulationConfig:
     #: spinning (attempts per task are bounded by doubling, so legitimate
     #: runs stay far below ~20 events/task).
     max_events: Optional[int] = None
-    #: Continuous invariant auditing (see :mod:`repro.sim.invariants`).
-    #: On by default — the conservation laws are cheap relative to the
-    #: dispatch scan; very large perf sweeps may opt out.
-    check_invariants: bool = True
     #: Poison-task quarantine: a task is dead-lettered once it has this
     #: many *exhausted* attempts instead of retrying forever (evictions
     #: never count), and its waiting descendants with it.  ``None`` is
@@ -96,7 +86,7 @@ class SimulationConfig:
     retry_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_outstanding", "max_events", "retry_budget"):
+        for name in ("max_events", "retry_budget"):
             check_count(name, getattr(self, name))
 
     def effective_max_events(self, n_tasks: int) -> int:
@@ -174,13 +164,7 @@ class SimulationResult:
 
     @classmethod
     def from_state(cls, state: dict) -> "SimulationResult":
-        """Rebuild a result journaled by :meth:`state_dict`.
-
-        The quarantine keys are read with defaults so journals written
-        before quarantine existed still load, and the retired
-        ``resilience_stats`` and ``fault_stats`` keys of older journals
-        are ignored.
-        """
+        """Rebuild a result journaled by :meth:`state_dict`."""
         return cls(
             workflow_name=state["workflow_name"],
             algorithm=state["algorithm"],
@@ -193,10 +177,9 @@ class SimulationResult:
             workers_joined=int(state["workers_joined"]),
             workers_left=int(state["workers_left"]),
             wall_clock_seconds=float(state["wall_clock_seconds"]),
-            n_quarantined=int(state.get("n_quarantined", 0)),
+            n_quarantined=int(state["n_quarantined"]),
             dead_letters=tuple(
-                DeadLetterEntry.from_state(doc)
-                for doc in state.get("dead_letters", ())
+                DeadLetterEntry.from_state(doc) for doc in state["dead_letters"]
             ),
         )
 
@@ -231,11 +214,6 @@ class WorkflowManager:
         self._tasks: Dict[int, SimTask] = {
             spec.task_id: SimTask(spec) for spec in workflow
         }
-        #: task_id -> position in the workflow's submission order; used
-        #: to tell whether a cascade-quarantined task was ever revealed.
-        self._spec_index: Dict[int, int] = {
-            spec.task_id: i for i, spec in enumerate(workflow.tasks)
-        }
         # Reverse dependency index: parent -> children waiting on it.
         self._children: Dict[int, List[int]] = {}
         for spec in workflow:
@@ -250,17 +228,14 @@ class WorkflowManager:
             may_dispatch=self._may_dispatch,
         )
         self._running_per_category: Dict[str, int] = {}
-        self._explore_concurrency = (
-            self._config.allocator.exploratory.effective_explore_concurrency
-        )
+        #: Tasks of an exploring category that may run at once.
+        self._explore_concurrency = max(1, self._config.allocator.min_records)
         self._pool.on_worker_joined = self._on_worker_joined
         self._pool.on_worker_leaving = self._on_worker_leaving
 
         #: Subscribers to the manager's event stream (trace recorders).
         self._event_listeners: List[Callable[[SimEvent], None]] = []
-        self._invariants: Optional[InvariantChecker] = (
-            InvariantChecker(self) if self._config.check_invariants else None
-        )
+        self._invariants = InvariantChecker(self)
 
         #: attempt validity tokens: an eviction invalidates the pending
         #: end-of-attempt event of the evicted task.
@@ -269,10 +244,6 @@ class WorkflowManager:
         self._completed = 0
         self._quarantined = 0
         self._dead_letters: List[DeadLetterEntry] = []
-        #: Cascade-quarantined tasks the submission window has not yet
-        #: revealed; needed to state the conservation law exactly.
-        self._quarantined_unrevealed = 0
-        self._next_to_submit = 0
         self._outstanding = 0
         self._ran = False
 
@@ -299,7 +270,7 @@ class WorkflowManager:
         return self._ledger
 
     @property
-    def invariants(self) -> Optional[InvariantChecker]:
+    def invariants(self) -> InvariantChecker:
         return self._invariants
 
     def tasks(self) -> Tuple[SimTask, ...]:
@@ -332,18 +303,8 @@ class WorkflowManager:
         return self._quarantined
 
     @property
-    def quarantined_unrevealed(self) -> int:
-        """Quarantined tasks the submission window never revealed."""
-        return self._quarantined_unrevealed
-
-    @property
-    def submitted_tasks(self) -> int:
-        """Tasks revealed to the scheduler so far."""
-        return self._next_to_submit
-
-    @property
     def outstanding_tasks(self) -> int:
-        """Revealed tasks that are neither completed nor quarantined."""
+        """Tasks that are neither completed nor quarantined."""
         return self._outstanding
 
     @property
@@ -358,7 +319,7 @@ class WorkflowManager:
         self._ran = True
         # reprolint: disable=R1,F3  # feeds reporting-only wall_clock_seconds, never the sim
         started_wall = _time.perf_counter()
-        self._submit_more()
+        self._submit_all()
         self._engine.schedule(0.0, self._dispatch)
         self._engine.run(
             max_events=self._config.effective_max_events(len(self._workflow))
@@ -369,8 +330,7 @@ class WorkflowManager:
                 f"tasks completed and {self._quarantined} quarantined — the pool "
                 "can no longer host the remaining tasks"
             )
-        if self._invariants is not None:
-            self._invariants.check_complete()
+        self._invariants.check_complete()
         assert self._ledger.identity_holds(), "accounting identity violated"
 
         terminal_times = [
@@ -418,7 +378,7 @@ class WorkflowManager:
         return self._allocator.version(task.category)
 
     def _may_dispatch(self, category: str) -> bool:
-        """Exploratory concurrency gate (see ExploratoryConfig).
+        """Exploratory concurrency gate: ``max(1, min_records)`` per category.
 
         While a category is still collecting its bootstrap records, only
         a bounded number of its tasks may run at once; the rest wait in
@@ -430,26 +390,16 @@ class WorkflowManager:
         running = self._running_per_category.get(category, 0)
         return running < self._explore_concurrency
 
-    # -- submission pacing -----------------------------------------------------------------
+    # -- submission -------------------------------------------------------------------------
 
-    def _submit_more(self) -> None:
-        """Reveal tasks to the scheduler up to the outstanding window."""
-        limit = self._config.max_outstanding
-        specs = self._workflow.tasks
-        while self._next_to_submit < len(specs) and (
-            limit is None or self._outstanding < limit
-        ):
-            task = self._tasks[specs[self._next_to_submit].task_id]
-            self._next_to_submit += 1
-            if task.state is TaskState.QUARANTINED:
-                # Already dead-lettered through a quarantined parent
-                # before the window reached it; it is now revealed.
-                self._quarantined_unrevealed -= 1
-                continue
+    def _submit_all(self) -> None:
+        """Reveal every task to the scheduler, in the workflow's order."""
+        for spec in self._workflow.tasks:
+            task = self._tasks[spec.task_id]
             self._outstanding += 1
             if task.state is TaskState.READY:
                 self._enqueue(task)
-            # PENDING tasks are submitted but wait for their parents; the
+            # PENDING tasks wait for their parents; the
             # dependency-completion hook enqueues them.
 
     # -- attempt lifecycle ----------------------------------------------------------------
@@ -482,8 +432,7 @@ class WorkflowManager:
     def _record_attempt(self, task: SimTask, attempt: Attempt) -> None:
         """Single chokepoint for attempt history: record, then audit."""
         task.record_attempt(attempt)
-        if self._invariants is not None:
-            self._invariants.check_attempt(task, attempt)
+        self._invariants.check_attempt(task, attempt)
 
     def _end_attempt(self, task, worker, verdict, runtime: float, token: int) -> None:
         if self._attempt_token[task.task_id] != token:
@@ -519,7 +468,6 @@ class WorkflowManager:
             self._allocator.observe(task.category, peaks, task_id=task.task_id)
             self._ledger.record_task(task)
             self._outstanding -= 1
-            self._submit_more()
             self._notify_children(task)
             if self.terminal_tasks == len(self._workflow):
                 self._stop_generators()
@@ -638,8 +586,7 @@ class WorkflowManager:
 
         The task's burned attempts are charged to the accounting ledger
         (failed-allocation waste), descendants that can now never run
-        are cascade-quarantined, and the freed submission-window slot is
-        refilled — the rest of the workflow keeps going.
+        are cascade-quarantined — the rest of the workflow keeps going.
         """
         self._dead_letter(task, "retry_budget_exceeded")
         self._outstanding -= 1
@@ -649,12 +596,8 @@ class WorkflowManager:
             if child.state is not TaskState.PENDING:
                 continue
             self._dead_letter(child, "parent_quarantined")
-            if self._spec_index[child.task_id] < self._next_to_submit:
-                self._outstanding -= 1
-            else:
-                self._quarantined_unrevealed += 1
+            self._outstanding -= 1
             stack.extend(self._children.get(child.task_id, ()))
-        self._submit_more()
         if self.terminal_tasks == len(self._workflow):
             self._stop_generators()
 

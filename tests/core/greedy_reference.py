@@ -72,7 +72,6 @@ def reference_break_indices(
     records: RecordList,
     lo: int = 0,
     hi: Optional[int] = None,
-    max_buckets: Optional[int] = None,
 ) -> List[int]:
     """Greedy Bucketing's bucket-end indices, every segment scanned."""
     if hi is None:
@@ -85,20 +84,9 @@ def reference_break_indices(
     # not affect the result (each segment's decision is independent), but
     # a LIFO stack keeps memory at O(depth).
     stack: List[tuple] = [(lo, hi)]
-    budget = max_buckets if max_buckets is not None else float("inf")
-    if budget < 1:
-        raise ValueError(f"max_buckets must be >= 1, got {max_buckets}")
-
     while stack:
         seg_lo, seg_hi = stack.pop()
         if seg_lo == seg_hi:
-            ends.append(seg_hi)
-            continue
-        # Splitting this segment grows the final bucket count by one
-        # (current segments on the stack + emitted ends are all buckets
-        # or bucket sources).  Respect the optional cap.
-        prospective = len(ends) + len(stack) + 2
-        if prospective > budget:
             ends.append(seg_hi)
             continue
         costs = reference_split_costs(records, seg_lo, seg_hi)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
+from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.resources import (
     CORES,
     DISK,
     MEMORY,
+    PAPER_EXPLORATORY_ALLOCATION,
     PAPER_WORKER_CAPACITY,
     ResourceVector,
 )
@@ -23,28 +24,24 @@ def bootstrap(alloc, category="proc", n=10, peaks=None):
 class TestConfig:
     def test_defaults_match_paper(self):
         cfg = AllocatorConfig()
-        assert cfg.exploratory.min_records == 10
-        assert cfg.exploratory.allocation[MEMORY] == 1000
+        assert cfg.min_records == 10
+        assert cfg.significance == "task_id"
+        assert PAPER_EXPLORATORY_ALLOCATION[MEMORY] == 1000
         assert cfg.machine_capacity == PAPER_WORKER_CAPACITY
-        assert cfg.doubling_factor == 2.0
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(KeyError):
             AllocatorConfig(algorithm="nope")
 
-    def test_doubling_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            AllocatorConfig(doubling_factor=1.0)
-
     @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
     def test_bad_algorithm_kwargs_are_refused_by_the_config(self, algorithm):
         """Not when a category's first allocator is built, mid-service."""
-        with pytest.raises(ValueError, match="max_buckets"):
-            AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"max_buckets": 0})
+        with pytest.raises(ValueError, match="capacity"):
+            AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"record_capacity": 0})
         with pytest.raises(TypeError, match="max_bucket"):
             AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"max_bucket": 4})
-        with pytest.raises(ValueError, match="max_buckets"):
-            AllocatorConfig().with_algorithm(algorithm, max_buckets=0)
+        with pytest.raises(ValueError, match="capacity"):
+            AllocatorConfig().with_algorithm(algorithm, record_capacity=0)
 
     @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
     @pytest.mark.parametrize("capacity", [2.5, 0.5, True])
@@ -71,18 +68,27 @@ class TestConfig:
         cfg = AllocatorConfig().with_algorithm("max_seen")
         assert cfg.algorithm == "max_seen"
 
-    def test_exploratory_validation(self):
-        with pytest.raises(ValueError):
-            ExploratoryConfig(min_records=-1)
-        with pytest.raises(ValueError):
-            ExploratoryConfig(mode="bogus")
-        with pytest.raises(ValueError):
-            ExploratoryConfig(explore_concurrency=0)
-
-    def test_effective_explore_concurrency(self):
-        assert ExploratoryConfig().effective_explore_concurrency == 10
-        assert ExploratoryConfig(explore_concurrency=3).effective_explore_concurrency == 3
-        assert ExploratoryConfig(min_records=0).effective_explore_concurrency == 1
+    @pytest.mark.parametrize(
+        "field,bad,error",
+        [
+            pytest.param(field, bad, error, id=f"{field}={bad}")
+            for field, bad, error in [
+                ("min_records", -1, ValueError),
+                ("min_records", 2.5, ValueError),
+                ("min_records", True, ValueError),
+                ("min_records", float("nan"), ValueError),
+                ("significance", "bogus", KeyError),
+                ("significance", "window", KeyError),
+            ]
+        ],
+    )
+    def test_bad_value_is_refused_by_the_config(self, field, bad, error):
+        """At construction: a NaN ``min_records`` would otherwise skip
+        exploration silently (``count < nan`` is always false), and an
+        unknown policy would raise only when an allocator is built — in
+        the service at start, in the parallel grid inside a worker."""
+        with pytest.raises(error, match=field):
+            AllocatorConfig(**{field: bad})
 
 
 class TestExploratoryMode:
@@ -97,22 +103,6 @@ class TestExploratoryMode:
         assert not alloc.conservative_exploration
         first = alloc.allocate("proc", 0)
         assert first == PAPER_WORKER_CAPACITY
-
-    def test_forced_modes(self):
-        conservative = TaskOrientedAllocator(
-            AllocatorConfig(
-                algorithm="max_seen",
-                exploratory=ExploratoryConfig(mode="conservative"),
-            )
-        )
-        assert conservative.allocate("p", 0)[MEMORY] == 1000
-        whole = TaskOrientedAllocator(
-            AllocatorConfig(
-                algorithm="greedy_bucketing",
-                exploratory=ExploratoryConfig(mode="whole_machine"),
-            )
-        )
-        assert whole.allocate("p", 0) == PAPER_WORKER_CAPACITY
 
     def test_exploration_ends_after_min_records(self):
         alloc = TaskOrientedAllocator(AllocatorConfig(algorithm="exhaustive_bucketing", seed=0))
@@ -258,7 +248,7 @@ class TestRetries:
 class TestReentrancyGuard:
     def test_hook_calling_back_is_refused_and_the_guard_released(self):
         alloc = TaskOrientedAllocator(
-            AllocatorConfig(seed=0, exploratory=ExploratoryConfig(min_records=0))
+            AllocatorConfig(seed=0, min_records=0)
         )
         hooked = alloc.algorithm("proc", MEMORY)
         hooked.predict_retry = lambda *args: alloc.allocate("proc", 1)

@@ -32,7 +32,7 @@ from repro.checkpoint import (
     write_json_atomic,
     write_text_atomic,
 )
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
+from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.base import ALGORITHM_REGISTRY
 from repro.core.records import RecordList
 from repro.core.resources import ResourceVector
@@ -251,7 +251,7 @@ def _exercise(alloc, offset=0):
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_REGISTRY))
 def test_allocator_state_round_trip(algorithm):
     config = AllocatorConfig(
-        algorithm=algorithm, seed=7, exploratory=ExploratoryConfig(min_records=3)
+        algorithm=algorithm, seed=7, min_records=3
     )
     original = TaskOrientedAllocator(config)
     _exercise(original)

@@ -58,31 +58,6 @@ class TestGreedyBreakIndices:
             normal_records
         )
 
-    def test_max_buckets_cap(self, bimodal_records):
-        capped = greedy_break_indices(bimodal_records, max_buckets=1)
-        assert capped == [len(bimodal_records) - 1]
-
-    def test_max_buckets_cap_is_spent_depth_first_on_the_lowest_values(self):
-        # Three modes; the top one is the widest segment (8 of 14
-        # records) and splits when left alone.  The stack pops the left
-        # child first, so under a cap of 3 the root's low half uses the
-        # last split and the widest segment stays whole.
-        low, mid = [100.0] * 3, [1000.0] * 3
-        top = [10000.0 * 1.2**i for i in range(8)]
-        rl = make_records(low + mid + top)
-        assert greedy_break_indices(rl) == [2, 5, 11, 13]
-        assert greedy_break_indices(rl, lo=6) == [11, 13]
-        assert greedy_break_indices(rl, max_buckets=2) == [5, 13]
-        assert greedy_break_indices(rl, max_buckets=3) == [2, 5, 13]  # not [5, 11, 13]
-        capped = GreedyBucketing(rng=np.random.default_rng(0), max_buckets=3)
-        for task_id, value in enumerate(low + mid + top):
-            capped.update(value, task_id=task_id)
-        assert [b.hi for b in capped.state.buckets] == [2, 5, 13]
-
-    def test_invalid_max_buckets(self, normal_records):
-        with pytest.raises(ValueError):
-            greedy_break_indices(normal_records, max_buckets=0)
-
     def test_invalid_segment(self, normal_records):
         with pytest.raises(IndexError):
             greedy_break_indices(normal_records, lo=5, hi=len(normal_records))
@@ -101,15 +76,6 @@ class TestGreedyBucketingAlgorithm:
         assert GreedyBucketing.name == "greedy_bucketing"
         assert GreedyBucketing.conservative_exploration is True
         assert GreedyBucketing.deterministic_predictions is False
-
-    @pytest.mark.parametrize("cap", [0, -3, 2.5, True, "4"])
-    def test_bad_cap_is_refused_at_construction(self, cap):
-        """Not at the first decision after exploration, mid-service."""
-        with pytest.raises(ValueError, match="max_buckets"):
-            GreedyBucketing(max_buckets=cap)
-
-    def test_integer_cap_is_kept_as_int(self):
-        assert GreedyBucketing(max_buckets=np.int64(3))._max_buckets == 3
 
     def test_no_records_no_prediction(self):
         gb = GreedyBucketing(rng=np.random.default_rng(0))
@@ -172,3 +138,5 @@ class TestGreedyBucketingAlgorithm:
     def test_retired_keyword_rejected(self):
         with pytest.raises(TypeError):
             GreedyBucketing(rebucket_interval=2)
+        with pytest.raises(TypeError):
+            GreedyBucketing(max_buckets=4)

@@ -3,7 +3,7 @@
 ``repro.core.cost`` / ``repro.core.greedy`` must be an *exact*
 replacement for the from-scratch implementation kept verbatim in
 ``greedy_reference.py``: identical break indices from every search —
-through the memo, under a bucket cap, after evictions, across a
+through the memo, from scratch, after evictions, across a
 checkpoint round trip — and cost arrays equal bit for bit, since a
 last-bit difference flips near-tied argmins.  A hypothesis state machine
 drives one :class:`GreedyBucketing` over unbounded and bounded record
@@ -39,7 +39,7 @@ import repro.core.greedy as greedy_module
 from repro.core.cost import greedy_split_costs
 from repro.core.greedy import GreedyBucketing, GreedySplitMemo, greedy_break_indices
 from repro.core.records import RecordList
-from repro.core.significance import ExponentialDecaySignificance
+from repro.core.significance import exponential_decay_significance
 from tests.core.greedy_reference import reference_break_indices, reference_split_costs
 from tests.core.test_incremental import feed
 
@@ -58,7 +58,6 @@ SIGNIFICANCES = st.floats(min_value=0.01, max_value=1e3, allow_nan=False, allow_
 EXTREME_SIGNIFICANCES = st.sampled_from([1e-300, 1e-18, 1e-9, 1e12, 1e18])
 #: Integral weights at the scale where a few dozen still sum below 2**53.
 INTEGRAL_WEIGHTS = st.integers(10**11, 10**13).map(float)
-CAPS = st.sampled_from([None, 1, 2, 3, 5])
 
 
 # A bucket whose significance rounds to zero against the prefix sums
@@ -104,17 +103,14 @@ def records_of(pairs):
 
 
 class GreedyEquivalence(RuleBasedStateMachine):
-    @initialize(capacity=st.sampled_from(CAPACITIES), max_buckets=CAPS, integral=st.booleans())
-    def configure(self, capacity, max_buckets, integral):
+    @initialize(capacity=st.sampled_from(CAPACITIES), integral=st.booleans())
+    def configure(self, capacity, integral):
         # Integral weights keep the prefix sums exact, which is when the
         # memo reuses segments shifted by an insert; one arbitrary float
         # ends that, so half the runs draw integral weights only.
         self.integral = integral
-        self.max_buckets = max_buckets
         self.make = lambda: GreedyBucketing(
-            rng=np.random.default_rng(3),
-            record_capacity=capacity,
-            max_buckets=max_buckets,
+            rng=np.random.default_rng(3), record_capacity=capacity
         )
         self.algo = self.make()
         self.next_id = 0
@@ -170,9 +166,7 @@ class GreedyEquivalence(RuleBasedStateMachine):
     def search(self, data):
         """One search through the memo, then the kernel on random segments."""
         records = self.algo.records
-        assert self.algo.compute_break_indices(records) == reference_break_indices(
-            records, max_buckets=self.max_buckets
-        )
+        assert self.algo.compute_break_indices(records) == reference_break_indices(records)
         n = len(records)
         lo = data.draw(st.integers(0, n - 1))
         hi = data.draw(st.integers(lo, n - 1))
@@ -183,12 +177,10 @@ class GreedyEquivalence(RuleBasedStateMachine):
             assert scan(records, lo, hi) == lo + int(greedy_split_costs(records, lo, hi).argmin())
 
     @precondition(lambda self: self.algo.n_records)
-    @rule(max_buckets=CAPS)
-    def search_from_scratch_with_cap(self, max_buckets):
+    @rule()
+    def search_from_scratch(self):
         records = self.algo.records
-        assert greedy_break_indices(records, max_buckets=max_buckets) == (
-            reference_break_indices(records, max_buckets=max_buckets)
-        )
+        assert greedy_break_indices(records) == reference_break_indices(records)
 
     @precondition(lambda self: self.algo.n_records)
     @rule()
@@ -198,7 +190,7 @@ class GreedyEquivalence(RuleBasedStateMachine):
         assert self.algo.predict() is not None
         if self.algo.recomputations > before:
             assert [b.hi for b in self.algo.state.buckets] == reference_break_indices(
-                self.algo.records, max_buckets=self.max_buckets
+                self.algo.records
             )
 
     @rule()
@@ -497,7 +489,9 @@ def test_several_inserts_between_searches_map_back_latest_first(scanned):
     engine.break_indices()
     moved_reuses = 0
     for start in range(400, 460, 3):
-        inserts = [feed(records, engine, values[i], float(i + 1), i) for i in range(start, start + 3)]
+        inserts = [
+            feed(records, engine, values[i], float(i + 1), i) for i in range(start, start + 3)
+        ]
         examined, landed = search_through_memo(scanned, records, engine, inserts)
         moved_reuses += sum(landed[key][1] for key in set(examined) - set(scanned))
     assert moved_reuses > 0
@@ -723,7 +717,7 @@ def deep_stream(shape, n, seed=21):
     elif shape in ("disk", "decay"):
         values = np.clip(rng.exponential(3000.0, n), 10.0, 60000.0)
         if shape == "decay":
-            sigs = np.array([ExponentialDecaySignificance().significance(t) for t in range(n)])
+            sigs = np.array([exponential_decay_significance(t) for t in range(n)])
     else:
         # Whole-number values (long runs of duplicates) under weights
         # that vanish against, or swallow, the running totals.

@@ -487,18 +487,16 @@ def test_greedy_repair_yields_valid_unsplittable_tiling(pairs):
             lo = hi + 1
 
 
-@given(streams, st.sampled_from([None, 1, 2, 3, 5]))
+@given(streams)
 @settings(deadline=None)
-def test_greedy_engine_equals_full_search_bounded(pairs, max_buckets):
-    """Compactions and a bucket cap: still the from-scratch search, query or not."""
+def test_greedy_engine_equals_full_search_bounded(pairs):
+    """Compactions: still the from-scratch search, query or not."""
     records = RecordList(capacity=7)
-    engine = GreedySplitMemo(records, max_buckets=max_buckets)
+    engine = GreedySplitMemo(records)
     for task_id, (value, sig) in enumerate(pairs):
         feed(records, engine, value, sig, task_id)
         if task_id % 3 != 1:  # leave several mutations between some queries
-            assert engine.break_indices() == greedy_break_indices(
-                records, max_buckets=max_buckets
-            )
+            assert engine.break_indices() == greedy_break_indices(records)
 
 
 def test_greedy_engine_desyncs_on_eviction():
@@ -597,10 +595,8 @@ def test_greedy_restore_rejects_malformed_state(bad):
     )
 
 
-def test_greedy_engine_is_default_and_kept_under_bucket_cap():
+def test_greedy_engine_is_the_default():
     assert isinstance(GreedyBucketing().partition_engine, GreedySplitMemo)
-    # The memo stores argmins, which the cap does not change.
-    assert isinstance(GreedyBucketing(max_buckets=4).partition_engine, GreedySplitMemo)
     with pytest.raises(TypeError):
         GreedyBucketing(incremental=True)  # the opt-in knob is gone
 

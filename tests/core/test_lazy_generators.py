@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.checkpoint import CheckpointError
 from repro.core.allocator import (
     AllocatorConfig,
-    ExploratoryConfig,
     TaskOrientedAllocator,
     _build_algorithm,
 )
@@ -42,7 +41,7 @@ class EagerAllocator(TaskOrientedAllocator):
 
 def _config(algorithm):
     return AllocatorConfig(
-        algorithm=algorithm, seed=5, exploratory=ExploratoryConfig(min_records=2)
+        algorithm=algorithm, seed=5, min_records=2
     )
 
 

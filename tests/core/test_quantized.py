@@ -49,23 +49,10 @@ class TestQuantizedBucketing:
         assert qb.predict() == 306.0
         assert qb.predict_retry(306.0, 306.0) is None
 
-    def test_multi_quantile_ladder(self):
-        qb = QuantizedBucketing(quantiles=(0.25, 0.5, 0.75))
-        feed(qb, [float(i) for i in range(1, 101)])
-        reps = qb.bucket_reps()
-        assert len(reps) == 4
-        assert reps[-1] == 100.0
-        assert list(reps) == sorted(reps)
-
     def test_quantile_validation(self):
-        with pytest.raises(ValueError):
-            QuantizedBucketing(quantiles=())
-        with pytest.raises(ValueError):
-            QuantizedBucketing(quantiles=(0.0,))
-        with pytest.raises(ValueError):
-            QuantizedBucketing(quantiles=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            QuantizedBucketing(quantiles=(0.7, 0.3))
+        """The split is the paper's median, not a setting."""
+        with pytest.raises(TypeError):
+            QuantizedBucketing(quantiles=(0.5,))
 
     def test_reps_are_observed_values(self, rng):
         values = np.clip(rng.normal(500, 100, 99), 1, None)

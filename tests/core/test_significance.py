@@ -3,87 +3,74 @@
 import pytest
 
 from repro.core.significance import (
-    SIGNIFICANCE_REGISTRY,
-    ExponentialDecaySignificance,
-    TaskIdSignificance,
-    UniformSignificance,
-    WindowSignificance,
-    make_significance_policy,
+    SIGNIFICANCE,
+    exponential_decay_significance,
+    task_id_significance,
+    uniform_significance,
 )
 
 
 class TestRegistry:
     def test_all_policies_registered(self):
-        assert set(SIGNIFICANCE_REGISTRY) >= {
-            "task_id",
-            "uniform",
-            "exponential_decay",
-            "window",
+        assert SIGNIFICANCE == {
+            "task_id": task_id_significance,
+            "uniform": uniform_significance,
+            "exponential_decay": exponential_decay_significance,
         }
 
-    def test_make_by_name(self):
-        assert isinstance(make_significance_policy("task_id"), TaskIdSignificance)
-        assert isinstance(
-            make_significance_policy("exponential_decay", decay=0.8),
-            ExponentialDecaySignificance,
-        )
-
     def test_unknown_policy(self):
-        with pytest.raises(KeyError):
-            make_significance_policy("linear_regression")
+        """``window`` was a policy once; the config refuses it by name."""
+        from repro.core.allocator import AllocatorConfig
+
+        with pytest.raises(KeyError, match="window"):
+            AllocatorConfig(significance="window")
 
 
 class TestTaskIdSignificance:
     def test_paper_rule(self):
         """Task with ID 1 has significance... IDs count from 0 here, so
         significance = ID + 1 (the paper counts from 1)."""
-        policy = TaskIdSignificance()
-        assert policy.significance(0) == 1.0
-        assert policy.significance(41) == 42.0
+        assert task_id_significance(0) == 1.0
+        assert task_id_significance(41) == 42.0
 
     def test_negative_ids_clamped(self):
-        assert TaskIdSignificance().significance(-5) == 1.0
+        assert task_id_significance(-5) == 1.0
 
 
 class TestUniformSignificance:
     def test_constant(self):
-        policy = UniformSignificance()
-        assert policy.significance(0) == policy.significance(10**6) == 1.0
+        assert uniform_significance(0) == uniform_significance(10**6) == 1.0
 
 
 class TestExponentialDecaySignificance:
     def test_ratio_matches_decay(self):
-        policy = ExponentialDecaySignificance(decay=0.9)
-        ratio = policy.significance(10) / policy.significance(11)
-        assert ratio == pytest.approx(0.9)
+        ratio = exponential_decay_significance(10) / exponential_decay_significance(11)
+        assert ratio == pytest.approx(0.95)
 
     def test_monotone_increasing(self):
-        policy = ExponentialDecaySignificance(decay=0.95)
-        values = [policy.significance(i) for i in range(50)]
+        values = [exponential_decay_significance(i) for i in range(50)]
         assert values == sorted(values)
 
     def test_stays_finite_for_huge_ids(self):
-        policy = ExponentialDecaySignificance(decay=0.5)
-        assert policy.significance(10**7) < float("inf")
-        assert policy.significance(10**7) > 0
+        assert exponential_decay_significance(10**7) < float("inf")
+        assert exponential_decay_significance(10**7) > 0
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialDecaySignificance(decay=1.0)
-        with pytest.raises(ValueError):
-            ExponentialDecaySignificance(decay=0.5, rebase=0)
-
-
-class TestWindowSignificance:
-    def test_old_records_negligible(self):
-        policy = WindowSignificance(window=100)
-        # A record a full window older carries ~0.1 % of the weight.
-        ratio = policy.significance(0) / policy.significance(100)
-        assert ratio < 0.002
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WindowSignificance(window=5)
+    @pytest.mark.parametrize(
+        "task_id,weight",
+        [
+            (0, "0x1.0000000000000p+0"),
+            (1, "0x1.0d79435e50d79p+0"),
+            (10, "0x1.ab9115bcfe59ap+0"),
+            (500, "0x1.000d352b3361ap+37"),
+            (11697, "0x1.7ff5019451d51p+865"),
+            (11698, "0x1.88a122d234b39p+865"),
+            (10**7, "0x1.88a122d234b39p+865"),
+        ],
+    )
+    def test_weights_are_pinned_bit_for_bit(self, task_id, weight):
+        """The weights the policy class with ``decay=0.95`` gave, to the
+        bit; from task ID 11,698 on the clamped exponent makes them equal."""
+        assert exponential_decay_significance(task_id) == float.fromhex(weight)
 
 
 class TestPolicyInAllocator:
@@ -98,20 +85,6 @@ class TestPolicyInAllocator:
         )
         alloc.observe("p", ResourceVector.of(cores=1, memory=100, disk=10), task_id=5)
         assert alloc.algorithm("p", MEMORY).records[0].significance == 1.0
-
-    def test_allocator_accepts_policy_instance(self):
-        from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
-        from repro.core.resources import MEMORY, ResourceVector
-
-        alloc = TaskOrientedAllocator(
-            AllocatorConfig(
-                algorithm="greedy_bucketing",
-                significance=ExponentialDecaySignificance(decay=0.5),
-                seed=0,
-            )
-        )
-        alloc.observe("p", ResourceVector.of(cores=1, memory=100, disk=10), task_id=2)
-        assert alloc.algorithm("p", MEMORY).records[0].significance == pytest.approx(4.0)
 
     def test_unknown_policy_name_rejected(self):
         from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator

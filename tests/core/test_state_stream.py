@@ -27,7 +27,7 @@ from repro.checkpoint import (
     save_checkpoint,
     state_digest,
 )
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
+from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.base import ALGORITHM_REGISTRY
 from repro.core.resources import ResourceVector
 
@@ -116,9 +116,8 @@ def test_each_callable_is_called_once_per_stream():
 
 def _seeded_allocator(algorithm, n_tasks=40, seed=5):
     """An allocator after a seeded observe/allocate stream over three categories."""
-    exploratory = ExploratoryConfig(min_records=3)
     alloc = TaskOrientedAllocator(
-        AllocatorConfig(algorithm=algorithm, seed=seed, exploratory=exploratory)
+        AllocatorConfig(algorithm=algorithm, seed=seed, min_records=3)
     )
     rng = np.random.default_rng(seed)
     for task_id in range(n_tasks):

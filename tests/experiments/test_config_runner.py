@@ -51,14 +51,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="ramp_up_seconds"):
             SMALL.with_(ramp_up_seconds=ramp_up)
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
-    def test_bad_max_outstanding_is_refused_at_construction(self, bad):
-        """The simulator's own count check, not a copy, runs when the
-        config is built, not when a cell builds its SimulationConfig."""
-        with pytest.raises(ValueError, match="max_outstanding must be an integer >= 1"):
-            ExperimentConfig(max_outstanding=bad)
-        assert ExperimentConfig(max_outstanding=4).simulation_config("max_seen").max_outstanding == 4
-
     @pytest.mark.parametrize("field", ["workflow_seed", "allocator_seed", "pool_seed"])
     @pytest.mark.parametrize("bad", [-1, True, None, 1.5])
     def test_bad_seed_is_refused_at_construction(self, field, bad):
@@ -73,14 +65,7 @@ class TestRunner:
         assert result.algorithm == "max_seen"
 
     def test_run_cell_allocator_overrides(self):
-        from repro.core.allocator import ExploratoryConfig
-
-        result = run_cell(
-            "normal",
-            "exhaustive_bucketing",
-            SMALL,
-            exploratory=ExploratoryConfig(min_records=5),
-        )
+        result = run_cell("normal", "exhaustive_bucketing", SMALL, min_records=5)
         assert result.n_tasks == 120
 
     def test_run_grid_cells_and_accessors(self):

@@ -20,6 +20,7 @@ from repro.checkpoint import (
     GracefulShutdown,
     GridInterrupted,
     decode_frame,
+    encode_frame,
     state_digest,
 )
 from repro.experiments.config import PAPER_ALGORITHMS, PAPER_WORKFLOWS, ExperimentConfig
@@ -103,17 +104,40 @@ def test_completed_cells_are_journaled(tmp_path, reference):
     assert os.listdir(checkpoint_dir) == ["journal.jsonl"]
 
 
-def test_grid_digest_matches_older_builds():
-    """The digest still carries the ``"faults": "None"`` entry that builds
-    with fault injection wrote for a fault-free grid, so their journals
-    stay resumable (a faulted journal's digest differs and is refused)."""
+def test_grid_digest_is_pinned():
+    """The digest of two fixed grids, so that a change to what it covers
+    shows here.  It moved when the submission window went: the
+    ``max_outstanding`` entry and the ``"faults": "None"`` constant kept
+    for fault-injection builds were dropped, and ``retry_budget`` is
+    always digested, ``None`` included.  Journals of older builds are
+    refused (:func:`test_resume_refuses_a_journal_from_an_older_build`)."""
     assert grid_digest(PAPER_WORKFLOWS, PAPER_ALGORITHMS, ExperimentConfig()) == (
-        "43ef795e331997fc086856bf82ca054cc2ba7d6e5947fb9eec1032c7d49c1c35"
+        "8e5c4b68ce2bb673b3e88d6566cfe4f6f6e8ef5d6bd480fb4c2ccb0b23074e79"
     )
     small = ExperimentConfig(n_tasks=80, n_workers=6)
     assert grid_digest(PAPER_WORKFLOWS, PAPER_ALGORITHMS, small) == (
-        "2e7253d7e922144ee39b49d80c1cc685f9b46594ebc7766fcd744dc5dbcaa691"
+        "28d2cd36b0ab04092abc5a61f8ad77c1fc105f5ff3161b0dae47e0a48182b44f"
     )
+
+
+#: The digest a build with the submission window wrote for ``_config()``'s grid.
+OLDER_BUILD_DIGEST = "d94086f00d8e71a7c97dac7c472c5fb293cfea6b293d35912bc45f7be08c6a0a"
+
+
+def test_resume_refuses_a_journal_from_an_older_build(tmp_path):
+    """The digest check refuses it like any other experiment's; its cells
+    rerun in a fresh directory."""
+    checkpoint_dir = str(tmp_path / "ckpt")
+    run_grid(WORKFLOWS, ALGORITHMS, config=_config(checkpoint_dir=checkpoint_dir))
+    journal = tmp_path / "ckpt" / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    header = decode_frame(lines[0].rstrip("\n"))
+    assert header["digest"] != OLDER_BUILD_DIGEST
+    header["digest"] = OLDER_BUILD_DIGEST
+    journal.write_text(encode_frame(header) + "\n" + "".join(lines[1:]))
+    resume = _config(checkpoint_dir=checkpoint_dir, resume=True)
+    with pytest.raises(CheckpointError, match="digest mismatch"):
+        run_grid(WORKFLOWS, ALGORITHMS, config=resume)
 
 
 def _journaled_cells(checkpoint_dir):

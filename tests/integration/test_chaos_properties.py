@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
 from repro.experiments.config import PAPER_ALGORITHMS
 from repro.sim.manager import SimulationConfig, WorkflowManager
@@ -74,7 +74,7 @@ def run_chaos(raw_tasks, algorithm, pool):
             allocator=AllocatorConfig(
                 algorithm=algorithm,
                 seed=0,
-                exploratory=ExploratoryConfig(min_records=3),
+                min_records=3,
             ),
             pool=pool,
         ),
@@ -118,7 +118,7 @@ def test_chaos_replays_bit_identically(raw_tasks, pool):
                 allocator=AllocatorConfig(
                     algorithm="quantized_bucketing",
                     seed=3,
-                    exploratory=ExploratoryConfig(min_records=3),
+                    min_records=3,
                 ),
                 pool=pool,
             ),

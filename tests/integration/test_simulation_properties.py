@@ -15,7 +15,7 @@ must uphold the structural invariants regardless of algorithm:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import PoolConfig
@@ -60,7 +60,7 @@ def run_simulation(raw_tasks, algorithm, seed=0, min_records=3):
             allocator=AllocatorConfig(
                 algorithm=algorithm,
                 seed=seed,
-                exploratory=ExploratoryConfig(min_records=min_records),
+                min_records=min_records,
             ),
             pool=PoolConfig(
                 n_workers=2,

@@ -6,7 +6,7 @@ modes, record counts, and the resulting allocator state — are exactly
 what a client awaiting each request one at a time would have seen.
 
 The sweep covers every registered algorithm (the paper's seven) and
-Greedy Bucketing under a bucket cap,
+Exhaustive Bucketing under a bucket cap,
 because the bucketing algorithms are the ones with RNG- and
 order-sensitive internals where coalescing bugs would hide.
 """
@@ -17,14 +17,14 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.base import ALGORITHM_REGISTRY
 from repro.core.resources import ResourceVector
 from repro.service import AllocationService, ServiceConfig
 
-# Every registered algorithm, plus the greedy search's capped path.
+# Every registered algorithm, plus the exhaustive search under a cap.
 VARIANTS = [(name, {}) for name in sorted(ALGORITHM_REGISTRY)] + [
-    ("greedy_bucketing", {"max_buckets": 4}),
+    ("exhaustive_bucketing", {"max_buckets": 4}),
 ]
 
 CATEGORIES = ["proc", "merge", "fit", "plot"]
@@ -69,7 +69,7 @@ def _config(algorithm: str, kwargs: Dict[str, Any], **overrides) -> ServiceConfi
             algorithm=algorithm,
             algorithm_kwargs=kwargs,
             seed=7,
-            exploratory=ExploratoryConfig(min_records=4),
+            min_records=4,
         ),
         n_shards=3,
     )

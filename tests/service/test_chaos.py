@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.service import AllocationServer, AllocationService, ServiceConfig
 from repro.service.chaos import (
     CHAOS_PROFILES,
@@ -39,7 +39,7 @@ def _config(**overrides):
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=11,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         n_shards=3,
     )

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import ResourceVector
 from repro.service import (
     AllocationServer,
@@ -42,7 +42,7 @@ def _config(**overrides):
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=11,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         n_shards=3,
     )

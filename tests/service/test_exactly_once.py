@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.service import (
     AllocationService,
     CRASH_POINTS,
@@ -42,7 +42,7 @@ def _config(data_dir: Optional[str] = None, dedup_window: int = 256) -> ServiceC
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=11,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         n_shards=3,
         data_dir=data_dir,

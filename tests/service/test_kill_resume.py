@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.service import AllocationService, ServiceConfig
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "service_stream.jsonl"
@@ -72,7 +72,7 @@ def _config(data_dir: Optional[str] = None) -> ServiceConfig:
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=11,
-            exploratory=ExploratoryConfig(min_records=4),
+            min_records=4,
         ),
         n_shards=3,
         data_dir=data_dir,

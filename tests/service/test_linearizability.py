@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Tuple
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
+from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.service import AllocationService, ServiceConfig, apply_op
 
 N_SHARDS = 2
@@ -58,7 +58,7 @@ def _service_config(**overrides) -> ServiceConfig:
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=42,
-            exploratory=ExploratoryConfig(min_records=2),
+            min_records=2,
         ),
         n_shards=N_SHARDS,
     )

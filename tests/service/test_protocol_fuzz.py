@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import read_jsonl
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.service import AllocationServer, AllocationService, ServiceConfig
 from repro.service.protocol import (
     ERROR_CODES,
@@ -44,7 +44,7 @@ def _config(data_dir=None):
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=11,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         n_shards=2,
         data_dir=data_dir,

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
+from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.resources import MEMORY, ResourceVector
 import repro
 from repro.checkpoint import CheckpointError, JournalWriter, iter_json
@@ -49,7 +49,7 @@ def _config(**overrides):
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=11,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         n_shards=3,
     )
@@ -112,9 +112,9 @@ def test_config_validation():
 @pytest.mark.parametrize("algorithm", ["greedy_bucketing", "exhaustive_bucketing"])
 def test_config_refuses_bad_algorithm_kwargs_before_serving(algorithm):
     """A daemon configured this way must not start and fail at a category's first build."""
-    with pytest.raises(ValueError, match="max_buckets"):
+    with pytest.raises(ValueError, match="capacity"):
         ServiceConfig(
-            allocator=AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"max_buckets": 0})
+            allocator=AllocatorConfig(algorithm=algorithm, algorithm_kwargs={"record_capacity": 0})
         )
     with pytest.raises(TypeError, match="max_bucket"):
         ServiceConfig(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import ResourceVector
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import ChurnConfig, PoolConfig
@@ -64,7 +64,7 @@ def _config(churn=ChurnConfig(), retry_budget=None):
         allocator=AllocatorConfig(
             algorithm="quantized_bucketing",
             seed=7,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         pool=PoolConfig(
             n_workers=3,

@@ -8,7 +8,7 @@ decorative.
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import DISK, MEMORY, ResourceVector
 from repro.sim.invariants import InvariantViolation
 from repro.sim.manager import SimulationConfig, WorkflowManager
@@ -30,12 +30,12 @@ def make_workflow(n=10, duration=50.0):
     return WorkflowSpec("audited", tasks)
 
 
-def make_manager(n=10, check_invariants=True, churn=ChurnConfig()):
+def make_manager(n=10, churn=ChurnConfig()):
     config = SimulationConfig(
         allocator=AllocatorConfig(
             algorithm="max_seen",
             seed=1,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         pool=PoolConfig(
             n_workers=3,
@@ -43,7 +43,6 @@ def make_manager(n=10, check_invariants=True, churn=ChurnConfig()):
             seed=2,
             churn=churn,
         ),
-        check_invariants=check_invariants,
     )
     return WorkflowManager(make_workflow(n), config)
 
@@ -52,7 +51,6 @@ class TestCleanRuns:
     def test_clean_run_passes_and_counts_checks(self):
         manager = make_manager()
         manager.run()
-        assert manager.invariants is not None
         assert manager.invariants.events_checked > 0
         assert manager.invariants.attempts_checked >= 10
 
@@ -63,11 +61,6 @@ class TestCleanRuns:
         assert result.n_tasks == 20
         assert result.n_evicted_attempts > 0
         assert manager.invariants.attempts_checked >= result.n_attempts
-
-    def test_opt_out_disables_checker(self):
-        manager = make_manager(check_invariants=False)
-        assert manager.invariants is None
-        manager.run()
 
 
 class TestSabotage:
@@ -129,26 +122,17 @@ class TestSabotage:
         with pytest.raises(InvariantViolation, match="clock ran backwards"):
             manager.run()
 
-    def test_opt_out_lets_ledger_corruption_pass_events(self):
-        """Without the checker the same sabotage is not caught per-event."""
-        manager = make_manager(check_invariants=False)
-        ledger = manager.ledger
-        real_record = ledger.record_task
+    def test_lost_task_is_caught(self):
+        """A task that leaves the in-flight count without completing or
+        being dead-lettered breaks task conservation at that event."""
+        manager = make_manager()
 
-        def corrupted(task):
-            usage = real_record(task)
-            ledger._waste[MEMORY].internal_fragmentation += 12345.0
-            return usage
+        def lose_one():
+            manager._outstanding -= 1
 
-        ledger.record_task = corrupted
-        # The run itself proceeds; only the manager's final sanity assert
-        # (if any) may trip, so just check no InvariantViolation type.
-        try:
+        manager.engine.schedule(10.0, lose_one)
+        with pytest.raises(InvariantViolation, match="task conservation broken at t=10.0"):
             manager.run()
-        except InvariantViolation:  # pragma: no cover
-            pytest.fail("checker should be disabled")
-        except AssertionError:
-            pass  # pre-existing end-of-run assert is allowed to notice
 
 
 class TestAttemptChecks:

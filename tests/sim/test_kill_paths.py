@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.allocator import (
     AllocatorConfig,
-    ExploratoryConfig,
     TaskOrientedAllocator,
 )
 from repro.core.resources import CORES, DISK, MEMORY, ResourceVector
@@ -28,7 +27,7 @@ def trained_allocator(algorithm="quantized_bucketing", peaks=(900, 1100, 2000, 2
         AllocatorConfig(
             algorithm=algorithm,
             machine_capacity=CAPACITY,
-            exploratory=ExploratoryConfig(min_records=len(peaks)),
+            min_records=len(peaks),
             seed=0,
         )
     )
@@ -117,7 +116,7 @@ class TestEvictionRequeue:
             allocator=AllocatorConfig(
                 algorithm="max_seen",
                 seed=1,
-                exploratory=ExploratoryConfig(min_records=3),
+                min_records=3,
             ),
             # Workers live ~100 s against 60 s tasks: churn evicts.
             pool=PoolConfig(

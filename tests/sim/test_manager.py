@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import MEMORY, ResourceVector
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import ChurnConfig, PoolConfig
@@ -96,6 +96,7 @@ class TestExploratorySemantics:
         assert result.ledger.awe(MEMORY) > 0.85
 
     def test_exploration_gate_bounds_concurrent_explorers(self):
+        """At most ``max(1, min_records)`` explorers of a category run at once."""
         gate = 3
         manager = WorkflowManager(
             uniform_workflow(40),
@@ -103,7 +104,7 @@ class TestExploratorySemantics:
                 allocator=AllocatorConfig(
                     algorithm="greedy_bucketing",
                     seed=1,
-                    exploratory=ExploratoryConfig(min_records=10, explore_concurrency=gate),
+                    min_records=gate,
                 ),
                 pool=small_pool(),
             ),
@@ -168,7 +169,7 @@ class TestRetrySemantics:
                 allocator=AllocatorConfig(
                     algorithm="max_seen",
                     seed=1,
-                    exploratory=ExploratoryConfig(min_records=1),
+                    min_records=1,
                 ),
                 pool=small_pool(n_workers=1),
             ),
@@ -195,7 +196,7 @@ class TestRetrySemantics:
                 allocator=AllocatorConfig(
                     algorithm="max_seen",
                     seed=1,
-                    exploratory=ExploratoryConfig(min_records=1),
+                    min_records=1,
                 ),
                 pool=small_pool(n_workers=1),
             ),
@@ -231,23 +232,7 @@ class TestDependencies:
 
 
 class TestSubmissionPacing:
-    def test_max_outstanding_limits_revealed_tasks(self):
-        manager = WorkflowManager(
-            uniform_workflow(50),
-            SimulationConfig(
-                allocator=AllocatorConfig(algorithm="max_seen", seed=1),
-                pool=small_pool(),
-                max_outstanding=5,
-            ),
-        )
-        result = manager.run()
-        assert result.n_tasks == 50  # everything still completes
-
-    def test_invalid_max_outstanding(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(max_outstanding=0)
-
-    @pytest.mark.parametrize("field", ["max_outstanding", "max_events", "retry_budget"])
+    @pytest.mark.parametrize("field", ["max_events", "retry_budget"])
     @pytest.mark.parametrize("bad", [0, -5, 2.5, True, False, "3"])
     def test_counts_are_integers_of_at_least_one(self, field, bad):
         """A bad count is refused at construction, not mid-run as an
@@ -255,7 +240,7 @@ class TestSubmissionPacing:
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             SimulationConfig(**{field: bad})
 
-    @pytest.mark.parametrize("field", ["max_outstanding", "max_events", "retry_budget"])
+    @pytest.mark.parametrize("field", ["max_events", "retry_budget"])
     def test_counts_accept_none_and_positive_integers(self, field):
         assert getattr(SimulationConfig(**{field: None}), field) is None
         assert getattr(SimulationConfig(**{field: 3}), field) == 3

@@ -1,7 +1,7 @@
 """Kill-model profiles through the full simulator: price of failure."""
 
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import MEMORY, ResourceVector
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import PoolConfig
@@ -28,7 +28,7 @@ def run_with(profile):
         SimulationConfig(
             allocator=AllocatorConfig(
                 algorithm="max_seen",
-                exploratory=ExploratoryConfig(min_records=1),
+                min_records=1,
                 seed=1,
             ),
             pool=PoolConfig(

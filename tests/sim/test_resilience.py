@@ -12,17 +12,16 @@ is its one bound.  Three layers of coverage:
   never binds;
 * a conservation property over all seven paper algorithms, on a fixed
   pool and under pool churn — no task is ever lost:
-  submitted == completed + quarantined, each exactly once.
+  every task is completed or quarantined, exactly once.
 """
 
 import dataclasses
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig, TaskOrientedAllocator
+from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.resources import MEMORY, ResourceVector
 from repro.experiments.config import PAPER_ALGORITHMS, ExperimentConfig
 from repro.sim.manager import SimulationConfig, SimulationResult, WorkflowManager
@@ -213,61 +212,6 @@ def test_result_state_dict_round_trips_resilience_fields():
     assert clone.state_dict() == result.state_dict()
 
 
-def test_result_with_retired_resilience_stats_still_loads():
-    """A result journaled by an older build carries ``resilience_stats``;
-    it loads, and the retired key is dropped."""
-    _, result, _ = _run_poison()
-    older = result.state_dict()
-    older["resilience_stats"] = {
-        "quarantined": 1,
-        "breaker_trips": 0,
-        "watchdog_stalls": 0,
-        "backoff_requeues": 0,
-        "capacity_clamps": 0,
-    }
-    clone = SimulationResult.from_state(older)
-    assert clone.dead_letters == result.dead_letters
-    assert clone.state_dict() == result.state_dict()
-    older["resilience_stats"] = None
-    assert SimulationResult.from_state(older).state_dict() == result.state_dict()
-
-
-#: A result document written by a build that still had fault injection:
-#: a two-task ``max_seen`` run, carrying the retired ``fault_stats`` key.
-OLDER_RESULT_DOC = (
-    '{"algorithm": "max_seen", "dead_letters": [], "fault_stats": {"degradations": 0, '
-    '"dispatch_faults": 0, "preemptions": 0, "suppressed": 0, "task_kills": 0}, '
-    '"ledger": {"allocation": {"cores": 240.0, "disk": 240000.0, "memory": 240000.0}, '
-    '"by_category": {"proc": {"cores": [180.0, 0.0, 0.0], "disk": [234000.0, 0.0, 0.0], '
-    '"memory": [189000.0, 0.0, 0.0]}}, "category_allocation": {"proc": {"cores": 240.0, '
-    '"disk": 240000.0, "memory": 240000.0}}, "category_consumption": {"proc": '
-    '{"cores": 60.0, "disk": 6000.0, "memory": 51000.0}}, "consumption": {"cores": 60.0, '
-    '"disk": 6000.0, "memory": 51000.0}, "n_attempts": 2, "n_evicted": 0, "n_failed": 0, '
-    '"n_quarantined": 0, "resources": ["cores", "memory", "disk"], "tasks": '
-    '[{"allocation": {"cores": 120.0, "disk": 120000.0, "memory": 120000.0}, '
-    '"category": "proc", "consumption": {"cores": 30.0, "disk": 3000.0, "memory": 24000.0}, '
-    '"n_evicted_attempts": 0, "n_failed_attempts": 0, "task_id": 0}, {"allocation": '
-    '{"cores": 120.0, "disk": 120000.0, "memory": 120000.0}, "category": "proc", '
-    '"consumption": {"cores": 30.0, "disk": 3000.0, "memory": 27000.0}, '
-    '"n_evicted_attempts": 0, "n_failed_attempts": 0, "task_id": 1}], "waste": '
-    '{"cores": [180.0, 0.0, 0.0], "disk": [234000.0, 0.0, 0.0], "memory": '
-    '[189000.0, 0.0, 0.0]}}, "makespan": 60.0, "n_attempts": 2, "n_evicted_attempts": 0, '
-    '"n_failed_attempts": 0, "n_quarantined": 0, "n_tasks": 2, "wall_clock_seconds": 0.0, '
-    '"workers_joined": 1, "workers_left": 0, "workflow_name": "tiny"}'
-)
-
-
-def test_result_with_retired_fault_stats_still_loads():
-    """A journaled result from a build with fault injection loads; the
-    retired ``fault_stats`` key is dropped and everything else kept."""
-    older = json.loads(OLDER_RESULT_DOC)
-    result = SimulationResult.from_state(older)
-    assert result.makespan == 60.0 and result.n_tasks == 2
-    assert 0.0 < result.awe(MEMORY) < 1.0
-    del older["fault_stats"]
-    assert result.state_dict() == older
-
-
 def test_disabled_resilience_is_parity_clean():
     """A budget that never binds replays the budget-free trace
     byte-for-byte: checking it must not perturb event order, RNG draws
@@ -334,7 +278,7 @@ def _check_conservation(raw_tasks, algorithm, budget, churn_seed):
             allocator=AllocatorConfig(
                 algorithm=algorithm,
                 seed=3,
-                exploratory=ExploratoryConfig(min_records=3),
+                min_records=3,
             ),
             pool=PoolConfig(
                 n_workers=3,

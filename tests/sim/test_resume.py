@@ -14,7 +14,7 @@ comparison target is the same canonical trace the regression suite pins.
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import ResourceVector
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import ChurnConfig, PoolConfig
@@ -46,7 +46,7 @@ def _bounded_records_config():
             algorithm="exhaustive_bucketing",
             algorithm_kwargs={"record_capacity": 4},
             seed=7,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         pool=_pool(),
     )
@@ -58,7 +58,7 @@ def _greedy_incremental_config():
         allocator=AllocatorConfig(
             algorithm="greedy_bucketing",
             seed=7,
-            exploratory=ExploratoryConfig(min_records=3),
+            min_records=3,
         ),
         pool=_pool(),
     )

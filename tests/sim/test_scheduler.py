@@ -214,10 +214,10 @@ class TestDispatch:
         assert h.scheduler.n_ready == 1
 
     def test_tasks_revealed_inside_a_pass_are_probed_in_reveal_order(self):
-        """``start_attempt`` may enqueue (manager: quarantine refills the
-        submission window).  The pass in flight reaches those tasks at
-        the tail, in the order they were revealed — whether they joined
-        a group that already existed (11) or opened a new one (10)."""
+        """``start_attempt`` may enqueue.  The pass in flight reaches
+        those tasks at the tail, in the order they were revealed — whether
+        they joined a group that already existed (11) or opened a new one
+        (10)."""
         h = SchedulerHarness(n_workers=2, cores=4)
         three = ResourceVector.of(cores=3, memory=100, disk=10)
         h.allocations.update({0: three, 1: three, 2: three, 10: three, 11: three})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.allocator import AllocatorConfig, ExploratoryConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.resources import CORES, DISK, MEMORY, TIME, ResourceVector
 from repro.sim.manager import SimulationConfig, WorkflowManager
 from repro.sim.pool import PoolConfig
@@ -99,7 +99,7 @@ class TestTimeManagement:
                 allocator=AllocatorConfig(
                     algorithm="max_seen",
                     resources=ALL_FOUR,
-                    exploratory=ExploratoryConfig(min_records=1),
+                    min_records=1,
                     seed=1,
                 ),
                 pool=small_pool(),
