@@ -34,7 +34,7 @@ import tempfile
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "FORMAT_VERSION",
@@ -270,22 +270,36 @@ def fsync_directory(directory: str) -> None:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically and durably.
+    """Write ``text`` to ``path`` atomically and durably: one piece of :func:`_write_atomic`."""
+    _write_atomic(path, (text,))
+
+
+def _write_atomic(path: str, pieces: Iterable[str]) -> str:
+    """Write the concatenation of ``pieces`` to ``path`` atomically and durably.
 
     tmp + fsync + ``os.replace`` + directory fsync: a crash at any point
     leaves either the old file or the new one — never a torn mix — and
     once this returns, a power loss cannot undo the rename.  The temp
     file lives in the target's directory so the final ``os.replace``
     stays on one filesystem.
+
+    Each piece goes to the temp file (one fault-hook write) and to the
+    sha256 as soon as ``pieces`` yields it, so a streamed document is
+    never held whole.  If ``pieces`` or a write raises, the temp file is
+    removed and the target is untouched.  Returns the sha256 hex digest
+    of the bytes written.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
     )
+    hasher = hashlib.sha256()
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            _fault_write(handle, text, path)
+            for piece in pieces:
+                _fault_write(handle, piece, path)
+                hasher.update(piece.encode("utf-8"))
             handle.flush()
             _fault_fsync(handle, path)
         os.replace(tmp_path, path)
@@ -296,6 +310,7 @@ def write_text_atomic(path: str, text: str) -> None:
             pass
         raise
     fsync_directory(directory)
+    return hasher.hexdigest()
 
 
 def write_json_atomic(path: str, doc: Any) -> None:
@@ -680,18 +695,12 @@ def save_checkpoint(path: str, kind: str, payload: Dict[str, Any]) -> str:
     later reader can prove a snapshot file is byte-identical to what the
     writer produced (see :func:`file_digest`).
 
-    ``payload`` may be a deferred tree (:func:`iter_json`): it is
-    encoded one callable's value at a time, and the pieces are joined
-    into the file's one write.
+    ``payload`` may be a deferred tree (:func:`iter_json`): each
+    callable's value is encoded, written and hashed in turn, so the
+    writer holds one piece of the document at a time.
     """
     envelope = {"magic": MAGIC, "version": FORMAT_VERSION, "kind": kind, "payload": payload}
-    hasher = hashlib.sha256()
-    pieces: List[str] = []
-    for piece in iter_json(envelope):
-        hasher.update(piece.encode("utf-8"))
-        pieces.append(piece)
-    write_text_atomic(path, "".join(pieces))
-    return hasher.hexdigest()
+    return _write_atomic(path, iter_json(envelope))
 
 
 def file_digest(path: str) -> str:
@@ -708,7 +717,9 @@ def load_checkpoint(path: str, kind: Optional[str] = None) -> Tuple[str, Dict[st
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # A flipped high bit need not leave valid UTF-8: typed
+        # corruption like any other damage, never a crash.
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("magic") != MAGIC:
         raise CheckpointError(f"{path!r} is not a repro checkpoint")

@@ -271,8 +271,9 @@ async def _storage_fault_run(
     service = AllocationService(_service_config(data_dir=data_dir))
     await service.start()
     refusals = 0
-    # Snapshot paths only see a couple of writes per cut, so fire on
-    # the first; WAL paths see one write per op, so fire mid-stream.
+    # A cut writes its generation file one streamed piece at a time,
+    # then CURRENT; fire on the first write, which is the generation's
+    # first piece.  WAL paths see one write per op, so fire mid-stream.
     at_hit = 1 if "snapshot" in target_sub else max(1, len(script) // 4)
     FS_FAULTS.arm(FsFaultPlan(kind=kind, at_hit=at_hit, path_substring=target_sub))
     try:

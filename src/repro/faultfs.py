@@ -10,8 +10,13 @@ one of those failures reproducible:
 * :class:`FsFaultInjector` plugs into the single IO choke point in
   :mod:`repro.checkpoint` (``set_fs_fault_injector``), so the exact
   production write/fsync calls of :class:`~repro.checkpoint.JournalWriter`
-  and the atomic snapshot writer are the ones that fail.  Default-off:
-  an uninstalled injector costs one ``is None`` check.
+  and the atomic snapshot writer are the ones that fail.  A journal
+  group commit is one write; a snapshot cut is one write per streamed
+  piece of the generation file (one per ``(category, resource)``
+  algorithm, plus the envelope's tail) and then one for the CURRENT
+  pointer, so a plan can fire with part of a generation already
+  written.  Default-off: an uninstalled injector costs one ``is None``
+  check.
 * Faults are **armed plans** (:class:`FsFaultPlan`): fire the Nth
   matching write/fsync on paths containing a substring, then auto-disarm
   — the same one-shot discipline as ``repro.service.chaos.CrashPoints``,
@@ -101,7 +106,8 @@ class FsFaultPlan:
     """One armed fault: fire on the Nth matching IO call, then disarm.
 
     ``path_substring`` scopes the fault (e.g. ``".wal"`` hits only
-    journal IO, ``"service.snapshot"`` only snapshot writes); ``at_hit``
+    journal IO, ``"service.snapshot"`` only snapshot writes and
+    ``"service.snapshot.0"`` only generation files, not CURRENT); ``at_hit``
     counts matching calls, 1-based, so a plan is exactly reproducible
     for a given call sequence.
     """

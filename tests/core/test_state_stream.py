@@ -191,10 +191,8 @@ def _traced_peak(fn):
     return result, peak
 
 
-def test_digest_holds_one_algorithm_at_a_time():
-    """On 24,000 greedy records over eight categories, the streamed
-    digest's transient stays below a third of the materialising one's
-    (the whole state as float lists plus its JSON string)."""
+def _greedy_24k():
+    """24,000 greedy records over eight categories (24 algorithms)."""
     alloc = TaskOrientedAllocator(AllocatorConfig(algorithm="greedy_bucketing", seed=0))
     rng = np.random.default_rng(0)
     for task_id in range(24_000):
@@ -207,10 +205,33 @@ def test_digest_holds_one_algorithm_at_a_time():
             ),
             task_id=task_id,
         )
+    return alloc
+
+
+def test_digest_holds_one_algorithm_at_a_time():
+    """The streamed digest's transient stays below a third of the
+    materialising one's (the whole state as float lists plus its JSON
+    string)."""
+    alloc = _greedy_24k()
     streamed, streamed_peak = _traced_peak(alloc.digest)
     oracle, oracle_peak = _traced_peak(lambda: _oracle_digest(alloc))
     assert streamed == oracle
     assert streamed_peak < oracle_peak / 3, (streamed_peak, oracle_peak)
+
+
+def test_snapshot_write_holds_one_algorithm_at_a_time(tmp_path):
+    """Each piece goes to the temp file and the sha256 as the stream
+    yields it: the writer's transient stays below the file it writes.
+    (0.53x the file measured; 3.0x when the pieces were joined into one
+    string before the write.)"""
+    alloc = _greedy_24k()
+    shard = {"seq": 24_000, "allocator": alloc.state_dict(deferred=True), "dedup": []}
+    payload = {"generation": 1, "shards": [shard]}
+    path = tmp_path / "service.snapshot.000001.json"
+    digest, peak = _traced_peak(lambda: save_checkpoint(str(path), "service", payload))
+    size = path.stat().st_size
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < size, (peak, size)
 
 
 def test_a_category_costs_what_it_holds():

@@ -123,6 +123,16 @@ def test_snapshot_digest_drift_is_an_error(tmp_path):
     assert any("digest mismatch" in f.problem for f in report.errors)
 
 
+def test_non_utf8_snapshot_is_an_error_not_a_crash(tmp_path):
+    _populate(tmp_path)
+    newest = _newest_gen_path(tmp_path)
+    os.remove(tmp_path / CURRENT_FILENAME)
+    flip_bit(newest, byte_offset=40, bit=7)
+    report = run_fsck(str(tmp_path))
+    assert [f.path for f in report.errors] == [os.path.basename(newest)]
+    assert "cannot read checkpoint" in report.errors[0].problem
+
+
 def test_missing_referenced_generation_is_an_error(tmp_path):
     _populate(tmp_path)
     os.remove(_newest_gen_path(tmp_path))

@@ -149,6 +149,37 @@ def test_fallback_to_previous_generation_on_digest_mismatch(tmp_path):
     assert os.path.isdir(corrupt_dir) and os.listdir(corrupt_dir)
 
 
+def test_non_utf8_generation_is_quarantined_not_a_crash(tmp_path):
+    """Without CURRENT there is no digest to catch a flipped high bit:
+    the envelope read must turn the undecodable byte into typed
+    corruption and fall back, not raise ``UnicodeDecodeError``."""
+
+    async def scenario():
+        service = await _seed_service(_config(tmp_path), n_ops=8, cuts=2)
+        digests = service.shard_digests()
+        await service.stop()
+        return digests
+
+    expected = run(scenario())
+    newest = _read_current(tmp_path)["entries"][0]
+    os.remove(tmp_path / CURRENT_FILENAME)
+    flip_bit(str(tmp_path / snapshot_filename(newest["gen"])), byte_offset=40, bit=7)
+
+    async def recover():
+        service = AllocationService(_config(tmp_path))
+        await service.start()
+        digests = service.shard_digests()
+        events = list(service.recovery_events)
+        await service.stop()
+        return digests, events
+
+    digests, events = run(recover())
+    assert digests == expected
+    assert [e["kind"] for e in events] == ["snapshot-envelope"]
+    corrupt_dir = str(tmp_path / snapshot_filename(newest["gen"])) + ".corrupt"
+    assert os.path.isdir(corrupt_dir) and os.listdir(corrupt_dir)
+
+
 def test_corrupt_current_pointer_is_quarantined_and_rebuilt(tmp_path):
     async def scenario():
         service = await _seed_service(_config(tmp_path), n_ops=6, cuts=1)

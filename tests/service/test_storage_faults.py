@@ -32,7 +32,7 @@ from repro.faultfs import (
 from repro.service.config import ServiceConfig
 from repro.service.fsck import run_fsck
 from repro.service.server import AllocationServer
-from repro.service.service import AllocationService
+from repro.service.service import CURRENT_FILENAME, AllocationService
 from repro.service.shards import StorageUnavailable
 
 
@@ -319,6 +319,50 @@ def test_snapshot_write_fault_is_typed_and_retryable(tmp_path):
         path = await service.snapshot()
         assert os.path.exists(path)
         await service.stop()
+
+    run(scenario())
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FsFaultPlan("enospc", at_hit=2, path_substring="service.snapshot.0"),
+        FsFaultPlan("eio", at_hit=3, path_substring="service.snapshot.0"),
+        FsFaultPlan("short-write", at_hit=2, path_substring="service.snapshot.0"),
+        FsFaultPlan("fsync-fail", at_hit=1, path_substring="service.snapshot.0"),
+    ],
+    ids=lambda plan: plan.kind,
+)
+def test_storage_fault_mid_cut_leaves_the_chain_intact(tmp_path, plan):
+    """The cut writes one piece per algorithm, so a fault can land after
+    part of the generation file is down: the refusal must leave no temp
+    file, the old CURRENT, and a chain that recovers the same state."""
+    data_dir = tmp_path / "state"
+    current = data_dir / CURRENT_FILENAME
+
+    async def scenario():
+        service = AllocationService(_config(data_dir))
+        await service.start()
+        for i in range(12):
+            await service.submit(_op(i))
+            await service.submit(_record(100 + i, 500.0 + 100.0 * i))
+        before = current.read_bytes()
+        FS_FAULTS.arm(plan)
+        with pytest.raises(StorageUnavailable):
+            await service.snapshot()
+        assert [fired[:2] for fired in FS_FAULTS.fired] == [(plan.kind, plan.op)]
+        assert "service.snapshot.0" in FS_FAULTS.fired[0][2]
+        assert not [name for name in os.listdir(data_dir) if name.endswith(".tmp")]
+        assert current.read_bytes() == before
+        path = await service.snapshot()
+        assert os.path.exists(path)
+        digests = service.shard_digests()
+        await service.stop()
+        FS_FAULTS.reset()
+        restarted = AllocationService(_config(data_dir))
+        await restarted.start()
+        assert restarted.shard_digests() == digests
+        await restarted.stop()
 
     run(scenario())
 
