@@ -15,7 +15,7 @@ Run:  python examples/custom_algorithm.py
 import numpy as np
 
 from repro import AllocatorConfig
-from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
+from repro.core.base import AllocationAlgorithm, register_algorithm
 from repro.core.records import RecordList
 from repro.core.resources import MEMORY
 from repro.sim import SimulationConfig, WorkflowManager
@@ -29,20 +29,14 @@ class PercentileHeadroom(AllocationAlgorithm):
 
     A deliberately simple strategy a practitioner might hand-roll: it
     tolerates a bounded failure rate (the tasks above the percentile)
-    in exchange for ignoring outliers.  Deterministic, so the allocator
-    caches one prediction per state version.
+    in exchange for ignoring outliers.  It never draws, so it takes no
+    ``rng``: only an algorithm that draws is handed a seed.
     """
 
     name = "percentile_headroom"
     conservative_exploration = True  # reuse the cheap 1 GB bootstrap
 
-    def __init__(
-        self,
-        percentile: float = 95.0,
-        headroom: float = 1.05,
-        rng: RngSource = None,
-    ) -> None:
-        super().__init__(rng=rng)
+    def __init__(self, percentile: float = 95.0, headroom: float = 1.05) -> None:
         if not (0 < percentile <= 100):
             raise ValueError(f"percentile must be in (0, 100], got {percentile}")
         if headroom < 1.0:
@@ -64,9 +58,6 @@ class PercentileHeadroom(AllocationAlgorithm):
     @property
     def n_records(self):
         return len(self._records)
-
-    def reset(self):
-        self._records = RecordList()
 
 
 def main() -> None:

@@ -21,6 +21,15 @@ to the system and takes again costs faults without moving the peak.
 Prints a table, then one JSON object as the last line; exit 1 when the
 workload's own correctness check fails, 2 on a usage error.  Linux
 only (``/proc``); the script itself imports only the standard library.
+
+This run is not the benchmark's process, and it need not land in the
+same pymalloc mode (docs/PERFORMANCE.md, "A/B runs").  On
+``svc-wire-durable`` one tree read the slow mode in 3 of 3 runs here,
+59,765-59,873 timed-phase minor faults against 2,677-2,693 for its
+parent, while all 12 of its ``benchmarks/e2e/worker.py`` runs read the
+fast one.  Before trusting the timed phase's seconds or peak against
+another tree's, compare its ``minor_faults`` with that tree's: a gap of
+that size is the mode, not the diff.
 """
 
 from __future__ import annotations

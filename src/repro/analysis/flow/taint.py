@@ -71,7 +71,6 @@ SINK_CALLS: Dict[str, str] = {
     "repro.checkpoint.JournalWriter.append_many": (
         "WAL frame payload (JournalWriter.append_many)"
     ),
-    "repro.checkpoint.append_jsonl": "WAL frame payload (append_jsonl)",
     "repro.checkpoint.encode_frame": "WAL frame payload (encode_frame)",
     "repro.service.protocol.encode": "wire payload (protocol.encode)",
     "repro.service.protocol.ok_response": "wire response (ok_response)",

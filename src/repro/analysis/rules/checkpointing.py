@@ -10,8 +10,8 @@ R3 ``state-symmetry``
     makes a resumed run diverge from an uninterrupted one.
 R4 ``raw-artifact-write``
     File writes outside :mod:`repro.checkpoint` must go through its
-    atomic helpers (``write_text_atomic`` / ``write_json_atomic`` /
-    ``append_jsonl``).  A bare ``open(path, "w")``, ``json.dump`` or
+    atomic helpers (``write_text_atomic`` / ``write_json_atomic``) or
+    its journal writer (``JournalWriter``).  A bare ``open(path, "w")``, ``json.dump`` or
     ``Path.write_text`` can leave a torn half-file behind a crash,
     which the resume machinery would then trust.  That includes the
     service's WAL and snapshot files.
@@ -144,7 +144,7 @@ class RawArtifactWriteRule(Rule):
                             node,
                             f"bare open(..., {mode!r}) write; a crash mid-write leaves a "
                             "torn file — use repro.checkpoint.write_text_atomic or "
-                            "append_jsonl",
+                            "JournalWriter",
                         )
                     continue
                 if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):

@@ -9,9 +9,10 @@ restartable state; this module gives the reproduction the same property:
   here.  Serialization is *bit-exact*: float64 values round-trip through
   JSON's shortest-repr float encoding, prefix-sum buffers are stored
   verbatim (never recomputed, which would change rounding), and RNG
-  states are captured via ``Generator.bit_generator.state``.
-* **Journals** — append-only, CRC-framed JSON lines (:func:`append_jsonl`,
-  :class:`JournalWriter`) whose torn tail is dropped and whose corrupt
+  states are captured via ``Generator.bit_generator.state`` and
+  validated on restore (:func:`rng_numbers` / :func:`rng_state`).
+* **Journals** — append-only, CRC-framed JSON lines
+  (:class:`JournalWriter`) whose torn tail is dropped and whose corrupt
   middle is quarantined on read.  The experiment grid journals each
   finished (workflow x algorithm) cell, the allocation service its
   write-ahead log.
@@ -46,7 +47,6 @@ __all__ = [
     "fsync_directory",
     "write_text_atomic",
     "write_json_atomic",
-    "append_jsonl",
     "JournalWriter",
     "read_jsonl",
     "recover_jsonl",
@@ -59,8 +59,8 @@ __all__ = [
     "canonical_json",
     "iter_json",
     "state_digest",
-    "generator_state",
-    "restore_generator",
+    "rng_numbers",
+    "rng_state",
     "save_checkpoint",
     "load_checkpoint",
     "GracefulShutdown",
@@ -318,31 +318,16 @@ def write_json_atomic(path: str, doc: Any) -> None:
     write_text_atomic(path, _compact_json(doc))
 
 
-def append_jsonl(path: str, doc: Any) -> None:
-    """Append one checksummed journal line durably (write + flush + fsync).
-
-    The classic write-ahead-log append: a crash can tear at most the
-    *final* line, which :func:`read_jsonl` tolerates and drops.  Records
-    are written as checksummed frames (:func:`encode_frame`) so later
-    bit rot is detected rather than silently decoded.
-    """
-    line = encode_frame(doc)
-    with open(path, "a", encoding="utf-8") as handle:
-        _fault_write(handle, line + "\n", path)
-        handle.flush()
-        _fault_fsync(handle, path)
-
-
 class JournalWriter:
     """A held-open JSONL write-ahead log with group commit.
 
-    :func:`append_jsonl` reopens the file and fsyncs per document —
-    correct, but a per-operation fsync caps a high-rate writer at the
-    disk's flush latency.  The allocation service instead drains its
-    queue into batches and commits each batch with **one**
-    flush + fsync (``sync="batch"``); a crash can then lose at most the
-    *tail* of the final batch, which :func:`read_jsonl`'s torn-line
-    tolerance plus the reader's sequence-number filter already handle.
+    Each :meth:`append_many` is one group commit: one write and **one**
+    flush + fsync (``sync="batch"``).  A per-operation fsync would cap
+    a high-rate writer at the disk's flush latency, so the allocation
+    service drains its queue into batches and commits each batch at
+    once.  A crash can then lose at most the *tail* of the final batch,
+    which :func:`read_jsonl`'s torn-line tolerance plus the reader's
+    sequence-number filter already handle.
     ``sync="none"`` leaves flushing to the OS (benchmarks and tests
     only).
 
@@ -652,34 +637,49 @@ def state_digest(obj: Any) -> str:
     return hasher.hexdigest()
 
 
-def generator_state(gen) -> Dict[str, Any]:
-    """JSON-safe snapshot of a ``numpy.random.Generator``'s state."""
-    return _jsonify(gen.bit_generator.state)
+#: A PCG64 state held without its generator: the four numbers of
+#: ``PCG64.state`` — ``(state, inc, has_uint32, uinteger)``.
+Pcg64Numbers = Tuple[int, int, int, int]
 
 
-def restore_generator(gen, state: Dict[str, Any]) -> None:
-    """Restore a generator captured by :func:`generator_state` in place."""
-    current = gen.bit_generator.state
-    if state.get("bit_generator") != current.get("bit_generator"):
-        raise CheckpointError(
-            f"RNG kind mismatch: checkpoint has {state.get('bit_generator')!r}, "
-            f"generator is {current.get('bit_generator')!r}"
+def rng_numbers(saved: Any) -> Pcg64Numbers:
+    """A PCG64 state — a snapshot's, or ``Generator.bit_generator.state``
+    — as its four numbers.
+
+    Refused with :class:`CheckpointError` unless ``PCG64.state`` would
+    take it and give it back unchanged, so a bad snapshot fails at
+    restore, not at the first draw.
+    """
+    try:
+        kind = saved.get("bit_generator")
+        fields = (
+            saved["state"]["state"],
+            saved["state"]["inc"],
+            saved["has_uint32"],
+            saved["uinteger"],
         )
-    gen.bit_generator.state = state
+    except (AttributeError, KeyError, TypeError):
+        raise CheckpointError(f"malformed RNG state: {saved!r}") from None
+    if kind != "PCG64":
+        raise CheckpointError(
+            f"RNG kind mismatch: checkpoint has {kind!r}, generator is 'PCG64'"
+        )
+    bounds = (2**128, 2**128, 2, 2**32)
+    if not all(type(n) is int and 0 <= n < bound for n, bound in zip(fields, bounds)):
+        raise CheckpointError(f"malformed PCG64 state: {saved!r}")
+    return fields
 
 
-def _jsonify(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays to plain JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            return _jsonify(obj.tolist())
-        except AttributeError:  # pragma: no cover - numpy scalars have tolist
-            return obj.item()
-    return obj
+def rng_state(numbers: Pcg64Numbers) -> Dict[str, Any]:
+    """The four numbers back in ``PCG64.state``'s layout and key order:
+    what a snapshot stores and what ``bit_generator.state`` takes."""
+    state, inc, has_uint32, uinteger = numbers
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
 
 
 # ---------------------------------------------------------------------------

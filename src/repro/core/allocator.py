@@ -24,10 +24,10 @@ specific coupling: callers drive it with three calls —
 manager's interface in Figure 3a.
 
 **Concurrency contract.**  An allocator instance is a *single-writer*
-object: the three Figure-3a calls (plus :meth:`load_state` and
-:meth:`reset`) mutate shared state — lazy per-category construction
-draws child seeds from the master RNG, predictions consume the
-per-instance generators, and ``observe`` rewrites the record stores —
+object: the three Figure-3a calls (plus :meth:`load_state`) mutate
+shared state — lazy per-category construction draws child seeds from
+the master RNG, bucketing predictions consume the per-instance
+generators, and ``observe`` rewrites the record stores —
 with no internal locking.  Callers that serve concurrent traffic must
 serialize all mutating calls through one writer (the
 ``repro.service`` shards put each allocator behind a single-writer
@@ -47,12 +47,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.checkpoint import (
-    CheckpointError,
-    generator_state,
-    restore_generator,
-    state_digest,
-)
+from repro.checkpoint import CheckpointError, rng_numbers, rng_state, state_digest
 from repro.core.base import ALGORITHM_REGISTRY, AllocationAlgorithm, check_seed
 from repro.core.resources import (
     CORES,
@@ -118,11 +113,12 @@ def _build_algorithm(
     if "granularity" in accepted and "granularity" not in kwargs:
         kwargs["granularity"] = DEFAULT_MAX_SEEN_GRANULARITY.get(res, 0.0)
     if "rng" in accepted and "rng" not in kwargs:
-        # Independent child generator per instance: reproducible and
-        # insensitive to the order categories first appear.  The seed is
-        # drawn now, so the parent stream does not depend on which
-        # children ever draw; the child builds its generator on its
-        # first draw (a category that never leaves exploration never does).
+        # Only an algorithm that draws takes ``rng``.  Independent child
+        # generator per instance: reproducible and insensitive to the
+        # order categories first appear.  The seed is drawn now, so the
+        # parent stream does not depend on which children ever draw;
+        # the child builds its generator on its first draw (a category
+        # that never leaves exploration never does).
         kwargs["rng"] = int(rng.integers(2**63))
     return cls(**kwargs)
 
@@ -163,8 +159,9 @@ class AllocatorConfig:
         significance.
     seed:
         Seed for the allocator-owned RNG driving probabilistic bucket
-        draws; child generators are spawned per algorithm instance so
-        runs are reproducible regardless of category arrival order.
+        draws; each bucketing algorithm instance gets a child seed from
+        it, so runs are reproducible regardless of category arrival
+        order.  The other algorithms do not draw and take no seed.
     """
 
     algorithm: str = "exhaustive_bucketing"
@@ -242,16 +239,8 @@ class TaskOrientedAllocator:
         self._config = config
         self._rng = np.random.default_rng(config.seed)
         self._categories: Dict[str, _CategoryState] = {}
-        algorithm_cls = ALGORITHM_REGISTRY[config.algorithm]
-        self._conservative = algorithm_cls.conservative_exploration
+        self._conservative = ALGORITHM_REGISTRY[config.algorithm].conservative_exploration
         self._significance = SIGNIFICANCE[config.significance]
-        self._deterministic = bool(
-            getattr(algorithm_cls, "deterministic_predictions", False)
-        )
-        #: category -> (state version, cached prediction vector); only
-        #: used for deterministic algorithms, where repeated allocate()
-        #: calls against an unchanged state must return the same vector.
-        self._prediction_cache: Dict[str, Tuple[int, ResourceVector]] = {}
         #: category -> number of retry allocations the machine-capacity
         #: clamp stopped from growing (diagnostic only; rebuilt on
         #: replay, so deliberately not part of :meth:`state_dict`).
@@ -360,10 +349,6 @@ class TaskOrientedAllocator:
 
     def _allocate(self, category: str, task_id: int) -> ResourceVector:
         state = self._state(category)
-        if self._deterministic:
-            cached = self._prediction_cache.get(category)
-            if cached is not None and cached[0] == state.version:
-                return cached[1]
         values: Dict[Resource, float] = {}
         exploring = self.in_exploration(category)
         for res in self._config.resources:
@@ -376,10 +361,7 @@ class TaskOrientedAllocator:
                 # completions yet): fall back to the exploratory value.
                 predicted = self._exploratory_value(res)
             values[res] = self._clamp(res, predicted)
-        vector = ResourceVector(values)
-        if self._deterministic:
-            self._prediction_cache[category] = (state.version, vector)
-        return vector
+        return ResourceVector(values)
 
     def allocate_retry(
         self,
@@ -513,22 +495,17 @@ class TaskOrientedAllocator:
             return value
         return min(value, capacity)
 
-    def reset(self) -> None:
-        """Forget every category's state (between experiment repeats)."""
-        self._categories.clear()
-        self._prediction_cache.clear()
-
     # -- checkpointing -----------------------------------------------------------------
 
     def state_dict(self, deferred: bool = False) -> dict:
         """Versioned, JSON-safe snapshot of all mutable allocator state.
 
-        Captures the master RNG, every category's per-resource algorithm
-        instances (in category insertion order — the order in which they
-        consumed child seeds from the master RNG), and the deterministic
-        prediction cache.  Restoring via :meth:`load_state` on a freshly
-        constructed allocator with the same config yields bit-identical
-        predictions for every future request.
+        Captures the master RNG and every category's per-resource
+        algorithm instances (in category insertion order — the order in
+        which they consumed child seeds from the master RNG).  Restoring
+        via :meth:`load_state` on a freshly constructed allocator with
+        the same config yields bit-identical predictions for every
+        future request.
 
         With ``deferred=True`` each per-(category, resource) algorithm
         entry is that algorithm's bound ``state_dict`` method instead of
@@ -541,7 +518,7 @@ class TaskOrientedAllocator:
         return {
             "algorithm": self._config.algorithm,
             "resources": [res.key for res in self._config.resources],
-            "rng": generator_state(self._rng),
+            "rng": rng_state(rng_numbers(self._rng.bit_generator.state)),
             "categories": {
                 category: {
                     "completed_records": state.completed_records,
@@ -557,10 +534,6 @@ class TaskOrientedAllocator:
                 }
                 for category, state in self._categories.items()
             },
-            "prediction_cache": {
-                category: {"version": version, "vector": vector.state_dict()}
-                for category, (version, vector) in self._prediction_cache.items()
-            },
         }
 
     def load_state(self, state: dict) -> None:
@@ -571,7 +544,9 @@ class TaskOrientedAllocator:
         their saved insertion order — ``_state`` draws each algorithm's
         child seed from the master RNG exactly as the original did —
         and the master RNG is overwritten last, so subsequent draws
-        continue the original stream.
+        continue the original stream.  Keys it does not read are
+        ignored: a snapshot that still carries the retired
+        ``"prediction_cache"`` loads.
         """
         if state.get("algorithm") != self._config.algorithm:
             raise CheckpointError(
@@ -584,10 +559,10 @@ class TaskOrientedAllocator:
                 f"allocator snapshot manages resources {state.get('resources')!r}; "
                 f"this allocator manages {managed!r}"
             )
+        master = rng_state(rng_numbers(state["rng"]))
         self._enter("load_state")
         try:
             self._categories.clear()
-            self._prediction_cache.clear()
             for category, saved in state["categories"].items():
                 cat_state = self._state(category)
                 cat_state.completed_records = int(saved["completed_records"])
@@ -595,12 +570,7 @@ class TaskOrientedAllocator:
                 algorithms = saved["algorithms"]
                 for res in self._config.resources:
                     cat_state.algorithms[res].load_state(algorithms[res.key])
-            restore_generator(self._rng, state["rng"])
-            for category, cached in state["prediction_cache"].items():
-                self._prediction_cache[category] = (
-                    int(cached["version"]),
-                    ResourceVector.from_state(cached["vector"]),
-                )
+            self._rng.bit_generator.state = master
         finally:
             self._leave()
 

@@ -9,25 +9,29 @@ the two interactions of Figure 3a:
 * :meth:`AllocationAlgorithm.predict` — the task scheduler asks for the
   allocation of a fresh task (arrows 2-3);
 * :meth:`AllocationAlgorithm.predict_retry` — the scheduler asks for a
-  re-allocation after a resource-exhaustion failure.
+  re-allocation after a resource-exhaustion failure;
+* :meth:`AllocationAlgorithm.state_dict` / :meth:`~AllocationAlgorithm.load_state`
+  — the instance's durable state, for the allocator's snapshots.
 
 ``predict``/``predict_retry`` return ``None`` when the algorithm has no
 guidance; the :class:`~repro.core.allocator.TaskOrientedAllocator` then
 applies the exploratory default or the doubling fallback (Section IV-A /
 V-A).  One instance manages one (task category, resource) pair, which is
 what makes the approach *general-purpose*: nothing but scalar consumption
-records ever crosses the interface.
+records ever crosses the interface.  Only the two bucketing algorithms
+draw (:class:`BucketingAlgorithm`); the other five are pure functions of
+their records and hold no generator.
 """
 
 from __future__ import annotations
 
 import abc
 import numbers
-from typing import Any, ClassVar, Dict, Optional, Tuple, Type, Union
+from typing import ClassVar, Dict, Optional, Type, Union
 
 import numpy as np
 
-from repro.checkpoint import CheckpointError, generator_state, restore_generator
+from repro.checkpoint import CheckpointError, Pcg64Numbers, rng_numbers, rng_state
 from repro.core.buckets import BucketState
 from repro.core.records import RecordList
 
@@ -41,53 +45,12 @@ __all__ = [
 ]
 
 
-#: What an algorithm's ``rng`` argument may be: a ready generator, an
-#: ``int`` seed (the generator is built on the first draw), or ``None``
-#: (a fresh OS-seeded generator).  A string reference: touching
-#: ``np.random`` at import would load numpy's random extension modules
-#: into every process that imports the package.
+#: What a bucketing algorithm's ``rng`` argument may be: a ready
+#: generator, an ``int`` seed (the generator is built on the first
+#: draw), or ``None`` (a fresh OS-seeded generator).  A string
+#: reference: touching ``np.random`` at import would load numpy's random
+#: extension modules into every process that imports the package.
 RngSource = Union["np.random.Generator", int, None]
-
-#: A PCG64 state held without its generator: the four numbers of
-#: ``PCG64.state`` — ``(state, inc, has_uint32, uinteger)``.
-_Pcg64State = Tuple[int, int, int, int]
-
-
-def _pcg64_numbers(saved: Any) -> _Pcg64State:
-    """A saved ``default_rng`` state as its four numbers.
-
-    Refused unless ``PCG64.state`` would take it and give it back
-    unchanged, so a bad snapshot fails at restore, not at the first draw.
-    """
-    try:
-        kind = saved.get("bit_generator")
-        fields = (
-            saved["state"]["state"],
-            saved["state"]["inc"],
-            saved["has_uint32"],
-            saved["uinteger"],
-        )
-    except (AttributeError, KeyError, TypeError):
-        raise CheckpointError(f"malformed RNG state: {saved!r}") from None
-    if kind != "PCG64":
-        raise CheckpointError(
-            f"RNG kind mismatch: checkpoint has {kind!r}, generator is 'PCG64'"
-        )
-    bounds = (2**128, 2**128, 2, 2**32)
-    if not all(type(n) is int and 0 <= n < bound for n, bound in zip(fields, bounds)):
-        raise CheckpointError(f"malformed PCG64 state: {saved!r}")
-    return fields
-
-
-def _pcg64_dict(fields: _Pcg64State) -> Dict[str, Any]:
-    """The four numbers back in ``PCG64.state``'s layout and key order."""
-    state, inc, has_uint32, uinteger = fields
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
-    }
 
 
 class AllocationAlgorithm(abc.ABC):
@@ -95,14 +58,9 @@ class AllocationAlgorithm(abc.ABC):
 
     Subclasses must set the class attribute :attr:`name` (the identifier
     used in the registry, experiment configs and result tables) and
-    implement :meth:`update` and :meth:`predict`.
-
-    The generator is built on its first draw when ``rng`` is an ``int``
-    seed: most categories of a service never leave exploration and never
-    draw, and a built ``Generator`` and its lock cost ~0.9 KB, three per
-    category (docs/PERFORMANCE.md, "Peak memory").  Until then
-    :meth:`state_dict` writes the state the generator would have, so
-    snapshots and digests do not depend on whether it was built.
+    implement :meth:`update` and :meth:`predict`.  An algorithm that
+    draws takes an ``rng`` constructor argument (:data:`RngSource`) and
+    the allocator seeds it; only :class:`BucketingAlgorithm` does.
     """
 
     #: Registry/reporting identifier, e.g. ``"greedy_bucketing"``.
@@ -114,45 +72,6 @@ class AllocationAlgorithm(abc.ABC):
     #: "allocate a whole machine" while exploring (Section V-C), so this
     #: defaults to False and the bucketing algorithms flip it.
     conservative_exploration: ClassVar[bool] = False
-
-    #: Whether predict() is a pure function of the ingested records.
-    #: True for the histogram/optimizer algorithms, letting the
-    #: allocator cache one prediction per (category, state-version);
-    #: False for the bucketing family, whose predictions are fresh
-    #: probabilistic draws per request.
-    deterministic_predictions: ClassVar[bool] = True
-
-    def __init__(self, rng: RngSource = None) -> None:
-        #: The generator once built; ``None`` while ``_rng_pending``
-        #: holds what builds it: the ``int`` seed, or a PCG64 state as
-        #: four numbers (restored by :meth:`load_state`, or the seed's
-        #: state once :meth:`state_dict` has computed it).
-        self._rng_built: Optional[np.random.Generator] = None
-        self._rng_pending: Union[int, _Pcg64State, None] = None
-        if rng is None:
-            self._rng_built = np.random.default_rng()
-        elif isinstance(rng, np.random.Generator):
-            self._rng_built = rng
-        else:
-            check_seed("rng", rng)
-            self._rng_pending = int(rng)
-
-    @property
-    def _rng(self) -> np.random.Generator:
-        """The generator to draw from, built from the pending seed or
-        state on first use (a subclass draws from it as before)."""
-        rng = self._rng_built
-        if rng is None:
-            pending = self._rng_pending
-            if isinstance(pending, int):
-                rng = np.random.default_rng(pending)
-            else:
-                assert pending is not None
-                rng = np.random.default_rng(0)
-                rng.bit_generator.state = _pcg64_dict(pending)
-            self._rng_built = rng
-            self._rng_pending = None
-        return rng
 
     # -- the contract -----------------------------------------------------------
 
@@ -191,49 +110,23 @@ class AllocationAlgorithm(abc.ABC):
     def n_records(self) -> int:
         """How many completed-task records the algorithm has ingested."""
 
-    def reset(self) -> None:
-        """Forget all ingested records (used between experiment repeats)."""
-        raise NotImplementedError
-
     # -- checkpointing ------------------------------------------------------------
 
     def state_dict(self) -> dict:
         """JSON-safe snapshot of this instance (see :mod:`repro.checkpoint`).
 
-        The envelope (algorithm name + RNG state) lives here; everything
+        The envelope (the algorithm's name) lives here; everything
         algorithm-specific comes from :meth:`_extra_state`.
         """
-        rng = self._rng_built
-        if rng is not None:
-            rng_state = generator_state(rng)
-        else:
-            pending = self._rng_pending
-            if isinstance(pending, int):
-                # The state default_rng(seed) starts from, kept as four
-                # numbers as a restore keeps it: seeding costs ~20 us,
-                # paid once rather than in every snapshot, and snapshots
-                # run with the shard writers parked.
-                pending = self._rng_pending = _pcg64_numbers(np.random.PCG64(pending).state)
-            assert pending is not None
-            rng_state = _pcg64_dict(pending)
-        return {
-            "algorithm": self.name,
-            "rng": rng_state,
-            "state": self._extra_state(),
-        }
+        return {"algorithm": self.name, "state": self._extra_state()}
 
     def load_state(self, state: dict) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`, bit-exactly."""
-        if state.get("algorithm") != self.name:
-            raise CheckpointError(
-                f"algorithm mismatch: snapshot is {state.get('algorithm')!r}, "
-                f"instance is {self.name!r}"
-            )
-        if self._rng_built is not None:
-            restore_generator(self._rng_built, state["rng"])
-        else:
-            # Kept as four numbers until the first draw builds on them.
-            self._rng_pending = _pcg64_numbers(state["rng"])
+        """Restore a snapshot captured by :meth:`state_dict`, bit-exactly.
+
+        Keys it does not read are ignored: a snapshot written when every
+        algorithm carried an ``"rng"`` entry still loads.
+        """
+        _check_algorithm(self.name, state)
         self._load_extra_state(state["state"])
 
     def _extra_state(self) -> dict:
@@ -251,6 +144,14 @@ class AllocationAlgorithm(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(records={self.n_records})"
+
+
+def _check_algorithm(name: str, state: dict) -> None:
+    if state.get("algorithm") != name:
+        raise CheckpointError(
+            f"algorithm mismatch: snapshot is {state.get('algorithm')!r}, "
+            f"instance is {name!r}"
+        )
 
 
 def check_seed(name: str, value: object, optional: bool = False) -> None:
@@ -293,17 +194,37 @@ class BucketingAlgorithm(AllocationAlgorithm):
     Subclasses implement :meth:`compute_break_indices`, returning the
     sorted inclusive upper-end record indices of each bucket, and
     :meth:`_make_partition_engine`.
+
+    The two are the only algorithms that draw: a bucket is picked at
+    random, weighted by significance.  The generator is built on its
+    first draw when ``rng`` is an ``int`` seed: most categories of a
+    service never leave exploration and never draw, and a built
+    ``Generator`` and its lock cost ~0.9 KB, three per category
+    (docs/PERFORMANCE.md, "Peak memory").  Until then
+    :meth:`state_dict` writes the state the generator would have, so
+    snapshots and digests do not depend on whether it was built.
     """
 
     conservative_exploration: ClassVar[bool] = True
-    deterministic_predictions: ClassVar[bool] = False
 
     def __init__(
         self,
         rng: RngSource = None,
         record_capacity: Optional[int] = None,
     ) -> None:
-        super().__init__(rng=rng)
+        #: The generator once built; ``None`` while ``_rng_pending``
+        #: holds what builds it: the ``int`` seed, or a PCG64 state as
+        #: four numbers (restored by :meth:`load_state`, or the seed's
+        #: state once :meth:`state_dict` has computed it).
+        self._rng_built: Optional[np.random.Generator] = None
+        self._rng_pending: Union[int, Pcg64Numbers, None] = None
+        if rng is None:
+            self._rng_built = np.random.default_rng()
+        elif isinstance(rng, np.random.Generator):
+            self._rng_built = rng
+        else:
+            check_seed("rng", rng)
+            self._rng_pending = int(rng)
         self._records = RecordList(capacity=record_capacity)
         self._state: Optional[BucketState] = None
         self._dirty = True
@@ -333,14 +254,31 @@ class BucketingAlgorithm(AllocationAlgorithm):
         :class:`repro.core.exhaustive.IncrementalExhaustivePartition`
         and :class:`repro.core.greedy.GreedySplitMemo`).  Engines hold
         nothing a search cannot rebuild, so one is simply re-created
-        whenever the record list is replaced (:meth:`reset`,
-        :meth:`_load_extra_state`).
+        whenever the record list is replaced
+        (:meth:`_load_extra_state`).
         """
 
     @property
     def partition_engine(self):
         """The partition engine over this algorithm's record list."""
         return self._partition_engine
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The generator to draw from, built from the pending seed or
+        state on first use."""
+        rng = self._rng_built
+        if rng is None:
+            pending = self._rng_pending
+            if isinstance(pending, int):
+                rng = np.random.default_rng(pending)
+            else:
+                assert pending is not None
+                rng = np.random.default_rng(0)
+                rng.bit_generator.state = rng_state(pending)
+            self._rng_built = rng
+            self._rng_pending = None
+        return rng
 
     # -- contract ----------------------------------------------------------------
 
@@ -396,14 +334,39 @@ class BucketingAlgorithm(AllocationAlgorithm):
         """How many times the partition search ran."""
         return self._recomputations
 
-    def reset(self) -> None:
-        self._records = RecordList(capacity=self._records.capacity)
-        self._state = None
-        self._dirty = True
-        self._recomputations = 0
-        self._partition_engine = self._make_partition_engine()
-
     # -- checkpointing ------------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """The base envelope plus the generator's state under ``"rng"``."""
+        rng = self._rng_built
+        if rng is not None:
+            numbers = rng_numbers(rng.bit_generator.state)
+        else:
+            numbers = self._rng_pending
+            if isinstance(numbers, int):
+                # The state default_rng(seed) starts from, kept as four
+                # numbers as a restore keeps it: seeding costs ~20 us,
+                # paid once rather than in every snapshot, and snapshots
+                # run with the shard writers parked.
+                numbers = self._rng_pending = rng_numbers(np.random.PCG64(numbers).state)
+            assert numbers is not None
+        return {
+            "algorithm": self.name,
+            "rng": rng_state(numbers),
+            "state": self._extra_state(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore a snapshot captured by :meth:`state_dict`, bit-exactly.
+
+        The saved generator state is kept as four numbers until the
+        first draw builds on it.
+        """
+        _check_algorithm(self.name, state)
+        numbers = rng_numbers(state["rng"])
+        self._load_extra_state(state["state"])
+        self._rng_built = None
+        self._rng_pending = numbers
 
     def _extra_state(self) -> dict:
         # The bucket state is serialized verbatim: it may be stale

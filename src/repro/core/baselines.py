@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
+from repro.core.base import AllocationAlgorithm, register_algorithm
 
 __all__ = ["WholeMachine", "MaxSeen"]
 
@@ -35,12 +35,7 @@ class WholeMachine(AllocationAlgorithm):
 
     name = "whole_machine"
 
-    def __init__(
-        self,
-        capacity: float = 0.0,
-        rng: RngSource = None,
-    ) -> None:
-        super().__init__(rng=rng)
+    def __init__(self, capacity: float = 0.0) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self._capacity = float(capacity)
@@ -70,9 +65,6 @@ class WholeMachine(AllocationAlgorithm):
     def n_records(self) -> int:
         return self._n_records
 
-    def reset(self) -> None:
-        self._n_records = 0
-
     def _extra_state(self) -> dict:
         return {"n_records": self._n_records}
 
@@ -96,12 +88,7 @@ class MaxSeen(AllocationAlgorithm):
 
     name = "max_seen"
 
-    def __init__(
-        self,
-        granularity: float = 250.0,
-        rng: RngSource = None,
-    ) -> None:
-        super().__init__(rng=rng)
+    def __init__(self, granularity: float = 250.0) -> None:
         if granularity < 0:
             raise ValueError(f"granularity must be non-negative, got {granularity}")
         self._granularity = float(granularity)
@@ -135,10 +122,6 @@ class MaxSeen(AllocationAlgorithm):
     @property
     def n_records(self) -> int:
         return self._n_records
-
-    def reset(self) -> None:
-        self._max_seen = None
-        self._n_records = 0
 
     def _extra_state(self) -> dict:
         return {"max_seen": self._max_seen, "n_records": self._n_records}

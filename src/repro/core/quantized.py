@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
+from repro.core.base import AllocationAlgorithm, register_algorithm
 from repro.core.records import RecordList
 
 __all__ = ["QuantizedBucketing"]
@@ -34,8 +34,7 @@ class QuantizedBucketing(AllocationAlgorithm):
 
     name = "quantized_bucketing"
 
-    def __init__(self, rng: RngSource = None) -> None:
-        super().__init__(rng=rng)
+    def __init__(self) -> None:
         self._records = RecordList()
         self._reps: Optional[Tuple[float, ...]] = None
 
@@ -85,10 +84,6 @@ class QuantizedBucketing(AllocationAlgorithm):
     @property
     def n_records(self) -> int:
         return len(self._records)
-
-    def reset(self) -> None:
-        self._records = RecordList()
-        self._reps = None
 
     def _extra_state(self) -> dict:
         # _reps is a pure function of the records (deterministic quantile

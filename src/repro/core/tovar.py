@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import AllocationAlgorithm, RngSource, register_algorithm
+from repro.core.base import AllocationAlgorithm, register_algorithm
 from repro.core.records import RecordList
 
 __all__ = ["TovarJobSizing", "MinWaste", "MaxThroughput"]
@@ -44,11 +44,11 @@ class TovarJobSizing(AllocationAlgorithm):
     first-allocation value lazily after updates.
     """
 
-    def __init__(self, rng: RngSource = None) -> None:
-        super().__init__(rng=rng)
+    def __init__(self) -> None:
         self._records = RecordList()
+        #: The optimum over the current records; ``None`` until asked
+        #: for after a change.
         self._cached: Optional[float] = None
-        self._dirty = True
 
     # -- subclass hook -----------------------------------------------------------
 
@@ -78,14 +78,13 @@ class TovarJobSizing(AllocationAlgorithm):
     def update(self, value: float, significance: float = 1.0, task_id: int = -1) -> None:
         # Tovar job sizing is count-based; ignore the significance weight.
         self._records.add(value=value, significance=1.0, task_id=task_id)
-        self._dirty = True
+        self._cached = None
 
     def predict(self) -> Optional[float]:
         if not self._records:
             return None
-        if self._dirty or self._cached is None:
+        if self._cached is None:
             self._cached = self._optimize()
-            self._dirty = False
         return self._cached
 
     def predict_retry(
@@ -131,23 +130,16 @@ class TovarJobSizing(AllocationAlgorithm):
     def n_records(self) -> int:
         return len(self._records)
 
-    def reset(self) -> None:
-        self._records = RecordList()
-        self._cached = None
-        self._dirty = True
-
     def _extra_state(self) -> dict:
-        return {
-            "records": self._records.state_dict(),
-            "cached": self._cached,
-            "dirty": self._dirty,
-        }
+        # The optimum is a pure function of the records, which restore
+        # bit-exactly, so the cache is dropped and lazily recomputed.
+        return {"records": self._records.state_dict()}
 
     def _load_extra_state(self, state: dict) -> None:
+        # Snapshots written before the cache was dropped also carry
+        # `cached` and `dirty`; nothing reads them.
         self._records = RecordList.from_state(state["records"])
-        cached = state["cached"]
-        self._cached = None if cached is None else float(cached)
-        self._dirty = bool(state["dirty"])
+        self._cached = None
 
 
 @register_algorithm

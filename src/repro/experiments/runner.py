@@ -33,7 +33,7 @@ from repro.checkpoint import (
     CheckpointError,
     GracefulShutdown,
     GridInterrupted,
-    append_jsonl,
+    JournalWriter,
     encode_frame,
     recover_jsonl,
     state_digest,
@@ -230,10 +230,15 @@ class _GridJournal:
         return completed
 
     def record(self, key: Tuple[str, str], result: SimulationResult) -> None:
-        append_jsonl(
-            self.journal_path,
-            {"workflow": key[0], "algorithm": key[1], "result": result.state_dict()},
-        )
+        writer = JournalWriter(self.journal_path)
+        try:
+            writer.append(
+                {"workflow": key[0], "algorithm": key[1], "result": result.state_dict()}
+            )
+        finally:
+            # The append's group commit fsynced the frame; close() would
+            # fsync again, and after a failed append it must not.
+            writer.abandon()
 
 
 def run_grid(

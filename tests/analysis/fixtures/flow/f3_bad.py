@@ -2,7 +2,7 @@
 import time
 import uuid
 
-from repro.checkpoint import append_jsonl
+from repro.checkpoint import JournalWriter
 
 
 class Recorder:
@@ -14,7 +14,7 @@ class Recorder:
 
     def flush(self, path):
         doc = {"token": self.token, "at": self.stamp()}
-        append_jsonl(path, doc)
+        JournalWriter(path).append(doc)
 
     def state_dict(self):
         return {"seen": self.stamp()}

@@ -1,7 +1,7 @@
 """F3 clean twin: durable lanes fed only from logical/seeded state."""
 import random
 
-from repro.checkpoint import append_jsonl
+from repro.checkpoint import JournalWriter
 
 
 class Recorder:
@@ -16,7 +16,7 @@ class Recorder:
 
     def flush(self, path):
         doc = {"token": self.token, "at": self.stamp()}
-        append_jsonl(path, doc)
+        JournalWriter(path).append(doc)
 
     def state_dict(self):
         return {"seen": self.stamp(), "jitter": self._rng.random()}

@@ -2,7 +2,7 @@
 # Reads are fine; writes go through the atomic helpers.
 import json
 
-from repro.checkpoint import append_jsonl, write_json_atomic, write_text_atomic
+from repro.checkpoint import JournalWriter, write_json_atomic, write_text_atomic
 
 
 def publish_results(path, rows):
@@ -14,7 +14,8 @@ def publish_text(path, text):
 
 
 def append_log(path, doc):
-    append_jsonl(path, doc)
+    with JournalWriter(path) as journal:
+        journal.append(doc)
 
 
 def load_results(path):

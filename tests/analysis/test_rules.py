@@ -49,6 +49,9 @@ _F5_SHARED = [
     ("repro/service/protocol.py", "flow/f5_protocol.py"),
 ]
 
+#: The journal writer the F3 twins append through, so its ``append`` resolves.
+_F3_CHECKPOINT = ("repro/checkpoint.py", "flow/f3_checkpoint.py")
+
 #: rule id -> (bad sources, clean sources, expected finding count on bad,
 #:             bad SERVICE.md, clean SERVICE.md).  Each source is
 #: (virtual_path, fixture_file); the docs feed F5's wire-protocol check.
@@ -95,8 +98,8 @@ CASES = {
         None,
     ),
     "F3": (
-        [("repro/sim/recorder.py", "flow/f3_bad.py")],
-        [("repro/sim/recorder.py", "flow/f3_clean.py")],
+        [("repro/sim/recorder.py", "flow/f3_bad.py"), _F3_CHECKPOINT],
+        [("repro/sim/recorder.py", "flow/f3_clean.py"), _F3_CHECKPOINT],
         3,
         None,
         None,

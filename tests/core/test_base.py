@@ -16,8 +16,7 @@ class _Stub(AllocationAlgorithm):
 
     name = "stub_for_tests"
 
-    def __init__(self, prediction=None, rng=None):
-        super().__init__(rng=rng)
+    def __init__(self, prediction=None):
         self._prediction = prediction
         self._count = 0
 
@@ -30,9 +29,6 @@ class _Stub(AllocationAlgorithm):
     @property
     def n_records(self):
         return self._count
-
-    def reset(self):
-        self._count = 0
 
 
 class TestRegistry:
@@ -90,7 +86,6 @@ class TestDefaultRetryContract:
 
     def test_default_flags(self):
         assert _Stub.conservative_exploration is False
-        assert _Stub.deterministic_predictions is True
 
     def test_repr_mentions_records(self):
         algo = _Stub()

@@ -9,7 +9,6 @@ class TestWholeMachine:
     def test_registry_and_flags(self):
         assert WholeMachine.name == "whole_machine"
         assert WholeMachine.conservative_exploration is False
-        assert WholeMachine.deterministic_predictions is True
 
     def test_always_predicts_capacity(self):
         wm = WholeMachine(capacity=64000.0)
@@ -29,20 +28,17 @@ class TestWholeMachine:
         assert wm.predict_retry(100.0, 100.0) is None
         assert wm.predict_retry(50.0, 60.0) == 100.0
 
-    def test_record_counting_and_reset(self):
+    def test_record_counting(self):
         wm = WholeMachine(capacity=10.0)
         wm.update(1.0)
         wm.update(2.0)
         assert wm.n_records == 2
-        wm.reset()
-        assert wm.n_records == 0
 
 
 class TestMaxSeen:
     def test_registry_and_flags(self):
         assert MaxSeen.name == "max_seen"
         assert MaxSeen.conservative_exploration is False
-        assert MaxSeen.deterministic_predictions is True
 
     def test_no_records_no_prediction(self):
         assert MaxSeen().predict() is None
@@ -90,9 +86,3 @@ class TestMaxSeen:
         ms.update(50.0, significance=0.5)
         assert ms.predict() == 50.0
 
-    def test_reset(self):
-        ms = MaxSeen()
-        ms.update(306.0)
-        ms.reset()
-        assert ms.predict() is None
-        assert ms.n_records == 0

@@ -20,13 +20,13 @@ from repro.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
     GracefulShutdown,
-    append_jsonl,
+    JournalWriter,
     canonical_json,
     encode_frame,
-    generator_state,
     load_checkpoint,
     read_jsonl,
-    restore_generator,
+    rng_numbers,
+    rng_state,
     save_checkpoint,
     state_digest,
     write_json_atomic,
@@ -70,15 +70,17 @@ def test_write_json_atomic_round_trips_floats_exactly(tmp_path):
 def test_read_jsonl_round_trip(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     docs = [{"i": 0}, {"i": 1, "x": [1.5, 2.5]}, "bare-string"]
-    for doc in docs:
-        append_jsonl(path, doc)
+    with JournalWriter(path) as journal:
+        for doc in docs:
+            journal.append(doc)
     assert read_jsonl(path) == docs
 
 
 def test_read_jsonl_drops_torn_tail(tmp_path):
     path = str(tmp_path / "journal.jsonl")
-    append_jsonl(path, {"i": 0})
-    append_jsonl(path, {"i": 1})
+    with JournalWriter(path) as journal:
+        journal.append({"i": 0})
+        journal.append({"i": 1})
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"i": 2, "tr')  # crash mid-append
     assert read_jsonl(path) == [{"i": 0}, {"i": 1}]
@@ -143,25 +145,27 @@ def test_canonical_json_is_order_insensitive():
 def test_generator_state_round_trip():
     rng = np.random.default_rng(99)
     rng.normal(size=17)  # advance into an arbitrary mid-stream position
-    saved = generator_state(rng)
+    saved = json.loads(json.dumps(rng_state(rng_numbers(rng.bit_generator.state))))
     expected = rng.normal(size=8).tolist()
 
     fresh = np.random.default_rng(0)
-    restore_generator(fresh, saved)
+    fresh.bit_generator.state = rng_state(rng_numbers(saved))
     assert fresh.normal(size=8).tolist() == expected
 
 
 def test_generator_state_is_json_safe():
-    state = generator_state(np.random.default_rng(3))
-    json.dumps(state)  # no numpy scalars may remain
+    rng = np.random.default_rng(3)
+    state = rng_state(rng_numbers(rng.bit_generator.state))
+    # Plain ints in PCG64.state's own key order: the bytes a snapshot holds.
+    assert json.dumps(state) == json.dumps(rng.bit_generator.state)
 
 
 def test_restore_generator_rejects_kind_mismatch():
     rng = np.random.default_rng(0)
-    state = generator_state(rng)
+    state = rng_state(rng_numbers(rng.bit_generator.state))
     state["bit_generator"] = "MT19937"
     with pytest.raises(CheckpointError, match="RNG kind mismatch"):
-        restore_generator(np.random.default_rng(0), state)
+        rng_numbers(state)
 
 
 # -- GracefulShutdown ---------------------------------------------------------

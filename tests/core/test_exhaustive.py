@@ -96,7 +96,6 @@ class TestExhaustiveBucketingAlgorithm:
     def test_registry_and_flags(self):
         assert ExhaustiveBucketing.name == "exhaustive_bucketing"
         assert ExhaustiveBucketing.conservative_exploration is True
-        assert ExhaustiveBucketing.deterministic_predictions is False
 
     def test_paper_default_cap(self):
         eb = ExhaustiveBucketing()

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.checkpoint import (
     FRAME_PREFIX,
     JournalCorruptError,
-    append_jsonl,
+    JournalWriter,
     decode_frame,
     encode_frame,
     read_jsonl,
@@ -65,8 +65,9 @@ def test_frame_round_trip(doc):
 @settings(max_examples=50, deadline=None)
 def test_journal_round_trip_through_file(tmp_path_factory, docs):
     path = str(tmp_path_factory.mktemp("frames") / "journal.jsonl")
-    for doc in docs:
-        append_jsonl(path, doc)
+    with JournalWriter(path) as journal:
+        for doc in docs:
+            journal.append(doc)
     assert read_jsonl(path) == [json.loads(json.dumps(d)) for d in docs]
 
 
@@ -92,8 +93,9 @@ def test_bit_flip_in_final_complete_line_is_detected(tmp_path):
     """A newline-terminated final line is covered — torn-tail forgiveness
     only applies when the trailing newline itself never made it."""
     path = str(tmp_path / "journal.jsonl")
-    append_jsonl(path, {"seq": 1})
-    append_jsonl(path, {"seq": 2})
+    with JournalWriter(path) as journal:
+        journal.append({"seq": 1})
+        journal.append({"seq": 2})
     with open(path, "rb") as handle:
         blob = bytearray(handle.read())
     # Flip one payload bit in the last frame (not the trailing newline).
@@ -196,7 +198,8 @@ def test_decode_frame_rejects_malformed_headers():
 
 def test_torn_tail_still_forgiven_without_newline(tmp_path):
     path = str(tmp_path / "journal.jsonl")
-    append_jsonl(path, {"seq": 1})
+    with JournalWriter(path) as journal:
+        journal.append({"seq": 1})
     full = encode_frame({"seq": 2})
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(full[: len(full) // 2])  # crash mid-append, no "\n"

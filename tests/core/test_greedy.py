@@ -75,7 +75,6 @@ class TestGreedyBucketingAlgorithm:
     def test_registry_name(self):
         assert GreedyBucketing.name == "greedy_bucketing"
         assert GreedyBucketing.conservative_exploration is True
-        assert GreedyBucketing.deterministic_predictions is False
 
     def test_no_records_no_prediction(self):
         gb = GreedyBucketing(rng=np.random.default_rng(0))
@@ -119,15 +118,6 @@ class TestGreedyBucketingAlgorithm:
         gb.update(500.0, 1.0, 999)
         gb.predict()
         assert gb.recomputations == 2
-
-    def test_reset(self, bimodal_records):
-        gb = GreedyBucketing(rng=np.random.default_rng(0))
-        for r in bimodal_records:
-            gb.update(r.value, r.significance, r.task_id)
-        gb.predict()
-        gb.reset()
-        assert gb.n_records == 0
-        assert gb.predict() is None
 
     def test_state_validates(self, normal_records):
         gb = GreedyBucketing(rng=np.random.default_rng(0))

@@ -1,8 +1,9 @@
 """Generators built on first draw decide and serialize like eager ones.
 
-The allocator hands each (category, resource) algorithm an ``int``
-child seed, and the algorithm builds ``np.random.default_rng(seed)``
-only when it first draws; until then ``state_dict()`` writes the state
+Only the bucketing algorithms draw, and only they take an ``rng``.  The
+allocator hands each (category, resource) one of them an ``int`` child
+seed, and the algorithm builds ``np.random.default_rng(seed)`` only
+when it first draws; until then ``state_dict()`` writes the state
 that generator would have, and ``load_state()`` keeps a restored PCG64
 state as four numbers.  :class:`EagerAllocator` below builds every
 algorithm with a ready ``Generator`` from the same child seed, as the
@@ -12,6 +13,7 @@ requires the same responses, ``state_dict()`` bytes and digests after
 every step.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -20,11 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import CheckpointError
+from repro.checkpoint import CheckpointError, rng_numbers, rng_state
 from repro.core.allocator import (
     AllocatorConfig,
     TaskOrientedAllocator,
     _build_algorithm,
+    _init_parameters,
 )
 from repro.core.base import ALGORITHM_REGISTRY, make_algorithm
 from repro.core.resources import CORES, MEMORY, ResourceVector
@@ -43,6 +46,14 @@ def _config(algorithm):
     return AllocatorConfig(
         algorithm=algorithm, seed=5, min_records=2
     )
+
+
+def _draws(algorithm):
+    return "rng" in _init_parameters(ALGORITHM_REGISTRY[algorithm])
+
+
+#: The registered algorithms that take an ``rng``: the two that draw.
+DRAWING = sorted(name for name in ALGORITHM_REGISTRY if _draws(name))
 
 
 _CATEGORIES = st.sampled_from(["a", "b", "c"])
@@ -80,7 +91,7 @@ def _step(alloc, step, task_id):
     return None, fresh
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHM_REGISTRY))
+@pytest.mark.parametrize("algorithm", DRAWING)
 @settings(max_examples=25, deadline=None)
 @given(steps=_STEPS)
 def test_lazy_generators_match_eager_ones(algorithm, steps):
@@ -143,10 +154,65 @@ def _pcg64(state=1, inc=1, **extra):
     ],
 )
 def test_a_bad_rng_state_is_refused_at_restore_not_at_the_first_draw(rng):
+    """The same codec guards an algorithm's generator and the allocator's
+    master RNG: both refuse the damage with ``CheckpointError``."""
     algo = make_algorithm("exhaustive_bucketing", rng=3)
     state = algo.state_dict()
     with pytest.raises(CheckpointError):
         make_algorithm("exhaustive_bucketing", rng=3).load_state({**state, "rng": rng})
+    for algorithm in ("exhaustive_bucketing", "min_waste"):
+        alloc = TaskOrientedAllocator(_config(algorithm))
+        alloc.allocate("a", 1)
+        saved = alloc.state_dict()
+        with pytest.raises(CheckpointError):
+            TaskOrientedAllocator(alloc.config).load_state({**saved, "rng": rng})
+
+
+def _peaks(task_id):
+    return ResourceVector.of(cores=1 + task_id % 3, memory=300.0 * task_id, disk=40.0 + task_id)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHM_REGISTRY))
+def test_an_algorithm_takes_an_rng_only_if_it_draws(algorithm):
+    """Every algorithm that accepts ``rng`` builds its generator once a
+    category past ``min_records`` allocates; one that does not draw
+    takes no seed, writes no ``"rng"`` and costs the master RNG no draw."""
+    alloc = TaskOrientedAllocator(_config(algorithm))
+    for task_id in (1, 2):
+        alloc.observe("a", _peaks(task_id), task_id=task_id)
+    alloc.allocate("a", 3)
+    draws = _draws(algorithm)
+    for res in alloc.config.resources:
+        algo = alloc.algorithm("a", res)
+        if draws:
+            assert algo._rng_built is not None
+        assert ("rng" in algo.state_dict()) is draws
+    untouched = rng_state(rng_numbers(np.random.default_rng(5).bit_generator.state))
+    assert (alloc.state_dict()["rng"] == untouched) is not draws
+
+
+#: sha256 of the master RNG and the category entries below, as written
+#: when every algorithm took an ``rng``: the drawing algorithms' bytes
+#: did not move when the other five stopped taking one.
+_BUCKETING_BYTES = {
+    "exhaustive_bucketing": "d91963798ecb5d570055920e6bc9b3b39b939a2cdae6adb9cc9f9334ed622420",
+    "greedy_bucketing": "b50e8d194e2b3eec55f3b39c65411e79a103eebea8b0e8f65ed928fc98bc1d94",
+}
+
+
+@pytest.mark.parametrize("algorithm", DRAWING)
+def test_bucketing_snapshot_entries_keep_their_bytes(algorithm):
+    alloc = TaskOrientedAllocator(_config(algorithm))
+    alloc.allocate("quiet", 0)
+    for task_id in range(1, 7):
+        alloc.observe("a", _peaks(task_id), task_id=task_id)
+        alloc.allocate("a", 100 + task_id)
+    restored = TaskOrientedAllocator(alloc.config)
+    restored.load_state(json.loads(json.dumps(alloc.state_dict())))
+    restored.allocate("a", 200)
+    state = restored.state_dict()
+    written = json.dumps([state["rng"], state["categories"]])
+    assert hashlib.sha256(written.encode()).hexdigest() == _BUCKETING_BYTES[algorithm]
 
 
 @pytest.mark.parametrize("rng", [-1, True, 1.5, "3"])

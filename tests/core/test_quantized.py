@@ -16,7 +16,6 @@ class TestQuantizedBucketing:
     def test_registry_and_flags(self):
         assert QuantizedBucketing.name == "quantized_bucketing"
         assert QuantizedBucketing.conservative_exploration is False
-        assert QuantizedBucketing.deterministic_predictions is True
 
     def test_default_splits_at_median(self):
         qb = feed(QuantizedBucketing(), [10.0, 20.0, 30.0, 40.0])
@@ -70,8 +69,3 @@ class TestQuantizedBucketing:
         # Count-based median, not significance-weighted.
         assert qb.predict() == 20.0
 
-    def test_reset(self):
-        qb = feed(QuantizedBucketing(), [1.0, 2.0])
-        qb.reset()
-        assert qb.n_records == 0
-        assert qb.predict() is None

@@ -16,7 +16,6 @@ class TestMinWaste:
     def test_registry_and_flags(self):
         assert MinWaste.name == "min_waste"
         assert MinWaste.conservative_exploration is False
-        assert MinWaste.deterministic_predictions is True
 
     def test_no_records_no_prediction(self):
         assert MinWaste().predict() is None
@@ -69,11 +68,6 @@ class TestMinWaste:
         assert mw.predict() == first  # cached
         mw.update(100.0)
         assert mw.predict() is not None  # recomputed without error
-
-    def test_reset(self):
-        mw = feed(MinWaste(), [10.0])
-        mw.reset()
-        assert mw.predict() is None
 
 
 class TestMaxThroughput:
