@@ -1,6 +1,7 @@
 """Alternating A/B pairs of one end-to-end workload between two revisions.
 
     python scripts/ab.py PARENT CHANGE --workload W [--pairs 10] [--seed 0] [--scale 1.0]
+        [--append-history BENCH_history.jsonl]
 
 Exports both revisions with ``git archive`` into two sibling directories
 whose paths have the same length, then runs each tree's
@@ -14,9 +15,15 @@ Timings are clock-normalized by each run's ``clock_factor``, as
 ``run.py`` does.  Prints, per metric, both medians, the parent's
 quartiles, and in how many pairs the change was better; then one row per
 run with the child's minor page faults (``ru_minflt``, read with
-``os.wait4``); then one JSON object as the last line.  Exit 0 when every
-run passed its workload's own checks, 1 when one did not.  Standard
-library only.
+``os.wait4``); then a ``MODE FLIP?`` line for every pair whose two
+sides' minor faults differ by more than :data:`FLIP_RATIO` times, the
+signature of the two processes landing in different pymalloc modes
+(docs/PERFORMANCE.md, "A/B runs"), whose timings do not compare; then
+one JSON object as the last line.  ``--append-history PATH`` also
+appends one ``{"kind": "ab", ...}`` line to ``PATH`` with both commits,
+the workload, seed and scale, the summary and the flagged pairs.  Exit 0
+when every run passed its workload's own checks, 1 when one did not.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -50,6 +57,10 @@ METRICS: Tuple[Tuple[str, str], ...] = (
     ("peak_rss_mb", "lower"),
     ("minor_faults", "lower"),
 )
+
+#: Minor-fault ratio between a pair's two sides past which the pair is
+#: flagged as a likely allocator-mode flip.
+FLIP_RATIO = 5.0
 
 
 def schedule(pairs: int) -> List[Tuple[int, str, str]]:
@@ -125,6 +136,52 @@ def summarize(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
             }
         )
     return summary
+
+
+def mode_flips(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Pairs whose sides' minor faults differ by more than :data:`FLIP_RATIO` times.
+
+    Returns ``{"pair", "parent", "change"}`` (the two fault counts) per
+    flagged pair, in pair order; a pair missing a side is skipped.
+    """
+    faults: Dict[int, Dict[str, float]] = {}
+    for row in rows:
+        faults.setdefault(row["pair"], {})[row["side"]] = row["metrics"]["minor_faults"]
+    flagged = []
+    for pair, sides in sorted(faults.items()):
+        if len(sides) != 2:
+            continue
+        low, high = sorted(sides.values())
+        if high > FLIP_RATIO * max(low, 1.0):
+            flagged.append({"pair": pair, **{side: sides[side] for side in SIDES}})
+    return flagged
+
+
+def history_row(
+    commits: Dict[str, str],
+    workload: str,
+    seed: int,
+    scale: float,
+    summary: Sequence[Dict[str, Any]],
+    flips: Sequence[Dict[str, Any]],
+) -> Dict[str, Any]:
+    """The ``BENCH_history.jsonl`` line of one A/B run."""
+    pairs = max((entry["pairs"] for entry in summary), default=0)
+    return {
+        "kind": "ab",
+        "commits": dict(commits),
+        "workload": workload,
+        "seed": seed,
+        "scale": scale,
+        "pairs": pairs,
+        "summary": list(summary),
+        "mode_flips": list(flips),
+    }
+
+
+def append_history(path: str, row: Dict[str, Any]) -> None:
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
 def format_summary(summary: Sequence[Dict[str, Any]]) -> List[str]:
@@ -212,6 +269,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument(
+        "--append-history", metavar="PATH", help="also append the run as one JSON line"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
@@ -269,7 +329,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     summary = summarize(rows)
+    flips = mode_flips(rows)
     print("\n".join(format_summary(summary)))
+    for flip in flips:
+        print(
+            f"MODE FLIP? pair {flip['pair']}: parent {flip['parent']:.0f} minor faults, "
+            f"change {flip['change']:.0f}"
+        )
     if awe_seen:
         print("awe: identical in every run" if len(awe_seen) == 1 else "awe: differs between runs")
     for failure in failures:
@@ -282,11 +348,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "scale": args.scale,
                 "commits": commits,
                 "summary": summary,
+                "mode_flips": flips,
                 "rows": rows,
                 "failures": failures,
             }
         )
     )
+    if args.append_history:
+        append_history(
+            args.append_history,
+            history_row(commits, args.workload, args.seed, args.scale, summary, flips),
+        )
     return 1 if failures else 0
 
 

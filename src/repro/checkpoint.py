@@ -68,7 +68,15 @@ __all__ = [
 
 #: Version of the on-disk checkpoint envelope.  Bumped on any change to
 #: the payload schemas; loaders refuse versions they do not understand.
-FORMAT_VERSION = 1
+#: Version 2 packs a record list's five rows into one list and writes a
+#: seeded bucketing generator as ``[seed, draws]``
+#: (:meth:`repro.core.records.RecordList.state_dict`,
+#: :meth:`repro.core.base.BucketingAlgorithm.state_dict`).
+FORMAT_VERSION = 2
+
+#: Envelope versions :func:`load_checkpoint` reads: version 1's payloads
+#: still load (the record and generator loaders read both forms).
+_READABLE_VERSIONS = (1, 2)
 
 #: Magic identifying repro checkpoint files.
 MAGIC = "repro-checkpoint"
@@ -724,10 +732,10 @@ def load_checkpoint(path: str, kind: Optional[str] = None) -> Tuple[str, Dict[st
     if not isinstance(doc, dict) or doc.get("magic") != MAGIC:
         raise CheckpointError(f"{path!r} is not a repro checkpoint")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise CheckpointError(
             f"checkpoint {path!r} has format version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"this build reads versions {', '.join(map(str, _READABLE_VERSIONS))}"
         )
     if kind is not None and doc.get("kind") != kind:
         raise CheckpointError(

@@ -241,6 +241,14 @@ class TaskOrientedAllocator:
         self._categories: Dict[str, _CategoryState] = {}
         self._conservative = ALGORITHM_REGISTRY[config.algorithm].conservative_exploration
         self._significance = SIGNIFICANCE[config.significance]
+        # Plain dicts over the managed resources, read on every call: a
+        # ResourceVector lookup goes through the Mapping entry point.
+        self._capacity: Dict[Resource, float] = {
+            res: config.machine_capacity[res] for res in config.resources
+        }
+        self._exploratory: Dict[Resource, float] = {
+            res: self._exploratory_value(res) for res in config.resources
+        }
         #: category -> number of retry allocations the machine-capacity
         #: clamp stopped from growing (diagnostic only; rebuilt on
         #: replay, so deliberately not part of :meth:`state_dict`).
@@ -353,13 +361,13 @@ class TaskOrientedAllocator:
         exploring = self.in_exploration(category)
         for res in self._config.resources:
             if exploring:
-                values[res] = self._exploratory_value(res)
+                values[res] = self._exploratory[res]
                 continue
             predicted = state.algorithms[res].predict()
             if predicted is None:
                 # Algorithm has no guidance (e.g. min_records == 0 and no
                 # completions yet): fall back to the exploratory value.
-                predicted = self._exploratory_value(res)
+                predicted = self._exploratory[res]
             values[res] = self._clamp(res, predicted)
         return ResourceVector(values)
 
@@ -394,12 +402,15 @@ class TaskOrientedAllocator:
         exhausted: Tuple[Resource, ...],
     ) -> ResourceVector:
         state = self._state(category)
-        values: Dict[Resource, float] = {r: previous[r] for r in self._config.resources}
+        previous_raw = previous.raw
+        values: Dict[Resource, float] = {
+            r: previous_raw.get(r, 0.0) for r in self._config.resources
+        }
         for res in exhausted:
             if res not in values:
                 raise KeyError(f"resource {res.key} is not managed by this allocator")
-            prev_value = previous[res]
-            peak = observed[res]
+            prev_value = values[res]
+            peak = observed.raw.get(res, 0.0)
             suggestion: Optional[float] = None
             if not self.in_exploration(category):
                 suggestion = state.algorithms[res].predict_retry(prev_value, peak)
@@ -407,7 +418,7 @@ class TaskOrientedAllocator:
                 suggestion = self._double(prev_value, peak, res)
             unclamped = max(suggestion, prev_value)
             values[res] = self._clamp(res, unclamped)
-            if values[res] <= prev_value and values[res] < self._config.machine_capacity[res]:
+            if values[res] <= prev_value and values[res] < self._capacity[res]:
                 # Clamping or a degenerate suggestion failed to grow the
                 # allocation; force progress with one doubling step.
                 unclamped = self._double(prev_value, peak, res)
@@ -440,9 +451,10 @@ class TaskOrientedAllocator:
         self._enter("observe")
         try:
             state = self._state(category)
+            raw = peaks.raw
             for res in self._config.resources:
                 state.algorithms[res].update(
-                    peaks[res], significance=significance, task_id=task_id
+                    raw.get(res, 0.0), significance=significance, task_id=task_id
                 )
             state.completed_records += 1
             state.version += 1
@@ -465,7 +477,9 @@ class TaskOrientedAllocator:
         return _build_algorithm(self._config, res, self._rng)
 
     def _exploratory_value(self, res: Resource) -> float:
-        capacity = self._config.machine_capacity[res]
+        """The exploratory allocation of ``res``, computed once per
+        allocator (``_exploratory``)."""
+        capacity = self._capacity[res]
         if not self._conservative:
             if capacity <= 0.0:
                 # Capacity-less resource (wall time): use the fallback.
@@ -490,7 +504,7 @@ class TaskOrientedAllocator:
         return base * 2.0
 
     def _clamp(self, res: Resource, value: float) -> float:
-        capacity = self._config.machine_capacity[res]
+        capacity = self._capacity[res]
         if capacity <= 0.0:
             return value
         return min(value, capacity)

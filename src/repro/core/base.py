@@ -124,10 +124,19 @@ class AllocationAlgorithm(abc.ABC):
         """Restore a snapshot captured by :meth:`state_dict`, bit-exactly.
 
         Keys it does not read are ignored: a snapshot written when every
-        algorithm carried an ``"rng"`` entry still loads.
+        algorithm carried an ``"rng"`` entry still loads.  A state the
+        algorithm could not have reached (a record list :meth:`update`
+        would have refused, say) raises :class:`CheckpointError`.
         """
         _check_algorithm(self.name, state)
-        self._load_extra_state(state["state"])
+        self._restore_extra_state(state["state"])
+
+    def _restore_extra_state(self, state: dict) -> None:
+        """:meth:`_load_extra_state`, its ``ValueError`` a :class:`CheckpointError`."""
+        try:
+            self._load_extra_state(state)
+        except ValueError as exc:
+            raise CheckpointError(f"malformed {self.name} state: {exc}") from exc
 
     def _extra_state(self) -> dict:
         """Algorithm-specific mutable state; subclasses must override."""
@@ -196,13 +205,21 @@ class BucketingAlgorithm(AllocationAlgorithm):
     :meth:`_make_partition_engine`.
 
     The two are the only algorithms that draw: a bucket is picked at
-    random, weighted by significance.  The generator is built on its
-    first draw when ``rng`` is an ``int`` seed: most categories of a
-    service never leave exploration and never draw, and a built
-    ``Generator`` and its lock cost ~0.9 KB, three per category
-    (docs/PERFORMANCE.md, "Peak memory").  Until then
-    :meth:`state_dict` writes the state the generator would have, so
-    snapshots and digests do not depend on whether it was built.
+    random, weighted by significance.  When ``rng`` is an ``int`` seed
+    the generator is ``(seed, draws)``: :meth:`random` counts the draws
+    it makes, :meth:`state_dict` writes ``[seed, draws]``, and the first
+    draw builds ``np.random.default_rng(seed)`` and advances it past the
+    counted draws (one PCG64 step per ``random()``).  Most categories of
+    a service never leave exploration and never draw; they build no
+    generator (~0.9 KB with its lock, three per category) and their
+    snapshots and digests run no seeding (docs/PERFORMANCE.md, "What a
+    category costs").  A generator passed in as a ``Generator``, or
+    restored from a format-1 snapshot, is written as its PCG64 state.
+
+    The partition engine is built by the first query (:attr:`state`,
+    :attr:`partition_engine`); until then :meth:`update` feeds it
+    nothing, which changes no answer: an engine holds nothing a search
+    cannot rebuild (:meth:`_make_partition_engine`).
     """
 
     conservative_exploration: ClassVar[bool] = True
@@ -212,24 +229,27 @@ class BucketingAlgorithm(AllocationAlgorithm):
         rng: RngSource = None,
         record_capacity: Optional[int] = None,
     ) -> None:
-        #: The generator once built; ``None`` while ``_rng_pending``
-        #: holds what builds it: the ``int`` seed, or a PCG64 state as
-        #: four numbers (restored by :meth:`load_state`, or the seed's
-        #: state once :meth:`state_dict` has computed it).
+        #: The generator once built, or ``None`` until the first draw.
         self._rng_built: Optional[np.random.Generator] = None
-        self._rng_pending: Union[int, Pcg64Numbers, None] = None
+        #: What the generator is: an ``int`` seed, advanced by
+        #: ``_draws`` steps; a format-1 snapshot's PCG64 state as four
+        #: numbers, until the first draw builds on it; or ``None``, the
+        #: built generator alone.
+        self._rng_source: Union[int, Pcg64Numbers, None] = None
+        #: How many times :meth:`random` has drawn.
+        self._draws = 0
         if rng is None:
             self._rng_built = np.random.default_rng()
         elif isinstance(rng, np.random.Generator):
             self._rng_built = rng
         else:
             check_seed("rng", rng)
-            self._rng_pending = int(rng)
+            self._rng_source = int(rng)
         self._records = RecordList(capacity=record_capacity)
         self._state: Optional[BucketState] = None
         self._dirty = True
         self._recomputations = 0
-        self._partition_engine = self._make_partition_engine()
+        self._partition_engine = None
 
     # -- subclass hooks ---------------------------------------------------------
 
@@ -255,44 +275,59 @@ class BucketingAlgorithm(AllocationAlgorithm):
         and :class:`repro.core.greedy.GreedySplitMemo`).  Engines hold
         nothing a search cannot rebuild, so one is simply re-created
         whenever the record list is replaced
-        (:meth:`_load_extra_state`).
+        (:meth:`_load_extra_state`), and built only when first queried.
         """
 
     @property
     def partition_engine(self):
-        """The partition engine over this algorithm's record list."""
-        return self._partition_engine
+        """The partition engine over this algorithm's record list, built
+        on first access."""
+        engine = self._partition_engine
+        if engine is None:
+            engine = self._partition_engine = self._make_partition_engine()
+        return engine
 
-    @property
-    def _rng(self) -> np.random.Generator:
-        """The generator to draw from, built from the pending seed or
-        state on first use."""
+    def random(self) -> float:
+        """The next draw of this algorithm's generator, counted.
+
+        What :class:`~repro.core.buckets.BucketState` calls to pick a
+        bucket; a retry with no eligible bucket calls it not at all.
+        """
         rng = self._rng_built
         if rng is None:
-            pending = self._rng_pending
-            if isinstance(pending, int):
-                rng = np.random.default_rng(pending)
-            else:
-                assert pending is not None
-                rng = np.random.default_rng(0)
-                rng.bit_generator.state = rng_state(pending)
-            self._rng_built = rng
-            self._rng_pending = None
+            rng = self._build_rng()
+        self._draws += 1
+        return rng.random()
+
+    def _build_rng(self) -> np.random.Generator:
+        source = self._rng_source
+        if isinstance(source, int):
+            rng = np.random.default_rng(source)
+            if self._draws:
+                # One random() is one PCG64 step.
+                rng.bit_generator.advance(self._draws)
+        else:
+            assert source is not None
+            rng = np.random.default_rng(0)
+            rng.bit_generator.state = rng_state(source)
+            self._rng_source = None
+        self._rng_built = rng
         return rng
 
     # -- contract ----------------------------------------------------------------
 
     def update(self, value: float, significance: float = 1.0, task_id: int = -1) -> None:
-        self._partition_engine.observe(
-            value, self._records.add(value, significance, task_id)
-        )
+        pos = self._records.add(value, significance, task_id)
+        engine = self._partition_engine
+        if engine is not None:
+            engine.observe(value, pos)
         self._dirty = True
 
     def predict(self) -> Optional[float]:
         state = self.state
         if state is None:
             return None
-        return state.first_allocation(self._rng)
+        return state.first_allocation(self)
 
     def predict_retry(
         self, previous_allocation: float, observed_peak: float
@@ -301,7 +336,7 @@ class BucketingAlgorithm(AllocationAlgorithm):
         if state is None:
             return None
         floor = max(previous_allocation, observed_peak)
-        return state.retry_allocation(floor, self._rng)
+        return state.retry_allocation(floor, self)
 
     # -- state management -----------------------------------------------------------
 
@@ -311,12 +346,13 @@ class BucketingAlgorithm(AllocationAlgorithm):
         if not self._records:
             return None
         if self._dirty or self._state is None:
+            engine = self.partition_engine
             breaks = self.compute_break_indices(self._records)
             self._recomputations += 1
             self._state = BucketState(
                 self._records,
                 breaks,
-                stats=self._partition_engine.consume_stats(breaks),
+                stats=engine.consume_stats(breaks),
             )
             self._dirty = False
         return self._state
@@ -337,36 +373,43 @@ class BucketingAlgorithm(AllocationAlgorithm):
     # -- checkpointing ------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The base envelope plus the generator's state under ``"rng"``."""
-        rng = self._rng_built
-        if rng is not None:
-            numbers = rng_numbers(rng.bit_generator.state)
+        """The base envelope plus the generator under ``"rng"``:
+        ``[seed, draws]`` for a seeded one, whether built or not (no
+        seeding runs, and snapshots run with the shard writers parked),
+        else its PCG64 state."""
+        source = self._rng_source
+        if isinstance(source, int):
+            rng: object = [source, self._draws]
+        elif source is not None:
+            rng = rng_state(source)
         else:
-            numbers = self._rng_pending
-            if isinstance(numbers, int):
-                # The state default_rng(seed) starts from, kept as four
-                # numbers as a restore keeps it: seeding costs ~20 us,
-                # paid once rather than in every snapshot, and snapshots
-                # run with the shard writers parked.
-                numbers = self._rng_pending = rng_numbers(np.random.PCG64(numbers).state)
-            assert numbers is not None
-        return {
-            "algorithm": self.name,
-            "rng": rng_state(numbers),
-            "state": self._extra_state(),
-        }
+            assert self._rng_built is not None
+            rng = rng_state(rng_numbers(self._rng_built.bit_generator.state))
+        return {"algorithm": self.name, "rng": rng, "state": self._extra_state()}
 
     def load_state(self, state: dict) -> None:
         """Restore a snapshot captured by :meth:`state_dict`, bit-exactly.
 
-        The saved generator state is kept as four numbers until the
-        first draw builds on it.
+        No generator is built: the first draw builds it from the saved
+        ``[seed, draws]``, or from a format-1 snapshot's PCG64 state.
         """
         _check_algorithm(self.name, state)
-        numbers = rng_numbers(state["rng"])
-        self._load_extra_state(state["state"])
+        saved = state.get("rng")
+        if isinstance(saved, list):
+            if not (
+                len(saved) == 2
+                and all(type(n) is int for n in saved)
+                and saved[0] >= 0
+                and 0 <= saved[1] < 2**64
+            ):
+                raise CheckpointError(f"malformed [seed, draws] generator: {saved!r}")
+            source, draws = saved
+        else:
+            source, draws = rng_numbers(saved), 0
+        self._restore_extra_state(state["state"])
         self._rng_built = None
-        self._rng_pending = numbers
+        self._rng_source = source
+        self._draws = draws
 
     def _extra_state(self) -> dict:
         # The bucket state is serialized verbatim: it may be stale
@@ -387,7 +430,7 @@ class BucketingAlgorithm(AllocationAlgorithm):
         # carry `reanchors`, `updates_since_recompute`,
         # `cached_break_values` and `partition_cache`; nothing reads them.
         self._records = RecordList.from_state(state["records"])
-        self._partition_engine = self._make_partition_engine()
+        self._partition_engine = None
         self._dirty = bool(state["dirty"])
         self._recomputations = int(state["recomputations"])
         saved = state["bucket_state"]

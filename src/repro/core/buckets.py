@@ -92,6 +92,10 @@ class BucketState:
     in large simulations, the prediction draw only needs a binary search
     over ~10 cumulative probabilities, and at that size list operations
     beat numpy dispatch (docs/PERFORMANCE.md).
+
+    A prediction draws through ``rng.random()``, at most once: ``rng`` is
+    a ``Generator`` or anything with that method, such as the bucketing
+    algorithm that owns the state and counts its draws.
     """
 
     __slots__ = (
@@ -348,11 +352,12 @@ def partition_stats(
     record count.
     """
     idx = np.asarray(break_indices, dtype=np.intp)
+    values, _, sp, svp = records._rows()
     return bucket_stats(
-        records._sp_buf[idx].tolist(),
-        records._svp_buf[idx].tolist(),
-        records._values_buf[idx].tolist(),
-        float(records._sp_buf[len(records) - 1]),
+        sp[idx].tolist(),
+        svp[idx].tolist(),
+        values[idx].tolist(),
+        float(sp[len(records) - 1]),
     )
 
 

@@ -75,9 +75,7 @@ def greedy_split_costs(
     if not (lo <= first <= last <= hi):
         raise IndexError(f"candidates [{first}, {last}] outside segment [{lo}, {hi}]")
     m = last - first + 1
-    sp = records._sp_buf
-    svp = records._svp_buf
-    values = records._values_buf
+    values, _, sp, svp = records._rows()
     base_sig = sp[lo - 1] if lo > 0 else 0.0
     base_sigval = svp[lo - 1] if lo > 0 else 0.0
     total_sig = sp[hi] - base_sig

@@ -136,10 +136,11 @@ def _score_and_select(
     if flat is None:
         flat = [hi for breaks in configurations for hi in breaks]
     idx = np.asarray(flat, dtype=np.intp)
-    sig_at = records._sp_buf[idx].tolist()
-    sigval_at = records._svp_buf[idx].tolist()
-    rep_at = records._values_buf[idx].tolist()
-    total_sig = float(records._sp_buf[n - 1])
+    values, _, sp, svp = records._rows()
+    sig_at = sp[idx].tolist()
+    sigval_at = svp[idx].tolist()
+    rep_at = values[idx].tolist()
+    total_sig = float(sp[n - 1])
 
     best_cost = float("inf")
     best_breaks: Optional[List[int]] = None
@@ -373,7 +374,7 @@ class IncrementalExhaustivePartition:
 
     def _resync(self) -> None:
         n = len(self._records)
-        values = self._records._values_buf[:n]
+        values = self._records._rows()[0][:n]
         self._vmax = float(values[n - 1])
         i_arr, k_arr, config_arr = self._layout
         cands = (self._vmax * i_arr) / k_arr
@@ -432,15 +433,10 @@ class IncrementalExhaustivePartition:
             # bucket [last], the scorer's first-wins tie-break would pick
             # it, and its stats are three scalar reads (the same floats
             # as the scorer's bulk tolist()).
-            records = self._records
-            total_sig = records._sp_buf[last].item()
+            values, _, sp, svp = self._records._rows()
+            total_sig = sp.item(last)
             breaks = [last]
-            stats = bucket_stats(
-                [total_sig],
-                [records._svp_buf[last].item()],
-                [records._values_buf[last].item()],
-                total_sig,
-            )
+            stats = bucket_stats([total_sig], [svp.item(last)], [values.item(last)], total_sig)
         else:
             configurations, flat = self._deal(live, lo, hi, last)
             breaks, stats = _score_and_select(self._records, configurations, flat)
@@ -509,8 +505,6 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         record_capacity: Optional[int] = None,
         max_buckets: int = PAPER_MAX_BUCKETS,
     ) -> None:
-        # Set before super().__init__: the base constructor calls the
-        # _make_partition_engine hook, which reads it.
         self._max_buckets = check_max_buckets(max_buckets)
         super().__init__(rng=rng, record_capacity=record_capacity)
 
@@ -523,7 +517,7 @@ class ExhaustiveBucketing(BucketingAlgorithm):
 
     def compute_break_indices(self, records: RecordList) -> List[int]:
         assert records is self._records, "the engine is bound to this algorithm's own records"
-        breaks = self._partition_engine.break_indices()
+        breaks = self.partition_engine.break_indices()
         if breaks is None:
             raise ValueError("cannot compute break indices for an empty record list")
         return breaks

@@ -76,7 +76,7 @@ def _low_prefix(records: RecordList, lo: int, hi: int) -> np.ndarray:
     Cut to its first ``b - lo + 1`` entries it is the left child
     ``[lo, b]``'s.  At ``lo == 0`` it is a view of the live buffer.
     """
-    sp = records._sp_buf
+    sp = records._rows()[2]
     return sp[lo : hi + 1] - sp[lo - 1] if lo > 0 else sp[: hi + 1]
 
 
@@ -92,9 +92,9 @@ def _margin(
     """
     if not (0.0 < first and 0.0 < last_share < inf):
         return inf
-    svp = records._svp_buf
+    values, _, _, svp = records._rows()
     s = float(svp[hi]) - float(svp[lo - 1]) if lo > 0 else float(svp[hi])
-    rep2 = float(records._values_buf[hi])
+    rep2 = float(values[hi])
     return _U * (35.0 * rep2 + 27.0 * (s / total)) + 2.0 * _ETA * (
         18.0 * rep2 + 7.0 * (s / first + s / last_share) + 9.0
     )
@@ -120,7 +120,7 @@ def _scan(
     last_share = total - float(w1[m - 2])
     margin = _margin(records, lo, hi, total, first, last_share)
     if margin < inf:
-        values = records._values_buf
+        values = records._rows()[0]
         p1 = np.divide(w1[:m], total)
         h = np.multiply(p1, float(values[hi]))
         np.subtract(values[lo : hi + 1], h, out=h)
@@ -354,16 +354,16 @@ class GreedySplitMemo:
         record when ``pos`` is ``None`` (construction, compaction)."""
         records = self._records
         if pos is None:
-            sigs = records._sigs_buf[: len(records)]
+            sigs = records._rows()[1][: len(records)]
             self._exact = (
                 bool(np.array_equal(sigs, np.floor(sigs)))
                 and records.total_significance() < _EXACT_LIMIT
             )
         elif self._exact:
             # Once inexact, only a compaction can make the sums exact again.
+            _, sigs, sp, _ = records._rows()
             self._exact = (
-                records._sigs_buf.item(pos).is_integer()
-                and records._sp_buf.item(records._n - 1) < _EXACT_LIMIT
+                sigs.item(pos).is_integer() and sp.item(len(records) - 1) < _EXACT_LIMIT
             )
 
     def consume_stats(self, breaks: List[int]) -> None:
@@ -432,7 +432,7 @@ class GreedyBucketing(BucketingAlgorithm):
 
     def compute_break_indices(self, records: RecordList) -> List[int]:
         assert records is self._records, "the engine is bound to this algorithm's own records"
-        breaks = self._partition_engine.break_indices()
+        breaks = self.partition_engine.break_indices()
         if breaks is None:
             raise ValueError("cannot compute break indices for an empty record list")
         return breaks

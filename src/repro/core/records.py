@@ -16,7 +16,8 @@ waste evaluation.
 
 Storage is one amortized-doubling ``(5, size)`` block of 8-byte cells
 whose rows are the values, the significances, their two prefix sums and
-the task ids (an ``int64`` view of its row), so a record is a *column*.
+the task ids (read and written through one ``int64`` view of the whole
+block), so a record is a *column*.
 The prefix sums are maintained **incrementally**: an insertion shifts
 the columns at or after the insertion point one step right in a single
 2-D copy (row by row past :data:`_BLOCK_MOVE_MAX` columns), adds the new
@@ -24,9 +25,14 @@ record's contribution to the shifted prefix entries and stores its own
 column — one shift where five separate buffers needed five, and numpy
 call overhead is what an insert costs at the tens to hundreds of
 records per category a service sees (docs/PERFORMANCE.md).
-The cost kernels keep reading the *rows* (``_values_buf``, ``_sp_buf``,
-``_svp_buf``): a gather ``block[:4, idx]`` measured slower than three
-row gathers.  The seed's Python-object walk is kept under
+An insert indexes the block directly and builds no row view, so a list
+that is only inserted into (a category still exploring) holds the block
+and its ``int64`` view and nothing else.  The read paths — cost kernels,
+partition searches — take the four float rows from
+:meth:`RecordList._rows`, which builds them on the first read after the
+block was (re)allocated: a gather ``block[:4, idx]`` measured slower
+than three row gathers.
+The seed's Python-object walk is kept under
 ``tests/core/records_reference.py`` as the equivalence-test oracle.
 
 A ``capacity`` bound turns the list into a *bounded record store*
@@ -131,11 +137,8 @@ class RecordList:
         "_capacity",
         "_n",
         "_block",
-        "_values_buf",
-        "_sigs_buf",
-        "_tids_buf",
-        "_sp_buf",
-        "_svp_buf",
+        "_ints",
+        "_row_views",
         "_values",
         "_sigs",
         "_sig_prefix",
@@ -219,14 +222,15 @@ class RecordList:
     def _load(self, values: np.ndarray, sigs: np.ndarray, tids: np.ndarray) -> None:
         """Fill an empty list from whole (unsorted, validated) columns."""
         n = values.size
-        if n > self._values_buf.size:
+        if n > self._block.shape[1]:
             self._allocate(n)
         # Stable lexicographic sort by (value, significance) matches
         # sorted() on the dataclass ordering (task_id is compare=False).
         order = np.lexsort((sigs, values))
-        self._values_buf[:n] = values[order]
-        self._sigs_buf[:n] = sigs[order]
-        self._tids_buf[:n] = tids[order]
+        block = self._block
+        block[0, :n] = values[order]
+        block[1, :n] = sigs[order]
+        self._ints[4, :n] = tids[order]
         self._n = n
         self._rebuild_prefixes()
         if self._capacity is not None and n > self._capacity:
@@ -266,36 +270,40 @@ class RecordList:
 
     def _insert(self, value: float, significance: float, task_id: int) -> int:
         n = self._n
-        if n == self._values_buf.size:
+        block = self._block
+        if n == block.shape[1]:
             self._allocate(2 * n)
+            block = self._block
         # Position: after every record with a smaller (value, significance)
         # key and after equal keys — bisect.insort's resting place for the
         # seed's (value, significance)-ordered dataclass.
-        live = self._values_buf[:n]
+        live = block[0, :n]
         pos = int(live.searchsorted(value, "left"))
         hi = int(live.searchsorted(value, "right"))
         if pos < hi:
-            pos += int(self._sigs_buf[pos:hi].searchsorted(significance, "right"))
-        sp = self._sp_buf
-        svp = self._svp_buf
+            pos += int(block[1, pos:hi].searchsorted(significance, "right"))
         sigval = significance * value
         if pos < n:
-            # The same per-element additions as five 1-D buffers did.
+            # The same per-element additions as five 1-D buffers did, in
+            # place on the shifted runs (``row[a:b] += x`` would also
+            # write the sums back through a second indexing).
             self._move(pos + 1, pos, n - pos)
-            sp[pos + 1 : n + 1] += significance
-            svp[pos + 1 : n + 1] += sigval
-        self._values_buf[pos] = value
-        self._sigs_buf[pos] = significance
-        self._tids_buf[pos] = task_id
-        sp[pos] = (sp[pos - 1] if pos else 0.0) + significance
-        svp[pos] = (svp[pos - 1] if pos else 0.0) + sigval
+            run = block[2, pos + 1 : n + 1]
+            np.add(run, significance, out=run)
+            run = block[3, pos + 1 : n + 1]
+            np.add(run, sigval, out=run)
+        block[0, pos] = value
+        block[1, pos] = significance
+        self._ints[4, pos] = task_id
+        block[2, pos] = (block.item(2, pos - 1) if pos else 0.0) + significance
+        block[3, pos] = (block.item(3, pos - 1) if pos else 0.0) + sigval
         self._n = n + 1
         return pos
 
     def _allocate(self, size: int) -> None:
         """(Re)allocate the block at ``size`` cells per row, keeping the records.
 
-        The only place the row views are bound: a view of a replaced
+        The only place the ``int64`` view is bound: a view of a replaced
         block would keep reading (and writing) the old allocation.
         """
         block = np.empty((5, size), dtype=np.float64)
@@ -303,8 +311,8 @@ class RecordList:
         if n:
             block[:, :n] = self._block[:, :n]
         self._block = block
-        self._values_buf, self._sigs_buf, self._sp_buf, self._svp_buf, tids = block
-        self._tids_buf = tids.view(np.int64)
+        self._ints = block.view(np.int64)
+        self._row_views: Optional[Tuple[np.ndarray, ...]] = None
 
     def _move(self, dst: int, src: int, count: int) -> None:
         """Move ``count`` columns from ``src`` to ``dst``; the runs may overlap."""
@@ -324,7 +332,7 @@ class RecordList:
         """
         n = self._n
         keep = np.ones(n, dtype=bool)
-        keep[np.argsort(self._sigs_buf[:n], kind="stable")[: n - target]] = False
+        keep[np.argsort(self._block[1, :n], kind="stable")[: n - target]] = False
         block = self._block
         block[:, :target] = block[:, :n][:, keep]
         self._n = target
@@ -332,8 +340,9 @@ class RecordList:
 
     def _rebuild_prefixes(self) -> None:
         n = self._n
-        np.cumsum(self._sigs_buf[:n], out=self._sp_buf[:n])
-        np.cumsum(self._sigs_buf[:n] * self._values_buf[:n], out=self._svp_buf[:n])
+        values, sigs, sp, svp = self._rows()
+        np.cumsum(sigs[:n], out=sp[:n])
+        np.cumsum(sigs[:n] * values[:n], out=svp[:n])
 
     def _invalidate(self) -> None:
         self._values = None
@@ -341,10 +350,24 @@ class RecordList:
         self._sig_prefix = None
         self._sigval_prefix = None
 
-    def _snapshot_of(self, buf: np.ndarray) -> np.ndarray:
-        arr = buf[: self._n].copy()
+    def _snapshot_of(self, block: np.ndarray, row: int) -> np.ndarray:
+        arr = block[row, : self._n].copy()
         arr.flags.writeable = False
         return arr
+
+    def _rows(self) -> Tuple[np.ndarray, ...]:
+        """Views of the four float rows — values, significances and their
+        two prefix sums — over the whole current block.
+
+        Built by the first read after :meth:`_allocate` bound the block,
+        so a list nothing reads holds none.  A caller must not keep them
+        across an insert, which may replace the block.
+        """
+        rows = self._row_views
+        if rows is None:
+            block = self._block
+            rows = self._row_views = (block[0], block[1], block[2], block[3])
+        return rows
 
     # -- views ---------------------------------------------------------------
 
@@ -352,35 +375,33 @@ class RecordList:
     def values(self) -> np.ndarray:
         """Sorted record values as a read-only float64 array."""
         if self._values is None:
-            self._values = self._snapshot_of(self._values_buf)
+            self._values = self._snapshot_of(self._block, 0)
         return self._values
 
     @property
     def significances(self) -> np.ndarray:
         """Significances aligned with :attr:`values`."""
         if self._sigs is None:
-            self._sigs = self._snapshot_of(self._sigs_buf)
+            self._sigs = self._snapshot_of(self._block, 1)
         return self._sigs
 
     @property
     def task_ids(self) -> np.ndarray:
         """Task IDs aligned with :attr:`values` (read-only int64 array)."""
-        arr = self._tids_buf[: self._n].copy()
-        arr.flags.writeable = False
-        return arr
+        return self._snapshot_of(self._ints, 4)
 
     @property
     def sig_prefix(self) -> np.ndarray:
         """``sig_prefix[i]`` = sum of significances of records [0, i]."""
         if self._sig_prefix is None:
-            self._sig_prefix = self._snapshot_of(self._sp_buf)
+            self._sig_prefix = self._snapshot_of(self._block, 2)
         return self._sig_prefix
 
     @property
     def sigval_prefix(self) -> np.ndarray:
         """``sigval_prefix[i]`` = sum of significance*value of records [0, i]."""
         if self._sigval_prefix is None:
-            self._sigval_prefix = self._snapshot_of(self._svp_buf)
+            self._sigval_prefix = self._snapshot_of(self._block, 3)
         return self._sigval_prefix
 
     # -- range queries ---------------------------------------------------------
@@ -388,7 +409,7 @@ class RecordList:
     def sig_sum(self, lo: int, hi: int) -> float:
         """Total significance of records with indices in [lo, hi]."""
         self._check_range(lo, hi)
-        sp = self._sp_buf
+        sp = self._rows()[2]
         return float(sp[hi] - (sp[lo - 1] if lo > 0 else 0.0))
 
     def weighted_mean(self, lo: int, hi: int) -> float:
@@ -399,7 +420,7 @@ class RecordList:
         IV-B and IV-C).
         """
         self._check_range(lo, hi)
-        sp, svp = self._sp_buf, self._svp_buf
+        _, _, sp, svp = self._rows()
         below_sig = sp[lo - 1] if lo > 0 else 0.0
         below_sigval = svp[lo - 1] if lo > 0 else 0.0
         total_sig = sp[hi] - below_sig
@@ -408,7 +429,7 @@ class RecordList:
     def max_value(self, lo: int, hi: int) -> float:
         """Maximum value over indices [lo, hi] — just ``values[hi]`` since sorted."""
         self._check_range(lo, hi)
-        return float(self._values_buf[hi])
+        return self._block.item(0, hi)
 
     def _check_range(self, lo: int, hi: int) -> None:
         if not (0 <= lo <= hi < self._n):
@@ -424,7 +445,7 @@ class RecordList:
         mapped "to the closest record that has a lower value than it".
         Returns ``None`` if every record's value is >= ``value``.
         """
-        idx = int(np.searchsorted(self._values_buf[: self._n], value, side="left")) - 1
+        idx = int(np.searchsorted(self._block[0, : self._n], value, side="left")) - 1
         return idx if idx >= 0 else None
 
     # -- container protocol ------------------------------------------------------
@@ -447,9 +468,9 @@ class RecordList:
 
     def _record_at(self, i: int) -> ResourceRecord:
         return ResourceRecord(
-            value=float(self._values_buf[i]),
-            significance=float(self._sigs_buf[i]),
-            task_id=int(self._tids_buf[i]),
+            value=self._block.item(0, i),
+            significance=self._block.item(1, i),
+            task_id=self._ints.item(4, i),
         )
 
     def __bool__(self) -> bool:
@@ -460,7 +481,7 @@ class RecordList:
             return "RecordList(empty)"
         return (
             f"RecordList(n={self._n}, "
-            f"min={self._values_buf[0]:g}, max={self._values_buf[self._n - 1]:g})"
+            f"min={self._block.item(0, 0):g}, max={self._block.item(0, self._n - 1):g})"
         )
 
     # -- misc ---------------------------------------------------------------------
@@ -475,7 +496,7 @@ class RecordList:
         return self._block.nbytes
 
     def total_significance(self) -> float:
-        return float(self._sp_buf[self._n - 1]) if self._n else 0.0
+        return self._block.item(2, self._n - 1) if self._n else 0.0
 
     def snapshot(self) -> Tuple[ResourceRecord, ...]:
         """An immutable copy of the current records, in value order."""
@@ -486,7 +507,10 @@ class RecordList:
     def state_dict(self) -> dict:
         """JSON-safe snapshot for checkpointing (see :mod:`repro.checkpoint`).
 
-        The prefix-sum buffers are stored **verbatim**, not recomputed on
+        ``"rows"`` is the live block packed row after row into one flat
+        list: the ``n`` values, significances, significance prefix sums
+        and significance-times-value prefix sums, then the ``n`` task
+        ids.  The prefix sums are stored **verbatim**, not recomputed on
         restore: the incremental suffix-add maintenance in :meth:`_insert`
         rounds differently from ``np.cumsum``, so a recomputation would
         break the bit-identical-resume guarantee.  Python's JSON encoder
@@ -494,33 +518,46 @@ class RecordList:
         survives exactly.
         """
         n = self._n
-        values, sigs, sig_prefix, sigval_prefix = self._block[:4, :n].tolist()
-        return {
-            "capacity": self._capacity,
-            "values": values,
-            "significances": sigs,
-            "task_ids": self._tids_buf[:n].tolist(),
-            "sig_prefix": sig_prefix,
-            "sigval_prefix": sigval_prefix,
-        }
+        rows = self._block[:4, :n].ravel().tolist()
+        rows += self._ints[4, :n].tolist()
+        return {"capacity": self._capacity, "rows": rows}
 
     @classmethod
     def from_state(cls, state: dict) -> "RecordList":
         """Rebuild a list captured by :meth:`state_dict`, bit-exactly.
 
-        States written while the bounded store still had selectable
-        compaction policies carry ``compaction``, ``seen`` and ``rng``.
-        They never influenced an unbounded list and are ignored there; a
-        bounded state recorded under a policy other than the kept one
-        (``"decay"``) is refused rather than continued under another.
+        Also reads the format-1 state, whose five rows are named lists
+        (``values``, ``significances``, ``task_ids``, ``sig_prefix``,
+        ``sigval_prefix``).  States written while the bounded store still
+        had selectable compaction policies carry ``compaction``, ``seen``
+        and ``rng``.  They never influenced an unbounded list and are
+        ignored there; a bounded state recorded under a policy other
+        than the kept one (``"decay"``) is refused rather than continued
+        under another.
+
+        A state :meth:`add` could not have produced — a row list whose
+        length is not a multiple of five, a value or significance that
+        :meth:`add` refuses, records out of (value, significance) order,
+        more records than the capacity — raises ``ValueError``.
         """
-        values = state["values"]
-        n = len(values)
-        if not all(
-            len(state[k]) == n
-            for k in ("significances", "task_ids", "sig_prefix", "sigval_prefix")
-        ):
-            raise ValueError("inconsistent RecordList state: array lengths differ")
+        if "rows" in state:
+            rows = state["rows"]
+            n, rest = divmod(len(rows), 5)
+            if rest:
+                raise ValueError(
+                    f"packed RecordList rows hold {len(rows)} cells, not five rows"
+                )
+            floats, task_ids = rows[: 4 * n], rows[4 * n :]
+        else:
+            values = state["values"]
+            n = len(values)
+            named = ("significances", "sig_prefix", "sigval_prefix", "task_ids")
+            if not all(len(state[k]) == n for k in named):
+                raise ValueError("inconsistent RecordList state: array lengths differ")
+            floats = [
+                *values, *state["significances"], *state["sig_prefix"], *state["sigval_prefix"]
+            ]
+            task_ids = state["task_ids"]
         capacity = state["capacity"]
         policy = state.get("compaction", "decay")
         if capacity is not None and policy != "decay":
@@ -529,15 +566,37 @@ class RecordList:
                 "compaction policy, which this build does not have"
             )
         new = cls(capacity=capacity)
-        if n > new._values_buf.size:
+        if n > new._block.shape[1]:
             new._allocate(n)
-        new._block[:4, :n] = (
-            values,
-            state["significances"],
-            state["sig_prefix"],
-            state["sigval_prefix"],
-        )
-        new._tids_buf[:n] = state["task_ids"]
+        try:
+            new._block[:4, :n] = np.asarray(floats, dtype=np.float64).reshape(4, n)
+            new._ints[4, :n] = task_ids
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed RecordList state: {exc}") from None
         new._n = n
-        new._invalidate()
+        new._check_restored()
         return new
+
+    def _check_restored(self) -> None:
+        """Refuse restored records that :meth:`add` would not have kept."""
+        n = self._n
+        # One read of both rows as Python floats: numpy's per-call cost
+        # would dominate at the few records most lists hold.
+        values, sigs = self._block[:2, :n].tolist()
+        previous = (0.0, 0.0)
+        for key in zip(values, sigs):
+            value, significance = key
+            # Chained comparisons, as in add(): NaN fails them too.
+            if not 0.0 <= value < inf:
+                raise ValueError(f"record values must be finite and non-negative, got {value}")
+            if not 0.0 < significance < inf:
+                raise ValueError(
+                    f"record significances must be finite and positive, got {significance}"
+                )
+            if key < previous:
+                raise ValueError("restored records are not in (value, significance) order")
+            previous = key
+        if self._capacity is not None and n > self._capacity:
+            raise ValueError(
+                f"restored RecordList holds {n} records, over its capacity {self._capacity}"
+            )

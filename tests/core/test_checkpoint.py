@@ -36,6 +36,7 @@ from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
 from repro.core.base import ALGORITHM_REGISTRY
 from repro.core.records import RecordList
 from repro.core.resources import ResourceVector
+from tests.core.format1 import records_v1
 
 # -- atomic IO ----------------------------------------------------------------
 
@@ -227,10 +228,62 @@ def test_restored_record_list_continues_identically(pairs):
 
 
 def test_record_list_from_state_rejects_inconsistent_lengths():
-    state = _build([(1.0, 1.0), (2.0, 1.0)]).state_dict()
+    packed = _build([(1.0, 1.0), (2.0, 1.0)]).state_dict()
+    state = records_v1(packed)
     state["sig_prefix"] = state["sig_prefix"][:-1]
     with pytest.raises(ValueError, match="lengths differ"):
         RecordList.from_state(state)
+    with pytest.raises(ValueError, match="not five rows"):
+        RecordList.from_state({**packed, "rows": packed["rows"][:-1]})
+
+
+def _packed(values, sigs, capacity=None):
+    """A packed record-list state with the given rows, prefix sums by cumsum."""
+    values, sigs = list(values), list(sigs)
+    sp = np.cumsum(sigs).tolist()
+    svp = np.cumsum(np.multiply(sigs, values)).tolist()
+    return {"capacity": capacity, "rows": values + sigs + sp + svp + list(range(len(values)))}
+
+
+#: (values, significances, capacity) of states ``add()`` cannot produce.
+_UNREACHABLE = {
+    "unsorted": ([2.0, 1.0], [1.0, 1.0], None),
+    "nan-value": ([1.0, float("nan")], [1.0, 1.0], None),
+    "negative-value": ([-1.0, 1.0], [1.0, 1.0], None),
+    "infinite-value": ([1.0, float("inf")], [1.0, 1.0], None),
+    "zero-significance": ([1.0, 2.0], [0.0, 1.0], None),
+    "negative-significance": ([1.0, 2.0], [1.0, -1.0], None),
+    "tie-out-of-order": ([1.0, 1.0], [2.0, 1.0], None),
+    "over-capacity": ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREACHABLE))
+def test_record_list_from_state_refuses_what_add_refuses(case):
+    """Both readers refuse a record list ``add()`` could not have built,
+    and every algorithm that restores one raises ``CheckpointError``."""
+    values, sigs, capacity = _UNREACHABLE[case]
+    packed = _packed(values, sigs, capacity)
+    for state in (packed, records_v1(packed)):
+        with pytest.raises(ValueError):
+            RecordList.from_state(state)
+    drawing = ("greedy_bucketing", "exhaustive_bucketing")
+    for algorithm in (*drawing, "min_waste", "quantized_bucketing"):
+        kwargs = {"rng": 1} if algorithm in drawing else {}
+        algo = ALGORITHM_REGISTRY[algorithm](**kwargs)
+        algo.update(5.0, 1.0, 1)
+        saved = json.loads(json.dumps(algo.state_dict()))
+        saved["state"]["records"] = packed
+        with pytest.raises(CheckpointError, match="malformed"):
+            ALGORITHM_REGISTRY[algorithm](**kwargs).load_state(saved)
+
+
+def test_record_list_from_state_accepts_what_add_builds():
+    """Ties ordered by significance, zero values and a full bounded list load."""
+    state = _packed([0.0, 1.0, 1.0, 3.0], [1.0, 2.0, 2.0, 0.5], capacity=4)
+    restored = RecordList.from_state(state)
+    assert restored.state_dict() == state
+    assert restored.add(1.0, 2.0, 9) is None  # over capacity: compacts
 
 
 # -- allocator round-trip, every registered algorithm -------------------------

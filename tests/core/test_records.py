@@ -284,9 +284,7 @@ class TestBoundedFromArraysAndState:
         for v, s in stream[:25]:
             original.add(v, significance=s)
         state = json.loads(json.dumps(original.state_dict()))
-        assert sorted(state) == [
-            "capacity", "sig_prefix", "significances", "sigval_prefix", "task_ids", "values",
-        ]
+        assert sorted(state) == ["capacity", "rows"]
         restored = RecordList.from_state(state)
         assert restored.capacity == 12
         for v, s in stream[25:]:

@@ -1,14 +1,16 @@
 """Differential: the block-layout RecordList vs five plain 1-D buffers.
 
 :class:`~repro.core.records.RecordList` keeps its five columns as rows
-of one ``(5, size)`` block and mutates them with 2-D slice operations.
-:class:`FiveBuffers` below is the layout it replaced — five separately
-allocated 1-D buffers, one numpy call per buffer per step — kept here as
-the oracle.  Both perform the same IEEE additions on the same operands,
-so after every mutation the live prefix of every buffer must be
-*byte*-identical, the returned position equal (``None`` from both when
-they compacted), and ``state_dict() -> from_state() -> state_dict()`` a
-fixed point.
+of one ``(5, size)`` block and mutates them with 2-D slice operations;
+the read paths see the rows through views built from the live block
+(``_rows()`` for the four float rows, the ``int64`` view ``_ints`` for
+the task ids).  :class:`FiveBuffers` below is the layout it replaced —
+five separately allocated 1-D buffers, one numpy call per buffer per
+step — kept here as the oracle.  Both perform the same IEEE additions on
+the same operands, so after every mutation the live prefix of every row
+must be *byte*-identical, the returned position equal (``None`` from
+both when they compacted), and ``state_dict() -> from_state() ->
+state_dict()`` a fixed point.
 """
 
 import bisect
@@ -27,7 +29,12 @@ from repro.core.records import (
 )
 from tests.core.records_reference import LegacyRecordList
 
-BUFFER_NAMES = ("_values_buf", "_sigs_buf", "_sp_buf", "_svp_buf", "_tids_buf")
+ROW_NAMES = ("values", "significances", "sig_prefix", "sigval_prefix", "task_ids")
+
+
+def _read_rows(store: RecordList):
+    """The five rows as the read paths see them, over the whole block."""
+    return (*store._rows(), store._ints[4])
 
 
 class FiveBuffers:
@@ -94,8 +101,8 @@ class FiveBuffers:
 
 def _assert_same_bytes(store: RecordList, oracle: FiveBuffers) -> None:
     assert len(store) == oracle.n
-    for name, expected in zip(BUFFER_NAMES, oracle.live()):
-        got = getattr(store, name)[: oracle.n]
+    for name, row, expected in zip(ROW_NAMES, _read_rows(store), oracle.live()):
+        got = row[: oracle.n]
         assert got.dtype == expected.dtype, name
         assert got.tobytes() == expected.tobytes(), name
 
@@ -103,8 +110,8 @@ def _assert_same_bytes(store: RecordList, oracle: FiveBuffers) -> None:
 def _assert_views_of_one_allocation(store: RecordList) -> None:
     block = store._block
     assert block.base is None and block.shape[0] == 5
-    for row, name in enumerate(BUFFER_NAMES):
-        buf = getattr(store, name)
+    assert store._ints.base is block and store._ints.shape == block.shape
+    for row, (name, buf) in enumerate(zip(ROW_NAMES, _read_rows(store))):
         assert buf.base is block, f"{name} is not a view of the live block"
         assert np.shares_memory(buf, block[row]) and not buf.flags.owndata
 
@@ -130,7 +137,7 @@ _stream = st.lists(
 def test_block_store_matches_five_buffer_oracle(capacity, stream):
     store = RecordList(capacity=capacity)
     oracle = FiveBuffers(capacity=capacity)
-    sizes = {store._values_buf.size}
+    sizes = {store._block.shape[1]}
     for value, significance, task_id in stream:
         before = len(store)
         pos = store.add(value, significance, task_id)
@@ -139,7 +146,7 @@ def test_block_store_matches_five_buffer_oracle(capacity, stream):
         _assert_same_bytes(store, oracle)
         state = store.state_dict()
         assert RecordList.from_state(state).state_dict() == state
-        sizes.add(store._values_buf.size)
+        sizes.add(store._block.shape[1])
     if capacity is None:
         assert len(sizes) >= 4  # three growth boundaries crossed
     _assert_views_of_one_allocation(store)
@@ -191,7 +198,26 @@ def test_buffer_names_are_views_of_one_allocation_after_every_reallocation():
         assert pos == 0 and len(store) == n + 1
         assert store._block[0, 0] == 0.0 and store._block[1, 0] == 0.5
         assert store._block[2, 0] == 0.5 and store._block[3, 0] == 0.0
-        assert store._tids_buf[0] == 77 and store.task_ids[0] == 77
+        assert store._ints[4, 0] == 77 and store.task_ids[0] == 77
+
+
+def test_a_list_only_inserted_into_holds_no_row_views():
+    """Inserts index the block: no row view exists until a read path asks
+    for one, and a reallocation drops the ones a read built."""
+    store = RecordList()
+    for i in range(3):
+        store.add(float(i), 1.0, i)
+    arrays = [getattr(store, name) for name in RecordList.__slots__]
+    assert [a for a in arrays if isinstance(a, np.ndarray)] == [store._block, store._ints]
+    assert store._row_views is None
+    store.sig_sum(0, 2)  # a read path
+    rows = store._rows()
+    assert store._rows() is rows and rows[0].base is store._block
+    store.add(9.0, 1.0, 3)  # fills the 4-column block: no reallocation yet
+    assert store._rows() is rows
+    store.add(10.0, 1.0, 4)  # reallocates
+    assert store._row_views is None
+    assert store._rows()[0].base is store._block
 
 
 def test_task_ids_survive_shifts_through_the_float_block():

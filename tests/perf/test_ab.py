@@ -1,6 +1,8 @@
-"""``ab.py``: the pair schedule and the per-metric summary of canned rows."""
+"""``ab.py``: the pair schedule, the per-metric summary, mode-flip flags and
+history rows of canned rows."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,46 @@ def test_metrics_of_normalizes_timings_by_the_clock():
     assert "record_p50_ms" not in values
     assert values["minor_faults"] == 1234.0
     assert values["setup_s"] == 0.5 and values["peak_rss_mb"] == 50.0
+
+
+def fault_rows(faults):
+    """Rows of ``(parent, change)`` minor faults per pair."""
+    out = []
+    for pair, (p, c) in enumerate(faults):
+        out.append({"pair": pair, "side": "parent", "metrics": {"minor_faults": p}})
+        out.append({"pair": pair, "side": "change", "metrics": {"minor_faults": c}})
+    return out
+
+
+def test_mode_flips_flag_pairs_whose_faults_differ_more_than_five_times():
+    canned = fault_rows([(2_700.0, 59_800.0), (18_500.0, 22_300.0), (50_000.0, 9_000.0)])
+    canned.append({"pair": 3, "side": "parent", "metrics": {"minor_faults": 1.0}})  # unpaired
+    assert ab.mode_flips(canned) == [
+        {"pair": 0, "parent": 2_700.0, "change": 59_800.0},
+        {"pair": 2, "parent": 50_000.0, "change": 9_000.0},
+    ]
+    # Exactly five times is not a flip; zero faults do not divide by zero.
+    assert ab.mode_flips(fault_rows([(100.0, 500.0), (0.0, 0.0), (0.0, 4.0)])) == []
+    assert ab.mode_flips(fault_rows([(0.0, 6.0)])) == [{"pair": 0, "parent": 0.0, "change": 6.0}]
+
+
+def test_append_history_writes_one_ab_line_per_run(tmp_path):
+    canned = rows([100, 110, 90], [120, 108, 111])
+    canned[0]["metrics"]["minor_faults"] = 1000.0  # pair 0: 1000 vs 90
+    summary = ab.summarize(canned)
+    flips = ab.mode_flips(canned)
+    commits = {"parent": "a" * 40, "change": "b" * 40}
+    path = tmp_path / "BENCH_history.jsonl"
+    path.write_text('{"kind":"loc"}\n')
+    for _ in range(2):
+        row = ab.history_row(commits, "svc-wire-durable", 7, 1.0, summary, flips)
+        ab.append_history(str(path), row)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3 and lines[0] == '{"kind":"loc"}'
+    row = json.loads(lines[1])
+    assert row == json.loads(lines[2])
+    assert row["kind"] == "ab" and row["commits"] == commits
+    assert (row["workload"], row["seed"], row["scale"]) == ("svc-wire-durable", 7, 1.0)
+    assert row["pairs"] == 3
+    assert row["summary"] == json.loads(json.dumps(summary))
+    assert row["mode_flips"] == [{"pair": 0, "parent": 1000.0, "change": 90.0}]
