@@ -22,6 +22,15 @@ Prints a table, then one JSON object as the last line; exit 1 when the
 workload's own correctness check fails, 2 on a usage error.  Linux
 only (``/proc``); the script itself imports only the standard library.
 
+The timed phase's minor faults per op are printed too, with a flag
+above ``SLOW_MODE_FAULTS_PER_OP``: docs/PERFORMANCE.md ("A/B runs")
+records about 0.18 faults per op in pymalloc's fast mode and about 4.1
+in its slow one on ``svc-wire-durable``, so a reading past 1.0 says the
+timings belong to the slow mode.  A workload that keeps growing through
+its timed phase (``sim-topeft`` keeps every finished task) faults on
+growth too; compare its reading with the same workload's, not with
+these two.
+
 This run is not the benchmark's process, and it need not land in the
 same pymalloc mode (docs/PERFORMANCE.md, "A/B runs").  On
 ``svc-wire-durable`` one tree read the slow mode in 3 of 3 runs here,
@@ -54,6 +63,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 E2E = os.path.join(ROOT, "benchmarks", "e2e")
 PHASES = ("set-up", "timed", "after")
 SAMPLE_INTERVAL_S = 0.005
+#: Timed-phase minor faults per op above which the run is flagged as a
+#: likely pymalloc slow mode (fast ~0.18, slow ~4.1 per op).
+SLOW_MODE_FAULTS_PER_OP = 1.0
 _PAGE_BYTES = os.sysconf("SC_PAGE_SIZE")
 _MB = 1024.0 * 1024.0
 
@@ -65,6 +77,11 @@ def minor_faults() -> int:
 
 #: Faults before the script's own work; the set-up phase counts from here.
 _START_FAULTS = minor_faults()
+
+
+def likely_slow_mode(faults_per_op: float) -> bool:
+    """Whether a timed phase's minor faults per op read as pymalloc's slow mode."""
+    return faults_per_op > SLOW_MODE_FAULTS_PER_OP
 
 
 def current_rss_mb() -> float:
@@ -149,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     out_dir = tempfile.mkdtemp(prefix="rss-phases-")
     try:
-        workloads.run_workload(args.workload, args.seed, scale, mark, out_dir)
+        result = workloads.run_workload(args.workload, args.seed, scale, mark, out_dir)
     except workloads.CheckFailed as exc:
         print(json.dumps({"check_failed": str(exc)}))
         return 1
@@ -172,6 +189,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"process peak (ru_maxrss): {maxrss:.1f} MB")
+    faults_per_op = faults["timed"] / max(1, result["timed_ops"])
+    slow = likely_slow_mode(faults_per_op)
+    print(
+        f"timed-phase minor faults per op: {faults_per_op:.2f}"
+        + ("  LIKELY PYMALLOC SLOW MODE" if slow else "")
+    )
     print(
         json.dumps(
             {
@@ -180,6 +203,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "scale": scale,
                 "peak_rss_mb": {phase: round(sampler.peak[phase], 2) for phase in PHASES},
                 "minor_faults": faults,
+                "timed_ops": result["timed_ops"],
+                "timed_faults_per_op": round(faults_per_op, 4),
+                "likely_slow_mode": slow,
                 "ru_maxrss_mb": round(maxrss, 2),
             }
         )

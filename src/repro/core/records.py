@@ -278,9 +278,12 @@ class RecordList:
         # key and after equal keys — bisect.insort's resting place for the
         # seed's (value, significance)-ordered dataclass.
         live = block[0, :n]
-        pos = int(live.searchsorted(value, "left"))
-        hi = int(live.searchsorted(value, "right"))
-        if pos < hi:
+        pos = int(live.searchsorted(value, "right"))
+        if pos and block.item(0, pos - 1) == value:
+            # Equal values: order the run by significance.  Without one
+            # the right edge is also the left, and one search is enough.
+            hi = pos
+            pos = int(live.searchsorted(value, "left"))
             pos += int(block[1, pos:hi].searchsorted(significance, "right"))
         sigval = significance * value
         if pos < n:

@@ -77,19 +77,17 @@ def convergence_series(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    usages = result.ledger.task_usages()
+    consumed, allocated = result.ledger.task_series(resource)
     series: List[float] = []
-    consumed_window: List[float] = []
-    allocated_window: List[float] = []
     consumed_sum = 0.0
     allocated_sum = 0.0
-    for usage in usages:
-        consumed_window.append(usage.consumption[resource])
-        allocated_window.append(usage.allocation[resource])
-        consumed_sum += consumed_window[-1]
-        allocated_sum += allocated_window[-1]
-        if len(consumed_window) > window:
-            consumed_sum -= consumed_window.pop(0)
-            allocated_sum -= allocated_window.pop(0)
+    # The window is an index range over the ledger's columns: each task
+    # is added once and subtracted once, ``window`` tasks later.
+    for i in range(len(consumed)):
+        consumed_sum += consumed[i]
+        allocated_sum += allocated[i]
+        if i >= window:
+            consumed_sum -= consumed[i - window]
+            allocated_sum -= allocated[i - window]
         series.append(consumed_sum / allocated_sum if allocated_sum > 0 else 0.0)
     return series

@@ -39,6 +39,7 @@ __all__ = [
     "RETRYABLE_CODES",
     "parse_line",
     "validate_request",
+    "validate_batch",
     "encode",
     "ok_response",
     "error_response",
@@ -174,10 +175,8 @@ def _require_vector(
             )
 
 
-def validate_request(
-    doc: Mapping[str, Any], resources: Sequence[Resource], depth: int = 0
-) -> None:
-    """Schema-check one request document (recursing into batches)."""
+def validate_request(doc: Mapping[str, Any], resources: Sequence[Resource]) -> None:
+    """Schema-check one request document (a batch's nested requests too)."""
     op = doc.get("op")
     if op not in REQUEST_OPS:
         raise ProtocolError(
@@ -197,19 +196,10 @@ def validate_request(
                 f"{op}: idempotency key exceeds {MAX_KEY_BYTES} bytes"
             )
     if op == "allocate_batch":
-        if depth > 0:
-            raise ProtocolError("allocate_batch cannot be nested")
         requests = doc.get("requests")
         if not isinstance(requests, list) or not requests:
             raise ProtocolError("allocate_batch: 'requests' must be a non-empty list")
-        for sub in requests:
-            if not isinstance(sub, dict):
-                raise ProtocolError("allocate_batch: every request must be an object")
-            if sub.get("op") not in MUTATING_OPS:
-                raise ProtocolError(
-                    f"allocate_batch: nested op must be one of {sorted(MUTATING_OPS)}"
-                )
-            validate_request(sub, resources, depth=depth + 1)
+        validate_batch(requests, resources)
         return
     _require_str(doc, "category")
     _require_int(doc, "task_id")
@@ -239,6 +229,23 @@ def validate_request(
             raise ProtocolError(
                 "record: 'significance' must be a finite number > 0 when given"
             )
+
+
+def validate_batch(requests: Sequence[Any], resources: Sequence[Resource]) -> None:
+    """Schema-check a batch's nested requests, in order.
+
+    The one check of a nested request, whichever entry point the batch
+    came through: each must be an object holding a mutating op (so a
+    batch never nests) with a valid body.
+    """
+    for sub in requests:
+        if not isinstance(sub, dict):
+            raise ProtocolError("allocate_batch: every request must be an object")
+        if sub.get("op") not in MUTATING_OPS:
+            raise ProtocolError(
+                f"allocate_batch: nested op must be one of {sorted(MUTATING_OPS)}"
+            )
+        validate_request(sub, resources)
 
 
 def encode(doc: Mapping[str, Any]) -> bytes:

@@ -277,7 +277,9 @@ class AllocationServer:
                     f"in-flight limit ({config.max_inflight_requests}) reached",
                     retry_after=RETRY_AFTER_S,
                 )
-            validate_request(doc, self._service.resources)
+            if doc.get("op") != "allocate_batch":
+                # A batch is validated once, whole, by the service's submit.
+                validate_request(doc, self._service.resources)
             self._inflight += 1
             try:
                 return ok_response(request_id, await self._dispatch(doc))
@@ -318,8 +320,6 @@ class AllocationServer:
         if op == "shutdown":
             self.shutdown_requested.set()
             return {"shutting_down": True}
-        if op == "allocate_batch":
-            return {"responses": await self._service.submit_batch(doc["requests"])}
         return await self._service.submit(doc)
 
 

@@ -54,7 +54,12 @@ from repro.core.allocator import TaskOrientedAllocator
 from repro.core.resources import Resource, ResourceVector
 from repro.service.chaos import CRASH_POINTS
 from repro.service.config import ServiceConfig
-from repro.service.protocol import ADMIN_OPS, ProtocolError, validate_request
+from repro.service.protocol import (
+    ADMIN_OPS,
+    ProtocolError,
+    validate_batch,
+    validate_request,
+)
 from repro.service.shards import (
     OP_ALLOCATE,
     OP_RECORD,
@@ -537,7 +542,7 @@ class AllocationService:
             )
         validate_request(op, self.resources)
         if op["op"] == "allocate_batch":
-            return {"responses": await self.submit_batch(op["requests"])}
+            return {"responses": await self._apply_batch(op["requests"])}
         return await self._shard(op["category"]).submit(op)
 
     async def submit_batch(
@@ -550,14 +555,13 @@ class AllocationService:
         is applied contiguously in request order, and requests on
         different shards touch disjoint allocators.
         """
-        for request in requests:
-            if not isinstance(request, dict):
-                raise ProtocolError("allocate_batch: every request must be an object")
-            if request.get("op") not in (OP_ALLOCATE, OP_RETRY, OP_RECORD):
-                raise ProtocolError(
-                    f"allocate_batch: nested op {request.get('op')!r} not allowed"
-                )
-            validate_request(request, self.resources, depth=1)
+        validate_batch(requests, self.resources)
+        return await self._apply_batch(requests)
+
+    async def _apply_batch(
+        self, requests: Sequence[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """:meth:`submit_batch` on requests already validated."""
         by_shard: Dict[int, List[int]] = {}
         for position, request in enumerate(requests):
             by_shard.setdefault(self.shard_for(request["category"]), []).append(position)

@@ -14,11 +14,15 @@ Attempts lost to worker eviction are *not* part of the paper's model —
 its metrics are defined to be independent of the worker pool — so their
 held allocation is accumulated in a separate ``eviction`` bucket that
 never enters AWE.  Per-category breakdowns and the per-task usages are
-kept alongside the totals.
+kept alongside the totals; the per-task usages are columns (one
+``array('d')`` per resource for consumption and one for allocation),
+so a completed task costs the ledger about 80 bytes, and a
+:class:`TaskUsage` row is built only when one is asked for.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
@@ -86,7 +90,13 @@ class Ledger:
         self._by_category: Dict[str, Dict[Resource, WasteBreakdown]] = {}
         self._category_consumption: Dict[str, Dict[Resource, float]] = {}
         self._category_allocation: Dict[str, Dict[Resource, float]] = {}
-        self._tasks: List[TaskUsage] = []
+        # Per-task usage, one entry per completed task in completion order.
+        self._task_ids = array("q")
+        self._task_categories: List[str] = []
+        self._task_consumption: Dict[Resource, array[float]] = {r: array("d") for r in resources}
+        self._task_allocation: Dict[Resource, array[float]] = {r: array("d") for r in resources}
+        self._task_failed = array("q")
+        self._task_evicted = array("q")
         self._n_attempts = 0
         self._n_failed = 0
         self._n_evicted = 0
@@ -94,7 +104,7 @@ class Ledger:
 
     # -- ingestion ---------------------------------------------------------------
 
-    def record_task(self, task: SimTask) -> TaskUsage:
+    def record_task(self, task: SimTask) -> None:
         """Fold a *completed* task's attempt history into the totals."""
         if not task.attempts or task.attempts[-1].outcome is not AttemptOutcome.SUCCESS:
             raise ValueError(
@@ -110,15 +120,11 @@ class Ledger:
         cat = task.category
         cat_waste, cat_cons, cat_alloc = self._category_tables(cat)
 
-        consumption_rt: Dict[Resource, float] = {}
-        allocation_rt: Dict[Resource, float] = {}
-        n_failed = 0
-        n_evicted = 0
         for res in self._resources:
             # Wall time's "peak consumption" is the duration itself.
             peak = duration if res is TIME else true_peaks.get(res, 0.0)
             consumed = peak * duration
-            consumption_rt[res] = consumed
+            self._task_consumption[res].append(consumed)
             self._consumption[res] += consumed
             cat_cons[res] += consumed
 
@@ -140,29 +146,24 @@ class Ledger:
             self._waste[res].internal_fragmentation += frag
             cat_waste[res].internal_fragmentation += frag
 
-            allocation_rt[res] = allocated
+            self._task_allocation[res].append(allocated)
             self._allocation[res] += allocated
             cat_alloc[res] += allocated
 
+        n_failed = 0
+        n_evicted = 0
         for attempt in task.attempts:
-            self._n_attempts += 1
             if attempt.outcome is AttemptOutcome.EXHAUSTED:
-                self._n_failed += 1
                 n_failed += 1
             elif attempt.outcome is AttemptOutcome.EVICTED:
-                self._n_evicted += 1
                 n_evicted += 1
-
-        usage = TaskUsage(
-            task_id=task.task_id,
-            category=cat,
-            consumption=consumption_rt,
-            allocation=allocation_rt,
-            n_failed_attempts=n_failed,
-            n_evicted_attempts=n_evicted,
-        )
-        self._tasks.append(usage)
-        return usage
+        self._n_attempts += len(task.attempts)
+        self._n_failed += n_failed
+        self._n_evicted += n_evicted
+        self._task_ids.append(task.task_id)
+        self._task_categories.append(cat)
+        self._task_failed.append(n_failed)
+        self._task_evicted.append(n_evicted)
 
     def record_quarantined(self, task: SimTask) -> None:
         """Fold a *quarantined* task's burned attempts into the totals.
@@ -223,7 +224,7 @@ class Ledger:
 
     @property
     def n_tasks(self) -> int:
-        return len(self._tasks)
+        return len(self._task_ids)
 
     @property
     def n_attempts(self) -> int:
@@ -269,7 +270,29 @@ class Ledger:
         return self._by_category[category][resource]
 
     def task_usages(self) -> Tuple[TaskUsage, ...]:
-        return tuple(self._tasks)
+        """Every completed task's usage, in completion order (rows built here)."""
+        consumption, allocation = self._task_consumption, self._task_allocation
+        return tuple(
+            TaskUsage(
+                task_id=task_id,
+                category=category,
+                consumption={res: col[i] for res, col in consumption.items()},
+                allocation={res: col[i] for res, col in allocation.items()},
+                n_failed_attempts=n_failed,
+                n_evicted_attempts=n_evicted,
+            )
+            for i, (task_id, category, n_failed, n_evicted) in enumerate(
+                zip(self._task_ids, self._task_categories, self._task_failed, self._task_evicted)
+            )
+        )
+
+    def task_series(self, resource: Resource) -> Tuple[array[float], array[float]]:
+        """Per-task ``(consumption, allocation)`` of one resource, in completion order.
+
+        Copies of the ledger's columns; ``KeyError`` for a resource the
+        ledger does not track, as :meth:`awe` has it.
+        """
+        return self._task_consumption[resource][:], self._task_allocation[resource][:]
 
     # -- checkpointing ----------------------------------------------------------------
 
@@ -305,14 +328,25 @@ class Ledger:
             },
             "tasks": [
                 {
-                    "task_id": usage.task_id,
-                    "category": usage.category,
-                    "consumption": by_key(usage.consumption),
-                    "allocation": by_key(usage.allocation),
-                    "n_failed_attempts": usage.n_failed_attempts,
-                    "n_evicted_attempts": usage.n_evicted_attempts,
+                    "task_id": task_id,
+                    "category": category,
+                    "consumption": {
+                        res.key: col[i] for res, col in self._task_consumption.items()
+                    },
+                    "allocation": {
+                        res.key: col[i] for res, col in self._task_allocation.items()
+                    },
+                    "n_failed_attempts": n_failed,
+                    "n_evicted_attempts": n_evicted,
                 }
-                for usage in self._tasks
+                for i, (task_id, category, n_failed, n_evicted) in enumerate(
+                    zip(
+                        self._task_ids,
+                        self._task_categories,
+                        self._task_failed,
+                        self._task_evicted,
+                    )
+                )
             ],
             "n_attempts": self._n_attempts,
             "n_failed": self._n_failed,
@@ -349,17 +383,15 @@ class Ledger:
         new._category_allocation = {
             cat: by_res(m) for cat, m in state["category_allocation"].items()
         }
-        new._tasks = [
-            TaskUsage(
-                task_id=int(doc["task_id"]),
-                category=doc["category"],
-                consumption=by_res(doc["consumption"]),
-                allocation=by_res(doc["allocation"]),
-                n_failed_attempts=int(doc["n_failed_attempts"]),
-                n_evicted_attempts=int(doc["n_evicted_attempts"]),
-            )
-            for doc in state["tasks"]
-        ]
+        for doc in state["tasks"]:
+            new._task_ids.append(int(doc["task_id"]))
+            new._task_categories.append(doc["category"])
+            for res, col in new._task_consumption.items():
+                col.append(float(doc["consumption"][res.key]))
+            for res, col in new._task_allocation.items():
+                col.append(float(doc["allocation"][res.key]))
+            new._task_failed.append(int(doc["n_failed_attempts"]))
+            new._task_evicted.append(int(doc["n_evicted_attempts"]))
         new._n_attempts = int(state["n_attempts"])
         new._n_failed = int(state["n_failed"])
         new._n_evicted = int(state["n_evicted"])

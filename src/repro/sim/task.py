@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.core.resources import Resource, ResourceVector
 from repro.workflows.spec import TaskSpec
@@ -36,13 +36,14 @@ class AttemptOutcome(enum.Enum):
     EVICTED = "evicted"        # lost with its (opportunistic) worker
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attempt:
     """One completed placement of a task on a worker.
 
     ``runtime`` is the wall time the attempt actually held its
     allocation (the ``t_i`` of the failed-allocation waste term);
     ``observed`` is the peak consumption the monitor recorded.
+    Slotted: every attempt of a run stays alive with its task.
     """
 
     index: int
@@ -108,6 +109,11 @@ class DeadLetterEntry:
         )
 
 
+#: What a task with no dependency left holds: one shared empty set
+#: instead of a set per task.
+_NO_DEPENDENCIES: FrozenSet[int] = frozenset()
+
+
 class SimTask:
     """Runtime wrapper around a task spec."""
 
@@ -129,7 +135,9 @@ class SimTask:
         #: first dispatch and after every exhaustion retry; preserved
         #: across evictions).
         self.current_allocation: Optional[ResourceVector] = None
-        self.pending_dependencies = set(spec.dependencies)
+        self.pending_dependencies: Union[Set[int], FrozenSet[int]] = (
+            set(spec.dependencies) if spec.dependencies else _NO_DEPENDENCIES
+        )
         self.ready_time: Optional[float] = 0.0 if not spec.dependencies else None
         self.completion_time: Optional[float] = None
 
@@ -147,7 +155,11 @@ class SimTask:
 
     def dependency_completed(self, dep_id: int, now: float) -> bool:
         """Mark a dependency done; True if the task just became ready."""
-        self.pending_dependencies.discard(dep_id)
+        pending = self.pending_dependencies
+        if isinstance(pending, set):
+            pending.discard(dep_id)
+            if not pending:
+                self.pending_dependencies = _NO_DEPENDENCIES
         if self.state is TaskState.PENDING and not self.pending_dependencies:
             self.state = TaskState.READY
             self.ready_time = now

@@ -13,6 +13,8 @@ assert the observable API agrees:
 * ``index_below`` and eviction survivors — exactly.
 """
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,30 @@ def test_append_sequences_match_seed_implementation(ops):
         new.add(value, significance=sig, task_id=task_id)
         old.add(value, significance=sig, task_id=task_id)
     _assert_equivalent(new, old)
+
+
+# Few distinct integer values and significances: most inserts land in a
+# run of equal values, many on an equal (value, significance) key.
+tied_strategy = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from([1.0, 2.0, 3.0])),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_strategy)
+def test_tied_inserts_rest_where_insort_puts_them(ops):
+    """The returned index is ``bisect_right`` of the (value, significance) key."""
+    new, old = RecordList(), LegacyRecordList()
+    keys = []
+    for task_id, (value, sig) in enumerate(ops):
+        expected = bisect.bisect_right(keys, (value, sig))
+        keys.insert(expected, (value, sig))
+        assert new.add(value, significance=sig, task_id=task_id) == expected
+        old.add(value, significance=sig, task_id=task_id)
+        assert new[expected].task_id == task_id
+        _assert_equivalent(new, old)
 
 
 @settings(max_examples=150, deadline=None)

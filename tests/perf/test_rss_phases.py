@@ -1,5 +1,6 @@
 """``rss_phases.py``: bad inputs are usage errors, and faults are per phase."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -43,3 +44,22 @@ def test_each_phase_reports_its_minor_faults():
     # Imports and input generation touch fresh memory.
     assert faults["set-up"] > 0
     assert "minor_faults" in done.stdout.splitlines()[1]
+    # Timed-phase faults per op, and the slow-mode flag they imply.
+    per_op = report["timed_faults_per_op"]
+    assert report["timed_ops"] > 0
+    assert per_op == round(faults["timed"] / report["timed_ops"], 4)
+    assert report["likely_slow_mode"] == (per_op > 1.0)
+    assert ("LIKELY PYMALLOC SLOW MODE" in done.stdout) == report["likely_slow_mode"]
+    assert "timed-phase minor faults per op:" in done.stdout
+
+
+def test_slow_mode_flag_sits_between_the_recorded_modes():
+    """docs/PERFORMANCE.md: ~0.18 faults per op fast, ~4.1 slow."""
+    spec = importlib.util.spec_from_file_location("rss_phases", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.SLOW_MODE_FAULTS_PER_OP == 1.0
+    assert not module.likely_slow_mode(0.18)
+    assert not module.likely_slow_mode(1.0)
+    assert module.likely_slow_mode(1.01)
+    assert module.likely_slow_mode(4.1)

@@ -268,7 +268,9 @@ class TestAbsentResourceReadsZero:
             ],
         )
         omitted, explicit = Ledger(RESOURCES), Ledger(RESOURCES)
-        usage = omitted.record_task(no_disk)
-        assert usage == explicit.record_task(zero_disk)
+        omitted.record_task(no_disk)
+        explicit.record_task(zero_disk)
+        (usage,) = omitted.task_usages()
+        assert explicit.task_usages() == (usage,)
         assert usage.allocation[DISK] == usage.consumption[DISK] == 0.0
         assert omitted.state_dict() == explicit.state_dict()
