@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from repro.core.resources import RESOURCES, TIME, Resource
 from repro.sim.task import AttemptOutcome, SimTask
@@ -271,20 +271,24 @@ class Ledger:
 
     def task_usages(self) -> Tuple[TaskUsage, ...]:
         """Every completed task's usage, in completion order (rows built here)."""
+        return tuple(TaskUsage(*row) for row in self._rows())
+
+    def _rows(
+        self,
+    ) -> Iterator[Tuple[int, str, Dict[Resource, float], Dict[Resource, float], int, int]]:
+        """The per-task columns as rows, in :class:`TaskUsage` field order."""
         consumption, allocation = self._task_consumption, self._task_allocation
-        return tuple(
-            TaskUsage(
-                task_id=task_id,
-                category=category,
-                consumption={res: col[i] for res, col in consumption.items()},
-                allocation={res: col[i] for res, col in allocation.items()},
-                n_failed_attempts=n_failed,
-                n_evicted_attempts=n_evicted,
+        for i, (task_id, category, n_failed, n_evicted) in enumerate(
+            zip(self._task_ids, self._task_categories, self._task_failed, self._task_evicted)
+        ):
+            yield (
+                task_id,
+                category,
+                {res: col[i] for res, col in consumption.items()},
+                {res: col[i] for res, col in allocation.items()},
+                n_failed,
+                n_evicted,
             )
-            for i, (task_id, category, n_failed, n_evicted) in enumerate(
-                zip(self._task_ids, self._task_categories, self._task_failed, self._task_evicted)
-            )
-        )
 
     def task_series(self, resource: Resource) -> Tuple[array[float], array[float]]:
         """Per-task ``(consumption, allocation)`` of one resource, in completion order.
@@ -330,23 +334,12 @@ class Ledger:
                 {
                     "task_id": task_id,
                     "category": category,
-                    "consumption": {
-                        res.key: col[i] for res, col in self._task_consumption.items()
-                    },
-                    "allocation": {
-                        res.key: col[i] for res, col in self._task_allocation.items()
-                    },
+                    "consumption": by_key(consumption),
+                    "allocation": by_key(allocation),
                     "n_failed_attempts": n_failed,
                     "n_evicted_attempts": n_evicted,
                 }
-                for i, (task_id, category, n_failed, n_evicted) in enumerate(
-                    zip(
-                        self._task_ids,
-                        self._task_categories,
-                        self._task_failed,
-                        self._task_evicted,
-                    )
-                )
+                for task_id, category, consumption, allocation, n_failed, n_evicted in self._rows()
             ],
             "n_attempts": self._n_attempts,
             "n_failed": self._n_failed,

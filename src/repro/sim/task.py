@@ -36,14 +36,13 @@ class AttemptOutcome(enum.Enum):
     EVICTED = "evicted"        # lost with its (opportunistic) worker
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Attempt:
     """One completed placement of a task on a worker.
 
     ``runtime`` is the wall time the attempt actually held its
     allocation (the ``t_i`` of the failed-allocation waste term);
     ``observed`` is the peak consumption the monitor recorded.
-    Slotted: every attempt of a run stays alive with its task.
     """
 
     index: int
