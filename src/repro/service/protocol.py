@@ -196,10 +196,7 @@ def validate_request(doc: Mapping[str, Any], resources: Sequence[Resource]) -> N
                 f"{op}: idempotency key exceeds {MAX_KEY_BYTES} bytes"
             )
     if op == "allocate_batch":
-        requests = doc.get("requests")
-        if not isinstance(requests, list) or not requests:
-            raise ProtocolError("allocate_batch: 'requests' must be a non-empty list")
-        validate_batch(requests, resources)
+        validate_batch(doc.get("requests"), resources)
         return
     _require_str(doc, "category")
     _require_int(doc, "task_id")
@@ -231,13 +228,15 @@ def validate_request(doc: Mapping[str, Any], resources: Sequence[Resource]) -> N
             )
 
 
-def validate_batch(requests: Sequence[Any], resources: Sequence[Resource]) -> None:
-    """Schema-check a batch's nested requests, in order.
+def validate_batch(requests: Any, resources: Sequence[Resource]) -> None:
+    """Schema-check a batch: a non-empty list, then each request in order.
 
-    The one check of a nested request, whichever entry point the batch
-    came through: each must be an object holding a mutating op (so a
+    The one check of a batch, whichever entry point it came through:
+    each nested request must be an object holding a mutating op (so a
     batch never nests) with a valid body.
     """
+    if not isinstance(requests, list) or not requests:
+        raise ProtocolError("allocate_batch: 'requests' must be a non-empty list")
     for sub in requests:
         if not isinstance(sub, dict):
             raise ProtocolError("allocate_batch: every request must be an object")

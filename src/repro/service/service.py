@@ -167,6 +167,8 @@ class AllocationService:
         self._config = config if config is not None else ServiceConfig()
         self._shards: List[AllocationShard] = []
         self._started = False
+        #: Set by :meth:`abort`: the shards' state is gone, not stopped.
+        self._aborted = False
         self._snapshot_lock: Optional[asyncio.Lock] = None
         self.recovered_ops = 0
         #: Current snapshot generation (0: none written yet).
@@ -226,6 +228,7 @@ class AllocationService:
         """Build the shards, recover from ``data_dir``, start the writers."""
         if self._started:
             raise RuntimeError("service already started")
+        self._aborted = False
         self._build_shards()
         self._snapshot_lock = asyncio.Lock()
         if self._config.data_dir is not None:
@@ -497,15 +500,33 @@ class AllocationService:
         self._started = False
 
     def abort(self) -> None:
-        """Crash simulation: drop writers and queued work on the floor."""
+        """Crash simulation: drop writers, queued work and shard state.
+
+        Each shard fails its queued work with the ambiguous
+        :class:`~repro.service.chaos.CrashPointFired`, closes its WAL
+        and releases its allocator and dedup window at once, so a
+        service restarted on the same ``data_dir`` in this process does
+        not hold two states.  What is left only reports the crash:
+        :meth:`health` says ``ok: false``, and every call that needs
+        the state raises a :class:`RuntimeError` naming the abort.
+        """
         for shard in self._shards:
             shard.abort()
         self._started = False
+        self._aborted = True
+
+    def _not_running(self) -> RuntimeError:
+        if self._aborted:
+            return RuntimeError(
+                "service was aborted (simulated crash): its shard state is gone; "
+                "start a new AllocationService on its data_dir"
+            )
+        return RuntimeError("service is not started")
 
     async def snapshot(self) -> str:
         """Online snapshot: quiesce all shards, write one consistent cut."""
         if not self._started:
-            raise RuntimeError("service is not started")
+            raise self._not_running()
         if self._config.data_dir is None:
             raise RuntimeError("service has no data_dir; nothing to snapshot to")
         assert self._snapshot_lock is not None
@@ -546,9 +567,9 @@ class AllocationService:
         return await self._shard(op["category"]).submit(op)
 
     async def submit_batch(
-        self, requests: Sequence[Dict[str, Any]]
+        self, requests: List[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
-        """Apply a batch of operation documents, coalesced per shard.
+        """Apply a non-empty list of operation documents, coalesced per shard.
 
         Responses come back in request order and are bit-identical to a
         sequential loop awaiting each request: within a shard the batch
@@ -562,6 +583,8 @@ class AllocationService:
         self, requests: Sequence[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
         """:meth:`submit_batch` on requests already validated."""
+        if not self._started:
+            raise self._not_running()
         by_shard: Dict[int, List[int]] = {}
         for position, request in enumerate(requests):
             by_shard.setdefault(self.shard_for(request["category"]), []).append(position)
@@ -627,7 +650,7 @@ class AllocationService:
 
     def _shard(self, category: str) -> AllocationShard:
         if not self._started:
-            raise RuntimeError("service is not started")
+            raise self._not_running()
         return self._shards[self.shard_for(category)]
 
     # -- introspection ---------------------------------------------------------
@@ -678,6 +701,8 @@ class AllocationService:
 
     def shard_digests(self) -> List[str]:
         """Per-shard allocator digests (bit-identity handles)."""
+        if self._aborted:
+            raise self._not_running()
         return [shard.allocator.digest() for shard in self._shards]
 
     def __repr__(self) -> str:

@@ -124,6 +124,9 @@ SITE_WAL_APPEND_BEFORE = CRASH_POINTS.register("shard.wal-append.before")
 SITE_WAL_APPEND_AFTER = CRASH_POINTS.register("shard.wal-append.after")
 SITE_APPLY_BEFORE = CRASH_POINTS.register("shard.apply.before")
 SITE_APPLY_AFTER = CRASH_POINTS.register("shard.apply.after")
+#: The site :meth:`AllocationShard.abort` names in the error it gives
+#: queued work.  Not registered: nothing arms it, abort() is the crash.
+ABORT_SITE = "shard.abort"
 
 
 def shard_of(category: str, n_shards: int) -> int:
@@ -213,13 +216,14 @@ class AllocationShard:
         if probe_interval < 1:
             raise ValueError(f"probe_interval must be >= 1, got {probe_interval}")
         self.index = index
-        self.allocator = allocator
+        self._allocator: Optional[TaskOrientedAllocator] = allocator
         #: Applied-operation count; the shard's logical clock.
         self.seq = 0
         self.failed_ops = 0
         #: Keyed requests answered from the dedup window instead of applied.
         self.dedup_hits = 0
-        #: Set when a crash point killed the writer (tests restart the service).
+        #: Set when a crash point killed the writer or :meth:`abort` ran
+        #: (tests restart the service).
         self.crashed = False
         #: Read-only: the WAL append failed and no probe has healed it yet.
         self.degraded = False
@@ -242,6 +246,13 @@ class AllocationShard:
         #: key -> stored response, oldest first (insertion == apply order).
         self._dedup: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._writer: Optional[asyncio.Task] = None
+
+    @property
+    def allocator(self) -> TaskOrientedAllocator:
+        """The shard's allocator; :meth:`abort` releases it."""
+        if self._allocator is None:
+            raise RuntimeError(f"shard {self.index} was aborted; its allocator was released")
+        return self._allocator
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -274,11 +285,22 @@ class AllocationShard:
             self._wal = None
 
     def abort(self) -> None:
-        """Crash simulation: kill the writer without drain or snapshot."""
+        """Crash simulation: kill the writer and drop what a crash loses.
+
+        Queued work fails as :meth:`_die` fails it, with no drain and no
+        snapshot.  The allocator and the dedup window are released here,
+        not when the cancelled writer coroutine (which holds the shard)
+        next runs: a service restarted in the same process, before the
+        loop turns, must not hold two allocator states.
+        """
         if self._writer is not None:
             self._writer.cancel()
             self._writer = None
+        self.crashed = True
+        self._fail_queued(CrashPointFired(ABORT_SITE, 1))
         self.close_wal()
+        self._allocator = None
+        self._dedup.clear()
 
     # -- submission ------------------------------------------------------------
 
@@ -330,7 +352,14 @@ class AllocationShard:
                         return
                     if isinstance(item, _Quiesce):
                         item.parked.set()
-                        await item.release.wait()
+                        try:
+                            await item.release.wait()
+                        except asyncio.CancelledError:
+                            # abort() while parked: the rest of this
+                            # drain is queued work as well.
+                            rest = items[items.index(item) + 1 :]
+                            self._fail_queued(CrashPointFired(ABORT_SITE, 1), rest)
+                            raise
                 self._commit(batch)
         except CrashPointFired as exc:
             self._die(exc)
@@ -345,15 +374,24 @@ class AllocationShard:
         reached the OS survives, nothing else does).
         """
         self.crashed = True
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if isinstance(item, _Work) and not item.future.done():
-                item.future.set_exception(exc)
-            elif isinstance(item, _Quiesce):  # pragma: no cover - defensive
-                item.parked.set()
+        self._fail_queued(exc)
         if self._wal is not None:
             self._wal.abandon()
             self._wal = None
+
+    def _fail_queued(self, exc: CrashPointFired, held: Sequence[Any] = ()) -> None:
+        """Fail every queued submission with ``exc``; unpark barriers.
+
+        ``held`` is what the writer had drained but not yet committed.
+        """
+        items = list(held)
+        while not self._queue.empty():
+            items.append(self._queue.get_nowait())
+        for item in items:
+            if isinstance(item, _Work) and not item.future.done():
+                item.future.set_exception(exc)
+            elif isinstance(item, _Quiesce):
+                item.parked.set()
 
     def _commit(self, batch: List[_Work]) -> None:
         """Group-commit one drained batch: dedup, plan, log, apply, reply.
@@ -447,7 +485,7 @@ class AllocationShard:
                 continue
             CRASH_POINTS.hit(SITE_APPLY_BEFORE)
             try:
-                result = apply_op(self.allocator, op)
+                result = apply_op(self._allocator, op)
             except Exception as exc:
                 # Pre-validation makes this unreachable for well-formed
                 # requests; a misbehaving allocator still must not kill
@@ -659,6 +697,7 @@ class AllocationShard:
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
+        allocator = self._allocator  # None once aborted: it holds nothing
         return {
             "index": self.index,
             "seq": self.seq,
@@ -674,8 +713,8 @@ class AllocationShard:
                 if self._wal_path is not None and os.path.exists(self._wal_path)
                 else 0
             ),
-            "categories": len(self.allocator.categories()),
-            "records": sum(self.allocator.records_counts().values()),
+            "categories": 0 if allocator is None else len(allocator.categories()),
+            "records": 0 if allocator is None else sum(allocator.records_counts().values()),
         }
 
     def __repr__(self) -> str:

@@ -9,15 +9,17 @@ assert the observable API agrees:
 
 * record order (values, significances, task ids) — exactly;
 * prefix sums and weighted means — to float tolerance (the incremental
-  maintenance associates the additions differently than a full cumsum);
+  maintenance associates the additions differently than a full cumsum),
+  and each weighted mean within the same tolerance of the exact one;
 * ``index_below`` and eviction survivors — exactly.
 """
 
 import bisect
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import RecordList, ResourceRecord
@@ -62,22 +64,37 @@ def _assert_equivalent(new: RecordList, old: LegacyRecordList) -> None:
     # implementations are correctly rounded individually; the tolerance
     # must follow the condition number, not a fixed rel.
     eps = np.finfo(float).eps
+    tiny = np.finfo(float).tiny
     sp_scale = float(np.max(np.abs(old.sig_prefix)))
     svp_scale = float(np.max(np.abs(old.sigval_prefix)))
     slack = 8 * max(n, 8) * eps  # accumulated over incremental maintenance
+    sig = [Fraction(s) for s in old.significances.tolist()]
+    sigval = [s * Fraction(v) for s, v in zip(sig, old.values.tolist())]
     for lo, hi in ranges:
-        den = max(old.sig_sum(lo, hi), np.finfo(float).tiny)
+        den = max(old.sig_sum(lo, hi), tiny)
         assert new.sig_sum(lo, hi) == pytest.approx(
             old.sig_sum(lo, hi), rel=1e-6, abs=slack * sp_scale
         )
+        # The quotient errs by the value prefix's error plus the mean
+        # times the significance prefix's: both prefixes cancel when a
+        # light subrange sits above a heavy one.  ``tiny`` covers gradual
+        # underflow (slack * tiny is 8 * max(n, 8) subnormal steps).
+        exact = float(sum(sigval[lo : hi + 1]) / sum(sig[lo : hi + 1]))
+        bound = slack * (svp_scale + abs(exact) * sp_scale + tiny) / den
+        for mean in (new.weighted_mean(lo, hi), old.weighted_mean(lo, hi)):
+            assert abs(mean - exact) <= bound
         assert new.weighted_mean(lo, hi) == pytest.approx(
-            old.weighted_mean(lo, hi), rel=1e-6, abs=slack * svp_scale / den
+            old.weighted_mean(lo, hi), rel=1e-6, abs=bound
         )
         assert new.max_value(lo, hi) == old.max_value(lo, hi)
 
 
 @settings(max_examples=200, deadline=None)
 @given(sequence_strategy)
+# A light pair inserted before a heavy record that sorts below it:
+# (65536 + 2e-6) - 65536 cancels in the significance prefix, and the two
+# implementations read 0.99999966 and 1.0000069 against an exact 1.0.
+@example([(1.0, 1e-6, 0), (1.0, 1e-6, 1), (0.0, 65536.0, 2)])
 def test_append_sequences_match_seed_implementation(ops):
     new, old = RecordList(), LegacyRecordList()
     for value, sig, task_id in ops:

@@ -1,10 +1,11 @@
 """A batch's nested requests are validated once, with the same answers.
 
 The front end and the service both check what reaches them; a batch's
-nested bodies go through one helper (``protocol.validate_batch``), run
-once whichever entry point the batch came through.  Every single-fault
-batch below is refused with the code and message the two-check version
-gave over the wire, and nothing reaches a shard.
+envelope and nested bodies go through one helper
+(``protocol.validate_batch``), run once whichever entry point the batch
+came through.  Every single-fault batch below is refused with the code
+and message the two-check version gave over the wire, and nothing
+reaches a shard; an empty request list is refused in process too.
 """
 
 import asyncio
@@ -160,7 +161,8 @@ async def _refusals(batch):
     with pytest.raises(ProtocolError) as refused:
         await svc.submit(batch)
     answers.append((refused.value.code, str(refused.value)))
-    if isinstance(batch.get("requests"), list) and batch["requests"] and "key" not in batch:
+    # An empty list included: submit_batch([]) once returned [].
+    if isinstance(batch.get("requests"), list) and "key" not in batch:
         with pytest.raises(ProtocolError) as refused:
             await svc.submit_batch(batch["requests"])
         answers.append((refused.value.code, str(refused.value)))
