@@ -7,6 +7,8 @@ that reproduces the paper's Greedy Bucketing blowup.  The 5000-record
 literal-GB measurement takes seconds by design — that is the result.
 """
 
+import time
+
 import pytest
 
 from repro.core.exhaustive import exhaustive_break_indices
@@ -24,8 +26,14 @@ def test_table1_exhaustive_at_5000(benchmark, records_5000):
     """EB at 5000 records: the paper reports 1.6 ms; ours is ~1 ms."""
     breaks = benchmark(exhaustive_break_indices, records_5000)
     assert breaks[-1] == 4999
-    # Roughly-linear scaling: must stay well under 10 ms.
-    assert benchmark.stats.stats.mean < 0.05
+    # Timed here, not read from the fixture, so the bound also holds
+    # under --benchmark-disable.  Roughly-linear scaling: the mean must
+    # stay under 50 ms, far above the ~1 ms it takes.
+    repeats = 20
+    started = time.perf_counter()
+    for _ in range(repeats):
+        exhaustive_break_indices(records_5000)
+    assert (time.perf_counter() - started) / repeats < 0.05
 
 
 def test_table1_greedy_optimized_at_5000(benchmark, records_5000):

@@ -61,6 +61,7 @@ from repro.service.protocol import (
     validate_request,
 )
 from repro.service.shards import (
+    CRASHED,
     OP_ALLOCATE,
     OP_RECORD,
     OP_RETRY,
@@ -167,8 +168,6 @@ class AllocationService:
         self._config = config if config is not None else ServiceConfig()
         self._shards: List[AllocationShard] = []
         self._started = False
-        #: Set by :meth:`abort`: the shards' state is gone, not stopped.
-        self._aborted = False
         self._snapshot_lock: Optional[asyncio.Lock] = None
         self.recovered_ops = 0
         #: Current snapshot generation (0: none written yet).
@@ -228,7 +227,6 @@ class AllocationService:
         """Build the shards, recover from ``data_dir``, start the writers."""
         if self._started:
             raise RuntimeError("service already started")
-        self._aborted = False
         self._build_shards()
         self._snapshot_lock = asyncio.Lock()
         if self._config.data_dir is not None:
@@ -433,7 +431,7 @@ class AllocationService:
             {
                 "fingerprint": self._fingerprint(),
                 "generation": gen,
-                "shards": [shard.state() for shard in self._shards],
+                "shards": [shard.snapshot_state() for shard in self._shards],
             },
         )
         retention = self._config.snapshot_retention
@@ -482,13 +480,15 @@ class AllocationService:
         A storage failure during the final snapshot is logged and
         swallowed: the WALs are left un-archived, so everything applied
         is still covered for the next recovery — failing the shutdown
-        would lose more than it protects.
+        would lose more than it protects.  Nor is one written while a
+        shard is crashed: the WALs and the last generation are the truth.
         """
         if not self._started:
             return
         for shard in self._shards:
             await shard.stop()
-        if self._config.data_dir is not None and snapshot:
+        crashed = any(shard.state == CRASHED for shard in self._shards)
+        if self._config.data_dir is not None and snapshot and not crashed:
             try:
                 self._write_snapshot()
             except OSError as exc:
@@ -500,28 +500,22 @@ class AllocationService:
         self._started = False
 
     def abort(self) -> None:
-        """Crash simulation: drop writers, queued work and shard state.
+        """Crash simulation: every shard takes its one crash path.
 
-        Each shard fails its queued work with the ambiguous
-        :class:`~repro.service.chaos.CrashPointFired`, closes its WAL
-        and releases its allocator and dedup window at once, so a
-        service restarted on the same ``data_dir`` in this process does
-        not hold two states.  What is left only reports the crash:
-        :meth:`health` says ``ok: false``, and every call that needs
-        the state raises a :class:`RuntimeError` naming the abort.
+        Queued work fails with the ambiguous
+        :class:`~repro.service.chaos.CrashPointFired` and the shard
+        state is released at once.  What is left only reports the crash:
+        :meth:`health` says ``ok: false``, and every call that needs the
+        state raises the :class:`RuntimeError` a crashed shard raises.
         """
         for shard in self._shards:
             shard.abort()
         self._started = False
-        self._aborted = True
 
     def _not_running(self) -> RuntimeError:
-        if self._aborted:
-            return RuntimeError(
-                "service was aborted (simulated crash): its shard state is gone; "
-                "start a new AllocationService on its data_dir"
-            )
-        return RuntimeError("service is not started")
+        """The first crashed shard's refusal, else "not started"."""
+        crashed = [shard for shard in self._shards if shard.state == CRASHED]
+        return crashed[0].refusal() if crashed else RuntimeError("service is not started")
 
     async def snapshot(self) -> str:
         """Online snapshot: quiesce all shards, write one consistent cut."""
@@ -531,22 +525,22 @@ class AllocationService:
             raise RuntimeError("service has no data_dir; nothing to snapshot to")
         assert self._snapshot_lock is not None
         async with self._snapshot_lock:
-            barriers = [shard.quiesce() for shard in self._shards]
-            await asyncio.gather(*(b.parked.wait() for b in barriers))
+            barriers = []
             try:
-                try:
-                    path = self._write_snapshot()
-                except OSError as exc:
-                    # Typed refusal, no state lost: the previous chain
-                    # stays CURRENT and the live WALs keep covering
-                    # everything applied since it.
-                    raise StorageUnavailable(
-                        None, f"snapshot write failed: {exc}"
-                    ) from exc
+                # A crashed shard refuses its barrier.  One that crashes
+                # while the others park wakes its own, and the write
+                # refuses it: a crash released the allocator it would read.
+                for shard in self._shards:
+                    barriers.append(shard.quiesce())
+                await asyncio.gather(*(b.parked.wait() for b in barriers))
+                return self._write_snapshot()
+            except OSError as exc:
+                # Typed refusal, no state lost: the previous chain stays
+                # CURRENT and the live WALs cover everything applied since.
+                raise StorageUnavailable(None, f"snapshot write failed: {exc}") from exc
             finally:
                 for barrier in barriers:
                     barrier.release.set()
-            return path
 
     # -- the request API -------------------------------------------------------
 
@@ -564,7 +558,9 @@ class AllocationService:
         validate_request(op, self.resources)
         if op["op"] == "allocate_batch":
             return {"responses": await self._apply_batch(op["requests"])}
-        return await self._shard(op["category"]).submit(op)
+        if not self._started:
+            raise self._not_running()
+        return await self._shards[self.shard_for(op["category"])].submit(op)
 
     async def submit_batch(
         self, requests: List[Dict[str, Any]]
@@ -582,8 +578,12 @@ class AllocationService:
     async def _apply_batch(
         self, requests: Sequence[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
-        """:meth:`submit_batch` on requests already validated."""
-        if not self._started:
+        """:meth:`submit_batch` on requests already validated.
+
+        A crashed shard refuses the whole batch, so no other shard
+        applies a part of it under an error that means "not applied".
+        """
+        if not self._started or any(shard.state == CRASHED for shard in self._shards):
             raise self._not_running()
         by_shard: Dict[int, List[int]] = {}
         for position, request in enumerate(requests):
@@ -648,11 +648,6 @@ class AllocationService:
         result = await self.submit(op)
         return int(result["records_count"])
 
-    def _shard(self, category: str) -> AllocationShard:
-        if not self._started:
-            raise self._not_running()
-        return self._shards[self.shard_for(category)]
-
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -672,8 +667,8 @@ class AllocationService:
     def health(self) -> Dict[str, Any]:
         """Liveness + storage-pressure view for the wire ``health`` request.
 
-        ``ok`` is false once any shard writer died at a crash point (or
-        was aborted).  ``degraded`` is true while any shard's storage is
+        ``ok`` is false once any shard crashed (a crash point fired in
+        its writer, or it was aborted).  ``degraded`` is true while any shard's storage is
         refusing writes — the service still answers reads and typed
         refusals, so it is *not* folded into ``ok``.  The per-shard rows
         carry queue depth, dedup occupancy, WAL byte sizes, and the last
@@ -682,7 +677,7 @@ class AllocationService:
         """
         shards = [shard.stats() for shard in self._shards]
         for shard, row in zip(self._shards, shards):
-            row["crashed"] = shard.crashed
+            row["crashed"] = shard.state == CRASHED
         return {
             "ok": self._started and not any(s["crashed"] for s in shards),
             "started": self._started,
@@ -701,8 +696,6 @@ class AllocationService:
 
     def shard_digests(self) -> List[str]:
         """Per-shard allocator digests (bit-identity handles)."""
-        if self._aborted:
-            raise self._not_running()
         return [shard.allocator.digest() for shard in self._shards]
 
     def __repr__(self) -> str:

@@ -29,7 +29,15 @@ one applied allocation and bit-identical responses.
 **Crash points:** the WAL-append and apply boundaries host named
 :mod:`repro.service.chaos` crash sites, so "what if we die here?" is a
 seeded test, not a thought experiment.  With nothing armed the hits are
-a single attribute check.
+a single attribute check.  A fired crash point and
+:meth:`AllocationShard.abort` take one crash path: queued work fails
+with the ambiguous :class:`CrashPointFired`; the WAL handle, allocator
+and dedup window are dropped, as a dead process loses them.
+
+**Lifecycle:** one ``state`` — stopped, running, degraded (below) or
+crashed — changed only by ``_set_state``.  A stopped or crashed shard
+refuses a submission or snapshot barrier before enqueueing it, with a
+:class:`RuntimeError` that means "not applied".
 
 **Degraded mode:** a storage error (``OSError`` — real or injected by
 :mod:`repro.faultfs`) during the WAL append does *not* kill the writer.
@@ -97,17 +105,12 @@ class StorageUnavailable(RuntimeError):
     ``storage_unavailable`` error code.
     """
 
-    def __init__(
-        self,
-        shard: Optional[int],
-        reason: str,
-        retry_after: float = DEGRADED_RETRY_AFTER_S,
-    ) -> None:
+    def __init__(self, shard: Optional[int], reason: str) -> None:
         scope = "service" if shard is None else f"shard {shard}"
         super().__init__(f"{scope} storage unavailable: {reason}")
         self.shard = shard
         self.reason = reason
-        self.retry_after = retry_after
+        self.retry_after = DEGRADED_RETRY_AFTER_S
 
 OP_ALLOCATE = "allocate"
 OP_RETRY = "allocate_retry"
@@ -127,6 +130,11 @@ SITE_APPLY_AFTER = CRASH_POINTS.register("shard.apply.after")
 #: The site :meth:`AllocationShard.abort` names in the error it gives
 #: queued work.  Not registered: nothing arms it, abort() is the crash.
 ABORT_SITE = "shard.abort"
+
+STOPPED, RUNNING, DEGRADED, CRASHED = "stopped", "running", "degraded", "crashed"
+_ACCEPTING = (RUNNING, DEGRADED)  # the states whose writer takes work
+#: state -> the states it may move to; besides, a crash ends any state.
+_TRANSITIONS = {STOPPED: (RUNNING,), RUNNING: (DEGRADED, STOPPED), DEGRADED: (RUNNING, STOPPED)}
 
 
 def shard_of(category: str, n_shards: int) -> int:
@@ -197,8 +205,8 @@ class _Quiesce:
     release: asyncio.Event = field(default_factory=asyncio.Event)
 
 
-class _Stop:
-    """Sentinel draining the queue and terminating the writer."""
+#: Queue sentinel: the writer commits what is ahead of it, then ends.
+_STOP = object()
 
 
 class AllocationShard:
@@ -222,20 +230,17 @@ class AllocationShard:
         self.failed_ops = 0
         #: Keyed requests answered from the dedup window instead of applied.
         self.dedup_hits = 0
-        #: Set when a crash point killed the writer or :meth:`abort` ran
-        #: (tests restart the service).
-        self.crashed = False
-        #: Read-only: the WAL append failed and no probe has healed it yet.
-        self.degraded = False
+        #: One of STOPPED, RUNNING, DEGRADED, CRASHED; set by _set_state.
+        self.state = STOPPED
         self.degraded_reason: Optional[str] = None
         #: Storage errors absorbed by entering (or staying in) degraded mode.
         self.storage_failures = 0
         #: Highest seq known to be durably in the WAL (== ``seq`` while
         #: healthy; frozen at the pre-failure value while degraded).
         self.last_durable_seq = 0
-        #: WAL length after the last successful group commit, kept while
-        #: degraded: the bytes past it belong to the refused batch.
-        self._committed_wal_bytes = 0
+        #: WAL length at the last good group commit while a refused
+        #: batch's bytes follow it in the file; None once they are cut.
+        self._committed_wal_bytes: Optional[int] = None
         self._probe_interval = probe_interval
         self._probe_ticks = 0
         self._wal_path = wal_path
@@ -249,12 +254,27 @@ class AllocationShard:
 
     @property
     def allocator(self) -> TaskOrientedAllocator:
-        """The shard's allocator; :meth:`abort` releases it."""
-        if self._allocator is None:
-            raise RuntimeError(f"shard {self.index} was aborted; its allocator was released")
+        """The shard's allocator; a crash releases it."""
+        if self.state == CRASHED:
+            raise self.refusal()
         return self._allocator
 
     # -- lifecycle -------------------------------------------------------------
+
+    def _set_state(self, state: str) -> None:
+        """The one place the lifecycle moves (see ``_TRANSITIONS``)."""
+        if state != CRASHED and state not in _TRANSITIONS.get(self.state, ()):
+            raise RuntimeError(f"shard {self.index} cannot go from {self.state} to {state}")
+        self.state = state
+
+    def refusal(self) -> RuntimeError:
+        """The error for a call this shard cannot take: nothing was applied."""
+        if self.state != CRASHED:
+            return RuntimeError(f"shard {self.index} is not started")
+        return RuntimeError(
+            f"shard {self.index} crashed (aborted, or a crash point fired): its state "
+            "is gone; start a new AllocationService on its data_dir"
+        )
 
     def open_wal(self) -> None:
         if self._wal_path is not None and self._wal is None:
@@ -262,6 +282,7 @@ class AllocationShard:
 
     def start(self) -> None:
         """Open the WAL and launch the single writer task."""
+        self._set_state(RUNNING)
         self.open_wal()
         self._writer = asyncio.get_running_loop().create_task(
             self._writer_loop(), name=f"repro-shard-{self.index}"
@@ -273,11 +294,10 @@ class AllocationShard:
         The WAL stays open so the service can snapshot-then-archive
         after the quiesce; call :meth:`close_wal` last.
         """
-        if self._writer is None:
+        if self.state not in _ACCEPTING:
             return
-        self._queue.put_nowait(_Stop())
+        self._queue.put_nowait(_STOP)
         await self._writer
-        self._writer = None
 
     def close_wal(self) -> None:
         if self._wal is not None:
@@ -285,22 +305,40 @@ class AllocationShard:
             self._wal = None
 
     def abort(self) -> None:
-        """Crash simulation: kill the writer and drop what a crash loses.
-
-        Queued work fails as :meth:`_die` fails it, with no drain and no
-        snapshot.  The allocator and the dedup window are released here,
-        not when the cancelled writer coroutine (which holds the shard)
-        next runs: a service restarted in the same process, before the
-        loop turns, must not hold two allocator states.
-        """
+        """Crash simulation from outside the writer: kill it, then crash."""
         if self._writer is not None:
             self._writer.cancel()
-            self._writer = None
-        self.crashed = True
-        self._fail_queued(CrashPointFired(ABORT_SITE, 1))
-        self.close_wal()
+        self._crash(CrashPointFired(ABORT_SITE, 1))
+
+    def _crash(self, exc: CrashPointFired, held: Sequence[Any] = ()) -> None:
+        """The one crash path, from any state: drop what a dead process loses.
+
+        Queued work and ``held`` (the writer's drain) fail with the
+        ambiguous ``exc``.  The WAL handle is abandoned: ``append_many``
+        flushed (under ``durability="batch"``, fsynced) every commit, so
+        a final fsync keeps nothing a crash keeps.  The allocator and
+        dedup window go now, not when the cancelled writer (which holds
+        the shard) next runs: a restart must not hold two states.
+        """
+        self._set_state(CRASHED)
+        self._writer = None
+        self._fail_queued(exc, held)
+        if self._wal is not None:
+            self._wal.abandon()
+            self._wal = None
         self._allocator = None
         self._dedup.clear()
+
+    def _fail_queued(self, exc: RuntimeError, held: Sequence[Any] = ()) -> None:
+        """Fail ``held`` and every queued submission with ``exc``; unpark barriers."""
+        items = list(held)
+        while not self._queue.empty():
+            items.append(self._queue.get_nowait())
+        for item in items:
+            if isinstance(item, _Work) and not item.future.done():
+                item.future.set_exception(exc)
+            elif isinstance(item, _Quiesce):
+                item.parked.set()
 
     # -- submission ------------------------------------------------------------
 
@@ -315,8 +353,8 @@ class AllocationShard:
         operation can interleave inside it — this is what makes
         ``allocate_batch`` bit-identical to a sequential loop.
         """
-        if self._writer is None:
-            raise RuntimeError(f"shard {self.index} is not started")
+        if self.state not in _ACCEPTING:
+            raise self.refusal()
         future: "asyncio.Future[List[Dict[str, Any]]]" = (
             asyncio.get_running_loop().create_future()
         )
@@ -325,6 +363,8 @@ class AllocationShard:
 
     def quiesce(self) -> _Quiesce:
         """Enqueue a snapshot barrier; the writer parks on reaching it."""
+        if self.state not in _ACCEPTING:
+            raise self.refusal()
         barrier = _Quiesce()
         self._queue.put_nowait(barrier)
         return barrier
@@ -336,80 +376,47 @@ class AllocationShard:
     # -- the single writer -----------------------------------------------------
 
     async def _writer_loop(self) -> None:
-        try:
-            while True:
-                items: List[Any] = [await self._queue.get()]
-                while not self._queue.empty():
-                    items.append(self._queue.get_nowait())
-                batch: List[_Work] = []
-                for item in items:
-                    if isinstance(item, _Work):
-                        batch.append(item)
-                        continue
-                    self._commit(batch)
-                    batch = []
-                    if isinstance(item, _Stop):
-                        return
-                    if isinstance(item, _Quiesce):
-                        item.parked.set()
-                        try:
-                            await item.release.wait()
-                        except asyncio.CancelledError:
-                            # abort() while parked: the rest of this
-                            # drain is queued work as well.
-                            rest = items[items.index(item) + 1 :]
-                            self._fail_queued(CrashPointFired(ABORT_SITE, 1), rest)
-                            raise
-                self._commit(batch)
-        except CrashPointFired as exc:
-            self._die(exc)
+        while await self._drain(await self._queue.get()):
+            pass
 
-    def _die(self, exc: CrashPointFired) -> None:
-        """An armed crash point fired mid-commit: simulate process death.
+    async def _drain(self, first: Any) -> bool:
+        """Commit ``first`` and the work queued behind it; False ends the writer.
 
-        Everything still queued fails with the same ambiguous
-        :class:`CrashPointFired` the in-flight batch got — exactly what
-        a remote client observes when the daemon dies under it — and
-        the WAL handle is dropped without a final fsync (whatever
-        reached the OS survives, nothing else does).
+        A drain ends at a barrier or the stop sentinel, so the writer
+        holds nothing behind one: it stays queued, where a crash fails
+        it.  Not the loop's body: the drained batch (and through each
+        future its responses) dies with this frame, not pinned while idle.
         """
-        self.crashed = True
-        self._fail_queued(exc)
-        if self._wal is not None:
-            self._wal.abandon()
-            self._wal = None
-
-    def _fail_queued(self, exc: CrashPointFired, held: Sequence[Any] = ()) -> None:
-        """Fail every queued submission with ``exc``; unpark barriers.
-
-        ``held`` is what the writer had drained but not yet committed.
-        """
-        items = list(held)
-        while not self._queue.empty():
+        items: List[Any] = [first]
+        while isinstance(items[-1], _Work) and not self._queue.empty():
             items.append(self._queue.get_nowait())
-        for item in items:
-            if isinstance(item, _Work) and not item.future.done():
-                item.future.set_exception(exc)
-            elif isinstance(item, _Quiesce):
-                item.parked.set()
+        last = items[-1]
+        try:
+            self._commit(items if isinstance(last, _Work) else items[:-1])
+        except CrashPointFired as exc:
+            self._crash(exc, items)
+            return False
+        if last is _STOP:
+            # What queued up behind the sentinel was never applied.
+            self._set_state(STOPPED)
+            self._fail_queued(self.refusal())
+            return False
+        if isinstance(last, _Quiesce):
+            last.parked.set()
+            await last.release.wait()
+        return True
 
     def _commit(self, batch: List[_Work]) -> None:
         """Group-commit one drained batch: dedup, plan, log, apply, reply.
 
-        On :class:`CrashPointFired` every future in the batch fails with
-        the ambiguous crash error (some operations may already be logged
-        or applied — the client cannot know, which is the point) and the
-        exception propagates to :meth:`_writer_loop`.
+        :class:`CrashPointFired` propagates to :meth:`_drain`, whose
+        crash fails the batch with it: some operations may already be
+        logged or applied — the client cannot know, which is the point.
         """
         if not batch:
             return
         try:
             self._commit_inner(batch)
-        except CrashPointFired as exc:
-            for work in batch:
-                if not work.future.done():
-                    work.future.set_exception(exc)
-            raise
         except StorageUnavailable as exc:
             # Typed, non-fatal, non-ambiguous: the batch rolled back and
             # was definitely not applied.  The writer loop survives so
@@ -419,12 +426,10 @@ class AllocationShard:
                     work.future.set_exception(exc)
 
     def _commit_inner(self, batch: List[_Work]) -> None:
-        if self.degraded:
+        if self.state == DEGRADED:
             self._probe_ticks += 1
             if self._probe_ticks % self._probe_interval != 0 or not self._probe_storage():
-                raise StorageUnavailable(
-                    self.index, self.degraded_reason or "storage write failed"
-                )
+                raise StorageUnavailable(self.index, self.degraded_reason)
         # Captured for rollback: a failed WAL append must leave no seq
         # gap (replay would refuse the log).
         seq_before = self.seq
@@ -525,14 +530,13 @@ class AllocationShard:
         that are gone); the probe reopens a fresh one.
         """
         self.storage_failures += 1
-        self.degraded = True
+        self._set_state(DEGRADED)
         self.degraded_reason = str(exc)
         self.seq = seq_before
         self._probe_ticks = 0
-        if self._wal is not None:
-            self._committed_wal_bytes = self._wal.committed_bytes
-            self._wal.abandon()
-            self._wal = None
+        self._committed_wal_bytes = self._wal.committed_bytes
+        self._wal.abandon()
+        self._wal = None
 
     # reproflow: sync-boundary -- degraded-mode healing probe; bounded repair I/O while storage is already stalled
     def _probe_storage(self) -> bool:
@@ -553,22 +557,29 @@ class AllocationShard:
         """
         assert self._wal_path is not None
         try:
-            try:
-                repair_journal_tail(self._wal_path, self._committed_wal_bytes)
-            except JournalCorruptError:
-                quarantine_file(self._wal_path)
+            self._cut_wal_back()
             self._wal = JournalWriter(self._wal_path, sync=self._durability)
         except OSError as exc:
             self.degraded_reason = f"recovery probe failed: {exc}"
             self._wal = None
             return False
-        self.degraded = False
+        self._set_state(RUNNING)
         self.degraded_reason = None
         return True
 
+    def _cut_wal_back(self) -> None:
+        """Cut the refused batch off the WAL (see :meth:`_probe_storage`); once."""
+        if self._committed_wal_bytes is None:
+            return
+        try:
+            repair_journal_tail(self._wal_path, self._committed_wal_bytes)
+        except JournalCorruptError:
+            quarantine_file(self._wal_path)
+        self._committed_wal_bytes = None
+
     # -- durability ------------------------------------------------------------
 
-    def state(self) -> Dict[str, Any]:
+    def snapshot_state(self) -> Dict[str, Any]:
         """This shard's slice of the multi-shard snapshot envelope.
 
         The allocator's state is deferred
@@ -585,7 +596,7 @@ class AllocationShard:
         }
 
     def restore(self, state: Dict[str, Any]) -> None:
-        """Load what :meth:`state` wrote — all of it.
+        """Load what :meth:`snapshot_state` wrote — all of it.
 
         A state without one of its keys was written by another format;
         reading it with a default would, for ``dedup``, start with an
@@ -668,26 +679,16 @@ class AllocationShard:
         the only replay source an *older* snapshot generation needs for
         fallback — the WAL is closed, renamed to ``segment_path`` (the
         directory fsynced, so the rename outlives a power loss), and a
-        fresh empty WAL opens.  A degraded shard first cuts the WAL back
-        to its last successful group commit (the refused batch's bytes
-        are not part of any state; mid-stream corruption is quarantined
-        as the probe does) and stays closed; the recovery probe reopens
-        it.
+        fresh empty WAL opens.  The refused batch of a degraded shard is
+        cut off first (its bytes are not part of any state), and a
+        degraded shard stays closed: the recovery probe reopens it.
         """
-        if self._wal_path is None:
-            return
         self.close_wal()
-        if self.degraded:
-            try:
-                repair_journal_tail(self._wal_path, self._committed_wal_bytes)
-            except JournalCorruptError:
-                quarantine_file(self._wal_path)
+        self._cut_wal_back()
         archived = os.path.exists(self._wal_path) and os.path.getsize(self._wal_path) > 0
         if archived:
             os.replace(self._wal_path, segment_path)
-        if self.degraded:
-            self._committed_wal_bytes = 0  # the probe starts a new file
-        else:
+        if self.state != DEGRADED:
             self.open_wal()
         if archived:
             # After the reopen: a failing directory fsync must not leave
@@ -697,7 +698,7 @@ class AllocationShard:
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        allocator = self._allocator  # None once aborted: it holds nothing
+        crashed = self.state == CRASHED  # a crashed shard holds nothing
         return {
             "index": self.index,
             "seq": self.seq,
@@ -705,7 +706,7 @@ class AllocationShard:
             "failed_ops": self.failed_ops,
             "dedup_size": len(self._dedup),
             "dedup_hits": self.dedup_hits,
-            "degraded": self.degraded,
+            "degraded": self.state == DEGRADED,
             "last_durable_seq": self.last_durable_seq,
             "storage_failures": self.storage_failures,
             "wal_bytes": (
@@ -713,8 +714,8 @@ class AllocationShard:
                 if self._wal_path is not None and os.path.exists(self._wal_path)
                 else 0
             ),
-            "categories": 0 if allocator is None else len(allocator.categories()),
-            "records": 0 if allocator is None else sum(allocator.records_counts().values()),
+            "categories": 0 if crashed else len(self.allocator.categories()),
+            "records": 0 if crashed else sum(self.allocator.records_counts().values()),
         }
 
     def __repr__(self) -> str:

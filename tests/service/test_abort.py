@@ -1,13 +1,14 @@
-"""``abort()`` is a crash: it frees what a crash loses and fails what it drops.
+"""A crash frees what a crash loses and fails what it drops.
 
 An in-process crash and restart (the kill/resume and exactly-once
 suites, ``service-chaos``, the benchmark's recovery check) must hold one
 allocator state, not two: the aborted shards release their allocators
 and dedup windows before the loop turns again, although the cancelled
 writer coroutines still hold the shards.  Work queued at the abort fails
-with the ambiguous :class:`CrashPointFired`, as it does when a crash
-point kills the writer, and what is left of the service only reports the
-crash.
+with the ambiguous :class:`CrashPointFired`, and what is left of the
+service only reports the crash.  A crash point firing inside a shard
+writer takes the same path as ``abort()``: the next call is refused at
+once, and ``stop()`` snapshots nothing the crash tore.
 """
 
 import asyncio
@@ -18,18 +19,33 @@ import weakref
 import pytest
 
 from repro.core.allocator import AllocatorConfig, TaskOrientedAllocator
-from repro.service import AllocationService, CrashPointFired, ServiceConfig
+from repro.service import CRASH_POINTS, AllocationService, CrashPointFired, ServiceConfig
 from repro.service.shards import AllocationShard
 
 pytestmark = pytest.mark.service
 
 CATEGORIES = [f"cat-{i}" for i in range(8)]
 
+#: The crash sites a shard writer hosts.
+SHARD_SITES = [
+    "shard.wal-append.before",
+    "shard.wal-append.after",
+    "shard.apply.before",
+    "shard.apply.after",
+]
 
-def _config(data_dir=None):
+
+@pytest.fixture
+def crash_points():
+    CRASH_POINTS.reset()
+    yield CRASH_POINTS
+    CRASH_POINTS.reset()
+
+
+def _config(data_dir=None, n_shards=4):
     return ServiceConfig(
         allocator=AllocatorConfig(algorithm="exhaustive_bucketing", seed=5),
-        n_shards=4,
+        n_shards=n_shards,
         data_dir=None if data_dir is None else str(data_dir),
         dedup_window=64,
     )
@@ -101,21 +117,21 @@ def test_queued_callers_fail_with_the_crash_error(tmp_path):
 
 
 def test_work_held_behind_a_parked_barrier_fails_too():
-    """Work the writer drained behind a snapshot barrier is queued work as well."""
+    """Work queued behind a parked snapshot barrier fails with the crash."""
 
     async def park():
         return shard.quiesce()
 
     async def scenario():
         shard.start()
-        # One drain takes all three: the writer commits the first op,
-        # parks at the barrier and holds the second.
+        # The writer commits the first op and parks at the barrier; the
+        # second waits behind it.
         before = asyncio.ensure_future(shard.submit(_ops(1)[0]))
         barrier = asyncio.ensure_future(park())
         behind = asyncio.ensure_future(shard.submit(_ops(1, start=1)[0]))
         await asyncio.wait_for((await barrier).parked.wait(), 1.0)
         first = await before
-        assert shard.queue_depth == 0
+        assert shard.queue_depth == 1
         shard.abort()
         try:
             await asyncio.wait_for(behind, 1.0)
@@ -183,8 +199,7 @@ def test_a_restart_after_abort_holds_one_state(tmp_path):
     async def scenario(data_dir, n_records, n_post):
         service = await _populated(data_dir, n_records=n_records)
         await service.snapshot()
-        # Small batches: the writer keeps its last drained batch until
-        # it runs again, on both sides of the comparison.
+        # 50-op batches, as when the bound below was measured.
         for start in range(n_records, n_records + n_post, 50):
             await service.submit_batch(_ops(50, start=start))
         held = tracemalloc.get_traced_memory()[0] - base
@@ -206,3 +221,155 @@ def test_a_restart_after_abort_holds_one_state(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / held < RESTART_PEAK_BOUND, (held, peak)
+
+
+async def _crashed_one_shard_service(data_dir, crash_points, site):
+    """One shard with one record applied, then ``site`` fires on a 3-record batch."""
+    service = AllocationService(_config(data_dir, n_shards=1))
+    await service.start()
+    records = _ops(4)[:4]
+    await service.submit_batch(records[:1])
+    crash_points.arm(site)
+    with pytest.raises(CrashPointFired):
+        await service.submit_batch(records[1:])
+    return service
+
+
+@pytest.mark.parametrize("site", SHARD_SITES)
+def test_a_fired_crash_point_refuses_the_next_call_at_once(tmp_path, crash_points, site):
+    async def scenario():
+        service = await _crashed_one_shard_service(tmp_path, crash_points, site)
+        refusals = []
+        for call in (
+            lambda: service.submit({"op": "allocate", "category": CATEGORIES[0], "task_id": 9}),
+            lambda: service.submit_batch(_ops(1, start=20)[:1]),
+            service.snapshot,
+        ):
+            with pytest.raises(RuntimeError, match="crashed") as refused:
+                await asyncio.wait_for(call(), 1.0)
+            assert not isinstance(refused.value, CrashPointFired)
+            refusals.append(str(refused.value))
+        health = service.health()
+        service.abort()
+        return refusals, health
+
+    refusals, health = asyncio.run(scenario())
+    assert len(set(refusals)) == 1
+    assert health["ok"] is False and health["started"] is True
+    assert [row["crashed"] for row in health["shards"]] == [True]
+
+
+@pytest.mark.parametrize("site", SHARD_SITES)
+def test_a_fired_crash_point_frees_the_allocator(crash_points, site):
+    async def scenario():
+        service = AllocationService(_config(n_shards=1))
+        await service.start()
+        await service.submit_batch(_ops(8))
+        allocator = weakref.ref(service.shards[0].allocator)
+        crash_points.arm(site)
+        gc.disable()
+        try:
+            with pytest.raises(CrashPointFired):
+                await service.submit_batch(_ops(3, start=8)[:3])
+            alive = allocator() is not None
+        finally:
+            gc.enable()
+        return alive, service.stats()["shards"][0]["dedup_size"]
+
+    assert asyncio.run(scenario()) == (False, 0)
+
+
+@pytest.mark.parametrize("site", SHARD_SITES)
+def test_stop_after_a_crash_point_recovers_what_abort_recovers(tmp_path, crash_points, site):
+    """``stop()`` writes no snapshot of a crashed shard: the WAL is the truth.
+
+    One record, then a 3-record batch crashes.  A snapshot of the crashed
+    shard would claim the batch's seqs with only the ops applied before
+    the crash, and recovery would skip the rest of the logged batch.
+    """
+
+    async def recovered(data_dir, end):
+        service = await _crashed_one_shard_service(data_dir, crash_points, site)
+        if end == "stop":
+            await service.stop()
+        else:
+            service.abort()
+        restarted = AllocationService(_config(data_dir, n_shards=1))
+        await restarted.start()
+        row = restarted.stats()["shards"][0]
+        await restarted.stop()
+        return row["records"], row["seq"]
+
+    stopped = asyncio.run(recovered(tmp_path / "stop", "stop"))
+    aborted = asyncio.run(recovered(tmp_path / "abort", "abort"))
+    # Before its WAL append the batch is lost; after it, replay applies it.
+    expected = (1, 1) if site == "shard.wal-append.before" else (4, 4)
+    assert stopped == aborted == expected
+
+
+def test_an_idle_writer_pins_no_drained_batch():
+    """The writer's last drained batch dies with the drain, not the next one.
+
+    Each op carries a unique ~4 KB field, so a batch the idle writer
+    still held would show as ~1 MB traced until the next drain.
+    """
+
+    def ops(n, start):
+        return [
+            {"op": "allocate", "category": "cat-0", "task_id": i, "pad": f"{i:08d}" * 512}
+            for i in range(start, start + n)
+        ]
+
+    async def idle_traced():
+        # One turn drops the loop's handle that woke this caller (it
+        # holds the batch's future); the collection leaves what is
+        # reachable, not garbage awaiting a pass.
+        await asyncio.sleep(0)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    async def scenario():
+        shard.start()
+        await shard.submit_many(ops(8, 0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            await shard.submit_many(ops(256, 100))
+            after_big = await idle_traced() - base
+            await shard.submit_many(ops(1, 1000))
+            after_next = await idle_traced() - base
+        finally:
+            tracemalloc.stop()
+        await shard.stop()
+        return after_big, after_next
+
+    shard = AllocationShard(0, TaskOrientedAllocator(_config().shard_allocator_config(0)))
+    after_big, after_next = asyncio.run(scenario())
+    assert after_big - after_next < 64 * 1024, (after_big, after_next)
+
+
+def test_a_snapshot_queued_behind_a_crashing_batch_writes_nothing(tmp_path, crash_points):
+    """The barrier behind the crash wakes, but no generation claims the torn shard."""
+
+    async def scenario():
+        service = AllocationService(_config(tmp_path, n_shards=1))
+        await service.start()
+        records = _ops(4)[:4]
+        await service.submit_batch(records[:1])
+        generation = service.generation
+        crash_points.arm("shard.apply.after")
+        # Both tasks enqueue on their first step, in this order, before
+        # the writer wakes: it drains the batch with the barrier behind.
+        crashing = asyncio.ensure_future(service.shards[0].submit_many(records[1:]))
+        snapshotting = asyncio.ensure_future(service.snapshot())
+        crashed, snapshot = await asyncio.wait_for(
+            asyncio.gather(crashing, snapshotting, return_exceptions=True), 1.0
+        )
+        written = service.generation
+        service.abort()
+        return crashed, snapshot, generation, written
+
+    crashed, snapshot, generation, written = asyncio.run(scenario())
+    assert isinstance(crashed, CrashPointFired)
+    assert isinstance(snapshot, RuntimeError) and "crashed" in str(snapshot)
+    assert written == generation

@@ -656,7 +656,7 @@ def test_older_shard_state_with_breaker_keys_restores_to_the_same_digest():
         await service.start()
         for op in _records(6):
             await service.submit(op)
-        state = json.loads("".join(iter_json(service.shards[0].state())))
+        state = json.loads("".join(iter_json(service.shards[0].snapshot_state())))
         digests = service.shard_digests()
         await service.stop()
         return state, digests
@@ -671,7 +671,7 @@ def test_older_shard_state_with_breaker_keys_restores_to_the_same_digest():
     shard.restore(older)
     assert shard.allocator.digest() == digests[0]
     assert shard.seq == state["seq"]
-    assert json.loads("".join(iter_json(shard.state()))) == state
+    assert json.loads("".join(iter_json(shard.snapshot_state()))) == state
 
 
 def test_replay_refuses_a_shed_wal_entry(tmp_path):

@@ -256,7 +256,7 @@ def test_snapshot_of_a_degraded_shard_archives_no_refused_frame(tmp_path):
             await service.submit(_record(100, 99999.0))
         FS_FAULTS.reset()
         shard = service.shards[service.shard_for("cat-0")]
-        assert shard.degraded
+        assert shard.state == "degraded"
         await service.snapshot()
         segment = data_dir / f"shard-{shard.index:02d}.wal.g{service.generation:06d}"
         assert [doc["seq"] for doc in read_jsonl(str(segment))] == [1, 2, 3, 4, 5]
