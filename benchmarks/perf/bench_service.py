@@ -21,7 +21,7 @@ Measured families:
   ``allocate_batch`` in fixed-size chunks; one queue item per chunk,
   one WAL group commit per drain.
 * **durable throughput** (full runs only) — the sustained scenario with
-  the write-ahead log on (``durability="batch"``), the deployment
+  the write-ahead log on (one fsync per group commit), the deployment
   configuration of the daemon.
 * **wire overhead** — the same operation stream round-tripped over a
   UNIX socket, once through a raw NDJSON connection
@@ -73,7 +73,6 @@ def _service_config(n_shards: int, data_dir: Optional[str] = None) -> ServiceCon
         ),
         n_shards=n_shards,
         data_dir=data_dir,
-        durability="batch",
     )
 
 

@@ -3,20 +3,20 @@
 The experiment CLI (``repro/cli.py``) and the shared
 :class:`~repro.experiments.config.ExperimentConfig` dataclass evolve
 together: every ``--flag`` must feed a config field (or be an
-execution-only knob consumed by ``main``), and every config field must
-be reachable from the CLI.  Drift in either direction is how "I reran
-it with the same command" quietly stops meaning "same experiment".
+execution-only knob consumed by ``main``), and every keyword the CLI
+passes must be a field.  Drift in either direction is how "I reran it
+with the same command" quietly stops meaning "same experiment".
 
-Three checks, each anchored where the fix belongs:
+Two checks, each reported in ``cli.py`` where the fix belongs:
 
 * a parsed flag whose ``dest`` is never read (``args.<dest>``) in
   ``cli.py`` — dead flag, reported on the ``add_argument`` call;
 * a keyword passed to ``ExperimentConfig(...)`` or ``config.with_(...)``
   in ``cli.py`` that is not a declared field — stale rename, reported
-  at the call;
-* a config field never set by any ``ExperimentConfig(...)``/``with_``
-  call in ``cli.py`` — unreachable knob, reported on the field's line
-  in ``config.py`` (internal fields carry an inline pragma there).
+  at the call.
+
+A field the CLI never sets is ``tests/test_settings.py``'s finding,
+which checks every config class for a setting no caller sets.
 
 This is a cross-file rule: it needs both modules in the analyzed set
 and stays silent when either is absent.
@@ -96,15 +96,15 @@ def _config_call_keywords(tree: ast.Module) -> List[Tuple[str, ast.Call]]:
     return keywords
 
 
-def _config_fields(tree: ast.Module) -> List[Tuple[str, int]]:
+def _config_fields(tree: ast.Module) -> Set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == CONFIG_CLASS:
-            return [
-                (stmt.target.id, stmt.lineno)
+            return {
+                stmt.target.id
                 for stmt in node.body
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            ]
-    return []
+            }
+    return set()
 
 
 @register_rule
@@ -112,8 +112,8 @@ class CliConfigDriftRule(Rule):
     id = "R7"
     name = "cli-config-drift"
     description = (
-        "every CLI flag must be consumed, every ExperimentConfig keyword must be a "
-        "real field, and every field must be reachable from the CLI"
+        "every CLI flag must be consumed and every ExperimentConfig keyword must be "
+        "a real field"
     )
 
     def run(self, project: Project, graph: CallGraph) -> Iterable[Finding]:
@@ -132,24 +132,14 @@ class CliConfigDriftRule(Rule):
         config = project.get(CONFIG_PATH)
         if config is None or config.tree is None:
             return
-        declared = _config_fields(config.tree)
-        fields = {name for name, _ in declared}
-        keywords = _config_call_keywords(cli.tree)
-        if fields:
-            for keyword, node in keywords:
-                if keyword not in fields:
-                    yield self.finding(
-                        cli,
-                        node,
-                        f"ExperimentConfig has no field {keyword!r} (stale rename?); "
-                        f"declared fields: {', '.join(sorted(fields))}",
-                    )
-        wired = {kw for kw, _ in keywords}
-        for name, lineno in declared:
-            if name not in wired:
+        fields = _config_fields(config.tree)
+        if not fields:
+            return
+        for keyword, node in _config_call_keywords(cli.tree):
+            if keyword not in fields:
                 yield self.finding(
-                    config,
-                    lineno,
-                    f"ExperimentConfig.{name} cannot be set from the CLI; add a "
-                    "flag in repro/cli.py or mark it internal with a pragma",
+                    cli,
+                    node,
+                    f"ExperimentConfig has no field {keyword!r} (stale rename?); "
+                    f"declared fields: {', '.join(sorted(fields))}",
                 )

@@ -330,14 +330,12 @@ class JournalWriter:
     """A held-open JSONL write-ahead log with group commit.
 
     Each :meth:`append_many` is one group commit: one write and **one**
-    flush + fsync (``sync="batch"``).  A per-operation fsync would cap
-    a high-rate writer at the disk's flush latency, so the allocation
-    service drains its queue into batches and commits each batch at
-    once.  A crash can then lose at most the *tail* of the final batch,
-    which :func:`read_jsonl`'s torn-line tolerance plus the reader's
+    flush + fsync.  A per-operation fsync would cap a high-rate writer
+    at the disk's flush latency, so the allocation service drains its
+    queue into batches and commits each batch at once.  A crash can
+    then lose at most the *tail* of the final batch, which
+    :func:`read_jsonl`'s torn-line tolerance plus the reader's
     sequence-number filter already handle.
-    ``sync="none"`` leaves flushing to the OS (benchmarks and tests
-    only).
 
     Records are written as checksummed frames (:func:`encode_frame`);
     all IO goes through the filesystem fault hook, so a seeded
@@ -348,16 +346,11 @@ class JournalWriter:
     so retrying on the same handle would falsely report durability.
     """
 
-    SYNC_MODES = ("batch", "none")
-
     # reproflow: sync-boundary -- WAL open happens once per shard at startup/rotation, before traffic
-    def __init__(self, path: str, sync: str = "batch") -> None:
-        if sync not in self.SYNC_MODES:
-            raise ValueError(f"sync must be one of {self.SYNC_MODES}, got {sync!r}")
+    def __init__(self, path: str) -> None:
         directory = os.path.dirname(os.path.abspath(path)) or "."
         os.makedirs(directory, exist_ok=True)
         self._path = path
-        self._sync = sync
         self._handle = open(path, "a", encoding="utf-8")
         #: File length after the last append that returned: the bytes
         #: past it, if any, belong to an append that raised.
@@ -371,8 +364,7 @@ class JournalWriter:
         text = "\n".join([encode_frame(doc) for doc in docs]) + "\n"
         _fault_write(self._handle, text, self._path)
         self._handle.flush()
-        if self._sync == "batch":
-            _fault_fsync(self._handle, self._path)
+        _fault_fsync(self._handle, self._path)
         # Frames are ASCII (JSON escapes the rest): characters are bytes.
         self.committed_bytes += len(text)
 
@@ -383,8 +375,7 @@ class JournalWriter:
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.flush()
-            if self._sync != "none":
-                _fault_fsync(self._handle, self._path)
+            _fault_fsync(self._handle, self._path)
             self._handle.close()
 
     def abandon(self) -> None:

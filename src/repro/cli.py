@@ -42,7 +42,6 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.service.config import DURABILITY_MODES
 
 __all__ = ["main", "build_parser"]
 
@@ -156,13 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="base seed shard allocator seeds are derived from",
-    )
-    service.add_argument(
-        "--durability",
-        choices=list(DURABILITY_MODES),
-        default="batch",
-        help="WAL commit policy under --checkpoint-dir (default: one "
-        "fsync per coalesced batch)",
     )
     service.add_argument(
         "--max-connections",
@@ -289,7 +281,6 @@ def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             ),
             n_shards=args.shards,
             data_dir=args.checkpoint_dir,
-            durability=args.durability,
             max_connections=args.max_connections,
             read_timeout=args.read_timeout,
             dedup_window=args.dedup_window,

@@ -8,14 +8,13 @@ exploration with 10 records, significance = task ID.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.core.allocator import AllocatorConfig
 from repro.core.base import check_seed
 from repro.sim.manager import SimulationConfig, check_count
 from repro.sim.pool import PoolConfig
-from repro.sim.profiles import ConsumptionProfile, LinearRampProfile
 from repro.workflows.colmena import make_colmena_workflow
 from repro.workflows.spec import WorkflowSpec
 from repro.workflows.synthetic import SYNTHETIC_WORKFLOWS, make_synthetic_workflow
@@ -41,6 +40,11 @@ PAPER_ALGORITHMS: Tuple[str, ...] = (
 
 #: The 7 workflows: five synthetic + the two production-shaped traces.
 PAPER_WORKFLOWS: Tuple[str, ...] = SYNTHETIC_WORKFLOWS + ("colmena_xtb", "topeft")
+
+#: The allocator's and the pool's seeds, pinned by the paper's testbed;
+#: only the workflow seed varies between runs.
+ALLOCATOR_SEED = 1
+POOL_SEED = 2
 
 
 def make_workflow(
@@ -72,11 +76,6 @@ class ExperimentConfig:
     ramp_up_seconds: float = 600.0
     n_tasks: int = 1000
     workflow_seed: int = 0
-    allocator_seed: int = 1  # reprolint: disable=R7  # pinned by the paper's testbed
-    pool_seed: int = 2  # reprolint: disable=R7  # pinned by the paper's testbed
-    profile: ConsumptionProfile = field(  # reprolint: disable=R7  # object-valued, API-only
-        default_factory=LinearRampProfile
-    )
     #: Dead-letter a task after this many exhausted attempts (see
     #: ``SimulationConfig.retry_budget``); ``None`` keeps the paper's
     #: unbounded retry behaviour.
@@ -92,8 +91,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_count("retry_budget", self.retry_budget)
-        for name in ("workflow_seed", "allocator_seed", "pool_seed"):
-            check_seed(name, getattr(self, name))
+        check_seed("workflow_seed", self.workflow_seed)
         # PoolConfig checks the pool's fields; refuse them here, not in
         # the middle of a run.
         self._pool_config()
@@ -102,16 +100,15 @@ class ExperimentConfig:
         return PoolConfig(
             n_workers=self.n_workers,
             ramp_up_seconds=self.ramp_up_seconds,
-            seed=self.pool_seed,
+            seed=POOL_SEED,
         )
 
     def simulation_config(self, algorithm: str, **allocator_overrides) -> SimulationConfig:
         return SimulationConfig(
             allocator=AllocatorConfig(
-                algorithm=algorithm, seed=self.allocator_seed, **allocator_overrides
+                algorithm=algorithm, seed=ALLOCATOR_SEED, **allocator_overrides
             ),
             pool=self._pool_config(),
-            profile=self.profile,
             retry_budget=self.retry_budget,
         )
 

@@ -40,13 +40,15 @@ from repro.checkpoint import (
     write_text_atomic,
 )
 from repro.experiments.config import (
+    ALLOCATOR_SEED,
     PAPER_ALGORITHMS,
     PAPER_WORKFLOWS,
+    POOL_SEED,
     ExperimentConfig,
     make_workflow,
 )
 from repro.metrics.summary import EfficiencySummary, summarize_result
-from repro.sim.manager import SimulationResult, WorkflowManager
+from repro.sim.manager import SimulationConfig, SimulationResult, WorkflowManager
 from repro.workflows.spec import WorkflowSpec
 
 __all__ = ["run_cell", "run_grid", "GridResult", "grid_digest"]
@@ -125,10 +127,11 @@ def grid_digest(
 ) -> str:
     """Digest binding a journal to one grid definition.
 
-    Covers everything that determines the results — the cell list and
-    every simulation-relevant config field — and deliberately excludes
-    the checkpoint plumbing (``checkpoint_dir``, ``resume``), which may
-    legitimately differ between the interrupted run and its relaunch.
+    Covers everything that determines the results — the cell list, every
+    simulation-relevant config field and the seeds and profile pinned as
+    constants — and deliberately excludes the checkpoint plumbing
+    (``checkpoint_dir``, ``resume``), which may legitimately differ
+    between the interrupted run and its relaunch.
     """
     return state_digest({
         "workflows": list(workflows),
@@ -137,9 +140,9 @@ def grid_digest(
         "ramp_up_seconds": config.ramp_up_seconds,
         "n_tasks": config.n_tasks,
         "workflow_seed": config.workflow_seed,
-        "allocator_seed": config.allocator_seed,
-        "pool_seed": config.pool_seed,
-        "profile": _stable_repr(config.profile),
+        "allocator_seed": ALLOCATOR_SEED,
+        "pool_seed": POOL_SEED,
+        "profile": _stable_repr(SimulationConfig().profile),
         "retry_budget": config.retry_budget,
     })
 

@@ -78,7 +78,6 @@ def _service_config(data_dir: Optional[str] = None) -> ServiceConfig:
         allocator=AllocatorConfig(algorithm="greedy_bucketing", seed=11),
         n_shards=3,
         data_dir=data_dir,
-        durability="batch",
         dedup_window=256,
         # E-X9 heals shards quickly: every second refused batch probes.
         degraded_probe_interval=2,

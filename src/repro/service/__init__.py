@@ -5,9 +5,9 @@ inline; a production scheduler instead *queries* one per task dispatch
 (Ponder-style online prediction).  This package is that deployment
 shape:
 
-* :class:`ServiceConfig` — shard count, durability, connection and
-  in-flight bounds, the idempotency dedup window, and the underlying
-  :class:`~repro.core.allocator.AllocatorConfig`.
+* :class:`ServiceConfig` — shard count, data directory (one fsync per
+  WAL group commit), connection bound, the idempotency dedup window,
+  and the underlying :class:`~repro.core.allocator.AllocatorConfig`.
 * :class:`AllocationService` — the in-process async API:
   ``allocate`` / ``allocate_retry`` / ``record`` / ``allocate_batch``,
   plus snapshots, stats/health, and WAL-backed crash recovery.

@@ -175,33 +175,33 @@ def seeded_crash_plan(
 #: Fault kinds the proxy can inject.
 EVENT_KINDS = ("disconnect", "truncate", "garbage", "delay", "split", "dribble")
 
+#: Mean distance between fault events in each direction's byte stream
+#: (exponential gaps, so schedules are memoryless and seed-stable).
+MEAN_GAP_BYTES = 600.0
+#: Wall-clock pause for ``delay`` events (and the per-byte dribble pace).
+DELAY_S = 0.002
+#: Upper bound on injected garbage runs (bytes).
+GARBAGE_MAX_BYTES = 24
+#: Bytes forwarded one-at-a-time by ``split``/``dribble`` events.
+SLOW_BYTES = 16
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
     """Seeded fault mix for one :class:`ChaosProxy`.
 
     Weights are relative odds of each fault kind; all-zero (the
-    default) disables injection entirely.  ``mean_gap_bytes`` sets the
-    mean distance between fault events in each direction's byte stream
-    (exponential gaps, so schedules are memoryless and seed-stable).
+    default) disables injection entirely.  Faults hit both directions,
+    :data:`MEAN_GAP_BYTES` apart on average.
     """
 
     seed: int = 0
-    mean_gap_bytes: float = 512.0
     disconnect_weight: float = 0.0
     truncate_weight: float = 0.0
     garbage_weight: float = 0.0
     delay_weight: float = 0.0
     split_weight: float = 0.0
     dribble_weight: float = 0.0
-    #: Wall-clock pause for ``delay`` events (and the per-byte dribble pace).
-    delay_s: float = 0.002
-    #: Upper bound on injected garbage runs (bytes).
-    garbage_max_bytes: int = 24
-    #: Bytes forwarded one-at-a-time by ``split``/``dribble`` events.
-    slow_bytes: int = 16
-    #: Apply faults to client->server ("c2s"), server->client ("s2c"), or both.
-    directions: Tuple[str, ...] = ("c2s", "s2c")
 
     def weights(self) -> Tuple[float, ...]:
         return (
@@ -222,9 +222,9 @@ class ChaosConfig:
 CHAOS_PROFILES = ("none", "drop", "torn", "garbage", "slow", "mixed")
 
 
-def make_chaos_config(profile: str, seed: int = 0, mean_gap_bytes: float = 600.0) -> ChaosConfig:
+def make_chaos_config(profile: str, seed: int = 0) -> ChaosConfig:
     """A :class:`ChaosConfig` for one named profile."""
-    base = ChaosConfig(seed=seed, mean_gap_bytes=mean_gap_bytes)
+    base = ChaosConfig(seed=seed)
     if profile == "none":
         return base
     if profile == "drop":
@@ -274,14 +274,14 @@ class ChaosSchedule:
         self._rng = random.Random(
             f"repro-chaos:{config.seed}:{connection}:{direction}"
         )
-        self._enabled = config.enabled and direction in config.directions
+        self._enabled = config.enabled
         self._next_offset = 0
         self._pending: Optional[ChaosEvent] = None
 
     def _draw(self) -> ChaosEvent:
         config = self._config
         rng = self._rng
-        gap = max(1, int(rng.expovariate(1.0 / config.mean_gap_bytes)))
+        gap = max(1, int(rng.expovariate(1.0 / MEAN_GAP_BYTES)))
         self._next_offset += gap
         kind = rng.choices(EVENT_KINDS, weights=config.weights())[0]
         payload = b""
@@ -293,7 +293,7 @@ class ChaosSchedule:
             # bytes could mutate a checksum-less JSON line into a
             # different valid request, which no wire layer can catch;
             # the protocol fuzz suite covers that hostile case.)
-            length = rng.randint(1, max(1, config.garbage_max_bytes))
+            length = rng.randint(1, GARBAGE_MAX_BYTES)
             payload = bytes(rng.randrange(8) for _ in range(length))
         return ChaosEvent(self._next_offset, kind, payload)
 
@@ -455,16 +455,16 @@ class ChaosProxy:
                 if not await self._write(direction, event.payload):
                     return False
             elif event.kind == "delay":
-                await asyncio.sleep(self._config.delay_s)
+                await asyncio.sleep(DELAY_S)
             elif event.kind in ("split", "dribble"):
-                slow = chunk[: self._config.slow_bytes]
+                slow = chunk[:SLOW_BYTES]
                 chunk = chunk[len(slow) :]
                 direction.offset += len(slow)
                 for i in range(len(slow)):
                     if not await self._write(direction, slow[i : i + 1]):
                         return False
                     if event.kind == "dribble":
-                        await asyncio.sleep(self._config.delay_s / 4.0)
+                        await asyncio.sleep(DELAY_S / 4.0)
         return True
 
     async def _write(self, direction: _Direction, data: bytes) -> bool:

@@ -105,13 +105,18 @@ T = TypeVar("T")
 #: awaitable of it from the asyncio client.
 _Reply = Union[T, Awaitable[T]]
 
+#: Each retry waits this many times longer than the one before it.
+BACKOFF_FACTOR = 2.0
+#: A delay is jittered down by up to this fraction of itself.
+JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a client reconnects and retries.
 
-    ``backoff_base * backoff_factor**attempt`` seconds, capped at
-    ``backoff_max``, jittered down by up to ``jitter`` of itself from a
+    ``backoff_base * BACKOFF_FACTOR**attempt`` seconds, capped at
+    ``backoff_max``, jittered down by up to ``JITTER`` of itself from a
     :class:`random.Random` seeded with ``seed`` — two clients with the
     same policy and seed sleep the same schedule, which is what makes
     chaos tests replayable.
@@ -121,23 +126,19 @@ class RetryPolicy:
     connect_timeout: float = 5.0
     read_timeout: float = 5.0
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max: float = 2.0
-    jitter: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
     def delay(
         self, attempt: int, rng: random.Random, retry_after: Optional[float] = None
     ) -> float:
         """The sleep before retry number ``attempt`` (0-based)."""
-        base = min(self.backoff_max, self.backoff_base * self.backoff_factor**attempt)
-        jittered = base * (1.0 - self.jitter * rng.random())
+        base = min(self.backoff_max, self.backoff_base * BACKOFF_FACTOR**attempt)
+        jittered = base * (1.0 - JITTER * rng.random())
         if retry_after is not None:
             jittered = max(jittered, float(retry_after))
         return jittered

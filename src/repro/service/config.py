@@ -8,14 +8,7 @@ from typing import Optional
 
 from repro.core.allocator import AllocatorConfig
 
-__all__ = ["ServiceConfig", "DURABILITY_MODES"]
-
-#: WAL commit policies: ``"batch"`` group-commits each drained queue
-#: batch with a single fsync before any of its operations is answered
-#: (the default — at most one torn batch tail is at risk, which the
-#: torn-line-tolerant reader absorbs), ``"none"`` leaves flushing to the
-#: OS (benchmarks and tests).
-DURABILITY_MODES = ("batch", "none")
+__all__ = ["ServiceConfig"]
 
 
 @dataclass(frozen=True)
@@ -35,9 +28,10 @@ class ServiceConfig:
         by the stable hash :func:`repro.service.shards.shard_of`.
     data_dir:
         Durability root (one WAL per shard plus a multi-shard snapshot
-        envelope).  ``None`` runs fully in memory.
-    durability:
-        WAL commit policy, one of :data:`DURABILITY_MODES`.
+        envelope).  ``None`` runs fully in memory.  Each drained queue
+        batch is group-committed with one fsync before any of its
+        operations is answered, so at most one torn batch tail is at
+        risk, which the torn-line-tolerant reader absorbs.
     dedup_window:
         Per-shard idempotency window: the most recent ``dedup_window``
         keyed responses are remembered (WAL-logged with their operations
@@ -49,10 +43,6 @@ class ServiceConfig:
         Concurrent wire connections the server accepts; excess
         connections get a typed ``overloaded`` error (with
         ``retry_after``) and a clean close.
-    max_inflight_requests:
-        Requests allowed in flight across all connections; excess
-        requests are answered ``overloaded`` (with ``retry_after``)
-        without touching a shard — the service's overload protection.
     read_timeout:
         Per-connection read deadline in seconds, finite and > 0
         (``None`` disables): a connection idle (or dribbling,
@@ -75,10 +65,8 @@ class ServiceConfig:
     allocator: AllocatorConfig = field(default_factory=lambda: AllocatorConfig(seed=0))
     n_shards: int = 4
     data_dir: Optional[str] = None
-    durability: str = "batch"
     dedup_window: int = 1024
     max_connections: int = 128
-    max_inflight_requests: int = 1024
     read_timeout: Optional[float] = None
     snapshot_retention: int = 3
     degraded_probe_interval: int = 16
@@ -86,19 +74,11 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"durability must be one of {DURABILITY_MODES}, got {self.durability!r}"
-            )
         if self.dedup_window < 0:
             raise ValueError(f"dedup_window must be >= 0, got {self.dedup_window}")
         if self.max_connections < 1:
             raise ValueError(
                 f"max_connections must be >= 1, got {self.max_connections}"
-            )
-        if self.max_inflight_requests < 1:
-            raise ValueError(
-                f"max_inflight_requests must be >= 1, got {self.max_inflight_requests}"
             )
         if self.read_timeout is not None and not (
             math.isfinite(self.read_timeout) and self.read_timeout > 0

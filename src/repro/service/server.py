@@ -7,12 +7,13 @@ ordering guarantee the in-process API provides.  Malformed lines get a
 typed ``ok: false`` error and the connection stays usable; only
 transport errors, oversized lines, and read-deadline expiries close it.
 
-Hardening (all bounds come from :class:`~repro.service.config.ServiceConfig`):
+Hardening (the bounds come from :class:`~repro.service.config.ServiceConfig`,
+apart from the in-flight bound):
 
 * at most ``max_connections`` concurrent sessions — the excess
   connection is answered with one ``overloaded`` error (carrying
   ``retry_after``) and closed cleanly, never silently dropped;
-* at most ``max_inflight_requests`` requests in flight across all
+* at most :data:`MAX_INFLIGHT_REQUESTS` requests in flight across all
   sessions — excess requests are answered ``overloaded`` without ever
   touching a shard queue;
 * a per-connection ``read_timeout``: a client idle (or slow-loris
@@ -70,6 +71,11 @@ logger = logging.getLogger("repro.service")
 
 #: Backoff hint (seconds) attached to ``overloaded`` responses.
 RETRY_AFTER_S = 0.05
+
+#: Requests in flight across all connections; the excess is answered
+#: ``overloaded`` without touching a shard — the service's overload
+#: protection.
+MAX_INFLIGHT_REQUESTS = 1024
 
 
 class AllocationServer:
@@ -261,7 +267,6 @@ class AllocationServer:
 
     async def _respond(self, line: bytes) -> Dict[str, Any]:
         request_id: Optional[Any] = None
-        config = self._service.config
         try:
             doc = parse_line(line)
             request_id = doc.get("id")
@@ -269,12 +274,12 @@ class AllocationServer:
                 return error_response(
                     request_id, ERR_SHUTTING_DOWN, "daemon is draining"
                 )
-            if self._inflight >= config.max_inflight_requests:
+            if self._inflight >= MAX_INFLIGHT_REQUESTS:
                 self.rejected_requests += 1
                 return error_response(
                     request_id,
                     ERR_OVERLOADED,
-                    f"in-flight limit ({config.max_inflight_requests}) reached",
+                    f"in-flight limit ({MAX_INFLIGHT_REQUESTS}) reached",
                     retry_after=RETRY_AFTER_S,
                 )
             if doc.get("op") != "allocate_batch":

@@ -217,7 +217,6 @@ class AllocationService:
                     index,
                     allocator,
                     wal_path=wal_path,
-                    durability=config.durability,
                     dedup_window=config.dedup_window,
                     probe_interval=config.degraded_probe_interval,
                 )
@@ -684,7 +683,6 @@ class AllocationService:
             "degraded": any(s["degraded"] for s in shards),
             "generation": self.generation,
             "last_snapshot_seq": list(self.last_snapshot_seqs),
-            "durability": self._config.durability,
             "wal": self._config.data_dir is not None,
             "wal_bytes": sum(s["wal_bytes"] for s in shards),
             "dedup_window": self._config.dedup_window,

@@ -12,9 +12,11 @@ issuing the same operations in the applied order — the linearizability
 tests replay exactly that claim.
 
 The applied-operation sequence number (``seq``) is the shard's logical
-clock: it orders the WAL and stamps every response.  A shard never
-answers on its own authority — overload is bounded at the server edge
-(``max_inflight_requests``), so every answer is the allocator's.
+clock: it orders the WAL and stamps every response.  It advances only
+once the batch's WAL append has returned, so a shard never reports a
+seq it did not log.  A shard never answers on its own authority —
+overload is bounded at the server edge (``MAX_INFLIGHT_REQUESTS``), so
+every answer is the allocator's.
 
 **Exactly-once:** an operation carrying a client idempotency ``key`` is
 applied at most once per key.  The shard remembers the last
@@ -41,8 +43,8 @@ refuses a submission or snapshot barrier before enqueueing it, with a
 
 **Degraded mode:** a storage error (``OSError`` — real or injected by
 :mod:`repro.faultfs`) during the WAL append does *not* kill the writer.
-The planned batch is rolled back (sequence numbers restored — the WAL
-must stay gap-free), the poisoned handle is dropped without a
+The planned batch takes no sequence numbers (the WAL must stay
+gap-free), the poisoned handle is dropped without a
 retry-fsync (fsyncgate), and the shard turns read-only:
 mutating submissions fail fast with the typed
 :class:`StorageUnavailable` (the wire layer maps it to
@@ -217,7 +219,6 @@ class AllocationShard:
         index: int,
         allocator: TaskOrientedAllocator,
         wal_path: Optional[str] = None,
-        durability: str = "batch",
         dedup_window: int = 0,
         probe_interval: int = 16,
     ) -> None:
@@ -244,7 +245,6 @@ class AllocationShard:
         self._probe_interval = probe_interval
         self._probe_ticks = 0
         self._wal_path = wal_path
-        self._durability = durability
         self._wal: Optional[JournalWriter] = None
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self._dedup_window = dedup_window
@@ -278,7 +278,7 @@ class AllocationShard:
 
     def open_wal(self) -> None:
         if self._wal_path is not None and self._wal is None:
-            self._wal = JournalWriter(self._wal_path, sync=self._durability)
+            self._wal = JournalWriter(self._wal_path)
 
     def start(self) -> None:
         """Open the WAL and launch the single writer task."""
@@ -315,10 +315,10 @@ class AllocationShard:
 
         Queued work and ``held`` (the writer's drain) fail with the
         ambiguous ``exc``.  The WAL handle is abandoned: ``append_many``
-        flushed (under ``durability="batch"``, fsynced) every commit, so
-        a final fsync keeps nothing a crash keeps.  The allocator and
-        dedup window go now, not when the cancelled writer (which holds
-        the shard) next runs: a restart must not hold two states.
+        fsynced every commit, so a final fsync keeps nothing a crash
+        keeps.  The allocator and dedup window go now, not when the
+        cancelled writer (which holds the shard) next runs: a restart
+        must not hold two states.
         """
         self._set_state(CRASHED)
         self._writer = None
@@ -430,9 +430,10 @@ class AllocationShard:
             self._probe_ticks += 1
             if self._probe_ticks % self._probe_interval != 0 or not self._probe_storage():
                 raise StorageUnavailable(self.index, self.degraded_reason)
-        # Captured for rollback: a failed WAL append must leave no seq
-        # gap (replay would refuse the log).
-        seq_before = self.seq
+        # The batch's seqs are planned here and taken only once the WAL
+        # append returns: a crash or storage error before it leaves no
+        # seq gap (replay would refuse the log) and no unlogged seq.
+        planned_seq = self.seq
         # (work, op, seq, key, dup): dup entries resolve from the dedup
         # window after the batch applies.
         planned: List[Tuple[_Work, Dict[str, Any], int, Optional[str], bool]] = []
@@ -449,20 +450,21 @@ class AllocationShard:
                     continue
                 if key is not None:
                     planned_keys[key] = id(work)
-                self.seq += 1
-                planned.append((work, op, self.seq, key, False))
-                entries.append({"seq": self.seq, "op": op})
+                planned_seq += 1
+                planned.append((work, op, planned_seq, key, False))
+                entries.append({"seq": planned_seq, "op": op})
         if entries:
             CRASH_POINTS.hit(SITE_WAL_APPEND_BEFORE)
             if self._wal is not None:
                 try:
                     self._wal.append_many(entries)
                 except OSError as exc:
-                    self._enter_degraded(exc, seq_before)
+                    self._enter_degraded(exc)
                     raise StorageUnavailable(
                         self.index, f"WAL append failed: {exc}"
                     ) from exc
-                self.last_durable_seq = self.seq
+                self.last_durable_seq = planned_seq
+            self.seq = planned_seq
             CRASH_POINTS.hit(SITE_WAL_APPEND_AFTER)
         results: Dict[int, List[Dict[str, Any]]] = {}
         errors: Dict[int, BaseException] = {}
@@ -521,8 +523,8 @@ class AllocationShard:
 
     # -- degraded mode ---------------------------------------------------------
 
-    def _enter_degraded(self, exc: OSError, seq_before: int) -> None:
-        """A WAL append failed: roll the batch back and turn read-only.
+    def _enter_degraded(self, exc: OSError) -> None:
+        """A WAL append failed: turn read-only.
 
         The handle is abandoned, never fsync-retried (fsyncgate: a
         failed write/fsync may already have dropped the dirty pages, so
@@ -532,7 +534,6 @@ class AllocationShard:
         self.storage_failures += 1
         self._set_state(DEGRADED)
         self.degraded_reason = str(exc)
-        self.seq = seq_before
         self._probe_ticks = 0
         self._committed_wal_bytes = self._wal.committed_bytes
         self._wal.abandon()
@@ -558,7 +559,7 @@ class AllocationShard:
         assert self._wal_path is not None
         try:
             self._cut_wal_back()
-            self._wal = JournalWriter(self._wal_path, sync=self._durability)
+            self._wal = JournalWriter(self._wal_path)
         except OSError as exc:
             self.degraded_reason = f"recovery probe failed: {exc}"
             self._wal = None

@@ -1,9 +1,8 @@
 # reprolint test fixture: R7 cli-config-drift — offending config half.
-# ``orphan_knob`` has no CLI wiring and no pragma.
+# The offences are in r7_bad_cli.py; this half declares the fields.
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_tasks: int = 1000
-    orphan_knob: float = 0.5

@@ -1,5 +1,4 @@
 # reprolint test fixture: R7 cli-config-drift — clean config half.
-# Every field is CLI-wired except one, which carries the pragma.
 from dataclasses import dataclass
 
 
@@ -7,4 +6,3 @@ from dataclasses import dataclass
 class ExperimentConfig:
     n_tasks: int = 1000
     ramp_up_seconds: float = 600.0
-    internal_knob: int = 7  # reprolint: disable=R7  # test-harness only

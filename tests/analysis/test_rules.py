@@ -86,7 +86,7 @@ CASES = {
             ("repro/cli.py", "r7_clean_cli.py"),
             ("repro/experiments/config.py", "r7_clean_config.py"),
         ],
-        3,
+        2,
         None,
         None,
     ),

@@ -90,11 +90,6 @@ class TestServiceChaos:
         assert main(["service-chaos"]) == 0
         assert seen == [7, 0]
 
-    def test_per_op_durability_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--durability", "op"])
-        assert build_parser().parse_args(["serve", "--durability", "batch"]).durability == "batch"
-
 
 class TestRetryBudget:
     @pytest.mark.parametrize("value", ["0", "-3", "2.5", "x"])

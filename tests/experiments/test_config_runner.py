@@ -51,7 +51,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="ramp_up_seconds"):
             SMALL.with_(ramp_up_seconds=ramp_up)
 
-    @pytest.mark.parametrize("field", ["workflow_seed", "allocator_seed", "pool_seed"])
+    @pytest.mark.parametrize("field", ["workflow_seed"])
     @pytest.mark.parametrize("bad", [-1, True, None, 1.5])
     def test_bad_seed_is_refused_at_construction(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):

@@ -260,6 +260,20 @@ def test_a_fired_crash_point_refuses_the_next_call_at_once(tmp_path, crash_point
 
 
 @pytest.mark.parametrize("site", SHARD_SITES)
+def test_a_crashed_shard_reports_only_the_seqs_it_logged(tmp_path, crash_points, site):
+    """Before its WAL append the batch takes no seq; after it, all three."""
+
+    async def scenario():
+        service = await _crashed_one_shard_service(tmp_path, crash_points, site)
+        health, ops = service.health()["shards"][0], service.stats()["ops"]
+        service.abort()
+        return health["seq"], health["last_durable_seq"], ops
+
+    logged = 1 if site == "shard.wal-append.before" else 4
+    assert asyncio.run(scenario()) == (logged, logged, logged)
+
+
+@pytest.mark.parametrize("site", SHARD_SITES)
 def test_a_fired_crash_point_frees_the_allocator(crash_points, site):
     async def scenario():
         service = AllocationService(_config(n_shards=1))

@@ -46,7 +46,6 @@ def _config(data_dir: Optional[str] = None, dedup_window: int = 256) -> ServiceC
         ),
         n_shards=3,
         data_dir=data_dir,
-        durability="batch",
         dedup_window=dedup_window,
     )
 
@@ -361,8 +360,6 @@ def _spawn_daemon(
         "greedy_bucketing",
         "--service-seed",
         "3",
-        "--durability",
-        "batch",
     ]
     if chaos_crash is not None:
         argv += ["--chaos-crash", chaos_crash]

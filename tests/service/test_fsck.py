@@ -51,7 +51,6 @@ def _config(data_dir):
         allocator=AllocatorConfig(algorithm="greedy_bucketing", seed=11),
         n_shards=2,
         data_dir=str(data_dir),
-        durability="batch",
     )
 
 
@@ -148,7 +147,7 @@ def test_mangled_current_pointer_is_an_error(tmp_path):
 
 
 def test_sequence_gap_is_an_error(tmp_path):
-    writer = JournalWriter(str(tmp_path / "shard-00.wal"), sync="batch")
+    writer = JournalWriter(str(tmp_path / "shard-00.wal"))
     writer.append({"seq": 1, "op": "allocate"})
     writer.append({"seq": 3, "op": "allocate"})  # 2 went missing
     writer.close()

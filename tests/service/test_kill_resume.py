@@ -76,7 +76,6 @@ def _config(data_dir: Optional[str] = None) -> ServiceConfig:
         ),
         n_shards=3,
         data_dir=data_dir,
-        durability="batch",
     )
 
 
@@ -219,8 +218,6 @@ def _spawn_daemon(socket_path: str, data_dir: str) -> subprocess.Popen:
             "greedy_bucketing",
             "--service-seed",
             "3",
-            "--durability",
-            "batch",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -48,7 +48,6 @@ def _config(data_dir=None):
         ),
         n_shards=2,
         data_dir=data_dir,
-        durability="batch" if data_dir else "none",
     )
 
 

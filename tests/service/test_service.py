@@ -37,6 +37,7 @@ from repro.service.protocol import (
     parse_line,
     validate_request,
 )
+from repro.service import server as server_module
 from repro.service.server import RETRY_AFTER_S
 
 
@@ -93,12 +94,6 @@ def test_shard_allocator_config_derives_seed():
 def test_config_validation():
     with pytest.raises(ValueError):
         ServiceConfig(n_shards=0)
-    with pytest.raises(ValueError):
-        ServiceConfig(durability="sometimes")
-    # One fsync per group commit already precedes every answer of the
-    # batch, so a per-op fsync mode would promise clients nothing more.
-    with pytest.raises(ValueError):
-        ServiceConfig(durability="op")
     # A NaN deadline used to pass and time out every request at once.
     for timeout in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="read_timeout must be finite and > 0"):
@@ -374,7 +369,7 @@ def _assert_refused_before_the_wal(tmp_path, bodies):
 
     async def scenario():
         data_dir = str(tmp_path / "data")
-        config = _config(data_dir=data_dir, n_shards=1, durability="batch")
+        config = _config(data_dir=data_dir, n_shards=1)
         service = AllocationService(config)
         await service.start()
         sock = str(tmp_path / "svc.sock")
@@ -499,7 +494,7 @@ def test_replay_treats_an_entry_that_fails_to_apply_as_the_live_commit_did(tmp_p
 
     async def scenario():
         data_dir = str(tmp_path / "data")
-        config = _config(data_dir=data_dir, n_shards=1, durability="batch")
+        config = _config(data_dir=data_dir, n_shards=1)
         service = AllocationService(config)
         await service.start()
         shard = service.shards[0]
@@ -535,13 +530,14 @@ def test_replay_treats_an_entry_that_fails_to_apply_as_the_live_commit_did(tmp_p
 # ---------------------------------------------------------------------------
 
 
-def test_inflight_limit_answers_overloaded_without_touching_a_shard(tmp_path):
-    """``max_inflight_requests``: with one request held in a parked shard's
+def test_inflight_limit_answers_overloaded_without_touching_a_shard(tmp_path, monkeypatch):
+    """``MAX_INFLIGHT_REQUESTS``: with one request held in a parked shard's
     queue, the next is refused at the edge — typed, with a backoff hint,
     counted, and never enqueued — and both sessions carry on afterwards."""
+    monkeypatch.setattr(server_module, "MAX_INFLIGHT_REQUESTS", 1)
 
     async def scenario():
-        service = AllocationService(_config(max_inflight_requests=1))
+        service = AllocationService(_config())
         await service.start()
         sock = str(tmp_path / "svc.sock")
         server = AllocationServer(service, socket_path=sock)
@@ -592,7 +588,7 @@ def test_inflight_limit_answers_overloaded_without_touching_a_shard(tmp_path):
 def test_wal_files_and_snapshot_envelope(tmp_path):
     async def scenario():
         data_dir = str(tmp_path / "data")
-        config = _config(data_dir=data_dir, durability="none")
+        config = _config(data_dir=data_dir)
         service = AllocationService(config)
         await service.start()
         for i in range(10):

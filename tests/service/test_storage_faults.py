@@ -52,7 +52,6 @@ def _config(data_dir, **overrides):
         allocator=AllocatorConfig(algorithm="greedy_bucketing", seed=11),
         n_shards=2,
         data_dir=str(data_dir),
-        durability="batch",
         degraded_probe_interval=2,
     )
     defaults.update(overrides)
@@ -86,14 +85,14 @@ async def _heal(service, op):
 def test_injector_fires_once_at_the_armed_hit(tmp_path):
     path = str(tmp_path / "shard-00.wal")
     FS_FAULTS.arm(FsFaultPlan("eio", at_hit=2, path_substring=".wal"))
-    writer = JournalWriter(path, sync="batch")
+    writer = JournalWriter(path)
     writer.append({"seq": 1})  # hit 1: passes
     with pytest.raises(OSError) as excinfo:
         writer.append({"seq": 2})  # hit 2: fires
     assert isinstance(excinfo.value, StorageFault)
     assert excinfo.value.kind == "eio"
     # One-shot: the plan auto-disarmed, the next write goes through.
-    writer2 = JournalWriter(path, sync="batch")
+    writer2 = JournalWriter(path)
     writer2.append({"seq": 2})
     writer2.close()
     assert FS_FAULTS.fired == [("eio", "write", path, 2)]
@@ -103,7 +102,7 @@ def test_injector_fires_once_at_the_armed_hit(tmp_path):
 def test_unmatched_paths_are_untouched(tmp_path):
     FS_FAULTS.arm(FsFaultPlan("enospc", at_hit=1, path_substring=".wal"))
     other = str(tmp_path / "results.jsonl")
-    writer = JournalWriter(other, sync="batch")
+    writer = JournalWriter(other)
     writer.append({"ok": True})
     writer.close()
     assert FS_FAULTS.fired == []
@@ -112,7 +111,7 @@ def test_unmatched_paths_are_untouched(tmp_path):
 
 def test_short_write_leaves_repairable_debris(tmp_path):
     path = str(tmp_path / "shard-00.wal")
-    writer = JournalWriter(path, sync="batch")
+    writer = JournalWriter(path)
     writer.append({"seq": 1})
     FS_FAULTS.arm(FsFaultPlan("short-write", at_hit=1, path_substring=".wal"))
     with pytest.raises(OSError):
@@ -122,7 +121,7 @@ def test_short_write_leaves_repairable_debris(tmp_path):
     assert read_jsonl(path) == [{"seq": 1}]
     dropped = repair_journal_tail(path, writer.committed_bytes)
     assert dropped > 0
-    writer2 = JournalWriter(path, sync="batch")
+    writer2 = JournalWriter(path)
     writer2.append({"seq": 2})
     writer2.close()
     assert read_jsonl(path) == [{"seq": 1}, {"seq": 2}]
@@ -130,7 +129,7 @@ def test_short_write_leaves_repairable_debris(tmp_path):
 
 def test_fsyncgate_retry_on_poisoned_handle_raises(tmp_path):
     path = str(tmp_path / "shard-00.wal")
-    writer = JournalWriter(path, sync="batch")
+    writer = JournalWriter(path)
     FS_FAULTS.arm(FsFaultPlan("fsync-fail", at_hit=1, path_substring=".wal"))
     with pytest.raises(OSError) as excinfo:
         writer.append({"seq": 1})
@@ -146,7 +145,7 @@ def test_fsyncgate_retry_on_poisoned_handle_raises(tmp_path):
     # and the reopened writer commits cleanly.
     assert read_jsonl(path)
     assert repair_journal_tail(path, writer.committed_bytes) > 0
-    writer2 = JournalWriter(path, sync="batch")
+    writer2 = JournalWriter(path)
     writer2.append({"seq": 2})
     writer2.close()
     assert read_jsonl(path) == [{"seq": 2}]

@@ -1,15 +1,14 @@
-"""Every setting of the allocator and the simulator is set by a caller.
+"""Every setting of a config class is set by a caller.
 
-A stdlib ``ast`` walk over ``src/``, ``benchmarks/`` and ``scripts/``
-(tests and examples are not callers) must find each field of
-:class:`~repro.core.allocator.AllocatorConfig` and
-:class:`~repro.sim.manager.SimulationConfig` passed as a keyword to a
-call of that class or of a conduit that forwards keywords into one:
-``dataclasses.replace``, ``ExperimentConfig.with_``,
-``ExperimentConfig.simulation_config`` and ``run_cell``.  A field no
-caller sets is a constant with a setting's cost; make it the constant,
-or put it on ``ALLOWED`` with the reason it stays.  ``ExperimentConfig``
-is checked against the CLI by reprolint's R7.
+A stdlib ``ast`` walk over the caller trees (tests and examples are not
+callers) must find each field of the seven config classes in
+``CONFIGS`` passed as a keyword to a call of that class or of a conduit
+that forwards keywords into it.  ``dataclasses.replace`` forwards into
+any class: it counts for every class with the field.
+:class:`~repro.experiments.config.ExperimentConfig` is the CLI's config,
+so only ``repro/cli.py`` counts as its caller.  A field no caller sets
+is a constant with a setting's cost; make it the constant, or put it on
+``ALLOWED`` with the reason it stays.
 
 The same holds for every ``__init__`` parameter of a registered
 algorithm: ``_build_algorithm`` wires it (the names it tests
@@ -23,23 +22,40 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import inspect
 import os
 import textwrap
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterator, Sequence, Set, Tuple
 
 from repro.core.allocator import AllocatorConfig, _build_algorithm, _init_parameters
 from repro.core.base import ALGORITHM_REGISTRY
+from repro.experiments.config import ExperimentConfig
+from repro.service.chaos import ChaosConfig
+from repro.service.client import RetryPolicy
+from repro.service.config import ServiceConfig
 from repro.sim.manager import SimulationConfig
+from repro.sim.pool import PoolConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALLERS = ("src", "benchmarks", "scripts")
-CONFIGS = (AllocatorConfig, SimulationConfig)
-CONDUITS = ("replace", "with_", "simulation_config", "run_cell")
-#: Fields no caller sets, as ``{field: "why it stays"}``.
+#: ``{class: (caller trees, callees besides the class that forward into it)}``.
+CONFIGS = {
+    ExperimentConfig: (("src/repro/cli.py",), ("with_",)),
+    AllocatorConfig: (CALLERS, ("replace", "simulation_config", "run_cell")),
+    SimulationConfig: (CALLERS, ("replace",)),
+    PoolConfig: (CALLERS, ("replace",)),
+    ServiceConfig: (CALLERS, ("replace",)),
+    RetryPolicy: (CALLERS, ("replace",)),
+    ChaosConfig: (CALLERS, ("replace", "make_chaos_config")),
+}
+#: Fields no caller sets, as ``{"Class.field": "why it stays"}``.
 ALLOWED: Dict[str, str] = {
-    "resources": "the paper's optional wall-time resource and registered kinds",
-    "max_events": "a livelock bound, sized from the task count when unset",
+    "AllocatorConfig.resources": "the paper's optional wall-time resource and registered kinds",
+    "SimulationConfig.max_events": "a livelock bound, sized from the task count when unset",
+    "SimulationConfig.profile": "the kill model: swapped by the profile tests, an axis to come",
+    "PoolConfig.capacity": "the worker shape that a registered resource kind needs",
+    "PoolConfig.churn": "the simulator's one adversity model; ChurnConfig is reached only here",
 }
 #: Algorithm constructor parameters no caller sets, as ``{"algorithm.param": "why"}``.
 ALGORITHM_ALLOWED: Dict[str, str] = {}
@@ -54,30 +70,46 @@ def _callee(call: ast.Call) -> str:
     return ""
 
 
-def _calls() -> Iterator[ast.Call]:
-    """Every call in the caller trees."""
-    for top in CALLERS:
-        for directory, subdirs, names in os.walk(os.path.join(REPO, top)):
-            subdirs[:] = [d for d in subdirs if d != "__pycache__"]
-            for name in names:
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(directory, name)
-                with open(path, encoding="utf-8") as handle:
-                    tree = ast.parse(handle.read(), path)
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.Call):
-                        yield node
+@functools.lru_cache(maxsize=None)
+def _calls_under(top: str) -> Tuple[ast.Call, ...]:
+    """Every call in one caller tree (a directory or a single file)."""
+    root = os.path.join(REPO, top)
+    paths = [root] if os.path.isfile(root) else []
+    for directory, subdirs, names in os.walk(root):
+        subdirs[:] = [d for d in subdirs if d != "__pycache__"]
+        paths.extend(os.path.join(directory, n) for n in names if n.endswith(".py"))
+    calls = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        calls.extend(node for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return tuple(calls)
 
 
-def keywords_set() -> Set[str]:
-    """Keywords passed to a config class or a conduit anywhere in the callers."""
-    callees = {cls.__name__ for cls in CONFIGS} | set(CONDUITS)
+def _calls(trees: Sequence[str] = CALLERS) -> Iterator[ast.Call]:
+    for top in trees:
+        yield from _calls_under(top)
+
+
+def keywords_set(cls: type) -> Set[str]:
+    """Keywords passed to ``cls`` or one of its conduits by its callers."""
+    trees, conduits = CONFIGS[cls]
+    callees = {cls.__name__, *conduits}
     found: Set[str] = set()
-    for call in _calls():
+    for call in _calls(trees):
         if _callee(call) in callees:
             found.update(kw.arg for kw in call.keywords if kw.arg)
     return found
+
+
+def unset_settings() -> Set[str]:
+    unset: Set[str] = set()
+    for cls in CONFIGS:
+        found = keywords_set(cls)
+        unset.update(
+            f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls) if f.name not in found
+        )
+    return unset
 
 
 def algorithm_keywords_set() -> Set[str]:
@@ -110,8 +142,7 @@ def wired_by_the_allocator() -> Set[str]:
 
 
 def test_every_setting_is_set_outside_the_tests():
-    fields = {f.name for cls in CONFIGS for f in dataclasses.fields(cls)}
-    unset = fields - keywords_set()
+    unset = unset_settings()
     assert unset == set(ALLOWED), (
         f"no caller sets {sorted(unset - set(ALLOWED))}; "
         f"set now, so off ALLOWED: {sorted(set(ALLOWED) - unset)}"
